@@ -1,9 +1,10 @@
 """Run one evbench workload through the evtraj CLI and report its metrics.
 
-A run sets up the workload's seeded scene ``SETUP_REPS`` times (`evtraj
-synth` plus event loading), then repeats `evtraj estimate` and `evtraj
-eval` in-process through ``evtraj.cli.main`` until ``--seconds`` have
-passed, checking the outputs of every repetition. With ``--trace 1``
+A run repeats `evtraj estimate` and `evtraj eval` in-process through
+``evtraj.cli.main`` until ``--seconds`` have passed, checking the outputs
+of every repetition. Before each repetition it sets up the workload's
+seeded scene ``SETUPS_PER_REP`` times (`evtraj synth` plus event loading),
+so the set-up samples are spread over the whole run. With ``--trace 1``
 every second repetition runs with spans around the public functions of
 the evtraj modules, and the metrics are the per-layer ones. The last line
 on stdout is one JSON object with the keys correct, attempted, failed and
@@ -31,14 +32,14 @@ from pathlib import Path
 
 import numpy as np
 
-from layers import LayerProbe
+from layers import SUMMARY_ONLY, LayerProbe
 from tracing import Tracer
 from workloads import QUERY_TIMES, WORKLOADS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 RESULTS = ROOT / ".evbench-results"
-SETUP_REPS = 15
+SETUPS_PER_REP = 2
 MIN_REPS = 3  # the warm-up and two timed repetitions
 
 
@@ -236,7 +237,8 @@ def run_workload(evtraj, w, seed: int, seconds: float, trace: bool, work: Path) 
     probe = LayerProbe(tracer, evtraj.optimize.EPS_CONTRAST) if trace else None
 
     setups, setup_digests = [], set()
-    for _ in range(SETUP_REPS):
+
+    def set_up():
         if probe:
             probe.install(evtraj)
         try:
@@ -246,17 +248,19 @@ def run_workload(evtraj, w, seed: int, seconds: float, trace: bool, work: Path) 
                 tracer.uninstall()
         setups.append(elapsed)
         setup_digests.add(digest)
-    expect(len(setup_digests) == 1, "synth output differs between set-ups with one seed")
+        expect(len(setup_digests) == 1, "synth output differs between set-ups with one seed")
 
     reps, durations = [], []
     start = time.perf_counter()
     while len(reps) < MIN_REPS or (
         time.perf_counter() - start + statistics.median(durations[1:]) <= seconds
     ):
+        t0 = time.perf_counter()
+        for _ in range(SETUPS_PER_REP):
+            set_up()
         traced = trace and len(reps) % 2 == 1
         if traced:
             probe.install(evtraj)
-        t0 = time.perf_counter()
         try:
             rep = attempt(lambda: run_rep(evtraj, w, scene, out, tracer if traced else None), traced)
         finally:
@@ -321,9 +325,11 @@ def main(argv=None) -> int:
         overhead = (statistics.median(r.estimate_s for r in traced)
                     / statistics.median(r.estimate_s for r in plain) - 1.0)
         values = run["probe"].metrics(overhead)
+        summary = {n: values.pop(n) for n in SUMMARY_ONLY}
         kind = "per_layer"
     else:
         values = end_to_end(run["setups"], plain)
+        summary = {}
         kind = "end_to_end"
     units = declared[kind]
     if set(values) != set(units):
@@ -346,6 +352,8 @@ def main(argv=None) -> int:
             print(f"  {name} samples={len(series)} p25={q1:.6g} p75={q3:.6g} max={max(series):.6g}")
     for name, value in values.items():
         print(f"{name:48s} {value:14.6g} {units[name]}")
+    for name, value in summary.items():
+        print(f"{name:48s} {value:14.6g} (summary only)")
     print(f"{'failed_frac':48s} {failed / len(reps):14.6g} ratio ({failed} of {len(reps)})")
 
     result = {
@@ -356,7 +364,7 @@ def main(argv=None) -> int:
     }
     RESULTS.mkdir(exist_ok=True)
     stem = RESULTS / f"{w.name}-seed{args.seed}-trace{args.trace}"
-    record = dict(result, workload=w.name, seed=args.seed, env=env,
+    record = dict(result, workload=w.name, seed=args.seed, env=env, summary=summary,
                   setups=run["setups"], reps=[asdict(r) for r in reps])
     Path(f"{stem}.json").write_text(json.dumps(record, indent=1) + "\n")
     if args.trace:

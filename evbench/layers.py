@@ -30,6 +30,9 @@ SYNTH, ESTIMATE, EVAL = "cli.synth", "cli.estimate", "cli.eval"
 # Candidate tail percentiles; the tail is the highest one with at least
 # ten samples beyond it.
 TAIL_PERCENTILES = (99.9, 99.0, 95.0, 90.0, 75.0, 50.0)
+# Printed in the summary and kept in the result file, but not declared in
+# BENCHMARK.json: each reads 0 on every declared workload.
+SUMMARY_ONLY = ("optimize.degenerate_iters",)
 
 
 def tail_percentile(n: int) -> float:

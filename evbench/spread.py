@@ -1,11 +1,12 @@
 """Run-to-run spread of the end-to-end metrics over several workload seeds.
 
-    python3 evbench/spread.py --workload fit-arc-128 --seeds 1-10
+    python3 evbench/spread.py --workload fit-arc-128
 
-Runs ``evbench/run.py`` once per seed, one process after another, and
-prints for each end-to-end metric the median, the quartiles (as
-``statistics.quantiles(values, n=4)`` gives them) and the quartile
-distance as a share of the median next to the metric's bound.
+Runs ``evbench/run.py`` for seeds 1-10, one process after another, each
+for BENCHMARK.json's ``run_seconds``, and prints for each end-to-end
+metric the median, the quartiles (as ``statistics.quantiles(values, n=4)``
+gives them) and the quartile distance as a share of the median next to
+the metric's bound.
 """
 
 from __future__ import annotations
@@ -21,23 +22,16 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
 
-def seeds_arg(text: str) -> list:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
-
-
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", type=seeds_arg, default=seeds_arg("1-10"))
-    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
     args = parser.parse_args(argv)
 
     values = {m["name"]: [] for m in spec["end_to_end"]}
-    for seed in args.seeds:
+    for seed in range(1, 11):
         cmd = [sys.executable, str(HERE / "run.py"), "--workload", args.workload,
-               "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
+               "--seed", str(seed), "--seconds", str(spec["run_seconds"]), "--trace", "0"]
         out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
         if out.returncode != 0:
             print(out.stderr[-2000:], file=sys.stderr)
