@@ -3,11 +3,11 @@ streams by direct contrast maximization over parametric trajectory fields.
 
 The package is organized around the estimation pipeline:
 
-``events``     event containers, EVT1/CSV I/O, voxel grids
+``events``     event containers, EVT1/CSV I/O
 ``trajectory`` polynomial/Bezier trajectory bases on an anchor grid
 ``assoc``      per-bin KNN association and the displacement volume
-``objective``  event warping, IWEs, contrast value G and regularizer R
-``optimize``   analytic gradients, Adam descent, finite-difference checks
+``objective``  event warping, IWEs, and the loss forward pass (contrast G, regularizer R)
+``optimize``   backward pass (analytic gradients), Adam descent, finite-difference checks
 ``synth``      synthetic scenes with exact ground truth; rigid GT flow
 ``metrics``    EPE / AE / %Out / TEPE / TAE / FWL
 ``flowio``     FLO1 flow-map files
@@ -25,11 +25,8 @@ from .assoc import (
     knn_per_bin,
 )
 from .events import (
-    Event,
     EventFormatError,
     EventSlice,
-    VoxelGrid,
-    build_voxel_grid,
     load_events,
     save_events,
 )
@@ -82,7 +79,6 @@ from .trajectory import (
     POLYNOMIAL,
     Basis,
     TrajectoryField,
-    eval_basis,
     eval_trajectory,
     eval_trajectory_batch,
     load_field,

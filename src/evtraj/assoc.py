@@ -98,11 +98,6 @@ def _topk_stable(d2, k):
     return order
 
 
-def cell_centers(width: int, height: int, stride: int):
-    """(rows, cols, centers): volume cell grid, same layout as the anchors."""
-    return anchor_grid(width, height, stride)
-
-
 @dataclass
 class DisplacementVolume:
     """Per (bin, cell) mean displacement toward t_ref, plus the KNN indices.
@@ -130,7 +125,7 @@ class DisplacementVolume:
     @classmethod
     def zeros(cls, width: int, height: int, stride: int = 4, n_bins: int = 15):
         """Identity-warp volume (zero displacement everywhere)."""
-        rows, cols, _ = cell_centers(width, height, stride)
+        rows, cols, _ = anchor_grid(width, height, stride)
         return cls(
             t_ref=0.0,
             stride=stride,
@@ -155,7 +150,7 @@ def build_displacement_volume(
         raise ValueError("t_ref must lie in [0, 1]")
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
-    rows, cols, centers = cell_centers(field.width, field.height, field.stride)
+    rows, cols, centers = anchor_grid(field.width, field.height, field.stride)
     bin_centers = (np.arange(n_bins) + 0.5) / n_bins
     pos_bins = eval_trajectory_batch(field, bin_centers)  # (B, N, 2)
     pos_ref = eval_trajectory_batch(field, [t_ref])[0]  # (N, 2)

@@ -1,4 +1,4 @@
-"""Event stream containers, validation, binary/CSV I/O, and voxelization.
+"""Event stream containers, validation, and binary/CSV I/O.
 
 An event camera reports asynchronous per-pixel brightness changes. Each
 record is (x, y, t, p): pixel column/row, timestamp in seconds, and
@@ -42,16 +42,6 @@ _RECORD_DTYPE = np.dtype(
 
 class EventFormatError(ValueError):
     """Malformed event file; message names the offending byte offset or line."""
-
-
-@dataclass(frozen=True)
-class Event:
-    """A single brightness-change record."""
-
-    x: int
-    y: int
-    t: float
-    p: int
 
 
 @dataclass(frozen=True)
@@ -140,14 +130,6 @@ class EventSlice:
             t_end = float(t[-1]) if len(t) else 0.0
         return cls(x, y, t, p, float(t_start), float(t_end), int(width), int(height))
 
-    @classmethod
-    def from_events(cls, events, width: int, height: int, **kw) -> "EventSlice":
-        xs = [e.x for e in events]
-        ys = [e.y for e in events]
-        ts = [e.t for e in events]
-        ps = [e.p for e in events]
-        return cls.from_arrays(xs, ys, ts, ps, width, height, **kw)
-
 
 def _detect_format(path: Path) -> str:
     with open(path, "rb") as f:
@@ -227,6 +209,11 @@ def _load_evt1(path: Path) -> EventSlice:
 
 
 def _save_evt1(sl: EventSlice, path: Path) -> None:
+    if sl.width > 65536 or sl.height > 65536:
+        raise ValueError(
+            f"{path}: EVT1 stores coordinates as u16, so width and height must be "
+            f"<= 65536, got {sl.width}x{sl.height}"
+        )
     header = np.zeros(1, dtype=_HEADER_DTYPE)
     header["magic"] = EVT1_MAGIC
     header["width"] = sl.width
@@ -284,41 +271,3 @@ def _save_csv(sl: EventSlice, path: Path) -> None:
         buf.write(f"{float(t)!r},{x},{y},{p}\n")
     Path(path).write_text(buf.getvalue())
 
-
-@dataclass(frozen=True)
-class VoxelGrid:
-    """B x H x W event-count tensor with bilinear temporal voting."""
-
-    bins: np.ndarray
-    t_start: float
-    t_end: float
-
-    @property
-    def n_bins(self) -> int:
-        return self.bins.shape[0]
-
-
-def build_voxel_grid(sl: EventSlice, n_bins: int) -> VoxelGrid:
-    """Accumulate events into a temporal voxel grid.
-
-    Each event votes bilinearly between the two nearest of ``n_bins`` bin
-    centers placed at k/(B-1) in normalized time (all mass in bin 0 when
-    B == 1), at its integer pixel. Total mass equals the event count.
-    """
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
-    if sl.duration <= 0.0 and n_bins > 1 and len(sl) > 0:
-        raise ValueError("degenerate time interval requires n_bins == 1")
-    bins = np.zeros((n_bins, sl.height, sl.width), dtype=np.float64)
-    if len(sl) == 0:
-        return VoxelGrid(bins, sl.t_start, sl.t_end)
-    tn = sl.normalized_times()
-    if n_bins == 1:
-        np.add.at(bins, (np.zeros(len(sl), dtype=np.int64), sl.y, sl.x), 1.0)
-        return VoxelGrid(bins, sl.t_start, sl.t_end)
-    pos = tn * (n_bins - 1)
-    lo = np.clip(np.floor(pos).astype(np.int64), 0, n_bins - 2)
-    frac = pos - lo
-    np.add.at(bins, (lo, sl.y, sl.x), 1.0 - frac)
-    np.add.at(bins, (lo + 1, sl.y, sl.x), frac)
-    return VoxelGrid(bins, sl.t_start, sl.t_end)

@@ -35,13 +35,24 @@ def save_flow(path, flow: np.ndarray, t: float, valid: np.ndarray | None = None)
 
 
 def load_flow(path):
-    """Read a FLO1 map; returns (flow (H, W, 2) float64, t, valid (H, W))."""
+    """Read a FLO1 map; returns (flow (H, W, 2) float64, t, valid (H, W)).
+
+    Malformed input raises ValueError naming the path and byte offset.
+    """
     raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.itemsize or raw[:4] != FLO1_MAGIC:
-        raise ValueError(f"{path}: not a FLO1 file")
+    if len(raw) < _HEADER.itemsize:
+        raise ValueError(f"{path}: truncated FLO1 header, file ends at byte {len(raw)}")
+    if raw[:4] != FLO1_MAGIC:
+        raise ValueError(f"{path}: not a FLO1 file, bad magic at byte 0")
     h = np.frombuffer(raw, dtype=_HEADER, count=1)[0]
     width, height = int(h["width"]), int(h["height"])
     n = width * height * 2
+    expected = _HEADER.itemsize + 4 * n
+    if len(raw) != expected:
+        raise ValueError(
+            f"{path}: FLO1 body of {n} float32 values should end at byte {expected}, "
+            f"file ends at byte {len(raw)}"
+        )
     data = np.frombuffer(raw, dtype="<f4", count=n, offset=_HEADER.itemsize)
     flow = data.astype(np.float64).reshape(height, width, 2)
     valid = np.isfinite(flow).all(axis=2)

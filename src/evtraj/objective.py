@@ -15,6 +15,10 @@ contrast, as in the contrast-maximization literature, and means the same
 at any resolution. The reference time is drawn uniformly per optimization
 step, so the solution must be sharp at *any* time.
 
+Every evaluation runs the forward passes here (:func:`loss_forward`,
+:func:`fixed_reference_forward`); the gradient code in ``optimize`` adds
+only its backward pass on top of what they return.
+
 Accumulation uses bilinear voting by default (sigma = 0) or a truncated
 Gaussian footprint (window anchored at floor(x'), radius ceil(3 sigma))
 normalized per event so total deposited mass equals the event's weight.
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import Callable
 
 import numpy as np
 
@@ -41,12 +46,15 @@ from .trajectory import TrajectoryField
 
 EPS_CONTRAST = 1e-8
 
+# (t_ref, weight) of the three-reference baseline; the weights sum to 4
+FIXED_REFERENCES = ((0.0, 1.0), (0.5, 2.0), (1.0, 1.0))
+
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
     """Contrast-loss settings. Defaults follow the estimator's standard run
-    (k=32 neighbors, 15 time bins, lambda=0.003, bilinear voting,
-    polarity-split IWEs, time weighting on).
+    (k=32 neighbors, 15 time bins, lambda=0.003, bilinear voting, time
+    weighting on).
 
     ``lam`` weighs the smoothness term R against the per-pixel contrast
     G / |Omega|; the total applies it as ``lam / |Omega|`` against G
@@ -58,26 +66,22 @@ class ObjectiveConfig:
     time_weighting: bool = True
     knn: KnnConfig = dc_field(default_factory=KnnConfig)
     n_bins: int = 15
-    polarity_split: bool = True
-    blend: bool = False  # trilinear volume lookup instead of nearest voxel
 
 
 @dataclass
 class WarpedEvents:
     """Warped positions plus the lookup bookkeeping needed for gradients.
 
-    ``vox_idx``/``vox_w`` give each event's flat voxel indices into the
-    volume and their blend weights (a single column with weight 1 for the
-    default nearest-voxel lookup). ``weights`` are the per-event IWE
-    contributions (time weighting already applied, mean 1 over unmasked).
+    ``vox_idx`` gives each event's flat voxel index into the volume.
+    ``weights`` are the per-event IWE contributions (time weighting
+    already applied, mean 1 over unmasked).
     """
 
     positions: np.ndarray  # (N, 2) warped (x, y)
     weights: np.ndarray  # (N,)
     mask: np.ndarray  # (N,) True = kept
     polarity: np.ndarray  # (N,) +1/-1
-    vox_idx: np.ndarray  # (N, L) flat indices into (n_bins * rows * cols)
-    vox_w: np.ndarray  # (N, L)
+    vox_idx: np.ndarray  # (N,) flat indices into (n_bins * rows * cols)
     t_ref: float
     width: int
     height: int
@@ -117,59 +121,42 @@ class LossBreakdown:
     t_ref: float
 
 
-def _volume_lookup(sl: EventSlice, volume: DisplacementVolume, blend: bool):
-    """Flat voxel indices and weights per event: (N, 1) or (N, 8)."""
-    n_bins = volume.n_bins
-    rows, cols = volume.grid_shape
-    tn = sl.normalized_times()
-    s = volume.stride
-    if not blend:
-        b = np.clip(np.floor(tn * n_bins).astype(np.int64), 0, n_bins - 1)
-        cy = sl.y // s
-        cx = sl.x // s
-        vox = (b * rows + cy) * cols + cx
-        return vox[:, None], np.ones((len(sl), 1), dtype=np.float64)
+@dataclass
+class ContrastPass:
+    """One contrast evaluation, kept for the backward pass.
 
-    def axis_corners(coord, n):
-        lo = np.floor(coord).astype(np.int64)
-        frac = coord - lo
-        frac[lo < 0] = 0.0
-        frac[lo >= n - 1] = 0.0
-        i0 = np.clip(lo, 0, n - 1)
-        i1 = np.clip(lo + 1, 0, n - 1)
-        return i0, i1, frac
+    ``taps`` (N, L) index each event's footprint in the stacked (pos, neg)
+    images; ``pullback`` maps a cotangent on those taps to the per-event
+    derivatives (d/dx', d/dy') of the deposited mass.
+    """
 
-    b0, b1, ft = axis_corners(tn * n_bins - 0.5, n_bins)
-    y0, y1, fy = axis_corners((sl.y + 0.5) / s - 0.5, rows)
-    x0, x1, fx = axis_corners((sl.x + 0.5) / s - 0.5, cols)
-    idx = []
-    wgt = []
-    for bi, wb in ((b0, 1.0 - ft), (b1, ft)):
-        for yi, wy in ((y0, 1.0 - fy), (y1, fy)):
-            for xi, wx in ((x0, 1.0 - fx), (x1, fx)):
-                idx.append((bi * rows + yi) * cols + xi)
-                wgt.append(wb * wy * wx)
-    return np.stack(idx, axis=1), np.stack(wgt, axis=1)
+    volume: DisplacementVolume
+    warped: WarpedEvents
+    iwe: Iwe
+    taps: np.ndarray
+    pullback: Callable
+    g: float
 
 
-def warp_events(
-    sl: EventSlice, volume: DisplacementVolume, time_weighting: bool = False, blend: bool = False
-) -> WarpedEvents:
+def warp_events(sl: EventSlice, volume: DisplacementVolume, time_weighting: bool = False) -> WarpedEvents:
     """Transport every event to the volume's reference time.
 
-    Displacement is looked up at the event's cell and nearest time bin
-    (or trilinearly blended when ``blend``). Events landing outside
-    [0, W-1] x [0, H-1] are masked out. With ``time_weighting`` each kept
-    event carries weight |t_ref - t_k|, normalized to mean 1.
+    Displacement is looked up at the event's cell and nearest time bin.
+    Events landing outside [0, W-1] x [0, H-1] are masked out. With
+    ``time_weighting`` each kept event carries weight |t_ref - t_k|,
+    normalized to mean 1.
     """
     if volume.width != sl.width or volume.height != sl.height:
         raise ValueError(
             f"volume geometry {volume.width}x{volume.height} does not match "
             f"slice {sl.width}x{sl.height}"
         )
-    vox_idx, vox_w = _volume_lookup(sl, volume, blend)
-    flat_disp = volume.disp.reshape(-1, 2)
-    delta = np.einsum("nl,nlc->nc", vox_w, flat_disp[vox_idx])
+    n_bins = volume.n_bins
+    rows, cols = volume.grid_shape
+    tn = sl.normalized_times()
+    b = np.clip(np.floor(tn * n_bins).astype(np.int64), 0, n_bins - 1)
+    vox_idx = (b * rows + sl.y // volume.stride) * cols + sl.x // volume.stride
+    delta = volume.disp.reshape(-1, 2)[vox_idx]
     positions = np.stack([sl.x + delta[:, 0], sl.y + delta[:, 1]], axis=1)
     mask = (
         (positions[:, 0] >= 0.0)
@@ -179,7 +166,7 @@ def warp_events(
     )
     weights = np.ones(len(sl), dtype=np.float64)
     if time_weighting:
-        dt = np.abs(volume.t_ref - sl.normalized_times())
+        dt = np.abs(volume.t_ref - tn)
         mean_dt = dt[mask].mean() if mask.any() else 0.0
         weights = dt / mean_dt if mean_dt > 0.0 else weights
     return WarpedEvents(
@@ -188,29 +175,30 @@ def warp_events(
         mask=mask,
         polarity=np.asarray(sl.p),
         vox_idx=vox_idx,
-        vox_w=vox_w,
         t_ref=volume.t_ref,
         width=sl.width,
         height=sl.height,
     )
 
 
-def voting_stencil(positions, mask, width: int, height: int, sigma: float, with_grad: bool = False):
-    """Per-event accumulation footprint: flat pixel indices and weights.
+def voting_stencil(positions, mask, weights, width: int, height: int, sigma: float):
+    """Per-event accumulation footprint: flat pixel indices and deposits.
 
-    Returns (pix (N, L), w (N, L)) and, when requested, (dw/dx', dw/dy').
-    Weights of masked events are zero and each unmasked row sums to 1.
+    Returns (pix (N, L), contrib (N, L), pullback). Each unmasked row of
+    ``contrib`` sums to the event's weight; masked rows are zero.
+    ``pullback(cot)`` contracts a per-tap cotangent (N, L) with the
+    derivatives of ``contrib`` and returns (d/dx', d/dy'), each (N,).
     sigma = 0 gives the 4-point bilinear kernel; sigma > 0 a truncated
     Gaussian (window anchored at floor(x'), radius ceil(3 sigma), so its
     breakpoints share the bilinear kernel's integer lattice) normalized
     per event over the in-image taps.
     """
     if sigma == 0.0:
-        return _bilinear_stencil(positions, mask, width, height, with_grad)
-    return _gaussian_stencil(positions, mask, width, height, sigma, with_grad)
+        return _bilinear_stencil(positions, mask, weights, width, height)
+    return _gaussian_stencil(positions, mask, weights, width, height, sigma)
 
 
-def _bilinear_stencil(positions, mask, width, height, with_grad):
+def _bilinear_stencil(positions, mask, weights, width, height):
     xw = positions[:, 0]
     yw = positions[:, 1]
     x0 = np.clip(np.floor(xw).astype(np.int64), 0, width - 1)
@@ -223,17 +211,19 @@ def _bilinear_stencil(positions, mask, width, height, with_grad):
     keep = mask[:, None] & (cx >= 0) & (cx < width) & (cy >= 0) & (cy < height)
     w = np.where(keep, w, 0.0)
     pix = np.clip(cy, 0, height - 1) * width + np.clip(cx, 0, width - 1)
-    if not with_grad:
-        return pix, w
-    dwx = np.where(keep, np.stack([-(1 - fy), (1 - fy), -fy, fy], axis=1), 0.0)
-    dwy = np.where(keep, np.stack([-(1 - fx), -fx, (1 - fx), fx], axis=1), 0.0)
-    return pix, w, dwx, dwy
+
+    def pullback(cot):
+        dwx = np.where(keep, np.stack([-(1 - fy), (1 - fy), -fy, fy], axis=1), 0.0)
+        dwy = np.where(keep, np.stack([-(1 - fx), -fx, (1 - fx), fx], axis=1), 0.0)
+        return weights * np.einsum("nl,nl->n", cot, dwx), weights * np.einsum("nl,nl->n", cot, dwy)
+
+    return pix, w * weights[:, None], pullback
 
 
-def _gaussian_stencil(positions, mask, width, height, sigma, with_grad):
-    # fully separable: weights, normalization, and both derivative stencils
-    # are built from per-axis (N, L) arrays with L = 2*ceil(3 sigma) + 2,
-    # then combined by outer products
+def _gaussian_stencil(positions, mask, weights, width, height, sigma):
+    # fully separable: the deposits, their normalization and both
+    # derivative stencils are outer products of per-axis (N, L) arrays,
+    # L = 2*ceil(3 sigma) + 2; the event weight is folded into the x factor
     xw = positions[:, 0]
     yw = positions[:, 1]
     x0 = np.clip(np.floor(xw).astype(np.int64), 0, width - 1)
@@ -253,71 +243,41 @@ def _gaussian_stencil(positions, mask, width, height, sigma, with_grad):
     sum_ey = ey.sum(axis=1)
     total = sum_ex * sum_ey
     total[total == 0.0] = 1.0
-    exa = ex * (mask / total)[:, None]  # masked rows zeroed here
-    w = exa[:, :, None] * ey[:, None, :]  # axis 1 = x taps, axis 2 = y taps
     n = len(xw)
     lw = offs.size
-    pix = (
-        np.clip(cy, 0, height - 1)[:, None, :] * width + np.clip(cx, 0, width - 1)[:, :, None]
+    exa = ex * (mask * weights / total)[:, None]  # masked rows zeroed here
+    contrib = exa[:, :, None] * ey[:, None, :]  # axis 1 = x taps, axis 2 = y taps
+    pix = np.clip(cy, 0, height - 1)[:, None, :] * width + np.clip(cx, 0, width - 1)[:, :, None]
+
+    def pullback(cot):
+        # d/dx' of the deposits is ax (x) ey with ax = exa * (rx - <rx>),
+        # <rx> the ex-mean of the x tap offsets; d/dy' is exa (x) by.
+        # Contracting against the factors never materializes (N, L, L).
+        rx = dx / (sigma * sigma)
+        ry = dy / (sigma * sigma)
+        mean_rx = np.divide((ex * rx).sum(axis=1), sum_ex, out=np.zeros(n), where=sum_ex > 0)
+        mean_ry = np.divide((ey * ry).sum(axis=1), sum_ey, out=np.zeros(n), where=sum_ey > 0)
+        ax = exa * (rx - mean_rx[:, None])
+        by = ey * (ry - mean_ry[:, None])
+        cot3 = cot.reshape(n, lw, lw)
+        return np.einsum("nij,ni,nj->n", cot3, ax, ey), np.einsum("nij,ni,nj->n", cot3, exa, by)
+
+    return pix.reshape(n, lw * lw), contrib.reshape(n, lw * lw), pullback
+
+
+def _accumulate(warped: WarpedEvents, sigma: float, polarity_split: bool):
+    """(Iwe, taps into the stacked (pos, neg) images, stencil pullback)."""
+    taps, contrib, pullback = voting_stencil(
+        warped.positions, warped.mask, warped.weights, warped.width, warped.height, sigma
     )
-    if not with_grad:
-        return pix.reshape(n, lw * lw), w.reshape(n, lw * lw)
-    # d/dx' of the normalized weights: [exa * (rx - <rx>)] (x) ey, where
-    # <rx> is the w-mean of the x tap offsets; symmetric in y
-    rx = dx / (sigma * sigma)
-    ry = dy / (sigma * sigma)
-    mean_rx = np.divide((ex * rx).sum(axis=1), sum_ex, out=np.zeros(n), where=sum_ex > 0)
-    mean_ry = np.divide((ey * ry).sum(axis=1), sum_ey, out=np.zeros(n), where=sum_ey > 0)
-    dwx = (exa * (rx - mean_rx[:, None]))[:, :, None] * ey[:, None, :]
-    dwy = exa[:, :, None] * (ey * (ry - mean_ry[:, None]))[:, None, :]
-    return (
-        pix.reshape(n, lw * lw),
-        w.reshape(n, lw * lw),
-        dwx.reshape(n, lw * lw),
-        dwy.reshape(n, lw * lw),
-    )
-
-
-def _gaussian_splat_parts(positions, mask, weights, width, height, sigma):
-    """Separable Gaussian splat with the event weight folded in.
-
-    Returns (pix (N, L), contrib (N, L), ax, ey, exa, by) where the
-    x/y derivative stencils are the outer products ax (x) ey and
-    exa (x) by; contractions against a per-tap cotangent then run as
-    einsum('nij,ni,nj->n', ...) without materializing them.
-    """
-    xw = positions[:, 0]
-    yw = positions[:, 1]
-    x0 = np.clip(np.floor(xw).astype(np.int64), 0, width - 1)
-    y0 = np.clip(np.floor(yw).astype(np.int64), 0, height - 1)
-    r = math.ceil(3.0 * sigma)
-    offs = np.arange(-r, r + 2)
-    cx = x0[:, None] + offs[None, :]
-    cy = y0[:, None] + offs[None, :]
-    dx = cx - xw[:, None]
-    dy = cy - yw[:, None]
-    inv2s = 1.0 / (2.0 * sigma * sigma)
-    ex = np.exp(-np.square(dx) * inv2s)
-    ex *= (cx >= 0) & (cx < width)
-    ey = np.exp(-np.square(dy) * inv2s)
-    ey *= (cy >= 0) & (cy < height)
-    sum_ex = ex.sum(axis=1)
-    sum_ey = ey.sum(axis=1)
-    total = sum_ex * sum_ey
-    total[total == 0.0] = 1.0
-    n = len(xw)
-    exa = ex * (mask * weights / total)[:, None]
-    contrib = exa[:, :, None] * ey[:, None, :]
-    pix = (
-        np.clip(cy, 0, height - 1)[:, None, :] * width + np.clip(cx, 0, width - 1)[:, :, None]
-    ).reshape(n, offs.size * offs.size)
-    rx = dx / (sigma * sigma)
-    ry = dy / (sigma * sigma)
-    mean_rx = np.divide((ex * rx).sum(axis=1), sum_ex, out=np.zeros(n), where=sum_ex > 0)
-    mean_ry = np.divide((ey * ry).sum(axis=1), sum_ey, out=np.zeros(n), where=sum_ey > 0)
-    ax = exa * (rx - mean_rx[:, None])
-    by = ey * (ry - mean_ry[:, None])
-    return pix, contrib.reshape(n, -1), ax, ey, exa, by
+    npix = warped.width * warped.height
+    if polarity_split:
+        # single pass: negative-polarity taps land in the second half
+        taps += ((warped.polarity < 0).astype(np.int64) * npix)[:, None]
+    counts = np.bincount(taps.ravel(), weights=contrib.ravel(), minlength=2 * npix)
+    shape = (warped.height, warped.width)
+    iwe = Iwe(counts[:npix].reshape(shape), counts[npix:].reshape(shape), warped.t_ref, sigma)
+    return iwe, taps, pullback
 
 
 def build_iwe(warped: WarpedEvents, sigma: float = 0.0, polarity_split: bool = True) -> Iwe:
@@ -326,22 +286,10 @@ def build_iwe(warped: WarpedEvents, sigma: float = 0.0, polarity_split: bool = T
     Each unmasked event deposits its weight through the voting stencil;
     with ``polarity_split`` off everything lands in ``pos``.
     """
-    pix, w = voting_stencil(warped.positions, warped.mask, warped.width, warped.height, sigma)
-    contrib = w * warped.weights[:, None]
-    npix = warped.width * warped.height
-    if polarity_split:
-        # single pass: negative-polarity taps land in the second half
-        shifted = pix + ((warped.polarity < 0).astype(np.int64) * npix)[:, None]
-        counts = np.bincount(shifted.ravel(), weights=contrib.ravel(), minlength=2 * npix)
-        pos, neg = counts[:npix], counts[npix:]
-    else:
-        pos = np.bincount(pix.ravel(), weights=contrib.ravel(), minlength=npix)
-        neg = np.zeros(npix)
-    shape = (warped.height, warped.width)
-    return Iwe(pos.reshape(shape), neg.reshape(shape), warped.t_ref, sigma)
+    return _accumulate(warped, sigma, polarity_split)[0]
 
 
-def _grad_mag_forward(img: np.ndarray):
+def _forward_differences(img: np.ndarray):
     """Forward-difference gradient images (zero on the far edges)."""
     gx = np.zeros_like(img)
     gy = np.zeros_like(img)
@@ -354,9 +302,16 @@ def contrast_g(iwe: Iwe) -> float:
     """L1 norm of the IWE gradient magnitude, summed over both polarities."""
     total = 0.0
     for img in (iwe.pos, iwe.neg):
-        gx, gy = _grad_mag_forward(img)
+        gx, gy = _forward_differences(img)
         total += float(np.sqrt(gx * gx + gy * gy).sum())
     return total
+
+
+def contrast_pass(sl: EventSlice, volume: DisplacementVolume, sigma: float, time_weighting: bool) -> ContrastPass:
+    """Warp, accumulate the polarity-split IWE and score its contrast G."""
+    warped = warp_events(sl, volume, time_weighting=time_weighting)
+    iwe, taps, pullback = _accumulate(warped, sigma, polarity_split=True)
+    return ContrastPass(volume, warped, iwe, taps, pullback, contrast_g(iwe))
 
 
 def regularizer_r(delta_field: np.ndarray) -> float:
@@ -384,6 +339,27 @@ def applied_lambda(cfg: ObjectiveConfig, sl: EventSlice) -> float:
     return cfg.lam / (sl.width * sl.height)
 
 
+def loss_forward(sl: EventSlice, field: TrajectoryField, t_ref: float, cfg: ObjectiveConfig):
+    """Forward pass of :func:`total_loss`.
+
+    Returns (LossBreakdown, ContrastPass, delta) with ``delta`` the
+    consecutive-bin delta field behind R.
+    """
+    volume = build_displacement_volume(field, t_ref, cfg.knn, cfg.n_bins)
+    cp = contrast_pass(sl, volume, cfg.sigma, cfg.time_weighting)
+    delta = build_consecutive_delta_field(field, volume)
+    r = regularizer_r(delta)
+    n_masked = cp.warped.n_masked
+    degenerate = (n_masked == len(sl) and len(sl) > 0) or cp.g < EPS_CONTRAST
+    lam = applied_lambda(cfg, sl)
+    total = 1.0 / max(cp.g, EPS_CONTRAST) + lam * r
+    breakdown = LossBreakdown(
+        g=cp.g, r=r, total=total, lam=lam, n_masked=n_masked,
+        degenerate=degenerate, t_ref=float(t_ref),
+    )
+    return breakdown, cp, delta
+
+
 def total_loss(sl: EventSlice, field: TrajectoryField, t_ref: float, cfg: ObjectiveConfig) -> LossBreakdown:
     """Evaluate 1/G + (lambda/|Omega|)*R for one reference time.
 
@@ -394,19 +370,24 @@ def total_loss(sl: EventSlice, field: TrajectoryField, t_ref: float, cfg: Object
     Flags ``degenerate`` (and guards 1/G with eps) when every event is
     warped off-image or the IWE is flat.
     """
-    volume = build_displacement_volume(field, t_ref, cfg.knn, cfg.n_bins)
-    warped = warp_events(sl, volume, time_weighting=cfg.time_weighting, blend=cfg.blend)
-    iwe = build_iwe(warped, sigma=cfg.sigma, polarity_split=cfg.polarity_split)
-    g = contrast_g(iwe)
-    delta = build_consecutive_delta_field(field, volume)
-    r = regularizer_r(delta)
-    degenerate = (warped.n_masked == len(sl) and len(sl) > 0) or g < EPS_CONTRAST
-    lam = applied_lambda(cfg, sl)
-    total = 1.0 / max(g, EPS_CONTRAST) + lam * r
-    return LossBreakdown(
-        g=g, r=r, total=total, lam=lam, n_masked=warped.n_masked,
-        degenerate=degenerate, t_ref=float(t_ref),
-    )
+    return loss_forward(sl, field, t_ref, cfg)[0]
+
+
+def fixed_reference_forward(sl: EventSlice, field: TrajectoryField, cfg: ObjectiveConfig):
+    """Forward pass of :func:`fixed_reference_loss`.
+
+    Returns (F, G_0, passes): G_0 is the eps-guarded zero-warp contrast
+    and ``passes`` the contrast passes at the times of ``FIXED_REFERENCES``.
+    """
+    zero_vol = DisplacementVolume.zeros(sl.width, sl.height, field.stride, cfg.n_bins)
+    g0 = max(contrast_pass(sl, zero_vol, cfg.sigma, False).g, EPS_CONTRAST)
+    passes = []
+    f = 0.0
+    for t_ref, weight in FIXED_REFERENCES:
+        volume = build_displacement_volume(field, t_ref, cfg.knn, cfg.n_bins)
+        passes.append(contrast_pass(sl, volume, cfg.sigma, False))
+        f += weight * passes[-1].g
+    return f / (4.0 * g0), g0, passes
 
 
 def fixed_reference_loss(sl: EventSlice, field: TrajectoryField, cfg: ObjectiveConfig) -> float:
@@ -417,16 +398,7 @@ def fixed_reference_loss(sl: EventSlice, field: TrajectoryField, cfg: ObjectiveC
     IWEs (zero coefficients) give exactly 1. Values above 1 mean the warp
     sharpens the accumulation at all three fixed times.
     """
-
-    def g_at(t_ref: float) -> float:
-        volume = build_displacement_volume(field, t_ref, cfg.knn, cfg.n_bins)
-        warped = warp_events(sl, volume, time_weighting=False, blend=cfg.blend)
-        return contrast_g(build_iwe(warped, sigma=cfg.sigma, polarity_split=cfg.polarity_split))
-
-    zero_vol = DisplacementVolume.zeros(sl.width, sl.height, field.stride, cfg.n_bins)
-    warped0 = warp_events(sl, zero_vol, time_weighting=False)
-    g0 = contrast_g(build_iwe(warped0, sigma=cfg.sigma, polarity_split=cfg.polarity_split))
-    return (g_at(0.0) + 2.0 * g_at(0.5) + g_at(1.0)) / (4.0 * max(g0, EPS_CONTRAST))
+    return fixed_reference_forward(sl, field, cfg)[0]
 
 
 def write_iwe_pgm(iwe: Iwe, path, bits: int = 8, which: str = "sum") -> None:

@@ -1,11 +1,14 @@
 """Gradient-based minimization of the contrast loss over trajectory
 coefficients, with analytic gradients validated against finite differences.
 
-The analytic gradient treats the KNN neighbor sets, per-event voxel
-assignments, and the off-image mask as constants within one evaluation
-(they are recomputed every iteration). Under that piecewise-constant
-treatment the loss is differentiable away from the integer breakpoints of
-the voting kernel, and the chain rule runs
+Every loss evaluation runs the forward pass of ``objective``
+(:func:`~evtraj.objective.loss_forward` or
+:func:`~evtraj.objective.fixed_reference_forward`); the gradients here add
+only the backward pass over what it returns. The analytic gradient treats
+the KNN neighbor sets, per-event voxel assignments, and the off-image mask
+as constants within one evaluation (they are recomputed every iteration).
+Under that piecewise-constant treatment the loss is differentiable away
+from the integer breakpoints of the voting kernel, and the chain rule runs
 
     coefficients -> per-voxel mean displacement -> event lookup
                  -> voting stencil -> G        (contrast path)
@@ -23,21 +26,18 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .assoc import build_consecutive_delta_field, build_displacement_volume
 from .events import EventSlice
 from .objective import (
     EPS_CONTRAST,
-    DisplacementVolume,
+    FIXED_REFERENCES,
+    ContrastPass,
     LossBreakdown,
     ObjectiveConfig,
-    _gaussian_splat_parts,
-    applied_lambda,
-    build_iwe,
-    contrast_g,
-    regularizer_r,
+    _forward_differences,
+    fixed_reference_forward,
+    loss_forward,
     sample_reference_time,
-    voting_stencil,
-    warp_events,
+    total_loss,
 )
 from .trajectory import TrajectoryField, displacement_basis
 
@@ -65,9 +65,6 @@ class OptimConfig:
     objective: ObjectiveConfig = dc_field(default_factory=ObjectiveConfig)
     fixed_t_ref: float | None = None
     fixed_reference: bool = False
-    early_stop: bool = False
-    early_stop_rel: float = 1e-6
-    early_stop_window: int = 20
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -103,10 +100,7 @@ def save_trace_csv(trace: OptimTrace, path) -> None:
 
 def _contrast_image_backward(img: np.ndarray) -> np.ndarray:
     """dG/dI for G = sum ||forward-diff gradient||_2 of one image."""
-    gx = np.zeros_like(img)
-    gy = np.zeros_like(img)
-    gx[:, :-1] = img[:, 1:] - img[:, :-1]
-    gy[:-1, :] = img[1:, :] - img[:-1, :]
+    gx, gy = _forward_differences(img)
     mag = np.sqrt(gx * gx + gy * gy)
     inv = np.zeros_like(mag)
     np.divide(1.0, mag, out=inv, where=mag > 0)
@@ -118,70 +112,37 @@ def _contrast_image_backward(img: np.ndarray) -> np.ndarray:
     return dgdi
 
 
-def _scatter_cells_to_anchors(gdisp_flat, knn_idx, n_anchors):
+def _scatter_cells_to_anchors(gcells, knn_idx, n_anchors):
     """Sum per-cell cotangents onto their K neighbor anchors (mean of K).
 
-    gdisp_flat: (B, cells, 2); knn_idx: (B, cells, K) flat anchor indices.
-    Returns (B, n_anchors, 2).
+    gcells: (B, cells, 2); knn_idx: (B, cells, K) flat anchor indices.
+    Returns (B, n_anchors, 2). One bincount per axis over the flat (bin,
+    anchor) slot keeps each slot's summation order (cells, then K).
     """
-    n_bins, n_cells, k = knn_idx.shape
-    out = np.empty((n_bins, n_anchors, 2))
-    for b in range(n_bins):
-        w = np.repeat(gdisp_flat[b] / k, k, axis=0)  # (cells*K, 2)
-        flat = knn_idx[b].ravel()
-        out[b, :, 0] = np.bincount(flat, weights=w[:, 0], minlength=n_anchors)
-        out[b, :, 1] = np.bincount(flat, weights=w[:, 1], minlength=n_anchors)
-    return out
+    n_bins, _, k = knn_idx.shape
+    slot = (np.arange(n_bins)[:, None] * n_anchors + knn_idx.reshape(n_bins, -1)).ravel()
+    w = np.repeat(np.moveaxis(gcells, 2, 0) / k, k, axis=2)  # (2, B, cells*K)
+    size = n_bins * n_anchors
+    out = np.stack([np.bincount(slot, weights=w[a].ravel(), minlength=size) for a in (0, 1)], axis=1)
+    return out.reshape(n_bins, n_anchors, 2)
 
 
-def _contrast_forward_backward(sl, field, volume, cfg, time_weighting):
-    """Contrast value at the volume's t_ref plus dG/d(coefficients)."""
+def _contrast_backward(field: TrajectoryField, cp: ContrastPass) -> np.ndarray:
+    """dG/d(coefficients) for one contrast pass."""
+    volume = cp.volume
     rows, cols = volume.grid_shape
     n_bins = volume.n_bins
-    warped = warp_events(sl, volume, time_weighting=time_weighting, blend=cfg.blend)
-    if cfg.sigma == 0.0:
-        pix, w, dwx, dwy = voting_stencil(
-            warped.positions, warped.mask, sl.width, sl.height, 0.0, with_grad=True
-        )
-        contrib = w * warped.weights[:, None]
-        parts = None
-    else:
-        pix, contrib, ax, ey, exa, by = _gaussian_splat_parts(
-            warped.positions, warped.mask, warped.weights, sl.width, sl.height, cfg.sigma
-        )
-        parts = (ax, ey, exa, by)
-    npix = sl.width * sl.height
-    is_neg = (warped.polarity < 0) if cfg.polarity_split else np.zeros(len(sl), dtype=bool)
-    shifted = pix + (is_neg.astype(np.int64) * npix)[:, None]
-    counts = np.bincount(shifted.ravel(), weights=contrib.ravel(), minlength=2 * npix)
-    pos = counts[:npix].reshape(sl.height, sl.width)
-    neg = counts[npix:].reshape(sl.height, sl.width)
-    g = 0.0
-    for img in (pos, neg):
-        gx_, gy_ = img[:, 1:] - img[:, :-1], img[1:, :] - img[:-1, :]
-        g += float(np.sqrt(np.square(np.pad(gx_, ((0, 0), (0, 1)))) +
-                           np.square(np.pad(gy_, ((0, 1), (0, 0))))).sum())
-
     dgdi = np.concatenate(
-        [_contrast_image_backward(pos).ravel(), _contrast_image_backward(neg).ravel()]
+        [_contrast_image_backward(cp.iwe.pos).ravel(), _contrast_image_backward(cp.iwe.neg).ravel()]
     )
-    dsel = dgdi[shifted]  # per-tap cotangent from the event's own polarity image
-    if parts is None:
-        dG_dx = warped.weights * np.einsum("nl,nl->n", dsel, dwx)
-        dG_dy = warped.weights * np.einsum("nl,nl->n", dsel, dwy)
-    else:
-        ax, ey, exa, by = parts
-        lw = ax.shape[1]
-        dsel3 = dsel.reshape(len(dsel), lw, lw)
-        dG_dx = np.einsum("nij,ni,nj->n", dsel3, ax, ey)
-        dG_dy = np.einsum("nij,ni,nj->n", dsel3, exa, by)
+    # per-tap cotangent from the event's own polarity image
+    dG_dx, dG_dy = cp.pullback(dgdi[cp.taps])
 
     # backward through the volume lookup into per-voxel displacement
     nvox = n_bins * rows * cols
-    vw = warped.vox_w
-    vidx = warped.vox_idx.ravel()
-    gdisp_x = np.bincount(vidx, weights=(dG_dx[:, None] * vw).ravel(), minlength=nvox)
-    gdisp_y = np.bincount(vidx, weights=(dG_dy[:, None] * vw).ravel(), minlength=nvox)
+    vidx = cp.warped.vox_idx
+    gdisp_x = np.bincount(vidx, weights=dG_dx, minlength=nvox)
+    gdisp_y = np.bincount(vidx, weights=dG_dy, minlength=nvox)
     gdisp = np.stack([gdisp_x, gdisp_y], axis=1).reshape(n_bins, rows * cols, 2)
 
     knn_idx = volume.knn_indices.reshape(n_bins, rows * cols, -1)
@@ -191,15 +152,13 @@ def _contrast_forward_backward(sl, field, volume, cfg, time_weighting):
         field.basis, volume.bin_centers
     )  # (B, D)
     grad = np.einsum("bnc,bd->ndc", ganchor, a)
-    return g, grad.reshape(field.coeffs.shape), warped.n_masked
+    return grad.reshape(field.coeffs.shape)
 
 
-def _regularizer_forward_backward(field, volume):
-    """R value and dR/d(coefficients) through the consecutive delta field."""
-    delta = build_consecutive_delta_field(field, volume)
-    r = regularizer_r(delta)
+def _regularizer_backward(field: TrajectoryField, volume, delta: np.ndarray) -> np.ndarray:
+    """dR/d(coefficients) through the consecutive delta field."""
     if delta.size == 0:
-        return r, np.zeros_like(field.coeffs)
+        return np.zeros_like(field.coeffs)
     n_pairs, rows, cols, _ = delta.shape
     n_cells = rows * cols
     gfield = np.zeros_like(delta)
@@ -215,7 +174,16 @@ def _regularizer_forward_backward(field, volume):
     g_bins = displacement_basis(field.basis, volume.bin_centers)  # (B, D)
     a = g_bins[1:] - g_bins[:-1]  # (B-1, D)
     grad = np.einsum("bnc,bd->ndc", ganchor, a)
-    return r, grad.reshape(field.coeffs.shape)
+    return grad.reshape(field.coeffs.shape)
+
+
+def _loss_backward(field: TrajectoryField, breakdown: LossBreakdown, cp: ContrastPass, delta) -> np.ndarray:
+    """Gradient of the total over the outputs of ``loss_forward``."""
+    g_eff = max(breakdown.g, EPS_CONTRAST)
+    dtotal_dg = -1.0 / (g_eff * g_eff) if breakdown.g > EPS_CONTRAST else 0.0
+    grad_g = _contrast_backward(field, cp)
+    grad_r = _regularizer_backward(field, cp.volume, delta)
+    return dtotal_dg * grad_g + breakdown.lam * grad_r
 
 
 def loss_gradient(sl: EventSlice, field: TrajectoryField, t_ref: float, cfg: ObjectiveConfig):
@@ -229,36 +197,16 @@ def loss_gradient(sl: EventSlice, field: TrajectoryField, t_ref: float, cfg: Obj
     the contrast path contributes zero (gradient of the guarded
     expression) and the breakdown is flagged degenerate.
     """
-    volume = build_displacement_volume(field, t_ref, cfg.knn, cfg.n_bins)
-    g, grad_g, n_masked = _contrast_forward_backward(sl, field, volume, cfg, cfg.time_weighting)
-    r, grad_r = _regularizer_forward_backward(field, volume)
-    g_eff = max(g, EPS_CONTRAST)
-    lam = applied_lambda(cfg, sl)
-    total = 1.0 / g_eff + lam * r
-    dtotal_dg = -1.0 / (g_eff * g_eff) if g > EPS_CONTRAST else 0.0
-    grad = dtotal_dg * grad_g + lam * grad_r
-    degenerate = (n_masked == len(sl) and len(sl) > 0) or g < EPS_CONTRAST
-    breakdown = LossBreakdown(
-        g=g, r=r, total=total, lam=lam, n_masked=n_masked,
-        degenerate=degenerate, t_ref=float(t_ref),
-    )
-    return breakdown, grad
+    breakdown, cp, delta = loss_forward(sl, field, t_ref, cfg)
+    return breakdown, _loss_backward(field, breakdown, cp, delta)
 
 
 def _fixed_reference_value_and_grad(sl: EventSlice, field: TrajectoryField, cfg: ObjectiveConfig):
-    """1/F and gradient for the three-reference baseline (contrast only)."""
-    zero_vol = DisplacementVolume.zeros(sl.width, sl.height, field.stride, cfg.n_bins)
-    g0 = contrast_g(build_iwe(warp_events(sl, zero_vol), sigma=cfg.sigma,
-                              polarity_split=cfg.polarity_split))
-    g0 = max(g0, EPS_CONTRAST)
-    f_val = 0.0
+    """(F, 1/F, d(1/F)/d(coefficients)) for the three-reference baseline."""
+    f_val, g0, passes = fixed_reference_forward(sl, field, cfg)
     f_grad = np.zeros_like(field.coeffs)
-    for t_ref, weight in ((0.0, 1.0), (0.5, 2.0), (1.0, 1.0)):
-        volume = build_displacement_volume(field, t_ref, cfg.knn, cfg.n_bins)
-        g, grad_g, _ = _contrast_forward_backward(sl, field, volume, cfg, time_weighting=False)
-        f_val += weight * g
-        f_grad += weight * grad_g
-    f_val /= 4.0 * g0
+    for (_, weight), cp in zip(FIXED_REFERENCES, passes):
+        f_grad += weight * _contrast_backward(field, cp)
     f_grad /= 4.0 * g0
     f_eff = max(f_val, EPS_CONTRAST)
     d = -1.0 / (f_eff * f_eff) if f_val > EPS_CONTRAST else 0.0
@@ -306,14 +254,6 @@ def minimize(sl: EventSlice, init_field: TrajectoryField, ocfg: OptimConfig) -> 
         m_hat = m / (1.0 - ocfg.beta1 ** (it + 1))
         v_hat = v / (1.0 - ocfg.beta2 ** (it + 1))
         field.coeffs -= ocfg.lr * m_hat / (np.sqrt(v_hat) + ocfg.eps)
-
-        if (
-            ocfg.early_stop
-            and it >= ocfg.early_stop_window
-            and abs(hist_total[-1] - hist_total[-1 - ocfg.early_stop_window])
-            < ocfg.early_stop_rel * max(abs(hist_total[-1 - ocfg.early_stop_window]), 1e-12)
-        ):
-            break
     return OptimTrace(
         t_ref=np.array(hist_t),
         g=np.array(hist_g),
@@ -355,13 +295,13 @@ def gradient_check(
     """
     if n_coords < 1:
         raise ValueError("n_coords must be >= 1")
-    _, grad = loss_gradient(sl, field, t_ref, cfg)
-    volume = build_displacement_volume(field, t_ref, cfg.knn, cfg.n_bins)
-    warped = warp_events(sl, volume, time_weighting=cfg.time_weighting, blend=cfg.blend)
+    breakdown, cp, delta = loss_forward(sl, field, t_ref, cfg)
+    grad = _loss_backward(field, breakdown, cp, delta)
+    volume, warped = cp.volume, cp.warped
     rows, cols = volume.grid_shape
 
     # events influenced by each anchor: membership of the anchor in the
-    # KNN set of any voxel the event reads from
+    # KNN set of the voxel the event reads from
     frac = warped.positions - np.floor(warped.positions)
     near_break = np.minimum(frac, 1.0 - frac) < 2.0 * h  # (N, 2) per axis
     knn_flat = volume.knn_indices.reshape(-1, volume.knn_indices.shape[-1])
@@ -396,9 +336,9 @@ def gradient_check(
         base = field.coeffs[coord]
         pert.coeffs[...] = field.coeffs
         pert.coeffs[coord] = base + h
-        lp = _objective_value(sl, pert, t_ref, cfg)
+        lp = total_loss(sl, pert, t_ref, cfg).total
         pert.coeffs[coord] = base - h
-        lm = _objective_value(sl, pert, t_ref, cfg)
+        lm = total_loss(sl, pert, t_ref, cfg).total
         gn = (lp - lm) / (2.0 * h)
         ga = grad[coord]
         rel = abs(ga - gn) / max(abs(ga), abs(gn), 1e-12)
@@ -407,11 +347,3 @@ def gradient_check(
             max_rel = rel
             worst = coord
     return GradCheckReport(max_rel_err=max_rel, worst_coord=worst, n_checked=checked, n_skipped=skipped)
-
-
-def _objective_value(sl, field, t_ref, cfg) -> float:
-    volume = build_displacement_volume(field, t_ref, cfg.knn, cfg.n_bins)
-    warped = warp_events(sl, volume, time_weighting=cfg.time_weighting, blend=cfg.blend)
-    g = contrast_g(build_iwe(warped, sigma=cfg.sigma, polarity_split=cfg.polarity_split))
-    r = regularizer_r(build_consecutive_delta_field(field, volume))
-    return 1.0 / max(g, EPS_CONTRAST) + applied_lambda(cfg, sl) * r

@@ -78,8 +78,7 @@ class SceneSpec:
     ``points``/``rates``: texture seed positions and relative event rates.
     ``n_events`` is the total event budget; a ``noise_fraction`` share of
     it becomes uniform space-time noise and the rest is split across the
-    texture points proportionally to their rates. ``contrast_threshold``
-    is informational only (the nominal brightness step per event).
+    texture points proportionally to their rates.
     ``coverage_radius``, when set, restricts the ground-truth validity
     mask to pixels within that distance of an observed texture event.
     """
@@ -91,7 +90,6 @@ class SceneSpec:
     rates: np.ndarray
     n_events: int
     noise_fraction: float = 0.0
-    contrast_threshold: float = 0.2
     query_times: np.ndarray = dc_field(default_factory=lambda: np.linspace(0.0, 1.0, 7))
     coverage_radius: float | None = None
 
@@ -281,7 +279,7 @@ def scene_from_config(cfg: dict, rng: np.random.Generator) -> SceneSpec:
     Recognized keys: width, height, n_events, points (count), noise,
     motion=constant|circular|bezier with their parameters (vx/vy;
     cx/cy/angle; offsets=x:y,x:y,...), and optional coverage_radius,
-    query_times (comma list), contrast_threshold.
+    query_times (comma list). Unknown keys are ignored.
     """
     width = int(cfg["width"])
     height = int(cfg["height"])
@@ -304,8 +302,6 @@ def scene_from_config(cfg: dict, rng: np.random.Generator) -> SceneSpec:
         kw["query_times"] = np.array([float(v) for v in cfg["query_times"].split(",")])
     if "coverage_radius" in cfg:
         kw["coverage_radius"] = float(cfg["coverage_radius"])
-    if "contrast_threshold" in cfg:
-        kw["contrast_threshold"] = float(cfg["contrast_threshold"])
     return SceneSpec(
         width=width,
         height=height,

@@ -35,6 +35,18 @@ BEZIER = "bezier"
 TRJ1_MAGIC = b"TRJ1"
 _KIND_CODE = {POLYNOMIAL: 0, BEZIER: 1}
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
+_TRJ1_HEADER = np.dtype(
+    [
+        ("magic", "S4"),
+        ("kind", "<u1"),
+        ("degree", "<u2"),
+        ("stride", "<u2"),
+        ("rows", "<u4"),
+        ("cols", "<u4"),
+        ("width", "<u4"),
+        ("height", "<u4"),
+    ]
+)
 
 
 @dataclass(frozen=True)
@@ -59,20 +71,6 @@ def _bernstein_all(degree: int, t: np.ndarray) -> np.ndarray:
     tt = t[:, None]
     # 0**0 = 1 handled by np.power on float64
     return binom * np.power(tt, j) * np.power(1.0 - tt, degree - j)
-
-
-def eval_basis(basis: Basis, t: float) -> np.ndarray:
-    """Basis function values at one normalized time.
-
-    Polynomial returns [t^1, ..., t^degree]. Bezier returns the full
-    Bernstein vector [B_0, ..., B_degree], which is non-negative and sums
-    to 1 (partition of unity).
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    if basis.kind == POLYNOMIAL:
-        return np.power(float(t), np.arange(1, basis.degree + 1, dtype=np.float64))
-    return _bernstein_all(basis.degree, np.array([t]))[0]
 
 
 def displacement_basis(basis: Basis, times) -> np.ndarray:
@@ -176,21 +174,7 @@ def eval_trajectory_batch(field: TrajectoryField, times) -> np.ndarray:
 
 def save_field(field: TrajectoryField, path) -> None:
     rows, cols = field.grid_shape
-    header = np.zeros(
-        1,
-        dtype=np.dtype(
-            [
-                ("magic", "S4"),
-                ("kind", "<u1"),
-                ("degree", "<u2"),
-                ("stride", "<u2"),
-                ("rows", "<u4"),
-                ("cols", "<u4"),
-                ("width", "<u4"),
-                ("height", "<u4"),
-            ]
-        ),
-    )
+    header = np.zeros(1, dtype=_TRJ1_HEADER)
     header["magic"] = TRJ1_MAGIC
     header["kind"] = _KIND_CODE[field.basis.kind]
     header["degree"] = field.basis.degree
@@ -203,27 +187,25 @@ def save_field(field: TrajectoryField, path) -> None:
 
 
 def load_field(path) -> TrajectoryField:
+    """Read a TRJ1 file; malformed input raises ValueError naming the byte offset."""
     raw = Path(path).read_bytes()
-    hdt = np.dtype(
-        [
-            ("magic", "S4"),
-            ("kind", "<u1"),
-            ("degree", "<u2"),
-            ("stride", "<u2"),
-            ("rows", "<u4"),
-            ("cols", "<u4"),
-            ("width", "<u4"),
-            ("height", "<u4"),
-        ]
-    )
-    if len(raw) < hdt.itemsize:
-        raise ValueError(f"{path}: truncated TRJ1 header")
-    h = np.frombuffer(raw, dtype=hdt, count=1)[0]
+    if len(raw) < _TRJ1_HEADER.itemsize:
+        raise ValueError(f"{path}: truncated TRJ1 header, file ends at byte {len(raw)}")
+    h = np.frombuffer(raw, dtype=_TRJ1_HEADER, count=1)[0]
     if bytes(h["magic"]) != TRJ1_MAGIC:
-        raise ValueError(f"{path}: bad TRJ1 magic")
-    basis = Basis(_CODE_KIND[int(h["kind"])], int(h["degree"]))
+        raise ValueError(f"{path}: bad TRJ1 magic at byte 0")
+    code = int(h["kind"])
+    if code not in _CODE_KIND:
+        raise ValueError(f"{path}: unknown TRJ1 basis code {code} at byte {_TRJ1_HEADER.fields['kind'][1]}")
+    basis = Basis(_CODE_KIND[code], int(h["degree"]))
     rows, cols = int(h["rows"]), int(h["cols"])
     n = rows * cols * basis.degree * 2
-    coeffs = np.frombuffer(raw, dtype="<f4", count=n, offset=hdt.itemsize)
+    expected = _TRJ1_HEADER.itemsize + 4 * n
+    if len(raw) != expected:
+        raise ValueError(
+            f"{path}: TRJ1 body of {n} float32 values should end at byte {expected}, "
+            f"file ends at byte {len(raw)}"
+        )
+    coeffs = np.frombuffer(raw, dtype="<f4", count=n, offset=_TRJ1_HEADER.itemsize)
     coeffs = coeffs.astype(np.float64).reshape(rows, cols, basis.degree, 2)
     return TrajectoryField(basis, int(h["stride"]), int(h["width"]), int(h["height"]), coeffs)

@@ -23,23 +23,6 @@ def bernstein_direct(degree, j, t):
     return comb(degree, j) * (1.0 - t) ** (degree - j) * t**j
 
 
-def voxel_grid_scalar(xs, ys, ts, t_start, t_end, width, height, n_bins):
-    """Scalar-loop voxelizer: bilinear in time between centers k/(B-1)."""
-    bins = np.zeros((n_bins, height, width))
-    duration = t_end - t_start
-    for x, y, t in zip(xs, ys, ts):
-        tn = 0.0 if duration <= 0 else (t - t_start) / duration
-        if n_bins == 1:
-            bins[0, y, x] += 1.0
-            continue
-        pos = tn * (n_bins - 1)
-        lo = min(int(np.floor(pos)), n_bins - 2)
-        frac = pos - lo
-        bins[lo, y, x] += 1.0 - frac
-        bins[lo + 1, y, x] += frac
-    return bins
-
-
 def knn_scalar(query, points, k):
     """O(cells * anchors) KNN scan; ties broken by lower point index."""
     idx_out = np.empty((len(query), k), dtype=np.int64)

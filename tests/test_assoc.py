@@ -6,11 +6,10 @@ from evtraj.assoc import (
     KnnConfig,
     build_consecutive_delta_field,
     build_displacement_volume,
-    cell_centers,
     interpolate_flow,
     knn_per_bin,
 )
-from evtraj.trajectory import BEZIER, POLYNOMIAL, Basis, TrajectoryField
+from evtraj.trajectory import BEZIER, POLYNOMIAL, Basis, TrajectoryField, anchor_grid
 
 from oracles import delta_field_scalar, displacement_volume_scalar, knn_scalar
 
@@ -168,6 +167,6 @@ class TestInterpolateFlow:
         np.testing.assert_allclose(flow[1], np.broadcast_to([2.0, 1.0], (16, 16, 2)))
 
     def test_grid_layout(self):
-        rows, cols, pos = cell_centers(10, 6, 4)
+        rows, cols, pos = anchor_grid(10, 6, 4)
         assert (rows, cols) == (2, 3)
         assert pos.shape == (6, 2)

@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from evtraj.events import (
-    Event,
-    EventFormatError,
-    EventSlice,
-    build_voxel_grid,
-    load_events,
-    save_events,
-)
-
-from oracles import voxel_grid_scalar
+from evtraj.events import EventFormatError, EventSlice, load_events, save_events
 
 
 def random_slice(rng, n=1000, width=64, height=48):
@@ -33,7 +24,7 @@ class TestEventSlice:
         assert sl.t_start == sl.t_end == 0.0
 
     def test_singleton(self):
-        sl = EventSlice.from_events([Event(3, 4, 0.5, 1)], 64, 64)
+        sl = EventSlice.from_arrays([3], [4], [0.5], [1], 64, 64)
         assert len(sl) == 1
         assert sl.t_start <= 0.5 <= sl.t_end
 
@@ -95,6 +86,14 @@ class TestBinaryFormat:
         with pytest.raises(EventFormatError, match="ends at byte"):
             load_events(path)
 
+    def test_wide_sensor_rejected_on_save(self, tmp_path):
+        # x = 65540 would wrap to 4 in the u16 record field
+        sl = EventSlice.from_arrays([65540], [0], [0.5], [1], 70000, 4)
+        path = tmp_path / "wide.evt1"
+        with pytest.raises(ValueError, match="65536") as info:
+            save_events(sl, path)
+        assert str(path) in str(info.value)
+
     def test_out_of_bounds_coordinate_names_offset(self, tmp_path):
         rng = np.random.default_rng(1)
         sl = random_slice(rng, n=3, width=64, height=64)
@@ -129,38 +128,3 @@ class TestCsvFormat:
         path.write_text("t,x,y,p\n0.5,1,2,1\n0.6,1,2,5\n")
         with pytest.raises(EventFormatError, match="line 3"):
             load_events(path, format="csv", width=8, height=8)
-
-
-class TestVoxelGrid:
-    def test_midway_event_splits_half_half(self):
-        sl = EventSlice.from_arrays([3], [4], [0.5], [1], 8, 8, t_start=0.0, t_end=1.0)
-        grid = build_voxel_grid(sl, 2)
-        assert grid.bins[0, 4, 3] == pytest.approx(0.5)
-        assert grid.bins[1, 4, 3] == pytest.approx(0.5)
-
-    def test_all_mass_in_bin0_at_t_start(self):
-        sl = EventSlice.from_arrays([1, 2], [1, 2], [0.0, 0.0], [1, -1], 8, 8,
-                                    t_start=0.0, t_end=1.0)
-        grid = build_voxel_grid(sl, 5)
-        assert grid.bins[0].sum() == pytest.approx(2.0)
-        assert grid.bins[1:].sum() == 0.0
-
-    def test_matches_scalar_oracle(self):
-        rng = np.random.default_rng(11)
-        sl = random_slice(rng, n=1000, width=32, height=24)
-        for n_bins in (1, 2, 7):
-            grid = build_voxel_grid(sl, n_bins)
-            ref = voxel_grid_scalar(sl.x, sl.y, sl.t, sl.t_start, sl.t_end, 32, 24, n_bins)
-            np.testing.assert_allclose(grid.bins, ref, atol=1e-12)
-
-    def test_total_mass_equals_event_count(self):
-        rng = np.random.default_rng(5)
-        for n_bins in (1, 3, 16):
-            sl = random_slice(rng, n=777)
-            grid = build_voxel_grid(sl, n_bins)
-            assert grid.bins.sum() == pytest.approx(777.0, rel=1e-6)
-
-    def test_invalid_bin_count(self):
-        sl = EventSlice.from_arrays([0], [0], [0.0], [1], 4, 4)
-        with pytest.raises(ValueError):
-            build_voxel_grid(sl, 0)

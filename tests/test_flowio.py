@@ -32,6 +32,17 @@ class TestFlo1:
         with pytest.raises(ValueError, match="FLO1"):
             load_flow(path)
 
+    @pytest.mark.parametrize(
+        "edit", [lambda raw: raw[:-5], lambda raw: raw + b"\x00" * 4], ids=["truncated", "trailing"]
+    )
+    def test_body_length_names_path_and_offset(self, tmp_path, edit):
+        path = tmp_path / "f.flo1"
+        save_flow(path, np.zeros((3, 5, 2)), t=0.5)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ValueError, match="should end at byte 140") as info:
+            load_flow(path)
+        assert str(path) in str(info.value)
+
     def test_shape_validation(self, tmp_path):
         with pytest.raises(ValueError):
             save_flow(tmp_path / "f.flo1", np.zeros((4, 4)), t=0.0)

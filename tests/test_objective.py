@@ -90,23 +90,6 @@ class TestWarp:
         ratio = warped.weights / dt
         np.testing.assert_allclose(ratio, ratio[0])
 
-    def test_blend_identity_on_zero_volume(self):
-        rng = np.random.default_rng(5)
-        sl = random_slice(rng)
-        warped = warp_events(sl, DisplacementVolume.zeros(32, 32), blend=True)
-        np.testing.assert_array_equal(warped.positions[:, 0], sl.x)
-        assert warped.vox_w.shape[1] == 8
-        np.testing.assert_allclose(warped.vox_w.sum(axis=1), 1.0)
-
-    def test_blend_matches_nearest_on_uniform_volume(self):
-        rng = np.random.default_rng(6)
-        sl = random_slice(rng)
-        vol = random_volume(rng)
-        vol.disp[...] = [1.25, -0.5]
-        a = warp_events(sl, vol)
-        b = warp_events(sl, vol, blend=True)
-        np.testing.assert_allclose(a.positions, b.positions, atol=1e-12)
-
 
 class TestIwe:
     def test_single_event_integer_pixel(self):

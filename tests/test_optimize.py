@@ -4,10 +4,17 @@ import pytest
 from evtraj.assoc import KnnConfig, build_displacement_volume, interpolate_flow
 from evtraj.events import EventSlice
 from evtraj.metrics import epe_ae
-from evtraj.objective import ObjectiveConfig, total_loss, warp_events
+from evtraj.objective import (
+    FIXED_REFERENCES,
+    ObjectiveConfig,
+    fixed_reference_loss,
+    total_loss,
+    warp_events,
+)
 from evtraj.optimize import (
     DivergenceError,
     OptimConfig,
+    _fixed_reference_value_and_grad,
     gradient_check,
     loss_gradient,
     minimize,
@@ -37,25 +44,34 @@ def small_instance(seed=0, n_events=200, width=16, height=16, basis=Basis(POLYNO
 
 
 def fd_check_coordinates(sl, field, cfg, t_ref, h, rng, n_coords):
-    """Reference check: central differences of total_loss, skipping
+    """Reference check: central differences of total_loss (with t_ref None,
+    of the fixed-reference objective 1/F that minimize descends), skipping
     coordinates that move an affected event within 4h of the breakpoint
     lattice. Returns max relative error over the checked coordinates."""
-    _, grad = loss_gradient(sl, field, t_ref, cfg)
-    volume = build_displacement_volume(field, t_ref, cfg.knn, cfg.n_bins)
-    warped = warp_events(sl, volume, time_weighting=cfg.time_weighting)
-    frac = warped.positions - np.floor(warped.positions)
-    near = np.minimum(frac, 1.0 - frac) < 4.0 * h  # conservative skip, per axis
-    knn_flat = volume.knn_indices.reshape(-1, volume.knn_indices.shape[-1])
+    if t_ref is None:
+        grad = _fixed_reference_value_and_grad(sl, field, cfg)[2]
+        t_refs = [t for t, _ in FIXED_REFERENCES]
+    else:
+        _, grad = loss_gradient(sl, field, t_ref, cfg)
+        t_refs = [t_ref]
     risky = [np.zeros(field.n_anchors, dtype=bool), np.zeros(field.n_anchors, dtype=bool)]
-    for k in np.flatnonzero(near.any(axis=1)):
-        touched = np.unique(knn_flat[warped.vox_idx[k]])
-        for axis in (0, 1):
-            if near[k, axis]:
-                risky[axis][touched] = True
+    for t in t_refs:
+        volume = build_displacement_volume(field, t, cfg.knn, cfg.n_bins)
+        warped = warp_events(sl, volume, time_weighting=cfg.time_weighting)
+        frac = warped.positions - np.floor(warped.positions)
+        near = np.minimum(frac, 1.0 - frac) < 4.0 * h  # conservative skip, per axis
+        knn_flat = volume.knn_indices.reshape(-1, volume.knn_indices.shape[-1])
+        for k in np.flatnonzero(near.any(axis=1)):
+            touched = np.unique(knn_flat[warped.vox_idx[k]])
+            for axis in (0, 1):
+                if near[k, axis]:
+                    risky[axis][touched] = True
 
     def loss_of(coeffs):
         f = field.copy()
         f.coeffs = coeffs
+        if t_ref is None:
+            return 1.0 / fixed_reference_loss(sl, f, cfg)
         return total_loss(sl, f, t_ref, cfg).total
 
     shape = field.coeffs.shape
@@ -138,6 +154,23 @@ class TestLossGradient:
             ) / (2 * h)
             analytic = float((grad * direction).sum())
             assert abs(analytic - fd) / max(abs(analytic), abs(fd)) < 1e-4
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    def test_fixed_reference_matches_finite_differences(self, sigma):
+        # an even bin count keeps t_ref = 0.5 off the bin centers, whose
+        # events would sit still on the breakpoint lattice
+        sl, field = small_instance(seed=15)
+        cfg = ObjectiveConfig(sigma=sigma, knn=KnnConfig(k=8), n_bins=4)
+        rng = np.random.default_rng(15)
+        max_rel = fd_check_coordinates(sl, field, cfg, t_ref=None, h=1e-4, rng=rng, n_coords=40)
+        assert max_rel < 1e-5
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_value_and_gradient_paths_agree_exactly(self, seed, sigma):
+        sl, field = small_instance(seed=seed)
+        cfg = ObjectiveConfig(sigma=sigma, knn=KnnConfig(k=8), n_bins=5, time_weighting=True)
+        assert total_loss(sl, field, 0.43, cfg) == loss_gradient(sl, field, 0.43, cfg)[0]
 
     def test_degenerate_guard_gradient(self):
         # every event masked: contrast path dead, smoothness path alive

@@ -8,7 +8,6 @@ from evtraj.trajectory import (
     TrajectoryField,
     anchor_grid,
     displacement_basis,
-    eval_basis,
     eval_trajectory,
     eval_trajectory_batch,
     load_field,
@@ -22,42 +21,6 @@ def random_field(rng, width=32, height=32, stride=4, basis=Basis(BEZIER, 10), sc
     field = TrajectoryField.zeros(width, height, stride, basis)
     field.coeffs[...] = rng.normal(0.0, scale, field.coeffs.shape)
     return field
-
-
-class TestEvalBasis:
-    def test_polynomial_degree1(self):
-        np.testing.assert_allclose(eval_basis(Basis(POLYNOMIAL, 1), 0.5), [0.5])
-
-    def test_bezier_degree1_midpoint(self):
-        np.testing.assert_allclose(eval_basis(Basis(BEZIER, 1), 0.5), [0.5, 0.5])
-
-    def test_bezier_matches_de_casteljau(self):
-        # scalar control values: curve through them equals sum g_j * c_j
-        rng = np.random.default_rng(2)
-        controls = rng.normal(0, 2, 11)
-        g = eval_basis(Basis(BEZIER, 10), 0.3)
-        assert abs(g @ controls - de_casteljau(controls, 0.3)) < 1e-12
-
-    def test_bezier_matches_direct_bernstein(self):
-        g = eval_basis(Basis(BEZIER, 10), 0.3)
-        ref = [bernstein_direct(10, j, 0.3) for j in range(11)]
-        np.testing.assert_allclose(g, ref, atol=1e-15)
-
-    def test_bezier_nonnegative(self):
-        for t in np.linspace(0, 1, 50):
-            assert np.all(eval_basis(Basis(BEZIER, 7), t) >= 0)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            eval_basis(Basis(POLYNOMIAL, 2), 1.5)
-        with pytest.raises(ValueError):
-            eval_basis(Basis(BEZIER, 2), -0.01)
-
-    def test_partition_of_unity_degrees_1_to_30(self):
-        ts = np.linspace(0.0, 1.0, 1000)
-        for degree in range(1, 31):
-            sums = np.array([eval_basis(Basis(BEZIER, degree), t).sum() for t in ts])
-            assert np.max(np.abs(sums - 1.0)) < 1e-12
 
 
 class TestEvalTrajectory:
@@ -178,6 +141,41 @@ class TestGridAndIo:
         assert (back.width, back.height) == (field.width, field.height)
         np.testing.assert_array_equal(back.coeffs, field.coeffs)
 
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda raw: raw[:-3], "ends at byte"),
+            (lambda raw: raw + b"\x00", "ends at byte"),
+            (lambda raw: raw[:4] + b"\x07" + raw[5:], "basis code 7 at byte 4"),
+        ],
+        ids=["truncated-body", "trailing-bytes", "unknown-basis-code"],
+    )
+    def test_trj1_malformed_names_path_and_offset(self, tmp_path, edit, match):
+        path = tmp_path / "f.trj1"
+        save_field(TrajectoryField.zeros(8, 8, 4, Basis(BEZIER, 2)), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ValueError, match=match) as info:
+            load_field(path)
+        assert str(path) in str(info.value)
+
     def test_displacement_basis_shapes(self):
         assert displacement_basis(Basis(POLYNOMIAL, 3), [0.5, 1.0]).shape == (2, 3)
         assert displacement_basis(Basis(BEZIER, 10), [0.5]).shape == (1, 10)
+
+    @pytest.mark.parametrize(
+        "basis, t, want",
+        [
+            (Basis(POLYNOMIAL, 1), 0.5, [0.5]),
+            # Bernstein B_1..B_10 by the factorial definition; B_0 is pinned
+            (Basis(BEZIER, 10), 0.3, [bernstein_direct(10, j, 0.3) for j in range(1, 11)]),
+            (Basis(POLYNOMIAL, 2), 1.5, ValueError),
+            (Basis(BEZIER, 2), -0.01, ValueError),
+        ],
+        ids=["poly1", "bezier10-bernstein", "poly-above-1", "bezier-below-0"],
+    )
+    def test_displacement_basis_values(self, basis, t, want):
+        if want is ValueError:
+            with pytest.raises(ValueError):
+                displacement_basis(basis, [t])
+        else:
+            np.testing.assert_allclose(displacement_basis(basis, [t])[0], want, atol=1e-15)
