@@ -3,12 +3,12 @@ streams by direct contrast maximization over parametric trajectory fields.
 
 The package is organized around the estimation pipeline:
 
-``events``     event containers, EVT1/CSV I/O
+``events``     event containers, EVT1 I/O
 ``trajectory`` polynomial/Bezier trajectory bases on an anchor grid
 ``assoc``      per-bin KNN association and the displacement volume
 ``objective``  event warping, IWEs, and the loss forward pass (contrast G, regularizer R)
-``optimize``   backward pass (analytic gradients), Adam descent, finite-difference checks
-``synth``      synthetic scenes with exact ground truth; rigid GT flow
+``optimize``   backward pass (analytic gradients), Adam descent
+``synth``      synthetic scenes with exact ground truth
 ``metrics``    EPE / AE / %Out / TEPE / TAE / FWL
 ``flowio``     FLO1 flow-map files
 ``cli``        synth / estimate / eval / render commands
@@ -38,7 +38,6 @@ from .metrics import (
     fwl,
     pct_out,
     tepe_tae,
-    total_variation,
 )
 from .objective import (
     Iwe,
@@ -56,10 +55,8 @@ from .objective import (
 )
 from .optimize import (
     DivergenceError,
-    GradCheckReport,
     OptimConfig,
     OptimTrace,
-    gradient_check,
     loss_gradient,
     minimize,
     save_trace_csv,
@@ -71,7 +68,6 @@ from .synth import (
     GroundTruth,
     SceneSpec,
     generate_events,
-    rigid_gt_flow,
     scatter_points,
 )
 from .trajectory import (
@@ -79,7 +75,6 @@ from .trajectory import (
     POLYNOMIAL,
     Basis,
     TrajectoryField,
-    eval_trajectory,
     eval_trajectory_batch,
     load_field,
     save_field,

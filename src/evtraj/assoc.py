@@ -30,16 +30,13 @@ _dist_alloc_hook = None
 
 @dataclass(frozen=True)
 class KnnConfig:
-    """Neighbor count and tile size (working-memory bound) for the search."""
+    """Neighbor count for the search."""
 
     k: int = 32
-    tile_size: int = 1024
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.tile_size < 1:
-            raise ValueError("tile_size must be >= 1")
 
 
 def knn_per_bin(query_cells, traj_positions, k: int, tile_size: int = 1024):
@@ -157,7 +154,7 @@ def build_displacement_volume(
     disp = np.empty((n_bins, rows * cols, 2), dtype=np.float64)
     knn_idx = np.empty((n_bins, rows * cols, cfg.k), dtype=np.int64)
     for b in range(n_bins):
-        idx, _ = knn_per_bin(centers, pos_bins[b], cfg.k, cfg.tile_size)
+        idx, _ = knn_per_bin(centers, pos_bins[b], cfg.k)
         knn_idx[b] = idx
         delta = pos_ref[idx] - pos_bins[b][idx]  # (cells, k, 2)
         disp[b] = delta.mean(axis=1)

@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("estimate", help="estimate trajectories from events")
-    p.add_argument("events", help="EVT1 or CSV event file")
+    p.add_argument("events", help="EVT1 event file")
     p.add_argument("--out", required=True)
     p.add_argument("--basis", choices=["poly", "bezier"], default="bezier")
     p.add_argument("--degree", type=int, default=10)

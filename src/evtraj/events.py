@@ -1,4 +1,4 @@
-"""Event stream containers, validation, and binary/CSV I/O.
+"""Event stream containers, validation, and EVT1 file I/O.
 
 An event camera reports asynchronous per-pixel brightness changes. Each
 record is (x, y, t, p): pixel column/row, timestamp in seconds, and
@@ -12,13 +12,10 @@ Binary interchange format "EVT1" (little-endian):
     count  u64
     t_start f64, t_end f64
     count records of {t f64, x u16, y u16, p i8, pad u8}   (14 bytes each)
-
-CSV format: header line ``t,x,y,p``, one record per line.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,7 +38,7 @@ _RECORD_DTYPE = np.dtype(
 
 
 class EventFormatError(ValueError):
-    """Malformed event file; message names the offending byte offset or line."""
+    """Malformed event file; message names the path and the offending byte offset."""
 
 
 @dataclass(frozen=True)
@@ -131,44 +128,13 @@ class EventSlice:
         return cls(x, y, t, p, float(t_start), float(t_end), int(width), int(height))
 
 
-def _detect_format(path: Path) -> str:
-    with open(path, "rb") as f:
-        head = f.read(4)
-    return "binary" if head == EVT1_MAGIC else "csv"
+def load_events(path) -> EventSlice:
+    """Read an EVT1 file and return a validated, time-sorted slice.
 
-
-def load_events(path, format: str = "auto", *, width: int | None = None, height: int | None = None) -> "EventSlice":
-    """Read an event file and return a validated, time-sorted slice.
-
-    ``format`` is "binary" (EVT1), "csv", or "auto" (sniff the magic).
-    CSV carries no geometry header, so ``width``/``height`` are required
-    for it. Unsorted records are repaired with a stable sort.
+    Unsorted records are repaired with a stable sort. Malformed files raise
+    :class:`EventFormatError` naming the path and the byte offset.
     """
-    path = Path(path)
-    if format == "auto":
-        format = _detect_format(path)
-    if format == "binary":
-        return _load_evt1(path)
-    if format == "csv":
-        if width is None or height is None:
-            raise ValueError("CSV carries no geometry; pass width and height")
-        return _load_csv(path, width, height)
-    raise ValueError(f"unknown format {format!r}")
-
-
-def save_events(sl: EventSlice, path, format: str = "binary") -> None:
-    """Write a slice in EVT1 or CSV form. EVT1 round-trips bit-exactly."""
-    path = Path(path)
-    if format == "binary":
-        _save_evt1(sl, path)
-    elif format == "csv":
-        _save_csv(sl, path)
-    else:
-        raise ValueError(f"unknown format {format!r}")
-
-
-def _load_evt1(path: Path) -> EventSlice:
-    raw = path.read_bytes()
+    raw = Path(path).read_bytes()
     if len(raw) < _HEADER_DTYPE.itemsize:
         raise EventFormatError(f"{path}: truncated header at byte {len(raw)}")
     header = np.frombuffer(raw, dtype=_HEADER_DTYPE, count=1)[0]
@@ -178,9 +144,9 @@ def _load_evt1(path: Path) -> EventSlice:
     count = int(header["count"])
     body_start = _HEADER_DTYPE.itemsize
     expected = body_start + count * _RECORD_DTYPE.itemsize
-    if len(raw) < expected:
+    if len(raw) != expected:
         raise EventFormatError(
-            f"{path}: expected {count} records, file ends at byte {len(raw)} of {expected}"
+            f"{path}: {count} records should end at byte {expected}, file ends at byte {len(raw)}"
         )
     rec = np.frombuffer(raw, dtype=_RECORD_DTYPE, count=count, offset=body_start)
     t = rec["t"].astype(np.float64)
@@ -208,7 +174,8 @@ def _load_evt1(path: Path) -> EventSlice:
     )
 
 
-def _save_evt1(sl: EventSlice, path: Path) -> None:
+def save_events(sl: EventSlice, path) -> None:
+    """Write a slice as EVT1; it round-trips bit-exactly."""
     if sl.width > 65536 or sl.height > 65536:
         raise ValueError(
             f"{path}: EVT1 stores coordinates as u16, so width and height must be "
@@ -229,45 +196,3 @@ def _save_evt1(sl: EventSlice, path: Path) -> None:
     with open(path, "wb") as f:
         f.write(header.tobytes())
         f.write(rec.tobytes())
-
-
-def _load_csv(path: Path, width: int, height: int) -> EventSlice:
-    xs, ys, ts, ps = [], [], [], []
-    with open(path, "r") as f:
-        first = f.readline()
-        if first.strip().replace(" ", "") != "t,x,y,p":
-            raise EventFormatError(f"{path}: line 1: expected header 't,x,y,p'")
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise EventFormatError(f"{path}: line {lineno}: expected 4 fields")
-            try:
-                t = float(parts[0])
-                x = int(parts[1])
-                y = int(parts[2])
-                p = int(parts[3])
-            except ValueError as exc:
-                raise EventFormatError(f"{path}: line {lineno}: {exc}") from exc
-            if not np.isfinite(t):
-                raise EventFormatError(f"{path}: line {lineno}: non-finite timestamp")
-            if not (0 <= x < width and 0 <= y < height):
-                raise EventFormatError(f"{path}: line {lineno}: out-of-bounds coordinate")
-            if p not in (-1, 1):
-                raise EventFormatError(f"{path}: line {lineno}: polarity must be +1 or -1")
-            ts.append(t)
-            xs.append(x)
-            ys.append(y)
-            ps.append(p)
-    return EventSlice.from_arrays(xs, ys, ts, ps, width, height)
-
-
-def _save_csv(sl: EventSlice, path: Path) -> None:
-    buf = io.StringIO()
-    buf.write("t,x,y,p\n")
-    for t, x, y, p in zip(sl.t, sl.x, sl.y, sl.p):
-        buf.write(f"{float(t)!r},{x},{y},{p}\n")
-    Path(path).write_text(buf.getvalue())
-

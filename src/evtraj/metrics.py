@@ -104,13 +104,6 @@ def fwl(sl: EventSlice, volume_est: DisplacementVolume) -> float:
     return variance(volume_est) / base
 
 
-def total_variation(flow: np.ndarray) -> float:
-    """L1 norm of the forward spatial differences of a (H, W, 2) flow map."""
-    dx = flow[:, 1:, :] - flow[:, :-1, :]
-    dy = flow[1:, :, :] - flow[:-1, :, :]
-    return float(np.abs(dx).sum() + np.abs(dy).sum())
-
-
 def evaluate_trajectories(
     pred_traj: np.ndarray,
     gt_traj: np.ndarray,

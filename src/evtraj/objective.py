@@ -67,6 +67,10 @@ class ObjectiveConfig:
     knn: KnnConfig = dc_field(default_factory=KnnConfig)
     n_bins: int = 15
 
+    def __post_init__(self):
+        if not self.sigma >= 0.0:
+            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+
 
 @dataclass
 class WarpedEvents:
@@ -97,8 +101,6 @@ class Iwe:
 
     pos: np.ndarray
     neg: np.ndarray
-    t_ref: float
-    sigma: float
 
     def total(self) -> np.ndarray:
         return self.pos + self.neg
@@ -276,7 +278,7 @@ def _accumulate(warped: WarpedEvents, sigma: float, polarity_split: bool):
         taps += ((warped.polarity < 0).astype(np.int64) * npix)[:, None]
     counts = np.bincount(taps.ravel(), weights=contrib.ravel(), minlength=2 * npix)
     shape = (warped.height, warped.width)
-    iwe = Iwe(counts[:npix].reshape(shape), counts[npix:].reshape(shape), warped.t_ref, sigma)
+    iwe = Iwe(counts[:npix].reshape(shape), counts[npix:].reshape(shape))
     return iwe, taps, pullback
 
 

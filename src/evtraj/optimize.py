@@ -1,5 +1,5 @@
 """Gradient-based minimization of the contrast loss over trajectory
-coefficients, with analytic gradients validated against finite differences.
+coefficients, with analytic gradients.
 
 Every loss evaluation runs the forward pass of ``objective``
 (:func:`~evtraj.objective.loss_forward` or
@@ -37,9 +37,14 @@ from .objective import (
     fixed_reference_forward,
     loss_forward,
     sample_reference_time,
-    total_loss,
 )
 from .trajectory import TrajectoryField, displacement_basis
+
+
+# Adam moment decays and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class DivergenceError(RuntimeError):
@@ -50,27 +55,21 @@ class DivergenceError(RuntimeError):
 class OptimConfig:
     """Optimizer settings; ``objective`` carries the loss configuration.
 
-    ``fixed_t_ref`` pins the reference time instead of sampling it
-    (single-reference ablation). ``fixed_reference`` switches to the
-    three-reference baseline objective 1/F with
-    F = (G(0)+2G(0.5)+G(1))/(4 G_0).
+    ``fixed_reference`` switches to the three-reference baseline objective
+    1/F with F = (G(0)+2G(0.5)+G(1))/(4 G_0).
     """
 
     iterations: int = 500
     lr: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     objective: ObjectiveConfig = dc_field(default_factory=ObjectiveConfig)
-    fixed_t_ref: float | None = None
     fixed_reference: bool = False
 
     def __post_init__(self):
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         if self.lr <= 0:
             raise ValueError("step size must be > 0")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("moment decays must lie in (0, 1)")
 
 
 @dataclass
@@ -216,7 +215,7 @@ def _fixed_reference_value_and_grad(sl: EventSlice, field: TrajectoryField, cfg:
 def minimize(sl: EventSlice, init_field: TrajectoryField, ocfg: OptimConfig) -> OptimTrace:
     """Adam descent on the trajectory coefficients.
 
-    Per iteration: draw a reference time (unless pinned), evaluate the
+    Per iteration: draw a reference time, evaluate the
     loss gradient there, update the moments and coefficients. The run is
     deterministic given the seed. Raises :class:`DivergenceError` naming
     the iteration if the loss or gradient turns non-finite.
@@ -237,11 +236,7 @@ def minimize(sl: EventSlice, init_field: TrajectoryField, ocfg: OptimConfig) -> 
                 n_masked=0, degenerate=f_val < EPS_CONTRAST, t_ref=0.5,
             )
         else:
-            if ocfg.fixed_t_ref is not None:
-                t_ref = float(ocfg.fixed_t_ref)
-            else:
-                t_ref = sample_reference_time(rng)
-            breakdown, grad = loss_gradient(sl, field, t_ref, ocfg.objective)
+            breakdown, grad = loss_gradient(sl, field, sample_reference_time(rng), ocfg.objective)
         if not (np.isfinite(breakdown.total) and np.all(np.isfinite(grad))):
             raise DivergenceError(f"non-finite loss or gradient at iteration {it}")
         hist_t.append(breakdown.t_ref)
@@ -249,11 +244,11 @@ def minimize(sl: EventSlice, init_field: TrajectoryField, ocfg: OptimConfig) -> 
         hist_r.append(breakdown.r)
         hist_total.append(breakdown.total)
 
-        m = ocfg.beta1 * m + (1.0 - ocfg.beta1) * grad
-        v = ocfg.beta2 * v + (1.0 - ocfg.beta2) * grad * grad
-        m_hat = m / (1.0 - ocfg.beta1 ** (it + 1))
-        v_hat = v / (1.0 - ocfg.beta2 ** (it + 1))
-        field.coeffs -= ocfg.lr * m_hat / (np.sqrt(v_hat) + ocfg.eps)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = m / (1.0 - ADAM_BETA1 ** (it + 1))
+        v_hat = v / (1.0 - ADAM_BETA2 ** (it + 1))
+        field.coeffs -= ocfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return OptimTrace(
         t_ref=np.array(hist_t),
         g=np.array(hist_g),
@@ -262,88 +257,3 @@ def minimize(sl: EventSlice, init_field: TrajectoryField, ocfg: OptimConfig) -> 
         wall_time=time.perf_counter() - t0,
         field=field,
     )
-
-
-@dataclass
-class GradCheckReport:
-    max_rel_err: float
-    worst_coord: tuple
-    n_checked: int
-    n_skipped: int
-
-
-def gradient_check(
-    sl: EventSlice,
-    field: TrajectoryField,
-    cfg: ObjectiveConfig,
-    n_coords: int = 64,
-    h: float = 1e-4,
-    t_ref: float = 0.37,
-    seed: int = 0,
-) -> GradCheckReport:
-    """Compare the analytic gradient against central finite differences.
-
-    Samples ``n_coords`` coefficient coordinates. A coordinate is skipped
-    when an event it influences sits within 2h of the voting kernel's
-    integer breakpoint lattice (where the piecewise-smooth loss kinks and
-    finite differences are meaningless). Relative error is
-    |ga - gn| / max(|ga|, |gn|, 1e-12).
-
-    Avoid a ``t_ref`` equal to a bin center: events of that bin then have
-    exactly zero displacement and sit on the breakpoint lattice, which
-    skips every coordinate touching them.
-    """
-    if n_coords < 1:
-        raise ValueError("n_coords must be >= 1")
-    breakdown, cp, delta = loss_forward(sl, field, t_ref, cfg)
-    grad = _loss_backward(field, breakdown, cp, delta)
-    volume, warped = cp.volume, cp.warped
-    rows, cols = volume.grid_shape
-
-    # events influenced by each anchor: membership of the anchor in the
-    # KNN set of the voxel the event reads from
-    frac = warped.positions - np.floor(warped.positions)
-    near_break = np.minimum(frac, 1.0 - frac) < 2.0 * h  # (N, 2) per axis
-    knn_flat = volume.knn_indices.reshape(-1, volume.knn_indices.shape[-1])
-    anchors_risky_x = np.zeros(field.n_anchors, dtype=bool)
-    anchors_risky_y = np.zeros(field.n_anchors, dtype=bool)
-    risky_events = np.flatnonzero(near_break.any(axis=1))
-    for k in risky_events:
-        touched = np.unique(knn_flat[warped.vox_idx[k]])
-        if near_break[k, 0]:
-            anchors_risky_x[touched] = True
-        if near_break[k, 1]:
-            anchors_risky_y[touched] = True
-
-    rng = np.random.default_rng(seed)
-    shape = field.coeffs.shape
-    flat_n = field.coeffs.size
-    order = rng.permutation(flat_n)
-    max_rel = 0.0
-    worst = None
-    checked = 0
-    skipped = 0
-    pert = field.copy()
-    for flat in order:
-        if checked >= n_coords:
-            break
-        coord = np.unravel_index(flat, shape)
-        anchor = coord[0] * cols + coord[1]
-        risky = anchors_risky_x if coord[3] == 0 else anchors_risky_y
-        if risky[anchor]:
-            skipped += 1
-            continue
-        base = field.coeffs[coord]
-        pert.coeffs[...] = field.coeffs
-        pert.coeffs[coord] = base + h
-        lp = total_loss(sl, pert, t_ref, cfg).total
-        pert.coeffs[coord] = base - h
-        lm = total_loss(sl, pert, t_ref, cfg).total
-        gn = (lp - lm) / (2.0 * h)
-        ga = grad[coord]
-        rel = abs(ga - gn) / max(abs(ga), abs(gn), 1e-12)
-        checked += 1
-        if rel > max_rel:
-            max_rel = rel
-            worst = coord
-    return GradCheckReport(max_rel_err=max_rel, worst_coord=worst, n_checked=checked, n_skipped=skipped)

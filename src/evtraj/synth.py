@@ -6,9 +6,6 @@ curve with alternating polarity. This skips photometric simulation
 entirely (contrast objectives care about event geometry, not intensity)
 and yields exact dense ground-truth displacement maps from the motion
 model, which makes verification assertions sharp.
-
-Also provides the rigid-body ground-truth flow construction used to turn
-3D points, object poses, and camera intrinsics into per-point 2D motion.
 """
 
 from __future__ import annotations
@@ -223,40 +220,6 @@ def generate_events(spec: SceneSpec, seed: int) -> tuple[EventSlice, GroundTruth
             covered = dist[:, 0] <= spec.coverage_radius
         valid &= covered.reshape(1, spec.height, spec.width)
     return sl, GroundTruth(times=spec.query_times.copy(), disp=disp, valid=valid)
-
-
-def rigid_gt_flow(points_3d, pose_t, pose_t1, intrinsics):
-    """2D displacement of camera-frame 3D points under a rigid object move.
-
-    ``pose_t``/``pose_t1`` are 4x4 rigid transforms taking camera-frame
-    coordinates at the respective time into the shared object frame. The
-    relative transform inv(pose_t1) @ pose_t carries points from the
-    camera frame at t to the camera frame at t+1, and the flow is the
-    difference of pinhole projections. Points with non-positive depth on
-    either side are flagged invalid (flow set to NaN).
-    """
-    pts = np.atleast_2d(np.asarray(points_3d, dtype=np.float64))
-    k_mat = np.asarray(intrinsics, dtype=np.float64)
-    for pose in (pose_t, pose_t1):
-        rot = np.asarray(pose, dtype=np.float64)[:3, :3]
-        if not np.allclose(rot.T @ rot, np.eye(3), atol=1e-9):
-            raise ValueError("pose rotation is not orthonormal")
-    t_rel = np.linalg.inv(np.asarray(pose_t1, dtype=np.float64)) @ np.asarray(
-        pose_t, dtype=np.float64
-    )
-    moved = pts @ t_rel[:3, :3].T + t_rel[:3, 3]
-    valid = (pts[:, 2] > 0) & (moved[:, 2] > 0)
-
-    def project(p):
-        z = p[:, 2]
-        u = k_mat[0, 0] * p[:, 0] / z + k_mat[0, 2]
-        v = k_mat[1, 1] * p[:, 1] / z + k_mat[1, 2]
-        return np.stack([u, v], axis=1)
-
-    flow = np.full((len(pts), 2), np.nan)
-    if valid.any():
-        flow[valid] = project(moved[valid]) - project(pts[valid])
-    return flow, valid
 
 
 def load_scene_config(path) -> dict:

@@ -88,6 +88,12 @@ def displacement_basis(basis: Basis, times) -> np.ndarray:
     return _bernstein_all(basis.degree, times)[:, 1:]
 
 
+def _grid_shape(width: int, height: int, stride: int) -> tuple[int, int]:
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    return -(-height // stride), -(-width // stride)
+
+
 def anchor_grid(width: int, height: int, stride: int):
     """Anchor layout for an image: (rows, cols, positions).
 
@@ -95,8 +101,7 @@ def anchor_grid(width: int, height: int, stride: int):
     Positions are the cell centers in pixel coordinates, shape (rows*cols, 2)
     as (x, y) in row-major cell order.
     """
-    rows = -(-height // stride)
-    cols = -(-width // stride)
+    rows, cols = _grid_shape(width, height, stride)
     cx = (np.arange(cols) + 0.5) * stride - 0.5
     cy = (np.arange(rows) + 0.5) * stride - 0.5
     gx, gy = np.meshgrid(cx, cy)
@@ -152,20 +157,10 @@ class TrajectoryField:
         )
 
 
-def eval_trajectory(field: TrajectoryField, anchor: int, t: float) -> np.ndarray:
-    """Position (x, y) of one anchor's trajectory at normalized time t."""
-    if not 0 <= anchor < field.n_anchors:
-        raise ValueError(f"anchor index {anchor} out of range")
-    g = displacement_basis(field.basis, t)[0]
-    base = field.anchor_positions()[anchor]
-    return base + g @ field.flat_coeffs()[anchor]
-
-
 def eval_trajectory_batch(field: TrajectoryField, times) -> np.ndarray:
     """Positions of every anchor at every time, shape (T, n_anchors, 2).
 
-    Equal to stacking :func:`eval_trajectory` over anchors and times; this
-    layout feeds the displacement-volume builder directly.
+    This layout feeds the displacement-volume builder directly.
     """
     g = displacement_basis(field.basis, times)  # (T, D)
     disp = np.einsum("td,ndc->tnc", g, field.flat_coeffs())
@@ -194,12 +189,24 @@ def load_field(path) -> TrajectoryField:
     h = np.frombuffer(raw, dtype=_TRJ1_HEADER, count=1)[0]
     if bytes(h["magic"]) != TRJ1_MAGIC:
         raise ValueError(f"{path}: bad TRJ1 magic at byte 0")
-    code = int(h["kind"])
+    at = {name: _TRJ1_HEADER.fields[name][1] for name in _TRJ1_HEADER.names}
+    code, degree, stride = int(h["kind"]), int(h["degree"]), int(h["stride"])
     if code not in _CODE_KIND:
-        raise ValueError(f"{path}: unknown TRJ1 basis code {code} at byte {_TRJ1_HEADER.fields['kind'][1]}")
-    basis = Basis(_CODE_KIND[code], int(h["degree"]))
+        raise ValueError(f"{path}: unknown TRJ1 basis code {code} at byte {at['kind']}")
+    if degree < 1:
+        raise ValueError(f"{path}: TRJ1 degree {degree} at byte {at['degree']} must be >= 1")
+    if stride < 1:
+        raise ValueError(f"{path}: TRJ1 stride {stride} at byte {at['stride']} must be >= 1")
     rows, cols = int(h["rows"]), int(h["cols"])
-    n = rows * cols * basis.degree * 2
+    width, height = int(h["width"]), int(h["height"])
+    grid = _grid_shape(width, height, stride)
+    if (rows, cols) != grid:
+        raise ValueError(
+            f"{path}: TRJ1 grid {rows}x{cols} at byte {at['rows']} does not match the "
+            f"{grid[0]}x{grid[1]} anchor grid of a {width}x{height} image at stride {stride}"
+        )
+    basis = Basis(_CODE_KIND[code], degree)
+    n = rows * cols * degree * 2
     expected = _TRJ1_HEADER.itemsize + 4 * n
     if len(raw) != expected:
         raise ValueError(
@@ -207,5 +214,5 @@ def load_field(path) -> TrajectoryField:
             f"file ends at byte {len(raw)}"
         )
     coeffs = np.frombuffer(raw, dtype="<f4", count=n, offset=_TRJ1_HEADER.itemsize)
-    coeffs = coeffs.astype(np.float64).reshape(rows, cols, basis.degree, 2)
-    return TrajectoryField(basis, int(h["stride"]), int(h["width"]), int(h["height"]), coeffs)
+    coeffs = coeffs.astype(np.float64).reshape(rows, cols, degree, 2)
+    return TrajectoryField(basis, stride, width, height, coeffs)

@@ -160,23 +160,6 @@ def fd_gradient(fun, coeffs, coords, h):
     return out
 
 
-def rigid_flow_matrix_oracle(points, pose_t, pose_t1, intrinsics):
-    """Flow by explicit homogeneous 4x4 composition and projection."""
-    flows = []
-    t_rel = np.linalg.inv(pose_t1) @ pose_t
-    for p in points:
-        ph = np.array([p[0], p[1], p[2], 1.0])
-        q = t_rel @ ph
-        proj = lambda v: np.array(
-            [
-                intrinsics[0, 0] * v[0] / v[2] + intrinsics[0, 2],
-                intrinsics[1, 1] * v[1] / v[2] + intrinsics[1, 2],
-            ]
-        )
-        flows.append(proj(q) - proj(ph))
-    return np.array(flows)
-
-
 def epe_ae_scalar(pred, gt, mask):
     """Per-pixel double loop for endpoint and space-time angular error."""
     errs, angs = [], []

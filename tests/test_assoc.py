@@ -116,17 +116,6 @@ class TestDisplacementVolume:
         with pytest.raises(ValueError):
             build_displacement_volume(field, 0.5, KnnConfig(k=99), n_bins=3)
 
-    def test_anchor_enumeration_invariance_without_ties(self):
-        # shuffling anchor coefficients while keeping distinct positions fixed
-        # cannot change the volume values (only which index labels them);
-        # here all anchors share one trajectory shape so disp is unchanged
-        rng = np.random.default_rng(3)
-        field = TrajectoryField.zeros(16, 16, 4, Basis(POLYNOMIAL, 1))
-        field.coeffs[..., :] = [1.5, -0.5]
-        vol_a = build_displacement_volume(field, 0.9, KnnConfig(k=4), n_bins=3)
-        vol_b = build_displacement_volume(field, 0.9, KnnConfig(k=4, tile_size=2), n_bins=3)
-        np.testing.assert_array_equal(vol_a.disp, vol_b.disp)
-
 
 class TestConsecutiveDeltaField:
     def test_zero_coefficients(self):

@@ -98,6 +98,20 @@ class TestEstimateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["args"]["fixed_ref"] is True
 
+    @pytest.mark.parametrize(
+        "flag, value, match",
+        [("--stride", "0", "stride"), ("--sigma", "-1", "sigma"), ("--iters", "-1", "iterations")],
+    )
+    def test_bad_setting_exits_2(self, scene_file, tmp_path, capsys, flag, value, match):
+        data = tmp_path / "data"
+        main(["synth", str(scene_file), "--out", str(data), "--seed", "1"])
+        rc = main(
+            ["estimate", str(data / "events.evt1"), "--out", str(tmp_path / "est"),
+             "--k", "8", flag, value]
+        )
+        assert rc == 2
+        assert match in capsys.readouterr().err
+
     def test_rerun_reproduces_outputs(self, scene_file, tmp_path):
         data = tmp_path / "data"
         main(["synth", str(scene_file), "--out", str(data), "--seed", "1"])

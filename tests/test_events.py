@@ -75,7 +75,7 @@ class TestBinaryFormat:
         path = tmp_path / "bad.evt1"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(EventFormatError, match="byte 0"):
-            load_events(path, format="binary")
+            load_events(path)
 
     def test_truncated_body(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -85,6 +85,17 @@ class TestBinaryFormat:
         path.write_bytes(path.read_bytes()[:-7])
         with pytest.raises(EventFormatError, match="ends at byte"):
             load_events(path)
+
+    def test_trailing_bytes_name_path_and_offset(self, tmp_path):
+        rng = np.random.default_rng(0)
+        sl = random_slice(rng, n=10)
+        path = tmp_path / "trailing.evt1"
+        save_events(sl, path)
+        path.write_bytes(path.read_bytes() + b"junk")
+        # header 36 bytes + 10 records of 14 bytes
+        with pytest.raises(EventFormatError, match="end at byte 176, file ends at byte 180") as info:
+            load_events(path)
+        assert str(path) in str(info.value)
 
     def test_wide_sensor_rejected_on_save(self, tmp_path):
         # x = 65540 would wrap to 4 in the u16 record field
@@ -105,26 +116,3 @@ class TestBinaryFormat:
         path.write_bytes(bytes(raw))
         with pytest.raises(EventFormatError, match="out-of-bounds"):
             load_events(path)
-
-
-class TestCsvFormat:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        sl = random_slice(rng, n=200)
-        path = tmp_path / "e.csv"
-        save_events(sl, path, format="csv")
-        back = load_events(path, format="csv", width=64, height=48)
-        np.testing.assert_array_equal(back.x, sl.x)
-        np.testing.assert_allclose(back.t, sl.t)
-
-    def test_missing_geometry_rejected(self, tmp_path):
-        path = tmp_path / "e.csv"
-        path.write_text("t,x,y,p\n0.5,1,2,1\n")
-        with pytest.raises(ValueError, match="width"):
-            load_events(path, format="csv")
-
-    def test_parse_error_names_line(self, tmp_path):
-        path = tmp_path / "e.csv"
-        path.write_text("t,x,y,p\n0.5,1,2,1\n0.6,1,2,5\n")
-        with pytest.raises(EventFormatError, match="line 3"):
-            load_events(path, format="csv", width=8, height=8)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from evtraj.assoc import DisplacementVolume, KnnConfig, build_displacement_volume
-from evtraj.metrics import epe_ae, fwl, pct_out, tepe_tae, total_variation
+from evtraj.metrics import epe_ae, fwl, pct_out, tepe_tae
 from evtraj.trajectory import Basis, POLYNOMIAL
 
 from oracles import epe_ae_scalar
@@ -162,13 +162,3 @@ class TestFwl:
         )
         with pytest.raises(ValueError, match="degenerate"):
             fwl(sl, DisplacementVolume.zeros(w, h))
-
-
-class TestTotalVariation:
-    def test_constant_flow_zero(self):
-        assert total_variation(np.broadcast_to([1.0, -2.0], (8, 8, 2)).copy()) == 0.0
-
-    def test_single_step(self):
-        flow = np.zeros((1, 2, 2))
-        flow[0, 1, 0] = 2.0
-        assert total_variation(flow) == 2.0

@@ -162,14 +162,14 @@ class TestIwe:
 
 class TestContrast:
     def test_zero_image(self):
-        iwe = Iwe(np.zeros((8, 8)), np.zeros((8, 8)), 0.0, 0.0)
+        iwe = Iwe(np.zeros((8, 8)), np.zeros((8, 8)))
         assert contrast_g(iwe) == 0.0
 
     def test_single_spike_frozen_value(self):
         # forward-diff stencil: |gx|=1 left of spike, |gy|=1 above, sqrt(2) at it
         img = np.zeros((9, 9))
         img[4, 4] = 1.0
-        iwe = Iwe(img, np.zeros_like(img), 0.0, 0.0)
+        iwe = Iwe(img, np.zeros_like(img))
         assert contrast_g(iwe) == pytest.approx(2.0 + np.sqrt(2.0))
         assert contrast_g(iwe) == pytest.approx(contrast_scalar(img))
 
@@ -177,7 +177,7 @@ class TestContrast:
         rng = np.random.default_rng(12)
         img_p = rng.random((13, 17))
         img_n = rng.random((13, 17))
-        iwe = Iwe(img_p, img_n, 0.0, 0.0)
+        iwe = Iwe(img_p, img_n)
         assert contrast_g(iwe) == pytest.approx(
             contrast_scalar(img_p) + contrast_scalar(img_n), rel=1e-12
         )

@@ -15,7 +15,6 @@ from evtraj.optimize import (
     DivergenceError,
     OptimConfig,
     _fixed_reference_value_and_grad,
-    gradient_check,
     loss_gradient,
     minimize,
     save_trace_csv,
@@ -105,18 +104,24 @@ class TestLossGradient:
         np.testing.assert_array_equal(grad, 0.0)
         assert out.r == 0.0
 
-    def test_matches_finite_differences_bilinear(self):
-        sl, field = small_instance(seed=1)
+    @pytest.mark.parametrize(
+        "seed, basis, t_ref, n_coords",
+        [(1, Basis(POLYNOMIAL, 2), 0.43, 40), (7, Basis(POLYNOMIAL, 1), 0.37, 32)],
+        ids=["seed1", "seed7-degree1"],
+    )
+    def test_matches_finite_differences_bilinear(self, seed, basis, t_ref, n_coords):
+        sl, field = small_instance(seed=seed, basis=basis)
         cfg = ObjectiveConfig(knn=KnnConfig(k=8), n_bins=5, time_weighting=True)
         rng = np.random.default_rng(10)
-        max_rel = fd_check_coordinates(sl, field, cfg, t_ref=0.43, h=1e-4, rng=rng, n_coords=40)
+        max_rel = fd_check_coordinates(sl, field, cfg, t_ref=t_ref, h=1e-4, rng=rng, n_coords=n_coords)
         assert max_rel < 1e-4
 
-    def test_matches_finite_differences_gaussian(self):
-        sl, field = small_instance(seed=2)
+    @pytest.mark.parametrize("seed, t_ref, n_coords", [(2, 0.43, 40), (8, 0.37, 32)], ids=["seed2", "seed8"])
+    def test_matches_finite_differences_gaussian(self, seed, t_ref, n_coords):
+        sl, field = small_instance(seed=seed)
         cfg = ObjectiveConfig(sigma=1.0, knn=KnnConfig(k=8), n_bins=5, time_weighting=True)
         rng = np.random.default_rng(11)
-        max_rel = fd_check_coordinates(sl, field, cfg, t_ref=0.43, h=1e-4, rng=rng, n_coords=40)
+        max_rel = fd_check_coordinates(sl, field, cfg, t_ref=t_ref, h=1e-4, rng=rng, n_coords=n_coords)
         assert max_rel < 1e-5
 
     def test_matches_finite_differences_bezier_basis(self):
@@ -182,26 +187,6 @@ class TestLossGradient:
         assert np.all(np.isfinite(grad))
 
 
-class TestGradientCheck:
-    def test_small_instance_bilinear(self):
-        sl, field = small_instance(seed=7, basis=Basis(POLYNOMIAL, 1))
-        cfg = ObjectiveConfig(knn=KnnConfig(k=8), n_bins=5)
-        report = gradient_check(sl, field, cfg, n_coords=32, h=1e-4, seed=0)
-        assert report.max_rel_err < 1e-4
-        assert report.n_checked == 32
-
-    def test_small_instance_gaussian(self):
-        sl, field = small_instance(seed=8)
-        cfg = ObjectiveConfig(sigma=1.0, knn=KnnConfig(k=8), n_bins=5)
-        report = gradient_check(sl, field, cfg, n_coords=32, h=1e-4, seed=0)
-        assert report.max_rel_err < 1e-5
-
-    def test_invalid_sample_size(self):
-        sl, field = small_instance(seed=9)
-        with pytest.raises(ValueError):
-            gradient_check(sl, field, ObjectiveConfig(knn=KnnConfig(k=8)), n_coords=0)
-
-
 class TestMinimize:
     def test_zero_iterations_returns_init(self):
         sl, field = small_instance(seed=10)
@@ -257,15 +242,6 @@ class TestMinimize:
         assert lines[0] == "iter,t_ref,G,R,total"
         assert len(lines) == 5
 
-    def test_fixed_t_ref_mode(self):
-        sl, field = small_instance(seed=14)
-        ocfg = OptimConfig(
-            iterations=5, fixed_t_ref=0.0,
-            objective=ObjectiveConfig(knn=KnnConfig(k=8), n_bins=5),
-        )
-        trace = minimize(sl, field, ocfg)
-        np.testing.assert_array_equal(trace.t_ref, 0.0)
-
     def test_fixed_reference_objective_mode(self):
         sl, field = small_instance(seed=15)
         ocfg = OptimConfig(
@@ -279,5 +255,5 @@ class TestMinimize:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             OptimConfig(lr=0.0)
-        with pytest.raises(ValueError):
-            OptimConfig(beta1=1.0)
+        with pytest.raises(ValueError, match="iterations"):
+            OptimConfig(iterations=-1)

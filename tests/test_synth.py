@@ -8,26 +8,11 @@ from evtraj.synth import (
     SceneSpec,
     generate_events,
     load_scene_config,
-    rigid_gt_flow,
     scatter_points,
     scene_from_config,
 )
 
-from oracles import rigid_flow_matrix_oracle
 from scenes import arc_scene, constant_scene
-
-
-def rotation_pose(axis, angle, translation):
-    """4x4 rigid transform from axis-angle (Rodrigues) and translation."""
-    axis = np.asarray(axis, dtype=np.float64)
-    axis = axis / np.linalg.norm(axis)
-    kx, ky, kz = axis
-    k_cross = np.array([[0, -kz, ky], [kz, 0, -kx], [-ky, kx, 0]])
-    rot = np.eye(3) + np.sin(angle) * k_cross + (1 - np.cos(angle)) * (k_cross @ k_cross)
-    pose = np.eye(4)
-    pose[:3, :3] = rot
-    pose[:3, 3] = translation
-    return pose
 
 
 class TestGenerateEvents:
@@ -129,68 +114,6 @@ class TestGenerateEvents:
         b, _, _ = constant_scene(width=32, height=32, n_points=20, n_events=500, seed=11)
         np.testing.assert_array_equal(a.t, b.t)
         np.testing.assert_array_equal(a.x, b.x)
-
-
-class TestRigidGtFlow:
-    def test_identity_poses_zero_flow(self):
-        pts = np.array([[0.1, -0.2, 2.0], [0.5, 0.5, 4.0]])
-        k_mat = np.array([[100.0, 0, 32.0], [0, 100.0, 24.0], [0, 0, 1.0]])
-        flow, valid = rigid_gt_flow(pts, np.eye(4), np.eye(4), k_mat)
-        assert valid.all()
-        np.testing.assert_allclose(flow, 0.0, atol=1e-12)
-
-    def test_forward_translation_points_outward(self):
-        # camera moves toward the scene: points stream away from the
-        # principal point
-        k_mat = np.array([[100.0, 0, 32.0], [0, 100.0, 24.0], [0, 0, 1.0]])
-        pts = np.array([[0.5, 0.0, 4.0], [-0.5, 0.0, 4.0], [0.0, 0.4, 4.0]])
-        pose_t = np.eye(4)
-        pose_t1 = np.eye(4)
-        pose_t1[2, 3] = 0.5  # object frame shifts so points get closer
-        flow, valid = rigid_gt_flow(pts, pose_t, pose_t1, k_mat)
-        assert valid.all()
-        assert flow[0, 0] > 0 and flow[1, 0] < 0 and flow[2, 1] > 0
-
-    def test_matches_matrix_composition_oracle(self):
-        rng = np.random.default_rng(17)
-        k_mat = np.array([[120.0, 0, 64.0], [0, 110.0, 48.0], [0, 0, 1.0]])
-        pts = np.stack(
-            [rng.uniform(-1, 1, 100), rng.uniform(-1, 1, 100), rng.uniform(2, 6, 100)],
-            axis=1,
-        )
-        pose_t = rotation_pose(rng.normal(size=3), 0.4, rng.normal(0, 0.3, 3))
-        pose_t1 = rotation_pose(rng.normal(size=3), -0.25, rng.normal(0, 0.3, 3))
-        flow, valid = rigid_gt_flow(pts, pose_t, pose_t1, k_mat)
-        ref = rigid_flow_matrix_oracle(pts, pose_t, pose_t1, k_mat)
-        np.testing.assert_allclose(flow[valid], ref[valid], atol=1e-9)
-
-    def test_gauge_invariance_of_object_frame(self):
-        rng = np.random.default_rng(18)
-        k_mat = np.array([[120.0, 0, 64.0], [0, 110.0, 48.0], [0, 0, 1.0]])
-        pts = np.stack(
-            [rng.uniform(-1, 1, 50), rng.uniform(-1, 1, 50), rng.uniform(2, 6, 50)], axis=1
-        )
-        pose_t = rotation_pose([0, 1, 0], 0.3, [0.1, 0.0, 0.2])
-        pose_t1 = rotation_pose([1, 0, 0], -0.2, [0.0, 0.1, -0.1])
-        gauge = rotation_pose([1, 1, 1], 0.8, [5.0, -2.0, 3.0])
-        a, _ = rigid_gt_flow(pts, pose_t, pose_t1, k_mat)
-        b, _ = rigid_gt_flow(pts, gauge @ pose_t, gauge @ pose_t1, k_mat)
-        np.testing.assert_allclose(a, b, atol=1e-9)
-
-    def test_negative_depth_flagged(self):
-        k_mat = np.eye(3)
-        pts = np.array([[0.0, 0.0, 1.0]])
-        pose_t1 = np.eye(4)
-        pose_t1[2, 3] = 5.0  # moved point ends up behind the camera
-        flow, valid = rigid_gt_flow(pts, np.eye(4), pose_t1, k_mat)
-        assert not valid[0]
-        assert np.isnan(flow[0]).all()
-
-    def test_non_orthonormal_rotation_rejected(self):
-        bad = np.eye(4)
-        bad[0, 0] = 1.1
-        with pytest.raises(ValueError, match="orthonormal"):
-            rigid_gt_flow(np.array([[0, 0, 1.0]]), bad, np.eye(4), np.eye(3))
 
 
 class TestSceneConfig:

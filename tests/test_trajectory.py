@@ -8,7 +8,6 @@ from evtraj.trajectory import (
     TrajectoryField,
     anchor_grid,
     displacement_basis,
-    eval_trajectory,
     eval_trajectory_batch,
     load_field,
     save_field,
@@ -26,17 +25,15 @@ def random_field(rng, width=32, height=32, stride=4, basis=Basis(BEZIER, 10), sc
 class TestEvalTrajectory:
     def test_zero_coefficients_stay_at_anchor(self):
         field = TrajectoryField.zeros(16, 16, 4, Basis(POLYNOMIAL, 3))
-        for t in (0.0, 0.3, 1.0):
-            np.testing.assert_allclose(
-                eval_trajectory(field, 5, t), field.anchor_positions()[5]
-            )
+        pos = eval_trajectory_batch(field, [0.0, 0.3, 1.0])
+        np.testing.assert_allclose(pos, np.broadcast_to(field.anchor_positions(), pos.shape))
 
     def test_linear_endpoint(self):
         field = TrajectoryField.zeros(16, 16, 4, Basis(POLYNOMIAL, 1))
         field.coeffs[1, 2, 0] = [5.0, -3.0]
         anchor = 1 * 4 + 2
         base = field.anchor_positions()[anchor]
-        np.testing.assert_allclose(eval_trajectory(field, anchor, 1.0), base + [5.0, -3.0])
+        np.testing.assert_allclose(eval_trajectory_batch(field, [1.0])[0, anchor], base + [5.0, -3.0])
 
     def test_displacement_zero_at_t0(self):
         rng = np.random.default_rng(4)
@@ -52,14 +49,9 @@ class TestEvalTrajectory:
         base = field.anchor_positions()[anchor]
         # pinned control polygon: anchor itself, then anchor + offsets
         polygon = np.vstack([np.zeros(2), field.flat_coeffs()[anchor]]) + base
-        got = eval_trajectory(field, anchor, 0.37)
+        got = eval_trajectory_batch(field, [0.37])[0, anchor]
         ref = de_casteljau(polygon, 0.37)
         np.testing.assert_allclose(got, ref, atol=1e-10)
-
-    def test_bad_anchor_rejected(self):
-        field = TrajectoryField.zeros(16, 16, 4, Basis(POLYNOMIAL, 1))
-        with pytest.raises(ValueError):
-            eval_trajectory(field, 16, 0.5)
 
     def test_linearity_in_coefficients(self):
         rng = np.random.default_rng(12)
@@ -103,7 +95,6 @@ class TestBatchEvaluation:
         batch = eval_trajectory_batch(field, times)
         for ti, t in enumerate(times):
             for n in range(field.n_anchors):
-                np.testing.assert_allclose(batch[ti, n], eval_trajectory(field, n, t), atol=1e-12)
                 np.testing.assert_allclose(
                     batch[ti, n], traj_position_scalar(field, n, t), atol=1e-12
                 )
@@ -147,8 +138,14 @@ class TestGridAndIo:
             (lambda raw: raw[:-3], "ends at byte"),
             (lambda raw: raw + b"\x00", "ends at byte"),
             (lambda raw: raw[:4] + b"\x07" + raw[5:], "basis code 7 at byte 4"),
+            (lambda raw: raw[:5] + b"\x00\x00" + raw[7:], "degree 0 at byte 5"),
+            (lambda raw: raw[:7] + b"\x00\x00" + raw[9:], "stride 0 at byte 7"),
+            # 1x4 anchors hold as many coefficients as the true 2x2 grid
+            (lambda raw: raw[:9] + (1).to_bytes(4, "little") + (4).to_bytes(4, "little") + raw[17:],
+             "grid 1x4 at byte 9"),
         ],
-        ids=["truncated-body", "trailing-bytes", "unknown-basis-code"],
+        ids=["truncated-body", "trailing-bytes", "unknown-basis-code", "zero-degree", "zero-stride",
+             "grid-mismatch"],
     )
     def test_trj1_malformed_names_path_and_offset(self, tmp_path, edit, match):
         path = tmp_path / "f.trj1"
