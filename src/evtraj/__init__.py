@@ -23,6 +23,7 @@ from .assoc import (
     build_displacement_volume,
     interpolate_flow,
     knn_per_bin,
+    regather_volume,
 )
 from .events import (
     EventFormatError,
@@ -80,4 +81,16 @@ from .trajectory import (
     save_field,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "DisplacementVolume", "KnnConfig", "build_consecutive_delta_field",
+    "build_displacement_volume", "interpolate_flow", "knn_per_bin", "regather_volume",
+    "EventFormatError", "EventSlice", "load_events", "save_events", "load_flow",
+    "save_flow", "MotionEval", "epe_ae", "evaluate_trajectories", "fwl", "pct_out",
+    "tepe_tae", "Iwe", "LossBreakdown", "ObjectiveConfig", "WarpedEvents", "build_iwe",
+    "contrast_g", "fixed_reference_loss", "regularizer_r", "sample_reference_time",
+    "total_loss", "warp_events", "write_iwe_pgm", "DivergenceError", "OptimConfig",
+    "OptimTrace", "loss_gradient", "minimize", "save_trace_csv", "BezierMotion",
+    "CircularMotion", "ConstantMotion", "GroundTruth", "SceneSpec", "generate_events",
+    "scatter_points", "BEZIER", "POLYNOMIAL", "Basis", "TrajectoryField",
+    "eval_trajectory_batch", "load_field", "save_field",
+]

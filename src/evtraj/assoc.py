@@ -8,6 +8,11 @@ trajectories passing closest to it *at that time* (the moving frame).
 The cell's displacement toward the reference time is the mean over those
 neighbors of q_n(t_ref) - q_n(t_bin).
 
+The neighbor sets depend only on the field (its positions at the bin
+centers), never on t_ref. One search per field therefore serves every
+reference time: :func:`regather_volume` re-targets a built volume to
+another t_ref by a gather over the same sets, with no search.
+
 The KNN search streams over fixed-size tiles of query cells so the full
 cells x anchors distance matrix is never materialized; results are
 byte-identical to the brute-force scan for every tile size. Ordering is
@@ -57,8 +62,13 @@ def knn_per_bin(query_cells, traj_positions, k: int, tile_size: int = 1024):
     dist = np.empty((n_cells, k), dtype=np.float64)
     for start in range(0, n_cells, tile_size):
         tile = query[start : start + tile_size]
-        d2 = np.square(tile[:, None, 0] - pts[None, :, 0])
-        d2 += np.square(tile[:, None, 1] - pts[None, :, 1])
+        # squared in place and freed before the next tile, so at most two
+        # (tile, n_pts) float arrays are live at once
+        d2 = tile[:, None, 0] - pts[None, :, 0]
+        dy = tile[:, None, 1] - pts[None, :, 1]
+        np.square(d2, out=d2)
+        d2 += np.square(dy, out=dy)
+        del dy
         if _dist_alloc_hook is not None:
             _dist_alloc_hook(d2.nbytes)
         order = _topk_stable(d2, k)
@@ -66,33 +76,44 @@ def knn_per_bin(query_cells, traj_positions, k: int, tile_size: int = 1024):
         dist[start : start + tile.shape[0]] = np.sqrt(
             np.take_along_axis(d2, order, axis=1)
         )
+        del d2
     return idx, dist
 
 
 def _topk_stable(d2, k):
     """Row-wise indices of the k smallest values, ties by lower index.
 
-    Selects candidates with argpartition and orders them with a stable
-    sort; rows where a distance tie straddles the selection boundary
-    (argpartition's choice there is arbitrary) fall back to a full stable
-    sort, so the result always equals the brute-force scan.
+    Selects candidates with argpartition and orders them by (value,
+    index). In rows where a tie straddles the selection boundary (the
+    k-th smallest value), argpartition's choice among the tied entries is
+    arbitrary; there the tied candidates are replaced by the lowest-index
+    tied entries, with no full-row sort, so the result always equals the
+    brute-force scan.
     """
     n = d2.shape[1]
     if k >= n or k > n - k:
         return np.argsort(d2, axis=1, kind="stable")[:, :k]
-    cand = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    # index order first, so the stable sort below breaks ties by index
+    cand = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
     cd = np.take_along_axis(d2, cand, axis=1)
-    boundary = cd.max(axis=1)
-    inside = (cd == boundary[:, None]).sum(axis=1)
-    everywhere = (d2 == boundary[:, None]).sum(axis=1)
-    # order candidates by (distance, index): stable sort after index sort
-    cand_sorted = np.take_along_axis(cand, np.argsort(cand, axis=1), axis=1)
-    cd_sorted = np.take_along_axis(d2, cand_sorted, axis=1)
-    order = np.take_along_axis(cand_sorted, np.argsort(cd_sorted, axis=1, kind="stable"), axis=1)
+    boundary = cd.max(axis=1, keepdims=True)
+    at_boundary = d2 == boundary
+    # argpartition keeps every entry below the boundary, so ``inside`` of
+    # a row's ``everywhere`` tied entries are candidates
+    inside = (cd == boundary).sum(axis=1)
+    everywhere = at_boundary.sum(axis=1)
     risky = np.flatnonzero(everywhere > inside)
     if risky.size:
-        order[risky] = np.argsort(d2[risky], axis=1, kind="stable")[:, :k]
-    return order
+        # the lowest-index tied entries replace the tied candidates (their
+        # values in ``cd`` stay); both run in row-major order
+        rows, cols = np.nonzero(at_boundary[risky])
+        counts = everywhere[risky]
+        # 0-based rank of each tied entry among its row's tied entries
+        rank = np.arange(len(cols)) - np.repeat(np.cumsum(counts) - counts, counts)
+        sub = cand[risky]
+        sub[cd[risky] == boundary[risky]] = cols[rank < inside[risky][rows]]
+        cand[risky] = sub
+    return np.take_along_axis(cand, np.argsort(cd, axis=1, kind="stable"), axis=1)
 
 
 @dataclass
@@ -100,7 +121,10 @@ class DisplacementVolume:
     """Per (bin, cell) mean displacement toward t_ref, plus the KNN indices.
 
     ``disp`` is (n_bins, rows, cols, 2) in (dx, dy) pixels; ``knn_indices``
-    is (n_bins, rows, cols, k) of flat anchor indices. Immutable once built.
+    is (n_bins, rows, cols, k) of flat anchor indices. ``pos_bins`` is
+    (n_bins, n_anchors, 2), the trajectory positions at the bin centers
+    that the neighbor sets were searched among; None for volumes not built
+    from a field. Immutable once built.
     """
 
     t_ref: float
@@ -110,6 +134,7 @@ class DisplacementVolume:
     bin_centers: np.ndarray
     disp: np.ndarray
     knn_indices: np.ndarray
+    pos_bins: np.ndarray | None = None
 
     @property
     def n_bins(self) -> int:
@@ -139,8 +164,9 @@ def build_displacement_volume(
 ) -> DisplacementVolume:
     """Build the warp lookup table for one reference time.
 
-    Bin centers sit at (b + 0.5) / n_bins. Rebuilt whenever t_ref changes
-    (once per optimizer step). Construction is pure per-voxel computation,
+    Bin centers sit at (b + 0.5) / n_bins. The neighbor sets depend only
+    on the field, so one build per field serves every reference time
+    (:func:`regather_volume`). Construction is pure per-voxel computation,
     so the result is independent of evaluation order.
     """
     if not 0.0 <= t_ref <= 1.0:
@@ -150,12 +176,32 @@ def build_displacement_volume(
     rows, cols, centers = anchor_grid(field.width, field.height, field.stride)
     bin_centers = (np.arange(n_bins) + 0.5) / n_bins
     pos_bins = eval_trajectory_batch(field, bin_centers)  # (B, N, 2)
-    pos_ref = eval_trajectory_batch(field, [t_ref])[0]  # (N, 2)
-    disp = np.empty((n_bins, rows * cols, 2), dtype=np.float64)
     knn_idx = np.empty((n_bins, rows * cols, cfg.k), dtype=np.int64)
     for b in range(n_bins):
-        idx, _ = knn_per_bin(centers, pos_bins[b], cfg.k)
-        knn_idx[b] = idx
+        knn_idx[b] = knn_per_bin(centers, pos_bins[b], cfg.k)[0]
+    return _gather(
+        field, t_ref, bin_centers, pos_bins, knn_idx.reshape(n_bins, rows, cols, cfg.k)
+    )
+
+
+def regather_volume(field: TrajectoryField, volume: DisplacementVolume, t_ref: float) -> DisplacementVolume:
+    """``volume`` re-targeted to another reference time, with no search.
+
+    ``volume`` must come from :func:`build_displacement_volume` on this
+    ``field``; the result shares its neighbor sets and bin positions and
+    equals, bit for bit, a fresh build at ``t_ref`` (outside [0, 1] the
+    trajectory evaluation raises ValueError).
+    """
+    return _gather(field, t_ref, volume.bin_centers, volume.pos_bins, volume.knn_indices)
+
+
+def _gather(field, t_ref, bin_centers, pos_bins, knn_indices) -> DisplacementVolume:
+    """Mean neighbor displacement from each bin center toward t_ref."""
+    n_bins, rows, cols, k = knn_indices.shape
+    idx_bins = knn_indices.reshape(n_bins, rows * cols, k)
+    pos_ref = eval_trajectory_batch(field, [t_ref])[0]  # (N, 2)
+    disp = np.empty((n_bins, rows * cols, 2), dtype=np.float64)
+    for b, idx in enumerate(idx_bins):
         delta = pos_ref[idx] - pos_bins[b][idx]  # (cells, k, 2)
         disp[b] = delta.mean(axis=1)
     return DisplacementVolume(
@@ -165,21 +211,23 @@ def build_displacement_volume(
         height=field.height,
         bin_centers=bin_centers,
         disp=disp.reshape(n_bins, rows, cols, 2),
-        knn_indices=knn_idx.reshape(n_bins, rows, cols, cfg.k),
+        knn_indices=knn_indices,
+        pos_bins=pos_bins,
     )
 
 
-def build_consecutive_delta_field(field: TrajectoryField, volume: DisplacementVolume) -> np.ndarray:
+def build_consecutive_delta_field(volume: DisplacementVolume) -> np.ndarray:
     """Mean trajectory displacement between consecutive bin centers.
 
-    Uses the same neighbor sets as the volume (bin b's indices for the
-    pair b -> b+1). Shape (n_bins-1, rows, cols, 2); empty when the volume
-    has a single bin. Feeds the spatial-smoothness regularizer.
+    Uses the same neighbor sets and bin positions as the volume (bin b's
+    indices for the pair b -> b+1). Shape (n_bins-1, rows, cols, 2); empty
+    when the volume has a single bin. Feeds the spatial-smoothness
+    regularizer.
     """
     rows, cols = volume.grid_shape
     if volume.n_bins < 2:
         return np.zeros((0, rows, cols, 2))
-    pos_bins = eval_trajectory_batch(field, volume.bin_centers)  # (B, N, 2)
+    pos_bins = volume.pos_bins
     idx = volume.knn_indices.reshape(volume.n_bins, rows * cols, -1)
     out = np.empty((volume.n_bins - 1, rows * cols, 2))
     for b in range(volume.n_bins - 1):

@@ -63,13 +63,19 @@ def cmd_synth(args: dict) -> int:
     return 0
 
 
+def _flow_times(text: str) -> list:
+    times = [float(v) for v in text.split(",")]
+    if not all(0.0 <= t <= 1.0 for t in times):
+        raise ValueError(f"--flow-times must lie in [0, 1], got {text!r}")
+    return times
+
+
 def cmd_estimate(args: dict) -> int:
     t0 = time.perf_counter()
-    out_dir = Path(args["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sl = load_events(args["events"])
+    # the flow times and configs are checked before the events are read,
+    # the fit runs or anything is written
+    times = _flow_times(args["flow_times"])
     basis = Basis(POLYNOMIAL if args["basis"] == "poly" else BEZIER, args["degree"])
-    field0 = TrajectoryField.zeros(sl.width, sl.height, args["stride"], basis)
     ocfg = OptimConfig(
         iterations=args["iters"],
         lr=args["lr"],
@@ -83,6 +89,10 @@ def cmd_estimate(args: dict) -> int:
         ),
         fixed_reference=args["fixed_ref"],
     )
+    sl = load_events(args["events"])
+    field0 = TrajectoryField.zeros(sl.width, sl.height, args["stride"], basis)
+    out_dir = Path(args["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     trace = minimize(sl, field0, ocfg)
     outputs = []
     field_path = out_dir / "field.trj1"
@@ -91,7 +101,6 @@ def cmd_estimate(args: dict) -> int:
     trace_path = out_dir / "trace.csv"
     save_trace_csv(trace, trace_path)
     outputs.append(trace_path)
-    times = [float(v) for v in args["flow_times"].split(",")]
     flows = interpolate_flow(trace.field, times, args["k"])
     for i, t in enumerate(times):
         path = out_dir / f"flow_{i:02d}.flo1"

@@ -40,6 +40,7 @@ from .assoc import (
     KnnConfig,
     build_consecutive_delta_field,
     build_displacement_volume,
+    regather_volume,
 )
 from .events import EventSlice
 from .trajectory import TrajectoryField
@@ -68,6 +69,8 @@ class ObjectiveConfig:
     n_bins: int = 15
 
     def __post_init__(self):
+        if not self.lam >= 0.0:
+            raise ValueError(f"lambda must be >= 0, got {self.lam}")
         if not self.sigma >= 0.0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
@@ -349,7 +352,7 @@ def loss_forward(sl: EventSlice, field: TrajectoryField, t_ref: float, cfg: Obje
     """
     volume = build_displacement_volume(field, t_ref, cfg.knn, cfg.n_bins)
     cp = contrast_pass(sl, volume, cfg.sigma, cfg.time_weighting)
-    delta = build_consecutive_delta_field(field, volume)
+    delta = build_consecutive_delta_field(volume)
     r = regularizer_r(delta)
     n_masked = cp.warped.n_masked
     degenerate = (n_masked == len(sl) and len(sl) > 0) or cp.g < EPS_CONTRAST
@@ -375,18 +378,31 @@ def total_loss(sl: EventSlice, field: TrajectoryField, t_ref: float, cfg: Object
     return loss_forward(sl, field, t_ref, cfg)[0]
 
 
-def fixed_reference_forward(sl: EventSlice, field: TrajectoryField, cfg: ObjectiveConfig):
+def zero_warp_contrast(sl: EventSlice, stride: int, cfg: ObjectiveConfig) -> float:
+    """G_0 of the fixed-reference baseline: the eps-guarded contrast of the
+    unwarped events. It does not depend on the field, so one value serves a
+    whole run."""
+    zero_vol = DisplacementVolume.zeros(sl.width, sl.height, stride, cfg.n_bins)
+    return max(contrast_pass(sl, zero_vol, cfg.sigma, False).g, EPS_CONTRAST)
+
+
+def fixed_reference_forward(sl: EventSlice, field: TrajectoryField, cfg: ObjectiveConfig, g0=None):
     """Forward pass of :func:`fixed_reference_loss`.
 
     Returns (F, G_0, passes): G_0 is the eps-guarded zero-warp contrast
-    and ``passes`` the contrast passes at the times of ``FIXED_REFERENCES``.
+    (``g0`` when given, else :func:`zero_warp_contrast`) and ``passes``
+    the contrast passes at the times of ``FIXED_REFERENCES``. The neighbor
+    sets depend only on the field, so one volume build serves all three
+    reference times; the others are gathered from it.
     """
-    zero_vol = DisplacementVolume.zeros(sl.width, sl.height, field.stride, cfg.n_bins)
-    g0 = max(contrast_pass(sl, zero_vol, cfg.sigma, False).g, EPS_CONTRAST)
+    if g0 is None:
+        g0 = zero_warp_contrast(sl, field.stride, cfg)
+    volume = build_displacement_volume(field, FIXED_REFERENCES[0][0], cfg.knn, cfg.n_bins)
     passes = []
     f = 0.0
     for t_ref, weight in FIXED_REFERENCES:
-        volume = build_displacement_volume(field, t_ref, cfg.knn, cfg.n_bins)
+        if t_ref != volume.t_ref:
+            volume = regather_volume(field, volume, t_ref)
         passes.append(contrast_pass(sl, volume, cfg.sigma, False))
         f += weight * passes[-1].g
     return f / (4.0 * g0), g0, passes

@@ -37,6 +37,7 @@ from .objective import (
     fixed_reference_forward,
     loss_forward,
     sample_reference_time,
+    zero_warp_contrast,
 )
 from .trajectory import TrajectoryField, displacement_basis
 
@@ -68,8 +69,8 @@ class OptimConfig:
     def __post_init__(self):
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if self.lr <= 0:
-            raise ValueError("step size must be > 0")
+        if not self.lr > 0:
+            raise ValueError(f"step size must be > 0, got {self.lr}")
 
 
 @dataclass
@@ -200,9 +201,12 @@ def loss_gradient(sl: EventSlice, field: TrajectoryField, t_ref: float, cfg: Obj
     return breakdown, _loss_backward(field, breakdown, cp, delta)
 
 
-def _fixed_reference_value_and_grad(sl: EventSlice, field: TrajectoryField, cfg: ObjectiveConfig):
-    """(F, 1/F, d(1/F)/d(coefficients)) for the three-reference baseline."""
-    f_val, g0, passes = fixed_reference_forward(sl, field, cfg)
+def _fixed_reference_value_and_grad(sl: EventSlice, field: TrajectoryField, cfg: ObjectiveConfig, g0=None):
+    """(F, 1/F, d(1/F)/d(coefficients)) for the three-reference baseline.
+
+    ``g0`` is the run's zero-warp contrast; computed here when not given.
+    """
+    f_val, g0, passes = fixed_reference_forward(sl, field, cfg, g0)
     f_grad = np.zeros_like(field.coeffs)
     for (_, weight), cp in zip(FIXED_REFERENCES, passes):
         f_grad += weight * _contrast_backward(field, cp)
@@ -215,8 +219,9 @@ def _fixed_reference_value_and_grad(sl: EventSlice, field: TrajectoryField, cfg:
 def minimize(sl: EventSlice, init_field: TrajectoryField, ocfg: OptimConfig) -> OptimTrace:
     """Adam descent on the trajectory coefficients.
 
-    Per iteration: draw a reference time, evaluate the
-    loss gradient there, update the moments and coefficients. The run is
+    Per iteration: draw a reference time, evaluate the loss gradient
+    there, update the moments and coefficients. In fixed-reference mode the
+    field-independent G_0 is computed once per run. The run is
     deterministic given the seed. Raises :class:`DivergenceError` naming
     the iteration if the loss or gradient turns non-finite.
     """
@@ -226,11 +231,12 @@ def minimize(sl: EventSlice, init_field: TrajectoryField, ocfg: OptimConfig) -> 
     m = np.zeros_like(field.coeffs)
     v = np.zeros_like(field.coeffs)
     hist_t, hist_g, hist_r, hist_total = [], [], [], []
+    g0 = zero_warp_contrast(sl, field.stride, ocfg.objective) if ocfg.fixed_reference else None
     for it in range(ocfg.iterations):
         if not np.all(np.isfinite(field.coeffs)):
             raise DivergenceError(f"non-finite coefficients at iteration {it}")
         if ocfg.fixed_reference:
-            f_val, loss_val, grad = _fixed_reference_value_and_grad(sl, field, ocfg.objective)
+            f_val, loss_val, grad = _fixed_reference_value_and_grad(sl, field, ocfg.objective, g0)
             breakdown = LossBreakdown(
                 g=f_val, r=0.0, total=loss_val, lam=ocfg.objective.lam,
                 n_masked=0, degenerate=f_val < EPS_CONTRAST, t_ref=0.5,

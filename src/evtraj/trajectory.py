@@ -81,7 +81,7 @@ def displacement_basis(basis: Basis, times) -> np.ndarray:
     displacement(0) = 0 holds for every coefficient setting.
     """
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
-    if np.any((times < 0.0) | (times > 1.0)):
+    if not np.all((times >= 0.0) & (times <= 1.0)):
         raise ValueError("times must lie in [0, 1]")
     if basis.kind == POLYNOMIAL:
         return np.power(times[:, None], np.arange(1, basis.degree + 1))

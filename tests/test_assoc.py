@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import evtraj.assoc as assoc
 from evtraj.assoc import (
@@ -8,8 +9,9 @@ from evtraj.assoc import (
     build_displacement_volume,
     interpolate_flow,
     knn_per_bin,
+    regather_volume,
 )
-from evtraj.trajectory import BEZIER, POLYNOMIAL, Basis, TrajectoryField, anchor_grid
+from evtraj.trajectory import BEZIER, POLYNOMIAL, Basis, TrajectoryField, anchor_grid, eval_trajectory_batch
 
 from oracles import delta_field_scalar, displacement_volume_scalar, knn_scalar
 
@@ -81,6 +83,56 @@ class TestKnn:
         assert max(seen) <= tile * len(anchors) * 8
 
 
+def assert_knn_matches_scan(query, points, k):
+    """Indices equal to the scalar scan; distances equal to it and across tilings."""
+    idx, dist = knn_per_bin(query, points, k)
+    ref_idx, ref_dist = knn_scalar(query, points, k)
+    np.testing.assert_array_equal(idx, ref_idx)
+    np.testing.assert_array_equal(dist, ref_dist)
+    for tile in (1, 7):
+        tiled_idx, tiled_dist = knn_per_bin(query, points, k, tile_size=tile)
+        np.testing.assert_array_equal(tiled_idx, idx)
+        np.testing.assert_array_equal(tiled_dist, dist)
+
+
+class TestKnnLatticeTies:
+    """Ties straddling the k-th distance, where the selection must take the
+    lowest-index tied entries."""
+
+    @pytest.mark.parametrize("k", [1, 4, 9, 32])
+    def test_zero_field_anchor_grid_at_cell_centres(self, k):
+        # at the zero field every trajectory sits on its cell centre, so
+        # nearly every query has a tie at its k-th distance
+        field = TrajectoryField.zeros(64, 48, 4, Basis(BEZIER, 3))
+        _, _, centers = anchor_grid(64, 48, 4)
+        assert_knn_matches_scan(centers, eval_trajectory_batch(field, [0.5])[0], k)
+        vol = build_displacement_volume(field, 0.5, KnnConfig(k=k), n_bins=2)
+        ref_idx, _ = knn_scalar(centers, field.anchor_positions(), k)
+        for b in range(2):
+            np.testing.assert_array_equal(vol.knn_indices[b].reshape(-1, k), ref_idx)
+
+    @pytest.mark.parametrize("k", [1, 4, 5, 8, 9, 12, 13, 32])
+    def test_integer_lattice_distance_shells(self, k):
+        # around a lattice point the shells close at 1, 5, 9, 13, 21, ...
+        # neighbours, around a half-integer point at 4, 12, 16, ...; the
+        # shuffle keeps index order apart from position
+        g = np.arange(11.0)
+        points = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+        points = points[np.random.default_rng(5).permutation(len(points))]
+        halves = np.stack(np.meshgrid(g[:-1] + 0.5, g[:-1] + 0.5), axis=-1).reshape(-1, 2)
+        assert_knn_matches_scan(np.concatenate([points, halves]), points, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        points=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=2, max_size=40),
+        queries=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=8),
+        data=st.data(),
+    )
+    def test_small_integer_point_sets(self, points, queries, data):
+        k = data.draw(st.integers(1, len(points)), label="k")
+        assert_knn_matches_scan(np.array(queries, dtype=float), np.array(points, dtype=float), k)
+
+
 class TestDisplacementVolume:
     def test_zero_coefficients_zero_volume(self):
         field = TrajectoryField.zeros(32, 32, 4, Basis(POLYNOMIAL, 2))
@@ -107,6 +159,17 @@ class TestDisplacementVolume:
         ref = displacement_volume_scalar(field, vol)
         assert np.abs(vol.disp - ref).max() < 1e-6
 
+    def test_regather_equals_fresh_build(self):
+        rng = np.random.default_rng(78)
+        field = random_field(rng)
+        vol = build_displacement_volume(field, 0.2, KnnConfig(k=6), n_bins=5)
+        fresh = build_displacement_volume(field, 0.9, KnnConfig(k=6), n_bins=5)
+        moved = regather_volume(field, vol, 0.9)
+        assert moved.t_ref == 0.9
+        np.testing.assert_array_equal(moved.disp, fresh.disp)
+        np.testing.assert_array_equal(moved.knn_indices, fresh.knn_indices)
+        np.testing.assert_array_equal(moved.pos_bins, fresh.pos_bins)
+
     def test_invalid_arguments(self):
         field = TrajectoryField.zeros(8, 8, 4, Basis(POLYNOMIAL, 1))
         with pytest.raises(ValueError):
@@ -121,7 +184,7 @@ class TestConsecutiveDeltaField:
     def test_zero_coefficients(self):
         field = TrajectoryField.zeros(16, 16, 4, Basis(BEZIER, 3))
         vol = build_displacement_volume(field, 0.5, KnnConfig(k=4), n_bins=5)
-        delta = build_consecutive_delta_field(field, vol)
+        delta = build_consecutive_delta_field(vol)
         assert delta.shape == (4, 4, 4, 2)
         np.testing.assert_array_equal(delta, 0.0)
 
@@ -130,19 +193,19 @@ class TestConsecutiveDeltaField:
         field = TrajectoryField.zeros(16, 16, 4, Basis(POLYNOMIAL, 1))
         field.coeffs[..., :] = v
         vol = build_displacement_volume(field, 0.0, KnnConfig(k=4), n_bins=2)
-        delta = build_consecutive_delta_field(field, vol)
+        delta = build_consecutive_delta_field(vol)
         np.testing.assert_allclose(delta, np.broadcast_to(v / 2.0, delta.shape), atol=1e-12)
 
     def test_single_bin_gives_empty_field(self):
         field = TrajectoryField.zeros(16, 16, 4, Basis(POLYNOMIAL, 1))
         vol = build_displacement_volume(field, 0.5, KnnConfig(k=4), n_bins=1)
-        assert build_consecutive_delta_field(field, vol).size == 0
+        assert build_consecutive_delta_field(vol).size == 0
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(13)
         field = random_field(rng, width=16, height=16, basis=Basis(POLYNOMIAL, 3))
         vol = build_displacement_volume(field, 0.6, KnnConfig(k=5), n_bins=4)
-        delta = build_consecutive_delta_field(field, vol)
+        delta = build_consecutive_delta_field(vol)
         ref = delta_field_scalar(field, vol)
         np.testing.assert_allclose(delta, ref, atol=1e-10)
 

@@ -100,7 +100,10 @@ class TestEstimateCommand:
 
     @pytest.mark.parametrize(
         "flag, value, match",
-        [("--stride", "0", "stride"), ("--sigma", "-1", "sigma"), ("--iters", "-1", "iterations")],
+        [
+            ("--stride", "0", "stride"), ("--sigma", "-1", "sigma"), ("--iters", "-1", "iterations"),
+            ("--lambda", "-1", "lambda"), ("--lambda", "nan", "lambda"), ("--lr", "nan", "step size"),
+        ],
     )
     def test_bad_setting_exits_2(self, scene_file, tmp_path, capsys, flag, value, match):
         data = tmp_path / "data"
@@ -111,6 +114,19 @@ class TestEstimateCommand:
         )
         assert rc == 2
         assert match in capsys.readouterr().err
+
+    @pytest.mark.parametrize("times", ["1.5", "nan", "0.5,nan"])
+    def test_bad_flow_times_exit_2_before_fitting(self, scene_file, tmp_path, capsys, times):
+        data = tmp_path / "data"
+        main(["synth", str(scene_file), "--out", str(data), "--seed", "1"])
+        out = tmp_path / "est"
+        rc = main(
+            ["estimate", str(data / "events.evt1"), "--out", str(out),
+             "--k", "8", "--iters", "3", "--flow-times", times]
+        )
+        assert rc == 2
+        assert "--flow-times" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_reproduces_outputs(self, scene_file, tmp_path):
         data = tmp_path / "data"

@@ -147,7 +147,7 @@ class TestIwe:
         raw = np.zeros((32, 32))
         np.add.at(raw, (sl.y, sl.x), 1.0)
         assert np.array_equal(iwe.pos, raw)
-        assert regularizer_r(build_consecutive_delta_field(field, vol)) == 0.0
+        assert regularizer_r(build_consecutive_delta_field(vol)) == 0.0
 
     def test_pgm_render(self, tmp_path):
         rng = np.random.default_rng(11)

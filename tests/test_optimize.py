@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+import evtraj.assoc as assoc
+import evtraj.objective as objective
+import evtraj.optimize as optimize
 from evtraj.assoc import KnnConfig, build_displacement_volume, interpolate_flow
 from evtraj.events import EventSlice
 from evtraj.metrics import epe_ae
 from evtraj.objective import (
     FIXED_REFERENCES,
     ObjectiveConfig,
+    fixed_reference_forward,
     fixed_reference_loss,
     total_loss,
     warp_events,
@@ -170,6 +174,43 @@ class TestLossGradient:
         max_rel = fd_check_coordinates(sl, field, cfg, t_ref=None, h=1e-4, rng=rng, n_coords=40)
         assert max_rel < 1e-5
 
+    def test_fixed_reference_searches_once(self, monkeypatch):
+        sl, field = small_instance(seed=16)
+        cfg = ObjectiveConfig(knn=KnnConfig(k=8), n_bins=5)
+        calls = []
+        search = assoc.knn_per_bin
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(assoc, "knn_per_bin", counted)
+        _fixed_reference_value_and_grad(sl, field, cfg)
+        assert len(calls) == cfg.n_bins
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    def test_fixed_reference_shared_search_matches_three_builds(self, monkeypatch, sigma):
+        sl, field = small_instance(seed=17)
+        cfg = ObjectiveConfig(sigma=sigma, knn=KnnConfig(k=8), n_bins=5)
+        shared = fixed_reference_forward(sl, field, cfg)
+        shared_step = _fixed_reference_value_and_grad(sl, field, cfg)
+        built = []
+
+        def fresh_build(field, volume, t_ref):
+            built.append(t_ref)
+            return build_displacement_volume(field, t_ref, cfg.knn, cfg.n_bins)
+
+        monkeypatch.setattr(objective, "regather_volume", fresh_build)
+        f, g0, passes = fixed_reference_forward(sl, field, cfg)
+        step = _fixed_reference_value_and_grad(sl, field, cfg)
+        assert built == [0.5, 1.0, 0.5, 1.0]
+        assert shared[:2] == (f, g0)
+        for a, b in zip(shared[2], passes):
+            np.testing.assert_array_equal(a.volume.disp, b.volume.disp)
+            np.testing.assert_array_equal(a.volume.knn_indices, b.volume.knn_indices)
+        assert shared_step[:2] == step[:2]
+        np.testing.assert_array_equal(shared_step[2], step[2])
+
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_value_and_gradient_paths_agree_exactly(self, seed, sigma):
@@ -242,15 +283,26 @@ class TestMinimize:
         assert lines[0] == "iter,t_ref,G,R,total"
         assert len(lines) == 5
 
-    def test_fixed_reference_objective_mode(self):
+    def test_fixed_reference_objective_mode(self, monkeypatch):
         sl, field = small_instance(seed=15)
         ocfg = OptimConfig(
             iterations=3, fixed_reference=True,
             objective=ObjectiveConfig(knn=KnnConfig(k=8), n_bins=5),
         )
+        calls = []
+        contrast_zero = objective.zero_warp_contrast
+
+        def counted(*args):
+            calls.append(1)
+            return contrast_zero(*args)
+
+        for module in (objective, optimize):
+            monkeypatch.setattr(module, "zero_warp_contrast", counted)
         trace = minimize(sl, field, ocfg)
         assert len(trace) == 3
         assert np.all(np.isfinite(trace.total))
+        # G_0 does not depend on the field: once per run, not per iteration
+        assert len(calls) == 1
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

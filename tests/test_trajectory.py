@@ -167,8 +167,9 @@ class TestGridAndIo:
             (Basis(BEZIER, 10), 0.3, [bernstein_direct(10, j, 0.3) for j in range(1, 11)]),
             (Basis(POLYNOMIAL, 2), 1.5, ValueError),
             (Basis(BEZIER, 2), -0.01, ValueError),
+            (Basis(POLYNOMIAL, 2), float("nan"), ValueError),
         ],
-        ids=["poly1", "bezier10-bernstein", "poly-above-1", "bezier-below-0"],
+        ids=["poly1", "bezier10-bernstein", "poly-above-1", "bezier-below-0", "poly-nan"],
     )
     def test_displacement_basis_values(self, basis, t, want):
         if want is ValueError:
