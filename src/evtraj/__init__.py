@@ -47,10 +47,8 @@ from .objective import (
     WarpedEvents,
     build_iwe,
     contrast_g,
-    fixed_reference_loss,
     regularizer_r,
     sample_reference_time,
-    total_loss,
     warp_events,
     write_iwe_pgm,
 )
@@ -87,10 +85,9 @@ __all__ = [
     "EventFormatError", "EventSlice", "load_events", "save_events", "load_flow",
     "save_flow", "MotionEval", "epe_ae", "evaluate_trajectories", "fwl", "pct_out",
     "tepe_tae", "Iwe", "LossBreakdown", "ObjectiveConfig", "WarpedEvents", "build_iwe",
-    "contrast_g", "fixed_reference_loss", "regularizer_r", "sample_reference_time",
-    "total_loss", "warp_events", "write_iwe_pgm", "DivergenceError", "OptimConfig",
-    "OptimTrace", "loss_gradient", "minimize", "save_trace_csv", "BezierMotion",
-    "CircularMotion", "ConstantMotion", "GroundTruth", "SceneSpec", "generate_events",
-    "scatter_points", "BEZIER", "POLYNOMIAL", "Basis", "TrajectoryField",
-    "eval_trajectory_batch", "load_field", "save_field",
+    "contrast_g", "regularizer_r", "sample_reference_time", "warp_events", "write_iwe_pgm",
+    "DivergenceError", "OptimConfig", "OptimTrace", "loss_gradient", "minimize",
+    "save_trace_csv", "BezierMotion", "CircularMotion", "ConstantMotion", "GroundTruth",
+    "SceneSpec", "generate_events", "scatter_points", "BEZIER", "POLYNOMIAL", "Basis",
+    "TrajectoryField", "eval_trajectory_batch", "load_field", "save_field",
 ]

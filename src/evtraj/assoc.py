@@ -236,7 +236,7 @@ def build_consecutive_delta_field(volume: DisplacementVolume) -> np.ndarray:
     return out.reshape(volume.n_bins - 1, rows, cols, 2)
 
 
-def interpolate_flow(field: TrajectoryField, times, k: int, tile_size: int = 4096) -> np.ndarray:
+def interpolate_flow(field: TrajectoryField, times, k: int) -> np.ndarray:
     """Dense per-pixel displacement maps from t=0 to each query time.
 
     Pixels are associated with the K anchors nearest in the t=0 frame
@@ -247,7 +247,7 @@ def interpolate_flow(field: TrajectoryField, times, k: int, tile_size: int = 409
     h, w = field.height, field.width
     px, py = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
     pixels = np.stack([px.ravel(), py.ravel()], axis=1)
-    idx, _ = knn_per_bin(pixels, field.anchor_positions(), k, tile_size)
+    idx, _ = knn_per_bin(pixels, field.anchor_positions(), k)
     g = displacement_basis(field.basis, times)  # (T, D)
     disp_anchor = np.einsum("td,ndc->tnc", g, field.flat_coeffs())  # (T, N, 2)
     out = disp_anchor[:, idx, :].mean(axis=2)  # (T, HW, 2)

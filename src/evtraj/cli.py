@@ -21,12 +21,11 @@ from . import __version__
 from .assoc import DisplacementVolume, KnnConfig, build_displacement_volume, interpolate_flow
 from .events import EventFormatError, load_events, save_events
 from .flowio import load_flow, save_flow
-from .metrics import evaluate_trajectories, format_report, report_csv
+from .metrics import evaluate_trajectories, format_report, fwl, report_csv
 from .objective import ObjectiveConfig, build_iwe, warp_events, write_iwe_pgm
 from .optimize import DivergenceError, OptimConfig, minimize, save_trace_csv
 from .synth import generate_events, load_scene_config, scene_from_config
 from .trajectory import BEZIER, POLYNOMIAL, Basis, TrajectoryField, load_field, save_field
-from .metrics import fwl as fwl_metric
 
 
 def _write_manifest(out_dir: Path, command: str, args: dict, outputs: list, wall_s: float) -> None:
@@ -73,7 +72,7 @@ def _flow_times(text: str) -> list:
 def cmd_estimate(args: dict) -> int:
     t0 = time.perf_counter()
     # the flow times and configs are checked before the events are read,
-    # the fit runs or anything is written
+    # k once they are, and all before the fit runs or anything is written
     times = _flow_times(args["flow_times"])
     basis = Basis(POLYNOMIAL if args["basis"] == "poly" else BEZIER, args["degree"])
     ocfg = OptimConfig(
@@ -91,6 +90,8 @@ def cmd_estimate(args: dict) -> int:
     )
     sl = load_events(args["events"])
     field0 = TrajectoryField.zeros(sl.width, sl.height, args["stride"], basis)
+    if args["k"] > field0.n_anchors:
+        raise ValueError(f"--k {args['k']} exceeds the anchor count {field0.n_anchors}")
     out_dir = Path(args["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     trace = minimize(sl, field0, ocfg)
@@ -192,7 +193,7 @@ def cmd_render(args: dict) -> int:
     if args.get("field"):
         field = load_field(args["field"])
         volume = build_displacement_volume(field, t_ref, KnnConfig(k=args["k"]), args["nbins"])
-        print(f"FWL = {fwl_metric(sl, volume):.4f}")
+        print(f"FWL = {fwl(sl, volume):.4f}")
     else:
         volume = DisplacementVolume.zeros(sl.width, sl.height, n_bins=args["nbins"])
     warped = warp_events(sl, volume)

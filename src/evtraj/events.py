@@ -140,7 +140,15 @@ def load_events(path) -> EventSlice:
     header = np.frombuffer(raw, dtype=_HEADER_DTYPE, count=1)[0]
     if bytes(header["magic"]) != EVT1_MAGIC:
         raise EventFormatError(f"{path}: bad magic at byte 0")
+    at = {name: _HEADER_DTYPE.fields[name][1] for name in _HEADER_DTYPE.names}
     width, height = int(header["width"]), int(header["height"])
+    t_start, t_end = float(header["t_start"]), float(header["t_end"])
+    faults = {"width": width < 1, "height": height < 1, "t_start": not np.isfinite(t_start),
+              "t_end": not (np.isfinite(t_end) and t_end >= t_start)}
+    for name, bad in faults.items():
+        if bad:
+            raise EventFormatError(f"{path}: header {name} {header[name]} at byte {at[name]} "
+                                   "breaks width, height >= 1 and finite t_start <= t_end")
     count = int(header["count"])
     body_start = _HEADER_DTYPE.itemsize
     expected = body_start + count * _RECORD_DTYPE.itemsize
@@ -166,12 +174,10 @@ def load_events(path) -> EventSlice:
     bad = np.flatnonzero(np.abs(p) != 1)
     if bad.size:
         raise EventFormatError(f"{path}: invalid polarity at byte {_offset(bad[0])}")
-    bad = np.flatnonzero((t < header["t_start"]) | (t > header["t_end"]))
+    bad = np.flatnonzero((t < t_start) | (t > t_end))
     if bad.size:
         raise EventFormatError(f"{path}: timestamp outside header interval at byte {_offset(bad[0])}")
-    return EventSlice.from_arrays(
-        x, y, t, p, width, height, float(header["t_start"]), float(header["t_end"])
-    )
+    return EventSlice.from_arrays(x, y, t, p, width, height, t_start, t_end)
 
 
 def save_events(sl: EventSlice, path) -> None:

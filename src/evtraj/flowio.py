@@ -54,6 +54,7 @@ def load_flow(path):
             f"file ends at byte {len(raw)}"
         )
     data = np.frombuffer(raw, dtype="<f4", count=n, offset=_HEADER.itemsize)
-    flow = data.astype(np.float64).reshape(height, width, 2)
+    with np.errstate(invalid="ignore"):  # a signalling NaN, cast, flags "invalid"
+        flow = data.astype(np.float64).reshape(height, width, 2)
     valid = np.isfinite(flow).all(axis=2)
     return flow, float(h["t"]), valid

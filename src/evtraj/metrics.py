@@ -22,7 +22,7 @@ from .objective import build_iwe, warp_events
 
 @dataclass
 class MotionEval:
-    """Aggregated evaluation results; per_time holds (epe, ae) per query time."""
+    """Aggregated evaluation results."""
 
     epe: float
     ae: float
@@ -30,7 +30,6 @@ class MotionEval:
     tepe: float
     tae: float
     fwl: float
-    per_time: list
     n_valid: int
 
 
@@ -108,24 +107,20 @@ def evaluate_trajectories(
     pred_traj: np.ndarray,
     gt_traj: np.ndarray,
     masks: np.ndarray,
-    sl: EventSlice | None = None,
-    volume_est: DisplacementVolume | None = None,
-    final_index: int = -1,
+    sl: EventSlice,
+    volume_est: DisplacementVolume,
 ) -> MotionEval:
-    """One-call evaluation bundle; FWL requires the events and a volume."""
+    """EPE, AE and %Out at the last query time, TEPE and TAE over all, FWL."""
     traj = tepe_tae(pred_traj, gt_traj, masks)
-    epe, ae = epe_ae(pred_traj[final_index], gt_traj[final_index], masks[final_index])
-    out = pct_out(pred_traj[final_index], gt_traj[final_index], masks[final_index])
-    fwl_val = fwl(sl, volume_est) if sl is not None and volume_est is not None else float("nan")
+    epe, ae = traj["per_time"][-1]
     return MotionEval(
         epe=epe,
         ae=ae,
-        pct_out=out,
+        pct_out=pct_out(pred_traj[-1], gt_traj[-1], masks[-1]),
         tepe=traj["tepe"],
         tae=traj["tae"],
-        fwl=fwl_val,
-        per_time=traj["per_time"],
-        n_valid=int(np.asarray(masks, dtype=bool)[final_index].sum()),
+        fwl=fwl(sl, volume_est),
+        n_valid=int(np.asarray(masks[-1], dtype=bool).sum()),
     )
 
 

@@ -19,12 +19,12 @@ Every evaluation runs the forward passes here (:func:`loss_forward`,
 :func:`fixed_reference_forward`); the gradient code in ``optimize`` adds
 only its backward pass on top of what they return.
 
-Accumulation uses bilinear voting by default (sigma = 0) or a truncated
-Gaussian footprint (window anchored at floor(x'), radius ceil(3 sigma))
-normalized per event so total deposited mass equals the event's weight.
-Events transported outside the image contribute nothing. All scatter
-operations reduce with np.bincount in a fixed order, so results are
-bit-identical across runs and thread settings.
+Accumulation uses one separable stencil: an event deposits its weight
+through the outer product of a y and an x kernel, 2-tap linear (sigma = 0,
+bilinear voting) or a Gaussian truncated at floor(x') +- ceil(3 sigma) and
+normalized over its in-image taps. Events warped off-image contribute
+nothing. All scatter operations reduce with np.bincount in a fixed order,
+so results are bit-identical across runs and thread settings.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class ObjectiveConfig:
 
     ``lam`` weighs the smoothness term R against the per-pixel contrast
     G / |Omega|; the total applies it as ``lam / |Omega|`` against G
-    (see :func:`applied_lambda`).
+    (see :func:`loss_forward`).
     """
 
     lam: float = 0.003
@@ -73,6 +73,8 @@ class ObjectiveConfig:
             raise ValueError(f"lambda must be >= 0, got {self.lam}")
         if not self.sigma >= 0.0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if self.n_bins < 1:
+            raise ValueError(f"n_bins must be >= 1, got {self.n_bins}")
 
 
 @dataclass
@@ -89,7 +91,6 @@ class WarpedEvents:
     mask: np.ndarray  # (N,) True = kept
     polarity: np.ndarray  # (N,) +1/-1
     vox_idx: np.ndarray  # (N,) flat indices into (n_bins * rows * cols)
-    t_ref: float
     width: int
     height: int
 
@@ -180,94 +181,60 @@ def warp_events(sl: EventSlice, volume: DisplacementVolume, time_weighting: bool
         mask=mask,
         polarity=np.asarray(sl.p),
         vox_idx=vox_idx,
-        t_ref=volume.t_ref,
         width=sl.width,
         height=sl.height,
     )
 
 
-def voting_stencil(positions, mask, weights, width: int, height: int, sigma: float):
-    """Per-event accumulation footprint: flat pixel indices and deposits.
-
-    Returns (pix (N, L), contrib (N, L), pullback). Each unmasked row of
-    ``contrib`` sums to the event's weight; masked rows are zero.
-    ``pullback(cot)`` contracts a per-tap cotangent (N, L) with the
-    derivatives of ``contrib`` and returns (d/dx', d/dy'), each (N,).
-    sigma = 0 gives the 4-point bilinear kernel; sigma > 0 a truncated
-    Gaussian (window anchored at floor(x'), radius ceil(3 sigma), so its
-    breakpoints share the bilinear kernel's integer lattice) normalized
-    per event over the in-image taps.
-    """
+def _axis_kernel(coord, size: int, sigma: float):
+    """One axis of the voting kernel: (taps, k, dk), each (N, l), with the
+    tap cells clipped into [0, size), the kernel (zero off-image) and
+    dk/dcoord. sigma = 0: 2-tap linear; sigma > 0: a Gaussian over
+    floor(c) - r ... floor(c) + r + 1 (r = ceil(3 sigma); breakpoints on the
+    integer lattice, as at sigma = 0) normalized over its in-image taps."""
+    c0 = np.clip(np.floor(coord).astype(np.int64), 0, size - 1)
     if sigma == 0.0:
-        return _bilinear_stencil(positions, mask, weights, width, height)
-    return _gaussian_stencil(positions, mask, weights, width, height, sigma)
+        cells = np.stack([c0, c0 + 1], axis=1)
+        f = coord - c0
+        k = np.stack([1 - f, f], axis=1)
+        dk = np.array([-1.0, 1.0])
+    else:
+        r = math.ceil(3.0 * sigma)
+        cells = c0[:, None] + np.arange(-r, r + 2)
+        d = cells - coord[:, None]
+        k = np.exp(-np.square(d) * (0.5 / (sigma * sigma)))
+    inside = (cells >= 0) & (cells < size)
+    k *= inside
+    if sigma > 0.0:
+        norm = k.sum(axis=1, keepdims=True)
+        k /= np.where(norm > 0.0, norm, 1.0)
+        rel = d / (sigma * sigma)
+        dk = k * (rel - (k * rel).sum(axis=1, keepdims=True))
+    return np.clip(cells, 0, size - 1), k, dk * inside
 
 
-def _bilinear_stencil(positions, mask, weights, width, height):
-    xw = positions[:, 0]
-    yw = positions[:, 1]
-    x0 = np.clip(np.floor(xw).astype(np.int64), 0, width - 1)
-    y0 = np.clip(np.floor(yw).astype(np.int64), 0, height - 1)
-    fx = xw - x0
-    fy = yw - y0
-    cx = np.stack([x0, x0 + 1, x0, x0 + 1], axis=1)
-    cy = np.stack([y0, y0, y0 + 1, y0 + 1], axis=1)
-    w = np.stack([(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy], axis=1)
-    keep = mask[:, None] & (cx >= 0) & (cx < width) & (cy >= 0) & (cy < height)
-    w = np.where(keep, w, 0.0)
-    pix = np.clip(cy, 0, height - 1) * width + np.clip(cx, 0, width - 1)
-
-    def pullback(cot):
-        dwx = np.where(keep, np.stack([-(1 - fy), (1 - fy), -fy, fy], axis=1), 0.0)
-        dwy = np.where(keep, np.stack([-(1 - fx), -fx, (1 - fx), fx], axis=1), 0.0)
-        return weights * np.einsum("nl,nl->n", cot, dwx), weights * np.einsum("nl,nl->n", cot, dwy)
-
-    return pix, w * weights[:, None], pullback
-
-
-def _gaussian_stencil(positions, mask, weights, width, height, sigma):
-    # fully separable: the deposits, their normalization and both
-    # derivative stencils are outer products of per-axis (N, L) arrays,
-    # L = 2*ceil(3 sigma) + 2; the event weight is folded into the x factor
-    xw = positions[:, 0]
-    yw = positions[:, 1]
-    x0 = np.clip(np.floor(xw).astype(np.int64), 0, width - 1)
-    y0 = np.clip(np.floor(yw).astype(np.int64), 0, height - 1)
-    r = math.ceil(3.0 * sigma)
-    offs = np.arange(-r, r + 2)
-    cx = x0[:, None] + offs[None, :]
-    cy = y0[:, None] + offs[None, :]
-    dx = cx - xw[:, None]
-    dy = cy - yw[:, None]
-    inv2s = 1.0 / (2.0 * sigma * sigma)
-    ex = np.exp(-np.square(dx) * inv2s)
-    ex *= (cx >= 0) & (cx < width)
-    ey = np.exp(-np.square(dy) * inv2s)
-    ey *= (cy >= 0) & (cy < height)
-    sum_ex = ex.sum(axis=1)
-    sum_ey = ey.sum(axis=1)
-    total = sum_ex * sum_ey
-    total[total == 0.0] = 1.0
-    n = len(xw)
-    lw = offs.size
-    exa = ex * (mask * weights / total)[:, None]  # masked rows zeroed here
-    contrib = exa[:, :, None] * ey[:, None, :]  # axis 1 = x taps, axis 2 = y taps
-    pix = np.clip(cy, 0, height - 1)[:, None, :] * width + np.clip(cx, 0, width - 1)[:, :, None]
+def voting_stencil(positions, mask, weights, width: int, height: int, sigma: float):
+    """Per-event footprint (pix (N, L), contrib (N, L), pullback) of the
+    separable kernel: an event deposits mask * weight * (k_y (x) k_x), the
+    per-axis factors of :func:`_axis_kernel`, over L = l * l taps, y outer
+    and x inner, so unmasked rows of ``contrib`` sum to the weight.
+    ``pullback(cot)`` contracts a tap cotangent (N, L) with (k_y (x) dk_x)
+    and (dk_y (x) k_x) into (d/dx', d/dy'), each (N,).
+    """
+    cx, kx, dkx = _axis_kernel(positions[:, 0], width, sigma)
+    cy, ky, dky = _axis_kernel(positions[:, 1], height, sigma)
+    n, l = kx.shape
+    mw = mask * weights
+    contrib = np.einsum("ni,nj->nij", ky, kx)
+    contrib *= mw[:, None, None]
+    pix = cy[:, :, None] * width + cx[:, None, :]
 
     def pullback(cot):
-        # d/dx' of the deposits is ax (x) ey with ax = exa * (rx - <rx>),
-        # <rx> the ex-mean of the x tap offsets; d/dy' is exa (x) by.
-        # Contracting against the factors never materializes (N, L, L).
-        rx = dx / (sigma * sigma)
-        ry = dy / (sigma * sigma)
-        mean_rx = np.divide((ex * rx).sum(axis=1), sum_ex, out=np.zeros(n), where=sum_ex > 0)
-        mean_ry = np.divide((ey * ry).sum(axis=1), sum_ey, out=np.zeros(n), where=sum_ey > 0)
-        ax = exa * (rx - mean_rx[:, None])
-        by = ey * (ry - mean_ry[:, None])
-        cot3 = cot.reshape(n, lw, lw)
-        return np.einsum("nij,ni,nj->n", cot3, ax, ey), np.einsum("nij,ni,nj->n", cot3, exa, by)
+        cot = cot.reshape(n, l, l)  # one axis at a time: faster than a single einsum
+        return (mw * np.einsum("ni,ni->n", np.einsum("nij,nj->ni", cot, dkx), ky),
+                mw * np.einsum("nj,nj->n", np.einsum("nij,ni->nj", cot, dky), kx))
 
-    return pix.reshape(n, lw * lw), contrib.reshape(n, lw * lw), pullback
+    return pix.reshape(n, l * l), contrib.reshape(n, l * l), pullback
 
 
 def _accumulate(warped: WarpedEvents, sigma: float, polarity_split: bool):
@@ -339,13 +306,14 @@ def sample_reference_time(rng: np.random.Generator) -> float:
     return float(rng.random())
 
 
-def applied_lambda(cfg: ObjectiveConfig, sl: EventSlice) -> float:
-    """Weight applied to R against the L1 contrast G: lambda / (W * H)."""
-    return cfg.lam / (sl.width * sl.height)
-
-
 def loss_forward(sl: EventSlice, field: TrajectoryField, t_ref: float, cfg: ObjectiveConfig):
-    """Forward pass of :func:`total_loss`.
+    """Evaluate 1/G + (lambda/|Omega|)*R for one reference time.
+
+    This is (1/Gbar + lambda*R)/|Omega| with Gbar = G/|Omega| the
+    per-pixel contrast, so it has the same minimizer as the per-pixel
+    loss; ``LossBreakdown.lam`` carries the applied weight lambda/|Omega|.
+    Flags ``degenerate`` (and guards 1/G with eps) when every event is
+    warped off-image or the IWE is flat.
 
     Returns (LossBreakdown, ContrastPass, delta) with ``delta`` the
     consecutive-bin delta field behind R.
@@ -356,26 +324,13 @@ def loss_forward(sl: EventSlice, field: TrajectoryField, t_ref: float, cfg: Obje
     r = regularizer_r(delta)
     n_masked = cp.warped.n_masked
     degenerate = (n_masked == len(sl) and len(sl) > 0) or cp.g < EPS_CONTRAST
-    lam = applied_lambda(cfg, sl)
+    lam = cfg.lam / (sl.width * sl.height)
     total = 1.0 / max(cp.g, EPS_CONTRAST) + lam * r
     breakdown = LossBreakdown(
         g=cp.g, r=r, total=total, lam=lam, n_masked=n_masked,
         degenerate=degenerate, t_ref=float(t_ref),
     )
     return breakdown, cp, delta
-
-
-def total_loss(sl: EventSlice, field: TrajectoryField, t_ref: float, cfg: ObjectiveConfig) -> LossBreakdown:
-    """Evaluate 1/G + (lambda/|Omega|)*R for one reference time.
-
-    This is (1/Gbar + lambda*R)/|Omega| with Gbar = G/|Omega| the
-    per-pixel contrast, so it has the same minimizer as the per-pixel
-    loss; ``LossBreakdown.lam`` carries the applied weight lambda/|Omega|.
-
-    Flags ``degenerate`` (and guards 1/G with eps) when every event is
-    warped off-image or the IWE is flat.
-    """
-    return loss_forward(sl, field, t_ref, cfg)[0]
 
 
 def zero_warp_contrast(sl: EventSlice, stride: int, cfg: ObjectiveConfig) -> float:
@@ -387,7 +342,12 @@ def zero_warp_contrast(sl: EventSlice, stride: int, cfg: ObjectiveConfig) -> flo
 
 
 def fixed_reference_forward(sl: EventSlice, field: TrajectoryField, cfg: ObjectiveConfig, g0=None):
-    """Forward pass of :func:`fixed_reference_loss`.
+    """Three-reference contrast baseline for ablations.
+
+    F = (G(0) + 2 G(0.5) + G(1)) / (4 G_0) with G_0 the zero-warp contrast.
+    Contrast-only: lambda and time weighting are ignored, so identical
+    IWEs (zero coefficients) give exactly 1. Values above 1 mean the warp
+    sharpens the accumulation at all three fixed times.
 
     Returns (F, G_0, passes): G_0 is the eps-guarded zero-warp contrast
     (``g0`` when given, else :func:`zero_warp_contrast`) and ``passes``
@@ -406,17 +366,6 @@ def fixed_reference_forward(sl: EventSlice, field: TrajectoryField, cfg: Objecti
         passes.append(contrast_pass(sl, volume, cfg.sigma, False))
         f += weight * passes[-1].g
     return f / (4.0 * g0), g0, passes
-
-
-def fixed_reference_loss(sl: EventSlice, field: TrajectoryField, cfg: ObjectiveConfig) -> float:
-    """Three-reference contrast baseline for ablations.
-
-    (G(0) + 2 G(0.5) + G(1)) / (4 G_0) with G_0 the zero-warp contrast.
-    Contrast-only: lambda and time weighting are ignored, so identical
-    IWEs (zero coefficients) give exactly 1. Values above 1 mean the warp
-    sharpens the accumulation at all three fixed times.
-    """
-    return fixed_reference_forward(sl, field, cfg)[0]
 
 
 def write_iwe_pgm(iwe: Iwe, path, bits: int = 8, which: str = "sum") -> None:

@@ -177,19 +177,10 @@ def _regularizer_backward(field: TrajectoryField, volume, delta: np.ndarray) -> 
     return grad.reshape(field.coeffs.shape)
 
 
-def _loss_backward(field: TrajectoryField, breakdown: LossBreakdown, cp: ContrastPass, delta) -> np.ndarray:
-    """Gradient of the total over the outputs of ``loss_forward``."""
-    g_eff = max(breakdown.g, EPS_CONTRAST)
-    dtotal_dg = -1.0 / (g_eff * g_eff) if breakdown.g > EPS_CONTRAST else 0.0
-    grad_g = _contrast_backward(field, cp)
-    grad_r = _regularizer_backward(field, cp.volume, delta)
-    return dtotal_dg * grad_g + breakdown.lam * grad_r
-
-
 def loss_gradient(sl: EventSlice, field: TrajectoryField, t_ref: float, cfg: ObjectiveConfig):
     """Total loss and its analytic gradient w.r.t. every coefficient.
 
-    The loss is that of :func:`~evtraj.objective.total_loss`,
+    The loss is that of :func:`~evtraj.objective.loss_forward`,
     1/G + (lambda/|Omega|)*R with G the L1 contrast, i.e. lambda weighs R
     against the per-pixel contrast G/|Omega|.
     Returns (LossBreakdown, gradient) with the gradient shaped like
@@ -198,7 +189,11 @@ def loss_gradient(sl: EventSlice, field: TrajectoryField, t_ref: float, cfg: Obj
     expression) and the breakdown is flagged degenerate.
     """
     breakdown, cp, delta = loss_forward(sl, field, t_ref, cfg)
-    return breakdown, _loss_backward(field, breakdown, cp, delta)
+    g_eff = max(breakdown.g, EPS_CONTRAST)
+    dtotal_dg = -1.0 / (g_eff * g_eff) if breakdown.g > EPS_CONTRAST else 0.0
+    grad_g = _contrast_backward(field, cp)
+    grad_r = _regularizer_backward(field, cp.volume, delta)
+    return breakdown, dtotal_dg * grad_g + breakdown.lam * grad_r
 
 
 def _fixed_reference_value_and_grad(sl: EventSlice, field: TrajectoryField, cfg: ObjectiveConfig, g0=None):

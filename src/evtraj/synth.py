@@ -19,6 +19,9 @@ from .assoc import knn_per_bin
 from .events import EventSlice
 from .trajectory import BEZIER, Basis, displacement_basis
 
+_PATH_SAMPLES = 32
+_MAX_TRIES = 10000
+
 
 @dataclass(frozen=True)
 class ConstantMotion:
@@ -122,26 +125,19 @@ class GroundTruth:
     valid: np.ndarray  # (T, H, W) bool
 
 
-def scatter_points(
-    width: int,
-    height: int,
-    n: int,
-    rng: np.random.Generator,
-    motion=None,
-    n_path_samples: int = 32,
-    max_tries: int = 10000,
-) -> np.ndarray:
+def scatter_points(width: int, height: int, n: int, rng: np.random.Generator, motion=None) -> np.ndarray:
     """Sample texture points whose full motion path stays inside the image.
 
-    Rejection sampling against the path sampled at ``n_path_samples``
-    times; with no motion given, any in-image point is accepted.
+    Rejection sampling against the path sampled at ``_PATH_SAMPLES``
+    times, giving up after ``_MAX_TRIES`` draws; with no motion given, any
+    in-image point is accepted.
     """
-    ts = np.linspace(0.0, 1.0, n_path_samples)
+    ts = np.linspace(0.0, 1.0, _PATH_SAMPLES)
     out = []
     tries = 0
     while len(out) < n:
         tries += 1
-        if tries > max_tries:
+        if tries > _MAX_TRIES:
             raise ValueError("could not place texture points inside the image")
         p = rng.uniform([0.0, 0.0], [width - 1.0, height - 1.0])
         if motion is not None:

@@ -214,5 +214,8 @@ def load_field(path) -> TrajectoryField:
             f"file ends at byte {len(raw)}"
         )
     coeffs = np.frombuffer(raw, dtype="<f4", count=n, offset=_TRJ1_HEADER.itemsize)
+    bad = np.flatnonzero(~np.isfinite(coeffs))
+    if bad.size:
+        raise ValueError(f"{path}: non-finite TRJ1 coefficient at byte {_TRJ1_HEADER.itemsize + 4 * bad[0]}")
     coeffs = coeffs.astype(np.float64).reshape(rows, cols, degree, 2)
     return TrajectoryField(basis, stride, width, height, coeffs)

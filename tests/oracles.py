@@ -118,6 +118,28 @@ def iwe_scalar(positions, weights, mask, width, height):
     return img
 
 
+def iwe_gaussian_scalar(positions, weights, mask, width, height, sigma):
+    """Truncated-Gaussian accumulation, one event at a time: the window
+    floor(x) - r ... floor(x) + r + 1 per axis (r = ceil(3 sigma)),
+    normalized over the taps that fall inside the image."""
+    r = int(np.ceil(3.0 * sigma))
+    img = np.zeros((height, width))
+    for (x, y), w, keep in zip(positions, weights, mask):
+        if not keep:
+            continue
+        x0, y0 = int(np.floor(x)), int(np.floor(y))
+        taps = [
+            (yy, xx, np.exp(-((xx - x) ** 2 + (yy - y) ** 2) / (2.0 * sigma**2)))
+            for yy in range(y0 - r, y0 + r + 2)
+            for xx in range(x0 - r, x0 + r + 2)
+            if 0 <= xx < width and 0 <= yy < height
+        ]
+        total = sum(v for _, _, v in taps)
+        for yy, xx, v in taps:
+            img[yy, xx] += w * v / total
+    return img
+
+
 def contrast_scalar(img):
     """Sum of forward-difference gradient magnitudes, zero on far edges."""
     height, width = img.shape

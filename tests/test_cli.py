@@ -128,6 +128,18 @@ class TestEstimateCommand:
         assert "--flow-times" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, match", [("--k", "100", "exceeds the anchor count 64"), ("--nbins", "0", "n_bins")]
+    )
+    def test_bad_association_exits_2_before_writing(self, scene_file, tmp_path, capsys, flag, value, match):
+        data = tmp_path / "data"
+        main(["synth", str(scene_file), "--out", str(data), "--seed", "1"])
+        out = tmp_path / "est"
+        rc = main(["estimate", str(data / "events.evt1"), "--out", str(out), "--iters", "3", flag, value])
+        assert rc == 2
+        assert match in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_reproduces_outputs(self, scene_file, tmp_path):
         data = tmp_path / "data"
         main(["synth", str(scene_file), "--out", str(data), "--seed", "1"])

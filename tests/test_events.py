@@ -97,6 +97,28 @@ class TestBinaryFormat:
             load_events(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize(
+        "offset, value, at",
+        [
+            (4, (0).to_bytes(4, "little"), 4),
+            (8, (0).to_bytes(4, "little"), 8),
+            (20, np.float64(np.nan).tobytes(), 20),
+            (28, np.float64(np.inf).tobytes(), 28),
+            # a t_start past t_end is reported at t_end, the field that must follow it
+            (20, np.float64(3.0).tobytes(), 28),
+        ],
+        ids=["zero-width", "zero-height", "nan-t_start", "inf-t_end", "t_start-after-t_end"],
+    )
+    def test_bad_header_names_path_and_offset(self, tmp_path, offset, value, at):
+        path = tmp_path / "header.evt1"
+        save_events(EventSlice.from_arrays([], [], [], [], 64, 48, 0.0, 2.0), path)
+        raw = bytearray(path.read_bytes())
+        raw[offset : offset + len(value)] = value
+        path.write_bytes(bytes(raw))
+        with pytest.raises(EventFormatError, match=f"at byte {at} ") as info:
+            load_events(path)
+        assert str(path) in str(info.value)
+
     def test_wide_sensor_rejected_on_save(self, tmp_path):
         # x = 65540 would wrap to 4 in the u16 record field
         sl = EventSlice.from_arrays([65540], [0], [0.5], [1], 70000, 4)

@@ -43,6 +43,17 @@ class TestFlo1:
             load_flow(path)
         assert str(path) in str(info.value)
 
+    def test_signalling_nan_is_an_invalid_pixel(self, tmp_path):
+        path = tmp_path / "f.flo1"
+        save_flow(path, np.ones((2, 3, 2)), t=0.5)
+        raw = bytearray(path.read_bytes())
+        raw[20 + 8 : 20 + 12] = bytes.fromhex("0100807f")  # pixel (0, 1), dx: 0x7f800001
+        path.write_bytes(bytes(raw))
+        flow, _, valid = load_flow(path)
+        assert not valid[0, 1]
+        assert valid.sum() == 5
+        assert np.isnan(flow[0, 1, 0])
+
     def test_shape_validation(self, tmp_path):
         with pytest.raises(ValueError):
             save_flow(tmp_path / "f.flo1", np.zeros((4, 4)), t=0.0)

@@ -8,16 +8,16 @@ from evtraj.objective import (
     ObjectiveConfig,
     build_iwe,
     contrast_g,
-    fixed_reference_loss,
+    fixed_reference_forward,
+    loss_forward,
     regularizer_r,
     sample_reference_time,
-    total_loss,
     warp_events,
     write_iwe_pgm,
 )
 from evtraj.trajectory import BEZIER, POLYNOMIAL, Basis, TrajectoryField
 
-from oracles import contrast_scalar, iwe_scalar, regularizer_scalar, warp_scalar
+from oracles import contrast_scalar, iwe_gaussian_scalar, iwe_scalar, regularizer_scalar, warp_scalar
 from scenes import constant_scene, gt_field
 
 
@@ -117,6 +117,22 @@ class TestIwe:
         iwe = build_iwe(warped, polarity_split=False)
         ref = iwe_scalar(warped.positions, warped.weights, warped.mask, 32, 32)
         np.testing.assert_allclose(iwe.pos, ref, atol=1e-6)
+
+    @pytest.mark.parametrize("sigma", [0.7, 1.0, 1.5])
+    def test_gaussian_matches_scalar_accumulation(self, sigma):
+        rng = np.random.default_rng(19)
+        sl = random_slice(rng, n=600)
+        vol = random_volume(rng)
+        warped = warp_events(sl, vol, time_weighting=True)
+        kept = warped.positions[warped.mask]
+        reach = 3.0 * sigma
+        # some events are masked, and kept ones sit within 3 sigma of every border
+        assert 0 < warped.n_masked < len(sl) // 2
+        for axis, size in ((0, 32), (1, 32)):
+            assert (kept[:, axis] < reach).any() and (kept[:, axis] > size - 1 - reach).any()
+        iwe = build_iwe(warped, sigma=sigma, polarity_split=False)
+        ref = iwe_gaussian_scalar(warped.positions, warped.weights, warped.mask, 32, 32, sigma)
+        np.testing.assert_allclose(iwe.pos, ref, rtol=1e-12, atol=1e-14)
 
     def test_polarity_split_routes_by_sign(self):
         rng = np.random.default_rng(8)
@@ -243,7 +259,7 @@ class TestTotalLoss:
         sl = random_slice(rng)
         field = TrajectoryField.zeros(32, 32, 4, Basis(POLYNOMIAL, 1))
         cfg = ObjectiveConfig(time_weighting=False, knn=KnnConfig(k=8))
-        out = total_loss(sl, field, 0.5, cfg)
+        out = loss_forward(sl, field, 0.5, cfg)[0]
         g0 = contrast_g(build_iwe(warp_events(sl, DisplacementVolume.zeros(32, 32))))
         assert out.total == pytest.approx(1.0 / g0)
         assert out.r == 0.0
@@ -255,7 +271,7 @@ class TestTotalLoss:
         field = TrajectoryField.zeros(32, 32, 4, Basis(BEZIER, 3))
         field.coeffs[...] = rng.normal(0, 1, field.coeffs.shape)
         cfg = ObjectiveConfig(lam=0.0, knn=KnnConfig(k=8))
-        out = total_loss(sl, field, 0.25, cfg)
+        out = loss_forward(sl, field, 0.25, cfg)[0]
         assert out.total == pytest.approx(1.0 / out.g)
 
     def test_breakdown_recomposes(self):
@@ -264,7 +280,7 @@ class TestTotalLoss:
         field = TrajectoryField.zeros(32, 32, 4, Basis(BEZIER, 3))
         field.coeffs[...] = rng.normal(0, 1, field.coeffs.shape)
         cfg = ObjectiveConfig(knn=KnnConfig(k=8))
-        out = total_loss(sl, field, 0.25, cfg)
+        out = loss_forward(sl, field, 0.25, cfg)[0]
         assert out.total == pytest.approx(1.0 / max(out.g, 1e-8) + out.lam * out.r, abs=1e-12)
 
     def test_ground_truth_beats_zero_on_constant_flow(self):
@@ -273,14 +289,15 @@ class TestTotalLoss:
         zero = TrajectoryField.zeros(48, 48, 4, Basis(POLYNOMIAL, 1))
         true = gt_field(spec.motion, 48, 48, 4, Basis(POLYNOMIAL, 1))
         for t_ref in (0.0, 0.5, 1.0):
-            assert total_loss(sl, true, t_ref, cfg).total < total_loss(sl, zero, t_ref, cfg).total
+            true_loss = loss_forward(sl, true, t_ref, cfg)[0]
+            assert true_loss.total < loss_forward(sl, zero, t_ref, cfg)[0].total
 
     def test_degenerate_flag_when_all_masked(self):
         sl = EventSlice.from_arrays([1, 2], [1, 2], [0.1, 0.9], [1, -1], 8, 8,
                                     t_start=0.0, t_end=1.0)
         field = TrajectoryField.zeros(8, 8, 4, Basis(POLYNOMIAL, 1))
         field.coeffs[..., 0] = 1e6
-        out = total_loss(sl, field, 1.0, ObjectiveConfig(knn=KnnConfig(k=1)))
+        out = loss_forward(sl, field, 1.0, ObjectiveConfig(knn=KnnConfig(k=1)))[0]
         assert out.degenerate
         assert out.n_masked == 2
         assert np.isfinite(out.total)
@@ -291,8 +308,8 @@ class TestTotalLoss:
         field = TrajectoryField.zeros(32, 32, 4, Basis(BEZIER, 5))
         field.coeffs[...] = rng.normal(0, 2, field.coeffs.shape)
         cfg = ObjectiveConfig(knn=KnnConfig(k=8))
-        a = total_loss(sl, field, 0.625, cfg)
-        b = total_loss(sl, field, 0.625, cfg)
+        a = loss_forward(sl, field, 0.625, cfg)[0]
+        b = loss_forward(sl, field, 0.625, cfg)[0]
         assert (a.g, a.r, a.total) == (b.g, b.r, b.total)
 
 
@@ -320,19 +337,19 @@ class TestFixedReferenceLoss:
         sl = random_slice(rng)
         field = TrajectoryField.zeros(32, 32, 4, Basis(POLYNOMIAL, 1))
         cfg = ObjectiveConfig(knn=KnnConfig(k=8))
-        assert fixed_reference_loss(sl, field, cfg) == 1.0
+        assert fixed_reference_forward(sl, field, cfg)[0] == 1.0
 
     def test_alignment_exceeds_one(self):
         sl, _, spec = constant_scene(width=48, height=48, n_points=80, n_events=6000, seed=5)
         field = gt_field(spec.motion, 48, 48, 4, Basis(POLYNOMIAL, 1))
         cfg = ObjectiveConfig(sigma=1.0, knn=KnnConfig(k=8))
-        assert fixed_reference_loss(sl, field, cfg) > 1.0
+        assert fixed_reference_forward(sl, field, cfg)[0] > 1.0
 
     def test_lambda_is_ignored(self):
         rng = np.random.default_rng(20)
         sl = random_slice(rng)
         field = TrajectoryField.zeros(32, 32, 4, Basis(BEZIER, 4))
         field.coeffs[...] = rng.normal(0, 1, field.coeffs.shape)
-        a = fixed_reference_loss(sl, field, ObjectiveConfig(lam=0.0, knn=KnnConfig(k=8)))
-        b = fixed_reference_loss(sl, field, ObjectiveConfig(lam=5.0, knn=KnnConfig(k=8)))
+        a = fixed_reference_forward(sl, field, ObjectiveConfig(lam=0.0, knn=KnnConfig(k=8)))[0]
+        b = fixed_reference_forward(sl, field, ObjectiveConfig(lam=5.0, knn=KnnConfig(k=8)))[0]
         assert a == b

@@ -11,8 +11,7 @@ from evtraj.objective import (
     FIXED_REFERENCES,
     ObjectiveConfig,
     fixed_reference_forward,
-    fixed_reference_loss,
-    total_loss,
+    loss_forward,
     warp_events,
 )
 from evtraj.optimize import (
@@ -47,7 +46,7 @@ def small_instance(seed=0, n_events=200, width=16, height=16, basis=Basis(POLYNO
 
 
 def fd_check_coordinates(sl, field, cfg, t_ref, h, rng, n_coords):
-    """Reference check: central differences of total_loss (with t_ref None,
+    """Reference check: central differences of the loss total (with t_ref None,
     of the fixed-reference objective 1/F that minimize descends), skipping
     coordinates that move an affected event within 4h of the breakpoint
     lattice. Returns max relative error over the checked coordinates."""
@@ -74,8 +73,8 @@ def fd_check_coordinates(sl, field, cfg, t_ref, h, rng, n_coords):
         f = field.copy()
         f.coeffs = coeffs
         if t_ref is None:
-            return 1.0 / fixed_reference_loss(sl, f, cfg)
-        return total_loss(sl, f, t_ref, cfg).total
+            return 1.0 / fixed_reference_forward(sl, f, cfg)[0]
+        return loss_forward(sl, f, t_ref, cfg)[0].total
 
     shape = field.coeffs.shape
     cols = shape[1]
@@ -120,10 +119,14 @@ class TestLossGradient:
         max_rel = fd_check_coordinates(sl, field, cfg, t_ref=t_ref, h=1e-4, rng=rng, n_coords=n_coords)
         assert max_rel < 1e-4
 
-    @pytest.mark.parametrize("seed, t_ref, n_coords", [(2, 0.43, 40), (8, 0.37, 32)], ids=["seed2", "seed8"])
-    def test_matches_finite_differences_gaussian(self, seed, t_ref, n_coords):
+    @pytest.mark.parametrize(
+        "seed, t_ref, n_coords, sigma",
+        [(2, 0.43, 40, 1.0), (8, 0.37, 32, 1.0), (9, 0.43, 40, 0.7)],
+        ids=["seed2", "seed8", "seed9-sigma0.7"],
+    )
+    def test_matches_finite_differences_gaussian(self, seed, t_ref, n_coords, sigma):
         sl, field = small_instance(seed=seed)
-        cfg = ObjectiveConfig(sigma=1.0, knn=KnnConfig(k=8), n_bins=5, time_weighting=True)
+        cfg = ObjectiveConfig(sigma=sigma, knn=KnnConfig(k=8), n_bins=5, time_weighting=True)
         rng = np.random.default_rng(11)
         max_rel = fd_check_coordinates(sl, field, cfg, t_ref=t_ref, h=1e-4, rng=rng, n_coords=n_coords)
         assert max_rel < 1e-5
@@ -159,7 +162,8 @@ class TestLossGradient:
             plus.coeffs = base.coeffs + h * direction
             minus.coeffs = base.coeffs - h * direction
             fd = (
-                total_loss(sl, plus, 0.55, cfg).total - total_loss(sl, minus, 0.55, cfg).total
+                loss_forward(sl, plus, 0.55, cfg)[0].total
+                - loss_forward(sl, minus, 0.55, cfg)[0].total
             ) / (2 * h)
             analytic = float((grad * direction).sum())
             assert abs(analytic - fd) / max(abs(analytic), abs(fd)) < 1e-4
@@ -216,7 +220,7 @@ class TestLossGradient:
     def test_value_and_gradient_paths_agree_exactly(self, seed, sigma):
         sl, field = small_instance(seed=seed)
         cfg = ObjectiveConfig(sigma=sigma, knn=KnnConfig(k=8), n_bins=5, time_weighting=True)
-        assert total_loss(sl, field, 0.43, cfg) == loss_gradient(sl, field, 0.43, cfg)[0]
+        assert loss_forward(sl, field, 0.43, cfg)[0] == loss_gradient(sl, field, 0.43, cfg)[0]
 
     def test_degenerate_guard_gradient(self):
         # every event masked: contrast path dead, smoothness path alive

@@ -143,9 +143,12 @@ class TestGridAndIo:
             # 1x4 anchors hold as many coefficients as the true 2x2 grid
             (lambda raw: raw[:9] + (1).to_bytes(4, "little") + (4).to_bytes(4, "little") + raw[17:],
              "grid 1x4 at byte 9"),
+            # a signalling NaN (0x7f800001) as the second coefficient; the header is 25 bytes
+            (lambda raw: raw[:29] + bytes.fromhex("0100807f") + raw[33:],
+             "non-finite TRJ1 coefficient at byte 29"),
         ],
         ids=["truncated-body", "trailing-bytes", "unknown-basis-code", "zero-degree", "zero-stride",
-             "grid-mismatch"],
+             "grid-mismatch", "nan-coefficient"],
     )
     def test_trj1_malformed_names_path_and_offset(self, tmp_path, edit, match):
         path = tmp_path / "f.trj1"
