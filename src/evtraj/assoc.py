@@ -147,6 +147,8 @@ class DisplacementVolume:
     @classmethod
     def zeros(cls, width: int, height: int, stride: int = 4, n_bins: int = 15):
         """Identity-warp volume (zero displacement everywhere)."""
+        if n_bins < 1:
+            raise ValueError("n_bins must be >= 1")
         rows, cols, _ = anchor_grid(width, height, stride)
         return cls(
             t_ref=0.0,

@@ -42,13 +42,13 @@ def _write_manifest(out_dir: Path, command: str, args: dict, outputs: list, wall
 
 def cmd_synth(args: dict) -> int:
     t0 = time.perf_counter()
-    out_dir = Path(args["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     cfg = load_scene_config(args["spec"])
     root = np.random.SeedSequence(args["seed"])
     place_seed, event_seed = root.spawn(2)
     spec = scene_from_config(cfg, np.random.default_rng(place_seed))
     sl, gt = generate_events(spec, event_seed)
+    out_dir = Path(args["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     events_path = out_dir / "events.evt1"
     save_events(sl, events_path)
@@ -154,10 +154,15 @@ def cmd_eval(args: dict) -> int:
     gt_paths = sorted(args["gt"])
     if len(pred_paths) != len(gt_paths) or not pred_paths:
         raise ValueError("pred and gt must list the same nonzero number of maps")
+    sl = load_events(args["events"])
     preds, gts, masks, times = [], [], [], []
     for pp, gp in zip(pred_paths, gt_paths):
         pf, pt, pv = load_flow(pp)
         gf, gtt, gv = load_flow(gp)
+        if pf.shape[:2] != (sl.height, sl.width):
+            raise ValueError(
+                f"{pp} is {pf.shape[1]}x{pf.shape[0]} but the events' sensor is {sl.width}x{sl.height}"
+            )
         if pf.shape != gf.shape:
             raise ValueError(f"shape mismatch between {pp} and {gp}")
         if abs(pt - gtt) > 1e-9:
@@ -166,7 +171,6 @@ def cmd_eval(args: dict) -> int:
         gts.append(gf)
         masks.append(pv & gv)
         times.append(pt)
-    sl = load_events(args["events"])
     volume = _volume_from_flow_maps(preds, times, masks, sl.width, sl.height)
     ev = evaluate_trajectories(
         np.stack(preds), np.stack(gts), np.stack(masks), sl=sl, volume_est=volume
@@ -247,7 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fixed-ref", dest="fixed_ref", action="store_true",
-                   help="use the three-fixed-reference baseline objective")
+                   help="score the loss over the fixed references t = 0, 0.5, 1 "
+                        "(weights 1, 2, 1), normalized by the zero-warp contrast, "
+                        "with lambda = 0 and no time weighting")
     p.add_argument("--no-time-weighting", dest="no_time_weighting", action="store_true")
     p.add_argument("--flow-times", dest="flow_times", default="1.0",
                    help="comma list of normalized times for the emitted flow maps")

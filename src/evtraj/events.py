@@ -64,8 +64,8 @@ class EventSlice:
             raise ValueError("event field arrays must share one length")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("sensor geometry must be positive")
-        if self.t_end < self.t_start:
-            raise ValueError("t_end must be >= t_start")
+        if not (np.isfinite(self.t_start) and np.isfinite(self.t_end) and self.t_end >= self.t_start):
+            raise ValueError(f"need finite t_start <= t_end, got [{self.t_start}, {self.t_end}]")
         if n == 0:
             return
         if not np.all(np.isfinite(self.t)):

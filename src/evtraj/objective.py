@@ -1,23 +1,26 @@
 """Event warping, images of warped events (IWE), and the contrast objective.
 
-Pipeline per evaluation: build the displacement volume for a reference
-time, transport every event to that time by a table lookup, accumulate
-the warped events into polarity-split images, and score
+One loss serves both objectives, scored over a weighted set ``refs`` of
+(t_ref, w) pairs. Per reference time: build the displacement volume,
+transport every event to that time by a table lookup, accumulate the
+warped events into polarity-split images and take their contrast G(t),
+the L1 norm of the IWE gradient magnitude (sharper image = larger G). Then
 
-    total = 1 / max(G, eps) + (lambda / |Omega|) * R
-          = (1 / Gbar + lambda * R) / |Omega|     (for G >= eps)
+    total = 1 / max(C, eps) + (lambda / |Omega|) * R,
+    C = sum_i w_i G(t_i) / (G_0 * sum_i w_i)
 
-where G is the L1 norm of the IWE gradient magnitude (sharper image =
-larger G), Gbar = G / |Omega| its per-pixel mean over the |Omega| = W * H
-pixels, and R penalizes spatial roughness of the interpolated motion
-between consecutive time bins. lambda thus weighs R against the per-pixel
-contrast, as in the contrast-maximization literature, and means the same
-at any resolution. The reference time is drawn uniformly per optimization
-step, so the solution must be sharp at *any* time.
+with |Omega| = W * H pixels and R the spatial roughness of the motion
+between consecutive time bins. For one reference time this is
+(1 / Gbar + lambda * R) / |Omega| with Gbar = G / |Omega|, so lambda weighs
+R against the per-pixel contrast at any resolution. The paper's objective
+draws one reference time per optimization step, refs = ((t, 1),) with
+G_0 = 1 (C = G), so the solution must be sharp at *any* time. The
+fixed-reference baseline is refs = ``FIXED_REFERENCES`` with G_0 the
+zero-warp contrast, lambda = 0 and no time weighting:
+C = F = (G(0) + 2 G(0.5) + G(1)) / (4 G_0).
 
-Every evaluation runs the forward passes here (:func:`loss_forward`,
-:func:`fixed_reference_forward`); the gradient code in ``optimize`` adds
-only its backward pass on top of what they return.
+:func:`loss_forward` runs the forward pass; ``optimize`` adds only the
+backward pass on top of what it returns.
 
 Accumulation uses one separable stencil: an event deposits its weight
 through the outer product of a y and an x kernel, 2-tap linear (sigma = 0,
@@ -114,8 +117,10 @@ class Iwe:
 class LossBreakdown:
     """Parts of one loss evaluation: ``total == 1 / max(g, eps) + lam * r``.
 
-    ``g`` is the L1 contrast (not divided by the pixel count) and ``lam``
-    the weight actually applied to ``r``, lambda / |Omega|.
+    ``g`` is the weighted contrast C (G for one reference time, F for the
+    baseline), ``lam`` the weight actually applied to ``r``,
+    lambda / |Omega|, ``t_ref`` the weighted mean reference time and
+    ``n_masked`` summed over the passes.
     """
 
     g: float
@@ -306,33 +311,6 @@ def sample_reference_time(rng: np.random.Generator) -> float:
     return float(rng.random())
 
 
-def loss_forward(sl: EventSlice, field: TrajectoryField, t_ref: float, cfg: ObjectiveConfig):
-    """Evaluate 1/G + (lambda/|Omega|)*R for one reference time.
-
-    This is (1/Gbar + lambda*R)/|Omega| with Gbar = G/|Omega| the
-    per-pixel contrast, so it has the same minimizer as the per-pixel
-    loss; ``LossBreakdown.lam`` carries the applied weight lambda/|Omega|.
-    Flags ``degenerate`` (and guards 1/G with eps) when every event is
-    warped off-image or the IWE is flat.
-
-    Returns (LossBreakdown, ContrastPass, delta) with ``delta`` the
-    consecutive-bin delta field behind R.
-    """
-    volume = build_displacement_volume(field, t_ref, cfg.knn, cfg.n_bins)
-    cp = contrast_pass(sl, volume, cfg.sigma, cfg.time_weighting)
-    delta = build_consecutive_delta_field(volume)
-    r = regularizer_r(delta)
-    n_masked = cp.warped.n_masked
-    degenerate = (n_masked == len(sl) and len(sl) > 0) or cp.g < EPS_CONTRAST
-    lam = cfg.lam / (sl.width * sl.height)
-    total = 1.0 / max(cp.g, EPS_CONTRAST) + lam * r
-    breakdown = LossBreakdown(
-        g=cp.g, r=r, total=total, lam=lam, n_masked=n_masked,
-        degenerate=degenerate, t_ref=float(t_ref),
-    )
-    return breakdown, cp, delta
-
-
 def zero_warp_contrast(sl: EventSlice, stride: int, cfg: ObjectiveConfig) -> float:
     """G_0 of the fixed-reference baseline: the eps-guarded contrast of the
     unwarped events. It does not depend on the field, so one value serves a
@@ -341,31 +319,37 @@ def zero_warp_contrast(sl: EventSlice, stride: int, cfg: ObjectiveConfig) -> flo
     return max(contrast_pass(sl, zero_vol, cfg.sigma, False).g, EPS_CONTRAST)
 
 
-def fixed_reference_forward(sl: EventSlice, field: TrajectoryField, cfg: ObjectiveConfig, g0=None):
-    """Three-reference contrast baseline for ablations.
+def loss_forward(sl: EventSlice, field: TrajectoryField, refs, cfg: ObjectiveConfig, g0: float = 1.0):
+    """Evaluate 1/C + (lambda/|Omega|)*R over the (t_ref, weight) pairs
+    ``refs``, C = sum w G(t) / (g0 * sum w).
 
-    F = (G(0) + 2 G(0.5) + G(1)) / (4 G_0) with G_0 the zero-warp contrast.
-    Contrast-only: lambda and time weighting are ignored, so identical
-    IWEs (zero coefficients) give exactly 1. Values above 1 mean the warp
-    sharpens the accumulation at all three fixed times.
+    The neighbor sets depend only on the field, so one volume build at
+    ``refs[0]`` serves every reference time; the others are gathered from
+    it. R is skipped (reads 0) when lambda = 0. Flags ``degenerate`` (and
+    guards 1/C with eps) when C falls under eps, as when every event is
+    warped off-image or the IWEs are flat.
 
-    Returns (F, G_0, passes): G_0 is the eps-guarded zero-warp contrast
-    (``g0`` when given, else :func:`zero_warp_contrast`) and ``passes``
-    the contrast passes at the times of ``FIXED_REFERENCES``. The neighbor
-    sets depend only on the field, so one volume build serves all three
-    reference times; the others are gathered from it.
+    Returns (LossBreakdown, passes, delta): the contrast passes in the
+    order of ``refs`` and the consecutive-bin delta field behind R (None
+    when lambda = 0).
     """
-    if g0 is None:
-        g0 = zero_warp_contrast(sl, field.stride, cfg)
-    volume = build_displacement_volume(field, FIXED_REFERENCES[0][0], cfg.knn, cfg.n_bins)
+    volume = build_displacement_volume(field, refs[0][0], cfg.knn, cfg.n_bins)
     passes = []
-    f = 0.0
-    for t_ref, weight in FIXED_REFERENCES:
+    for t_ref, _ in refs:
         if t_ref != volume.t_ref:
             volume = regather_volume(field, volume, t_ref)
-        passes.append(contrast_pass(sl, volume, cfg.sigma, False))
-        f += weight * passes[-1].g
-    return f / (4.0 * g0), g0, passes
+        passes.append(contrast_pass(sl, volume, cfg.sigma, cfg.time_weighting))
+    w_sum = sum(w for _, w in refs)
+    c = sum(w * cp.g for (_, w), cp in zip(refs, passes)) / (w_sum * g0)
+    lam = cfg.lam / (sl.width * sl.height)
+    delta = build_consecutive_delta_field(passes[0].volume) if lam > 0.0 else None
+    r = regularizer_r(delta) if lam > 0.0 else 0.0
+    breakdown = LossBreakdown(
+        g=c, r=r, total=1.0 / max(c, EPS_CONTRAST) + lam * r, lam=lam,
+        n_masked=sum(cp.warped.n_masked for cp in passes), degenerate=c < EPS_CONTRAST,
+        t_ref=sum(w * t for t, w in refs) / w_sum,
+    )
+    return breakdown, passes, delta
 
 
 def write_iwe_pgm(iwe: Iwe, path, bits: int = 8, which: str = "sum") -> None:

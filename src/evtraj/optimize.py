@@ -1,28 +1,27 @@
 """Gradient-based minimization of the contrast loss over trajectory
 coefficients, with analytic gradients.
 
-Every loss evaluation runs the forward pass of ``objective``
-(:func:`~evtraj.objective.loss_forward` or
-:func:`~evtraj.objective.fixed_reference_forward`); the gradients here add
-only the backward pass over what it returns. The analytic gradient treats
-the KNN neighbor sets, per-event voxel assignments, and the off-image mask
-as constants within one evaluation (they are recomputed every iteration).
+Both objectives are the one loss of :func:`~evtraj.objective.loss_forward`
+over a weighted reference set: a reference time drawn uniformly per
+iteration, or the fixed three-reference baseline. The gradient adds only
+the backward pass over what that forward pass returns. It treats the KNN
+neighbor sets, per-event voxel assignments, and the off-image mask as
+constants within one evaluation (they are recomputed every iteration).
 Under that piecewise-constant treatment the loss is differentiable away
 from the integer breakpoints of the voting kernel, and the chain rule runs
 
     coefficients -> per-voxel mean displacement -> event lookup
-                 -> voting stencil -> G        (contrast path)
+                 -> voting stencil -> G(t) -> C    (contrast path)
     coefficients -> consecutive-bin delta field -> R   (smoothness path)
 
 Updates use Adam-style moment estimates directly on the coefficient
-tensor. One reference time is drawn uniformly per iteration, so the
-iterate must sharpen the accumulation at every time, not just one.
+tensor.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -31,10 +30,8 @@ from .objective import (
     EPS_CONTRAST,
     FIXED_REFERENCES,
     ContrastPass,
-    LossBreakdown,
     ObjectiveConfig,
     _forward_differences,
-    fixed_reference_forward,
     loss_forward,
     sample_reference_time,
     zero_warp_contrast,
@@ -56,8 +53,9 @@ class DivergenceError(RuntimeError):
 class OptimConfig:
     """Optimizer settings; ``objective`` carries the loss configuration.
 
-    ``fixed_reference`` switches to the three-reference baseline objective
-    1/F with F = (G(0)+2G(0.5)+G(1))/(4 G_0).
+    ``fixed_reference`` scores the same loss over ``FIXED_REFERENCES``
+    with G_0 the zero-warp contrast, lambda = 0 and time weighting off:
+    the baseline 1/F with F = (G(0)+2G(0.5)+G(1))/(4 G_0).
     """
 
     iterations: int = 500
@@ -71,6 +69,8 @@ class OptimConfig:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         if not self.lr > 0:
             raise ValueError(f"step size must be > 0, got {self.lr}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -89,6 +89,9 @@ class OptimTrace:
 
 
 def save_trace_csv(trace: OptimTrace, path) -> None:
+    """One row per iteration: ``t_ref`` the weighted mean reference time
+    (0.5 for the fixed-reference baseline), ``G`` the weighted contrast C,
+    ``R`` the smoothness term (0 when lambda = 0) and ``total`` the loss."""
     with open(path, "w") as f:
         f.write("iter,t_ref,G,R,total\n")
         for i in range(len(trace)):
@@ -177,48 +180,32 @@ def _regularizer_backward(field: TrajectoryField, volume, delta: np.ndarray) -> 
     return grad.reshape(field.coeffs.shape)
 
 
-def loss_gradient(sl: EventSlice, field: TrajectoryField, t_ref: float, cfg: ObjectiveConfig):
-    """Total loss and its analytic gradient w.r.t. every coefficient.
+def loss_gradient(sl: EventSlice, field: TrajectoryField, refs, cfg: ObjectiveConfig, g0: float = 1.0):
+    """Loss of :func:`~evtraj.objective.loss_forward` and its analytic
+    gradient w.r.t. every coefficient (shaped like ``field.coeffs``).
 
-    The loss is that of :func:`~evtraj.objective.loss_forward`,
-    1/G + (lambda/|Omega|)*R with G the L1 contrast, i.e. lambda weighs R
-    against the per-pixel contrast G/|Omega|.
-    Returns (LossBreakdown, gradient) with the gradient shaped like
-    ``field.coeffs``. When the contrast value falls under the eps guard
-    the contrast path contributes zero (gradient of the guarded
-    expression) and the breakdown is flagged degenerate.
+    The contrast backward passes are summed with the weights of ``refs``.
+    When C falls under the eps guard the contrast path contributes zero
+    (gradient of the guarded expression).
     """
-    breakdown, cp, delta = loss_forward(sl, field, t_ref, cfg)
-    g_eff = max(breakdown.g, EPS_CONTRAST)
-    dtotal_dg = -1.0 / (g_eff * g_eff) if breakdown.g > EPS_CONTRAST else 0.0
-    grad_g = _contrast_backward(field, cp)
-    grad_r = _regularizer_backward(field, cp.volume, delta)
-    return breakdown, dtotal_dg * grad_g + breakdown.lam * grad_r
-
-
-def _fixed_reference_value_and_grad(sl: EventSlice, field: TrajectoryField, cfg: ObjectiveConfig, g0=None):
-    """(F, 1/F, d(1/F)/d(coefficients)) for the three-reference baseline.
-
-    ``g0`` is the run's zero-warp contrast; computed here when not given.
-    """
-    f_val, g0, passes = fixed_reference_forward(sl, field, cfg, g0)
-    f_grad = np.zeros_like(field.coeffs)
-    for (_, weight), cp in zip(FIXED_REFERENCES, passes):
-        f_grad += weight * _contrast_backward(field, cp)
-    f_grad /= 4.0 * g0
-    f_eff = max(f_val, EPS_CONTRAST)
-    d = -1.0 / (f_eff * f_eff) if f_val > EPS_CONTRAST else 0.0
-    return f_val, 1.0 / f_eff, d * f_grad
+    breakdown, passes, delta = loss_forward(sl, field, refs, cfg, g0)
+    c = breakdown.g
+    dtotal_dc = -1.0 / (c * c) if c > EPS_CONTRAST else 0.0
+    grad_c = sum(w * _contrast_backward(field, cp) for (_, w), cp in zip(refs, passes))
+    grad_c /= sum(w for _, w in refs) * g0
+    grad = dtotal_dc * grad_c
+    if delta is not None:
+        grad += breakdown.lam * _regularizer_backward(field, passes[0].volume, delta)
+    return breakdown, grad
 
 
 def minimize(sl: EventSlice, init_field: TrajectoryField, ocfg: OptimConfig) -> OptimTrace:
     """Adam descent on the trajectory coefficients.
 
-    Per iteration: draw a reference time, evaluate the loss gradient
-    there, update the moments and coefficients. In fixed-reference mode the
-    field-independent G_0 is computed once per run. The run is
-    deterministic given the seed. Raises :class:`DivergenceError` naming
-    the iteration if the loss or gradient turns non-finite.
+    Per iteration: draw a reference time (or take ``FIXED_REFERENCES``),
+    evaluate the loss gradient there, update the moments and coefficients.
+    The run is deterministic given the seed. Raises :class:`DivergenceError`
+    naming the iteration if the loss or gradient turns non-finite.
     """
     t0 = time.perf_counter()
     field = init_field.copy()
@@ -226,18 +213,14 @@ def minimize(sl: EventSlice, init_field: TrajectoryField, ocfg: OptimConfig) -> 
     m = np.zeros_like(field.coeffs)
     v = np.zeros_like(field.coeffs)
     hist_t, hist_g, hist_r, hist_total = [], [], [], []
-    g0 = zero_warp_contrast(sl, field.stride, ocfg.objective) if ocfg.fixed_reference else None
+    refs, cfg, g0 = None, ocfg.objective, 1.0
+    if ocfg.fixed_reference:
+        refs, g0 = FIXED_REFERENCES, zero_warp_contrast(sl, field.stride, cfg)
+        cfg = replace(cfg, lam=0.0, time_weighting=False)
     for it in range(ocfg.iterations):
         if not np.all(np.isfinite(field.coeffs)):
             raise DivergenceError(f"non-finite coefficients at iteration {it}")
-        if ocfg.fixed_reference:
-            f_val, loss_val, grad = _fixed_reference_value_and_grad(sl, field, ocfg.objective, g0)
-            breakdown = LossBreakdown(
-                g=f_val, r=0.0, total=loss_val, lam=ocfg.objective.lam,
-                n_masked=0, degenerate=f_val < EPS_CONTRAST, t_ref=0.5,
-            )
-        else:
-            breakdown, grad = loss_gradient(sl, field, sample_reference_time(rng), ocfg.objective)
+        breakdown, grad = loss_gradient(sl, field, refs or ((sample_reference_time(rng), 1.0),), cfg, g0)
         if not (np.isfinite(breakdown.total) and np.all(np.isfinite(grad))):
             raise DivergenceError(f"non-finite loss or gradient at iteration {it}")
         hist_t.append(breakdown.t_ref)

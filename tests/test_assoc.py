@@ -178,6 +178,8 @@ class TestDisplacementVolume:
             build_displacement_volume(field, 0.5, KnnConfig(k=1), n_bins=0)
         with pytest.raises(ValueError):
             build_displacement_volume(field, 0.5, KnnConfig(k=99), n_bins=3)
+        with pytest.raises(ValueError, match="n_bins"):
+            assoc.DisplacementVolume.zeros(8, 8, n_bins=0)
 
 
 class TestConsecutiveDeltaField:

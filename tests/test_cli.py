@@ -6,7 +6,7 @@ import pytest
 
 from evtraj.cli import main
 from evtraj.events import load_events
-from evtraj.flowio import load_flow
+from evtraj.flowio import load_flow, save_flow
 
 
 SCENE = """\
@@ -63,6 +63,14 @@ class TestSynthCommand:
         rc = main(["synth", str(bad), "--out", str(tmp_path / "x"), "--seed", "0"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_negative_seed_exits_2_before_writing(self, scene_file, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main(["synth", str(scene_file), "--out", str(out), "--seed", "-1"])
+        assert rc == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEstimateCommand:
@@ -103,17 +111,17 @@ class TestEstimateCommand:
         [
             ("--stride", "0", "stride"), ("--sigma", "-1", "sigma"), ("--iters", "-1", "iterations"),
             ("--lambda", "-1", "lambda"), ("--lambda", "nan", "lambda"), ("--lr", "nan", "step size"),
+            ("--seed", "-1", "seed"),
         ],
     )
     def test_bad_setting_exits_2(self, scene_file, tmp_path, capsys, flag, value, match):
         data = tmp_path / "data"
         main(["synth", str(scene_file), "--out", str(data), "--seed", "1"])
-        rc = main(
-            ["estimate", str(data / "events.evt1"), "--out", str(tmp_path / "est"),
-             "--k", "8", flag, value]
-        )
+        out = tmp_path / "est"
+        rc = main(["estimate", str(data / "events.evt1"), "--out", str(out), "--k", "8", flag, value])
         assert rc == 2
         assert match in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("times", ["1.5", "nan", "0.5,nan"])
     def test_bad_flow_times_exit_2_before_fitting(self, scene_file, tmp_path, capsys, times):
@@ -202,6 +210,18 @@ class TestEvalCommand:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("size", [16, 48])
+    def test_maps_not_matching_the_sensor_exit_2(self, scene_file, tmp_path, capsys, size):
+        # the scene's sensor is 32x32; smaller maps used to crash, larger
+        # ones to report a wrong FWL
+        data = tmp_path / "data"
+        main(["synth", str(scene_file), "--out", str(data), "--seed", "2"])
+        flow = tmp_path / "flow.flo1"
+        save_flow(flow, np.zeros((size, size, 2)), 1.0)
+        rc = main(["eval", "--pred", str(flow), "--gt", str(flow), "--events", str(data / "events.evt1")])
+        assert rc == 2
+        assert str(flow) in capsys.readouterr().err
+
 
 class TestRenderCommand:
     def test_accumulation_render(self, scene_file, tmp_path):
@@ -235,6 +255,13 @@ class TestRenderCommand:
         )
         assert rc == 0
         assert "FWL" in capsys.readouterr().out
+
+    def test_zero_bins_exits_2(self, scene_file, tmp_path, capsys):
+        data = tmp_path / "data"
+        main(["synth", str(scene_file), "--out", str(data), "--seed", "4"])
+        rc = main(["render", str(data / "events.evt1"), "--out", str(tmp_path / "x.pgm"), "--nbins", "0"])
+        assert rc == 2
+        assert "n_bins" in capsys.readouterr().err
 
     def test_missing_events_exits_2(self, tmp_path):
         rc = main(["render", str(tmp_path / "nope.evt1"), "--out", str(tmp_path / "x.pgm")])

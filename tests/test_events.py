@@ -44,6 +44,11 @@ class TestEventSlice:
         with pytest.raises(ValueError):
             EventSlice.from_arrays([0], [0], [np.nan], [1], 16, 16)
 
+    @pytest.mark.parametrize("t_start, t_end", [(np.nan, 1.0), (0.0, np.inf), (0.0, np.nan), (1.0, 0.5)])
+    def test_bad_time_span_rejected(self, t_start, t_end):
+        with pytest.raises(ValueError, match="t_start <= t_end"):
+            EventSlice.from_arrays([1], [1], [0.5], [1], 4, 4, t_start=t_start, t_end=t_end)
+
     def test_normalized_times(self):
         sl = EventSlice.from_arrays([0, 1], [0, 0], [1.0, 3.0], [1, 1], 8, 8)
         np.testing.assert_allclose(sl.normalized_times(), [0.0, 1.0])

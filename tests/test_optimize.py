@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,14 +12,14 @@ from evtraj.metrics import epe_ae
 from evtraj.objective import (
     FIXED_REFERENCES,
     ObjectiveConfig,
-    fixed_reference_forward,
+    contrast_pass,
     loss_forward,
     warp_events,
+    zero_warp_contrast,
 )
 from evtraj.optimize import (
     DivergenceError,
     OptimConfig,
-    _fixed_reference_value_and_grad,
     loss_gradient,
     minimize,
     save_trace_csv,
@@ -45,19 +47,25 @@ def small_instance(seed=0, n_events=200, width=16, height=16, basis=Basis(POLYNO
     return sl, field
 
 
-def fd_check_coordinates(sl, field, cfg, t_ref, h, rng, n_coords):
-    """Reference check: central differences of the loss total (with t_ref None,
-    of the fixed-reference objective 1/F that minimize descends), skipping
+def one(t_ref):
+    """The reference set of a single drawn reference time."""
+    return ((t_ref, 1.0),)
+
+
+def baseline(sl, field, cfg):
+    """(refs, cfg, g0) of the fixed-reference baseline, as minimize sets them."""
+    g0 = zero_warp_contrast(sl, field.stride, cfg)
+    return FIXED_REFERENCES, replace(cfg, lam=0.0, time_weighting=False), g0
+
+
+def fd_check_coordinates(sl, field, cfg, refs, h, rng, n_coords, g0=1.0):
+    """Reference check: central differences of the loss total, skipping
     coordinates that move an affected event within 4h of the breakpoint
-    lattice. Returns max relative error over the checked coordinates."""
-    if t_ref is None:
-        grad = _fixed_reference_value_and_grad(sl, field, cfg)[2]
-        t_refs = [t for t, _ in FIXED_REFERENCES]
-    else:
-        _, grad = loss_gradient(sl, field, t_ref, cfg)
-        t_refs = [t_ref]
+    lattice at any reference time. Returns max relative error over the
+    checked coordinates."""
+    _, grad = loss_gradient(sl, field, refs, cfg, g0)
     risky = [np.zeros(field.n_anchors, dtype=bool), np.zeros(field.n_anchors, dtype=bool)]
-    for t in t_refs:
+    for t, _ in refs:
         volume = build_displacement_volume(field, t, cfg.knn, cfg.n_bins)
         warped = warp_events(sl, volume, time_weighting=cfg.time_weighting)
         frac = warped.positions - np.floor(warped.positions)
@@ -72,9 +80,7 @@ def fd_check_coordinates(sl, field, cfg, t_ref, h, rng, n_coords):
     def loss_of(coeffs):
         f = field.copy()
         f.coeffs = coeffs
-        if t_ref is None:
-            return 1.0 / fixed_reference_forward(sl, f, cfg)[0]
-        return loss_forward(sl, f, t_ref, cfg)[0].total
+        return loss_forward(sl, f, refs, cfg, g0)[0].total
 
     shape = field.coeffs.shape
     cols = shape[1]
@@ -103,7 +109,7 @@ class TestLossGradient:
     def test_zero_events_zero_coefficients(self):
         sl = EventSlice.from_arrays([], [], [], [], 16, 16)
         field = TrajectoryField.zeros(16, 16, 4, Basis(POLYNOMIAL, 2))
-        out, grad = loss_gradient(sl, field, 0.5, ObjectiveConfig(knn=KnnConfig(k=4), n_bins=5))
+        out, grad = loss_gradient(sl, field, one(0.5), ObjectiveConfig(knn=KnnConfig(k=4), n_bins=5))
         np.testing.assert_array_equal(grad, 0.0)
         assert out.r == 0.0
 
@@ -116,7 +122,7 @@ class TestLossGradient:
         sl, field = small_instance(seed=seed, basis=basis)
         cfg = ObjectiveConfig(knn=KnnConfig(k=8), n_bins=5, time_weighting=True)
         rng = np.random.default_rng(10)
-        max_rel = fd_check_coordinates(sl, field, cfg, t_ref=t_ref, h=1e-4, rng=rng, n_coords=n_coords)
+        max_rel = fd_check_coordinates(sl, field, cfg, one(t_ref), h=1e-4, rng=rng, n_coords=n_coords)
         assert max_rel < 1e-4
 
     @pytest.mark.parametrize(
@@ -128,14 +134,14 @@ class TestLossGradient:
         sl, field = small_instance(seed=seed)
         cfg = ObjectiveConfig(sigma=sigma, knn=KnnConfig(k=8), n_bins=5, time_weighting=True)
         rng = np.random.default_rng(11)
-        max_rel = fd_check_coordinates(sl, field, cfg, t_ref=t_ref, h=1e-4, rng=rng, n_coords=n_coords)
+        max_rel = fd_check_coordinates(sl, field, cfg, one(t_ref), h=1e-4, rng=rng, n_coords=n_coords)
         assert max_rel < 1e-5
 
     def test_matches_finite_differences_bezier_basis(self):
         sl, field = small_instance(seed=3, basis=Basis(BEZIER, 4))
         cfg = ObjectiveConfig(knn=KnnConfig(k=8), n_bins=5)
         rng = np.random.default_rng(12)
-        max_rel = fd_check_coordinates(sl, field, cfg, t_ref=0.68, h=1e-4, rng=rng, n_coords=40)
+        max_rel = fd_check_coordinates(sl, field, cfg, one(0.68), h=1e-4, rng=rng, n_coords=40)
         assert max_rel < 1e-4
 
     def test_lambda_isolation(self):
@@ -145,7 +151,7 @@ class TestLossGradient:
         rng = np.random.default_rng(13)
         for lam in (0.0, 50.0):
             cfg = ObjectiveConfig(lam=lam, knn=KnnConfig(k=8), n_bins=5)
-            max_rel = fd_check_coordinates(sl, field, cfg, t_ref=0.31, h=1e-4, rng=rng, n_coords=30)
+            max_rel = fd_check_coordinates(sl, field, cfg, one(0.31), h=1e-4, rng=rng, n_coords=30)
             assert max_rel < 1e-4, f"lambda={lam}"
 
     def test_directional_derivative_and_sign_flip(self):
@@ -157,13 +163,13 @@ class TestLossGradient:
         for flip in (1.0, -1.0):
             base = field.copy()
             base.coeffs = flip * field.coeffs
-            _, grad = loss_gradient(sl, base, 0.55, cfg)
+            _, grad = loss_gradient(sl, base, one(0.55), cfg)
             plus, minus = base.copy(), base.copy()
             plus.coeffs = base.coeffs + h * direction
             minus.coeffs = base.coeffs - h * direction
             fd = (
-                loss_forward(sl, plus, 0.55, cfg)[0].total
-                - loss_forward(sl, minus, 0.55, cfg)[0].total
+                loss_forward(sl, plus, one(0.55), cfg)[0].total
+                - loss_forward(sl, minus, one(0.55), cfg)[0].total
             ) / (2 * h)
             analytic = float((grad * direction).sum())
             assert abs(analytic - fd) / max(abs(analytic), abs(fd)) < 1e-4
@@ -173,10 +179,25 @@ class TestLossGradient:
         # an even bin count keeps t_ref = 0.5 off the bin centers, whose
         # events would sit still on the breakpoint lattice
         sl, field = small_instance(seed=15)
-        cfg = ObjectiveConfig(sigma=sigma, knn=KnnConfig(k=8), n_bins=4)
+        refs, cfg, g0 = baseline(sl, field, ObjectiveConfig(sigma=sigma, knn=KnnConfig(k=8), n_bins=4))
         rng = np.random.default_rng(15)
-        max_rel = fd_check_coordinates(sl, field, cfg, t_ref=None, h=1e-4, rng=rng, n_coords=40)
+        max_rel = fd_check_coordinates(sl, field, cfg, refs, h=1e-4, rng=rng, n_coords=40, g0=g0)
         assert max_rel < 1e-5
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    def test_fixed_reference_is_inverse_of_hand_built_f(self, sigma):
+        # F from three separate volume builds and contrast passes, as in
+        # Shiba et al.: (G(0) + 2 G(0.5) + G(1)) / (4 G_0)
+        sl, field = small_instance(seed=18)
+        cfg = ObjectiveConfig(sigma=sigma, knn=KnnConfig(k=8), n_bins=5)
+        g = [
+            contrast_pass(sl, build_displacement_volume(field, t, cfg.knn, cfg.n_bins), sigma, False).g
+            for t in (0.0, 0.5, 1.0)
+        ]
+        f = (g[0] + 2.0 * g[1] + g[2]) / (4.0 * zero_warp_contrast(sl, field.stride, cfg))
+        out, _ = loss_gradient(sl, field, *baseline(sl, field, cfg))
+        assert out.total == 1.0 / f
+        assert (out.g, out.r, out.lam, out.t_ref) == (f, 0.0, 0.0, 0.5)
 
     def test_fixed_reference_searches_once(self, monkeypatch):
         sl, field = small_instance(seed=16)
@@ -189,15 +210,16 @@ class TestLossGradient:
             return search(*args, **kwargs)
 
         monkeypatch.setattr(assoc, "knn_per_bin", counted)
-        _fixed_reference_value_and_grad(sl, field, cfg)
+        loss_gradient(sl, field, *baseline(sl, field, cfg))
         assert len(calls) == cfg.n_bins
 
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
     def test_fixed_reference_shared_search_matches_three_builds(self, monkeypatch, sigma):
         sl, field = small_instance(seed=17)
         cfg = ObjectiveConfig(sigma=sigma, knn=KnnConfig(k=8), n_bins=5)
-        shared = fixed_reference_forward(sl, field, cfg)
-        shared_step = _fixed_reference_value_and_grad(sl, field, cfg)
+        inputs = baseline(sl, field, cfg)
+        shared = loss_forward(sl, field, *inputs)
+        shared_step = loss_gradient(sl, field, *inputs)
         built = []
 
         def fresh_build(field, volume, t_ref):
@@ -205,29 +227,29 @@ class TestLossGradient:
             return build_displacement_volume(field, t_ref, cfg.knn, cfg.n_bins)
 
         monkeypatch.setattr(objective, "regather_volume", fresh_build)
-        f, g0, passes = fixed_reference_forward(sl, field, cfg)
-        step = _fixed_reference_value_and_grad(sl, field, cfg)
+        breakdown, passes, _ = loss_forward(sl, field, *inputs)
+        step = loss_gradient(sl, field, *inputs)
         assert built == [0.5, 1.0, 0.5, 1.0]
-        assert shared[:2] == (f, g0)
-        for a, b in zip(shared[2], passes):
+        assert shared[0] == breakdown
+        for a, b in zip(shared[1], passes):
             np.testing.assert_array_equal(a.volume.disp, b.volume.disp)
             np.testing.assert_array_equal(a.volume.knn_indices, b.volume.knn_indices)
-        assert shared_step[:2] == step[:2]
-        np.testing.assert_array_equal(shared_step[2], step[2])
+        assert shared_step[0] == step[0]
+        np.testing.assert_array_equal(shared_step[1], step[1])
 
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_value_and_gradient_paths_agree_exactly(self, seed, sigma):
         sl, field = small_instance(seed=seed)
         cfg = ObjectiveConfig(sigma=sigma, knn=KnnConfig(k=8), n_bins=5, time_weighting=True)
-        assert loss_forward(sl, field, 0.43, cfg)[0] == loss_gradient(sl, field, 0.43, cfg)[0]
+        assert loss_forward(sl, field, one(0.43), cfg)[0] == loss_gradient(sl, field, one(0.43), cfg)[0]
 
     def test_degenerate_guard_gradient(self):
         # every event masked: contrast path dead, smoothness path alive
         sl, field = small_instance(seed=6)
         field.coeffs[..., 0] += 1e5
         cfg = ObjectiveConfig(knn=KnnConfig(k=8), n_bins=5)
-        out, grad = loss_gradient(sl, field, 0.45, cfg)
+        out, grad = loss_gradient(sl, field, one(0.45), cfg)
         assert out.degenerate
         assert np.all(np.isfinite(grad))
 
@@ -287,6 +309,13 @@ class TestMinimize:
         assert lines[0] == "iter,t_ref,G,R,total"
         assert len(lines) == 5
 
+    def test_trace_r_reads_zero_without_smoothness(self):
+        sl, field = small_instance(seed=13)
+        ocfg = OptimConfig(iterations=3, objective=ObjectiveConfig(lam=0.0, knn=KnnConfig(k=8), n_bins=5))
+        trace = minimize(sl, field, ocfg)
+        np.testing.assert_array_equal(trace.r, 0.0)
+        np.testing.assert_array_equal(trace.total, 1.0 / trace.g)
+
     def test_fixed_reference_objective_mode(self, monkeypatch):
         sl, field = small_instance(seed=15)
         ocfg = OptimConfig(
@@ -308,8 +337,44 @@ class TestMinimize:
         # G_0 does not depend on the field: once per run, not per iteration
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("fixed_reference", [False, True])
+    def test_one_gradient_and_one_volume_build_per_iteration(self, monkeypatch, fixed_reference):
+        sl, field = small_instance(seed=14)
+        ocfg = OptimConfig(
+            iterations=3, fixed_reference=fixed_reference,
+            objective=ObjectiveConfig(knn=KnnConfig(k=8), n_bins=5),
+        )
+        calls = []
+
+        def counted(name, inner):
+            def wrapper(*args):
+                calls.append(name)
+                return inner(*args)
+            return wrapper
+
+        monkeypatch.setattr(optimize, "loss_gradient", counted("grad", optimize.loss_gradient))
+        monkeypatch.setattr(objective, "build_displacement_volume",
+                            counted("build", objective.build_displacement_volume))
+        minimize(sl, field, ocfg)
+        # one build, inside the gradient, per iteration
+        assert calls == ["grad", "build"] * 3
+
+    def test_fixed_reference_ignores_lambda_and_time_weighting(self):
+        sl, field = small_instance(seed=20)
+        fields = [
+            minimize(sl, field, OptimConfig(
+                iterations=3, fixed_reference=True,
+                objective=ObjectiveConfig(lam=lam, time_weighting=tw, knn=KnnConfig(k=8), n_bins=5),
+            )).field.coeffs
+            for lam, tw in ((0.0, False), (5.0, False), (0.0, True), (5.0, True))
+        ]
+        for coeffs in fields[1:]:
+            np.testing.assert_array_equal(coeffs, fields[0])
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             OptimConfig(lr=0.0)
         with pytest.raises(ValueError, match="iterations"):
             OptimConfig(iterations=-1)
+        with pytest.raises(ValueError, match="seed"):
+            OptimConfig(seed=-1)
