@@ -5,9 +5,9 @@ The package is organized around the estimation pipeline:
 
 ``events``     event containers, EVT1 I/O
 ``trajectory`` polynomial/Bezier trajectory bases on an anchor grid
-``assoc``      per-bin KNN association and the displacement volume
-``objective``  event warping, IWEs, and the loss forward pass (contrast G, regularizer R)
-``optimize``   backward pass (analytic gradients), Adam descent
+``assoc``      per-bin KNN association, the displacement volume and their adjoints
+``objective``  event warping, IWEs, and the loss terms with their derivatives (contrast G, regularizer R)
+``optimize``   the loss and its gradient composed from those terms, Adam descent
 ``synth``      synthetic scenes with exact ground truth
 ``metrics``    EPE / AE / %Out / TEPE / TAE / FWL
 ``flowio``     FLO1 flow-map files
@@ -42,18 +42,17 @@ from .metrics import (
 )
 from .objective import (
     Iwe,
-    LossBreakdown,
     ObjectiveConfig,
     WarpedEvents,
     build_iwe,
     contrast_g,
     regularizer_r,
-    sample_reference_time,
     warp_events,
     write_iwe_pgm,
 )
 from .optimize import (
     DivergenceError,
+    LossBreakdown,
     OptimConfig,
     OptimTrace,
     loss_gradient,
@@ -85,7 +84,7 @@ __all__ = [
     "EventFormatError", "EventSlice", "load_events", "save_events", "load_flow",
     "save_flow", "MotionEval", "epe_ae", "evaluate_trajectories", "fwl", "pct_out",
     "tepe_tae", "Iwe", "LossBreakdown", "ObjectiveConfig", "WarpedEvents", "build_iwe",
-    "contrast_g", "regularizer_r", "sample_reference_time", "warp_events", "write_iwe_pgm",
+    "contrast_g", "regularizer_r", "warp_events", "write_iwe_pgm",
     "DivergenceError", "OptimConfig", "OptimTrace", "loss_gradient", "minimize",
     "save_trace_csv", "BezierMotion", "CircularMotion", "ConstantMotion", "GroundTruth",
     "SceneSpec", "generate_events", "scatter_points", "BEZIER", "POLYNOMIAL", "Basis",

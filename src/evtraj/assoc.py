@@ -13,6 +13,10 @@ centers), never on t_ref. One search per field therefore serves every
 reference time: :func:`regather_volume` re-targets a built volume to
 another t_ref by a gather over the same sets, with no search.
 
+With the neighbor sets fixed, the volume and the consecutive delta field
+are linear in the coefficients; :func:`volume_adjoint` and
+:func:`delta_field_adjoint` are the transposes of those maps.
+
 The KNN search streams over fixed-size tiles of query cells so the full
 cells x anchors distance matrix is never materialized; results are
 byte-identical to the brute-force scan for every tile size. Ordering is
@@ -218,6 +222,30 @@ def _gather(field, t_ref, bin_centers, pos_bins, knn_indices) -> DisplacementVol
     )
 
 
+def _pull_to_coeffs(field, gcells, knn_indices, a) -> np.ndarray:
+    """Coefficient cotangent of the means over ``knn_indices`` of a_b . alpha_n,
+    given a cotangent ``gcells`` (B, rows, cols, 2) and ``a`` (B, D). One
+    bincount per axis over the flat (bin, anchor) slot keeps each slot's
+    summation order (cells, then K)."""
+    n_bins, rows, cols, k = knn_indices.shape
+    n_anchors = field.n_anchors
+    slot = (np.arange(n_bins)[:, None] * n_anchors + knn_indices.reshape(n_bins, rows * cols * k)).ravel()
+    w = np.repeat(np.moveaxis(gcells.reshape(n_bins, rows * cols, 2), 2, 0) / k, k, axis=2)
+    size = n_bins * n_anchors
+    ganchor = np.stack([np.bincount(slot, weights=w[c].ravel(), minlength=size) for c in (0, 1)], axis=1)
+    grad = np.einsum("bnc,bd->ndc", ganchor.reshape(n_bins, n_anchors, 2), a)
+    return grad.reshape(field.coeffs.shape)
+
+
+def volume_adjoint(field: TrajectoryField, volume: DisplacementVolume, gdisp: np.ndarray) -> np.ndarray:
+    """Coefficient cotangent of ``gdisp``, a cotangent on ``volume.disp``:
+    disp[b, c] = mean_n sum_j (g_j(t_ref) - g_j(t_b)) alpha[n, j]."""
+    a = displacement_basis(field.basis, [volume.t_ref])[0][None, :] - displacement_basis(
+        field.basis, volume.bin_centers
+    )  # (B, D)
+    return _pull_to_coeffs(field, gdisp, volume.knn_indices, a)
+
+
 def build_consecutive_delta_field(volume: DisplacementVolume) -> np.ndarray:
     """Mean trajectory displacement between consecutive bin centers.
 
@@ -236,6 +264,13 @@ def build_consecutive_delta_field(volume: DisplacementVolume) -> np.ndarray:
         step = pos_bins[b + 1][idx[b]] - pos_bins[b][idx[b]]
         out[b] = step.mean(axis=1)
     return out.reshape(volume.n_bins - 1, rows, cols, 2)
+
+
+def delta_field_adjoint(field: TrajectoryField, volume: DisplacementVolume, gdelta: np.ndarray) -> np.ndarray:
+    """Coefficient cotangent of ``gdelta``, a cotangent on
+    :func:`build_consecutive_delta_field` of ``volume``."""
+    g_bins = displacement_basis(field.basis, volume.bin_centers)  # (B, D)
+    return _pull_to_coeffs(field, gdelta, volume.knn_indices[: len(gdelta)], g_bins[1:] - g_bins[:-1])
 
 
 def interpolate_flow(field: TrajectoryField, times, k: int) -> np.ndarray:

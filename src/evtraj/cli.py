@@ -215,10 +215,16 @@ _DISPATCH = {"synth": cmd_synth, "estimate": cmd_estimate, "eval": cmd_eval, "re
 
 
 def cmd_rerun(args: dict) -> int:
-    manifest = json.loads(Path(args["manifest"]).read_text())
-    command = manifest["command"]
-    if command not in _DISPATCH:
-        raise ValueError(f"manifest names unknown command {command!r}")
+    path = args["manifest"]
+    try:
+        manifest = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not a JSON manifest: {exc}") from None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("args"), dict):
+        raise ValueError(f"{path}: a manifest must be a JSON object with an object 'args'")
+    command = manifest.get("command")
+    if not isinstance(command, str) or command not in _DISPATCH:
+        raise ValueError(f"{path}: manifest names unknown command {command!r}")
     return _DISPATCH[command](manifest["args"])
 
 

@@ -37,7 +37,8 @@ def save_flow(path, flow: np.ndarray, t: float, valid: np.ndarray | None = None)
 def load_flow(path):
     """Read a FLO1 map; returns (flow (H, W, 2) float64, t, valid (H, W)).
 
-    Malformed input raises ValueError naming the path and byte offset.
+    Malformed input, a non-finite time included, raises ValueError naming
+    the path and byte offset.
     """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.itemsize:
@@ -45,6 +46,8 @@ def load_flow(path):
     if raw[:4] != FLO1_MAGIC:
         raise ValueError(f"{path}: not a FLO1 file, bad magic at byte 0")
     h = np.frombuffer(raw, dtype=_HEADER, count=1)[0]
+    if not np.isfinite(h["t"]):
+        raise ValueError(f"{path}: non-finite FLO1 time {h['t']} at byte 12")
     width, height = int(h["width"]), int(h["height"])
     n = width * height * 2
     expected = _HEADER.itemsize + 4 * n

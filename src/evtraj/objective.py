@@ -1,4 +1,5 @@
-"""Event warping, images of warped events (IWE), and the contrast objective.
+"""Event warping, images of warped events (IWE), and the terms of the
+contrast loss, each returned together with its derivative.
 
 One loss serves both objectives, scored over a weighted set ``refs`` of
 (t_ref, w) pairs. Per reference time: build the displacement volume,
@@ -19,8 +20,10 @@ fixed-reference baseline is refs = ``FIXED_REFERENCES`` with G_0 the
 zero-warp contrast, lambda = 0 and no time weighting:
 C = F = (G(0) + 2 G(0.5) + G(1)) / (4 G_0).
 
-:func:`loss_forward` runs the forward pass; ``optimize`` adds only the
-backward pass on top of what it returns.
+Each term owns its adjoint: :func:`contrast_g` returns G and dG/dI,
+:func:`contrast_pass` G and dG/d(volume displacement), and
+:func:`regularizer_r` R and dR/d(delta field). ``optimize.loss_gradient``
+composes them with the association adjoints of ``assoc``.
 
 Accumulation uses one separable stencil: an event deposits its weight
 through the outer product of a y and an x kernel, 2-tap linear (sigma = 0,
@@ -34,19 +37,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
 
 import numpy as np
 
-from .assoc import (
-    DisplacementVolume,
-    KnnConfig,
-    build_consecutive_delta_field,
-    build_displacement_volume,
-    regather_volume,
-)
+from .assoc import DisplacementVolume, KnnConfig
 from .events import EventSlice
-from .trajectory import TrajectoryField
 
 EPS_CONTRAST = 1e-8
 
@@ -62,7 +57,7 @@ class ObjectiveConfig:
 
     ``lam`` weighs the smoothness term R against the per-pixel contrast
     G / |Omega|; the total applies it as ``lam / |Omega|`` against G
-    (see :func:`loss_forward`).
+    (see ``optimize.loss_gradient``). ``lam`` and ``sigma`` must be finite.
     """
 
     lam: float = 0.003
@@ -72,10 +67,10 @@ class ObjectiveConfig:
     n_bins: int = 15
 
     def __post_init__(self):
-        if not self.lam >= 0.0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
-        if not self.sigma >= 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.n_bins < 1:
             raise ValueError(f"n_bins must be >= 1, got {self.n_bins}")
 
@@ -111,42 +106,6 @@ class Iwe:
 
     def total(self) -> np.ndarray:
         return self.pos + self.neg
-
-
-@dataclass
-class LossBreakdown:
-    """Parts of one loss evaluation: ``total == 1 / max(g, eps) + lam * r``.
-
-    ``g`` is the weighted contrast C (G for one reference time, F for the
-    baseline), ``lam`` the weight actually applied to ``r``,
-    lambda / |Omega|, ``t_ref`` the weighted mean reference time and
-    ``n_masked`` summed over the passes.
-    """
-
-    g: float
-    r: float
-    total: float
-    lam: float
-    n_masked: int
-    degenerate: bool
-    t_ref: float
-
-
-@dataclass
-class ContrastPass:
-    """One contrast evaluation, kept for the backward pass.
-
-    ``taps`` (N, L) index each event's footprint in the stacked (pos, neg)
-    images; ``pullback`` maps a cotangent on those taps to the per-event
-    derivatives (d/dx', d/dy') of the deposited mass.
-    """
-
-    volume: DisplacementVolume
-    warped: WarpedEvents
-    iwe: Iwe
-    taps: np.ndarray
-    pullback: Callable
-    g: float
 
 
 def warp_events(sl: EventSlice, volume: DisplacementVolume, time_weighting: bool = False) -> WarpedEvents:
@@ -266,49 +225,67 @@ def build_iwe(warped: WarpedEvents, sigma: float = 0.0, polarity_split: bool = T
     return _accumulate(warped, sigma, polarity_split)[0]
 
 
-def _forward_differences(img: np.ndarray):
-    """Forward-difference gradient images (zero on the far edges)."""
-    gx = np.zeros_like(img)
-    gy = np.zeros_like(img)
-    gx[:, :-1] = img[:, 1:] - img[:, :-1]
-    gy[:-1, :] = img[1:, :] - img[:-1, :]
-    return gx, gy
+def contrast_g(iwe: Iwe):
+    """(G, dG/dI): the L1 norm of the IWE gradient magnitude, summed over
+    both polarities, and its derivative, stacked (2, H, W) as (pos, neg).
 
-
-def contrast_g(iwe: Iwe) -> float:
-    """L1 norm of the IWE gradient magnitude, summed over both polarities."""
-    total = 0.0
+    The gradient images are forward differences, zero on the far edges;
+    pixels of zero gradient magnitude contribute no derivative.
+    """
+    total, grads = 0.0, []
     for img in (iwe.pos, iwe.neg):
-        gx, gy = _forward_differences(img)
-        total += float(np.sqrt(gx * gx + gy * gy).sum())
-    return total
+        gx = np.zeros_like(img)
+        gy = np.zeros_like(img)
+        gx[:, :-1] = img[:, 1:] - img[:, :-1]
+        gy[:-1, :] = img[1:, :] - img[:-1, :]
+        mag = np.sqrt(gx * gx + gy * gy)
+        total += float(mag.sum())
+        inv = np.zeros_like(mag)
+        np.divide(1.0, mag, out=inv, where=mag > 0)
+        ux = gx * inv
+        uy = gy * inv
+        dgdi = -(ux + uy)
+        dgdi[:, 1:] += ux[:, :-1]
+        dgdi[1:, :] += uy[:-1, :]
+        grads.append(dgdi)
+    return total, np.stack(grads)
 
 
-def contrast_pass(sl: EventSlice, volume: DisplacementVolume, sigma: float, time_weighting: bool) -> ContrastPass:
-    """Warp, accumulate the polarity-split IWE and score its contrast G."""
+def contrast_pass(sl: EventSlice, volume: DisplacementVolume, sigma: float, time_weighting: bool):
+    """Warp, accumulate the polarity-split IWE and score its contrast G.
+
+    Returns (G, dG/d volume.disp, n_masked). The derivative treats each
+    event's voxel, the off-image mask and the time weights as constants:
+    dG/dI is pulled back through the voting stencil to each event's
+    (d/dx', d/dy') and summed onto its voxel.
+    """
     warped = warp_events(sl, volume, time_weighting=time_weighting)
     iwe, taps, pullback = _accumulate(warped, sigma, polarity_split=True)
-    return ContrastPass(volume, warped, iwe, taps, pullback, contrast_g(iwe))
+    g, dgdi = contrast_g(iwe)
+    nvox = volume.disp.size // 2
+    gdisp = [np.bincount(warped.vox_idx, weights=d, minlength=nvox) for d in pullback(dgdi.ravel()[taps])]
+    return g, np.stack(gdisp, axis=1).reshape(volume.disp.shape), warped.n_masked
 
 
-def regularizer_r(delta_field: np.ndarray) -> float:
-    """Mean L1 spatial roughness of the consecutive-bin displacement field.
+def regularizer_r(delta_field: np.ndarray):
+    """(R, dR/d delta_field): the mean L1 spatial roughness of the
+    consecutive-bin displacement field and its derivative.
 
     Sums |forward row/column differences| of each 2-vector entry over all
     bin pairs and divides by the cell count. Zero for spatially constant
     motion and for an empty field.
     """
-    if delta_field.size == 0:
-        return 0.0
+    grad = np.zeros_like(delta_field)
     dx = delta_field[:, :, 1:, :] - delta_field[:, :, :-1, :]
     dy = delta_field[:, 1:, :, :] - delta_field[:, :-1, :, :]
     n_cells = delta_field.shape[1] * delta_field.shape[2]
-    return float((np.abs(dx).sum() + np.abs(dy).sum()) / n_cells)
-
-
-def sample_reference_time(rng: np.random.Generator) -> float:
-    """Uniform reference time in [0, 1); reproducible from the generator state."""
-    return float(rng.random())
+    sx, sy = np.sign(dx), np.sign(dy)
+    grad[:, :, 1:, :] += sx
+    grad[:, :, :-1, :] -= sx
+    grad[:, 1:, :, :] += sy
+    grad[:, :-1, :, :] -= sy
+    grad /= n_cells
+    return float((np.abs(dx).sum() + np.abs(dy).sum()) / n_cells), grad
 
 
 def zero_warp_contrast(sl: EventSlice, stride: int, cfg: ObjectiveConfig) -> float:
@@ -316,40 +293,7 @@ def zero_warp_contrast(sl: EventSlice, stride: int, cfg: ObjectiveConfig) -> flo
     unwarped events. It does not depend on the field, so one value serves a
     whole run."""
     zero_vol = DisplacementVolume.zeros(sl.width, sl.height, stride, cfg.n_bins)
-    return max(contrast_pass(sl, zero_vol, cfg.sigma, False).g, EPS_CONTRAST)
-
-
-def loss_forward(sl: EventSlice, field: TrajectoryField, refs, cfg: ObjectiveConfig, g0: float = 1.0):
-    """Evaluate 1/C + (lambda/|Omega|)*R over the (t_ref, weight) pairs
-    ``refs``, C = sum w G(t) / (g0 * sum w).
-
-    The neighbor sets depend only on the field, so one volume build at
-    ``refs[0]`` serves every reference time; the others are gathered from
-    it. R is skipped (reads 0) when lambda = 0. Flags ``degenerate`` (and
-    guards 1/C with eps) when C falls under eps, as when every event is
-    warped off-image or the IWEs are flat.
-
-    Returns (LossBreakdown, passes, delta): the contrast passes in the
-    order of ``refs`` and the consecutive-bin delta field behind R (None
-    when lambda = 0).
-    """
-    volume = build_displacement_volume(field, refs[0][0], cfg.knn, cfg.n_bins)
-    passes = []
-    for t_ref, _ in refs:
-        if t_ref != volume.t_ref:
-            volume = regather_volume(field, volume, t_ref)
-        passes.append(contrast_pass(sl, volume, cfg.sigma, cfg.time_weighting))
-    w_sum = sum(w for _, w in refs)
-    c = sum(w * cp.g for (_, w), cp in zip(refs, passes)) / (w_sum * g0)
-    lam = cfg.lam / (sl.width * sl.height)
-    delta = build_consecutive_delta_field(passes[0].volume) if lam > 0.0 else None
-    r = regularizer_r(delta) if lam > 0.0 else 0.0
-    breakdown = LossBreakdown(
-        g=c, r=r, total=1.0 / max(c, EPS_CONTRAST) + lam * r, lam=lam,
-        n_masked=sum(cp.warped.n_masked for cp in passes), degenerate=c < EPS_CONTRAST,
-        t_ref=sum(w * t for t, w in refs) / w_sum,
-    )
-    return breakdown, passes, delta
+    return max(contrast_pass(sl, zero_vol, cfg.sigma, False)[0], EPS_CONTRAST)
 
 
 def write_iwe_pgm(iwe: Iwe, path, bits: int = 8, which: str = "sum") -> None:

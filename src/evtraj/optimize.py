@@ -1,14 +1,16 @@
 """Gradient-based minimization of the contrast loss over trajectory
 coefficients, with analytic gradients.
 
-Both objectives are the one loss of :func:`~evtraj.objective.loss_forward`
-over a weighted reference set: a reference time drawn uniformly per
-iteration, or the fixed three-reference baseline. The gradient adds only
-the backward pass over what that forward pass returns. It treats the KNN
-neighbor sets, per-event voxel assignments, and the off-image mask as
-constants within one evaluation (they are recomputed every iteration).
-Under that piecewise-constant treatment the loss is differentiable away
-from the integer breakpoints of the voting kernel, and the chain rule runs
+Both objectives are the one loss of :func:`loss_gradient` over a weighted
+reference set: a reference time drawn uniformly per iteration, or the
+fixed three-reference baseline. Each term returns its own derivative
+(``objective`` for the contrast pass and R, ``assoc`` for the volume and
+the delta field), and :func:`loss_gradient` composes them in one forward
+pass. It treats the KNN neighbor sets, per-event voxel assignments, and
+the off-image mask as constants within one evaluation (they are
+recomputed every iteration). Under that piecewise-constant treatment the
+loss is differentiable away from the integer breakpoints of the voting
+kernel, and the chain rule runs
 
     coefficients -> per-voxel mean displacement -> event lookup
                  -> voting stencil -> G(t) -> C    (contrast path)
@@ -25,18 +27,23 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
+from .assoc import (
+    build_consecutive_delta_field,
+    build_displacement_volume,
+    delta_field_adjoint,
+    regather_volume,
+    volume_adjoint,
+)
 from .events import EventSlice
 from .objective import (
     EPS_CONTRAST,
     FIXED_REFERENCES,
-    ContrastPass,
     ObjectiveConfig,
-    _forward_differences,
-    loss_forward,
-    sample_reference_time,
+    contrast_pass,
+    regularizer_r,
     zero_warp_contrast,
 )
-from .trajectory import TrajectoryField, displacement_basis
+from .trajectory import TrajectoryField
 
 
 # Adam moment decays and denominator guard
@@ -67,10 +74,29 @@ class OptimConfig:
     def __post_init__(self):
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if not self.lr > 0:
-            raise ValueError(f"step size must be > 0, got {self.lr}")
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError(f"step size must be finite and > 0, got {self.lr}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+
+@dataclass
+class LossBreakdown:
+    """Parts of one loss evaluation: ``total == 1 / max(g, eps) + lam * r``.
+
+    ``g`` is the weighted contrast C (G for one reference time, F for the
+    baseline), ``lam`` the weight actually applied to ``r``,
+    lambda / |Omega|, ``t_ref`` the weighted mean reference time and
+    ``n_masked`` summed over the passes.
+    """
+
+    g: float
+    r: float
+    total: float
+    lam: float
+    n_masked: int
+    degenerate: bool
+    t_ref: float
 
 
 @dataclass
@@ -101,101 +127,42 @@ def save_trace_csv(trace: OptimTrace, path) -> None:
             )
 
 
-def _contrast_image_backward(img: np.ndarray) -> np.ndarray:
-    """dG/dI for G = sum ||forward-diff gradient||_2 of one image."""
-    gx, gy = _forward_differences(img)
-    mag = np.sqrt(gx * gx + gy * gy)
-    inv = np.zeros_like(mag)
-    np.divide(1.0, mag, out=inv, where=mag > 0)
-    ux = gx * inv
-    uy = gy * inv
-    dgdi = -(ux + uy)
-    dgdi[:, 1:] += ux[:, :-1]
-    dgdi[1:, :] += uy[:-1, :]
-    return dgdi
-
-
-def _scatter_cells_to_anchors(gcells, knn_idx, n_anchors):
-    """Sum per-cell cotangents onto their K neighbor anchors (mean of K).
-
-    gcells: (B, cells, 2); knn_idx: (B, cells, K) flat anchor indices.
-    Returns (B, n_anchors, 2). One bincount per axis over the flat (bin,
-    anchor) slot keeps each slot's summation order (cells, then K).
-    """
-    n_bins, _, k = knn_idx.shape
-    slot = (np.arange(n_bins)[:, None] * n_anchors + knn_idx.reshape(n_bins, -1)).ravel()
-    w = np.repeat(np.moveaxis(gcells, 2, 0) / k, k, axis=2)  # (2, B, cells*K)
-    size = n_bins * n_anchors
-    out = np.stack([np.bincount(slot, weights=w[a].ravel(), minlength=size) for a in (0, 1)], axis=1)
-    return out.reshape(n_bins, n_anchors, 2)
-
-
-def _contrast_backward(field: TrajectoryField, cp: ContrastPass) -> np.ndarray:
-    """dG/d(coefficients) for one contrast pass."""
-    volume = cp.volume
-    rows, cols = volume.grid_shape
-    n_bins = volume.n_bins
-    dgdi = np.concatenate(
-        [_contrast_image_backward(cp.iwe.pos).ravel(), _contrast_image_backward(cp.iwe.neg).ravel()]
-    )
-    # per-tap cotangent from the event's own polarity image
-    dG_dx, dG_dy = cp.pullback(dgdi[cp.taps])
-
-    # backward through the volume lookup into per-voxel displacement
-    nvox = n_bins * rows * cols
-    vidx = cp.warped.vox_idx
-    gdisp_x = np.bincount(vidx, weights=dG_dx, minlength=nvox)
-    gdisp_y = np.bincount(vidx, weights=dG_dy, minlength=nvox)
-    gdisp = np.stack([gdisp_x, gdisp_y], axis=1).reshape(n_bins, rows * cols, 2)
-
-    knn_idx = volume.knn_indices.reshape(n_bins, rows * cols, -1)
-    ganchor = _scatter_cells_to_anchors(gdisp, knn_idx, field.n_anchors)
-    # disp[b,c] = mean_n sum_j (g_j(t_ref) - g_j(t_b)) alpha[n,j]
-    a = displacement_basis(field.basis, [volume.t_ref])[0][None, :] - displacement_basis(
-        field.basis, volume.bin_centers
-    )  # (B, D)
-    grad = np.einsum("bnc,bd->ndc", ganchor, a)
-    return grad.reshape(field.coeffs.shape)
-
-
-def _regularizer_backward(field: TrajectoryField, volume, delta: np.ndarray) -> np.ndarray:
-    """dR/d(coefficients) through the consecutive delta field."""
-    if delta.size == 0:
-        return np.zeros_like(field.coeffs)
-    n_pairs, rows, cols, _ = delta.shape
-    n_cells = rows * cols
-    gfield = np.zeros_like(delta)
-    sx = np.sign(delta[:, :, 1:, :] - delta[:, :, :-1, :])
-    gfield[:, :, 1:, :] += sx
-    gfield[:, :, :-1, :] -= sx
-    sy = np.sign(delta[:, 1:, :, :] - delta[:, :-1, :, :])
-    gfield[:, 1:, :, :] += sy
-    gfield[:, :-1, :, :] -= sy
-    gfield /= n_cells
-    knn_idx = volume.knn_indices.reshape(volume.n_bins, n_cells, -1)[:n_pairs]
-    ganchor = _scatter_cells_to_anchors(gfield.reshape(n_pairs, n_cells, 2), knn_idx, field.n_anchors)
-    g_bins = displacement_basis(field.basis, volume.bin_centers)  # (B, D)
-    a = g_bins[1:] - g_bins[:-1]  # (B-1, D)
-    grad = np.einsum("bnc,bd->ndc", ganchor, a)
-    return grad.reshape(field.coeffs.shape)
-
-
 def loss_gradient(sl: EventSlice, field: TrajectoryField, refs, cfg: ObjectiveConfig, g0: float = 1.0):
-    """Loss of :func:`~evtraj.objective.loss_forward` and its analytic
-    gradient w.r.t. every coefficient (shaped like ``field.coeffs``).
+    """Evaluate 1/C + (lambda/|Omega|)*R over the (t_ref, weight) pairs
+    ``refs``, C = sum w G(t) / (g0 * sum w), and its analytic gradient
+    w.r.t. every coefficient (shaped like ``field.coeffs``).
 
-    The contrast backward passes are summed with the weights of ``refs``.
-    When C falls under the eps guard the contrast path contributes zero
-    (gradient of the guarded expression).
+    Returns (LossBreakdown, grad). The neighbor sets depend only on the
+    field, so one volume build at ``refs[0]`` serves every reference time;
+    the others are gathered from it. R is skipped (reads 0) when
+    lambda = 0. Flags ``degenerate`` (and guards 1/C with eps) when C falls
+    under eps, as when every event is warped off-image or the IWEs are
+    flat; the contrast path then contributes zero (the gradient of the
+    guarded expression).
     """
-    breakdown, passes, delta = loss_forward(sl, field, refs, cfg, g0)
-    c = breakdown.g
-    dtotal_dc = -1.0 / (c * c) if c > EPS_CONTRAST else 0.0
-    grad_c = sum(w * _contrast_backward(field, cp) for (_, w), cp in zip(refs, passes))
-    grad_c /= sum(w for _, w in refs) * g0
-    grad = dtotal_dc * grad_c
-    if delta is not None:
-        grad += breakdown.lam * _regularizer_backward(field, passes[0].volume, delta)
+    volume = build_displacement_volume(field, refs[0][0], cfg.knn, cfg.n_bins)
+    c, grad_c, n_masked = 0.0, 0.0, 0
+    for t_ref, w in refs:
+        if t_ref != volume.t_ref:
+            volume = regather_volume(field, volume, t_ref)
+        g, gdisp, masked = contrast_pass(sl, volume, cfg.sigma, cfg.time_weighting)
+        c += w * g
+        grad_c += w * volume_adjoint(field, volume, gdisp)
+        n_masked += masked
+    w_sum = sum(w for _, w in refs)
+    c /= w_sum * g0
+    grad_c /= w_sum * g0
+    grad = (-1.0 / (c * c) if c > EPS_CONTRAST else 0.0) * grad_c
+    lam = cfg.lam / (sl.width * sl.height)
+    r = 0.0
+    if lam > 0.0:
+        # every regathered volume shares the first build's neighbor sets
+        r, gdelta = regularizer_r(build_consecutive_delta_field(volume))
+        grad += lam * delta_field_adjoint(field, volume, gdelta)
+    breakdown = LossBreakdown(
+        g=c, r=r, total=1.0 / max(c, EPS_CONTRAST) + lam * r, lam=lam, n_masked=n_masked,
+        degenerate=c < EPS_CONTRAST, t_ref=sum(w * t for t, w in refs) / w_sum,
+    )
     return breakdown, grad
 
 
@@ -220,7 +187,7 @@ def minimize(sl: EventSlice, init_field: TrajectoryField, ocfg: OptimConfig) -> 
     for it in range(ocfg.iterations):
         if not np.all(np.isfinite(field.coeffs)):
             raise DivergenceError(f"non-finite coefficients at iteration {it}")
-        breakdown, grad = loss_gradient(sl, field, refs or ((sample_reference_time(rng), 1.0),), cfg, g0)
+        breakdown, grad = loss_gradient(sl, field, refs or ((float(rng.random()), 1.0),), cfg, g0)
         if not (np.isfinite(breakdown.total) and np.all(np.isfinite(grad))):
             raise DivergenceError(f"non-finite loss or gradient at iteration {it}")
         hist_t.append(breakdown.t_ref)

@@ -232,24 +232,34 @@ def load_scene_config(path) -> dict:
     return cfg
 
 
+def _finite(key: str, text: str) -> float:
+    """``text``, the value of scene key ``key`` or one of its entries, as a finite float."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"scene key {key}={text!r} is not a finite number")
+    return value
+
+
 def scene_from_config(cfg: dict, rng: np.random.Generator) -> SceneSpec:
     """Instantiate a SceneSpec from a parsed config, placing texture points.
 
     Recognized keys: width, height, n_events, points (count), noise,
     motion=constant|circular|bezier with their parameters (vx/vy;
     cx/cy/angle; offsets=x:y,x:y,...), and optional coverage_radius,
-    query_times (comma list). Unknown keys are ignored.
+    query_times (comma list). Unknown keys are ignored, and a non-finite
+    number raises ValueError naming its key.
     """
     width = int(cfg["width"])
     height = int(cfg["height"])
     kind = cfg.get("motion", "constant")
     if kind == "constant":
-        motion = ConstantMotion((float(cfg["vx"]), float(cfg["vy"])))
+        motion = ConstantMotion((_finite("vx", cfg["vx"]), _finite("vy", cfg["vy"])))
     elif kind == "circular":
-        motion = CircularMotion((float(cfg["cx"]), float(cfg["cy"])), float(cfg["angle"]))
+        center = (_finite("cx", cfg["cx"]), _finite("cy", cfg["cy"]))
+        motion = CircularMotion(center, _finite("angle", cfg["angle"]))
     elif kind == "bezier":
         offsets = tuple(
-            tuple(float(v) for v in pair.split(":")) for pair in cfg["offsets"].split(",")
+            tuple(_finite("offsets", v) for v in pair.split(":")) for pair in cfg["offsets"].split(",")
         )
         motion = BezierMotion(offsets)
     else:
@@ -258,9 +268,9 @@ def scene_from_config(cfg: dict, rng: np.random.Generator) -> SceneSpec:
     points = scatter_points(width, height, n_points, rng, motion)
     kw = {}
     if "query_times" in cfg:
-        kw["query_times"] = np.array([float(v) for v in cfg["query_times"].split(",")])
+        kw["query_times"] = np.array([_finite("query_times", v) for v in cfg["query_times"].split(",")])
     if "coverage_radius" in cfg:
-        kw["coverage_radius"] = float(cfg["coverage_radius"])
+        kw["coverage_radius"] = _finite("coverage_radius", cfg["coverage_radius"])
     return SceneSpec(
         width=width,
         height=height,
@@ -268,6 +278,6 @@ def scene_from_config(cfg: dict, rng: np.random.Generator) -> SceneSpec:
         points=points,
         rates=np.ones(n_points),
         n_events=int(cfg.get("n_events", 20000)),
-        noise_fraction=float(cfg.get("noise", 0.0)),
+        noise_fraction=_finite("noise", cfg.get("noise", "0")),
         **kw,
     )

@@ -7,9 +7,11 @@ from evtraj.assoc import (
     KnnConfig,
     build_consecutive_delta_field,
     build_displacement_volume,
+    delta_field_adjoint,
     interpolate_flow,
     knn_per_bin,
     regather_volume,
+    volume_adjoint,
 )
 from evtraj.trajectory import BEZIER, POLYNOMIAL, Basis, TrajectoryField, anchor_grid, eval_trajectory_batch
 
@@ -210,6 +212,33 @@ class TestConsecutiveDeltaField:
         delta = build_consecutive_delta_field(vol)
         ref = delta_field_scalar(field, vol)
         np.testing.assert_allclose(delta, ref, atol=1e-10)
+
+
+class TestAdjoints:
+    """With the neighbor sets fixed, the volume and the delta field are
+    linear in the coefficients alpha, so each adjoint A must satisfy
+    <A(u), alpha> == <u, map(alpha)>, with the map taken from the oracles."""
+
+    @pytest.mark.parametrize("basis", [Basis(BEZIER, 4), Basis(POLYNOMIAL, 2)])
+    @pytest.mark.parametrize(
+        "adjoint, oracle, n_pairs",
+        [(volume_adjoint, displacement_volume_scalar, 0), (delta_field_adjoint, delta_field_scalar, 1)],
+        ids=["volume", "delta"],
+    )
+    def test_inner_products_agree(self, basis, adjoint, oracle, n_pairs):
+        rng = np.random.default_rng(91)
+        vol = build_displacement_volume(random_field(rng, 16, 12, basis=basis), 0.35, KnnConfig(k=3), n_bins=4)
+        alpha = random_field(rng, 16, 12, basis=basis)
+        u = rng.normal(0.0, 1.0, (vol.n_bins - n_pairs, *vol.grid_shape, 2))
+        lhs = float((adjoint(alpha, vol, u) * alpha.coeffs).sum())
+        rhs = float((u * oracle(alpha, vol)).sum())
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_single_bin_delta_adjoint_is_zero(self):
+        field = random_field(np.random.default_rng(92), 16, 16, basis=Basis(POLYNOMIAL, 2))
+        vol = build_displacement_volume(field, 0.5, KnnConfig(k=4), n_bins=1)
+        delta = build_consecutive_delta_field(vol)
+        np.testing.assert_array_equal(delta_field_adjoint(field, vol, delta), 0.0)
 
 
 class TestInterpolateFlow:

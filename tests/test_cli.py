@@ -65,6 +65,16 @@ class TestSynthCommand:
         assert "error" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("line", ["vx=nan", "vy=inf", "query_times=0.5,nan"])
+    def test_non_finite_number_exits_2_naming_the_key(self, tmp_path, capsys, line):
+        key = line.split("=")[0]
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SCENE.replace(f"\n{key}=", f"\n{key}_old=") + line + "\n")
+        rc = main(["synth", str(bad), "--out", str(tmp_path / "x"), "--seed", "0"])
+        assert rc == 2
+        assert f"scene key {key}=" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_negative_seed_exits_2_before_writing(self, scene_file, tmp_path, capsys):
         out = tmp_path / "x"
         rc = main(["synth", str(scene_file), "--out", str(out), "--seed", "-1"])
@@ -111,7 +121,8 @@ class TestEstimateCommand:
         [
             ("--stride", "0", "stride"), ("--sigma", "-1", "sigma"), ("--iters", "-1", "iterations"),
             ("--lambda", "-1", "lambda"), ("--lambda", "nan", "lambda"), ("--lr", "nan", "step size"),
-            ("--seed", "-1", "seed"),
+            ("--seed", "-1", "seed"), ("--sigma", "inf", "sigma"), ("--lambda", "inf", "lambda"),
+            ("--lr", "inf", "step size"),
         ],
     )
     def test_bad_setting_exits_2(self, scene_file, tmp_path, capsys, flag, value, match):
@@ -163,6 +174,17 @@ class TestEstimateCommand:
         rc = main(["rerun", str(out / "manifest.json")])
         assert rc == 0
         assert read_tree(out) == first
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[]", "{", '{"command": "estimate"}', '{"command": "fit", "args": {}}',
+         '{"command": ["synth"], "args": {}}', '{"command": "synth", "args": []}'],
+    )
+    def test_rerun_rejects_malformed_manifest(self, tmp_path, capsys, text):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        assert main(["rerun", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
 
 
 class TestEvalCommand:
@@ -221,6 +243,17 @@ class TestEvalCommand:
         rc = main(["eval", "--pred", str(flow), "--gt", str(flow), "--events", str(data / "events.evt1")])
         assert rc == 2
         assert str(flow) in capsys.readouterr().err
+
+    def test_non_finite_map_time_exits_2(self, scene_file, tmp_path, capsys):
+        # a NaN time used to pass the time-match check against any map
+        data = tmp_path / "data"
+        main(["synth", str(scene_file), "--out", str(data), "--seed", "2"])
+        flow = tmp_path / "flow.flo1"
+        save_flow(flow, np.zeros((32, 32, 2)), float("nan"))
+        rc = main(["eval", "--pred", str(flow), "--gt", str(data / "gt_01.flo1"),
+                   "--events", str(data / "events.evt1")])
+        assert rc == 2
+        assert f"{flow}: non-finite FLO1 time nan at byte 12" in capsys.readouterr().err
 
 
 class TestRenderCommand:

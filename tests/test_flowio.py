@@ -54,6 +54,14 @@ class TestFlo1:
         assert valid.sum() == 5
         assert np.isnan(flow[0, 1, 0])
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_non_finite_time_names_path_and_offset(self, tmp_path, t):
+        path = tmp_path / "f.flo1"
+        save_flow(path, np.zeros((2, 3, 2)), t=t)
+        with pytest.raises(ValueError, match="time .* at byte 12") as info:
+            load_flow(path)
+        assert str(path) in str(info.value)
+
     def test_shape_validation(self, tmp_path):
         with pytest.raises(ValueError):
             save_flow(tmp_path / "f.flo1", np.zeros((4, 4)), t=0.0)

@@ -11,13 +11,12 @@ from evtraj.objective import (
     ObjectiveConfig,
     build_iwe,
     contrast_g,
-    loss_forward,
     regularizer_r,
-    sample_reference_time,
     warp_events,
     write_iwe_pgm,
     zero_warp_contrast,
 )
+from evtraj.optimize import loss_gradient
 from evtraj.trajectory import BEZIER, POLYNOMIAL, Basis, TrajectoryField
 
 from oracles import contrast_scalar, iwe_gaussian_scalar, iwe_scalar, regularizer_scalar, warp_scalar
@@ -166,7 +165,7 @@ class TestIwe:
         raw = np.zeros((32, 32))
         np.add.at(raw, (sl.y, sl.x), 1.0)
         assert np.array_equal(iwe.pos, raw)
-        assert regularizer_r(build_consecutive_delta_field(vol)) == 0.0
+        assert regularizer_r(build_consecutive_delta_field(vol))[0] == 0.0
 
     def test_pgm_render(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -182,22 +181,22 @@ class TestIwe:
 class TestContrast:
     def test_zero_image(self):
         iwe = Iwe(np.zeros((8, 8)), np.zeros((8, 8)))
-        assert contrast_g(iwe) == 0.0
+        assert contrast_g(iwe)[0] == 0.0
 
     def test_single_spike_frozen_value(self):
         # forward-diff stencil: |gx|=1 left of spike, |gy|=1 above, sqrt(2) at it
         img = np.zeros((9, 9))
         img[4, 4] = 1.0
         iwe = Iwe(img, np.zeros_like(img))
-        assert contrast_g(iwe) == pytest.approx(2.0 + np.sqrt(2.0))
-        assert contrast_g(iwe) == pytest.approx(contrast_scalar(img))
+        assert contrast_g(iwe)[0] == pytest.approx(2.0 + np.sqrt(2.0))
+        assert contrast_g(iwe)[0] == pytest.approx(contrast_scalar(img))
 
     def test_matches_scalar_stencil(self):
         rng = np.random.default_rng(12)
         img_p = rng.random((13, 17))
         img_n = rng.random((13, 17))
         iwe = Iwe(img_p, img_n)
-        assert contrast_g(iwe) == pytest.approx(
+        assert contrast_g(iwe)[0] == pytest.approx(
             contrast_scalar(img_p) + contrast_scalar(img_n), rel=1e-12
         )
 
@@ -208,10 +207,10 @@ class TestContrast:
         field = gt_field(spec.motion, 48, 48, 4, Basis(POLYNOMIAL, 1))
         cfg = KnnConfig(k=8)
         vol_true = build_displacement_volume(field, 1.0, cfg, n_bins=15)
-        g_true = contrast_g(build_iwe(warp_events(sl, vol_true), sigma=1.0))
+        g_true = contrast_g(build_iwe(warp_events(sl, vol_true), sigma=1.0))[0]
         g_zero = contrast_g(
             build_iwe(warp_events(sl, DisplacementVolume.zeros(48, 48)), sigma=1.0)
-        )
+        )[0]
         assert g_true > g_zero
 
     def test_translation_equivariance_of_g(self):
@@ -230,7 +229,7 @@ class TestContrast:
         vol = random_volume(rng, width=24, height=24, scale=0.4)
         warped = warp_events(sl, vol)
         assert warped.n_masked == 0
-        g_small = contrast_g(build_iwe(warped))
+        g_small = contrast_g(build_iwe(warped))[0]
         shifted = EventSlice.from_arrays(
             sl.x + 8, sl.y + 4, sl.t, sl.p, 40, 36, t_start=0.0, t_end=1.0
         )
@@ -238,22 +237,22 @@ class TestContrast:
         vol_big.disp[:, 1:7, 2:8, :] = vol.disp  # same table under the shifted cells
         warped_big = warp_events(shifted, vol_big)
         assert warped_big.n_masked == 0
-        g_big = contrast_g(build_iwe(warped_big))
+        g_big = contrast_g(build_iwe(warped_big))[0]
         assert abs(g_big - g_small) < 1e-9
 
 
 class TestRegularizer:
     def test_spatially_constant_field(self):
         field = np.broadcast_to([1.0, 2.0], (4, 6, 6, 2)).copy()
-        assert regularizer_r(field) == 0.0
+        assert regularizer_r(field)[0] == 0.0
 
     def test_empty_field(self):
-        assert regularizer_r(np.zeros((0, 4, 4, 2))) == 0.0
+        assert regularizer_r(np.zeros((0, 4, 4, 2)))[0] == 0.0
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(14)
         field = rng.normal(0, 2, (5, 7, 9, 2))
-        assert regularizer_r(field) == pytest.approx(regularizer_scalar(field), abs=1e-10)
+        assert regularizer_r(field)[0] == pytest.approx(regularizer_scalar(field), abs=1e-10)
 
 
 class TestTotalLoss:
@@ -262,8 +261,8 @@ class TestTotalLoss:
         sl = random_slice(rng)
         field = TrajectoryField.zeros(32, 32, 4, Basis(POLYNOMIAL, 1))
         cfg = ObjectiveConfig(time_weighting=False, knn=KnnConfig(k=8))
-        out = loss_forward(sl, field, ((0.5, 1.0),), cfg)[0]
-        g0 = contrast_g(build_iwe(warp_events(sl, DisplacementVolume.zeros(32, 32))))
+        out = loss_gradient(sl, field, ((0.5, 1.0),), cfg)[0]
+        g0 = contrast_g(build_iwe(warp_events(sl, DisplacementVolume.zeros(32, 32))))[0]
         assert out.total == pytest.approx(1.0 / g0)
         assert out.r == 0.0
         assert not out.degenerate
@@ -274,7 +273,7 @@ class TestTotalLoss:
         field = TrajectoryField.zeros(32, 32, 4, Basis(BEZIER, 3))
         field.coeffs[...] = rng.normal(0, 1, field.coeffs.shape)
         cfg = ObjectiveConfig(lam=0.0, knn=KnnConfig(k=8))
-        out = loss_forward(sl, field, ((0.25, 1.0),), cfg)[0]
+        out = loss_gradient(sl, field, ((0.25, 1.0),), cfg)[0]
         assert out.total == pytest.approx(1.0 / out.g)
 
     def test_breakdown_recomposes(self):
@@ -283,7 +282,7 @@ class TestTotalLoss:
         field = TrajectoryField.zeros(32, 32, 4, Basis(BEZIER, 3))
         field.coeffs[...] = rng.normal(0, 1, field.coeffs.shape)
         cfg = ObjectiveConfig(knn=KnnConfig(k=8))
-        out = loss_forward(sl, field, ((0.25, 1.0),), cfg)[0]
+        out = loss_gradient(sl, field, ((0.25, 1.0),), cfg)[0]
         assert out.total == pytest.approx(1.0 / max(out.g, 1e-8) + out.lam * out.r, abs=1e-12)
 
     def test_ground_truth_beats_zero_on_constant_flow(self):
@@ -292,15 +291,15 @@ class TestTotalLoss:
         zero = TrajectoryField.zeros(48, 48, 4, Basis(POLYNOMIAL, 1))
         true = gt_field(spec.motion, 48, 48, 4, Basis(POLYNOMIAL, 1))
         for t_ref in (0.0, 0.5, 1.0):
-            true_loss = loss_forward(sl, true, ((t_ref, 1.0),), cfg)[0]
-            assert true_loss.total < loss_forward(sl, zero, ((t_ref, 1.0),), cfg)[0].total
+            true_loss = loss_gradient(sl, true, ((t_ref, 1.0),), cfg)[0]
+            assert true_loss.total < loss_gradient(sl, zero, ((t_ref, 1.0),), cfg)[0].total
 
     def test_degenerate_flag_when_all_masked(self):
         sl = EventSlice.from_arrays([1, 2], [1, 2], [0.1, 0.9], [1, -1], 8, 8,
                                     t_start=0.0, t_end=1.0)
         field = TrajectoryField.zeros(8, 8, 4, Basis(POLYNOMIAL, 1))
         field.coeffs[..., 0] = 1e6
-        out = loss_forward(sl, field, ((1.0, 1.0),), ObjectiveConfig(knn=KnnConfig(k=1)))[0]
+        out = loss_gradient(sl, field, ((1.0, 1.0),), ObjectiveConfig(knn=KnnConfig(k=1)))[0]
         assert out.degenerate
         assert out.n_masked == 2
         assert np.isfinite(out.total)
@@ -311,34 +310,16 @@ class TestTotalLoss:
         field = TrajectoryField.zeros(32, 32, 4, Basis(BEZIER, 5))
         field.coeffs[...] = rng.normal(0, 2, field.coeffs.shape)
         cfg = ObjectiveConfig(knn=KnnConfig(k=8))
-        a = loss_forward(sl, field, ((0.625, 1.0),), cfg)[0]
-        b = loss_forward(sl, field, ((0.625, 1.0),), cfg)[0]
+        a = loss_gradient(sl, field, ((0.625, 1.0),), cfg)[0]
+        b = loss_gradient(sl, field, ((0.625, 1.0),), cfg)[0]
         assert (a.g, a.r, a.total) == (b.g, b.r, b.total)
-
-
-class TestReferenceTime:
-    def test_seed_determinism(self):
-        a = [sample_reference_time(np.random.default_rng(42)) for _ in range(5)]
-        rng = np.random.default_rng(42)
-        b = [sample_reference_time(rng) for _ in range(1)] * 5
-        assert a[0] == b[0]
-        rng1, rng2 = np.random.default_rng(7), np.random.default_rng(7)
-        seq1 = [sample_reference_time(rng1) for _ in range(100)]
-        seq2 = [sample_reference_time(rng2) for _ in range(100)]
-        assert seq1 == seq2
-
-    def test_mean_and_bounds(self):
-        rng = np.random.default_rng(123)
-        draws = np.array([sample_reference_time(rng) for _ in range(100000)])
-        assert abs(draws.mean() - 0.5) < 0.01
-        assert draws.min() >= 0.0 and draws.max() <= 1.0
 
 
 def fixed_reference_f(sl, field, cfg):
     """F of the baseline: the loss over FIXED_REFERENCES with G_0, lambda = 0
     and no time weighting."""
     base = replace(cfg, lam=0.0, time_weighting=False)
-    return loss_forward(sl, field, FIXED_REFERENCES, base, zero_warp_contrast(sl, field.stride, cfg))[0].g
+    return loss_gradient(sl, field, FIXED_REFERENCES, base, zero_warp_contrast(sl, field.stride, cfg))[0].g
 
 
 class TestFixedReferenceLoss:

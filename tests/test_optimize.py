@@ -6,14 +6,14 @@ import pytest
 import evtraj.assoc as assoc
 import evtraj.objective as objective
 import evtraj.optimize as optimize
-from evtraj.assoc import KnnConfig, build_displacement_volume, interpolate_flow
+from evtraj.assoc import KnnConfig, build_consecutive_delta_field, build_displacement_volume, interpolate_flow
 from evtraj.events import EventSlice
 from evtraj.metrics import epe_ae
 from evtraj.objective import (
     FIXED_REFERENCES,
     ObjectiveConfig,
     contrast_pass,
-    loss_forward,
+    regularizer_r,
     warp_events,
     zero_warp_contrast,
 )
@@ -80,7 +80,7 @@ def fd_check_coordinates(sl, field, cfg, refs, h, rng, n_coords, g0=1.0):
     def loss_of(coeffs):
         f = field.copy()
         f.coeffs = coeffs
-        return loss_forward(sl, f, refs, cfg, g0)[0].total
+        return loss_gradient(sl, f, refs, cfg, g0)[0].total
 
     shape = field.coeffs.shape
     cols = shape[1]
@@ -168,8 +168,8 @@ class TestLossGradient:
             plus.coeffs = base.coeffs + h * direction
             minus.coeffs = base.coeffs - h * direction
             fd = (
-                loss_forward(sl, plus, one(0.55), cfg)[0].total
-                - loss_forward(sl, minus, one(0.55), cfg)[0].total
+                loss_gradient(sl, plus, one(0.55), cfg)[0].total
+                - loss_gradient(sl, minus, one(0.55), cfg)[0].total
             ) / (2 * h)
             analytic = float((grad * direction).sum())
             assert abs(analytic - fd) / max(abs(analytic), abs(fd)) < 1e-4
@@ -191,7 +191,7 @@ class TestLossGradient:
         sl, field = small_instance(seed=18)
         cfg = ObjectiveConfig(sigma=sigma, knn=KnnConfig(k=8), n_bins=5)
         g = [
-            contrast_pass(sl, build_displacement_volume(field, t, cfg.knn, cfg.n_bins), sigma, False).g
+            contrast_pass(sl, build_displacement_volume(field, t, cfg.knn, cfg.n_bins), sigma, False)[0]
             for t in (0.0, 0.5, 1.0)
         ]
         f = (g[0] + 2.0 * g[1] + g[2]) / (4.0 * zero_warp_contrast(sl, field.stride, cfg))
@@ -218,31 +218,32 @@ class TestLossGradient:
         sl, field = small_instance(seed=17)
         cfg = ObjectiveConfig(sigma=sigma, knn=KnnConfig(k=8), n_bins=5)
         inputs = baseline(sl, field, cfg)
-        shared = loss_forward(sl, field, *inputs)
-        shared_step = loss_gradient(sl, field, *inputs)
+        shared = loss_gradient(sl, field, *inputs)
         built = []
 
         def fresh_build(field, volume, t_ref):
             built.append(t_ref)
             return build_displacement_volume(field, t_ref, cfg.knn, cfg.n_bins)
 
-        monkeypatch.setattr(objective, "regather_volume", fresh_build)
-        breakdown, passes, _ = loss_forward(sl, field, *inputs)
+        monkeypatch.setattr(optimize, "regather_volume", fresh_build)
         step = loss_gradient(sl, field, *inputs)
-        assert built == [0.5, 1.0, 0.5, 1.0]
-        assert shared[0] == breakdown
-        for a, b in zip(shared[1], passes):
-            np.testing.assert_array_equal(a.volume.disp, b.volume.disp)
-            np.testing.assert_array_equal(a.volume.knn_indices, b.volume.knn_indices)
-        assert shared_step[0] == step[0]
-        np.testing.assert_array_equal(shared_step[1], step[1])
+        assert built == [0.5, 1.0]
+        assert shared[0] == step[0]
+        np.testing.assert_array_equal(shared[1], step[1])
 
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_value_and_gradient_paths_agree_exactly(self, seed, sigma):
+        # the breakdown equals the loss composed from the terms by hand
         sl, field = small_instance(seed=seed)
         cfg = ObjectiveConfig(sigma=sigma, knn=KnnConfig(k=8), n_bins=5, time_weighting=True)
-        assert loss_forward(sl, field, one(0.43), cfg)[0] == loss_gradient(sl, field, one(0.43), cfg)[0]
+        volume = build_displacement_volume(field, 0.43, cfg.knn, cfg.n_bins)
+        g, _, n_masked = contrast_pass(sl, volume, sigma, True)
+        r = regularizer_r(build_consecutive_delta_field(volume))[0]
+        lam = cfg.lam / (sl.width * sl.height)
+        out = loss_gradient(sl, field, one(0.43), cfg)[0]
+        assert (out.g, out.r, out.lam, out.n_masked) == (g, r, lam, n_masked)
+        assert out.total == 1.0 / g + lam * r
 
     def test_degenerate_guard_gradient(self):
         # every event masked: contrast path dead, smoothness path alive
@@ -273,6 +274,7 @@ class TestMinimize:
         np.testing.assert_array_equal(a.total, b.total)
         np.testing.assert_array_equal(a.t_ref, b.t_ref)
         np.testing.assert_array_equal(a.field.coeffs, b.field.coeffs)
+        assert np.all((0.0 <= a.t_ref) & (a.t_ref < 1.0))
 
     def test_nonfinite_aborts_with_iteration(self):
         sl, field = small_instance(seed=12)
@@ -353,8 +355,8 @@ class TestMinimize:
             return wrapper
 
         monkeypatch.setattr(optimize, "loss_gradient", counted("grad", optimize.loss_gradient))
-        monkeypatch.setattr(objective, "build_displacement_volume",
-                            counted("build", objective.build_displacement_volume))
+        monkeypatch.setattr(optimize, "build_displacement_volume",
+                            counted("build", optimize.build_displacement_volume))
         minimize(sl, field, ocfg)
         # one build, inside the gradient, per iteration
         assert calls == ["grad", "build"] * 3
