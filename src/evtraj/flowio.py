@@ -16,10 +16,16 @@ _HEADER = np.dtype([("magic", "S4"), ("width", "<u4"), ("height", "<u4"), ("t", 
 
 
 def save_flow(path, flow: np.ndarray, t: float, valid: np.ndarray | None = None) -> None:
-    """Write one (H, W, 2) displacement map; invalid pixels become NaN."""
+    """Write one (H, W, 2) displacement map; invalid pixels become NaN.
+
+    A non-finite ``t``, which :func:`load_flow` rejects, raises ValueError
+    and writes nothing.
+    """
     flow = np.asarray(flow, dtype=np.float64)
     if flow.ndim != 3 or flow.shape[2] != 2:
         raise ValueError("flow must have shape (H, W, 2)")
+    if not np.isfinite(t):
+        raise ValueError(f"FLO1 time must be finite, got {t}")
     data = flow.astype("<f4")
     if valid is not None:
         data = data.copy()

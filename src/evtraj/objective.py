@@ -29,8 +29,12 @@ Accumulation uses one separable stencil: an event deposits its weight
 through the outer product of a y and an x kernel, 2-tap linear (sigma = 0,
 bilinear voting) or a Gaussian truncated at floor(x') +- ceil(3 sigma) and
 normalized over its in-image taps. Events warped off-image contribute
-nothing. All scatter operations reduce with np.bincount in a fixed order,
-so results are bit-identical across runs and thread settings.
+nothing. The events pass through the stencil in blocks of a fixed tap
+budget, so no array holds every event's taps at once. The IWE is summed
+block by block in event order with np.add.at, which adds tap by tap as one
+np.bincount over all taps would; the per-event derivatives reach the
+voxels through one np.bincount. Every reduction runs in a fixed order, so
+results are bit-identical across runs, block sizes and thread settings.
 """
 
 from __future__ import annotations
@@ -47,6 +51,9 @@ EPS_CONTRAST = 1e-8
 
 # (t_ref, weight) of the three-reference baseline; the weights sum to 4
 FIXED_REFERENCES = ((0.0, 1.0), (0.5, 2.0), (1.0, 1.0))
+
+# taps per voting block: 8,192 events at sigma = 1 (L = 64 taps each)
+_BLOCK_TAPS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -166,54 +173,78 @@ def _axis_kernel(coord, size: int, sigma: float):
         r = math.ceil(3.0 * sigma)
         cells = c0[:, None] + np.arange(-r, r + 2)
         d = cells - coord[:, None]
-        k = np.exp(-np.square(d) * (0.5 / (sigma * sigma)))
+        k = np.square(d)  # in place from here on: (N, l) arrays are the pass's peak
+        k *= -0.5 / (sigma * sigma)
+        np.exp(k, out=k)
     inside = (cells >= 0) & (cells < size)
     k *= inside
     if sigma > 0.0:
         norm = k.sum(axis=1, keepdims=True)
         k /= np.where(norm > 0.0, norm, 1.0)
-        rel = d / (sigma * sigma)
-        dk = k * (rel - (k * rel).sum(axis=1, keepdims=True))
-    return np.clip(cells, 0, size - 1), k, dk * inside
+        dk = d  # d / sigma^2 less its k-weighted mean, times k
+        dk /= sigma * sigma
+        dk -= (k * dk).sum(axis=1, keepdims=True)
+        dk *= k
+    return np.clip(cells, 0, size - 1, out=cells), k, dk * inside
 
 
 def voting_stencil(positions, mask, weights, width: int, height: int, sigma: float):
-    """Per-event footprint (pix (N, L), contrib (N, L), pullback) of the
-    separable kernel: an event deposits mask * weight * (k_y (x) k_x), the
-    per-axis factors of :func:`_axis_kernel`, over L = l * l taps, y outer
-    and x inner, so unmasked rows of ``contrib`` sum to the weight.
-    ``pullback(cot)`` contracts a tap cotangent (N, L) with (k_y (x) dk_x)
-    and (dk_y (x) k_x) into (d/dx', d/dy'), each (N,).
+    """Per-event factors of the separable kernel: ((cx, kx, dkx), (cy, ky,
+    dky), mw), the per-axis (taps, k, dk) of :func:`_axis_kernel`, each
+    (N, l), and mw = mask * weight. An event deposits mw * (k_y (x) k_x) over
+    L = l * l taps, y outer and x inner, so an unmasked event's deposits sum
+    to its weight. :func:`_accumulate` forms these L products block by block.
     """
-    cx, kx, dkx = _axis_kernel(positions[:, 0], width, sigma)
-    cy, ky, dky = _axis_kernel(positions[:, 1], height, sigma)
-    n, l = kx.shape
-    mw = mask * weights
-    contrib = np.einsum("ni,nj->nij", ky, kx)
-    contrib *= mw[:, None, None]
-    pix = cy[:, :, None] * width + cx[:, None, :]
-
-    def pullback(cot):
-        cot = cot.reshape(n, l, l)  # one axis at a time: faster than a single einsum
-        return (mw * np.einsum("ni,ni->n", np.einsum("nij,nj->ni", cot, dkx), ky),
-                mw * np.einsum("nj,nj->n", np.einsum("nij,ni->nj", cot, dky), kx))
-
-    return pix.reshape(n, l * l), contrib.reshape(n, l * l), pullback
+    return (
+        _axis_kernel(positions[:, 0], width, sigma),
+        _axis_kernel(positions[:, 1], height, sigma),
+        mask * weights,
+    )
 
 
 def _accumulate(warped: WarpedEvents, sigma: float, polarity_split: bool):
-    """(Iwe, taps into the stacked (pos, neg) images, stencil pullback)."""
-    taps, contrib, pullback = voting_stencil(
+    """(Iwe, pullback). ``pullback(dgdi)`` takes dG/dI stacked (2, H, W) as
+    (pos, neg) and returns (d/dx', d/dy'), each (N,): the tap cotangent
+    contracted with (k_y (x) dk_x) and (dk_y (x) k_x), one axis at a time.
+
+    Both run over blocks of about ``_BLOCK_TAPS // L`` events, so the taps,
+    deposits and cotangent are never (N, L); a one-block pass keeps its
+    taps for the pullback instead of forming them again.
+    """
+    (cx, kx, dkx), (cy, ky, dky), mw = voting_stencil(
         warped.positions, warped.mask, warped.weights, warped.width, warped.height, sigma
     )
-    npix = warped.width * warped.height
-    if polarity_split:
-        # single pass: negative-polarity taps land in the second half
-        taps += ((warped.polarity < 0).astype(np.int64) * npix)[:, None]
-    counts = np.bincount(taps.ravel(), weights=contrib.ravel(), minlength=2 * npix)
+    n, l = kx.shape
+    width, npix = warped.width, warped.width * warped.height
+    # negative-polarity taps land in the second half of the stacked images
+    offset = (warped.polarity < 0).astype(np.int64) * npix if polarity_split else np.zeros(n, np.int64)
+    step = max(1, _BLOCK_TAPS // (l * l))
+    blocks = [slice(a, a + step) for a in range(0, n, step)]
+
+    def taps(s):
+        return cy[s, :, None] * width + cx[s, None, :] + offset[s, None, None]
+
+    counts = np.zeros(2 * npix)
+    for s in blocks:
+        block_taps = taps(s)
+        contrib = np.einsum("ni,nj->nij", ky[s], kx[s])
+        contrib *= mw[s, None, None]
+        np.add.at(counts, block_taps.ravel(), contrib.ravel())
+    kept = block_taps if len(blocks) == 1 else None
     shape = (warped.height, warped.width)
     iwe = Iwe(counts[:npix].reshape(shape), counts[npix:].reshape(shape))
-    return iwe, taps, pullback
+
+    def pullback(dgdi):
+        flat = dgdi.ravel()
+        gx, gy = np.empty(n), np.empty(n)
+        for s in blocks:
+            cot = flat[taps(s) if kept is None else kept]
+            # one axis at a time: faster than a single einsum
+            gx[s] = mw[s] * np.einsum("ni,ni->n", np.einsum("nij,nj->ni", cot, dkx[s]), ky[s])
+            gy[s] = mw[s] * np.einsum("nj,nj->n", np.einsum("nij,ni->nj", cot, dky[s]), kx[s])
+        return gx, gy
+
+    return iwe, pullback
 
 
 def build_iwe(warped: WarpedEvents, sigma: float = 0.0, polarity_split: bool = True) -> Iwe:
@@ -260,10 +291,10 @@ def contrast_pass(sl: EventSlice, volume: DisplacementVolume, sigma: float, time
     (d/dx', d/dy') and summed onto its voxel.
     """
     warped = warp_events(sl, volume, time_weighting=time_weighting)
-    iwe, taps, pullback = _accumulate(warped, sigma, polarity_split=True)
+    iwe, pullback = _accumulate(warped, sigma, polarity_split=True)
     g, dgdi = contrast_g(iwe)
     nvox = volume.disp.size // 2
-    gdisp = [np.bincount(warped.vox_idx, weights=d, minlength=nvox) for d in pullback(dgdi.ravel()[taps])]
+    gdisp = [np.bincount(warped.vox_idx, weights=d, minlength=nvox) for d in pullback(dgdi)]
     return g, np.stack(gdisp, axis=1).reshape(volume.disp.shape), warped.n_masked
 
 

@@ -140,6 +140,26 @@ def iwe_gaussian_scalar(positions, weights, mask, width, height, sigma):
     return img
 
 
+def iwe_full_stencil(axes, offset, width, n_cells):
+    """Stacked IWE from the voting stencil's per-axis factors ``axes`` =
+    ((cx, kx, dkx), (cy, ky, dky), mw): every event's (N, L) taps and
+    deposits formed at once and reduced by one np.bincount over ``n_cells``
+    cells, each event's taps shifted by ``offset``."""
+    (cx, kx, _), (cy, ky, _), mw = axes
+    taps = cy[:, :, None] * width + cx[:, None, :] + offset[:, None, None]
+    deposits = ky[:, :, None] * kx[:, None, :] * mw[:, None, None]
+    return np.bincount(taps.ravel(), weights=deposits.ravel(), minlength=n_cells)
+
+
+def pullback_full_stencil(axes, offset, width, dgdi):
+    """Per-event (d/dx', d/dy') of the same stencil: dG/dI gathered at every
+    event's (N, L) taps at once, contracted one axis at a time."""
+    (cx, kx, dkx), (cy, ky, dky), mw = axes
+    cot = dgdi.ravel()[cy[:, :, None] * width + cx[:, None, :] + offset[:, None, None]]
+    return (mw * np.einsum("ni,ni->n", np.einsum("nij,nj->ni", cot, dkx), ky),
+            mw * np.einsum("nj,nj->n", np.einsum("nij,ni->nj", cot, dky), kx))
+
+
 def contrast_scalar(img):
     """Sum of forward-difference gradient magnitudes, zero on far edges."""
     height, width = img.shape

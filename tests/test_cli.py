@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -249,7 +250,10 @@ class TestEvalCommand:
         data = tmp_path / "data"
         main(["synth", str(scene_file), "--out", str(data), "--seed", "2"])
         flow = tmp_path / "flow.flo1"
-        save_flow(flow, np.zeros((32, 32, 2)), float("nan"))
+        save_flow(flow, np.zeros((32, 32, 2)), 1.0)
+        raw = bytearray(flow.read_bytes())
+        raw[12:20] = struct.pack("<d", float("nan"))
+        flow.write_bytes(bytes(raw))
         rc = main(["eval", "--pred", str(flow), "--gt", str(data / "gt_01.flo1"),
                    "--events", str(data / "events.evt1")])
         assert rc == 2

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -57,10 +59,20 @@ class TestFlo1:
     @pytest.mark.parametrize("t", [float("nan"), float("inf")])
     def test_non_finite_time_names_path_and_offset(self, tmp_path, t):
         path = tmp_path / "f.flo1"
-        save_flow(path, np.zeros((2, 3, 2)), t=t)
+        save_flow(path, np.zeros((2, 3, 2)), t=0.5)
+        raw = bytearray(path.read_bytes())
+        raw[12:20] = struct.pack("<d", t)
+        path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="time .* at byte 12") as info:
             load_flow(path)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+    def test_writer_refuses_non_finite_time(self, tmp_path, t):
+        path = tmp_path / "f.flo1"
+        with pytest.raises(ValueError, match="time must be finite"):
+            save_flow(path, np.zeros((2, 3, 2)), t=t)
+        assert not path.exists()
 
     def test_shape_validation(self, tmp_path):
         with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import evtraj.objective as objective
 from evtraj.assoc import DisplacementVolume, KnnConfig, build_consecutive_delta_field, build_displacement_volume
 from evtraj.events import EventSlice
 from evtraj.objective import (
@@ -11,7 +13,9 @@ from evtraj.objective import (
     ObjectiveConfig,
     build_iwe,
     contrast_g,
+    contrast_pass,
     regularizer_r,
+    voting_stencil,
     warp_events,
     write_iwe_pgm,
     zero_warp_contrast,
@@ -19,7 +23,15 @@ from evtraj.objective import (
 from evtraj.optimize import loss_gradient
 from evtraj.trajectory import BEZIER, POLYNOMIAL, Basis, TrajectoryField
 
-from oracles import contrast_scalar, iwe_gaussian_scalar, iwe_scalar, regularizer_scalar, warp_scalar
+from oracles import (
+    contrast_scalar,
+    iwe_full_stencil,
+    iwe_gaussian_scalar,
+    iwe_scalar,
+    pullback_full_stencil,
+    regularizer_scalar,
+    warp_scalar,
+)
 from scenes import constant_scene, gt_field
 
 
@@ -176,6 +188,50 @@ class TestIwe:
         raw = path.read_bytes()
         assert raw.startswith(b"P5\n#")
         assert raw.count(b"\n", 0, 60) >= 3
+
+
+class TestVotingBlocks:
+    @pytest.mark.parametrize("sigma", [0.0, 0.7, 3.0])
+    def test_block_size_does_not_change_bits(self, monkeypatch, sigma):
+        rng = np.random.default_rng(23)
+        sl = random_slice(rng, n=400)
+        vol = random_volume(rng)
+        warped = warp_events(sl, vol, time_weighting=True)
+        assert 0 < warped.n_masked
+        axes = voting_stencil(warped.positions, warped.mask, warped.weights, 32, 32, sigma)
+        taps = axes[0][0].shape[1] ** 2
+        npix = 32 * 32
+        split = (sl.p < 0).astype(np.int64) * npix
+        # the unblocked definition: one np.bincount over every event's taps
+        ref = {s: iwe_full_stencil(axes, split if s else np.zeros(len(sl), np.int64), 32, 2 * npix)
+               for s in (True, False)}
+        ref_g, dgdi = contrast_g(Iwe(ref[True][:npix].reshape(32, 32), ref[True][npix:].reshape(32, 32)))
+        nvox = vol.disp.size // 2
+        ref_grad = np.stack([np.bincount(warped.vox_idx, weights=d, minlength=nvox)
+                             for d in pullback_full_stencil(axes, split, 32, dgdi)], axis=1)
+        for events_per_block in (1, 37, len(sl)):
+            monkeypatch.setattr(objective, "_BLOCK_TAPS", events_per_block * taps)
+            for s in (True, False):
+                iwe = build_iwe(warped, sigma=sigma, polarity_split=s)
+                assert np.array_equal(np.concatenate([iwe.pos.ravel(), iwe.neg.ravel()]), ref[s])
+            g, grad, n_masked = contrast_pass(sl, vol, sigma, time_weighting=True)
+            assert g == ref_g
+            assert np.array_equal(grad, ref_grad.reshape(vol.disp.shape))
+            assert n_masked == warped.n_masked
+
+    def test_contrast_pass_memory_is_bounded(self):
+        # sigma = 3 votes over 400 taps per event: one (N, 400) float64 array
+        # of 20,000 events alone would take 61 MB
+        rng = np.random.default_rng(24)
+        sl = random_slice(rng, n=20_000, width=128, height=96)
+        vol = random_volume(rng, width=128, height=96, stride=8)
+        tracemalloc.start()
+        try:
+            contrast_pass(sl, vol, 3.0, time_weighting=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
 
 class TestContrast:

@@ -127,8 +127,8 @@ class TestLossGradient:
 
     @pytest.mark.parametrize(
         "seed, t_ref, n_coords, sigma",
-        [(2, 0.43, 40, 1.0), (8, 0.37, 32, 1.0), (9, 0.43, 40, 0.7)],
-        ids=["seed2", "seed8", "seed9-sigma0.7"],
+        [(2, 0.43, 40, 1.0), (8, 0.37, 32, 1.0), (9, 0.43, 40, 0.7), (2, 0.43, 40, 3.0)],
+        ids=["seed2", "seed8", "seed9-sigma0.7", "seed2-sigma3"],
     )
     def test_matches_finite_differences_gaussian(self, seed, t_ref, n_coords, sigma):
         sl, field = small_instance(seed=seed)
