@@ -5,17 +5,16 @@ The volume has shape [n_bins, H/stride, W/stride, 2]. For each temporal
 bin, trajectory positions are evaluated at the bin center and an exact
 K-nearest-neighbor search associates every cell center with the K
 trajectories passing closest to it *at that time* (the moving frame).
-The cell's displacement toward the reference time is the mean over those
-neighbors of q_n(t_ref) - q_n(t_bin).
+The neighbor sets depend only on the field, never on t_ref.
 
-The neighbor sets depend only on the field (its positions at the bin
-centers), never on t_ref. One search per field therefore serves every
-reference time: :func:`regather_volume` re-targets a built volume to
-another t_ref by a gather over the same sets, with no search.
-
-With the neighbor sets fixed, the volume and the consecutive delta field
-are linear in the coefficients; :func:`volume_adjoint` and
-:func:`delta_field_adjoint` are the transposes of those maps.
+With the sets fixed, everything derived from them is one linear map of
+the coefficients alpha: the mean over a set of a_b . alpha_n, for a change
+of basis a_b. The volume uses a_b = g(t_ref) - g(t_b), the consecutive
+delta field g(t_{b+1}) - g(t_b), and the dense flow g(t) over the t=0
+pixel sets. :func:`_neighbor_mean` is that map and :func:`_pull_to_coeffs`
+its transpose, so a fresh build is the search followed by
+:func:`regather_volume`, and :func:`volume_adjoint` and
+:func:`delta_field_adjoint` pull back through the same step matrices.
 
 The KNN search streams over fixed-size tiles of query cells so the full
 cells x anchors distance matrix is never materialized; results are
@@ -26,15 +25,14 @@ which makes the whole pipeline deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .trajectory import TrajectoryField, anchor_grid, displacement_basis, eval_trajectory_batch
 
-# Test instrumentation: when set, called with the byte size of every
-# distance tile allocated by the streaming KNN.
-_dist_alloc_hook = None
+# query cells per distance tile of the KNN search
+_KNN_TILE = 1024
 
 
 @dataclass(frozen=True)
@@ -48,12 +46,12 @@ class KnnConfig:
             raise ValueError("k must be >= 1")
 
 
-def knn_per_bin(query_cells, traj_positions, k: int, tile_size: int = 1024):
+def knn_per_bin(query_cells, traj_positions, k: int):
     """Exact KNN of each query cell among trajectory positions.
 
     Returns (indices, distances), both (n_cells, k); the k anchors with
     smallest Euclidean distance to each cell center, ties broken by lower
-    anchor index. Streams over tiles of at most ``tile_size`` cells.
+    anchor index. Streams over tiles of at most ``_KNN_TILE`` cells.
     """
     query = np.asarray(query_cells, dtype=np.float64)
     pts = np.asarray(traj_positions, dtype=np.float64)
@@ -64,8 +62,8 @@ def knn_per_bin(query_cells, traj_positions, k: int, tile_size: int = 1024):
         raise ValueError("positions must be finite")
     idx = np.empty((n_cells, k), dtype=np.int64)
     dist = np.empty((n_cells, k), dtype=np.float64)
-    for start in range(0, n_cells, tile_size):
-        tile = query[start : start + tile_size]
+    for start in range(0, n_cells, _KNN_TILE):
+        tile = query[start : start + _KNN_TILE]
         # squared in place and freed before the next tile, so at most two
         # (tile, n_pts) float arrays are live at once
         d2 = tile[:, None, 0] - pts[None, :, 0]
@@ -73,8 +71,6 @@ def knn_per_bin(query_cells, traj_positions, k: int, tile_size: int = 1024):
         np.square(d2, out=d2)
         d2 += np.square(dy, out=dy)
         del dy
-        if _dist_alloc_hook is not None:
-            _dist_alloc_hook(d2.nbytes)
         order = _topk_stable(d2, k)
         idx[start : start + tile.shape[0]] = order
         dist[start : start + tile.shape[0]] = np.sqrt(
@@ -124,11 +120,10 @@ def _topk_stable(d2, k):
 class DisplacementVolume:
     """Per (bin, cell) mean displacement toward t_ref, plus the KNN indices.
 
-    ``disp`` is (n_bins, rows, cols, 2) in (dx, dy) pixels; ``knn_indices``
-    is (n_bins, rows, cols, k) of flat anchor indices. ``pos_bins`` is
-    (n_bins, n_anchors, 2), the trajectory positions at the bin centers
-    that the neighbor sets were searched among; None for volumes not built
-    from a field. Immutable once built.
+    ``disp`` is (n_bins, rows, cols, 2) in (dx, dy) pixels, the neighbor
+    mean of q_n(t_ref) - q_n(t_b); ``knn_indices`` is (n_bins, rows, cols, k)
+    of flat anchor indices, the sets that mean runs over. Immutable once
+    built.
     """
 
     t_ref: float
@@ -138,7 +133,6 @@ class DisplacementVolume:
     bin_centers: np.ndarray
     disp: np.ndarray
     knn_indices: np.ndarray
-    pos_bins: np.ndarray | None = None
 
     @property
     def n_bins(self) -> int:
@@ -165,68 +159,21 @@ class DisplacementVolume:
         )
 
 
-def build_displacement_volume(
-    field: TrajectoryField, t_ref: float, cfg: KnnConfig, n_bins: int
-) -> DisplacementVolume:
-    """Build the warp lookup table for one reference time.
-
-    Bin centers sit at (b + 0.5) / n_bins. The neighbor sets depend only
-    on the field, so one build per field serves every reference time
-    (:func:`regather_volume`). Construction is pure per-voxel computation,
-    so the result is independent of evaluation order.
-    """
-    if not 0.0 <= t_ref <= 1.0:
-        raise ValueError("t_ref must lie in [0, 1]")
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
-    rows, cols, centers = anchor_grid(field.width, field.height, field.stride)
-    bin_centers = (np.arange(n_bins) + 0.5) / n_bins
-    pos_bins = eval_trajectory_batch(field, bin_centers)  # (B, N, 2)
-    knn_idx = np.empty((n_bins, rows * cols, cfg.k), dtype=np.int64)
-    for b in range(n_bins):
-        knn_idx[b] = knn_per_bin(centers, pos_bins[b], cfg.k)[0]
-    return _gather(
-        field, t_ref, bin_centers, pos_bins, knn_idx.reshape(n_bins, rows, cols, cfg.k)
-    )
-
-
-def regather_volume(field: TrajectoryField, volume: DisplacementVolume, t_ref: float) -> DisplacementVolume:
-    """``volume`` re-targeted to another reference time, with no search.
-
-    ``volume`` must come from :func:`build_displacement_volume` on this
-    ``field``; the result shares its neighbor sets and bin positions and
-    equals, bit for bit, a fresh build at ``t_ref`` (outside [0, 1] the
-    trajectory evaluation raises ValueError).
-    """
-    return _gather(field, t_ref, volume.bin_centers, volume.pos_bins, volume.knn_indices)
-
-
-def _gather(field, t_ref, bin_centers, pos_bins, knn_indices) -> DisplacementVolume:
-    """Mean neighbor displacement from each bin center toward t_ref."""
-    n_bins, rows, cols, k = knn_indices.shape
-    idx_bins = knn_indices.reshape(n_bins, rows * cols, k)
-    pos_ref = eval_trajectory_batch(field, [t_ref])[0]  # (N, 2)
-    disp = np.empty((n_bins, rows * cols, 2), dtype=np.float64)
-    for b, idx in enumerate(idx_bins):
-        delta = pos_ref[idx] - pos_bins[b][idx]  # (cells, k, 2)
-        disp[b] = delta.mean(axis=1)
-    return DisplacementVolume(
-        t_ref=float(t_ref),
-        stride=field.stride,
-        width=field.width,
-        height=field.height,
-        bin_centers=bin_centers,
-        disp=disp.reshape(n_bins, rows, cols, 2),
-        knn_indices=knn_indices,
-        pos_bins=pos_bins,
-    )
+def _neighbor_mean(field: TrajectoryField, knn_indices: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Means over the sets ``knn_indices`` (B, ..., k) of a_b . alpha_n, for
+    a change of basis ``a`` (B, D); shape (B, ..., 2). The only forward read
+    of a neighbor set."""
+    disp = np.einsum("bd,ndc->bnc", a, field.flat_coeffs())  # (B, N, 2)
+    out = np.empty((*knn_indices.shape[:-1], 2))
+    for b, idx in enumerate(knn_indices):
+        out[b] = np.take(disp[b], idx, axis=0).mean(axis=-2)
+    return out
 
 
 def _pull_to_coeffs(field, gcells, knn_indices, a) -> np.ndarray:
-    """Coefficient cotangent of the means over ``knn_indices`` of a_b . alpha_n,
-    given a cotangent ``gcells`` (B, rows, cols, 2) and ``a`` (B, D). One
-    bincount per axis over the flat (bin, anchor) slot keeps each slot's
-    summation order (cells, then K)."""
+    """Transpose of :func:`_neighbor_mean`: the coefficient cotangent of a
+    cotangent ``gcells`` (B, rows, cols, 2). One bincount per axis over the
+    flat (bin, anchor) slot keeps each slot's summation order (cells, then K)."""
     n_bins, rows, cols, k = knn_indices.shape
     n_anchors = field.n_anchors
     slot = (np.arange(n_bins)[:, None] * n_anchors + knn_indices.reshape(n_bins, rows * cols * k)).ravel()
@@ -237,40 +184,70 @@ def _pull_to_coeffs(field, gcells, knn_indices, a) -> np.ndarray:
     return grad.reshape(field.coeffs.shape)
 
 
+def _volume_map(field, volume, t_ref):
+    """Neighbor sets and step matrix g(t_ref) - g(t_b) of the volume."""
+    g_bins = displacement_basis(field.basis, volume.bin_centers)
+    return volume.knn_indices, displacement_basis(field.basis, [t_ref]) - g_bins
+
+
+def _delta_map(field, volume):
+    """Neighbor sets (bin b's for the pair b -> b+1) and step matrix
+    g(t_{b+1}) - g(t_b) of the consecutive delta field."""
+    g_bins = displacement_basis(field.basis, volume.bin_centers)
+    return volume.knn_indices[:-1], g_bins[1:] - g_bins[:-1]
+
+
+def build_displacement_volume(
+    field: TrajectoryField, t_ref: float, cfg: KnnConfig, n_bins: int
+) -> DisplacementVolume:
+    """Build the warp lookup table for one reference time.
+
+    Bin centers sit at (b + 0.5) / n_bins. The search runs among the
+    trajectory positions at the bin centers; the means are then
+    :func:`regather_volume` at ``t_ref``, so one build per field serves
+    every reference time. Construction is pure per-voxel computation, so
+    the result is independent of evaluation order.
+    """
+    if not 0.0 <= t_ref <= 1.0:
+        raise ValueError("t_ref must lie in [0, 1]")
+    searched = DisplacementVolume.zeros(field.width, field.height, field.stride, n_bins)
+    rows, cols, centers = anchor_grid(field.width, field.height, field.stride)
+    pos_bins = eval_trajectory_batch(field, searched.bin_centers)  # (B, N, 2)
+    knn_idx = np.stack([knn_per_bin(centers, pos, cfg.k)[0] for pos in pos_bins])
+    searched = replace(searched, knn_indices=knn_idx.reshape(n_bins, rows, cols, cfg.k))
+    return regather_volume(field, searched, t_ref)
+
+
+def regather_volume(field: TrajectoryField, volume: DisplacementVolume, t_ref: float) -> DisplacementVolume:
+    """``volume`` re-targeted to another reference time, with no search.
+
+    ``volume`` must hold neighbor sets searched on this ``field``; the
+    result shares them and equals, bit for bit, a fresh build at ``t_ref``
+    (outside [0, 1] the basis evaluation raises ValueError).
+    """
+    disp = _neighbor_mean(field, *_volume_map(field, volume, t_ref))
+    return replace(volume, t_ref=float(t_ref), disp=disp)
+
+
 def volume_adjoint(field: TrajectoryField, volume: DisplacementVolume, gdisp: np.ndarray) -> np.ndarray:
-    """Coefficient cotangent of ``gdisp``, a cotangent on ``volume.disp``:
-    disp[b, c] = mean_n sum_j (g_j(t_ref) - g_j(t_b)) alpha[n, j]."""
-    a = displacement_basis(field.basis, [volume.t_ref])[0][None, :] - displacement_basis(
-        field.basis, volume.bin_centers
-    )  # (B, D)
-    return _pull_to_coeffs(field, gdisp, volume.knn_indices, a)
+    """Coefficient cotangent of ``gdisp``, a cotangent on ``volume.disp``."""
+    return _pull_to_coeffs(field, gdisp, *_volume_map(field, volume, volume.t_ref))
 
 
-def build_consecutive_delta_field(volume: DisplacementVolume) -> np.ndarray:
+def build_consecutive_delta_field(field: TrajectoryField, volume: DisplacementVolume) -> np.ndarray:
     """Mean trajectory displacement between consecutive bin centers.
 
-    Uses the same neighbor sets and bin positions as the volume (bin b's
-    indices for the pair b -> b+1). Shape (n_bins-1, rows, cols, 2); empty
-    when the volume has a single bin. Feeds the spatial-smoothness
-    regularizer.
+    Uses the volume's neighbor sets (bin b's for the pair b -> b+1). Shape
+    (n_bins-1, rows, cols, 2); empty when the volume has a single bin.
+    Feeds the spatial-smoothness regularizer.
     """
-    rows, cols = volume.grid_shape
-    if volume.n_bins < 2:
-        return np.zeros((0, rows, cols, 2))
-    pos_bins = volume.pos_bins
-    idx = volume.knn_indices.reshape(volume.n_bins, rows * cols, -1)
-    out = np.empty((volume.n_bins - 1, rows * cols, 2))
-    for b in range(volume.n_bins - 1):
-        step = pos_bins[b + 1][idx[b]] - pos_bins[b][idx[b]]
-        out[b] = step.mean(axis=1)
-    return out.reshape(volume.n_bins - 1, rows, cols, 2)
+    return _neighbor_mean(field, *_delta_map(field, volume))
 
 
 def delta_field_adjoint(field: TrajectoryField, volume: DisplacementVolume, gdelta: np.ndarray) -> np.ndarray:
     """Coefficient cotangent of ``gdelta``, a cotangent on
     :func:`build_consecutive_delta_field` of ``volume``."""
-    g_bins = displacement_basis(field.basis, volume.bin_centers)  # (B, D)
-    return _pull_to_coeffs(field, gdelta, volume.knn_indices[: len(gdelta)], g_bins[1:] - g_bins[:-1])
+    return _pull_to_coeffs(field, gdelta, *_delta_map(field, volume))
 
 
 def interpolate_flow(field: TrajectoryField, times, k: int) -> np.ndarray:
@@ -278,14 +255,11 @@ def interpolate_flow(field: TrajectoryField, times, k: int) -> np.ndarray:
 
     Pixels are associated with the K anchors nearest in the t=0 frame
     (where every trajectory sits at its anchor), and each pixel's motion
-    is the mean of its neighbors' displacements. Shape (T, H, W, 2).
+    is the mean of its neighbors' displacements g(t) . alpha_n; one pixel
+    set serves every time. Shape (T, H, W, 2).
     """
-    times = np.atleast_1d(np.asarray(times, dtype=np.float64))
+    g = displacement_basis(field.basis, times)  # (T, D)
     h, w = field.height, field.width
     px, py = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    pixels = np.stack([px.ravel(), py.ravel()], axis=1)
-    idx, _ = knn_per_bin(pixels, field.anchor_positions(), k)
-    g = displacement_basis(field.basis, times)  # (T, D)
-    disp_anchor = np.einsum("td,ndc->tnc", g, field.flat_coeffs())  # (T, N, 2)
-    out = disp_anchor[:, idx, :].mean(axis=2)  # (T, HW, 2)
-    return out.reshape(len(times), h, w, 2)
+    idx, _ = knn_per_bin(np.stack([px.ravel(), py.ravel()], axis=1), field.anchor_positions(), k)
+    return _neighbor_mean(field, np.broadcast_to(idx.reshape(h, w, k), (len(g), h, w, k)), g)

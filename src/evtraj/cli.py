@@ -159,6 +159,8 @@ def cmd_eval(args: dict) -> int:
     for pp, gp in zip(pred_paths, gt_paths):
         pf, pt, pv = load_flow(pp)
         gf, gtt, gv = load_flow(gp)
+        if not 0.0 <= pt <= 1.0:
+            raise ValueError(f"{pp}: flow time {pt} lies outside [0, 1]")
         if pf.shape[:2] != (sl.height, sl.width):
             raise ValueError(
                 f"{pp} is {pf.shape[1]}x{pf.shape[0]} but the events' sensor is {sl.width}x{sl.height}"

@@ -157,7 +157,7 @@ def loss_gradient(sl: EventSlice, field: TrajectoryField, refs, cfg: ObjectiveCo
     r = 0.0
     if lam > 0.0:
         # every regathered volume shares the first build's neighbor sets
-        r, gdelta = regularizer_r(build_consecutive_delta_field(volume))
+        r, gdelta = regularizer_r(build_consecutive_delta_field(field, volume))
         grad += lam * delta_field_adjoint(field, volume, gdelta)
     breakdown = LossBreakdown(
         g=c, r=r, total=1.0 / max(c, EPS_CONTRAST) + lam * r, lam=lam, n_masked=n_masked,

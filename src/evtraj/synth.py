@@ -114,6 +114,8 @@ class SceneSpec:
             raise ValueError("seed points must lie inside the image")
         if self.n_events < 0:
             raise ValueError("n_events must be >= 0")
+        if not np.all((self.query_times >= 0.0) & (self.query_times <= 1.0)):
+            raise ValueError(f"query_times must lie in [0, 1], got {self.query_times.tolist()}")
 
 
 @dataclass
@@ -129,16 +131,13 @@ def scatter_points(width: int, height: int, n: int, rng: np.random.Generator, mo
     """Sample texture points whose full motion path stays inside the image.
 
     Rejection sampling against the path sampled at ``_PATH_SAMPLES``
-    times, giving up after ``_MAX_TRIES`` draws; with no motion given, any
-    in-image point is accepted.
+    times, giving up after ``_MAX_TRIES`` rejected draws; with no motion
+    given, any in-image point is accepted.
     """
     ts = np.linspace(0.0, 1.0, _PATH_SAMPLES)
     out = []
-    tries = 0
+    rejected = 0
     while len(out) < n:
-        tries += 1
-        if tries > _MAX_TRIES:
-            raise ValueError("could not place texture points inside the image")
         p = rng.uniform([0.0, 0.0], [width - 1.0, height - 1.0])
         if motion is not None:
             path = p[None, :] + motion.displacement(p[None, :], ts)[:, 0, :]
@@ -148,6 +147,9 @@ def scatter_points(width: int, height: int, n: int, rng: np.random.Generator, mo
                 or path[:, 1].min() < 0.0
                 or path[:, 1].max() > height - 1.0
             ):
+                rejected += 1
+                if rejected > _MAX_TRIES:
+                    raise ValueError("could not place texture points inside the image")
                 continue
         out.append(p)
     return np.array(out)

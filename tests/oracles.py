@@ -88,6 +88,21 @@ def delta_field_scalar(field, volume):
     return out
 
 
+def flow_scalar(field, times, k):
+    """Per pixel, the mean of q(t) - anchor over its k nearest anchors at t=0."""
+    anchors = field.anchor_positions()
+    out = np.zeros((len(times), field.height, field.width, 2))
+    for y in range(field.height):
+        for x in range(field.width):
+            idx, _ = knn_scalar([(x, y)], anchors, k)
+            for i, t in enumerate(times):
+                acc = np.zeros(2)
+                for n in idx[0]:
+                    acc += traj_position_scalar(field, n, t) - anchors[n]
+                out[i, y, x] = acc / k
+    return out
+
+
 def warp_scalar(sl, volume):
     """Per-event displacement lookup: nearest bin in time, containing cell."""
     n_bins = volume.n_bins

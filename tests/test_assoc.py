@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from evtraj.assoc import (
 )
 from evtraj.trajectory import BEZIER, POLYNOMIAL, Basis, TrajectoryField, anchor_grid, eval_trajectory_batch
 
-from oracles import delta_field_scalar, displacement_volume_scalar, knn_scalar
+from oracles import delta_field_scalar, displacement_volume_scalar, flow_scalar, knn_scalar
 
 
 def random_field(rng, width=32, height=32, stride=4, basis=Basis(BEZIER, 5), scale=2.0):
@@ -50,15 +52,16 @@ class TestKnn:
         np.testing.assert_array_equal(idx, ref_idx)
         np.testing.assert_allclose(dist, ref_dist, atol=1e-12)
 
-    def test_tiled_equals_bruteforce_any_tile_size(self):
+    def test_tiled_equals_bruteforce_any_tile_size(self, monkeypatch):
         rng = np.random.default_rng(33)
         anchors = rng.integers(0, 40, (300, 2)).astype(float)
         query = rng.integers(0, 40, (97, 2)).astype(float)
-        full_idx, full_dist = knn_per_bin(query, anchors, k=8, tile_size=10**9)
-        for tile in (1, 2, 3, 17, 96, 97, 128):
-            idx, dist = knn_per_bin(query, anchors, k=8, tile_size=tile)
-            np.testing.assert_array_equal(idx, full_idx)
-            np.testing.assert_array_equal(dist, full_dist)
+        ref_idx, ref_dist = knn_scalar(query, anchors, k=8)
+        for tile in (1, 2, 3, 7, 17, 96, 97, 128):
+            monkeypatch.setattr(assoc, "_KNN_TILE", tile)
+            idx, dist = knn_per_bin(query, anchors, k=8)
+            np.testing.assert_array_equal(idx, ref_idx)
+            np.testing.assert_array_equal(dist, ref_dist)
 
     def test_k_exceeding_anchor_count_rejected(self):
         with pytest.raises(ValueError):
@@ -68,21 +71,21 @@ class TestKnn:
         with pytest.raises(ValueError):
             knn_per_bin(np.array([[np.nan, 0.0]]), np.zeros((3, 2)), k=1)
 
-    def test_distance_tile_memory_bounded(self):
-        # instrumented allocation hook: every distance tile must stay below
-        # tile_size x anchor_count float64 entries
+    def test_distance_tile_memory_bounded(self, monkeypatch):
+        # the search holds a few (tile, anchors) arrays at once, never the
+        # (900, 700) distance matrix (4.8 MB; untiled the peak is 9.8 MB)
         rng = np.random.default_rng(40)
         anchors = rng.normal(0, 10, (700, 2))
         query = rng.normal(0, 10, (900, 2))
         tile = 64
-        seen = []
-        assoc._dist_alloc_hook = seen.append
+        monkeypatch.setattr(assoc, "_KNN_TILE", tile)
+        tracemalloc.start()
         try:
-            knn_per_bin(query, anchors, k=5, tile_size=tile)
+            knn_per_bin(query, anchors, k=5)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
-            assoc._dist_alloc_hook = None
-        assert seen, "hook not exercised"
-        assert max(seen) <= tile * len(anchors) * 8
+            tracemalloc.stop()
+        assert peak < 4 * tile * len(anchors) * 8
 
 
 def assert_knn_matches_scan(query, points, k):
@@ -92,7 +95,9 @@ def assert_knn_matches_scan(query, points, k):
     np.testing.assert_array_equal(idx, ref_idx)
     np.testing.assert_array_equal(dist, ref_dist)
     for tile in (1, 7):
-        tiled_idx, tiled_dist = knn_per_bin(query, points, k, tile_size=tile)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(assoc, "_KNN_TILE", tile)
+            tiled_idx, tiled_dist = knn_per_bin(query, points, k)
         np.testing.assert_array_equal(tiled_idx, idx)
         np.testing.assert_array_equal(tiled_dist, dist)
 
@@ -170,7 +175,6 @@ class TestDisplacementVolume:
         assert moved.t_ref == 0.9
         np.testing.assert_array_equal(moved.disp, fresh.disp)
         np.testing.assert_array_equal(moved.knn_indices, fresh.knn_indices)
-        np.testing.assert_array_equal(moved.pos_bins, fresh.pos_bins)
 
     def test_invalid_arguments(self):
         field = TrajectoryField.zeros(8, 8, 4, Basis(POLYNOMIAL, 1))
@@ -188,7 +192,7 @@ class TestConsecutiveDeltaField:
     def test_zero_coefficients(self):
         field = TrajectoryField.zeros(16, 16, 4, Basis(BEZIER, 3))
         vol = build_displacement_volume(field, 0.5, KnnConfig(k=4), n_bins=5)
-        delta = build_consecutive_delta_field(vol)
+        delta = build_consecutive_delta_field(field, vol)
         assert delta.shape == (4, 4, 4, 2)
         np.testing.assert_array_equal(delta, 0.0)
 
@@ -197,19 +201,19 @@ class TestConsecutiveDeltaField:
         field = TrajectoryField.zeros(16, 16, 4, Basis(POLYNOMIAL, 1))
         field.coeffs[..., :] = v
         vol = build_displacement_volume(field, 0.0, KnnConfig(k=4), n_bins=2)
-        delta = build_consecutive_delta_field(vol)
+        delta = build_consecutive_delta_field(field, vol)
         np.testing.assert_allclose(delta, np.broadcast_to(v / 2.0, delta.shape), atol=1e-12)
 
     def test_single_bin_gives_empty_field(self):
         field = TrajectoryField.zeros(16, 16, 4, Basis(POLYNOMIAL, 1))
         vol = build_displacement_volume(field, 0.5, KnnConfig(k=4), n_bins=1)
-        assert build_consecutive_delta_field(vol).size == 0
+        assert build_consecutive_delta_field(field, vol).size == 0
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(13)
         field = random_field(rng, width=16, height=16, basis=Basis(POLYNOMIAL, 3))
         vol = build_displacement_volume(field, 0.6, KnnConfig(k=5), n_bins=4)
-        delta = build_consecutive_delta_field(vol)
+        delta = build_consecutive_delta_field(field, vol)
         ref = delta_field_scalar(field, vol)
         np.testing.assert_allclose(delta, ref, atol=1e-10)
 
@@ -237,7 +241,7 @@ class TestAdjoints:
     def test_single_bin_delta_adjoint_is_zero(self):
         field = random_field(np.random.default_rng(92), 16, 16, basis=Basis(POLYNOMIAL, 2))
         vol = build_displacement_volume(field, 0.5, KnnConfig(k=4), n_bins=1)
-        delta = build_consecutive_delta_field(vol)
+        delta = build_consecutive_delta_field(field, vol)
         np.testing.assert_array_equal(delta_field_adjoint(field, vol, delta), 0.0)
 
 
@@ -248,6 +252,26 @@ class TestInterpolateFlow:
         flow = interpolate_flow(field, [0.5, 1.0], k=4)
         np.testing.assert_allclose(flow[0], np.broadcast_to([1.0, 0.5], (16, 16, 2)))
         np.testing.assert_allclose(flow[1], np.broadcast_to([2.0, 1.0], (16, 16, 2)))
+
+    @pytest.mark.parametrize("basis", [Basis(BEZIER, 4), Basis(POLYNOMIAL, 2)])
+    def test_matches_scalar_oracle(self, basis):
+        # 13x10 pixels on stride 4: pixels outside the last full cell, and
+        # ties between anchors equidistant from a pixel
+        field = random_field(np.random.default_rng(14), width=13, height=10, basis=basis)
+        times = [0.0, 0.3, 1.0]
+        flow = interpolate_flow(field, times, k=3)
+        np.testing.assert_allclose(flow, flow_scalar(field, times, k=3), rtol=0, atol=1e-12)
+
+    def test_memory_is_bounded(self):
+        # one pixel set serves every time: no (T, H*W, K, 2) gather (44 MB here)
+        field = random_field(np.random.default_rng(15), width=128, height=96, basis=Basis(BEZIER, 10))
+        tracemalloc.start()
+        try:
+            interpolate_flow(field, np.linspace(0.0, 1.0, 7), k=32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * 2**20
 
     def test_grid_layout(self):
         rows, cols, pos = anchor_grid(10, 6, 4)

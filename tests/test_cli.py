@@ -76,6 +76,15 @@ class TestSynthCommand:
         assert f"scene key {key}=" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_query_times_outside_unit_interval_exit_2(self, tmp_path, capsys):
+        # they used to be written as GT maps that eval then misread
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SCENE.replace("query_times=0.5,1.0", "query_times=-0.5,1.5"))
+        rc = main(["synth", str(bad), "--out", str(tmp_path / "x"), "--seed", "0"])
+        assert rc == 2
+        assert "query_times must lie in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_negative_seed_exits_2_before_writing(self, scene_file, tmp_path, capsys):
         out = tmp_path / "x"
         rc = main(["synth", str(scene_file), "--out", str(out), "--seed", "-1"])
@@ -244,6 +253,18 @@ class TestEvalCommand:
         rc = main(["eval", "--pred", str(flow), "--gt", str(flow), "--events", str(data / "events.evt1")])
         assert rc == 2
         assert str(flow) in capsys.readouterr().err
+
+    def test_map_time_outside_unit_interval_exits_2(self, scene_file, tmp_path, capsys):
+        # a map stamped t = -0.5 used to give an all-zero volume and FWL 1
+        data = tmp_path / "data"
+        main(["synth", str(scene_file), "--out", str(data), "--seed", "2"])
+        flow = tmp_path / "flow.flo1"
+        save_flow(flow, np.full((32, 32, 2), 5.0), -0.5)
+        rc = main(["eval", "--pred", str(flow), "--gt", str(flow), "--events", str(data / "events.evt1"),
+                   "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        assert f"{flow}: flow time -0.5 lies outside [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
 
     def test_non_finite_map_time_exits_2(self, scene_file, tmp_path, capsys):
         # a NaN time used to pass the time-match check against any map

@@ -239,7 +239,7 @@ class TestLossGradient:
         cfg = ObjectiveConfig(sigma=sigma, knn=KnnConfig(k=8), n_bins=5, time_weighting=True)
         volume = build_displacement_volume(field, 0.43, cfg.knn, cfg.n_bins)
         g, _, n_masked = contrast_pass(sl, volume, sigma, True)
-        r = regularizer_r(build_consecutive_delta_field(volume))[0]
+        r = regularizer_r(build_consecutive_delta_field(field, volume))[0]
         lam = cfg.lam / (sl.width * sl.height)
         out = loss_gradient(sl, field, one(0.43), cfg)[0]
         assert (out.g, out.r, out.lam, out.n_masked) == (g, r, lam, n_masked)

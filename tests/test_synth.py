@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evtraj import synth
 from evtraj.synth import (
     BezierMotion,
     CircularMotion,
@@ -114,6 +115,18 @@ class TestGenerateEvents:
         b, _, _ = constant_scene(width=32, height=32, n_points=20, n_events=500, seed=11)
         np.testing.assert_array_equal(a.t, b.t)
         np.testing.assert_array_equal(a.x, b.x)
+
+
+class TestScatterPoints:
+    def test_accepted_draws_do_not_count_against_the_limit(self):
+        # with no motion every draw is accepted, whatever the count
+        n = synth._MAX_TRIES + 1
+        points = scatter_points(16, 16, n, np.random.default_rng(0), ConstantMotion((0.0, 0.0)))
+        assert points.shape == (n, 2)
+
+    def test_motion_leaving_the_image_rejected(self):
+        with pytest.raises(ValueError, match="could not place"):
+            scatter_points(16, 16, 1, np.random.default_rng(0), ConstantMotion((20.0, 0.0)))
 
 
 class TestSceneConfig:
