@@ -6,7 +6,7 @@ The package is organized around the estimation pipeline:
 ``events``     event containers, EVT1 I/O
 ``trajectory`` polynomial/Bezier trajectory bases on an anchor grid
 ``assoc``      per-bin KNN association, the displacement volume and their adjoints
-``objective``  event warping, IWEs, and the loss terms with their derivatives (contrast G, regularizer R)
+``objective``  event warping, the (2, H, W) polarity-stacked IWE, and the loss terms with their derivatives (contrast G, regularizer R)
 ``optimize``   the loss and its gradient composed from those terms, Adam descent
 ``synth``      synthetic scenes with exact ground truth
 ``metrics``    EPE / AE / %Out / TEPE / TAE / FWL
@@ -41,7 +41,6 @@ from .metrics import (
     tepe_tae,
 )
 from .objective import (
-    Iwe,
     ObjectiveConfig,
     WarpedEvents,
     build_iwe,
@@ -62,7 +61,6 @@ from .optimize import (
 from .synth import (
     BezierMotion,
     CircularMotion,
-    ConstantMotion,
     GroundTruth,
     SceneSpec,
     generate_events,
@@ -83,10 +81,10 @@ __all__ = [
     "build_displacement_volume", "interpolate_flow", "knn_per_bin", "regather_volume",
     "EventFormatError", "EventSlice", "load_events", "save_events", "load_flow",
     "save_flow", "MotionEval", "epe_ae", "evaluate_trajectories", "fwl", "pct_out",
-    "tepe_tae", "Iwe", "LossBreakdown", "ObjectiveConfig", "WarpedEvents", "build_iwe",
+    "tepe_tae", "LossBreakdown", "ObjectiveConfig", "WarpedEvents", "build_iwe",
     "contrast_g", "regularizer_r", "warp_events", "write_iwe_pgm",
     "DivergenceError", "OptimConfig", "OptimTrace", "loss_gradient", "minimize",
-    "save_trace_csv", "BezierMotion", "CircularMotion", "ConstantMotion", "GroundTruth",
+    "save_trace_csv", "BezierMotion", "CircularMotion", "GroundTruth",
     "SceneSpec", "generate_events", "scatter_points", "BEZIER", "POLYNOMIAL", "Basis",
     "TrajectoryField", "eval_trajectory_batch", "load_field", "save_field",
 ]

@@ -88,11 +88,8 @@ def _topk_stable(d2, k):
     k-th smallest value), argpartition's choice among the tied entries is
     arbitrary; there the tied candidates are replaced by the lowest-index
     tied entries, with no full-row sort, so the result always equals the
-    brute-force scan.
+    brute-force scan. Exact for every 1 <= k <= n.
     """
-    n = d2.shape[1]
-    if k >= n or k > n - k:
-        return np.argsort(d2, axis=1, kind="stable")[:, :k]
     # index order first, so the stable sort below breaks ties by index
     cand = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
     cd = np.take_along_axis(d2, cand, axis=1)

@@ -169,6 +169,8 @@ def cmd_eval(args: dict) -> int:
             raise ValueError(f"shape mismatch between {pp} and {gp}")
         if abs(pt - gtt) > 1e-9:
             raise ValueError(f"time mismatch between {pp} ({pt}) and {gp} ({gtt})")
+        if not (pv & gv).any():
+            raise ValueError(f"{pp} and {gp} share no valid pixel")
         preds.append(pf)
         gts.append(gf)
         masks.append(pv & gv)
@@ -203,7 +205,7 @@ def cmd_render(args: dict) -> int:
     else:
         volume = DisplacementVolume.zeros(sl.width, sl.height, n_bins=args["nbins"])
     warped = warp_events(sl, volume)
-    iwe = build_iwe(warped, polarity_split=True)
+    iwe = build_iwe(warped)
     out = Path(args["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     write_iwe_pgm(iwe, out, bits=args["bits"], which=args["which"])

@@ -18,18 +18,25 @@ _HEADER = np.dtype([("magic", "S4"), ("width", "<u4"), ("height", "<u4"), ("t", 
 def save_flow(path, flow: np.ndarray, t: float, valid: np.ndarray | None = None) -> None:
     """Write one (H, W, 2) displacement map; invalid pixels become NaN.
 
-    A non-finite ``t``, which :func:`load_flow` rejects, raises ValueError
-    and writes nothing.
+    A non-finite ``t``, which :func:`load_flow` rejects, or a valid pixel
+    that is not finite in float32, which it would read as invalid, raises
+    ValueError and writes nothing.
     """
     flow = np.asarray(flow, dtype=np.float64)
     if flow.ndim != 3 or flow.shape[2] != 2:
         raise ValueError("flow must have shape (H, W, 2)")
     if not np.isfinite(t):
         raise ValueError(f"FLO1 time must be finite, got {t}")
-    data = flow.astype("<f4")
+    with np.errstate(over="ignore"):
+        data = flow.astype("<f4")
+    bad = ~np.isfinite(data)
     if valid is not None:
-        data = data.copy()
-        data[~np.asarray(valid, dtype=bool)] = np.nan
+        valid = np.asarray(valid, dtype=bool)
+        bad &= valid[..., None]
+        data[~valid] = np.nan
+    if bad.any():
+        y, x, _ = np.argwhere(bad)[0]
+        raise ValueError(f"{path}: valid FLO1 pixel (x={x}, y={y}) {flow[y, x].tolist()} is not finite in float32")
     header = np.zeros(1, dtype=_HEADER)
     header["magic"] = FLO1_MAGIC
     header["width"] = flow.shape[1]

@@ -3,10 +3,10 @@
 Angular error follows the space-time convention: each flow vector (u, v)
 is lifted to (u, v, 1) and the angle between prediction and ground truth
 is measured in degrees. Outliers are pixels whose endpoint error exceeds
-3 px (strict). Trajectory metrics average the per-time values over the
-query times; trajectory outliers are computed on the per-pixel mean
-endpoint error. FWL is the variance ratio of the warped accumulation
-image to the zero-warp one; above 1 means the warp sharpened it.
+3 px (strict). EPE, AE and %Out are taken at the last query time; TEPE and
+TAE average the per-time EPE and AE over all query times. FWL is the
+variance ratio of the warped accumulation image to the zero-warp one;
+above 1 means the warp sharpened it.
 """
 
 from __future__ import annotations
@@ -60,13 +60,12 @@ def pct_out(pred: np.ndarray, gt: np.ndarray, mask: np.ndarray, threshold: float
     return float((err > threshold).mean())
 
 
-def tepe_tae(pred_traj: np.ndarray, gt_traj: np.ndarray, masks: np.ndarray, threshold: float = 3.0):
+def tepe_tae(pred_traj: np.ndarray, gt_traj: np.ndarray, masks: np.ndarray):
     """Trajectory metrics over displacement maps at matched query times.
 
     ``pred_traj``/``gt_traj`` are (T, H, W, 2); ``masks`` is (T, H, W).
-    Returns a dict with tepe, tae (means of the per-time values), pct_out
-    computed on the per-pixel mean endpoint error over pixels valid at
-    every time, and the per-time (epe, ae) list.
+    Returns a dict with tepe, tae (means of the per-time values) and the
+    per-time (epe, ae) list.
     """
     if pred_traj.shape != gt_traj.shape:
         raise ValueError("prediction and ground truth shapes differ")
@@ -75,14 +74,7 @@ def tepe_tae(pred_traj: np.ndarray, gt_traj: np.ndarray, masks: np.ndarray, thre
     per_time = [epe_ae(pred_traj[i], gt_traj[i], masks[i]) for i in range(len(pred_traj))]
     tepe = float(np.mean([e for e, _ in per_time]))
     tae = float(np.mean([a for _, a in per_time]))
-    common = np.asarray(masks, dtype=bool).all(axis=0)
-    if common.any():
-        err = np.linalg.norm(pred_traj - gt_traj, axis=-1)  # (T, H, W)
-        pixel_tepe = err.mean(axis=0)[common]
-        out = float((pixel_tepe > threshold).mean())
-    else:
-        out = float("nan")
-    return {"tepe": tepe, "tae": tae, "pct_out": out, "per_time": per_time}
+    return {"tepe": tepe, "tae": tae, "per_time": per_time}
 
 
 def fwl(sl: EventSlice, volume_est: DisplacementVolume) -> float:
@@ -95,7 +87,7 @@ def fwl(sl: EventSlice, volume_est: DisplacementVolume) -> float:
 
     def variance(volume):
         warped = warp_events(sl, volume)
-        return float(np.var(build_iwe(warped, polarity_split=False).total()))
+        return float(np.var(build_iwe(warped).sum(axis=0)))
 
     base = variance(DisplacementVolume.zeros(sl.width, sl.height, volume_est.stride, volume_est.n_bins))
     if base == 0.0:

@@ -4,8 +4,9 @@ contrast loss, each returned together with its derivative.
 One loss serves both objectives, scored over a weighted set ``refs`` of
 (t_ref, w) pairs. Per reference time: build the displacement volume,
 transport every event to that time by a table lookup, accumulate the
-warped events into polarity-split images and take their contrast G(t),
-the L1 norm of the IWE gradient magnitude (sharper image = larger G). Then
+warped events into the IWE, one (2, H, W) array stacked as (positive,
+negative) polarity planes, and take its contrast G(t), the L1 norm of the
+gradient magnitude of each plane (sharper image = larger G). Then
 
     total = 1 / max(C, eps) + (lambda / |Omega|) * R,
     C = sum_i w_i G(t_i) / (G_0 * sum_i w_i)
@@ -104,17 +105,6 @@ class WarpedEvents:
         return int(len(self.mask) - self.mask.sum())
 
 
-@dataclass
-class Iwe:
-    """Polarity-split accumulation of warped events."""
-
-    pos: np.ndarray
-    neg: np.ndarray
-
-    def total(self) -> np.ndarray:
-        return self.pos + self.neg
-
-
 def warp_events(sl: EventSlice, volume: DisplacementVolume, time_weighting: bool = False) -> WarpedEvents:
     """Transport every event to the volume's reference time.
 
@@ -202,9 +192,10 @@ def voting_stencil(positions, mask, weights, width: int, height: int, sigma: flo
     )
 
 
-def _accumulate(warped: WarpedEvents, sigma: float, polarity_split: bool):
-    """(Iwe, pullback). ``pullback(dgdi)`` takes dG/dI stacked (2, H, W) as
-    (pos, neg) and returns (d/dx', d/dy'), each (N,): the tap cotangent
+def _accumulate(warped: WarpedEvents, sigma: float):
+    """(iwe, pullback). ``iwe`` is (2, H, W): positive events vote into
+    plane 0, negative ones into plane 1. ``pullback(dgdi)`` takes dG/dI of
+    the same shape and returns (d/dx', d/dy'), each (N,): the tap cotangent
     contracted with (k_y (x) dk_x) and (dk_y (x) k_x), one axis at a time.
 
     Both run over blocks of about ``_BLOCK_TAPS // L`` events, so the taps,
@@ -216,8 +207,8 @@ def _accumulate(warped: WarpedEvents, sigma: float, polarity_split: bool):
     )
     n, l = kx.shape
     width, npix = warped.width, warped.width * warped.height
-    # negative-polarity taps land in the second half of the stacked images
-    offset = (warped.polarity < 0).astype(np.int64) * npix if polarity_split else np.zeros(n, np.int64)
+    # negative-polarity taps land in the second plane
+    offset = (warped.polarity < 0).astype(np.int64) * npix
     step = max(1, _BLOCK_TAPS // (l * l))
     blocks = [slice(a, a + step) for a in range(0, n, step)]
 
@@ -231,8 +222,6 @@ def _accumulate(warped: WarpedEvents, sigma: float, polarity_split: bool):
         contrib *= mw[s, None, None]
         np.add.at(counts, block_taps.ravel(), contrib.ravel())
     kept = block_taps if len(blocks) == 1 else None
-    shape = (warped.height, warped.width)
-    iwe = Iwe(counts[:npix].reshape(shape), counts[npix:].reshape(shape))
 
     def pullback(dgdi):
         flat = dgdi.ravel()
@@ -244,46 +233,45 @@ def _accumulate(warped: WarpedEvents, sigma: float, polarity_split: bool):
             gy[s] = mw[s] * np.einsum("nj,nj->n", np.einsum("nij,ni->nj", cot, dky[s]), kx[s])
         return gx, gy
 
-    return iwe, pullback
+    return counts.reshape(2, warped.height, warped.width), pullback
 
 
-def build_iwe(warped: WarpedEvents, sigma: float = 0.0, polarity_split: bool = True) -> Iwe:
-    """Accumulate warped events into (pos, neg) images.
+def build_iwe(warped: WarpedEvents, sigma: float = 0.0) -> np.ndarray:
+    """Accumulate warped events into the (2, H, W) IWE, stacked as
+    (positive, negative) polarity planes.
 
-    Each unmasked event deposits its weight through the voting stencil;
-    with ``polarity_split`` off everything lands in ``pos``.
+    Each unmasked event deposits its weight through the voting stencil.
     """
-    return _accumulate(warped, sigma, polarity_split)[0]
+    return _accumulate(warped, sigma)[0]
 
 
-def contrast_g(iwe: Iwe):
-    """(G, dG/dI): the L1 norm of the IWE gradient magnitude, summed over
-    both polarities, and its derivative, stacked (2, H, W) as (pos, neg).
+def contrast_g(iwe: np.ndarray):
+    """(G, dG/dI) of a (2, H, W) IWE: the L1 norm of each plane's
+    gradient magnitude, summed over the planes, and its derivative, also
+    (2, H, W).
 
     The gradient images are forward differences, zero on the far edges;
     pixels of zero gradient magnitude contribute no derivative.
     """
-    total, grads = 0.0, []
-    for img in (iwe.pos, iwe.neg):
-        gx = np.zeros_like(img)
-        gy = np.zeros_like(img)
-        gx[:, :-1] = img[:, 1:] - img[:, :-1]
-        gy[:-1, :] = img[1:, :] - img[:-1, :]
-        mag = np.sqrt(gx * gx + gy * gy)
-        total += float(mag.sum())
-        inv = np.zeros_like(mag)
-        np.divide(1.0, mag, out=inv, where=mag > 0)
-        ux = gx * inv
-        uy = gy * inv
-        dgdi = -(ux + uy)
-        dgdi[:, 1:] += ux[:, :-1]
-        dgdi[1:, :] += uy[:-1, :]
-        grads.append(dgdi)
-    return total, np.stack(grads)
+    gx = np.zeros_like(iwe)
+    gy = np.zeros_like(iwe)
+    gx[:, :, :-1] = iwe[:, :, 1:] - iwe[:, :, :-1]
+    gy[:, :-1, :] = iwe[:, 1:, :] - iwe[:, :-1, :]
+    mag = np.sqrt(gx * gx + gy * gy)
+    # one sum per plane, not one over the stack: G keeps its last bits
+    total = float(mag[0].sum()) + float(mag[1].sum())
+    inv = np.zeros_like(mag)
+    np.divide(1.0, mag, out=inv, where=mag > 0)
+    ux = gx * inv
+    uy = gy * inv
+    dgdi = -(ux + uy)
+    dgdi[:, :, 1:] += ux[:, :, :-1]
+    dgdi[:, 1:, :] += uy[:, :-1, :]
+    return total, dgdi
 
 
 def contrast_pass(sl: EventSlice, volume: DisplacementVolume, sigma: float, time_weighting: bool):
-    """Warp, accumulate the polarity-split IWE and score its contrast G.
+    """Warp, accumulate the (2, H, W) IWE and score its contrast G.
 
     Returns (G, dG/d volume.disp, n_masked). The derivative treats each
     event's voxel, the off-image mask and the time weights as constants:
@@ -291,7 +279,7 @@ def contrast_pass(sl: EventSlice, volume: DisplacementVolume, sigma: float, time
     (d/dx', d/dy') and summed onto its voxel.
     """
     warped = warp_events(sl, volume, time_weighting=time_weighting)
-    iwe, pullback = _accumulate(warped, sigma, polarity_split=True)
+    iwe, pullback = _accumulate(warped, sigma)
     g, dgdi = contrast_g(iwe)
     nvox = volume.disp.size // 2
     gdisp = [np.bincount(warped.vox_idx, weights=d, minlength=nvox) for d in pullback(dgdi)]
@@ -327,16 +315,16 @@ def zero_warp_contrast(sl: EventSlice, stride: int, cfg: ObjectiveConfig) -> flo
     return max(contrast_pass(sl, zero_vol, cfg.sigma, False)[0], EPS_CONTRAST)
 
 
-def write_iwe_pgm(iwe: Iwe, path, bits: int = 8, which: str = "sum") -> None:
-    """Render an IWE as a max-normalized binary PGM.
+def write_iwe_pgm(iwe: np.ndarray, path, bits: int = 8, which: str = "sum") -> None:
+    """Render a (2, H, W) IWE as a max-normalized binary PGM.
 
-    ``which`` selects "sum", "pos", or "neg". The comment line records the
-    accumulation value mapped to white, so pixel values can be inverted
-    back to event counts.
+    ``which`` selects "sum" (both planes), "pos" (plane 0) or "neg"
+    (plane 1). The comment line records the accumulation value mapped to
+    white, so pixel values can be inverted back to event counts.
     """
     if bits not in (8, 16):
         raise ValueError("bits must be 8 or 16")
-    img = {"sum": iwe.total, "pos": lambda: iwe.pos, "neg": lambda: iwe.neg}[which]()
+    img = iwe[0] + iwe[1] if which == "sum" else iwe[{"pos": 0, "neg": 1}[which]]
     peak = float(img.max())
     maxval = (1 << bits) - 1
     scale = maxval / peak if peak > 0 else 0.0

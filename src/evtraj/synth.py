@@ -24,19 +24,6 @@ _MAX_TRIES = 10000
 
 
 @dataclass(frozen=True)
-class ConstantMotion:
-    """Uniform translation: displacement t * v everywhere."""
-
-    v: tuple[float, float]
-
-    def displacement(self, points: np.ndarray, times: np.ndarray) -> np.ndarray:
-        times = np.atleast_1d(np.asarray(times, dtype=np.float64))
-        v = np.asarray(self.v, dtype=np.float64)
-        out = times[:, None, None] * v[None, None, :]
-        return np.broadcast_to(out, (len(times), len(points), 2)).copy()
-
-
-@dataclass(frozen=True)
 class CircularMotion:
     """Rotation of the whole plane about ``center`` by ``angle``*t radians."""
 
@@ -58,7 +45,8 @@ class BezierMotion:
     """Uniform translation along a Bezier arc given by control offsets.
 
     ``offsets`` has shape (degree, 2); the t=0 control point is pinned to
-    zero so motion starts at rest, matching the trajectory prior.
+    zero so motion starts at rest, matching the trajectory prior. Degree 1,
+    ``((vx, vy),)``, is constant velocity: displacement t * v.
     """
 
     offsets: tuple
@@ -66,8 +54,12 @@ class BezierMotion:
     def displacement(self, points: np.ndarray, times: np.ndarray) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=np.float64))
         offs = np.asarray(self.offsets, dtype=np.float64)
-        g = displacement_basis(Basis(BEZIER, len(offs)), times)  # (T, D)
-        out = g @ offs  # (T, 2)
+        if len(offs) == 1:
+            # t * v directly: the point samplers call this once per point, and
+            # a matmul would turn t = 0's -0.0 into +0.0
+            out = times[:, None] * offs[0]
+        else:
+            out = displacement_basis(Basis(BEZIER, len(offs)), times) @ offs  # (T, 2)
         return np.broadcast_to(out[:, None, :], (len(times), len(points), 2)).copy()
 
 
@@ -255,7 +247,7 @@ def scene_from_config(cfg: dict, rng: np.random.Generator) -> SceneSpec:
     height = int(cfg["height"])
     kind = cfg.get("motion", "constant")
     if kind == "constant":
-        motion = ConstantMotion((_finite("vx", cfg["vx"]), _finite("vy", cfg["vy"])))
+        motion = BezierMotion(((_finite("vx", cfg["vx"]), _finite("vy", cfg["vy"])),))
     elif kind == "circular":
         center = (_finite("cx", cfg["cx"]), _finite("cy", cfg["cy"]))
         motion = CircularMotion(center, _finite("angle", cfg["angle"]))

@@ -168,6 +168,13 @@ def eval_trajectory_batch(field: TrajectoryField, times) -> np.ndarray:
 
 
 def save_field(field: TrajectoryField, path) -> None:
+    """Write a TRJ1 file. A coefficient that is not finite in float32,
+    which :func:`load_field` rejects, raises ValueError and writes nothing."""
+    with np.errstate(over="ignore"):
+        body = field.coeffs.astype("<f4")
+    bad = np.flatnonzero(~np.isfinite(body))
+    if bad.size:
+        raise ValueError(f"{path}: TRJ1 coefficient {field.coeffs.flat[bad[0]]} is not finite in float32")
     rows, cols = field.grid_shape
     header = np.zeros(1, dtype=_TRJ1_HEADER)
     header["magic"] = TRJ1_MAGIC
@@ -178,7 +185,7 @@ def save_field(field: TrajectoryField, path) -> None:
     header["width"], header["height"] = field.width, field.height
     with open(path, "wb") as f:
         f.write(header.tobytes())
-        f.write(field.coeffs.astype("<f4").tobytes())
+        f.write(body.tobytes())
 
 
 def load_field(path) -> TrajectoryField:

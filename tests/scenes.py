@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from evtraj.synth import CircularMotion, ConstantMotion, SceneSpec, generate_events, scatter_points
+from evtraj.synth import BezierMotion, CircularMotion, SceneSpec, generate_events, scatter_points
 from evtraj.trajectory import Basis, TrajectoryField, displacement_basis
 
 
@@ -16,7 +16,7 @@ def constant_scene(
     seed=0,
     coverage_radius=None,
 ):
-    motion = ConstantMotion(tuple(v))
+    motion = BezierMotion((tuple(v),))
     rng = np.random.default_rng(seed)
     points = scatter_points(width, height, n_points, rng, motion)
     spec = SceneSpec(

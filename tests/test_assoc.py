@@ -118,11 +118,12 @@ class TestKnnLatticeTies:
         for b in range(2):
             np.testing.assert_array_equal(vol.knn_indices[b].reshape(-1, k), ref_idx)
 
-    @pytest.mark.parametrize("k", [1, 4, 5, 8, 9, 12, 13, 32])
+    @pytest.mark.parametrize("k", [1, 4, 5, 8, 9, 12, 13, 32, 69, 120, 121])
     def test_integer_lattice_distance_shells(self, k):
         # around a lattice point the shells close at 1, 5, 9, 13, 21, ...
         # neighbours, around a half-integer point at 4, 12, 16, ...; the
-        # shuffle keeps index order apart from position
+        # shuffle keeps index order apart from position. k runs past half
+        # of the 121 points up to all of them
         g = np.arange(11.0)
         points = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
         points = points[np.random.default_rng(5).permutation(len(points))]

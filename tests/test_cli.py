@@ -111,6 +111,22 @@ class TestEstimateCommand:
         trace = (out / "trace.csv").read_text().strip().splitlines()
         assert trace == ["iter,t_ref,G,R,total"]
 
+    def test_field_overflowing_float32_exits_2_unwritten(self, tmp_path, capsys):
+        # a step this large drives the coefficients past the float32 range:
+        # the field used to be written with inf coefficients that render
+        # rejects, and all-invalid flow maps
+        scene = tmp_path / "scene.cfg"
+        scene.write_text("width=32\nheight=24\nmotion=constant\nvx=3\nvy=-2\npoints=30\nn_events=1500\n")
+        data = tmp_path / "data"
+        main(["synth", str(scene), "--out", str(data), "--seed", "1"])
+        out = tmp_path / "est"
+        rc = main(["estimate", str(data / "events.evt1"), "--out", str(out), "--iters", "1",
+                   "--stride", "8", "--k", "4", "--degree", "2", "--lr", "1e39"])
+        assert rc == 2
+        assert f"{out / 'field.trj1'}: TRJ1 coefficient" in capsys.readouterr().err
+        assert not (out / "field.trj1").exists()
+        assert not list(out.glob("flow_*.flo1"))
+
     def test_fixed_ref_flag_routes(self, scene_file, tmp_path):
         data = tmp_path / "data"
         main(["synth", str(scene_file), "--out", str(data), "--seed", "1"])
@@ -265,6 +281,16 @@ class TestEvalCommand:
         assert rc == 2
         assert f"{flow}: flow time -0.5 lies outside [0, 1]" in capsys.readouterr().err
         assert not (tmp_path / "rep").exists()
+
+    def test_pair_without_shared_valid_pixel_names_both_maps(self, scene_file, tmp_path, capsys):
+        data = tmp_path / "data"
+        main(["synth", str(scene_file), "--out", str(data), "--seed", "2"])
+        flow = tmp_path / "flow.flo1"
+        save_flow(flow, np.zeros((32, 32, 2)), 1.0, valid=np.zeros((32, 32), bool))
+        gt = data / "gt_01.flo1"
+        rc = main(["eval", "--pred", str(flow), "--gt", str(gt), "--events", str(data / "events.evt1")])
+        assert rc == 2
+        assert f"{flow} and {gt} share no valid pixel" in capsys.readouterr().err
 
     def test_non_finite_map_time_exits_2(self, scene_file, tmp_path, capsys):
         # a NaN time used to pass the time-match check against any map

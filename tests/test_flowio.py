@@ -74,6 +74,21 @@ class TestFlo1:
             save_flow(path, np.zeros((2, 3, 2)), t=t)
         assert not path.exists()
 
+    @pytest.mark.parametrize("value", [1e39, float("nan")], ids=["over-f32", "nan"])
+    def test_writer_refuses_non_finite_valid_pixel(self, tmp_path, value):
+        flow = np.zeros((2, 3, 2))
+        flow[1, 2, 0] = value
+        path = tmp_path / "f.flo1"
+        with pytest.raises(ValueError, match=r"pixel \(x=2, y=1\).*not finite in float32") as info:
+            save_flow(path, flow, t=0.5)
+        assert str(path) in str(info.value)
+        assert not path.exists()
+        # on an invalid pixel the same value is written as NaN
+        valid = np.ones((2, 3), bool)
+        valid[1, 2] = False
+        save_flow(path, flow, t=0.5, valid=valid)
+        np.testing.assert_array_equal(load_flow(path)[2], valid)
+
     def test_shape_validation(self, tmp_path):
         with pytest.raises(ValueError):
             save_flow(tmp_path / "f.flo1", np.zeros((4, 4)), t=0.0)

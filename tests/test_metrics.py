@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from evtraj.assoc import DisplacementVolume, KnnConfig, build_displacement_volume
-from evtraj.metrics import epe_ae, fwl, pct_out, tepe_tae
+from evtraj.metrics import epe_ae, evaluate_trajectories, fwl, pct_out, tepe_tae
 from evtraj.trajectory import Basis, POLYNOMIAL
 
 from oracles import epe_ae_scalar
@@ -115,15 +115,14 @@ class TestTrajectoryMetrics:
         assert out["tepe"] == pytest.approx(np.mean([e for e, _ in per_time]), abs=1e-9)
         assert out["tae"] == pytest.approx(np.mean([a for _, a in per_time]), abs=1e-9)
 
-    def test_outliers_computed_on_mean_trajectory_error(self):
-        gt = np.zeros((2, 1, 2, 2))
+    def test_outliers_taken_at_last_query_time(self):
+        sl, _, _ = constant_scene(width=32, height=32, n_points=40, n_events=2000, seed=30)
+        gt = np.zeros((2, 32, 32, 2))
         pred = gt.copy()
-        # pixel 0: errors 2 and 8 -> mean 5 (outlier); pixel 1: 2 and 2 -> 2
-        pred[0, 0, 0, 0] = 2.0
-        pred[1, 0, 0, 0] = 8.0
-        pred[:, 0, 1, 0] = 2.0
-        out = tepe_tae(pred, gt, np.ones((2, 1, 2), bool))
-        assert out["pct_out"] == 0.5
+        pred[0] = 10.0  # every pixel an outlier at the first time only
+        pred[1, :8, :, 0] = 4.0  # a quarter of them at the last
+        ev = evaluate_trajectories(pred, gt, np.ones((2, 32, 32), bool), sl, DisplacementVolume.zeros(32, 32))
+        assert ev.pct_out == 0.25
 
     def test_time_count_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from evtraj.assoc import DisplacementVolume, KnnConfig, build_consecutive_delta_
 from evtraj.events import EventSlice
 from evtraj.objective import (
     FIXED_REFERENCES,
-    Iwe,
     ObjectiveConfig,
     build_iwe,
     contrast_g,
@@ -110,9 +109,10 @@ class TestIwe:
         sl = EventSlice.from_arrays([3], [4], [0.5], [1], 8, 8, t_start=0, t_end=1)
         warped = warp_events(sl, DisplacementVolume.zeros(8, 8))
         iwe = build_iwe(warped)
-        assert iwe.pos[4, 3] == 1.0
-        assert iwe.pos.sum() == 1.0
-        assert iwe.neg.sum() == 0.0
+        assert iwe.shape == (2, 8, 8)
+        assert iwe[0, 4, 3] == 1.0
+        assert iwe[0].sum() == 1.0
+        assert iwe[1].sum() == 0.0
 
     def test_halfway_bilinear_split(self):
         sl = EventSlice.from_arrays([3], [4], [0.5], [1], 8, 8, t_start=0, t_end=1)
@@ -120,17 +120,18 @@ class TestIwe:
         vol.disp[..., 0] = 0.5
         warped = warp_events(sl, vol)
         iwe = build_iwe(warped)
-        assert iwe.pos[4, 3] == pytest.approx(0.5)
-        assert iwe.pos[4, 4] == pytest.approx(0.5)
+        assert iwe[0, 4, 3] == pytest.approx(0.5)
+        assert iwe[0, 4, 4] == pytest.approx(0.5)
 
     def test_matches_scalar_accumulation(self):
         rng = np.random.default_rng(7)
         sl = random_slice(rng, n=1000)
         vol = random_volume(rng)
         warped = warp_events(sl, vol, time_weighting=True)
-        iwe = build_iwe(warped, polarity_split=False)
-        ref = iwe_scalar(warped.positions, warped.weights, warped.mask, 32, 32)
-        np.testing.assert_allclose(iwe.pos, ref, atol=1e-6)
+        iwe = build_iwe(warped)
+        for plane, events in ((0, sl.p > 0), (1, sl.p < 0)):
+            ref = iwe_scalar(warped.positions, warped.weights, warped.mask & events, 32, 32)
+            np.testing.assert_allclose(iwe[plane], ref, atol=1e-6)
 
     @pytest.mark.parametrize("sigma", [0.7, 1.0, 1.5])
     def test_gaussian_matches_scalar_accumulation(self, sigma):
@@ -144,17 +145,18 @@ class TestIwe:
         assert 0 < warped.n_masked < len(sl) // 2
         for axis, size in ((0, 32), (1, 32)):
             assert (kept[:, axis] < reach).any() and (kept[:, axis] > size - 1 - reach).any()
-        iwe = build_iwe(warped, sigma=sigma, polarity_split=False)
-        ref = iwe_gaussian_scalar(warped.positions, warped.weights, warped.mask, 32, 32, sigma)
-        np.testing.assert_allclose(iwe.pos, ref, rtol=1e-12, atol=1e-14)
+        iwe = build_iwe(warped, sigma=sigma)
+        for plane, events in ((0, sl.p > 0), (1, sl.p < 0)):
+            ref = iwe_gaussian_scalar(warped.positions, warped.weights, warped.mask & events, 32, 32, sigma)
+            np.testing.assert_allclose(iwe[plane], ref, rtol=1e-12, atol=1e-14)
 
     def test_polarity_split_routes_by_sign(self):
         rng = np.random.default_rng(8)
         sl = random_slice(rng, n=400)
         warped = warp_events(sl, DisplacementVolume.zeros(32, 32))
         iwe = build_iwe(warped)
-        assert iwe.pos.sum() == pytest.approx(float((sl.p > 0).sum()))
-        assert iwe.neg.sum() == pytest.approx(float((sl.p < 0).sum()))
+        assert iwe[0].sum() == pytest.approx(float((sl.p > 0).sum()))
+        assert iwe[1].sum() == pytest.approx(float((sl.p < 0).sum()))
 
     @pytest.mark.parametrize("sigma", [0.0, 0.8, 1.5])
     def test_mass_conservation(self, sigma):
@@ -164,7 +166,7 @@ class TestIwe:
         warped = warp_events(sl, vol, time_weighting=True)
         iwe = build_iwe(warped, sigma=sigma)
         total_weight = warped.weights[warped.mask].sum()
-        assert iwe.total().sum() == pytest.approx(total_weight, rel=1e-6)
+        assert iwe.sum() == pytest.approx(total_weight, rel=1e-6)
 
     def test_identity_invariance_bit_exact(self):
         # zero coefficients: IWE equals raw accumulation image, R = 0
@@ -173,10 +175,10 @@ class TestIwe:
         field = TrajectoryField.zeros(32, 32, 4, Basis(BEZIER, 10))
         vol = build_displacement_volume(field, 0.77, KnnConfig(k=8), n_bins=15)
         warped = warp_events(sl, vol)
-        iwe = build_iwe(warped, polarity_split=False)
+        iwe = build_iwe(warped)
         raw = np.zeros((32, 32))
         np.add.at(raw, (sl.y, sl.x), 1.0)
-        assert np.array_equal(iwe.pos, raw)
+        assert np.array_equal(iwe.sum(axis=0), raw)
         assert regularizer_r(build_consecutive_delta_field(field, vol))[0] == 0.0
 
     def test_pgm_render(self, tmp_path):
@@ -188,6 +190,25 @@ class TestIwe:
         raw = path.read_bytes()
         assert raw.startswith(b"P5\n#")
         assert raw.count(b"\n", 0, 60) >= 3
+
+    @pytest.mark.parametrize("bits", [8, 16])
+    @pytest.mark.parametrize("which", ["sum", "pos", "neg"])
+    def test_pgm_dequantises_to_polarity_histograms(self, tmp_path, bits, which):
+        rng = np.random.default_rng(25)
+        sl = random_slice(rng, n=2000, width=24, height=16)
+        path = tmp_path / "iwe.pgm"
+        write_iwe_pgm(build_iwe(warp_events(sl, DisplacementVolume.zeros(24, 16))), path, bits=bits, which=which)
+        magic, comment, size, maxval, body = path.read_bytes().split(b"\n", 4)
+        assert (magic, size, int(maxval)) == (b"P5", b"24 16", (1 << bits) - 1)
+        peak = float(comment.rsplit(b" ", 1)[1])
+        pixels = np.frombuffer(body, dtype=">u2" if bits == 16 else "u1").reshape(16, 24)
+        events = {"sum": sl.p != 0, "pos": sl.p > 0, "neg": sl.p < 0}[which]
+        hist = np.zeros((16, 24))
+        np.add.at(hist, (sl.y[events], sl.x[events]), 1.0)
+        assert peak == hist.max()
+        assert pixels.max() == (1 << bits) - 1
+        # a quantization step of peak / maxval < 1 recovers the integer counts
+        np.testing.assert_array_equal(np.round(pixels * peak / int(maxval)), hist)
 
 
 class TestVotingBlocks:
@@ -203,17 +224,14 @@ class TestVotingBlocks:
         npix = 32 * 32
         split = (sl.p < 0).astype(np.int64) * npix
         # the unblocked definition: one np.bincount over every event's taps
-        ref = {s: iwe_full_stencil(axes, split if s else np.zeros(len(sl), np.int64), 32, 2 * npix)
-               for s in (True, False)}
-        ref_g, dgdi = contrast_g(Iwe(ref[True][:npix].reshape(32, 32), ref[True][npix:].reshape(32, 32)))
+        ref = iwe_full_stencil(axes, split, 32, 2 * npix)
+        ref_g, dgdi = contrast_g(ref.reshape(2, 32, 32))
         nvox = vol.disp.size // 2
         ref_grad = np.stack([np.bincount(warped.vox_idx, weights=d, minlength=nvox)
                              for d in pullback_full_stencil(axes, split, 32, dgdi)], axis=1)
         for events_per_block in (1, 37, len(sl)):
             monkeypatch.setattr(objective, "_BLOCK_TAPS", events_per_block * taps)
-            for s in (True, False):
-                iwe = build_iwe(warped, sigma=sigma, polarity_split=s)
-                assert np.array_equal(np.concatenate([iwe.pos.ravel(), iwe.neg.ravel()]), ref[s])
+            assert np.array_equal(build_iwe(warped, sigma=sigma).ravel(), ref)
             g, grad, n_masked = contrast_pass(sl, vol, sigma, time_weighting=True)
             assert g == ref_g
             assert np.array_equal(grad, ref_grad.reshape(vol.disp.shape))
@@ -236,14 +254,13 @@ class TestVotingBlocks:
 
 class TestContrast:
     def test_zero_image(self):
-        iwe = Iwe(np.zeros((8, 8)), np.zeros((8, 8)))
-        assert contrast_g(iwe)[0] == 0.0
+        assert contrast_g(np.zeros((2, 8, 8)))[0] == 0.0
 
     def test_single_spike_frozen_value(self):
         # forward-diff stencil: |gx|=1 left of spike, |gy|=1 above, sqrt(2) at it
         img = np.zeros((9, 9))
         img[4, 4] = 1.0
-        iwe = Iwe(img, np.zeros_like(img))
+        iwe = np.stack([img, np.zeros_like(img)])
         assert contrast_g(iwe)[0] == pytest.approx(2.0 + np.sqrt(2.0))
         assert contrast_g(iwe)[0] == pytest.approx(contrast_scalar(img))
 
@@ -251,7 +268,7 @@ class TestContrast:
         rng = np.random.default_rng(12)
         img_p = rng.random((13, 17))
         img_n = rng.random((13, 17))
-        iwe = Iwe(img_p, img_n)
+        iwe = np.stack([img_p, img_n])
         assert contrast_g(iwe)[0] == pytest.approx(
             contrast_scalar(img_p) + contrast_scalar(img_n), rel=1e-12
         )

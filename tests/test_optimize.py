@@ -297,7 +297,7 @@ class TestMinimize:
         # flow accuracy at t=1 improves drastically over the zero field
         # the dense flow the estimator emits: each pixel's mean over its K anchors
         flow = interpolate_flow(trace.field, [1.0], k=16)[0]
-        v = np.array(spec.motion.v)
+        v = np.array(spec.motion.offsets[0])
         mean_err = np.linalg.norm(flow - v, axis=-1).mean()
         assert mean_err < 1.0
 

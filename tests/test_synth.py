@@ -5,7 +5,6 @@ from evtraj import synth
 from evtraj.synth import (
     BezierMotion,
     CircularMotion,
-    ConstantMotion,
     SceneSpec,
     generate_events,
     load_scene_config,
@@ -19,7 +18,7 @@ from scenes import arc_scene, constant_scene
 class TestGenerateEvents:
     def test_pure_noise_scene(self):
         spec = SceneSpec(
-            width=32, height=32, motion=ConstantMotion((0.0, 0.0)),
+            width=32, height=32, motion=BezierMotion(((0.0, 0.0),)),
             points=np.zeros((0, 2)), rates=np.zeros(0),
             n_events=100, noise_fraction=1.0,
         )
@@ -28,7 +27,7 @@ class TestGenerateEvents:
 
     def test_degenerate_scene_rejected(self):
         spec = SceneSpec(
-            width=32, height=32, motion=ConstantMotion((0.0, 0.0)),
+            width=32, height=32, motion=BezierMotion(((0.0, 0.0),)),
             points=np.zeros((0, 2)), rates=np.zeros(0),
             n_events=100, noise_fraction=0.0,
         )
@@ -38,7 +37,7 @@ class TestGenerateEvents:
     def test_constant_flow_events_on_line(self):
         point = np.array([[10.0, 20.0]])
         spec = SceneSpec(
-            width=64, height=64, motion=ConstantMotion((5.0, -3.0)),
+            width=64, height=64, motion=BezierMotion(((5.0, -3.0),)),
             points=point, rates=np.ones(1), n_events=500,
         )
         sl, _ = generate_events(spec, seed=1)
@@ -49,7 +48,7 @@ class TestGenerateEvents:
     def test_quantization_bound_all_motion_models(self):
         rng = np.random.default_rng(5)
         motions = [
-            ConstantMotion((4.0, 2.0)),
+            BezierMotion(((4.0, 2.0),)),
             CircularMotion((32.0, 32.0), np.pi / 3),
             BezierMotion(((8.0, 0.0), (0.0, 6.0), (-4.0, 2.0))),
         ]
@@ -68,6 +67,15 @@ class TestGenerateEvents:
                 curves - np.stack([sl.x, sl.y], 1)[:, None, :], axis=2
             ).min(axis=1)
             assert d.max() < 0.5 * np.sqrt(2) + 1e-9
+
+    def test_degree_one_bezier_is_constant_velocity(self):
+        # bit for bit, the sign of t = 0's zero included: constant scene
+        # files must write the same ground truth as a t * v motion model
+        t = np.concatenate([[0.0, 1.0], np.random.default_rng(12).uniform(0.0, 1.0, 1000)])
+        points = np.zeros((3, 2))
+        for v in ((5.0, -3.0), (0.1, 1e-7), (-17.25, 0.0), (1.0 / 3.0, 2.0 / 7.0)):
+            expect = np.broadcast_to(t[:, None, None] * np.array(v), (len(t), 3, 2))
+            assert BezierMotion((v,)).displacement(points, t).tobytes() == expect.tobytes()
 
     def test_ground_truth_zero_at_t0(self):
         _, gt, _ = constant_scene(width=32, height=32, n_points=30, n_events=500, seed=7)
@@ -88,7 +96,7 @@ class TestGenerateEvents:
     def test_polarity_alternates_per_point(self):
         point = np.array([[16.0, 16.0]])
         spec = SceneSpec(
-            width=32, height=32, motion=ConstantMotion((0.0, 0.0)),
+            width=32, height=32, motion=BezierMotion(((0.0, 0.0),)),
             points=point, rates=np.ones(1), n_events=50,
         )
         sl, _ = generate_events(spec, seed=3)
@@ -98,7 +106,7 @@ class TestGenerateEvents:
         rng = np.random.default_rng(6)
         points = scatter_points(32, 32, 10, rng)
         spec = SceneSpec(
-            width=32, height=32, motion=ConstantMotion((0.0, 0.0)),
+            width=32, height=32, motion=BezierMotion(((0.0, 0.0),)),
             points=points, rates=np.ones(10), n_events=1000, noise_fraction=0.25,
         )
         sl, _ = generate_events(spec, seed=4)
@@ -121,12 +129,12 @@ class TestScatterPoints:
     def test_accepted_draws_do_not_count_against_the_limit(self):
         # with no motion every draw is accepted, whatever the count
         n = synth._MAX_TRIES + 1
-        points = scatter_points(16, 16, n, np.random.default_rng(0), ConstantMotion((0.0, 0.0)))
+        points = scatter_points(16, 16, n, np.random.default_rng(0), BezierMotion(((0.0, 0.0),)))
         assert points.shape == (n, 2)
 
     def test_motion_leaving_the_image_rejected(self):
         with pytest.raises(ValueError, match="could not place"):
-            scatter_points(16, 16, 1, np.random.default_rng(0), ConstantMotion((20.0, 0.0)))
+            scatter_points(16, 16, 1, np.random.default_rng(0), BezierMotion(((20.0, 0.0),)))
 
 
 class TestSceneConfig:
@@ -139,6 +147,7 @@ class TestSceneConfig:
         cfg = load_scene_config(path)
         spec = scene_from_config(cfg, np.random.default_rng(0))
         assert spec.width == 32 and len(spec.points) == 20
+        assert spec.motion == BezierMotion(((2.0, -1.0),))
         sl, _ = generate_events(spec, seed=0)
         assert len(sl) == 500
 

@@ -158,6 +158,16 @@ class TestGridAndIo:
             load_field(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("value", [1e39, -1e39, float("nan")], ids=["over-f32", "under-f32", "nan"])
+    def test_trj1_writer_refuses_what_the_reader_rejects(self, tmp_path, value):
+        field = TrajectoryField.zeros(8, 8, 4, Basis(BEZIER, 2))
+        field.coeffs[1, 0, 1, 1] = value
+        path = tmp_path / "f.trj1"
+        with pytest.raises(ValueError, match="not finite in float32") as info:
+            save_field(field, path)
+        assert str(path) in str(info.value)
+        assert not path.exists()
+
     def test_displacement_basis_shapes(self):
         assert displacement_basis(Basis(POLYNOMIAL, 3), [0.5, 1.0]).shape == (2, 3)
         assert displacement_basis(Basis(BEZIER, 10), [0.5]).shape == (1, 10)
