@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .assoc import DisplacementVolume, KnnConfig, build_displacement_volume, interpolate_flow
-from .events import EventFormatError, load_events, save_events
+from .events import load_events, save_events
 from .flowio import load_flow, save_flow
 from .metrics import evaluate_trajectories, format_report, fwl, report_csv
 from .objective import ObjectiveConfig, build_iwe, warp_events, write_iwe_pgm
@@ -233,6 +233,9 @@ def cmd_rerun(args: dict) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the estimator's defaults live in its config dataclasses
+    optim = OptimConfig()
+    objective, knn = optim.objective, optim.objective.knn
     parser = argparse.ArgumentParser(
         prog="evtraj",
         description="Continuous-time dense motion estimation from event streams",
@@ -250,16 +253,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", choices=["poly", "bezier"], default="bezier")
     p.add_argument("--degree", type=int, default=10)
     p.add_argument("--stride", type=int, default=4)
-    p.add_argument("--k", type=int, default=32)
-    p.add_argument("--nbins", type=int, default=15)
-    p.add_argument("--lambda", dest="lambda", type=float, default=0.003,
+    p.add_argument("--k", type=int, default=knn.k)
+    p.add_argument("--nbins", type=int, default=objective.n_bins)
+    p.add_argument("--lambda", dest="lambda", type=float, default=objective.lam,
                    help="smoothness weight, applied against the per-pixel contrast "
                         "(the mean IWE gradient magnitude), so it means the same "
                         "at any resolution")
-    p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--lr", type=float, default=1e-2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sigma", type=float, default=objective.sigma)
+    p.add_argument("--iters", type=int, default=optim.iterations)
+    p.add_argument("--lr", type=float, default=optim.lr)
+    p.add_argument("--seed", type=int, default=optim.seed)
     p.add_argument("--fixed-ref", dest="fixed_ref", action="store_true",
                    help="score the loss over the fixed references t = 0, 0.5, 1 "
                         "(weights 1, 2, 1), normalized by the zero-warp contrast, "
@@ -281,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output PGM path")
     p.add_argument("--bits", type=int, choices=[8, 16], default=8)
     p.add_argument("--which", choices=["sum", "pos", "neg"], default="sum")
-    p.add_argument("--k", type=int, default=32)
-    p.add_argument("--nbins", type=int, default=15)
+    p.add_argument("--k", type=int, default=knn.k)
+    p.add_argument("--nbins", type=int, default=objective.n_bins)
     p.add_argument("--manifest", action="store_true", help="also write a manifest")
 
     p = sub.add_parser("rerun", help="re-execute a command from its manifest")
@@ -302,7 +305,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (EventFormatError, ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

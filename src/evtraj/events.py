@@ -37,10 +37,6 @@ _RECORD_DTYPE = np.dtype(
 )
 
 
-class EventFormatError(ValueError):
-    """Malformed event file; message names the path and the offending byte offset."""
-
-
 @dataclass(frozen=True)
 class EventSlice:
     """Time-sorted events in [t_start, t_end] for a W x H sensor.
@@ -92,7 +88,7 @@ class EventSlice:
         """Timestamps mapped to [0, 1] over [t_start, t_end].
 
         A degenerate interval maps every event to 0. All trajectory math
-        operates on this normalized axis.
+        works on this normalized axis.
         """
         if self.duration <= 0.0:
             return np.zeros(len(self), dtype=np.float64)
@@ -132,14 +128,14 @@ def load_events(path) -> EventSlice:
     """Read an EVT1 file and return a validated, time-sorted slice.
 
     Unsorted records are repaired with a stable sort. Malformed files raise
-    :class:`EventFormatError` naming the path and the byte offset.
+    ValueError naming the path and the byte offset.
     """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER_DTYPE.itemsize:
-        raise EventFormatError(f"{path}: truncated header at byte {len(raw)}")
+        raise ValueError(f"{path}: truncated header at byte {len(raw)}")
     header = np.frombuffer(raw, dtype=_HEADER_DTYPE, count=1)[0]
     if bytes(header["magic"]) != EVT1_MAGIC:
-        raise EventFormatError(f"{path}: bad magic at byte 0")
+        raise ValueError(f"{path}: bad magic at byte 0")
     at = {name: _HEADER_DTYPE.fields[name][1] for name in _HEADER_DTYPE.names}
     width, height = int(header["width"]), int(header["height"])
     t_start, t_end = float(header["t_start"]), float(header["t_end"])
@@ -147,13 +143,13 @@ def load_events(path) -> EventSlice:
               "t_end": not (np.isfinite(t_end) and t_end >= t_start)}
     for name, bad in faults.items():
         if bad:
-            raise EventFormatError(f"{path}: header {name} {header[name]} at byte {at[name]} "
-                                   "breaks width, height >= 1 and finite t_start <= t_end")
+            raise ValueError(f"{path}: header {name} {header[name]} at byte {at[name]} "
+                             "breaks width, height >= 1 and finite t_start <= t_end")
     count = int(header["count"])
     body_start = _HEADER_DTYPE.itemsize
     expected = body_start + count * _RECORD_DTYPE.itemsize
     if len(raw) != expected:
-        raise EventFormatError(
+        raise ValueError(
             f"{path}: {count} records should end at byte {expected}, file ends at byte {len(raw)}"
         )
     rec = np.frombuffer(raw, dtype=_RECORD_DTYPE, count=count, offset=body_start)
@@ -167,16 +163,16 @@ def load_events(path) -> EventSlice:
 
     bad = np.flatnonzero(~np.isfinite(t))
     if bad.size:
-        raise EventFormatError(f"{path}: non-finite timestamp at byte {_offset(bad[0])}")
+        raise ValueError(f"{path}: non-finite timestamp at byte {_offset(bad[0])}")
     bad = np.flatnonzero((x >= width) | (y >= height))
     if bad.size:
-        raise EventFormatError(f"{path}: out-of-bounds coordinate at byte {_offset(bad[0])}")
+        raise ValueError(f"{path}: out-of-bounds coordinate at byte {_offset(bad[0])}")
     bad = np.flatnonzero(np.abs(p) != 1)
     if bad.size:
-        raise EventFormatError(f"{path}: invalid polarity at byte {_offset(bad[0])}")
+        raise ValueError(f"{path}: invalid polarity at byte {_offset(bad[0])}")
     bad = np.flatnonzero((t < t_start) | (t > t_end))
     if bad.size:
-        raise EventFormatError(f"{path}: timestamp outside header interval at byte {_offset(bad[0])}")
+        raise ValueError(f"{path}: timestamp outside header interval at byte {_offset(bad[0])}")
     return EventSlice.from_arrays(x, y, t, p, width, height, t_start, t_end)
 
 

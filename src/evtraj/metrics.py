@@ -51,13 +51,13 @@ def epe_ae(pred: np.ndarray, gt: np.ndarray, mask: np.ndarray):
     return epe, float(ang.mean())
 
 
-def pct_out(pred: np.ndarray, gt: np.ndarray, mask: np.ndarray, threshold: float = 3.0) -> float:
-    """Fraction of masked pixels with endpoint error strictly above threshold."""
+def pct_out(pred: np.ndarray, gt: np.ndarray, mask: np.ndarray) -> float:
+    """Fraction of masked pixels with endpoint error strictly above 3 px."""
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise ValueError("empty evaluation mask")
     err = np.linalg.norm(pred[mask] - gt[mask], axis=-1)
-    return float((err > threshold).mean())
+    return float((err > 3.0).mean())
 
 
 def tepe_tae(pred_traj: np.ndarray, gt_traj: np.ndarray, masks: np.ndarray):

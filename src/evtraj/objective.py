@@ -312,7 +312,7 @@ def zero_warp_contrast(sl: EventSlice, stride: int, cfg: ObjectiveConfig) -> flo
     unwarped events. It does not depend on the field, so one value serves a
     whole run."""
     zero_vol = DisplacementVolume.zeros(sl.width, sl.height, stride, cfg.n_bins)
-    return max(contrast_pass(sl, zero_vol, cfg.sigma, False)[0], EPS_CONTRAST)
+    return max(contrast_g(build_iwe(warp_events(sl, zero_vol), cfg.sigma))[0], EPS_CONTRAST)
 
 
 def write_iwe_pgm(iwe: np.ndarray, path, bits: int = 8, which: str = "sum") -> None:

@@ -53,7 +53,8 @@ ADAM_EPS = 1e-8
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the loss or gradient turns non-finite during a run."""
+    """Raised when the loss or gradient turns non-finite during a run, or
+    when a step has warped every event off the image."""
 
 
 @dataclass
@@ -172,7 +173,8 @@ def minimize(sl: EventSlice, init_field: TrajectoryField, ocfg: OptimConfig) -> 
     Per iteration: draw a reference time (or take ``FIXED_REFERENCES``),
     evaluate the loss gradient there, update the moments and coefficients.
     The run is deterministic given the seed. Raises :class:`DivergenceError`
-    naming the iteration if the loss or gradient turns non-finite.
+    naming the iteration if the loss or gradient turns non-finite, or if
+    every event of a nonempty slice is warped off the image in every pass.
     """
     t0 = time.perf_counter()
     field = init_field.copy()
@@ -187,9 +189,12 @@ def minimize(sl: EventSlice, init_field: TrajectoryField, ocfg: OptimConfig) -> 
     for it in range(ocfg.iterations):
         if not np.all(np.isfinite(field.coeffs)):
             raise DivergenceError(f"non-finite coefficients at iteration {it}")
-        breakdown, grad = loss_gradient(sl, field, refs or ((float(rng.random()), 1.0),), cfg, g0)
+        it_refs = refs or ((float(rng.random()), 1.0),)
+        breakdown, grad = loss_gradient(sl, field, it_refs, cfg, g0)
         if not (np.isfinite(breakdown.total) and np.all(np.isfinite(grad))):
             raise DivergenceError(f"non-finite loss or gradient at iteration {it}")
+        if breakdown.n_masked == len(it_refs) * len(sl) > 0:
+            raise DivergenceError(f"every event is warped off the image at iteration {it}")
         hist_t.append(breakdown.t_ref)
         hist_g.append(breakdown.g)
         hist_r.append(breakdown.r)

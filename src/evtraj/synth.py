@@ -67,19 +67,19 @@ class BezierMotion:
 class SceneSpec:
     """Recipe for one synthetic scene.
 
-    ``points``/``rates``: texture seed positions and relative event rates.
+    ``points``: texture seed positions.
     ``n_events`` is the total event budget; a ``noise_fraction`` share of
     it becomes uniform space-time noise and the rest is split across the
-    texture points proportionally to their rates.
-    ``coverage_radius``, when set, restricts the ground-truth validity
-    mask to pixels within that distance of an observed texture event.
+    texture points with equal probability.
+    ``coverage_radius``, when set, must be >= 0 and restricts the
+    ground-truth validity mask to pixels within that distance of an
+    observed texture event.
     """
 
     width: int
     height: int
     motion: object
     points: np.ndarray
-    rates: np.ndarray
     n_events: int
     noise_fraction: float = 0.0
     query_times: np.ndarray = dc_field(default_factory=lambda: np.linspace(0.0, 1.0, 7))
@@ -89,14 +89,9 @@ class SceneSpec:
         self.points = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
         if self.points.size == 0:
             self.points = self.points.reshape(0, 2)
-        self.rates = np.atleast_1d(np.asarray(self.rates, dtype=np.float64))
         self.query_times = np.asarray(self.query_times, dtype=np.float64)
         if not 0.0 <= self.noise_fraction <= 1.0:
             raise ValueError("noise fraction must lie in [0, 1]")
-        if np.any(self.rates < 0):
-            raise ValueError("rates must be >= 0")
-        if len(self.points) != len(self.rates):
-            raise ValueError("points and rates must have equal length")
         if len(self.points) and (
             np.any(self.points[:, 0] < 0)
             or np.any(self.points[:, 0] > self.width - 1)
@@ -108,6 +103,8 @@ class SceneSpec:
             raise ValueError("n_events must be >= 0")
         if not np.all((self.query_times >= 0.0) & (self.query_times <= 1.0)):
             raise ValueError(f"query_times must lie in [0, 1], got {self.query_times.tolist()}")
+        if self.coverage_radius is not None and not self.coverage_radius >= 0.0:
+            raise ValueError(f"scene key coverage_radius={self.coverage_radius!r} must be >= 0")
 
 
 @dataclass
@@ -119,30 +116,28 @@ class GroundTruth:
     valid: np.ndarray  # (T, H, W) bool
 
 
-def scatter_points(width: int, height: int, n: int, rng: np.random.Generator, motion=None) -> np.ndarray:
+def scatter_points(width: int, height: int, n: int, rng: np.random.Generator, motion) -> np.ndarray:
     """Sample texture points whose full motion path stays inside the image.
 
     Rejection sampling against the path sampled at ``_PATH_SAMPLES``
-    times, giving up after ``_MAX_TRIES`` rejected draws; with no motion
-    given, any in-image point is accepted.
+    times, giving up after ``_MAX_TRIES`` rejected draws.
     """
     ts = np.linspace(0.0, 1.0, _PATH_SAMPLES)
     out = []
     rejected = 0
     while len(out) < n:
         p = rng.uniform([0.0, 0.0], [width - 1.0, height - 1.0])
-        if motion is not None:
-            path = p[None, :] + motion.displacement(p[None, :], ts)[:, 0, :]
-            if (
-                path[:, 0].min() < 0.0
-                or path[:, 0].max() > width - 1.0
-                or path[:, 1].min() < 0.0
-                or path[:, 1].max() > height - 1.0
-            ):
-                rejected += 1
-                if rejected > _MAX_TRIES:
-                    raise ValueError("could not place texture points inside the image")
-                continue
+        path = p[None, :] + motion.displacement(p[None, :], ts)[:, 0, :]
+        if (
+            path[:, 0].min() < 0.0
+            or path[:, 0].max() > width - 1.0
+            or path[:, 1].min() < 0.0
+            or path[:, 1].max() > height - 1.0
+        ):
+            rejected += 1
+            if rejected > _MAX_TRIES:
+                raise ValueError("could not place texture points inside the image")
+            continue
         out.append(p)
     return np.array(out)
 
@@ -150,23 +145,24 @@ def scatter_points(width: int, height: int, n: int, rng: np.random.Generator, mo
 def generate_events(spec: SceneSpec, seed: int) -> tuple[EventSlice, GroundTruth]:
     """Emit the scene's events and its analytic ground truth.
 
-    Signal events: each texture point draws its share of the budget, with
-    uniform i.i.d. times on [0, 1] (Poisson arrivals conditioned on the
-    count) and polarity alternating along the point's own timeline.
+    Signal events: the budget is split over the texture points by one
+    equal-probability multinomial draw; each point's events take uniform
+    i.i.d. times on [0, 1] (Poisson arrivals conditioned on the count)
+    and polarity alternating along the point's own timeline.
     Events whose rounded position leaves the sensor are dropped. Noise
     events are uniform in space, time, and polarity.
     """
     rng = np.random.default_rng(seed)
     n_noise = int(round(spec.noise_fraction * spec.n_events))
     n_signal = spec.n_events - n_noise
-    total_rate = float(spec.rates.sum())
-    if n_signal > 0 and total_rate <= 0.0:
-        raise ValueError("degenerate scene: no texture rate to carry signal events")
+    n_points = len(spec.points)
+    if n_signal > 0 and n_points == 0:
+        raise ValueError("degenerate scene: no texture points to carry signal events")
 
     xs, ys, ts, ps = [], [], [], []
     signal_pixels = []
     if n_signal > 0:
-        counts = rng.multinomial(n_signal, spec.rates / total_rate)
+        counts = rng.multinomial(n_signal, np.ones(n_points) / n_points)
         for point, count in zip(spec.points, counts):
             if count == 0:
                 continue
@@ -270,7 +266,6 @@ def scene_from_config(cfg: dict, rng: np.random.Generator) -> SceneSpec:
         height=height,
         motion=motion,
         points=points,
-        rates=np.ones(n_points),
         n_events=int(cfg.get("n_events", 20000)),
         noise_fraction=_finite("noise", cfg.get("noise", "0")),
         **kw,

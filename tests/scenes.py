@@ -24,7 +24,6 @@ def constant_scene(
         height=height,
         motion=motion,
         points=points,
-        rates=np.ones(n_points),
         n_events=n_events,
         noise_fraction=noise,
         query_times=np.linspace(0.0, 1.0, 7),
@@ -68,7 +67,6 @@ def arc_scene(
         height=height,
         motion=motion,
         points=np.array(points),
-        rates=np.ones(n_points),
         n_events=n_events,
         noise_fraction=noise,
         query_times=np.linspace(0.0, 1.0, 7),

@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evtraj.cli import main
+from evtraj.cli import build_parser, main
 from evtraj.events import load_events
 from evtraj.flowio import load_flow, save_flow
+from evtraj.optimize import OptimConfig
 
 
 SCENE = """\
@@ -85,6 +86,15 @@ class TestSynthCommand:
         assert "query_times must lie in [0, 1]" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_negative_coverage_radius_exits_2_naming_the_key(self, tmp_path, capsys):
+        # it used to write GT maps with no valid pixel
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SCENE + "coverage_radius=-1\n")
+        rc = main(["synth", str(bad), "--out", str(tmp_path / "x"), "--seed", "0"])
+        assert rc == 2
+        assert "scene key coverage_radius=" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_negative_seed_exits_2_before_writing(self, scene_file, tmp_path, capsys):
         out = tmp_path / "x"
         rc = main(["synth", str(scene_file), "--out", str(out), "--seed", "-1"])
@@ -126,6 +136,31 @@ class TestEstimateCommand:
         assert f"{out / 'field.trj1'}: TRJ1 coefficient" in capsys.readouterr().err
         assert not (out / "field.trj1").exists()
         assert not list(out.glob("flow_*.flo1"))
+
+    def test_every_event_off_image_exits_3_unwritten(self, tmp_path, capsys):
+        # the first step throws every event off the image; the run used to
+        # go on, exit 0 and write a field hundreds of thousands of px off
+        scene = tmp_path / "scene.cfg"
+        scene.write_text("width=32\nheight=24\nmotion=constant\nvx=2\nvy=-1\npoints=30\nn_events=3000\n")
+        data = tmp_path / "data"
+        main(["synth", str(scene), "--out", str(data), "--seed", "0"])
+        out = tmp_path / "est"
+        rc = main(["estimate", str(data / "events.evt1"), "--out", str(out), "--iters", "5",
+                   "--stride", "8", "--k", "4", "--degree", "2", "--lr", "1e5"])
+        assert rc == 3
+        assert "off the image at iteration 1" in capsys.readouterr().err
+        assert not (out / "field.trj1").exists()
+        assert not list(out.glob("flow_*.flo1"))
+
+    def test_estimator_defaults_come_from_the_configs(self):
+        ocfg = OptimConfig()
+        obj = ocfg.objective
+        parser = build_parser()
+        est = vars(parser.parse_args(["estimate", "ev.evt1", "--out", "x"]))
+        assert (est["k"], est["nbins"], est["lambda"], est["sigma"]) == (obj.knn.k, obj.n_bins, obj.lam, obj.sigma)
+        assert (est["iters"], est["lr"], est["seed"]) == (ocfg.iterations, ocfg.lr, ocfg.seed)
+        render = vars(parser.parse_args(["render", "ev.evt1", "--out", "x.pgm"]))
+        assert (render["k"], render["nbins"]) == (obj.knn.k, obj.n_bins)
 
     def test_fixed_ref_flag_routes(self, scene_file, tmp_path):
         data = tmp_path / "data"

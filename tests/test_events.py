@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evtraj.events import EventFormatError, EventSlice, load_events, save_events
+from evtraj.events import EventSlice, load_events, save_events
 
 
 def random_slice(rng, n=1000, width=64, height=48):
@@ -79,7 +79,7 @@ class TestBinaryFormat:
     def test_bad_magic_names_offset(self, tmp_path):
         path = tmp_path / "bad.evt1"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(EventFormatError, match="byte 0"):
+        with pytest.raises(ValueError, match="byte 0"):
             load_events(path)
 
     def test_truncated_body(self, tmp_path):
@@ -88,7 +88,7 @@ class TestBinaryFormat:
         path = tmp_path / "trunc.evt1"
         save_events(sl, path)
         path.write_bytes(path.read_bytes()[:-7])
-        with pytest.raises(EventFormatError, match="ends at byte"):
+        with pytest.raises(ValueError, match="ends at byte"):
             load_events(path)
 
     def test_trailing_bytes_name_path_and_offset(self, tmp_path):
@@ -98,7 +98,7 @@ class TestBinaryFormat:
         save_events(sl, path)
         path.write_bytes(path.read_bytes() + b"junk")
         # header 36 bytes + 10 records of 14 bytes
-        with pytest.raises(EventFormatError, match="end at byte 176, file ends at byte 180") as info:
+        with pytest.raises(ValueError, match="end at byte 176, file ends at byte 180") as info:
             load_events(path)
         assert str(path) in str(info.value)
 
@@ -120,7 +120,7 @@ class TestBinaryFormat:
         raw = bytearray(path.read_bytes())
         raw[offset : offset + len(value)] = value
         path.write_bytes(bytes(raw))
-        with pytest.raises(EventFormatError, match=f"at byte {at} ") as info:
+        with pytest.raises(ValueError, match=f"at byte {at} ") as info:
             load_events(path)
         assert str(path) in str(info.value)
 
@@ -141,5 +141,5 @@ class TestBinaryFormat:
         # x of record 1 lives at header(36) + 14 + 8
         raw[36 + 14 + 8 : 36 + 14 + 10] = (60000).to_bytes(2, "little")
         path.write_bytes(bytes(raw))
-        with pytest.raises(EventFormatError, match="out-of-bounds"):
+        with pytest.raises(ValueError, match="out-of-bounds"):
             load_events(path)

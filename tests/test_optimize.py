@@ -283,6 +283,24 @@ class TestMinimize:
         with pytest.raises(DivergenceError, match="iteration 0"):
             minimize(sl, field, ocfg)
 
+    def test_every_event_off_image_aborts_with_iteration(self):
+        # displacements of a million pixels warp all events off the 16x16
+        # image (no bin center falls on a fixed reference time); the run
+        # used to go on with G = 0 and a flat loss of 1/eps
+        sl, field = small_instance(seed=13)
+        field.coeffs[...] = 1e6
+        ocfg = OptimConfig(iterations=3, objective=ObjectiveConfig(knn=KnnConfig(k=8), n_bins=4))
+        with pytest.raises(DivergenceError, match="off the image at iteration 0"):
+            minimize(sl, field, ocfg)
+        with pytest.raises(DivergenceError, match="off the image at iteration 0"):
+            minimize(sl, field, replace(ocfg, fixed_reference=True))
+
+    def test_empty_slice_still_runs(self):
+        _, field = small_instance(seed=14)
+        sl = EventSlice.from_arrays([], [], [], [], 16, 16, t_start=0.0, t_end=1.0)
+        ocfg = OptimConfig(iterations=2, objective=ObjectiveConfig(knn=KnnConfig(k=8), n_bins=5))
+        assert len(minimize(sl, field, ocfg)) == 2
+
     def test_loss_decreases_on_constant_flow(self):
         sl, gt, spec = constant_scene(width=48, height=48, n_points=120, n_events=8000, seed=21)
         field = TrajectoryField.zeros(48, 48, 4, Basis(POLYNOMIAL, 1))

@@ -19,7 +19,7 @@ class TestGenerateEvents:
     def test_pure_noise_scene(self):
         spec = SceneSpec(
             width=32, height=32, motion=BezierMotion(((0.0, 0.0),)),
-            points=np.zeros((0, 2)), rates=np.zeros(0),
+            points=np.zeros((0, 2)),
             n_events=100, noise_fraction=1.0,
         )
         sl, gt = generate_events(spec, seed=0)
@@ -28,7 +28,7 @@ class TestGenerateEvents:
     def test_degenerate_scene_rejected(self):
         spec = SceneSpec(
             width=32, height=32, motion=BezierMotion(((0.0, 0.0),)),
-            points=np.zeros((0, 2)), rates=np.zeros(0),
+            points=np.zeros((0, 2)),
             n_events=100, noise_fraction=0.0,
         )
         with pytest.raises(ValueError, match="degenerate"):
@@ -38,7 +38,7 @@ class TestGenerateEvents:
         point = np.array([[10.0, 20.0]])
         spec = SceneSpec(
             width=64, height=64, motion=BezierMotion(((5.0, -3.0),)),
-            points=point, rates=np.ones(1), n_events=500,
+            points=point, n_events=500,
         )
         sl, _ = generate_events(spec, seed=1)
         expect = point[0] + sl.normalized_times()[:, None] * np.array([5.0, -3.0])
@@ -56,7 +56,7 @@ class TestGenerateEvents:
             points = scatter_points(64, 64, 40, rng, motion)
             spec = SceneSpec(
                 width=64, height=64, motion=motion, points=points,
-                rates=np.ones(40), n_events=4000,
+                n_events=4000,
             )
             sl, _ = generate_events(spec, seed=2)
             assert len(sl) == 4000  # in-bounds paths: nothing dropped
@@ -97,17 +97,18 @@ class TestGenerateEvents:
         point = np.array([[16.0, 16.0]])
         spec = SceneSpec(
             width=32, height=32, motion=BezierMotion(((0.0, 0.0),)),
-            points=point, rates=np.ones(1), n_events=50,
+            points=point, n_events=50,
         )
         sl, _ = generate_events(spec, seed=3)
         assert list(sl.p[:6]) == [1, -1, 1, -1, 1, -1]
 
     def test_noise_fraction_split(self):
         rng = np.random.default_rng(6)
-        points = scatter_points(32, 32, 10, rng)
+        motion = BezierMotion(((0.0, 0.0),))
+        points = scatter_points(32, 32, 10, rng, motion)
         spec = SceneSpec(
-            width=32, height=32, motion=BezierMotion(((0.0, 0.0),)),
-            points=points, rates=np.ones(10), n_events=1000, noise_fraction=0.25,
+            width=32, height=32, motion=motion,
+            points=points, n_events=1000, noise_fraction=0.25,
         )
         sl, _ = generate_events(spec, seed=4)
         assert len(sl) == 1000
@@ -127,7 +128,7 @@ class TestGenerateEvents:
 
 class TestScatterPoints:
     def test_accepted_draws_do_not_count_against_the_limit(self):
-        # with no motion every draw is accepted, whatever the count
+        # with zero motion every draw is accepted, whatever the count
         n = synth._MAX_TRIES + 1
         points = scatter_points(16, 16, n, np.random.default_rng(0), BezierMotion(((0.0, 0.0),)))
         assert points.shape == (n, 2)
