@@ -72,7 +72,8 @@ def _flow_times(text: str) -> list:
 def cmd_estimate(args: dict) -> int:
     t0 = time.perf_counter()
     # the flow times and configs are checked before the events are read,
-    # k once they are, and all before the fit runs or anything is written
+    # k once they are, and all before the fit runs; nothing is written
+    # until the fit has run, so a diverged fit leaves no output directory
     times = _flow_times(args["flow_times"])
     basis = Basis(POLYNOMIAL if args["basis"] == "poly" else BEZIER, args["degree"])
     ocfg = OptimConfig(
@@ -92,9 +93,9 @@ def cmd_estimate(args: dict) -> int:
     field0 = TrajectoryField.zeros(sl.width, sl.height, args["stride"], basis)
     if args["k"] > field0.n_anchors:
         raise ValueError(f"--k {args['k']} exceeds the anchor count {field0.n_anchors}")
+    trace = minimize(sl, field0, ocfg)
     out_dir = Path(args["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    trace = minimize(sl, field0, ocfg)
     outputs = []
     field_path = out_dir / "field.trj1"
     save_field(trace.field, field_path)

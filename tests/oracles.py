@@ -24,13 +24,18 @@ def bernstein_direct(degree, j, t):
 
 
 def knn_scalar(query, points, k):
-    """O(cells * anchors) KNN scan; ties broken by lower point index."""
+    """O(cells * anchors) KNN scan; ties broken by lower point index.
+
+    Squares are products, which IEEE arithmetic rounds correctly; ``** 2``
+    calls the C library's pow, which can land one ulp off on float inputs.
+    """
     idx_out = np.empty((len(query), k), dtype=np.int64)
     dist_out = np.empty((len(query), k))
     for i, q in enumerate(query):
-        d2 = [
-            ((q[0] - p[0]) ** 2 + (q[1] - p[1]) ** 2, j) for j, p in enumerate(points)
-        ]
+        d2 = []
+        for j, p in enumerate(points):
+            dx, dy = float(q[0]) - float(p[0]), float(q[1]) - float(p[1])
+            d2.append((dx * dx + dy * dy, j))
         d2.sort()  # tuple sort: distance first, then index
         idx_out[i] = [j for _, j in d2[:k]]
         dist_out[i] = [np.sqrt(d) for d, _ in d2[:k]]

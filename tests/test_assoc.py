@@ -141,6 +141,103 @@ class TestKnnLatticeTies:
         assert_knn_matches_scan(np.array(queries, dtype=float), np.array(points, dtype=float), k)
 
 
+def assert_blocks_match_scan(query, points, k):
+    """The block search, run at every input size, equals the scalar scan
+    for tiles of 1, 7 and the default number of query cells."""
+    ref_idx, ref_dist = knn_scalar(query, points, k)
+    for tile in (1, 7, assoc._KNN_TILE):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(assoc, "_BLOCK_MIN_PAIRS", 0)
+            mp.setattr(assoc, "_KNN_TILE", tile)
+            idx, dist = knn_per_bin(query, points, k)
+        np.testing.assert_array_equal(idx, ref_idx)
+        np.testing.assert_array_equal(dist, ref_dist)
+
+
+def block_rejects(query, points, k):
+    """Rows the 3x3 blocks cannot certify, which the full scan answers."""
+    idx = np.empty((len(query), k), dtype=np.int64)
+    dist = np.empty((len(query), k))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assoc, "_BLOCK_MIN_PAIRS", 0)
+        return assoc._block_search(np.asarray(query, float), np.asarray(points, float), k, idx, dist)
+
+
+class TestKnnBlocks:
+    """The bucketed search on the layouts where the blocks decide the result."""
+
+    # queries span (0, 0)-(100, 100); with 40 anchors and k = 3 the cell
+    # side is 15.45, and the query (60, 45) in cell (3, 2) scores the block
+    # of columns 2-4 and rows 1-3, whose right edge is x = 77.25
+    QUERY = np.array([[0.0, 0.0], [100.0, 100.0], [60.0, 45.0]])
+    # anchor 0 lies just outside the block, 18 px right of the query;
+    # anchor 3 is the block's third nearest, 18 px to its left; the other
+    # 36 sit on the row y = 100, far below and left of the block
+    ANCHORS = np.array(
+        [[78.0, 45.0], [60.0, 40.0], [60.0, 50.0], [42.0, 45.0]] + [[float(i), 100.0] for i in range(36)]
+    )
+
+    def test_block_geometry(self):
+        origin, side, shape = assoc._bucket_grid(self.QUERY, len(self.ANCHORS), 3)
+        np.testing.assert_array_equal(shape, [7, 7])
+        cells = assoc._cell_of(self.ANCHORS, origin, side, shape)
+        assert cells[:4].tolist() == [[5, 2], [3, 2], [3, 3], [2, 2]]
+        assert (cells[4:, 1] == 6).all()
+        assert assoc._cell_of(self.QUERY[2], origin, side, shape).tolist() == [3, 2]
+
+    @pytest.mark.parametrize("dy", [0.0, 1e-7], ids=["exact", "rounded"])
+    def test_tie_with_lower_index_outside_block(self, dy):
+        # the query's third d2 among the block's anchors is 18^2 = 324, and
+        # anchor 0 outside the block ties with it, exactly or only once its
+        # d2 324 + dy^2 is rounded to float64: the scan takes anchor 0, the
+        # lower index, so the row must not be certified from the block
+        anchors = self.ANCHORS.copy()
+        anchors[0, 1] += dy
+        d2 = np.square(anchors[[0, 3], 0] - 60.0) + np.square(anchors[[0, 3], 1] - 45.0)
+        assert d2[0] == d2[1] == 324.0
+        assert_blocks_match_scan(self.QUERY, anchors, 3)
+        assert knn_per_bin(self.QUERY, anchors, 3)[0][2].tolist() == [1, 2, 0]
+        assert 2 in block_rejects(self.QUERY, anchors, 3)
+        # one ulp further out, the row is certified from the block
+        anchors[0, 0] = np.nextafter(78.0, np.inf)
+        assert 2 not in block_rejects(self.QUERY, anchors, 3)
+        assert_blocks_match_scan(self.QUERY, anchors, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        layout=st.sampled_from(["spread", "one_cell", "far_outside", "duplicates", "outside_hull"]),
+        queries=st.lists(st.tuples(st.floats(0, 64), st.floats(0, 48)), min_size=2, max_size=24),
+        points=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=48),
+        data=st.data(),
+    )
+    def test_float_layouts(self, layout, queries, points, data):
+        query = np.array(queries)
+        unit = np.array(points)
+        k = data.draw(st.one_of(st.just(len(unit)), st.integers(1, len(unit))), label="k")
+        grid = assoc._bucket_grid(query, len(unit), k)
+        if layout == "one_cell" and grid is not None:
+            # every anchor inside one cell of the grid
+            origin, side, shape = grid
+            cell = np.array([data.draw(st.integers(0, m - 1), label="cell") for m in shape])
+            pts = origin + side * (cell + 0.1 + 0.8 * unit)
+            assert (assoc._cell_of(pts, origin, side, shape) == cell).all()
+        elif layout == "far_outside":
+            # all anchors beyond one corner of the queries' box
+            pts = unit * 64 + 1e4
+            assert len(block_rejects(query, pts, k)) == len(query)
+        elif layout == "duplicates":
+            pool = unit * [64, 48]
+            picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=48), label="picks")
+            pts = pool[picks]
+            k = min(k, len(pts))
+        elif layout == "outside_hull":
+            # anchors in a 6 x 5 px patch, most queries far outside their hull
+            pts = unit * [6, 5] + [20, 20]
+        else:
+            pts = unit * [64, 48]
+        assert_blocks_match_scan(query, pts, k)
+
+
 class TestDisplacementVolume:
     def test_zero_coefficients_zero_volume(self):
         field = TrajectoryField.zeros(32, 32, 4, Basis(POLYNOMIAL, 2))

@@ -149,8 +149,16 @@ class TestEstimateCommand:
                    "--stride", "8", "--k", "4", "--degree", "2", "--lr", "1e5"])
         assert rc == 3
         assert "off the image at iteration 1" in capsys.readouterr().err
-        assert not (out / "field.trj1").exists()
-        assert not list(out.glob("flow_*.flo1"))
+        assert not out.exists()
+
+    def test_existing_out_directory_accepted(self, scene_file, tmp_path):
+        data = tmp_path / "data"
+        main(["synth", str(scene_file), "--out", str(data), "--seed", "1"])
+        out = tmp_path / "est"
+        out.mkdir()
+        rc = main(["estimate", str(data / "events.evt1"), "--out", str(out), "--iters", "1", "--k", "8"])
+        assert rc == 0
+        assert (out / "field.trj1").exists()
 
     def test_estimator_defaults_come_from_the_configs(self):
         ocfg = OptimConfig()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evtraj import synth
+from evtraj import assoc, synth
 from evtraj.synth import (
     BezierMotion,
     CircularMotion,
@@ -118,6 +118,30 @@ class TestGenerateEvents:
             width=32, height=32, n_points=5, n_events=400, seed=9, coverage_radius=4.0
         )
         assert gt.valid.any() and not gt.valid.all()
+
+    def test_coverage_mask_equals_bruteforce_nearest_distance(self):
+        # texture on a ring, none inside it: the nearest observed pixel of a
+        # centre pixel lies beyond its 3x3 block, so the block search falls
+        # back to the scan there and answers the ring pixels itself
+        angles = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
+        points = np.stack([32 + 20 * np.cos(angles), 24 + 18 * np.sin(angles)], axis=1)
+        spec = SceneSpec(
+            width=64, height=48, motion=BezierMotion(((2.0, 1.0),)),
+            points=points, n_events=3000, coverage_radius=3.0,
+        )
+        sl, gt = generate_events(spec, seed=5)
+        obs = np.unique(np.stack([sl.x, sl.y], axis=1), axis=0).astype(np.float64)
+        gx, gy = np.meshgrid(np.arange(64.0), np.arange(48.0))
+        pixels = np.stack([gx.ravel(), gy.ravel()], axis=1)
+        d2 = np.square(pixels[:, None, 0] - obs[None, :, 0]) + np.square(pixels[:, None, 1] - obs[None, :, 1])
+        covered = (np.sqrt(d2.min(axis=1)) <= 3.0).reshape(48, 64)
+        assert covered.any() and not covered.all()
+        for valid in gt.valid:
+            np.testing.assert_array_equal(valid, covered)
+        idx = np.empty((len(pixels), 1), dtype=np.int64)
+        rest = assoc._block_search(pixels, obs, 1, idx, np.empty((len(pixels), 1)))
+        assert 0 < len(rest) < len(pixels)
+        assert len(pixels) * len(obs) >= assoc._BLOCK_MIN_PAIRS
 
     def test_determinism(self):
         a, _, _ = constant_scene(width=32, height=32, n_points=20, n_events=500, seed=11)
