@@ -20,19 +20,24 @@ The KNN search is exact: it returns what a scan over every anchor returns,
 byte for byte, ordered by squared Euclidean distance d2 with ties broken
 by lower anchor index, which makes the whole pipeline deterministic. It
 buckets the anchors on a square grid over the queries' bounding box, with
-cell side the expected k-th-neighbour radius sqrt(k A / (pi n)). The
-queries of one cell score only the anchors of its 3x3 block of cells. A
-row is kept when a certificate proves that no anchor outside the block
-can enter it: its k-th d2 must lie strictly below the d2 to the block's
-nearest edge, taken at the nearest outside anchor on each side. Strictly,
-because an outside anchor at exactly the k-th d2 with a lower index would
-belong to the scan's answer. Every other row falls back to the scan
-itself. Both passes compute d2 with the same float64 operations and pick
-with the same tie-breaking selection. IEEE rounding is monotone, so the
-certificate's bound never exceeds the rounded d2 of an outside anchor,
-and no rounding can sneak one past it. The result therefore equals the
-scan's bit for bit. Queries stream in fixed-size tiles, so no distance
-array is larger than (tile, anchors).
+cell side the expected k-th-neighbour radius sqrt(k A / (pi n)), and runs
+one block pass in growing rings. At reach r the queries of one cell score
+only the anchors within r cells of it, the 3x3 block at r = 1. A row is
+kept when a certificate proves that no anchor outside the block can enter
+it: its k-th d2 must lie strictly below the d2 to the block's nearest
+edge, taken at the nearest outside anchor on each side. Strictly, because
+an outside anchor at exactly the k-th d2 with a lower index would belong
+to the scan's answer. Every other row goes on to the next ring, at twice
+the reach. Once a block spans the grid, no anchor lies outside it, and
+its anchors, kept in index order, are every anchor in index order: that
+ring is the scan itself, so it certifies every row still open and the
+search ends, within ceil(log2(longest grid side)) + 1 passes. Every ring
+computes d2 with the scan's float64 operations and picks with the same
+tie-breaking selection. IEEE rounding is monotone, so the certificate's
+bound never exceeds the rounded d2 of an outside anchor, and no rounding
+can sneak one past it. The result therefore equals the scan's bit for
+bit. Queries stream in fixed-size tiles, so no distance array is larger
+than (tile, anchors).
 """
 
 from __future__ import annotations
@@ -45,9 +50,6 @@ from .trajectory import TrajectoryField, anchor_grid, displacement_basis, eval_t
 
 # query cells per distance tile of the KNN search
 _KNN_TILE = 1024
-# below this many (query, anchor) pairs the block search's fixed cost, some
-# forty numpy calls, exceeds what it saves, and the scan answers every row
-_BLOCK_MIN_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -68,15 +70,17 @@ def knn_per_bin(query_cells, traj_positions, k: int):
     smallest Euclidean distance to each cell center, ties broken by lower
     anchor index.
 
-    Two passes, described in the module docstring: :func:`_block_search`
-    answers each row that the anchors of its query's 3x3 block of grid
-    cells certify, and the scan below answers every other row over all
-    anchors. Both compute the same float64 d2 and select with
-    :func:`_topk_stable`, and a row is certified only when no outside anchor
-    can reach its k-th d2, so the result is the full scan's, bit for bit.
-    Calls with fewer than ``_BLOCK_MIN_PAIRS`` (query, anchor) pairs skip
-    the blocks. Both passes take at most ``_KNN_TILE`` cells at a time, so
-    no distance array exceeds (``_KNN_TILE``, n_anchors).
+    One block pass, described in the module docstring, runs at reach 1, 2,
+    4, ... cells (:func:`_ring_pass`); each answers the rows it certifies
+    and hands the rest to the next. Once a block spans the grid it holds
+    every anchor, in index order, so that ring computes exactly the full
+    scan; it certifies every row still open, even one whose d2 overflows,
+    and ends the search, within ceil(log2(longest grid side)) + 1 passes.
+    Every ring computes the scan's float64 d2 and selects with
+    :func:`_topk_stable`, and a row is certified only when no anchor outside
+    its block can reach its k-th d2, so the result is the full scan's, bit
+    for bit. A pass takes at most ``_KNN_TILE`` cells at a time, so no
+    distance array exceeds (``_KNN_TILE``, n_anchors).
     """
     query = np.asarray(query_cells, dtype=np.float64)
     pts = np.asarray(traj_positions, dtype=np.float64)
@@ -87,21 +91,12 @@ def knn_per_bin(query_cells, traj_positions, k: int):
         raise ValueError("positions must be finite")
     idx = np.empty((n_cells, k), dtype=np.int64)
     dist = np.empty((n_cells, k), dtype=np.float64)
-    rest = _block_search(query, pts, k, idx, dist)
-    for start in range(0, len(rest), _KNN_TILE):
-        rows = rest[start : start + _KNN_TILE]
-        tile = query[rows]
-        # squared in place and freed before the next tile, so at most two
-        # (tile, n_pts) float arrays are live at once
-        d2 = tile[:, None, 0] - pts[None, :, 0]
-        dy = tile[:, None, 1] - pts[None, :, 1]
-        np.square(d2, out=d2)
-        d2 += np.square(dy, out=dy)
-        del dy
-        order = _topk_stable(d2, k)
-        idx[rows] = order
-        dist[rows] = np.sqrt(np.take_along_axis(d2, order, axis=1))
-        del d2
+    if n_cells:
+        grid, rows = _ring_grid(query, pts, k)
+        reach = 1
+        while len(rows):
+            rows = _ring_pass(grid, rows, reach, idx, dist)
+            reach *= 2
     return idx, dist
 
 
@@ -111,13 +106,14 @@ def _bucket_grid(query, n_pts: int, k: int):
     The cell side is the expected k-th-neighbour radius sqrt(k A / (pi n))
     of n points spread over the box's area A, and at least 1/n of its
     longer edge, so the grid has O(n) cells. ``shape`` is (columns, rows).
-    None when every query sits at one point, or the box's size overflows.
+    One cell when every query sits at one point, or the box's size
+    overflows.
     """
     origin = query.min(axis=0)
     span = query.max(axis=0) - origin
     side = max(np.sqrt(k * span[0] * span[1] / (np.pi * n_pts)), span.max() / n_pts)
     if not (np.isfinite(side) and side > 0.0):
-        return None
+        return origin, 1.0, np.ones(2, dtype=np.int64)
     return origin, side, (span // side).astype(np.int64) + 1
 
 
@@ -129,62 +125,80 @@ def _cell_of(p, origin, side, shape):
     return cell.astype(np.int64)
 
 
-def _block_search(query, pts, k, idx, dist):
-    """Answer the KNN rows that the anchors near each query certify.
+def _ring_grid(query, pts, k):
+    """Set-up that every ring of one search shares, made once per call:
+    (grid, order), the queries in cell order.
 
-    Anchors are bucketed on :func:`_bucket_grid`. The queries of one cell
-    score only the anchors of its 3x3 block of cells, kept in anchor-index
-    order and padded with +inf, with the scan's d2 and :func:`_topk_stable`.
-    A row is written to ``idx`` and ``dist`` only when its k-th d2 lies
-    strictly below the d2 to the block's edge, taken at the nearest anchor
-    outside the block on each side; returns the indices of the other rows.
+    ``grid`` is (query, k, shape, acell, qcell, qflat, beyond, before, px,
+    py): the (column, row) cells of anchors and queries on
+    :func:`_bucket_grid` and the queries' flat cells; per axis, the nearest
+    anchor coordinate at or past each grid line and the farthest before
+    it; the anchor coordinates, then the +inf pad anchor.
     """
-    n_pts = len(pts)
-    grid = _bucket_grid(query, n_pts, k) if len(query) * n_pts >= _BLOCK_MIN_PAIRS else None
-    if grid is None:
-        return np.arange(len(query))
-    origin, side, shape = grid
+    origin, side, shape = _bucket_grid(query, len(pts), k)
     acell = _cell_of(pts, origin, side, shape)
     qcell = _cell_of(query, origin, side, shape)
-    # nearest anchor coordinate past each grid line, per axis a: cells are
-    # non-decreasing in each coordinate, so the anchors in cells >= j along
-    # a lie beyond every query in a cell < j, at >= beyond[a][j], and those
-    # in cells < j lie before every query in a cell >= j, at <= before[a][j]
+    # cells are non-decreasing in each coordinate, so the anchors in cells
+    # >= j along axis a lie beyond every query in a cell < j, at >=
+    # beyond[a][j], and those in cells < j before every query in a cell
+    # >= j, at <= before[a][j]; index m holds +inf and index 0 -inf
     beyond, before = [], []
     for a, m in enumerate(shape):
-        lo, hi = np.full(m, np.inf), np.full(m, -np.inf)
+        lo, hi = np.full(m + 1, np.inf), np.full(m + 1, -np.inf)
         np.minimum.at(lo, acell[:, a], pts[:, a])
-        np.maximum.at(hi, acell[:, a], pts[:, a])
-        beyond.append(np.append(np.minimum.accumulate(lo[::-1])[::-1], np.inf))
-        before.append(np.insert(np.maximum.accumulate(hi), 0, -np.inf))
-    px = np.append(pts[:, 0], np.inf)
-    py = np.append(pts[:, 1], np.inf)
-
-    # queries in cell order, so a tile spans few cells; one table row each
+        np.maximum.at(hi, acell[:, a] + 1, pts[:, a])
+        beyond.append(np.minimum.accumulate(lo[::-1])[::-1])
+        before.append(np.maximum.accumulate(hi))
     qflat = qcell[:, 1] * shape[0] + qcell[:, 0]
-    qorder = np.argsort(qflat, kind="stable")
+    pad = [np.append(pts[:, a], np.inf) for a in (0, 1)]
+    return (query, k, shape, acell, qcell, qflat, beyond, before, *pad), np.argsort(qflat, kind="stable")
+
+
+def _ring_pass(grid, rows, reach: int, idx, dist):
+    """Answer the KNN ``rows`` that the anchors within ``reach`` cells of
+    their query's cell certify; return the other rows.
+
+    The queries of one cell score the anchors of its (2 reach + 1)^2 block
+    of cells, kept in anchor-index order and padded with the +inf anchor to
+    at least k columns, with the scan's d2 and :func:`_topk_stable`; a
+    block with fewer than k anchors certifies none of its rows and is not
+    scored. A row is written to ``idx`` and ``dist`` when its k-th d2 lies
+    strictly below the d2 to the block's edge, taken at the nearest anchor
+    outside the block on each side, or when the block spans the grid.
+    """
+    query, k, shape, acell, qcell, qflat, beyond, before, px, py = grid
+    # the d2 term of the nearest anchor past each row's block on either
+    # side; rounding is monotone, so every anchor outside the block has a
+    # d2 at least one of those terms
+    edge = np.full(len(rows), np.inf)
+    for a, m in enumerate(shape):
+        c, x = qcell[rows, a], query[rows, a]
+        np.minimum(edge, np.square(beyond[a][np.minimum(c + reach + 1, m)] - x), out=edge)
+        np.minimum(edge, np.square(x - before[a][np.maximum(c - reach, 0)]), out=edge)
+    spans = reach + 1 >= shape.max()
     rest = []
-    for start in range(0, len(query), _KNN_TILE):
-        rows = qorder[start : start + _KNN_TILE]
-        cells, inv = np.unique(qflat[rows], return_inverse=True)
-        cx, cy = cells % shape[0], cells // shape[0]
-        # anchors within one cell of each query cell, per column and per row
+    for start in range(0, len(rows), _KNN_TILE):
+        tile_rows = rows[start : start + _KNN_TILE]
+        cells, inv = np.unique(qflat[tile_rows], return_inverse=True)
+        # the anchors within reach of each query cell, per column and per
+        # row, in index order and padded with the +inf anchor; a row whose
+        # block holds fewer than k anchors cannot be certified
         near = []
-        for a, c in enumerate((cx, cy)):
+        for a, c in enumerate((cells % shape[0], cells // shape[0])):
             lines, line_of = np.unique(c, return_inverse=True)
-            near.append((np.abs(acell[:, a] - lines[:, None]) <= 1)[line_of])
+            near.append((np.abs(acell[:, a] - lines[:, None]) <= reach)[line_of])
         inside = near[0] & near[1]
         n_block = inside.sum(axis=1)
-        width = n_block.max()
-        if width < k or 2 * width > n_pts:
-            # no block holds k anchors, or one holds most: scan these rows
-            rest.append(rows)
-            continue
-        # each block's anchors in index order, padded with the +inf anchor
         cell_row, anchor = np.nonzero(inside)
-        table = np.full((len(cells), width), n_pts)
+        table = np.full((len(cells), max(n_block.max(), k)), len(acell))
         table[cell_row, np.arange(len(anchor)) - np.repeat(np.cumsum(n_block) - n_block, n_block)] = anchor
-        tile = query[rows]
+        del near, inside, cell_row, anchor
+        scored = n_block[inv] >= k
+        rest.append(tile_rows[~scored])
+        tile_rows, inv, bound = tile_rows[scored], inv[scored], edge[start : start + _KNN_TILE][scored]
+        # squared in place and freed as soon as they are used, so at most
+        # three (tile, width) float arrays are live at once
+        tile = query[tile_rows]
         d2 = tile[:, 0:1] - np.take(px[table], inv, axis=0)
         dy = tile[:, 1:2] - np.take(py[table], inv, axis=0)
         np.square(d2, out=d2)
@@ -193,19 +207,11 @@ def _block_search(query, pts, k, idx, dist):
         order = _topk_stable(d2, k)
         kd2 = np.take_along_axis(d2, order, axis=1)
         del d2
-        # every anchor outside the block lies past one of its four edges;
-        # rounding is monotone, so its d2 is at least that edge's term
-        edge = np.minimum.reduce([
-            np.square(beyond[0][np.minimum(cx + 2, shape[0])][inv] - tile[:, 0]),
-            np.square(tile[:, 0] - before[0][np.maximum(cx - 1, 0)][inv]),
-            np.square(beyond[1][np.minimum(cy + 2, shape[1])][inv] - tile[:, 1]),
-            np.square(tile[:, 1] - before[1][np.maximum(cy - 1, 0)][inv]),
-        ])
-        ok = kd2[:, -1] < edge
-        idx[rows[ok]] = table[inv[ok, None], order[ok]]
-        dist[rows[ok]] = np.sqrt(kd2[ok])
-        rest.append(rows[~ok])
-    return np.sort(np.concatenate(rest))
+        ok = (kd2[:, -1] < bound) | spans
+        idx[tile_rows[ok]] = table[inv[ok, None], order[ok]]
+        dist[tile_rows[ok]] = np.sqrt(kd2[ok])
+        rest.append(tile_rows[~ok])
+    return np.concatenate(rest)
 
 
 def _topk_stable(d2, k):

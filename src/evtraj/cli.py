@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,10 @@ def cmd_synth(args: dict) -> int:
     cfg = load_scene_config(args["spec"])
     root = np.random.SeedSequence(args["seed"])
     place_seed, event_seed = root.spawn(2)
-    spec = scene_from_config(cfg, np.random.default_rng(place_seed))
+    try:
+        spec = scene_from_config(cfg, np.random.default_rng(place_seed))
+    except ValueError as exc:
+        raise ValueError(f"{args['spec']}: {exc}") from None
     sl, gt = generate_events(spec, event_seed)
     out_dir = Path(args["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -120,12 +124,12 @@ def _volume_from_flow_maps(flows, times, valids, width, height, n_bins=15):
     Piecewise-linear interpolation in time through (0, zero) and the
     provided maps; invalid pixels fall back to zero displacement.
     """
+    volume = DisplacementVolume.zeros(width, height, 1, n_bins)
     order = np.argsort(times)
     times = [0.0] + [times[i] for i in order]
     stack = [np.zeros_like(flows[0])] + [
         np.where(valids[i][..., None], flows[i], 0.0) for i in order
     ]
-    bin_centers = (np.arange(n_bins) + 0.5) / n_bins
 
     def interp(t):
         if t <= times[0]:
@@ -137,16 +141,9 @@ def _volume_from_flow_maps(flows, times, valids, width, height, n_bins=15):
         return stack[-1]
 
     final = interp(1.0)
-    disp = np.stack([final - interp(t) for t in bin_centers])
-    return DisplacementVolume(
-        t_ref=1.0,
-        stride=1,
-        width=width,
-        height=height,
-        bin_centers=bin_centers,
-        disp=disp,
-        knn_indices=np.zeros((n_bins, height, width, 1), dtype=np.int64),
-    )
+    for b, t in enumerate(volume.bin_centers):
+        volume.disp[b] = final - interp(t)
+    return replace(volume, t_ref=1.0)
 
 
 def cmd_eval(args: dict) -> int:

@@ -222,39 +222,62 @@ def load_scene_config(path) -> dict:
     return cfg
 
 
+def _required(cfg: dict, key: str) -> str:
+    """The value of scene key ``key``; ValueError naming the key when it is missing."""
+    if key not in cfg:
+        raise ValueError(f"scene key {key} is missing")
+    return cfg[key]
+
+
 def _finite(key: str, text: str) -> float:
     """``text``, the value of scene key ``key`` or one of its entries, as a finite float."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
     if not np.isfinite(value):
         raise ValueError(f"scene key {key}={text!r} is not a finite number")
+    return value
+
+
+def _count(key: str, text: str, low: int) -> int:
+    """``text``, the value of scene key ``key``, as an integer >= ``low``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"scene key {key}={text!r} is not an integer") from None
+    if value < low:
+        raise ValueError(f"scene key {key}={text!r} must be >= {low}")
     return value
 
 
 def scene_from_config(cfg: dict, rng: np.random.Generator) -> SceneSpec:
     """Instantiate a SceneSpec from a parsed config, placing texture points.
 
-    Recognized keys: width, height, n_events, points (count), noise,
-    motion=constant|circular|bezier with their parameters (vx/vy;
+    Recognized keys: width, height (>= 1), n_events, points (count, >= 0),
+    noise, motion=constant|circular|bezier with their parameters (vx/vy;
     cx/cy/angle; offsets=x:y,x:y,...), and optional coverage_radius,
-    query_times (comma list). Unknown keys are ignored, and a non-finite
-    number raises ValueError naming its key.
+    query_times (comma list). Unknown keys are ignored. A missing key, or
+    a value that is not a finite number or an integer in range, raises
+    ValueError naming its key.
     """
-    width = int(cfg["width"])
-    height = int(cfg["height"])
+    width = _count("width", _required(cfg, "width"), 1)
+    height = _count("height", _required(cfg, "height"), 1)
     kind = cfg.get("motion", "constant")
     if kind == "constant":
-        motion = BezierMotion(((_finite("vx", cfg["vx"]), _finite("vy", cfg["vy"])),))
+        motion = BezierMotion(((_finite("vx", _required(cfg, "vx")), _finite("vy", _required(cfg, "vy"))),))
     elif kind == "circular":
-        center = (_finite("cx", cfg["cx"]), _finite("cy", cfg["cy"]))
-        motion = CircularMotion(center, _finite("angle", cfg["angle"]))
+        center = (_finite("cx", _required(cfg, "cx")), _finite("cy", _required(cfg, "cy")))
+        motion = CircularMotion(center, _finite("angle", _required(cfg, "angle")))
     elif kind == "bezier":
-        offsets = tuple(
-            tuple(_finite("offsets", v) for v in pair.split(":")) for pair in cfg["offsets"].split(",")
-        )
-        motion = BezierMotion(offsets)
+        text = _required(cfg, "offsets")
+        pairs = [pair.split(":") for pair in text.split(",")]
+        if any(len(pair) != 2 for pair in pairs):
+            raise ValueError(f"scene key offsets={text!r} must list x:y pairs")
+        motion = BezierMotion(tuple(tuple(_finite("offsets", v) for v in pair) for pair in pairs))
     else:
-        raise ValueError(f"unknown motion kind {kind!r}")
-    n_points = int(cfg.get("points", 200))
+        raise ValueError(f"scene key motion={kind!r} must be constant, circular or bezier")
+    n_points = _count("points", cfg.get("points", "200"), 0)
     points = scatter_points(width, height, n_points, rng, motion)
     kw = {}
     if "query_times" in cfg:
@@ -266,7 +289,7 @@ def scene_from_config(cfg: dict, rng: np.random.Generator) -> SceneSpec:
         height=height,
         motion=motion,
         points=points,
-        n_events=int(cfg.get("n_events", 20000)),
+        n_events=_count("n_events", cfg.get("n_events", "20000"), 0),
         noise_fraction=_finite("noise", cfg.get("noise", "0")),
         **kw,
     )

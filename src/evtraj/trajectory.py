@@ -130,7 +130,7 @@ class TrajectoryField:
             raise ValueError(f"coeffs shape {self.coeffs.shape} != {expect}")
 
     @classmethod
-    def zeros(cls, width: int, height: int, stride: int = 4, basis: Basis = Basis(BEZIER, 10)):
+    def zeros(cls, width: int, height: int, stride: int, basis: Basis):
         rows, cols, _ = anchor_grid(width, height, stride)
         coeffs = np.zeros((rows, cols, basis.degree, 2), dtype=np.float64)
         return cls(basis, stride, width, height, coeffs)

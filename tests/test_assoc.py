@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -147,7 +148,6 @@ def assert_blocks_match_scan(query, points, k):
     ref_idx, ref_dist = knn_scalar(query, points, k)
     for tile in (1, 7, assoc._KNN_TILE):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(assoc, "_BLOCK_MIN_PAIRS", 0)
             mp.setattr(assoc, "_KNN_TILE", tile)
             idx, dist = knn_per_bin(query, points, k)
         np.testing.assert_array_equal(idx, ref_idx)
@@ -155,12 +155,12 @@ def assert_blocks_match_scan(query, points, k):
 
 
 def block_rejects(query, points, k):
-    """Rows the 3x3 blocks cannot certify, which the full scan answers."""
+    """Rows the 3x3 blocks of the first ring cannot certify, which the
+    next ring answers."""
     idx = np.empty((len(query), k), dtype=np.int64)
     dist = np.empty((len(query), k))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(assoc, "_BLOCK_MIN_PAIRS", 0)
-        return assoc._block_search(np.asarray(query, float), np.asarray(points, float), k, idx, dist)
+    grid, order = assoc._ring_grid(np.asarray(query, float), np.asarray(points, float), k)
+    return assoc._ring_pass(grid, order, 1, idx, dist)
 
 
 class TestKnnBlocks:
@@ -203,6 +203,58 @@ class TestKnnBlocks:
         assert 2 not in block_rejects(self.QUERY, anchors, 3)
         assert_blocks_match_scan(self.QUERY, anchors, 3)
 
+    def test_rejected_at_reach_1_certified_at_reach_2(self):
+        # the exact tie above: the 5x5 block at reach 2 (columns 1-5, rows
+        # 0-4) holds anchor 0, and the nearest anchor past it, (15, 100) in
+        # column 0, is 45 px away on x, so the row is certified there
+        grid, _ = assoc._ring_grid(self.QUERY, self.ANCHORS, 3)
+        idx, dist = np.full((3, 3), -1), np.full((3, 3), np.nan)
+        assert assoc._ring_pass(grid, np.array([2]), 1, idx, dist).tolist() == [2]
+        assert (idx[2] == -1).all()
+        assert assoc._ring_pass(grid, np.array([2]), 2, idx, dist).size == 0
+        ref_idx, ref_dist = knn_scalar(self.QUERY, self.ANCHORS, 3)
+        assert idx[2].tolist() == ref_idx[2].tolist() == [1, 2, 0]
+        np.testing.assert_array_equal(dist[2], ref_dist[2])
+        assert_blocks_match_scan(self.QUERY, self.ANCHORS, 3)
+
+    @pytest.mark.parametrize("k", [1, 7, 60])
+    @pytest.mark.parametrize("layout", ["one_point", "small"])
+    def test_inputs_the_scan_answered(self, layout, k):
+        # every query at one point (a one-cell grid, answered by one pass),
+        # and a spread input under 2^16 (query, anchor) pairs
+        rng = np.random.default_rng(8)
+        anchors = rng.uniform(0, 40, (60, 2))
+        query = np.full((25, 2), 13.25) if layout == "one_point" else rng.uniform(0, 40, (50, 2))
+        if layout == "one_point":
+            assert assoc._bucket_grid(query, len(anchors), k)[2].tolist() == [1, 1]
+        assert_blocks_match_scan(query, anchors, k)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_pass_count_bound(self, monkeypatch, k):
+        # anchors beyond one corner of a 40 x 40 lattice of queries sit in
+        # the corner cell, so a row is certified only once its block holds
+        # that cell, and the rows farthest from it wait for the ring that
+        # spans the grid
+        g = np.arange(40.0)
+        query = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+        anchors = np.random.default_rng(9).uniform(0, 5, (30, 2)) + 1e3
+        reaches = []
+        ring_pass = assoc._ring_pass
+
+        def counting_pass(grid, rows, reach, idx, dist):
+            reaches.append(reach)
+            return ring_pass(grid, rows, reach, idx, dist)
+
+        monkeypatch.setattr(assoc, "_ring_pass", counting_pass)
+        idx, dist = knn_per_bin(query, anchors, k)
+        longest = assoc._bucket_grid(query, len(anchors), k)[2].max()
+        assert reaches == [2**i for i in range(len(reaches))]
+        assert reaches[-2] + 1 < longest <= reaches[-1] + 1
+        assert len(reaches) <= math.ceil(math.log2(longest)) + 1
+        ref_idx, ref_dist = knn_scalar(query, anchors, k)
+        np.testing.assert_array_equal(idx, ref_idx)
+        np.testing.assert_array_equal(dist, ref_dist)
+
     @settings(max_examples=200, deadline=None)
     @given(
         layout=st.sampled_from(["spread", "one_cell", "far_outside", "duplicates", "outside_hull"]),
@@ -222,9 +274,13 @@ class TestKnnBlocks:
             pts = origin + side * (cell + 0.1 + 0.8 * unit)
             assert (assoc._cell_of(pts, origin, side, shape) == cell).all()
         elif layout == "far_outside":
-            # all anchors beyond one corner of the queries' box
+            # all anchors beyond one corner of the queries' box, so in its
+            # corner cell: the 3x3 blocks that hold that cell hold every
+            # anchor and certify their rows, every other row is rejected
             pts = unit * 64 + 1e4
-            assert len(block_rejects(query, pts, k)) == len(query)
+            origin, side, shape = grid
+            far = (assoc._cell_of(query, origin, side, shape) < shape - 2).any(axis=1)
+            assert sorted(block_rejects(query, pts, k)) == np.flatnonzero(far).tolist()
         elif layout == "duplicates":
             pool = unit * [64, 48]
             picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=48), label="picks")

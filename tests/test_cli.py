@@ -77,6 +77,32 @@ class TestSynthCommand:
         assert f"scene key {key}=" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "key, lines",
+        [
+            ("offsets", ["motion=bezier", "offsets=3"]),
+            ("offsets", ["motion=bezier", "offsets=1:2:3"]),
+            ("width", ["width=abc"]),
+            ("n_events", ["n_events=1e3"]),
+            ("query_times", ["query_times=0.5,abc"]),
+            ("width", []),
+            ("vy", []),
+            ("width", ["width=0"]),
+            ("points", ["points=-3"]),
+        ],
+        ids=["offsets-no-colon", "offsets-three", "width-abc", "n_events-float", "query_times-abc",
+             "width-missing", "vy-missing", "width-zero", "points-negative"],
+    )
+    def test_malformed_scene_exits_2_naming_file_and_key(self, tmp_path, capsys, key, lines):
+        bad = tmp_path / "bad.cfg"
+        kept = [line for line in SCENE.splitlines() if line.split("=")[0] not in (key, "motion")]
+        bad.write_text("\n".join(kept + lines) + "\n")
+        rc = main(["synth", str(bad), "--out", str(tmp_path / "x"), "--seed", "0"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{bad}: scene key {key}" in err
+        assert not (tmp_path / "x").exists()
+
     def test_query_times_outside_unit_interval_exit_2(self, tmp_path, capsys):
         # they used to be written as GT maps that eval then misread
         bad = tmp_path / "bad.cfg"

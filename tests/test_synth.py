@@ -121,8 +121,8 @@ class TestGenerateEvents:
 
     def test_coverage_mask_equals_bruteforce_nearest_distance(self):
         # texture on a ring, none inside it: the nearest observed pixel of a
-        # centre pixel lies beyond its 3x3 block, so the block search falls
-        # back to the scan there and answers the ring pixels itself
+        # centre pixel lies beyond its 3x3 block, so the first pass answers
+        # the pixels near the texture and leaves the centre to wider blocks
         angles = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
         points = np.stack([32 + 20 * np.cos(angles), 24 + 18 * np.sin(angles)], axis=1)
         spec = SceneSpec(
@@ -139,9 +139,9 @@ class TestGenerateEvents:
         for valid in gt.valid:
             np.testing.assert_array_equal(valid, covered)
         idx = np.empty((len(pixels), 1), dtype=np.int64)
-        rest = assoc._block_search(pixels, obs, 1, idx, np.empty((len(pixels), 1)))
+        grid, order = assoc._ring_grid(pixels, obs, 1)
+        rest = assoc._ring_pass(grid, order, 1, idx, np.empty((len(pixels), 1)))
         assert 0 < len(rest) < len(pixels)
-        assert len(pixels) * len(obs) >= assoc._BLOCK_MIN_PAIRS
 
     def test_determinism(self):
         a, _, _ = constant_scene(width=32, height=32, n_points=20, n_events=500, seed=11)
