@@ -85,8 +85,8 @@ def knn_per_bin(query_cells, traj_positions, k: int):
     query = np.asarray(query_cells, dtype=np.float64)
     pts = np.asarray(traj_positions, dtype=np.float64)
     n_cells, n_pts = len(query), len(pts)
-    if k > n_pts:
-        raise ValueError(f"k={k} exceeds anchor count {n_pts}")
+    if not 1 <= k <= n_pts:
+        raise ValueError(f"k={k} must lie in [1, {n_pts}], the anchor count")
     if not (np.all(np.isfinite(query)) and np.all(np.isfinite(pts))):
         raise ValueError("positions must be finite")
     idx = np.empty((n_cells, k), dtype=np.int64)
@@ -261,13 +261,16 @@ class DisplacementVolume:
     stride: int
     width: int
     height: int
-    bin_centers: np.ndarray
     disp: np.ndarray
     knn_indices: np.ndarray
 
     @property
     def n_bins(self) -> int:
         return self.disp.shape[0]
+
+    @property
+    def bin_centers(self) -> np.ndarray:
+        return (np.arange(self.n_bins) + 0.5) / self.n_bins
 
     @property
     def grid_shape(self) -> tuple[int, int]:
@@ -284,7 +287,6 @@ class DisplacementVolume:
             stride=stride,
             width=width,
             height=height,
-            bin_centers=(np.arange(n_bins) + 0.5) / n_bins,
             disp=np.zeros((n_bins, rows, cols, 2)),
             knn_indices=np.zeros((n_bins, rows, cols, 1), dtype=np.int64),
         )
@@ -390,7 +392,6 @@ def interpolate_flow(field: TrajectoryField, times, k: int) -> np.ndarray:
     set serves every time. Shape (T, H, W, 2).
     """
     g = displacement_basis(field.basis, times)  # (T, D)
-    h, w = field.height, field.width
-    px, py = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    idx, _ = knn_per_bin(np.stack([px.ravel(), py.ravel()], axis=1), field.anchor_positions(), k)
+    h, w, pixels = anchor_grid(field.width, field.height, 1)
+    idx, _ = knn_per_bin(pixels, field.anchor_positions(), k)
     return _neighbor_mean(field, np.broadcast_to(idx.reshape(h, w, k), (len(g), h, w, k)), g)

@@ -1,10 +1,10 @@
 """Command-line orchestration: synth, estimate, eval, render, rerun.
 
-Every command writes a ``manifest.json`` snapshot of its resolved
-arguments next to its outputs; ``evtraj rerun MANIFEST`` re-executes the
-command from that snapshot and reproduces the data files byte-exactly
-(the manifest itself records fresh timings). Exit codes: 0 success,
-2 usage/validation error, 3 numerical failure.
+synth and estimate write a ``manifest.json`` of their resolved arguments
+next to their outputs, eval does with ``--out``, render never. ``evtraj
+rerun MANIFEST`` re-executes the command from that snapshot and reproduces
+the data files byte-exactly (the manifest itself records fresh timings).
+Exit codes: 0 success, 2 usage/validation error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -27,6 +27,10 @@ from .objective import ObjectiveConfig, build_iwe, warp_events, write_iwe_pgm
 from .optimize import DivergenceError, OptimConfig, minimize, save_trace_csv
 from .synth import generate_events, load_scene_config, scene_from_config
 from .trajectory import BEZIER, POLYNOMIAL, Basis, TrajectoryField, load_field, save_field
+
+# time bins of eval's FWL volume, the estimator's default; fixed, so that a
+# report depends on the maps and events, not on the flags they came from
+_EVAL_BINS = 15
 
 
 def _write_manifest(out_dir: Path, command: str, args: dict, outputs: list, wall_s: float) -> None:
@@ -67,7 +71,10 @@ def cmd_synth(args: dict) -> int:
 
 
 def _flow_times(text: str) -> list:
-    times = [float(v) for v in text.split(",")]
+    try:
+        times = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--flow-times must be a comma list of numbers, got {text!r}") from None
     if not all(0.0 <= t <= 1.0 for t in times):
         raise ValueError(f"--flow-times must lie in [0, 1], got {text!r}")
     return times
@@ -118,13 +125,13 @@ def cmd_estimate(args: dict) -> int:
     return 0
 
 
-def _volume_from_flow_maps(flows, times, valids, width, height, n_bins=15):
+def _volume_from_flow_maps(flows, times, valids, width, height):
     """Stride-1 displacement volume toward t_ref=1 from dense flow maps.
 
-    Piecewise-linear interpolation in time through (0, zero) and the
-    provided maps; invalid pixels fall back to zero displacement.
+    Piecewise-linear in time through (0, zero) and the maps, taken at bin
+    centers and 1, past the first knot; invalid pixels give zero displacement.
     """
-    volume = DisplacementVolume.zeros(width, height, 1, n_bins)
+    volume = DisplacementVolume.zeros(width, height, 1, _EVAL_BINS)
     order = np.argsort(times)
     times = [0.0] + [times[i] for i in order]
     stack = [np.zeros_like(flows[0])] + [
@@ -132,8 +139,6 @@ def _volume_from_flow_maps(flows, times, valids, width, height, n_bins=15):
     ]
 
     def interp(t):
-        if t <= times[0]:
-            return stack[0]
         for a in range(len(times) - 1):
             if times[a] <= t <= times[a + 1]:
                 w = (t - times[a]) / (times[a + 1] - times[a])
@@ -151,7 +156,7 @@ def cmd_eval(args: dict) -> int:
     pred_paths = sorted(args["pred"])
     gt_paths = sorted(args["gt"])
     if len(pred_paths) != len(gt_paths) or not pred_paths:
-        raise ValueError("pred and gt must list the same nonzero number of maps")
+        raise ValueError(f"--pred and --gt must pair up one or more maps, got {len(pred_paths)} and {len(gt_paths)}")
     sl = load_events(args["events"])
     preds, gts, masks, times = [], [], [], []
     for pp, gp in zip(pred_paths, gt_paths):
@@ -159,12 +164,9 @@ def cmd_eval(args: dict) -> int:
         gf, gtt, gv = load_flow(gp)
         if not 0.0 <= pt <= 1.0:
             raise ValueError(f"{pp}: flow time {pt} lies outside [0, 1]")
-        if pf.shape[:2] != (sl.height, sl.width):
-            raise ValueError(
-                f"{pp} is {pf.shape[1]}x{pf.shape[0]} but the events' sensor is {sl.width}x{sl.height}"
-            )
-        if pf.shape != gf.shape:
-            raise ValueError(f"shape mismatch between {pp} and {gp}")
+        for path, f in ((pp, pf), (gp, gf)):
+            if f.shape[:2] != (sl.height, sl.width):
+                raise ValueError(f"{path} is {f.shape[1]}x{f.shape[0]} but the sensor is {sl.width}x{sl.height}")
         if abs(pt - gtt) > 1e-9:
             raise ValueError(f"time mismatch between {pp} ({pt}) and {gp} ({gtt})")
         if not (pv & gv).any():
@@ -179,7 +181,6 @@ def cmd_eval(args: dict) -> int:
     )
     report = format_report(ev)
     print(report)
-    outputs = []
     if args.get("out"):
         out_dir = Path(args["out"])
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -191,7 +192,6 @@ def cmd_eval(args: dict) -> int:
 
 
 def cmd_render(args: dict) -> int:
-    t0 = time.perf_counter()
     sl = load_events(args["events"])
     t_ref = args["tref"]
     if not 0.0 <= t_ref <= 1.0:
@@ -207,8 +207,6 @@ def cmd_render(args: dict) -> int:
     out = Path(args["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     write_iwe_pgm(iwe, out, bits=args["bits"], which=args["which"])
-    if args.get("manifest"):
-        _write_manifest(out.parent, "render", args, [out], time.perf_counter() - t0)
     print(f"wrote {out}")
     return 0
 
@@ -284,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=["sum", "pos", "neg"], default="sum")
     p.add_argument("--k", type=int, default=knn.k)
     p.add_argument("--nbins", type=int, default=objective.n_bins)
-    p.add_argument("--manifest", action="store_true", help="also write a manifest")
 
     p = sub.add_parser("rerun", help="re-execute a command from its manifest")
     p.add_argument("manifest")

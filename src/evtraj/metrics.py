@@ -11,7 +11,7 @@ above 1 means the warp sharpened it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -89,7 +89,7 @@ def fwl(sl: EventSlice, volume_est: DisplacementVolume) -> float:
         warped = warp_events(sl, volume)
         return float(np.var(build_iwe(warped).sum(axis=0)))
 
-    base = variance(DisplacementVolume.zeros(sl.width, sl.height, volume_est.stride, volume_est.n_bins))
+    base = variance(DisplacementVolume.zeros(sl.width, sl.height))
     if base == 0.0:
         raise ValueError("degenerate slice: zero-warp accumulation has no variance")
     return variance(volume_est) / base
@@ -130,6 +130,7 @@ def format_report(ev: MotionEval) -> str:
 
 
 def report_csv(ev: MotionEval) -> str:
-    head = "epe,ae,pct_out,tepe,tae,fwl,n_valid"
-    row = f"{ev.epe:.17g},{ev.ae:.17g},{ev.pct_out:.17g},{ev.tepe:.17g},{ev.tae:.17g},{ev.fwl:.17g},{ev.n_valid}"
-    return head + "\n" + row + "\n"
+    """A header of :class:`MotionEval`'s field names and a row of their values."""
+    values = asdict(ev)
+    row = ",".join(str(v) if isinstance(v, int) else f"{v:.17g}" for v in values.values())
+    return ",".join(values) + "\n" + row + "\n"

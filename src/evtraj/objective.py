@@ -307,12 +307,12 @@ def regularizer_r(delta_field: np.ndarray):
     return float((np.abs(dx).sum() + np.abs(dy).sum()) / n_cells), grad
 
 
-def zero_warp_contrast(sl: EventSlice, stride: int, cfg: ObjectiveConfig) -> float:
+def zero_warp_contrast(sl: EventSlice, sigma: float) -> float:
     """G_0 of the fixed-reference baseline: the eps-guarded contrast of the
     unwarped events. It does not depend on the field, so one value serves a
-    whole run."""
-    zero_vol = DisplacementVolume.zeros(sl.width, sl.height, stride, cfg.n_bins)
-    return max(contrast_g(build_iwe(warp_events(sl, zero_vol), cfg.sigma))[0], EPS_CONTRAST)
+    whole run; a zero table warps nothing at any stride or bin count."""
+    zero_vol = DisplacementVolume.zeros(sl.width, sl.height)
+    return max(contrast_g(build_iwe(warp_events(sl, zero_vol), sigma))[0], EPS_CONTRAST)
 
 
 def write_iwe_pgm(iwe: np.ndarray, path, bits: int = 8, which: str = "sum") -> None:

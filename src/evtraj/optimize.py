@@ -184,7 +184,7 @@ def minimize(sl: EventSlice, init_field: TrajectoryField, ocfg: OptimConfig) -> 
     hist_t, hist_g, hist_r, hist_total = [], [], [], []
     refs, cfg, g0 = None, ocfg.objective, 1.0
     if ocfg.fixed_reference:
-        refs, g0 = FIXED_REFERENCES, zero_warp_contrast(sl, field.stride, cfg)
+        refs, g0 = FIXED_REFERENCES, zero_warp_contrast(sl, cfg.sigma)
         cfg = replace(cfg, lam=0.0, time_weighting=False)
     for it in range(ocfg.iterations):
         if not np.all(np.isfinite(field.coeffs)):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .assoc import knn_per_bin
 from .events import EventSlice
-from .trajectory import BEZIER, Basis, displacement_basis
+from .trajectory import BEZIER, Basis, anchor_grid, displacement_basis
 
 _PATH_SAMPLES = 32
 _MAX_TRIES = 10000
@@ -91,7 +91,7 @@ class SceneSpec:
             self.points = self.points.reshape(0, 2)
         self.query_times = np.asarray(self.query_times, dtype=np.float64)
         if not 0.0 <= self.noise_fraction <= 1.0:
-            raise ValueError("noise fraction must lie in [0, 1]")
+            raise ValueError(f"scene key noise={self.noise_fraction!r} must lie in [0, 1]")
         if len(self.points) and (
             np.any(self.points[:, 0] < 0)
             or np.any(self.points[:, 0] > self.width - 1)
@@ -164,8 +164,6 @@ def generate_events(spec: SceneSpec, seed: int) -> tuple[EventSlice, GroundTruth
     if n_signal > 0:
         counts = rng.multinomial(n_signal, np.ones(n_points) / n_points)
         for point, count in zip(spec.points, counts):
-            if count == 0:
-                continue
             t = np.sort(rng.random(count))
             pos = point[None, :] + spec.motion.displacement(point[None, :], t)[:, 0, :]
             px = np.round(pos[:, 0]).astype(np.int64)
@@ -192,9 +190,7 @@ def generate_events(spec: SceneSpec, seed: int) -> tuple[EventSlice, GroundTruth
         x = y = t = p = np.array([], dtype=np.int64)
     sl = EventSlice.from_arrays(x, y, t, p, spec.width, spec.height, t_start=0.0, t_end=1.0)
 
-    gx, gy = np.meshgrid(np.arange(spec.width, dtype=np.float64),
-                         np.arange(spec.height, dtype=np.float64))
-    pixels = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    _, _, pixels = anchor_grid(spec.width, spec.height, 1)
     disp = spec.motion.displacement(pixels, spec.query_times)
     disp = disp.reshape(len(spec.query_times), spec.height, spec.width, 2)
     valid = np.ones((len(spec.query_times), spec.height, spec.width), dtype=bool)
@@ -209,16 +205,18 @@ def generate_events(spec: SceneSpec, seed: int) -> tuple[EventSlice, GroundTruth
 
 
 def load_scene_config(path) -> dict:
-    """Parse a key=value scene file into a plain dict (strings untyped)."""
-    cfg = {}
+    """Parse a key=value scene file into a dict of strings; ValueError names a bad or repeated line."""
+    cfg, line_of = {}, {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{path}: line {lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in cfg:
+            raise ValueError(f"{path}: scene key {key} is repeated (lines {line_of[key]} and {lineno})")
+        cfg[key], line_of[key] = value, lineno
     return cfg
 
 

@@ -65,8 +65,14 @@ class TestKnn:
             np.testing.assert_array_equal(dist, ref_dist)
 
     def test_k_exceeding_anchor_count_rejected(self):
-        with pytest.raises(ValueError):
-            knn_per_bin(np.zeros((2, 2)), np.zeros((3, 2)), k=4)
+        # and k below 1, which numpy would report as an empty reduction or
+        # a negative dimension
+        for k in (4, 0, -1):
+            with pytest.raises(ValueError, match=f"k={k} "):
+                knn_per_bin(np.zeros((2, 2)), np.zeros((3, 2)), k=k)
+        field = TrajectoryField.zeros(8, 8, 4, Basis(POLYNOMIAL, 1))
+        with pytest.raises(ValueError, match=r"k=0 must lie in \[1, 4\]"):
+            interpolate_flow(field, [1.0], 0)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):

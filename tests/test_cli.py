@@ -89,9 +89,14 @@ class TestSynthCommand:
             ("vy", []),
             ("width", ["width=0"]),
             ("points", ["points=-3"]),
+            ("vx", ["vx=1", "vx=2"]),
+            ("noise", ["noise=1.5"]),
+            ("motion", ["motion=spiral"]),
+            ("angle", ["motion=circular", "cx=10", "cy=10"]),
         ],
         ids=["offsets-no-colon", "offsets-three", "width-abc", "n_events-float", "query_times-abc",
-             "width-missing", "vy-missing", "width-zero", "points-negative"],
+             "width-missing", "vy-missing", "width-zero", "points-negative", "vx-repeated",
+             "noise-above-one", "motion-spiral", "circular-angle-missing"],
     )
     def test_malformed_scene_exits_2_naming_file_and_key(self, tmp_path, capsys, key, lines):
         bad = tmp_path / "bad.cfg"
@@ -101,6 +106,22 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert f"{bad}: scene key {key}" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SCENE + "vx=2\n")
+        rc = main(["synth", str(bad), "--out", str(tmp_path / "x"), "--seed", "0"])
+        assert rc == 2
+        assert f"{bad}: scene key vx is repeated (lines 5 and 11)" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_line_without_equals_exits_2_naming_file_and_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SCENE + "points 40\n")
+        rc = main(["synth", str(bad), "--out", str(tmp_path / "x"), "--seed", "0"])
+        assert rc == 2
+        assert f"{bad}: line 11: expected key=value" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_query_times_outside_unit_interval_exit_2(self, tmp_path, capsys):
@@ -229,7 +250,7 @@ class TestEstimateCommand:
         assert match in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("times", ["1.5", "nan", "0.5,nan"])
+    @pytest.mark.parametrize("times", ["1.5", "nan", "0.5,nan", "0.5,abc", "1,,0", ""])
     def test_bad_flow_times_exit_2_before_fitting(self, scene_file, tmp_path, capsys, times):
         data = tmp_path / "data"
         main(["synth", str(scene_file), "--out", str(data), "--seed", "1"])
@@ -241,6 +262,20 @@ class TestEstimateCommand:
         assert rc == 2
         assert "--flow-times" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_no_time_weighting_is_recorded_and_changes_the_fit(self, scene_file, tmp_path):
+        data = tmp_path / "data"
+        main(["synth", str(scene_file), "--out", str(data), "--seed", "1"])
+        runs = {}
+        for name, extra in (("default", []), ("flat", ["--no-time-weighting"])):
+            out = tmp_path / name
+            rc = main(["estimate", str(data / "events.evt1"), "--out", str(out),
+                       "--basis", "poly", "--degree", "1", "--iters", "3", "--k", "8", *extra])
+            assert rc == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["args"]["no_time_weighting"] is bool(extra)
+            runs[name] = (out / "trace.csv").read_text()
+        assert runs["default"] != runs["flat"]
 
     @pytest.mark.parametrize(
         "flag, value, match", [("--k", "100", "exceeds the anchor count 64"), ("--nbins", "0", "n_bins")]
@@ -313,6 +348,26 @@ class TestEvalCommand:
         vals = dict(zip(csv[0].split(","), map(float, csv[1].split(","))))
         assert vals["epe"] == pytest.approx(np.hypot(3, 2), rel=1e-6)
         assert vals["fwl"] == pytest.approx(1.0)
+
+    def test_map_counts_differing_exit_2(self, scene_file, tmp_path, capsys):
+        data = tmp_path / "data"
+        main(["synth", str(scene_file), "--out", str(data), "--seed", "2"])
+        rc = main(["eval", "--pred", str(data / "gt_00.flo1"), str(data / "gt_01.flo1"),
+                   "--gt", str(data / "gt_01.flo1"), "--events", str(data / "events.evt1"),
+                   "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        assert "--pred and --gt must pair up one or more maps, got 2 and 1" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    def test_pred_and_gt_sizes_differing_exit_2(self, scene_file, tmp_path, capsys):
+        data = tmp_path / "data"
+        main(["synth", str(scene_file), "--out", str(data), "--seed", "2"])
+        gt = tmp_path / "gt.flo1"
+        save_flow(gt, np.zeros((16, 16, 2)), 1.0)
+        pred = data / "gt_01.flo1"
+        rc = main(["eval", "--pred", str(pred), "--gt", str(gt), "--events", str(data / "events.evt1")])
+        assert rc == 2
+        assert f"{gt} is 16x16 but the sensor is 32x32" in capsys.readouterr().err
 
     def test_time_mismatch_exits_2(self, scene_file, tmp_path, capsys):
         data = tmp_path / "data"

@@ -55,7 +55,6 @@ def random_volume(rng, width=32, height=32, stride=4, n_bins=5, scale=1.5, t_ref
         stride=stride,
         width=width,
         height=height,
-        bin_centers=vol.bin_centers,
         disp=vol.disp,
         knn_indices=vol.knn_indices,
     )
@@ -392,7 +391,7 @@ def fixed_reference_f(sl, field, cfg):
     """F of the baseline: the loss over FIXED_REFERENCES with G_0, lambda = 0
     and no time weighting."""
     base = replace(cfg, lam=0.0, time_weighting=False)
-    return loss_gradient(sl, field, FIXED_REFERENCES, base, zero_warp_contrast(sl, field.stride, cfg))[0].g
+    return loss_gradient(sl, field, FIXED_REFERENCES, base, zero_warp_contrast(sl, cfg.sigma))[0].g
 
 
 class TestFixedReferenceLoss:

@@ -54,7 +54,7 @@ def one(t_ref):
 
 def baseline(sl, field, cfg):
     """(refs, cfg, g0) of the fixed-reference baseline, as minimize sets them."""
-    g0 = zero_warp_contrast(sl, field.stride, cfg)
+    g0 = zero_warp_contrast(sl, cfg.sigma)
     return FIXED_REFERENCES, replace(cfg, lam=0.0, time_weighting=False), g0
 
 
@@ -194,7 +194,7 @@ class TestLossGradient:
             contrast_pass(sl, build_displacement_volume(field, t, cfg.knn, cfg.n_bins), sigma, False)[0]
             for t in (0.0, 0.5, 1.0)
         ]
-        f = (g[0] + 2.0 * g[1] + g[2]) / (4.0 * zero_warp_contrast(sl, field.stride, cfg))
+        f = (g[0] + 2.0 * g[1] + g[2]) / (4.0 * zero_warp_contrast(sl, cfg.sigma))
         out, _ = loss_gradient(sl, field, *baseline(sl, field, cfg))
         assert out.total == 1.0 / f
         assert (out.g, out.r, out.lam, out.t_ref) == (f, 0.0, 0.0, 0.5)
