@@ -11,6 +11,8 @@ The package is organized around the estimation pipeline:
 ``synth``      synthetic scenes with exact ground truth
 ``metrics``    EPE / AE / %Out / TEPE / TAE / FWL
 ``flowio``     FLO1 flow-map files
+``binfile``    the container of EVT1, TRJ1 and FLO1: magic, header, a body of
+               exact length, and the byte offset in every fault
 ``cli``        synth / estimate / eval / render commands
 
 Import from the modules, as in ``from evtraj.synth import SceneSpec``.

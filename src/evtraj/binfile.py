@@ -1,0 +1,65 @@
+"""The binary container shared by the EVT1, TRJ1 and FLO1 formats.
+
+A file is a packed little-endian header that opens with a 4-byte magic,
+then a body of exactly ``count`` fixed-size records that ends the file.
+Each format module supplies its header and record layouts and its own
+field checks. Every fault raises ValueError worded
+``<path>: <FMT> ... at byte N``.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+
+
+class Reader:
+    """The bytes of one container file, its checked magic and its header."""
+
+    def __init__(self, path, magic: bytes, header: np.dtype):
+        self.path, self.fmt = path, magic.decode()
+        self.raw = Path(path).read_bytes()
+        if len(self.raw) < header.itemsize:
+            raise self.fault(f"header needs {header.itemsize} bytes, file ends", len(self.raw))
+        if self.raw[:4] != magic:
+            raise self.fault(f"magic {magic!r} expected, found {self.raw[:4]!r}", 0)
+        self.header = np.frombuffer(self.raw, dtype=header, count=1)[0]
+
+    def fault(self, what: str, at: int, why: str = "") -> ValueError:
+        return ValueError(f"{self.path}: {self.fmt} {what} at byte {at}{why}")
+
+    def check(self, bad: bool, field: str, what: str, why: str) -> None:
+        """Raise at header field ``field`` if ``bad``."""
+        if bad:
+            raise self.fault(what, self.header.dtype.fields[field][1], why)
+
+    def body(self, record, count: int) -> np.ndarray:
+        """The ``count`` records of dtype ``record``, which must end the file."""
+        self.record = np.dtype(record)
+        start = self.header.dtype.itemsize
+        end = start + count * self.record.itemsize
+        if len(self.raw) != end:
+            raise self.fault(
+                f"body of {count} records of {self.record.itemsize} bytes should end at byte {end}, "
+                "file ends", len(self.raw))
+        return np.frombuffer(self.raw, dtype=self.record, count=count, offset=start)
+
+    def first_bad(self, mask: np.ndarray, what: str) -> None:
+        """Raise at the first body record that ``mask`` flags."""
+        bad = np.flatnonzero(mask)
+        if bad.size:
+            raise self.fault(what, self.header.dtype.itemsize + int(bad[0]) * self.record.itemsize)
+
+
+def pack(dtype: np.dtype, n: int = 1, /, **fields) -> np.ndarray:
+    """``n`` zeroed records of ``dtype`` with ``fields`` filled in."""
+    out = np.zeros(n, dtype=dtype)
+    for name, value in fields.items():
+        out[name] = value
+    return out
+
+
+def write(path, header: np.dtype, body: np.ndarray, **fields) -> None:
+    """Write a header holding ``fields``, the magic among them, then ``body``."""
+    Path(path).write_bytes(b"".join((pack(header, **fields), body)))

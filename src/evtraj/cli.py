@@ -217,7 +217,9 @@ _DISPATCH = {"synth": cmd_synth, "estimate": cmd_estimate, "eval": cmd_eval, "re
 def cmd_rerun(args: dict) -> int:
     path = args["manifest"]
     try:
-        manifest = json.loads(Path(path).read_text())
+        manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not a JSON manifest: {exc}") from None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("args"), dict):

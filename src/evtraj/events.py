@@ -17,9 +17,10 @@ Binary interchange format "EVT1" (little-endian):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from evtraj import binfile
 
 EVT1_MAGIC = b"EVT1"
 _HEADER_DTYPE = np.dtype(
@@ -35,6 +36,22 @@ _HEADER_DTYPE = np.dtype(
 _RECORD_DTYPE = np.dtype(
     [("t", "<f8"), ("x", "<u2"), ("y", "<u2"), ("p", "<i1"), ("pad", "<u1")]
 )
+
+_SPAN_RULE = "width, height >= 1 and finite t_start <= t_end"
+
+
+def _span_faults(width, height, t_start, t_end):
+    """(field, whether it breaks ``_SPAN_RULE``) for each field, in the order checked."""
+    return (("width", width < 1), ("height", height < 1), ("t_start", not np.isfinite(t_start)),
+            ("t_end", not (np.isfinite(t_end) and t_end >= t_start)))
+
+
+def _record_faults(t, x, y, p, width, height, t_start, t_end):
+    """(fault, mask of the events that show it) for each record rule, in the order checked."""
+    return (("non-finite timestamp", ~np.isfinite(t)),
+            ("out-of-bounds coordinate", (x < 0) | (x >= width) | (y < 0) | (y >= height)),
+            ("polarity other than +1 or -1", np.abs(p) != 1),
+            ("timestamp outside [t_start, t_end]", (t < t_start) | (t > t_end)))
 
 
 @dataclass(frozen=True)
@@ -55,27 +72,17 @@ class EventSlice:
     height: int
 
     def __post_init__(self):
-        n = len(self.t)
-        if not (len(self.x) == len(self.y) == len(self.p) == n):
+        if not (len(self.x) == len(self.y) == len(self.p) == len(self.t)):
             raise ValueError("event field arrays must share one length")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("sensor geometry must be positive")
-        if not (np.isfinite(self.t_start) and np.isfinite(self.t_end) and self.t_end >= self.t_start):
-            raise ValueError(f"need finite t_start <= t_end, got [{self.t_start}, {self.t_end}]")
-        if n == 0:
-            return
-        if not np.all(np.isfinite(self.t)):
-            raise ValueError("non-finite timestamp in slice")
+        for name, bad in _span_faults(self.width, self.height, self.t_start, self.t_end):
+            if bad:
+                raise ValueError(f"{name} {getattr(self, name)} breaks {_SPAN_RULE}")
+        faults = _record_faults(self.t, self.x, self.y, self.p, self.width, self.height, self.t_start, self.t_end)
+        for what, bad in faults:
+            if bad.any():
+                raise ValueError(f"{what} at event {np.argmax(bad)}")
         if np.any(np.diff(self.t) < 0):
             raise ValueError("events not sorted by timestamp")
-        if self.t[0] < self.t_start or self.t[-1] > self.t_end:
-            raise ValueError("event timestamps outside [t_start, t_end]")
-        if np.any((self.x < 0) | (self.x >= self.width)):
-            raise ValueError("x coordinate outside [0, width)")
-        if np.any((self.y < 0) | (self.y >= self.height)):
-            raise ValueError("y coordinate outside [0, height)")
-        if not np.all(np.abs(self.p) == 1):
-            raise ValueError("polarity must be +1 or -1")
 
     def __len__(self) -> int:
         return len(self.t)
@@ -130,50 +137,16 @@ def load_events(path) -> EventSlice:
     Unsorted records are repaired with a stable sort. Malformed files raise
     ValueError naming the path and the byte offset.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER_DTYPE.itemsize:
-        raise ValueError(f"{path}: truncated header at byte {len(raw)}")
-    header = np.frombuffer(raw, dtype=_HEADER_DTYPE, count=1)[0]
-    if bytes(header["magic"]) != EVT1_MAGIC:
-        raise ValueError(f"{path}: bad magic at byte 0")
-    at = {name: _HEADER_DTYPE.fields[name][1] for name in _HEADER_DTYPE.names}
-    width, height = int(header["width"]), int(header["height"])
-    t_start, t_end = float(header["t_start"]), float(header["t_end"])
-    faults = {"width": width < 1, "height": height < 1, "t_start": not np.isfinite(t_start),
-              "t_end": not (np.isfinite(t_end) and t_end >= t_start)}
-    for name, bad in faults.items():
-        if bad:
-            raise ValueError(f"{path}: header {name} {header[name]} at byte {at[name]} "
-                             "breaks width, height >= 1 and finite t_start <= t_end")
-    count = int(header["count"])
-    body_start = _HEADER_DTYPE.itemsize
-    expected = body_start + count * _RECORD_DTYPE.itemsize
-    if len(raw) != expected:
-        raise ValueError(
-            f"{path}: {count} records should end at byte {expected}, file ends at byte {len(raw)}"
-        )
-    rec = np.frombuffer(raw, dtype=_RECORD_DTYPE, count=count, offset=body_start)
-    t = rec["t"].astype(np.float64)
-    x = rec["x"].astype(np.int64)
-    y = rec["y"].astype(np.int64)
-    p = rec["p"].astype(np.int64)
-
-    def _offset(i: int) -> int:
-        return body_start + i * _RECORD_DTYPE.itemsize
-
-    bad = np.flatnonzero(~np.isfinite(t))
-    if bad.size:
-        raise ValueError(f"{path}: non-finite timestamp at byte {_offset(bad[0])}")
-    bad = np.flatnonzero((x >= width) | (y >= height))
-    if bad.size:
-        raise ValueError(f"{path}: out-of-bounds coordinate at byte {_offset(bad[0])}")
-    bad = np.flatnonzero(np.abs(p) != 1)
-    if bad.size:
-        raise ValueError(f"{path}: invalid polarity at byte {_offset(bad[0])}")
-    bad = np.flatnonzero((t < t_start) | (t > t_end))
-    if bad.size:
-        raise ValueError(f"{path}: timestamp outside header interval at byte {_offset(bad[0])}")
-    return EventSlice.from_arrays(x, y, t, p, width, height, t_start, t_end)
+    f = binfile.Reader(path, EVT1_MAGIC, _HEADER_DTYPE)
+    width, height = int(f.header["width"]), int(f.header["height"])
+    t_start, t_end = float(f.header["t_start"]), float(f.header["t_end"])
+    for name, bad in _span_faults(width, height, t_start, t_end):
+        f.check(bad, name, f"header {name} {f.header[name]}", f" breaks {_SPAN_RULE}")
+    rec = f.body(_RECORD_DTYPE, int(f.header["count"]))
+    t = rec["t"].astype(np.float64)  # an aligned copy: the masks and the sort read it faster
+    for what, bad in _record_faults(t, rec["x"], rec["y"], rec["p"], width, height, t_start, t_end):
+        f.first_bad(bad, what)
+    return EventSlice.from_arrays(rec["x"], rec["y"], t, rec["p"], width, height, t_start, t_end)
 
 
 def save_events(sl: EventSlice, path) -> None:
@@ -183,18 +156,6 @@ def save_events(sl: EventSlice, path) -> None:
             f"{path}: EVT1 stores coordinates as u16, so width and height must be "
             f"<= 65536, got {sl.width}x{sl.height}"
         )
-    header = np.zeros(1, dtype=_HEADER_DTYPE)
-    header["magic"] = EVT1_MAGIC
-    header["width"] = sl.width
-    header["height"] = sl.height
-    header["count"] = len(sl)
-    header["t_start"] = sl.t_start
-    header["t_end"] = sl.t_end
-    rec = np.zeros(len(sl), dtype=_RECORD_DTYPE)
-    rec["t"] = sl.t
-    rec["x"] = sl.x
-    rec["y"] = sl.y
-    rec["p"] = sl.p
-    with open(path, "wb") as f:
-        f.write(header.tobytes())
-        f.write(rec.tobytes())
+    rec = binfile.pack(_RECORD_DTYPE, len(sl), t=sl.t, x=sl.x, y=sl.y, p=sl.p)
+    binfile.write(path, _HEADER_DTYPE, rec, magic=EVT1_MAGIC, width=sl.width, height=sl.height,
+                  count=len(sl), t_start=sl.t_start, t_end=sl.t_end)

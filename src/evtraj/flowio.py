@@ -7,9 +7,9 @@ encoded as NaN pairs.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
+
+from evtraj import binfile
 
 FLO1_MAGIC = b"FLO1"
 _HEADER = np.dtype([("magic", "S4"), ("width", "<u4"), ("height", "<u4"), ("t", "<f8")])
@@ -37,14 +37,7 @@ def save_flow(path, flow: np.ndarray, t: float, valid: np.ndarray | None = None)
     if bad.any():
         y, x, _ = np.argwhere(bad)[0]
         raise ValueError(f"{path}: valid FLO1 pixel (x={x}, y={y}) {flow[y, x].tolist()} is not finite in float32")
-    header = np.zeros(1, dtype=_HEADER)
-    header["magic"] = FLO1_MAGIC
-    header["width"] = flow.shape[1]
-    header["height"] = flow.shape[0]
-    header["t"] = t
-    with open(path, "wb") as f:
-        f.write(header.tobytes())
-        f.write(data.tobytes())
+    binfile.write(path, _HEADER, data, magic=FLO1_MAGIC, width=flow.shape[1], height=flow.shape[0], t=t)
 
 
 def load_flow(path):
@@ -53,24 +46,11 @@ def load_flow(path):
     Malformed input, a non-finite time included, raises ValueError naming
     the path and byte offset.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.itemsize:
-        raise ValueError(f"{path}: truncated FLO1 header, file ends at byte {len(raw)}")
-    if raw[:4] != FLO1_MAGIC:
-        raise ValueError(f"{path}: not a FLO1 file, bad magic at byte 0")
-    h = np.frombuffer(raw, dtype=_HEADER, count=1)[0]
-    if not np.isfinite(h["t"]):
-        raise ValueError(f"{path}: non-finite FLO1 time {h['t']} at byte 12")
-    width, height = int(h["width"]), int(h["height"])
-    n = width * height * 2
-    expected = _HEADER.itemsize + 4 * n
-    if len(raw) != expected:
-        raise ValueError(
-            f"{path}: FLO1 body of {n} float32 values should end at byte {expected}, "
-            f"file ends at byte {len(raw)}"
-        )
-    data = np.frombuffer(raw, dtype="<f4", count=n, offset=_HEADER.itemsize)
+    f = binfile.Reader(path, FLO1_MAGIC, _HEADER)
+    t = float(f.header["t"])
+    f.check(not np.isfinite(t), "t", f"time {t}", " is not finite")
+    width, height = int(f.header["width"]), int(f.header["height"])
+    data = f.body("<f4", width * height * 2)
     with np.errstate(invalid="ignore"):  # a signalling NaN, cast, flags "invalid"
         flow = data.astype(np.float64).reshape(height, width, 2)
-    valid = np.isfinite(flow).all(axis=2)
-    return flow, float(h["t"]), valid
+    return flow, t, np.isfinite(flow).all(axis=2)

@@ -83,18 +83,17 @@ class OptimConfig:
 
 @dataclass
 class LossBreakdown:
-    """Parts of one loss evaluation: ``total == 1 / max(g, eps) + lam * r``.
+    """Parts of one loss evaluation: ``total == 1 / max(g, eps) + lam * r``
+    with ``lam`` = lambda / |Omega|, the weight applied to ``r``.
 
     ``g`` is the weighted contrast C (G for one reference time, F for the
-    baseline), ``lam`` the weight actually applied to ``r``,
-    lambda / |Omega|, ``t_ref`` the weighted mean reference time and
-    ``n_masked`` summed over the passes.
+    baseline), ``t_ref`` the weighted mean reference time and ``n_masked``
+    summed over the passes.
     """
 
     g: float
     r: float
     total: float
-    lam: float
     n_masked: int
     degenerate: bool
     t_ref: float
@@ -161,7 +160,7 @@ def loss_gradient(sl: EventSlice, field: TrajectoryField, refs, cfg: ObjectiveCo
         r, gdelta = regularizer_r(build_consecutive_delta_field(field, volume))
         grad += lam * delta_field_adjoint(field, volume, gdelta)
     breakdown = LossBreakdown(
-        g=c, r=r, total=1.0 / max(c, EPS_CONTRAST) + lam * r, lam=lam, n_masked=n_masked,
+        g=c, r=r, total=1.0 / max(c, EPS_CONTRAST) + lam * r, n_masked=n_masked,
         degenerate=c < EPS_CONTRAST, t_ref=sum(w * t for t, w in refs) / w_sum,
     )
     return breakdown, grad

@@ -206,8 +206,12 @@ def generate_events(spec: SceneSpec, seed: int) -> tuple[EventSlice, GroundTruth
 
 def load_scene_config(path) -> dict:
     """Parse a key=value scene file into a dict of strings; ValueError names a bad or repeated line."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text at byte {exc.start}") from None
     cfg, line_of = {}, {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

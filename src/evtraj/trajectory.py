@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from evtraj import binfile
 
 POLYNOMIAL = "polynomial"
 BEZIER = "bezier"
@@ -176,53 +177,24 @@ def save_field(field: TrajectoryField, path) -> None:
     if bad.size:
         raise ValueError(f"{path}: TRJ1 coefficient {field.coeffs.flat[bad[0]]} is not finite in float32")
     rows, cols = field.grid_shape
-    header = np.zeros(1, dtype=_TRJ1_HEADER)
-    header["magic"] = TRJ1_MAGIC
-    header["kind"] = _KIND_CODE[field.basis.kind]
-    header["degree"] = field.basis.degree
-    header["stride"] = field.stride
-    header["rows"], header["cols"] = rows, cols
-    header["width"], header["height"] = field.width, field.height
-    with open(path, "wb") as f:
-        f.write(header.tobytes())
-        f.write(body.tobytes())
+    binfile.write(path, _TRJ1_HEADER, body, magic=TRJ1_MAGIC, kind=_KIND_CODE[field.basis.kind],
+                  degree=field.basis.degree, stride=field.stride, rows=rows, cols=cols,
+                  width=field.width, height=field.height)
 
 
 def load_field(path) -> TrajectoryField:
     """Read a TRJ1 file; malformed input raises ValueError naming the byte offset."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _TRJ1_HEADER.itemsize:
-        raise ValueError(f"{path}: truncated TRJ1 header, file ends at byte {len(raw)}")
-    h = np.frombuffer(raw, dtype=_TRJ1_HEADER, count=1)[0]
-    if bytes(h["magic"]) != TRJ1_MAGIC:
-        raise ValueError(f"{path}: bad TRJ1 magic at byte 0")
-    at = {name: _TRJ1_HEADER.fields[name][1] for name in _TRJ1_HEADER.names}
-    code, degree, stride = int(h["kind"]), int(h["degree"]), int(h["stride"])
-    if code not in _CODE_KIND:
-        raise ValueError(f"{path}: unknown TRJ1 basis code {code} at byte {at['kind']}")
-    if degree < 1:
-        raise ValueError(f"{path}: TRJ1 degree {degree} at byte {at['degree']} must be >= 1")
-    if stride < 1:
-        raise ValueError(f"{path}: TRJ1 stride {stride} at byte {at['stride']} must be >= 1")
-    rows, cols = int(h["rows"]), int(h["cols"])
-    width, height = int(h["width"]), int(h["height"])
+    f = binfile.Reader(path, TRJ1_MAGIC, _TRJ1_HEADER)
+    code, degree, stride = int(f.header["kind"]), int(f.header["degree"]), int(f.header["stride"])
+    f.check(code not in _CODE_KIND, "kind", f"basis code {code}", " is unknown")
+    f.check(degree < 1, "degree", f"degree {degree}", " must be >= 1")
+    f.check(stride < 1, "stride", f"stride {stride}", " must be >= 1")
+    rows, cols = int(f.header["rows"]), int(f.header["cols"])
+    width, height = int(f.header["width"]), int(f.header["height"])
     grid = _grid_shape(width, height, stride)
-    if (rows, cols) != grid:
-        raise ValueError(
-            f"{path}: TRJ1 grid {rows}x{cols} at byte {at['rows']} does not match the "
-            f"{grid[0]}x{grid[1]} anchor grid of a {width}x{height} image at stride {stride}"
-        )
-    basis = Basis(_CODE_KIND[code], degree)
-    n = rows * cols * degree * 2
-    expected = _TRJ1_HEADER.itemsize + 4 * n
-    if len(raw) != expected:
-        raise ValueError(
-            f"{path}: TRJ1 body of {n} float32 values should end at byte {expected}, "
-            f"file ends at byte {len(raw)}"
-        )
-    coeffs = np.frombuffer(raw, dtype="<f4", count=n, offset=_TRJ1_HEADER.itemsize)
-    bad = np.flatnonzero(~np.isfinite(coeffs))
-    if bad.size:
-        raise ValueError(f"{path}: non-finite TRJ1 coefficient at byte {_TRJ1_HEADER.itemsize + 4 * bad[0]}")
+    f.check((rows, cols) != grid, "rows", f"grid {rows}x{cols}", f" does not match the {grid[0]}x{grid[1]} "
+            f"anchor grid of a {width}x{height} image at stride {stride}")
+    coeffs = f.body("<f4", rows * cols * degree * 2)
+    f.first_bad(~np.isfinite(coeffs), "non-finite coefficient")
     coeffs = coeffs.astype(np.float64).reshape(rows, cols, degree, 2)
-    return TrajectoryField(basis, stride, width, height, coeffs)
+    return TrajectoryField(Basis(_CODE_KIND[code], degree), stride, width, height, coeffs)

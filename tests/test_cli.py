@@ -124,6 +124,14 @@ class TestSynthCommand:
         assert f"{bad}: line 11: expected key=value" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_non_utf8_scene_exits_2_naming_file_and_byte(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"width=8\xff\n")
+        rc = main(["synth", str(bad), "--out", str(tmp_path / "x"), "--seed", "0"])
+        assert rc == 2
+        assert f"{bad}: not UTF-8 text at byte 7" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_query_times_outside_unit_interval_exit_2(self, tmp_path, capsys):
         # they used to be written as GT maps that eval then misread
         bad = tmp_path / "bad.cfg"
@@ -316,6 +324,12 @@ class TestEstimateCommand:
         assert main(["rerun", str(path)]) == 2
         assert str(path) in capsys.readouterr().err
 
+    def test_rerun_non_utf8_manifest_exits_2_naming_file_and_byte(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(b"\xff{}")
+        assert main(["rerun", str(path)]) == 2
+        assert f"{path}: not UTF-8 text at byte 0" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def test_eval_report(self, scene_file, tmp_path, capsys):
@@ -428,7 +442,7 @@ class TestEvalCommand:
         rc = main(["eval", "--pred", str(flow), "--gt", str(data / "gt_01.flo1"),
                    "--events", str(data / "events.evt1")])
         assert rc == 2
-        assert f"{flow}: non-finite FLO1 time nan at byte 12" in capsys.readouterr().err
+        assert f"{flow}: FLO1 time nan at byte 12 is not finite" in capsys.readouterr().err
 
 
 class TestRenderCommand:

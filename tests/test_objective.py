@@ -355,7 +355,9 @@ class TestTotalLoss:
         field.coeffs[...] = rng.normal(0, 1, field.coeffs.shape)
         cfg = ObjectiveConfig(knn=KnnConfig(k=8))
         out = loss_gradient(sl, field, ((0.25, 1.0),), cfg)[0]
-        assert out.total == pytest.approx(1.0 / max(out.g, 1e-8) + out.lam * out.r, abs=1e-12)
+        lam = cfg.lam / (sl.width * sl.height)
+        assert out.r > 0.0
+        assert out.total == pytest.approx(1.0 / max(out.g, 1e-8) + lam * out.r, abs=1e-12)
 
     def test_ground_truth_beats_zero_on_constant_flow(self):
         sl, _, spec = constant_scene(width=48, height=48, n_points=80, n_events=6000, seed=4)

@@ -59,3 +59,29 @@ def test_edited_file_loads_or_names_path_and_offset(tmp_path_factory, fmt, data)
     except ValueError as exc:
         assert str(path) in str(exc)
         assert "byte" in str(exc)
+
+
+HEADER_BYTES = {"evt1": 36, "trj1": 25, "flo1": 20}
+
+
+@pytest.mark.parametrize("case", ["truncated-header", "bad-magic", "short-body", "trailing-bytes"])
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_container_fault_names_path_format_and_offset(tmp_path, fmt, case):
+    write, load = FORMATS[fmt]
+    path = tmp_path / f"f.{fmt}"
+    write(path)
+    raw = path.read_bytes()
+    edited, at = {
+        "truncated-header": (raw[: HEADER_BYTES[fmt] - 1], HEADER_BYTES[fmt] - 1),
+        "bad-magic": (b"NOPE" + raw[4:], 0),
+        "short-body": (raw[:-1], len(raw) - 1),
+        "trailing-bytes": (raw + b"\x00", len(raw) + 1),
+    }[case]
+    path.write_bytes(edited)
+    with pytest.raises(ValueError) as info:
+        load(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: {fmt.upper()} ")
+    assert message.endswith(f" at byte {at}")
+    if case in ("short-body", "trailing-bytes"):
+        assert f"should end at byte {len(raw)}," in message

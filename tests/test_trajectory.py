@@ -145,7 +145,7 @@ class TestGridAndIo:
              "grid 1x4 at byte 9"),
             # a signalling NaN (0x7f800001) as the second coefficient; the header is 25 bytes
             (lambda raw: raw[:29] + bytes.fromhex("0100807f") + raw[33:],
-             "non-finite TRJ1 coefficient at byte 29"),
+             "TRJ1 non-finite coefficient at byte 29"),
         ],
         ids=["truncated-body", "trailing-bytes", "unknown-basis-code", "zero-degree", "zero-stride",
              "grid-mismatch", "nan-coefficient"],
