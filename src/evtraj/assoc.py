@@ -298,8 +298,10 @@ def _neighbor_mean(field: TrajectoryField, knn_indices: np.ndarray, a: np.ndarra
     of a neighbor set."""
     disp = np.einsum("bd,ndc->bnc", a, field.flat_coeffs())  # (B, N, 2)
     out = np.empty((*knn_indices.shape[:-1], 2))
+    k = knn_indices.shape[-1]
     for b, idx in enumerate(knn_indices):
-        out[b] = np.take(disp[b], idx, axis=0).mean(axis=-2)
+        # neighbor axis first: the sum over k runs as the mean's did, row by row
+        out[b] = np.take(disp[b], np.moveaxis(idx, -1, 0), axis=0).sum(axis=0) / k
     return out
 
 

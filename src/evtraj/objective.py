@@ -28,14 +28,22 @@ composes them with the association adjoints of ``assoc``.
 
 Accumulation uses one separable stencil: an event deposits its weight
 through the outer product of a y and an x kernel, 2-tap linear (sigma = 0,
-bilinear voting) or a Gaussian truncated at floor(x') +- ceil(3 sigma) and
-normalized over its in-image taps. Events warped off-image contribute
-nothing. The events pass through the stencil in blocks of a fixed tap
-budget, so no array holds every event's taps at once. The IWE is summed
-block by block in event order with np.add.at, which adds tap by tap as one
-np.bincount over all taps would; the per-event derivatives reach the
-voxels through one np.bincount. Every reduction runs in a fixed order, so
-results are bit-identical across runs, block sizes and thread settings.
+bilinear voting) or a Gaussian over floor(x') - r ... floor(x') + r + 1,
+r = ceil(3 sigma), normalized over its in-image taps. Events warped
+off-image contribute nothing. The votes land on a canvas padded by r cells
+before and r + 1 after each axis (r = 0 at sigma = 0), so no tap is ever
+clipped: every event's taps are its base cell plus one fixed pattern of
+l * l offsets (l = 2r + 2), off-image taps carry weight 0 into the margin,
+and the IWE is the canvas interior. The events pass through the stencil in
+blocks of a fixed tap budget; each block forms its own per-axis kernels as
+(l, events) arrays, and the pullback forms them again, so no array grows
+with the event count times l. Deposits are added with np.add.at in
+(event, y tap, x tap) order, as one np.bincount over all taps would add
+them; sums over an event's taps are explicit adds in tap order, and the
+per-event derivatives reach the voxels through one np.bincount. So results
+are bit-identical across runs, block sizes and thread settings, and at
+sigma = 0 they equal, bit for bit, the earlier unpadded stencil that
+clipped its taps into the image.
 """
 
 from __future__ import annotations
@@ -53,8 +61,8 @@ EPS_CONTRAST = 1e-8
 # (t_ref, weight) of the three-reference baseline; the weights sum to 4
 FIXED_REFERENCES = ((0.0, 1.0), (0.5, 2.0), (1.0, 1.0))
 
-# taps per voting block: 8,192 events at sigma = 1 (L = 64 taps each)
-_BLOCK_TAPS = 1 << 19
+# taps per voting block: 4,096 events at sigma = 1 (L = 64 taps each)
+_BLOCK_TAPS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -147,43 +155,54 @@ def warp_events(sl: EventSlice, volume: DisplacementVolume, time_weighting: bool
     )
 
 
+def _row_sum(rows):
+    """Sum of ``rows`` (l, ...) over its first axis, added first to last.
+    numpy's reductions pick their order by the array's shape; this one is
+    the same for every block size."""
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total
+
+
 def _axis_kernel(coord, size: int, sigma: float):
-    """One axis of the voting kernel: (taps, k, dk), each (N, l), with the
-    tap cells clipped into [0, size), the kernel (zero off-image) and
-    dk/dcoord. sigma = 0: 2-tap linear; sigma > 0: a Gaussian over
-    floor(c) - r ... floor(c) + r + 1 (r = ceil(3 sigma); breakpoints on the
-    integer lattice, as at sigma = 0) normalized over its in-image taps."""
-    c0 = np.clip(np.floor(coord).astype(np.int64), 0, size - 1)
+    """One axis of the voting kernel for a block of events: (c0, k, dk).
+    c0 (n,) is floor(coord) clipped into [0, size); k and dk/dcoord are
+    (l, n), over the cells c0 - r ... c0 + r + 1. sigma = 0: 2-tap linear
+    (r = 0); sigma > 0: a Gaussian with r = ceil(3 sigma), breakpoints on
+    the integer lattice as at sigma = 0, zero off-image and normalized over
+    its in-image taps."""
+    c0 = np.clip(np.floor(coord), 0, size - 1)
+    f = coord - c0
     if sigma == 0.0:
-        cells = np.stack([c0, c0 + 1], axis=1)
-        f = coord - c0
-        k = np.stack([1 - f, f], axis=1)
-        dk = np.array([-1.0, 1.0])
-    else:
-        r = math.ceil(3.0 * sigma)
-        cells = c0[:, None] + np.arange(-r, r + 2)
-        d = cells - coord[:, None]
-        k = np.square(d)  # in place from here on: (N, l) arrays are the pass's peak
-        k *= -0.5 / (sigma * sigma)
-        np.exp(k, out=k)
-    inside = (cells >= 0) & (cells < size)
-    k *= inside
-    if sigma > 0.0:
-        norm = k.sum(axis=1, keepdims=True)
-        k /= np.where(norm > 0.0, norm, 1.0)
-        dk = d  # d / sigma^2 less its k-weighted mean, times k
-        dk /= sigma * sigma
-        dk -= (k * dk).sum(axis=1, keepdims=True)
-        dk *= k
-    return np.clip(cells, 0, size - 1, out=cells), k, dk * inside
+        slope = np.broadcast_to(np.array([[-1.0], [1.0]]), (2, len(f)))
+        return c0.astype(np.int64), np.stack([1 - f, f]), slope
+    r = math.ceil(3.0 * sigma)
+    d = np.arange(-r, r + 2.0)[:, None] - f  # cell minus coord, per tap
+    k = np.square(d)
+    k *= -0.5 / (sigma * sigma)
+    np.exp(k, out=k)
+    # row t is cell c0 - r + t: off-image below row r for small c0, above it for large
+    for t in range(r):
+        k[t] *= c0 >= r - t
+    for t in range(r + 1, 2 * r + 2):
+        k[t] *= c0 <= size - 1 + r - t
+    norm = _row_sum(k)
+    k /= np.where(norm > 0.0, norm, 1.0)
+    dk = d  # d / sigma^2 less its k-weighted mean, times k
+    dk /= sigma * sigma
+    dk -= _row_sum(k * dk)
+    dk *= k
+    return c0.astype(np.int64), k, dk
 
 
 def voting_stencil(positions, mask, weights, width: int, height: int, sigma: float):
-    """Per-event factors of the separable kernel: ((cx, kx, dkx), (cy, ky,
-    dky), mw), the per-axis (taps, k, dk) of :func:`_axis_kernel`, each
-    (N, l), and mw = mask * weight. An event deposits mw * (k_y (x) k_x) over
-    L = l * l taps, y outer and x inner, so an unmasked event's deposits sum
-    to its weight. :func:`_accumulate` forms these L products block by block.
+    """Factors of the separable kernel for one block of events: ((cx, kx,
+    dkx), (cy, ky, dky), mw), the per-axis (c0, k, dk) of
+    :func:`_axis_kernel` and mw = mask * weight. An event deposits
+    mw * (k_y (x) k_x) over L = l * l taps, y outer and x inner, onto the
+    cells (cy - r + i, cx - r + j), so an unmasked event's deposits sum to
+    its weight. :func:`_accumulate` calls it once per block and pass.
     """
     return (
         _axis_kernel(positions[:, 0], width, sigma),
@@ -198,42 +217,53 @@ def _accumulate(warped: WarpedEvents, sigma: float):
     the same shape and returns (d/dx', d/dy'), each (N,): the tap cotangent
     contracted with (k_y (x) dk_x) and (dk_y (x) k_x), one axis at a time.
 
-    Both run over blocks of about ``_BLOCK_TAPS // L`` events, so the taps,
-    deposits and cotangent are never (N, L); a one-block pass keeps its
-    taps for the pullback instead of forming them again.
+    The votes land on a (2, H + 2r + 1, W + 2r + 1) canvas, padded by r
+    cells before and r + 1 after each axis, so no tap is clipped: event n's
+    taps are base[n] + pattern, one fixed (l * l) pattern, and the IWE is
+    the canvas interior. Both passes run over blocks of ``_BLOCK_TAPS // L``
+    events and form each block's kernels afresh, so nothing is (N, l) or
+    (N, L). Deposits go through np.add.at in (event, y tap, x tap) order.
     """
-    (cx, kx, dkx), (cy, ky, dky), mw = voting_stencil(
-        warped.positions, warped.mask, warped.weights, warped.width, warped.height, sigma
-    )
-    n, l = kx.shape
-    width, npix = warped.width, warped.width * warped.height
-    # negative-polarity taps land in the second plane
-    offset = (warped.polarity < 0).astype(np.int64) * npix
+    width, height = warped.width, warped.height
+    r = math.ceil(3.0 * sigma)
+    l = 2 * r + 2
+    pw, ph = width + 2 * r + 1, height + 2 * r + 1
+    pattern = (np.arange(l)[:, None] * pw + np.arange(l)).ravel()
+    # negative-polarity votes land in the second plane
+    plane = (warped.polarity < 0).astype(np.int64) * (ph * pw)
+    n = len(warped.weights)
     step = max(1, _BLOCK_TAPS // (l * l))
     blocks = [slice(a, a + step) for a in range(0, n, step)]
 
-    def taps(s):
-        return cy[s, :, None] * width + cx[s, None, :] + offset[s, None, None]
+    def stencil(s):
+        (cx, kx, dkx), (cy, ky, dky), mw = voting_stencil(
+            warped.positions[s], warped.mask[s], warped.weights[s], width, height, sigma
+        )
+        return plane[s] + cy * pw + cx, (kx, dkx), (ky, dky), mw
 
-    counts = np.zeros(2 * npix)
+    canvas = np.zeros(2 * ph * pw)
     for s in blocks:
-        block_taps = taps(s)
-        contrib = np.einsum("ni,nj->nij", ky[s], kx[s])
-        contrib *= mw[s, None, None]
-        np.add.at(counts, block_taps.ravel(), contrib.ravel())
-    kept = block_taps if len(blocks) == 1 else None
+        base, (kx, _), (ky, _), mw = stencil(s)
+        # (event, y tap, x tap) and contiguous, so that ravel() is a view
+        deposits = np.multiply(ky.T[:, :, None], kx.T[:, None, :], order="C")
+        deposits *= mw[:, None, None]
+        np.add.at(canvas, (base[:, None] + pattern).ravel(), deposits.ravel())
+    interior = (slice(None), slice(r, r + height), slice(r, r + width))
 
     def pullback(dgdi):
-        flat = dgdi.ravel()
+        padded = np.zeros((2, ph, pw))
+        padded[interior] = dgdi
+        flat = padded.ravel()
         gx, gy = np.empty(n), np.empty(n)
         for s in blocks:
-            cot = flat[taps(s) if kept is None else kept]
-            # one axis at a time: faster than a single einsum
-            gx[s] = mw[s] * np.einsum("ni,ni->n", np.einsum("nij,nj->ni", cot, dkx[s]), ky[s])
-            gy[s] = mw[s] * np.einsum("nj,nj->n", np.einsum("nij,ni->nj", cot, dky[s]), kx[s])
+            base, (kx, dkx), (ky, dky), mw = stencil(s)
+            cot = np.take(flat, pattern[:, None] + base).reshape(l, l, -1)  # (y tap, x tap, event)
+            gx[s] = mw * _row_sum(_row_sum((cot * dkx).transpose(1, 0, 2)) * ky)
+            cot *= dky[:, None, :]
+            gy[s] = mw * _row_sum(_row_sum(cot) * kx)
         return gx, gy
 
-    return counts.reshape(2, warped.height, warped.width), pullback
+    return np.ascontiguousarray(canvas.reshape(2, ph, pw)[interior]), pullback
 
 
 def build_iwe(warped: WarpedEvents, sigma: float = 0.0) -> np.ndarray:

@@ -83,8 +83,9 @@ class OptimConfig:
 
 @dataclass
 class LossBreakdown:
-    """Parts of one loss evaluation: ``total == 1 / max(g, eps) + lam * r``
-    with ``lam`` = lambda / |Omega|, the weight applied to ``r``.
+    """Parts of one loss evaluation: ``total == 1 / max(g, eps) +
+    (lambda / |Omega|) * r``, with lambda the config's ``lam`` and |Omega|
+    the pixel count.
 
     ``g`` is the weighted contrast C (G for one reference time, F for the
     baseline), ``t_ref`` the weighted mean reference time and ``n_masked``

@@ -160,24 +160,85 @@ def iwe_gaussian_scalar(positions, weights, mask, width, height, sigma):
     return img
 
 
-def iwe_full_stencil(axes, offset, width, n_cells):
-    """Stacked IWE from the voting stencil's per-axis factors ``axes`` =
-    ((cx, kx, dkx), (cy, ky, dky), mw): every event's (N, L) taps and
-    deposits formed at once and reduced by one np.bincount over ``n_cells``
-    cells, each event's taps shifted by ``offset``."""
-    (cx, kx, _), (cy, ky, _), mw = axes
-    taps = cy[:, :, None] * width + cx[:, None, :] + offset[:, None, None]
-    deposits = ky[:, :, None] * kx[:, None, :] * mw[:, None, None]
-    return np.bincount(taps.ravel(), weights=deposits.ravel(), minlength=n_cells)
+def _in_order(terms):
+    """Sum of ``terms``, added first to last."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
 
 
-def pullback_full_stencil(axes, offset, width, dgdi):
+def _padded_taps(axes, plane, width, height):
+    """Every event's (N, l, l) flat cells on the stacked canvas padded by
+    r = (l - 2) / 2 cells before and r + 1 after each axis, and its shape."""
+    (cx, kx, _), (cy, _, _), _ = axes
+    l = kx.shape[0]
+    r = (l - 2) // 2
+    shape = (2, height + 2 * r + 1, width + 2 * r + 1)
+    rows = cy[:, None, None] + np.arange(l)[None, :, None]
+    cols = cx[:, None, None] + np.arange(l)[None, None, :]
+    return (plane[:, None, None] * shape[1] + rows) * shape[2] + cols, shape, r
+
+
+def iwe_full_stencil(axes, plane, width, height):
+    """Stacked (2, H, W) IWE from the voting stencil's per-axis factors
+    ``axes`` = ((cx, kx, dkx), (cy, ky, dky), mw), k (l, N): every event's
+    (N, l, l) taps and deposits formed at once, reduced in (event, y tap,
+    x tap) order by one np.bincount over the padded canvas, whose interior
+    is the IWE. ``plane`` is each event's polarity plane, 0 or 1."""
+    (_, kx, _), (_, ky, _), mw = axes
+    taps, shape, r = _padded_taps(axes, plane, width, height)
+    deposits = ky.T[:, :, None] * kx.T[:, None, :] * mw[:, None, None]
+    canvas = np.bincount(taps.ravel(), weights=deposits.ravel(), minlength=np.prod(shape)).reshape(shape)
+    return canvas[:, r:r + height, r:r + width]
+
+
+def pullback_full_stencil(axes, plane, width, height, dgdi):
     """Per-event (d/dx', d/dy') of the same stencil: dG/dI gathered at every
-    event's (N, L) taps at once, contracted one axis at a time."""
-    (cx, kx, dkx), (cy, ky, dky), mw = axes
-    cot = dgdi.ravel()[cy[:, :, None] * width + cx[:, None, :] + offset[:, None, None]]
-    return (mw * np.einsum("ni,ni->n", np.einsum("nij,nj->ni", cot, dkx), ky),
-            mw * np.einsum("nj,nj->n", np.einsum("nij,ni->nj", cot, dky), kx))
+    event's (N, l, l) taps at once (zero off-image), contracted one axis at
+    a time with the sums over taps added in tap order."""
+    (_, kx, dkx), (_, ky, dky), mw = axes
+    taps, shape, r = _padded_taps(axes, plane, width, height)
+    padded = np.zeros(shape)
+    padded[:, r:r + height, r:r + width] = dgdi
+    cot = padded.ravel()[taps]
+    l = kx.shape[0]
+    gx = _in_order([_in_order([cot[:, i, j] * dkx[j] for j in range(l)]) * ky[i] for i in range(l)])
+    gy = _in_order([_in_order([cot[:, i, j] * dky[i] for i in range(l)]) * kx[j] for j in range(l)])
+    return mw * gx, mw * gy
+
+
+def bilinear_pass_unpadded(positions, mask, weights, polarity, width, height):
+    """(iwe, pullback) of bilinear voting in the earlier (N, 2, 2)
+    formulation, which sigma = 0 must still match bit for bit: tap cells
+    clipped into the image with the off-image weights and slopes zeroed,
+    every event's taps and deposits formed at once and summed into the
+    unpadded planes in (event, y tap, x tap) order, and the pullback
+    contracted by einsum."""
+
+    def axis(coord, size):
+        c0 = np.clip(np.floor(coord).astype(np.int64), 0, size - 1)
+        cells = np.stack([c0, c0 + 1], axis=1)
+        f = coord - c0
+        inside = (cells >= 0) & (cells < size)
+        k = np.stack([1 - f, f], axis=1) * inside
+        return np.clip(cells, 0, size - 1), k, np.array([-1.0, 1.0]) * inside
+
+    cx, kx, dkx = axis(positions[:, 0], width)
+    cy, ky, dky = axis(positions[:, 1], height)
+    mw = mask * weights
+    npix = width * height
+    taps = cy[:, :, None] * width + cx[:, None, :] + ((polarity < 0) * npix)[:, None, None]
+    deposits = np.einsum("ni,nj->nij", ky, kx) * mw[:, None, None]
+    counts = np.zeros(2 * npix)
+    np.add.at(counts, taps.ravel(), deposits.ravel())
+
+    def pullback(dgdi):
+        cot = dgdi.ravel()[taps]
+        return (mw * np.einsum("ni,ni->n", np.einsum("nij,nj->ni", cot, dkx), ky),
+                mw * np.einsum("nj,nj->n", np.einsum("nij,ni->nj", cot, dky), kx))
+
+    return counts.reshape(2, height, width), pullback
 
 
 def contrast_scalar(img):

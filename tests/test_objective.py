@@ -23,6 +23,7 @@ from evtraj.optimize import loss_gradient
 from evtraj.trajectory import BEZIER, POLYNOMIAL, Basis, TrajectoryField
 
 from oracles import (
+    bilinear_pass_unpadded,
     contrast_scalar,
     iwe_full_stencil,
     iwe_gaussian_scalar,
@@ -211,7 +212,7 @@ class TestIwe:
 
 
 class TestVotingBlocks:
-    @pytest.mark.parametrize("sigma", [0.0, 0.7, 3.0])
+    @pytest.mark.parametrize("sigma", [0.0, 0.7, 1.0, 3.0])
     def test_block_size_does_not_change_bits(self, monkeypatch, sigma):
         rng = np.random.default_rng(23)
         sl = random_slice(rng, n=400)
@@ -219,22 +220,43 @@ class TestVotingBlocks:
         warped = warp_events(sl, vol, time_weighting=True)
         assert 0 < warped.n_masked
         axes = voting_stencil(warped.positions, warped.mask, warped.weights, 32, 32, sigma)
-        taps = axes[0][0].shape[1] ** 2
-        npix = 32 * 32
-        split = (sl.p < 0).astype(np.int64) * npix
+        taps = axes[0][1].shape[0] ** 2
+        plane = (sl.p < 0).astype(np.int64)
         # the unblocked definition: one np.bincount over every event's taps
-        ref = iwe_full_stencil(axes, split, 32, 2 * npix)
-        ref_g, dgdi = contrast_g(ref.reshape(2, 32, 32))
+        ref = iwe_full_stencil(axes, plane, 32, 32)
+        ref_g, dgdi = contrast_g(ref)
         nvox = vol.disp.size // 2
         ref_grad = np.stack([np.bincount(warped.vox_idx, weights=d, minlength=nvox)
-                             for d in pullback_full_stencil(axes, split, 32, dgdi)], axis=1)
+                             for d in pullback_full_stencil(axes, plane, 32, 32, dgdi)], axis=1)
         for events_per_block in (1, 37, len(sl)):
             monkeypatch.setattr(objective, "_BLOCK_TAPS", events_per_block * taps)
-            assert np.array_equal(build_iwe(warped, sigma=sigma).ravel(), ref)
+            assert np.array_equal(build_iwe(warped, sigma=sigma), ref)
             g, grad, n_masked = contrast_pass(sl, vol, sigma, time_weighting=True)
             assert g == ref_g
             assert np.array_equal(grad, ref_grad.reshape(vol.disp.shape))
             assert n_masked == warped.n_masked
+
+    def test_bilinear_matches_unpadded_formulation_bit_for_bit(self):
+        # displacements on a quarter-pixel lattice put events exactly on the
+        # right and bottom edges, where the unpadded stencil clipped a tap
+        rng = np.random.default_rng(26)
+        sl = random_slice(rng, n=3000, width=24, height=16)
+        vol = random_volume(rng, width=24, height=16)
+        vol.disp[...] = np.round(vol.disp * 4.0) / 4.0
+        warped = warp_events(sl, vol, time_weighting=True)
+        x, y = warped.positions[warped.mask].T
+        assert np.any(x == 23.0) and np.any(y == 15.0) and 0 < warped.n_masked
+        ref, ref_pullback = bilinear_pass_unpadded(
+            warped.positions, warped.mask, warped.weights, warped.polarity, 24, 16
+        )
+        assert build_iwe(warped).tobytes() == ref.tobytes()
+        ref_g, dgdi = contrast_g(ref)
+        nvox = vol.disp.size // 2
+        ref_grad = np.stack([np.bincount(warped.vox_idx, weights=d, minlength=nvox)
+                             for d in ref_pullback(dgdi)], axis=1)
+        g, grad, _ = contrast_pass(sl, vol, 0.0, time_weighting=True)
+        assert g == ref_g
+        assert grad.tobytes() == ref_grad.reshape(vol.disp.shape).tobytes()
 
     def test_contrast_pass_memory_is_bounded(self):
         # sigma = 3 votes over 400 taps per event: one (N, 400) float64 array
@@ -249,6 +271,20 @@ class TestVotingBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2**20
+
+    def test_sigma1_pass_memory_at_benchmark_size(self):
+        # 200,000 events at sigma = 1 vote over 64 taps each: (N, l) kernel
+        # arrays or (N, 64) taps would take 13 or 102 MB apiece
+        rng = np.random.default_rng(27)
+        sl = random_slice(rng, n=200_000, width=128, height=96)
+        vol = random_volume(rng, width=128, height=96, stride=8)
+        tracemalloc.start()
+        try:
+            contrast_pass(sl, vol, 1.0, time_weighting=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
 
 class TestContrast:
