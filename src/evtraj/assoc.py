@@ -38,10 +38,23 @@ bound never exceeds the rounded d2 of an outside anchor, and no rounding
 can sneak one past it. The result therefore equals the scan's bit for
 bit. Queries stream in fixed-size tiles, so no distance array is larger
 than (tile, anchors).
+
+A build searches all of its bins in one call: :func:`knn_per_bin` takes a
+stack of anchor sets that share the queries. The searches are independent,
+so the calling thread and a pool of one thread fewer than the CPUs in the
+process's affinity mask share them, each taking the next set; a one-CPU
+host starts no thread. Each search is the one above, unchanged, and writes
+only its own slice of the result, so the bytes equal the scan's at every
+core count. The pool threads run only private helpers, never a public
+function of the package.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,7 +62,11 @@ import numpy as np
 from .trajectory import TrajectoryField, anchor_grid, displacement_basis, eval_trajectory_batch
 
 # query cells per distance tile of the KNN search
-_KNN_TILE = 1024
+_KNN_TILE = 512
+
+# threads that search next to the caller: one fewer than the CPUs this
+# process may run on, so a one-CPU host starts none
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) - 1
 
 
 @dataclass(frozen=True)
@@ -66,38 +83,92 @@ class KnnConfig:
 def knn_per_bin(query_cells, traj_positions, k: int):
     """Exact KNN of each query cell among trajectory positions.
 
-    Returns (indices, distances), both (n_cells, k); the k anchors with
-    smallest Euclidean distance to each cell center, ties broken by lower
-    anchor index.
+    ``traj_positions`` is one anchor set (n_anchors, 2), or a stack of sets
+    (B, n_anchors, 2) that share the queries. Returns (indices, distances),
+    (n_cells, k) for one set and (B, n_cells, k) for a stack: the k anchors
+    of each set with smallest Euclidean distance to each cell center, ties
+    broken by lower anchor index.
 
-    One block pass, described in the module docstring, runs at reach 1, 2,
-    4, ... cells (:func:`_ring_pass`); each answers the rows it certifies
-    and hands the rest to the next. Once a block spans the grid it holds
-    every anchor, in index order, so that ring computes exactly the full
-    scan; it certifies every row still open, even one whose d2 overflows,
-    and ends the search, within ceil(log2(longest grid side)) + 1 passes.
-    Every ring computes the scan's float64 d2 and selects with
-    :func:`_topk_stable`, and a row is certified only when no anchor outside
-    its block can reach its k-th d2, so the result is the full scan's, bit
-    for bit. A pass takes at most ``_KNN_TILE`` cells at a time, so no
-    distance array exceeds (``_KNN_TILE``, n_anchors).
+    The sets of a stack are searched on the calling thread and
+    ``_WORKERS`` pool threads, one fewer than the CPUs of the process's
+    affinity mask, each taking the next set until none is left
+    (:func:`_share`); a set of 1 is searched by the caller alone. A search
+    reads only its own set and writes only its own slice of the result, so
+    the bytes do not depend on the core count or on which thread took which
+    set. Each is :func:`_search`: one block pass, described in the module
+    docstring, at reach 1, 2, 4, ... cells (:func:`_ring_pass`); each
+    answers the rows it certifies and hands the rest to the next. Once a
+    block spans the grid it holds every anchor, in index order, so that ring
+    computes exactly the full scan; it certifies every row still open, even
+    one whose d2 overflows, and ends the search, within
+    ceil(log2(longest grid side)) + 1 passes. Every ring computes the scan's
+    float64 d2 and selects with :func:`_topk_stable`, and a row is certified
+    only when no anchor outside its block can reach its k-th d2, so the
+    result is the full scan's, bit for bit. A pass takes at most
+    ``_KNN_TILE`` cells at a time, so no distance array exceeds
+    (``_KNN_TILE``, n_anchors).
     """
     query = np.asarray(query_cells, dtype=np.float64)
     pts = np.asarray(traj_positions, dtype=np.float64)
-    n_cells, n_pts = len(query), len(pts)
+    sets = pts if pts.ndim == 3 else pts[None]
+    n_cells, n_pts = len(query), sets.shape[1]
     if not 1 <= k <= n_pts:
         raise ValueError(f"k={k} must lie in [1, {n_pts}], the anchor count")
-    if not (np.all(np.isfinite(query)) and np.all(np.isfinite(pts))):
+    if not (np.all(np.isfinite(query)) and np.all(np.isfinite(sets))):
         raise ValueError("positions must be finite")
-    idx = np.empty((n_cells, k), dtype=np.int64)
-    dist = np.empty((n_cells, k), dtype=np.float64)
+    idx = np.empty((len(sets), n_cells, k), dtype=np.int64)
+    dist = np.empty((len(sets), n_cells, k), dtype=np.float64)
     if n_cells:
-        grid, rows = _ring_grid(query, pts, k)
-        reach = 1
-        while len(rows):
-            rows = _ring_pass(grid, rows, reach, idx, dist)
-            reach *= 2
-    return idx, dist
+        _share([functools.partial(_search, query, k, *args) for args in zip(sets, idx, dist)], _WORKERS)
+    return (idx, dist) if pts.ndim == 3 else (idx[0], dist[0])
+
+
+@functools.cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The module's search threads; made on first use, so importing the
+    module starts none."""
+    return ThreadPoolExecutor(workers, thread_name_prefix="evtraj-knn")
+
+
+def _share(tasks, workers: int) -> None:
+    """Run ``tasks`` on the calling thread and up to ``workers`` pool
+    threads, each taking the next task until none is left. A thread whose
+    task raises takes no more; once every thread has stopped, the exception
+    is raised here."""
+    helpers = min(workers, len(tasks) - 1)
+    if helpers < 1:
+        for task in tasks:
+            task()
+        return
+    todo, lock = iter(tasks), threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                task = next(todo, None)
+            if task is None:
+                return
+            task()
+
+    pool = _pool(workers)
+    futures = [pool.submit(drain) for _ in range(helpers)]
+    try:
+        drain()
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _search(query, k: int, pts, idx, dist) -> None:
+    """One exact KNN search: the rings of :func:`_ring_pass` over
+    :func:`_ring_grid`, written to ``idx`` and ``dist`` (n_cells, k). Calls
+    only private helpers, so it may run on any thread."""
+    grid, rows = _ring_grid(query, pts, k)
+    reach = 1
+    while len(rows):
+        rows = _ring_pass(grid, rows, reach, idx, dist)
+        reach *= 2
 
 
 def _bucket_grid(query, n_pts: int, k: int):
@@ -196,19 +267,23 @@ def _ring_pass(grid, rows, reach: int, idx, dist):
         scored = n_block[inv] >= k
         rest.append(tile_rows[~scored])
         tile_rows, inv, bound = tile_rows[scored], inv[scored], edge[start : start + _KNN_TILE][scored]
-        # squared in place and freed as soon as they are used, so at most
-        # three (tile, width) float arrays are live at once
+        # the scan's (x - px)^2 + (y - py)^2, each difference formed and
+        # squared in place in its gathered coordinates: two (tile, width)
+        # float arrays, beside the per-cell table and one per-cell gather
         tile = query[tile_rows]
-        d2 = tile[:, 0:1] - np.take(px[table], inv, axis=0)
-        dy = tile[:, 1:2] - np.take(py[table], inv, axis=0)
+        d2 = np.take(px[table], inv, axis=0)
+        np.subtract(tile[:, 0:1], d2, out=d2)
         np.square(d2, out=d2)
+        dy = np.take(py[table], inv, axis=0)
+        np.subtract(tile[:, 1:2], dy, out=dy)
         d2 += np.square(dy, out=dy)
-        del dy
+        del tile, dy
         order = _topk_stable(d2, k)
         kd2 = np.take_along_axis(d2, order, axis=1)
         del d2
         ok = (kd2[:, -1] < bound) | spans
         idx[tile_rows[ok]] = table[inv[ok, None], order[ok]]
+        del table, order
         dist[tile_rows[ok]] = np.sqrt(kd2[ok])
         rest.append(tile_rows[~ok])
     return np.concatenate(rest)
@@ -348,7 +423,7 @@ def build_displacement_volume(
     searched = DisplacementVolume.zeros(field.width, field.height, field.stride, n_bins)
     rows, cols, centers = anchor_grid(field.width, field.height, field.stride)
     pos_bins = eval_trajectory_batch(field, searched.bin_centers)  # (B, N, 2)
-    knn_idx = np.stack([knn_per_bin(centers, pos, cfg.k)[0] for pos in pos_bins])
+    knn_idx = knn_per_bin(centers, pos_bins, cfg.k)[0]
     searched = replace(searched, knn_indices=knn_idx.reshape(n_bins, rows, cols, cfg.k))
     return regather_volume(field, searched, t_ref)
 
@@ -395,5 +470,5 @@ def interpolate_flow(field: TrajectoryField, times, k: int) -> np.ndarray:
     """
     g = displacement_basis(field.basis, times)  # (T, D)
     h, w, pixels = anchor_grid(field.width, field.height, 1)
-    idx, _ = knn_per_bin(pixels, field.anchor_positions(), k)
+    idx = knn_per_bin(pixels, field.anchor_positions(), k)[0]
     return _neighbor_mean(field, np.broadcast_to(idx.reshape(h, w, k), (len(g), h, w, k)), g)

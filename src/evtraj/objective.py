@@ -36,14 +36,14 @@ clipped: every event's taps are its base cell plus one fixed pattern of
 l * l offsets (l = 2r + 2), off-image taps carry weight 0 into the margin,
 and the IWE is the canvas interior. The events pass through the stencil in
 blocks of a fixed tap budget; each block forms its own per-axis kernels as
-(l, events) arrays, and the pullback forms them again, so no array grows
-with the event count times l. Deposits are added with np.add.at in
-(event, y tap, x tap) order, as one np.bincount over all taps would add
-them; sums over an event's taps are explicit adds in tap order, and the
-per-event derivatives reach the voxels through one np.bincount. So results
-are bit-identical across runs, block sizes and thread settings, and at
-sigma = 0 they equal, bit for bit, the earlier unpadded stencil that
-clipped its taps into the image.
+(l, events) arrays, and the pullback forms them again with their slopes,
+so no array grows with the event count times l. Deposits are added with
+np.add.at in (event, y tap, x tap) order, as one np.bincount over all taps
+would add them; sums over an event's taps are explicit adds in tap order,
+and the per-event derivatives reach the voxels through one np.bincount. So
+results are bit-identical across runs, block sizes and thread settings,
+and at sigma = 0 they equal, bit for bit, the earlier unpadded stencil
+that clipped its taps into the image.
 """
 
 from __future__ import annotations
@@ -166,20 +166,18 @@ def _row_sum(rows):
 
 
 def _axis_kernel(coord, size: int, sigma: float):
-    """One axis of the voting kernel for a block of events: (c0, k, dk).
-    c0 (n,) is floor(coord) clipped into [0, size); k and dk/dcoord are
+    """One axis of the voting kernel for a block of events: (c0, k, f).
+    c0 (n,) is floor(coord) clipped into [0, size) and f = coord - c0; k is
     (l, n), over the cells c0 - r ... c0 + r + 1. sigma = 0: 2-tap linear
     (r = 0); sigma > 0: a Gaussian with r = ceil(3 sigma), breakpoints on
     the integer lattice as at sigma = 0, zero off-image and normalized over
-    its in-image taps."""
+    its in-image taps. :func:`_axis_slope` forms dk/dcoord from k and f."""
     c0 = np.clip(np.floor(coord), 0, size - 1)
     f = coord - c0
     if sigma == 0.0:
-        slope = np.broadcast_to(np.array([[-1.0], [1.0]]), (2, len(f)))
-        return c0.astype(np.int64), np.stack([1 - f, f]), slope
+        return c0.astype(np.int64), np.stack([1 - f, f]), f
     r = math.ceil(3.0 * sigma)
-    d = np.arange(-r, r + 2.0)[:, None] - f  # cell minus coord, per tap
-    k = np.square(d)
+    k = np.square(_tap_offsets(f, r))
     k *= -0.5 / (sigma * sigma)
     np.exp(k, out=k)
     # row t is cell c0 - r + t: off-image below row r for small c0, above it for large
@@ -189,20 +187,35 @@ def _axis_kernel(coord, size: int, sigma: float):
         k[t] *= c0 <= size - 1 + r - t
     norm = _row_sum(k)
     k /= np.where(norm > 0.0, norm, 1.0)
-    dk = d  # d / sigma^2 less its k-weighted mean, times k
+    return c0.astype(np.int64), k, f
+
+
+def _tap_offsets(f, r: int):
+    """(l, n) cell minus coord of every tap of :func:`_axis_kernel`."""
+    return np.arange(-r, r + 2.0)[:, None] - f
+
+
+def _axis_slope(k, f, sigma: float):
+    """dk/dcoord (l, n) of the :func:`_axis_kernel` (k, f): -1 and +1 at
+    sigma = 0, else d / sigma^2 less its k-weighted mean, times k, for the
+    tap offsets d. Only the pullback needs it."""
+    if sigma == 0.0:
+        return np.broadcast_to(np.array([[-1.0], [1.0]]), k.shape)
+    dk = _tap_offsets(f, math.ceil(3.0 * sigma))
     dk /= sigma * sigma
     dk -= _row_sum(k * dk)
     dk *= k
-    return c0.astype(np.int64), k, dk
+    return dk
 
 
 def voting_stencil(positions, mask, weights, width: int, height: int, sigma: float):
     """Factors of the separable kernel for one block of events: ((cx, kx,
-    dkx), (cy, ky, dky), mw), the per-axis (c0, k, dk) of
-    :func:`_axis_kernel` and mw = mask * weight. An event deposits
-    mw * (k_y (x) k_x) over L = l * l taps, y outer and x inner, onto the
-    cells (cy - r + i, cx - r + j), so an unmasked event's deposits sum to
-    its weight. :func:`_accumulate` calls it once per block and pass.
+    fx), (cy, ky, fy), mw), the per-axis (c0, k, f) of :func:`_axis_kernel`
+    and mw = mask * weight. An event deposits mw * (k_y (x) k_x) over
+    L = l * l taps, y outer and x inner, onto the cells (cy - r + i,
+    cx - r + j), so an unmasked event's deposits sum to its weight.
+    :func:`_accumulate` calls it once per block and pass; its pullback forms
+    the slopes with :func:`_axis_slope`.
     """
     return (
         _axis_kernel(positions[:, 0], width, sigma),
@@ -236,10 +249,10 @@ def _accumulate(warped: WarpedEvents, sigma: float):
     blocks = [slice(a, a + step) for a in range(0, n, step)]
 
     def stencil(s):
-        (cx, kx, dkx), (cy, ky, dky), mw = voting_stencil(
+        (cx, kx, fx), (cy, ky, fy), mw = voting_stencil(
             warped.positions[s], warped.mask[s], warped.weights[s], width, height, sigma
         )
-        return plane[s] + cy * pw + cx, (kx, dkx), (ky, dky), mw
+        return plane[s] + cy * pw + cx, (kx, fx), (ky, fy), mw
 
     canvas = np.zeros(2 * ph * pw)
     for s in blocks:
@@ -256,10 +269,10 @@ def _accumulate(warped: WarpedEvents, sigma: float):
         flat = padded.ravel()
         gx, gy = np.empty(n), np.empty(n)
         for s in blocks:
-            base, (kx, dkx), (ky, dky), mw = stencil(s)
+            base, (kx, fx), (ky, fy), mw = stencil(s)
             cot = np.take(flat, pattern[:, None] + base).reshape(l, l, -1)  # (y tap, x tap, event)
-            gx[s] = mw * _row_sum(_row_sum((cot * dkx).transpose(1, 0, 2)) * ky)
-            cot *= dky[:, None, :]
+            gx[s] = mw * _row_sum(_row_sum((cot * _axis_slope(kx, fx, sigma)).transpose(1, 0, 2)) * ky)
+            cot *= _axis_slope(ky, fy, sigma)[:, None, :]
             gy[s] = mw * _row_sum(_row_sum(cot) * kx)
         return gx, gy
 

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -167,6 +168,97 @@ def block_rejects(query, points, k):
     dist = np.empty((len(query), k))
     grid, order = assoc._ring_grid(np.asarray(query, float), np.asarray(points, float), k)
     return assoc._ring_pass(grid, order, 1, idx, dist)
+
+
+def stacked_sets(n_sets=6):
+    """One query lattice of 12 x 10 cell centres and a stack of anchor
+    sets of equal size sharing it: random, the zero field's anchors on the
+    cell centres (ties at nearly every k-th distance), an integer lattice
+    of distance shells, every anchor far outside one corner, and duplicates
+    of a few positions; then more random sets up to ``n_sets``."""
+    rng = np.random.default_rng(60)
+    _, _, centers = anchor_grid(48, 40, 4)
+    n = len(centers)
+    g = np.arange(12.0)
+    lattice = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)[:n] * 4.0
+    layouts = [
+        rng.uniform(0, 48, (n, 2)),
+        centers.copy(),
+        lattice[rng.permutation(n)],
+        rng.uniform(0, 5, (n, 2)) + 1e3,
+        rng.uniform(0, 48, (7, 2))[rng.integers(0, 7, n)],
+    ]
+    layouts += [rng.uniform(-4, 52, (n, 2)) for _ in range(n_sets - len(layouts))]
+    return centers, np.stack(layouts)
+
+
+class TestStackedKnn:
+    """Stacks of anchor sets searched on the caller and the pool threads."""
+
+    @pytest.mark.parametrize("workers", sorted({0, assoc._WORKERS}))
+    @pytest.mark.parametrize("k", [1, 7, 32])
+    def test_stack_equals_per_set_searches(self, monkeypatch, workers, k):
+        # one thread, and the host's: the caller plus one per further CPU
+        monkeypatch.setattr(assoc, "_WORKERS", workers)
+        query, sets = stacked_sets()
+        idx, dist = knn_per_bin(query, sets, k)
+        assert idx.shape == dist.shape == (len(sets), len(query), k)
+        for b, pts in enumerate(sets):
+            one_idx, one_dist = knn_per_bin(query, pts, k)
+            assert idx[b].tobytes() == one_idx.tobytes()
+            assert dist[b].tobytes() == one_dist.tobytes()
+        ref_idx, ref_dist = knn_scalar(query, sets[1], k)
+        np.testing.assert_array_equal(idx[1], ref_idx)
+        np.testing.assert_array_equal(dist[1], ref_dist)
+
+    def test_more_threads_than_cores_lose_no_set(self, monkeypatch):
+        # a set searched twice or left out would leave its slice unwritten
+        # or torn; threads switch every microsecond to shuffle who takes what
+        monkeypatch.setattr(assoc, "_WORKERS", 3)
+        query, sets = stacked_sets(n_sets=16)
+        want = [knn_per_bin(query, pts, 5) for pts in sets]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [knn_per_bin(query, sets, 5) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for idx, dist in runs:
+            for b, (one_idx, one_dist) in enumerate(want):
+                assert idx[b].tobytes() == one_idx.tobytes()
+                assert dist[b].tobytes() == one_dist.tobytes()
+
+    def test_share_runs_every_task_and_raises_a_failure(self):
+        done = []
+
+        def task(i):
+            def run():
+                if i == 5:
+                    raise RuntimeError("set 5")
+                done.append(i)
+
+            return run
+
+        with pytest.raises(RuntimeError, match="set 5"):
+            assoc._share([task(i) for i in range(12)], 3)
+        assert sorted(done) == [i for i in range(12) if i != 5]
+
+    def test_stack_validates_every_set(self):
+        query, sets = stacked_sets(n_sets=5)
+        sets[3, 7, 1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            knn_per_bin(query, sets, 4)
+        with pytest.raises(ValueError, match="anchor count"):
+            knn_per_bin(query, sets[:, :3], 4)
+
+    def test_volume_bytes_do_not_depend_on_pool_size(self, monkeypatch):
+        field = random_field(np.random.default_rng(61), width=48, height=40)
+        built = []
+        for workers in sorted({0, 1, assoc._WORKERS, 3}):
+            monkeypatch.setattr(assoc, "_WORKERS", workers)
+            vol = build_displacement_volume(field, 0.35, KnnConfig(k=9), n_bins=7)
+            built.append((vol.knn_indices.tobytes(), vol.disp.tobytes()))
+        assert len(set(built)) == 1
 
 
 class TestKnnBlocks:

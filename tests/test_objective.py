@@ -219,7 +219,8 @@ class TestVotingBlocks:
         vol = random_volume(rng)
         warped = warp_events(sl, vol, time_weighting=True)
         assert 0 < warped.n_masked
-        axes = voting_stencil(warped.positions, warped.mask, warped.weights, 32, 32, sigma)
+        *kernels, mw = voting_stencil(warped.positions, warped.mask, warped.weights, 32, 32, sigma)
+        axes = (*[(c, k, objective._axis_slope(k, f, sigma)) for c, k, f in kernels], mw)
         taps = axes[0][1].shape[0] ** 2
         plane = (sl.p < 0).astype(np.int64)
         # the unblocked definition: one np.bincount over every event's taps

@@ -1,3 +1,6 @@
+import importlib
+import inspect
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +30,8 @@ from evtraj.optimize import (
 from evtraj.trajectory import BEZIER, POLYNOMIAL, Basis, TrajectoryField
 
 from scenes import constant_scene
+
+EVTRAJ_MODULES = ("assoc", "binfile", "cli", "events", "flowio", "metrics", "objective", "optimize", "synth", "trajectory")
 
 
 def small_instance(seed=0, n_events=200, width=16, height=16, basis=Basis(POLYNOMIAL, 2),
@@ -205,13 +210,14 @@ class TestLossGradient:
         calls = []
         search = assoc.knn_per_bin
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return search(*args, **kwargs)
+        def counted(query, positions, k):
+            calls.append(np.shape(positions))
+            return search(query, positions, k)
 
         monkeypatch.setattr(assoc, "knn_per_bin", counted)
         loss_gradient(sl, field, *baseline(sl, field, cfg))
-        assert len(calls) == cfg.n_bins
+        # one stacked search per build, holding every bin's anchor set
+        assert calls == [(cfg.n_bins, field.n_anchors, 2)]
 
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
     def test_fixed_reference_shared_search_matches_three_builds(self, monkeypatch, sigma):
@@ -275,6 +281,32 @@ class TestMinimize:
         np.testing.assert_array_equal(a.t_ref, b.t_ref)
         np.testing.assert_array_equal(a.field.coeffs, b.field.coeffs)
         assert np.all((0.0 <= a.t_ref) & (a.t_ref < 1.0))
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_public_functions_run_on_the_main_thread(self, monkeypatch, fixed):
+        # a tracer that wraps the public functions keeps one span stack, so
+        # the search threads may call private helpers only; two threads
+        # search next to the caller even on a one-CPU host
+        monkeypatch.setattr(assoc, "_WORKERS", 2)
+        calls = []
+
+        def on_thread(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.current_thread() is threading.main_thread()))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in [importlib.import_module(f"evtraj.{m}") for m in EVTRAJ_MODULES]:
+            for name, fn in list(vars(module).items()):
+                if inspect.isfunction(fn) and fn.__module__.startswith("evtraj.") and not name.startswith("_"):
+                    monkeypatch.setattr(module, name, on_thread(f"{fn.__module__}.{name}", fn))
+        sl, field = small_instance(seed=18)
+        ocfg = OptimConfig(iterations=2, fixed_reference=fixed,
+                           objective=ObjectiveConfig(knn=KnnConfig(k=8), n_bins=5))
+        minimize(sl, field, ocfg)
+        assert ("evtraj.assoc.knn_per_bin", True) in calls
+        assert [name for name, main in calls if not main] == []
 
     def test_nonfinite_aborts_with_iteration(self):
         sl, field = small_instance(seed=12)
