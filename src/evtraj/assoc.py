@@ -43,7 +43,7 @@ A build searches all of its bins in one call: :func:`knn_per_bin` takes a
 stack of anchor sets that share the queries. The searches are independent,
 so the calling thread and a pool of one thread fewer than the CPUs in the
 process's affinity mask share them, each taking the next set; a one-CPU
-host starts no thread. Each search is the one above, unchanged, and writes
+host starts no thread, and small searches stay on the caller. Each search is the one above, unchanged, and writes
 only its own slice of the result, so the bytes equal the scan's at every
 core count. The pool threads run only private helpers, never a public
 function of the package.
@@ -67,6 +67,12 @@ _KNN_TILE = 512
 # threads that search next to the caller: one fewer than the CPUs this
 # process may run on, so a one-CPU host starts none
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) - 1
+
+# query cells a search needs before its stack is shared with the threads:
+# smaller searches spend most of their time in the interpreter, so a second
+# thread mostly waits for its lock (on 2 CPUs a 5-bin build of 192 cells,
+# k = 8, took 9.7 ms shared against 7.9 ms on the caller alone)
+_SHARE_MIN_CELLS = 512
 
 
 @dataclass(frozen=True)
@@ -92,7 +98,8 @@ def knn_per_bin(query_cells, traj_positions, k: int):
     The sets of a stack are searched on the calling thread and
     ``_WORKERS`` pool threads, one fewer than the CPUs of the process's
     affinity mask, each taking the next set until none is left
-    (:func:`_share`); a set of 1 is searched by the caller alone. A search
+    (:func:`_share`). A single set, or searches of fewer than
+    ``_SHARE_MIN_CELLS`` query cells, run on the caller alone. A search
     reads only its own set and writes only its own slice of the result, so
     the bytes do not depend on the core count or on which thread took which
     set. Each is :func:`_search`: one block pass, described in the module
@@ -119,7 +126,8 @@ def knn_per_bin(query_cells, traj_positions, k: int):
     idx = np.empty((len(sets), n_cells, k), dtype=np.int64)
     dist = np.empty((len(sets), n_cells, k), dtype=np.float64)
     if n_cells:
-        _share([functools.partial(_search, query, k, *args) for args in zip(sets, idx, dist)], _WORKERS)
+        workers = _WORKERS if n_cells >= _SHARE_MIN_CELLS else 0
+        _share([functools.partial(_search, query, k, *args) for args in zip(sets, idx, dist)], workers)
     return (idx, dist) if pts.ndim == 3 else (idx[0], dist[0])
 
 

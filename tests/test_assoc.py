@@ -195,6 +195,10 @@ def stacked_sets(n_sets=6):
 class TestStackedKnn:
     """Stacks of anchor sets searched on the caller and the pool threads."""
 
+    @pytest.fixture(autouse=True)
+    def share_small_searches(self, monkeypatch):
+        monkeypatch.setattr(assoc, "_SHARE_MIN_CELLS", 1)
+
     @pytest.mark.parametrize("workers", sorted({0, assoc._WORKERS}))
     @pytest.mark.parametrize("k", [1, 7, 32])
     def test_stack_equals_per_set_searches(self, monkeypatch, workers, k):
@@ -242,6 +246,14 @@ class TestStackedKnn:
         with pytest.raises(RuntimeError, match="set 5"):
             assoc._share([task(i) for i in range(12)], 3)
         assert sorted(done) == [i for i in range(12) if i != 5]
+
+    def test_small_searches_stay_on_the_caller(self, monkeypatch):
+        query, sets = stacked_sets()
+        monkeypatch.setattr(assoc, "_WORKERS", 3)
+        monkeypatch.setattr(assoc, "_SHARE_MIN_CELLS", len(query) + 1)
+        monkeypatch.setattr(assoc, "_pool", None)  # calling it would raise
+        idx, _ = knn_per_bin(query, sets, 4)
+        assert idx.shape == (len(sets), len(query), 4)
 
     def test_stack_validates_every_set(self):
         query, sets = stacked_sets(n_sets=5)

@@ -288,6 +288,7 @@ class TestMinimize:
         # the search threads may call private helpers only; two threads
         # search next to the caller even on a one-CPU host
         monkeypatch.setattr(assoc, "_WORKERS", 2)
+        monkeypatch.setattr(assoc, "_SHARE_MIN_CELLS", 1)
         calls = []
 
         def on_thread(name, fn):
