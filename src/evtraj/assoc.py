@@ -43,10 +43,10 @@ A build searches all of its bins in one call: :func:`knn_per_bin` takes a
 stack of anchor sets that share the queries. The searches are independent,
 so the calling thread and a pool of one thread fewer than the CPUs in the
 process's affinity mask share them, each taking the next set; a one-CPU
-host starts no thread, and small searches stay on the caller. Each search is the one above, unchanged, and writes
-only its own slice of the result, so the bytes equal the scan's at every
-core count. The pool threads run only private helpers, never a public
-function of the package.
+host starts no thread, and small searches stay on the caller. Each search
+is the one above, unchanged, and writes only its own slice of the result,
+so the bytes equal the scan's at every core count. The pool threads run
+only private helpers, never a public function of the package.
 """
 
 from __future__ import annotations
