@@ -32,12 +32,13 @@ the reach. Once a block spans the grid, no anchor lies outside it, and
 its anchors, kept in index order, are every anchor in index order: that
 ring is the scan itself, so it certifies every row still open and the
 search ends, within ceil(log2(longest grid side)) + 1 passes. Every ring
-computes d2 with the scan's float64 operations and picks with the same
-tie-breaking selection. IEEE rounding is monotone, so the certificate's
-bound never exceeds the rounded d2 of an outside anchor, and no rounding
-can sneak one past it. The result therefore equals the scan's bit for
-bit. Queries stream in fixed-size tiles, so no distance array is larger
-than (tile, anchors).
+computes d2 with the scan's float64 operations and selects as the scan is
+defined: one stable sort by d2 over columns kept in anchor-index order,
+the +inf pad last, so ties go to the lower index with no repair step.
+IEEE rounding is monotone, so the certificate's bound never exceeds the
+rounded d2 of an outside anchor, and no rounding can sneak one past it.
+The result therefore equals the scan's bit for bit. Queries stream in
+fixed-size tiles, so no distance array is larger than (tile, anchors).
 
 A build searches all of its bins in one call: :func:`knn_per_bin` takes a
 stack of anchor sets that share the queries. The searches are independent,
@@ -75,15 +76,10 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") els
 _SHARE_MIN_CELLS = 512
 
 
-@dataclass(frozen=True)
-class KnnConfig:
-    """Neighbor count for the search."""
-
-    k: int = 32
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+def KnnConfig(k: int = 32) -> int:
+    """The neighbour count itself, which searches and builds take as an int;
+    kept only for evbench's test, which still writes ``KnnConfig(k=...)``."""
+    return k
 
 
 def knn_per_bin(query_cells, traj_positions, k: int):
@@ -109,11 +105,11 @@ def knn_per_bin(query_cells, traj_positions, k: int):
     computes exactly the full scan; it certifies every row still open, even
     one whose d2 overflows, and ends the search, within
     ceil(log2(longest grid side)) + 1 passes. Every ring computes the scan's
-    float64 d2 and selects with :func:`_topk_stable`, and a row is certified
-    only when no anchor outside its block can reach its k-th d2, so the
-    result is the full scan's, bit for bit. A pass takes at most
-    ``_KNN_TILE`` cells at a time, so no distance array exceeds
-    (``_KNN_TILE``, n_anchors).
+    float64 d2 and selects with the scan's own stable sort over columns in
+    anchor-index order, and a row is certified only when no anchor outside
+    its block can reach its k-th d2, so the result is the full scan's, bit
+    for bit. A pass takes at most ``_KNN_TILE`` cells at a time, so no
+    distance array exceeds (``_KNN_TILE``, n_anchors).
     """
     query = np.asarray(query_cells, dtype=np.float64)
     pts = np.asarray(traj_positions, dtype=np.float64)
@@ -239,11 +235,13 @@ def _ring_pass(grid, rows, reach: int, idx, dist):
 
     The queries of one cell score the anchors of its (2 reach + 1)^2 block
     of cells, kept in anchor-index order and padded with the +inf anchor to
-    at least k columns, with the scan's d2 and :func:`_topk_stable`; a
-    block with fewer than k anchors certifies none of its rows and is not
-    scored. A row is written to ``idx`` and ``dist`` when its k-th d2 lies
-    strictly below the d2 to the block's edge, taken at the nearest anchor
-    outside the block on each side, or when the block spans the grid.
+    at least k columns, with the scan's d2, and each row selects its k
+    columns with one stable sort, the scan's definition: a tie goes to the
+    lower column, which is the lower anchor index. A block with fewer than
+    k anchors certifies none of its rows and is not scored. A row is
+    written to ``idx`` and ``dist`` when its k-th d2 lies strictly below
+    the d2 to the block's edge, taken at the nearest anchor outside the
+    block on each side, or when the block spans the grid.
     """
     query, k, shape, acell, qcell, qflat, beyond, before, px, py = grid
     # the d2 term of the nearest anchor past each row's block on either
@@ -286,7 +284,9 @@ def _ring_pass(grid, rows, reach: int, idx, dist):
         np.subtract(tile[:, 1:2], dy, out=dy)
         d2 += np.square(dy, out=dy)
         del tile, dy
-        order = _topk_stable(d2, k)
+        # the scan's selection: columns run in anchor-index order, so the
+        # stable sort breaks each tie by the lower anchor index
+        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
         kd2 = np.take_along_axis(d2, order, axis=1)
         del d2
         ok = (kd2[:, -1] < bound) | spans
@@ -295,39 +295,6 @@ def _ring_pass(grid, rows, reach: int, idx, dist):
         dist[tile_rows[ok]] = np.sqrt(kd2[ok])
         rest.append(tile_rows[~ok])
     return np.concatenate(rest)
-
-
-def _topk_stable(d2, k):
-    """Row-wise indices of the k smallest values, ties by lower index.
-
-    Selects candidates with argpartition and orders them by (value,
-    index). In rows where a tie straddles the selection boundary (the
-    k-th smallest value), argpartition's choice among the tied entries is
-    arbitrary; there the tied candidates are replaced by the lowest-index
-    tied entries, with no full-row sort, so the result always equals the
-    brute-force scan. Exact for every 1 <= k <= n.
-    """
-    # index order first, so the stable sort below breaks ties by index
-    cand = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
-    cd = np.take_along_axis(d2, cand, axis=1)
-    boundary = cd.max(axis=1, keepdims=True)
-    at_boundary = d2 == boundary
-    # argpartition keeps every entry below the boundary, so ``inside`` of
-    # a row's ``everywhere`` tied entries are candidates
-    inside = (cd == boundary).sum(axis=1)
-    everywhere = at_boundary.sum(axis=1)
-    risky = np.flatnonzero(everywhere > inside)
-    if risky.size:
-        # the lowest-index tied entries replace the tied candidates (their
-        # values in ``cd`` stay); both run in row-major order
-        rows, cols = np.nonzero(at_boundary[risky])
-        counts = everywhere[risky]
-        # 0-based rank of each tied entry among its row's tied entries
-        rank = np.arange(len(cols)) - np.repeat(np.cumsum(counts) - counts, counts)
-        sub = cand[risky]
-        sub[cd[risky] == boundary[risky]] = cols[rank < inside[risky][rows]]
-        cand[risky] = sub
-    return np.take_along_axis(cand, np.argsort(cd, axis=1, kind="stable"), axis=1)
 
 
 @dataclass
@@ -415,9 +382,7 @@ def _delta_map(field, volume):
     return volume.knn_indices[:-1], g_bins[1:] - g_bins[:-1]
 
 
-def build_displacement_volume(
-    field: TrajectoryField, t_ref: float, cfg: KnnConfig, n_bins: int
-) -> DisplacementVolume:
+def build_displacement_volume(field: TrajectoryField, t_ref: float, k: int, n_bins: int) -> DisplacementVolume:
     """Build the warp lookup table for one reference time.
 
     Bin centers sit at (b + 0.5) / n_bins. The search runs among the
@@ -431,8 +396,8 @@ def build_displacement_volume(
     searched = DisplacementVolume.zeros(field.width, field.height, field.stride, n_bins)
     rows, cols, centers = anchor_grid(field.width, field.height, field.stride)
     pos_bins = eval_trajectory_batch(field, searched.bin_centers)  # (B, N, 2)
-    knn_idx = knn_per_bin(centers, pos_bins, cfg.k)[0]
-    searched = replace(searched, knn_indices=knn_idx.reshape(n_bins, rows, cols, cfg.k))
+    knn_idx = knn_per_bin(centers, pos_bins, k)[0]
+    searched = replace(searched, knn_indices=knn_idx.reshape(n_bins, rows, cols, k))
     return regather_volume(field, searched, t_ref)
 
 

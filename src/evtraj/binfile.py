@@ -3,8 +3,8 @@
 A file is a packed little-endian header that opens with a 4-byte magic,
 then a body of exactly ``count`` fixed-size records that ends the file.
 Each format module supplies its header and record layouts and its own
-field checks. Every fault raises ValueError worded
-``<path>: <FMT> ... at byte N``.
+field checks. Every fault raises ValueError worded ``<path>: <FMT> ...``,
+ending ``at byte N`` when it lies in a file being read.
 """
 
 from __future__ import annotations
@@ -60,6 +60,19 @@ def pack(dtype: np.dtype, n: int = 1, /, **fields) -> np.ndarray:
     return out
 
 
-def write(path, header: np.dtype, body: np.ndarray, **fields) -> None:
-    """Write a header holding ``fields``, the magic among them, then ``body``."""
-    Path(path).write_bytes(b"".join((pack(header, **fields), body)))
+def header(path, dtype: np.dtype, **fields) -> np.ndarray:
+    """The header of ``dtype`` holding ``fields``, the magic among them, to
+    be written to ``path``. An integer that its field cannot hold raises
+    ValueError naming the path, the format and the field."""
+    for name, value in fields.items():
+        if dtype[name].kind in "iu":
+            info = np.iinfo(dtype[name])
+            if not info.min <= value <= info.max:
+                raise ValueError(f"{path}: {fields['magic'].decode()} header {name} {value} does not fit "
+                                 f"its {info.dtype} field, which holds {info.min} to {info.max}")
+    return pack(dtype, **fields)
+
+
+def write(path, head: np.ndarray, body: np.ndarray) -> None:
+    """Write a :func:`header`, then ``body``."""
+    Path(path).write_bytes(b"".join((head, body)))

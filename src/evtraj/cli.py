@@ -19,14 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .assoc import DisplacementVolume, KnnConfig, build_displacement_volume, interpolate_flow
+from .assoc import DisplacementVolume, build_displacement_volume, interpolate_flow
 from .events import load_events, save_events
 from .flowio import load_flow, save_flow
 from .metrics import evaluate_trajectories, format_report, fwl, report_csv
 from .objective import ObjectiveConfig, build_iwe, warp_events, write_iwe_pgm
 from .optimize import DivergenceError, OptimConfig, minimize, save_trace_csv
 from .synth import generate_events, load_scene_config, scene_from_config
-from .trajectory import BEZIER, POLYNOMIAL, Basis, TrajectoryField, load_field, save_field
+from .trajectory import BEZIER, POLYNOMIAL, Basis, TrajectoryField, load_field, save_field, trj1_header
 
 # time bins of eval's FWL volume, the estimator's default; fixed, so that a
 # report depends on the maps and events, not on the flags they came from
@@ -83,8 +83,9 @@ def _flow_times(text: str) -> list:
 def cmd_estimate(args: dict) -> int:
     t0 = time.perf_counter()
     # the flow times and configs are checked before the events are read,
-    # k once they are, and all before the fit runs; nothing is written
-    # until the fit has run, so a diverged fit leaves no output directory
+    # k and the field's TRJ1 header once they are, and all before the fit
+    # runs; nothing is written until the fit has run, so a diverged fit
+    # leaves no output directory
     times = _flow_times(args["flow_times"])
     basis = Basis(POLYNOMIAL if args["basis"] == "poly" else BEZIER, args["degree"])
     ocfg = OptimConfig(
@@ -94,7 +95,7 @@ def cmd_estimate(args: dict) -> int:
         objective=ObjectiveConfig(
             lam=args["lambda"],
             sigma=args["sigma"],
-            knn=KnnConfig(k=args["k"]),
+            k=args["k"],
             n_bins=args["nbins"],
             time_weighting=not args["no_time_weighting"],
         ),
@@ -104,11 +105,12 @@ def cmd_estimate(args: dict) -> int:
     field0 = TrajectoryField.zeros(sl.width, sl.height, args["stride"], basis)
     if args["k"] > field0.n_anchors:
         raise ValueError(f"--k {args['k']} exceeds the anchor count {field0.n_anchors}")
-    trace = minimize(sl, field0, ocfg)
     out_dir = Path(args["out"])
+    field_path = out_dir / "field.trj1"
+    trj1_header(field0, field_path)
+    trace = minimize(sl, field0, ocfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
-    field_path = out_dir / "field.trj1"
     save_field(trace.field, field_path)
     outputs.append(field_path)
     trace_path = out_dir / "trace.csv"
@@ -198,7 +200,7 @@ def cmd_render(args: dict) -> int:
         raise ValueError(f"t_ref must lie in [0, 1], got {t_ref}")
     if args.get("field"):
         field = load_field(args["field"])
-        volume = build_displacement_volume(field, t_ref, KnnConfig(k=args["k"]), args["nbins"])
+        volume = build_displacement_volume(field, t_ref, args["k"], args["nbins"])
         print(f"FWL = {fwl(sl, volume):.4f}")
     else:
         volume = DisplacementVolume.zeros(sl.width, sl.height, n_bins=args["nbins"])
@@ -233,7 +235,7 @@ def cmd_rerun(args: dict) -> int:
 def build_parser() -> argparse.ArgumentParser:
     # the estimator's defaults live in its config dataclasses
     optim = OptimConfig()
-    objective, knn = optim.objective, optim.objective.knn
+    objective = optim.objective
     parser = argparse.ArgumentParser(
         prog="evtraj",
         description="Continuous-time dense motion estimation from event streams",
@@ -251,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", choices=["poly", "bezier"], default="bezier")
     p.add_argument("--degree", type=int, default=10)
     p.add_argument("--stride", type=int, default=4)
-    p.add_argument("--k", type=int, default=knn.k)
+    p.add_argument("--k", type=int, default=objective.k)
     p.add_argument("--nbins", type=int, default=objective.n_bins)
     p.add_argument("--lambda", dest="lambda", type=float, default=objective.lam,
                    help="smoothness weight, applied against the per-pixel contrast "
@@ -282,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output PGM path")
     p.add_argument("--bits", type=int, choices=[8, 16], default=8)
     p.add_argument("--which", choices=["sum", "pos", "neg"], default="sum")
-    p.add_argument("--k", type=int, default=knn.k)
+    p.add_argument("--k", type=int, default=objective.k)
     p.add_argument("--nbins", type=int, default=objective.n_bins)
 
     p = sub.add_parser("rerun", help="re-execute a command from its manifest")

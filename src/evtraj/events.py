@@ -144,9 +144,14 @@ def load_events(path) -> EventSlice:
         f.check(bad, name, f"header {name} {f.header[name]}", f" breaks {_SPAN_RULE}")
     rec = f.body(_RECORD_DTYPE, int(f.header["count"]))
     t = rec["t"].astype(np.float64)  # an aligned copy: the masks and the sort read it faster
+    try:
+        return EventSlice.from_arrays(rec["x"], rec["y"], t, rec["p"], width, height, t_start, t_end)
+    except ValueError as exc:
+        fault = exc
+    # name the broken rule's first record in file order, not sorted order
     for what, bad in _record_faults(t, rec["x"], rec["y"], rec["p"], width, height, t_start, t_end):
         f.first_bad(bad, what)
-    return EventSlice.from_arrays(rec["x"], rec["y"], t, rec["p"], width, height, t_start, t_end)
+    raise fault
 
 
 def save_events(sl: EventSlice, path) -> None:
@@ -157,5 +162,6 @@ def save_events(sl: EventSlice, path) -> None:
             f"<= 65536, got {sl.width}x{sl.height}"
         )
     rec = binfile.pack(_RECORD_DTYPE, len(sl), t=sl.t, x=sl.x, y=sl.y, p=sl.p)
-    binfile.write(path, _HEADER_DTYPE, rec, magic=EVT1_MAGIC, width=sl.width, height=sl.height,
-                  count=len(sl), t_start=sl.t_start, t_end=sl.t_end)
+    head = binfile.header(path, _HEADER_DTYPE, magic=EVT1_MAGIC, width=sl.width, height=sl.height,
+                          count=len(sl), t_start=sl.t_start, t_end=sl.t_end)
+    binfile.write(path, head, rec)

@@ -37,7 +37,8 @@ def save_flow(path, flow: np.ndarray, t: float, valid: np.ndarray | None = None)
     if bad.any():
         y, x, _ = np.argwhere(bad)[0]
         raise ValueError(f"{path}: valid FLO1 pixel (x={x}, y={y}) {flow[y, x].tolist()} is not finite in float32")
-    binfile.write(path, _HEADER, data, magic=FLO1_MAGIC, width=flow.shape[1], height=flow.shape[0], t=t)
+    head = binfile.header(path, _HEADER, magic=FLO1_MAGIC, width=flow.shape[1], height=flow.shape[0], t=t)
+    binfile.write(path, head, data)
 
 
 def load_flow(path):

@@ -49,11 +49,11 @@ that clipped its taps into the image.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .assoc import DisplacementVolume, KnnConfig
+from .assoc import DisplacementVolume
 from .events import EventSlice
 
 EPS_CONTRAST = 1e-8
@@ -79,7 +79,7 @@ class ObjectiveConfig:
     lam: float = 0.003
     sigma: float = 0.0
     time_weighting: bool = True
-    knn: KnnConfig = dc_field(default_factory=KnnConfig)
+    k: int = 32
     n_bins: int = 15
 
     def __post_init__(self):
@@ -87,6 +87,8 @@ class ObjectiveConfig:
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
         if self.n_bins < 1:
             raise ValueError(f"n_bins must be >= 1, got {self.n_bins}")
 

@@ -141,7 +141,7 @@ def loss_gradient(sl: EventSlice, field: TrajectoryField, refs, cfg: ObjectiveCo
     flat; the contrast path then contributes zero (the gradient of the
     guarded expression).
     """
-    volume = build_displacement_volume(field, refs[0][0], cfg.knn, cfg.n_bins)
+    volume = build_displacement_volume(field, refs[0][0], cfg.k, cfg.n_bins)
     c, grad_c, n_masked = 0.0, 0.0, 0
     for t_ref, w in refs:
         if t_ref != volume.t_ref:

@@ -168,18 +168,26 @@ def eval_trajectory_batch(field: TrajectoryField, times) -> np.ndarray:
     return field.anchor_positions()[None, :, :] + disp
 
 
+def trj1_header(field: TrajectoryField, path) -> np.ndarray:
+    """The TRJ1 header of ``field``. A degree or stride above 65535, which
+    TRJ1 stores as u16, raises ValueError naming ``path`` and the field."""
+    rows, cols = field.grid_shape
+    return binfile.header(path, _TRJ1_HEADER, magic=TRJ1_MAGIC, kind=_KIND_CODE[field.basis.kind],
+                          degree=field.basis.degree, stride=field.stride, rows=rows, cols=cols,
+                          width=field.width, height=field.height)
+
+
 def save_field(field: TrajectoryField, path) -> None:
-    """Write a TRJ1 file. A coefficient that is not finite in float32,
+    """Write a TRJ1 file. A header value that does not fit its field
+    (:func:`trj1_header`), or a coefficient that is not finite in float32,
     which :func:`load_field` rejects, raises ValueError and writes nothing."""
+    head = trj1_header(field, path)
     with np.errstate(over="ignore"):
         body = field.coeffs.astype("<f4")
     bad = np.flatnonzero(~np.isfinite(body))
     if bad.size:
         raise ValueError(f"{path}: TRJ1 coefficient {field.coeffs.flat[bad[0]]} is not finite in float32")
-    rows, cols = field.grid_shape
-    binfile.write(path, _TRJ1_HEADER, body, magic=TRJ1_MAGIC, kind=_KIND_CODE[field.basis.kind],
-                  degree=field.basis.degree, stride=field.stride, rows=rows, cols=cols,
-                  width=field.width, height=field.height)
+    binfile.write(path, head, body)
 
 
 def load_field(path) -> TrajectoryField:

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 import evtraj.assoc as assoc
 from evtraj.assoc import (
-    KnnConfig,
     build_consecutive_delta_field,
     build_displacement_volume,
     delta_field_adjoint,
@@ -121,7 +120,7 @@ class TestKnnLatticeTies:
         field = TrajectoryField.zeros(64, 48, 4, Basis(BEZIER, 3))
         _, _, centers = anchor_grid(64, 48, 4)
         assert_knn_matches_scan(centers, eval_trajectory_batch(field, [0.5])[0], k)
-        vol = build_displacement_volume(field, 0.5, KnnConfig(k=k), n_bins=2)
+        vol = build_displacement_volume(field, 0.5, k, n_bins=2)
         ref_idx, _ = knn_scalar(centers, field.anchor_positions(), k)
         for b in range(2):
             np.testing.assert_array_equal(vol.knn_indices[b].reshape(-1, k), ref_idx)
@@ -268,7 +267,7 @@ class TestStackedKnn:
         built = []
         for workers in sorted({0, 1, assoc._WORKERS, 3}):
             monkeypatch.setattr(assoc, "_WORKERS", workers)
-            vol = build_displacement_volume(field, 0.35, KnnConfig(k=9), n_bins=7)
+            vol = build_displacement_volume(field, 0.35, 9, n_bins=7)
             built.append((vol.knn_indices.tobytes(), vol.disp.tobytes()))
         assert len(set(built)) == 1
 
@@ -407,34 +406,34 @@ class TestKnnBlocks:
 class TestDisplacementVolume:
     def test_zero_coefficients_zero_volume(self):
         field = TrajectoryField.zeros(32, 32, 4, Basis(POLYNOMIAL, 2))
-        vol = build_displacement_volume(field, 0.7, KnnConfig(k=8), n_bins=5)
+        vol = build_displacement_volume(field, 0.7, 8, n_bins=5)
         np.testing.assert_array_equal(vol.disp, 0.0)
 
     def test_single_anchor_linear_midpoint(self):
         # one anchor (stride covers the whole image), alpha = (4, 0), t_ref = 1
         field = TrajectoryField.zeros(4, 4, 4, Basis(POLYNOMIAL, 1))
         field.coeffs[0, 0, 0] = [4.0, 0.0]
-        vol = build_displacement_volume(field, 1.0, KnnConfig(k=1), n_bins=1)
+        vol = build_displacement_volume(field, 1.0, 1, n_bins=1)
         # bin center 0.5: q(1) - q(0.5) = (2, 0)
         np.testing.assert_allclose(vol.disp[0, 0, 0], [2.0, 0.0])
 
     def test_bin_centers(self):
         field = TrajectoryField.zeros(8, 8, 4, Basis(POLYNOMIAL, 1))
-        vol = build_displacement_volume(field, 0.0, KnnConfig(k=1), n_bins=4)
+        vol = build_displacement_volume(field, 0.0, 1, n_bins=4)
         np.testing.assert_allclose(vol.bin_centers, [0.125, 0.375, 0.625, 0.875])
 
     def test_matches_scalar_recomputation(self):
         rng = np.random.default_rng(77)
         field = random_field(rng, width=16, height=16, stride=4, basis=Basis(BEZIER, 4))
-        vol = build_displacement_volume(field, 0.3, KnnConfig(k=3), n_bins=4)
+        vol = build_displacement_volume(field, 0.3, 3, n_bins=4)
         ref = displacement_volume_scalar(field, vol)
         assert np.abs(vol.disp - ref).max() < 1e-6
 
     def test_regather_equals_fresh_build(self):
         rng = np.random.default_rng(78)
         field = random_field(rng)
-        vol = build_displacement_volume(field, 0.2, KnnConfig(k=6), n_bins=5)
-        fresh = build_displacement_volume(field, 0.9, KnnConfig(k=6), n_bins=5)
+        vol = build_displacement_volume(field, 0.2, 6, n_bins=5)
+        fresh = build_displacement_volume(field, 0.9, 6, n_bins=5)
         moved = regather_volume(field, vol, 0.9)
         assert moved.t_ref == 0.9
         np.testing.assert_array_equal(moved.disp, fresh.disp)
@@ -443,11 +442,11 @@ class TestDisplacementVolume:
     def test_invalid_arguments(self):
         field = TrajectoryField.zeros(8, 8, 4, Basis(POLYNOMIAL, 1))
         with pytest.raises(ValueError):
-            build_displacement_volume(field, 1.5, KnnConfig(k=1), n_bins=3)
+            build_displacement_volume(field, 1.5, 1, n_bins=3)
         with pytest.raises(ValueError):
-            build_displacement_volume(field, 0.5, KnnConfig(k=1), n_bins=0)
+            build_displacement_volume(field, 0.5, 1, n_bins=0)
         with pytest.raises(ValueError):
-            build_displacement_volume(field, 0.5, KnnConfig(k=99), n_bins=3)
+            build_displacement_volume(field, 0.5, 99, n_bins=3)
         with pytest.raises(ValueError, match="n_bins"):
             assoc.DisplacementVolume.zeros(8, 8, n_bins=0)
 
@@ -455,7 +454,7 @@ class TestDisplacementVolume:
 class TestConsecutiveDeltaField:
     def test_zero_coefficients(self):
         field = TrajectoryField.zeros(16, 16, 4, Basis(BEZIER, 3))
-        vol = build_displacement_volume(field, 0.5, KnnConfig(k=4), n_bins=5)
+        vol = build_displacement_volume(field, 0.5, 4, n_bins=5)
         delta = build_consecutive_delta_field(field, vol)
         assert delta.shape == (4, 4, 4, 2)
         np.testing.assert_array_equal(delta, 0.0)
@@ -464,19 +463,19 @@ class TestConsecutiveDeltaField:
         v = np.array([3.0, -1.0])
         field = TrajectoryField.zeros(16, 16, 4, Basis(POLYNOMIAL, 1))
         field.coeffs[..., :] = v
-        vol = build_displacement_volume(field, 0.0, KnnConfig(k=4), n_bins=2)
+        vol = build_displacement_volume(field, 0.0, 4, n_bins=2)
         delta = build_consecutive_delta_field(field, vol)
         np.testing.assert_allclose(delta, np.broadcast_to(v / 2.0, delta.shape), atol=1e-12)
 
     def test_single_bin_gives_empty_field(self):
         field = TrajectoryField.zeros(16, 16, 4, Basis(POLYNOMIAL, 1))
-        vol = build_displacement_volume(field, 0.5, KnnConfig(k=4), n_bins=1)
+        vol = build_displacement_volume(field, 0.5, 4, n_bins=1)
         assert build_consecutive_delta_field(field, vol).size == 0
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(13)
         field = random_field(rng, width=16, height=16, basis=Basis(POLYNOMIAL, 3))
-        vol = build_displacement_volume(field, 0.6, KnnConfig(k=5), n_bins=4)
+        vol = build_displacement_volume(field, 0.6, 5, n_bins=4)
         delta = build_consecutive_delta_field(field, vol)
         ref = delta_field_scalar(field, vol)
         np.testing.assert_allclose(delta, ref, atol=1e-10)
@@ -495,7 +494,7 @@ class TestAdjoints:
     )
     def test_inner_products_agree(self, basis, adjoint, oracle, n_pairs):
         rng = np.random.default_rng(91)
-        vol = build_displacement_volume(random_field(rng, 16, 12, basis=basis), 0.35, KnnConfig(k=3), n_bins=4)
+        vol = build_displacement_volume(random_field(rng, 16, 12, basis=basis), 0.35, 3, n_bins=4)
         alpha = random_field(rng, 16, 12, basis=basis)
         u = rng.normal(0.0, 1.0, (vol.n_bins - n_pairs, *vol.grid_shape, 2))
         lhs = float((adjoint(alpha, vol, u) * alpha.coeffs).sum())
@@ -504,7 +503,7 @@ class TestAdjoints:
 
     def test_single_bin_delta_adjoint_is_zero(self):
         field = random_field(np.random.default_rng(92), 16, 16, basis=Basis(POLYNOMIAL, 2))
-        vol = build_displacement_volume(field, 0.5, KnnConfig(k=4), n_bins=1)
+        vol = build_displacement_volume(field, 0.5, 4, n_bins=1)
         delta = build_consecutive_delta_field(field, vol)
         np.testing.assert_array_equal(delta_field_adjoint(field, vol, delta), 0.0)
 

@@ -220,10 +220,10 @@ class TestEstimateCommand:
         obj = ocfg.objective
         parser = build_parser()
         est = vars(parser.parse_args(["estimate", "ev.evt1", "--out", "x"]))
-        assert (est["k"], est["nbins"], est["lambda"], est["sigma"]) == (obj.knn.k, obj.n_bins, obj.lam, obj.sigma)
+        assert (est["k"], est["nbins"], est["lambda"], est["sigma"]) == (obj.k, obj.n_bins, obj.lam, obj.sigma)
         assert (est["iters"], est["lr"], est["seed"]) == (ocfg.iterations, ocfg.lr, ocfg.seed)
         render = vars(parser.parse_args(["render", "ev.evt1", "--out", "x.pgm"]))
-        assert (render["k"], render["nbins"]) == (obj.knn.k, obj.n_bins)
+        assert (render["k"], render["nbins"]) == (obj.k, obj.n_bins)
 
     def test_fixed_ref_flag_routes(self, scene_file, tmp_path):
         data = tmp_path / "data"
@@ -286,7 +286,8 @@ class TestEstimateCommand:
         assert runs["default"] != runs["flat"]
 
     @pytest.mark.parametrize(
-        "flag, value, match", [("--k", "100", "exceeds the anchor count 64"), ("--nbins", "0", "n_bins")]
+        "flag, value, match",
+        [("--k", "100", "exceeds the anchor count 64"), ("--k", "0", "k must be >= 1"), ("--nbins", "0", "n_bins")],
     )
     def test_bad_association_exits_2_before_writing(self, scene_file, tmp_path, capsys, flag, value, match):
         data = tmp_path / "data"
@@ -295,6 +296,18 @@ class TestEstimateCommand:
         rc = main(["estimate", str(data / "events.evt1"), "--out", str(out), "--iters", "3", flag, value])
         assert rc == 2
         assert match in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_header_value_exits_2_before_the_fit(self, scene_file, tmp_path, capsys):
+        # TRJ1 stores the stride as u16; the header is checked before the
+        # fit, not when the field is written after it
+        data = tmp_path / "data"
+        main(["synth", str(scene_file), "--out", str(data), "--seed", "1"])
+        out = tmp_path / "est"
+        rc = main(["estimate", str(data / "events.evt1"), "--out", str(out), "--iters", "1",
+                   "--stride", "65536", "--k", "1", "--degree", "1"])
+        assert rc == 2
+        assert "TRJ1 header stride 65536 does not fit" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rerun_reproduces_outputs(self, scene_file, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evtraj.assoc import DisplacementVolume, KnnConfig, build_displacement_volume
+from evtraj.assoc import DisplacementVolume, build_displacement_volume
 from evtraj.metrics import epe_ae, evaluate_trajectories, fwl, pct_out, tepe_tae
 from evtraj.trajectory import Basis, POLYNOMIAL
 
@@ -138,7 +138,7 @@ class TestFwl:
     def test_true_warp_sharpens(self):
         sl, _, spec = constant_scene(width=48, height=48, n_points=100, n_events=8000, seed=31)
         field = gt_field(spec.motion, 48, 48, 4, Basis(POLYNOMIAL, 1))
-        volume = build_displacement_volume(field, 1.0, KnnConfig(k=8), n_bins=15)
+        volume = build_displacement_volume(field, 1.0, 8, n_bins=15)
         assert fwl(sl, volume) > 1.0
 
     def test_misaligned_warp_below_true_warp(self):
@@ -146,8 +146,8 @@ class TestFwl:
         true_field = gt_field(spec.motion, 48, 48, 4, Basis(POLYNOMIAL, 1))
         bad_field = gt_field(spec.motion, 48, 48, 4, Basis(POLYNOMIAL, 1))
         bad_field.coeffs[..., 0] *= -1.0  # wrong direction in x
-        v_true = build_displacement_volume(true_field, 1.0, KnnConfig(k=8), n_bins=15)
-        v_bad = build_displacement_volume(bad_field, 1.0, KnnConfig(k=8), n_bins=15)
+        v_true = build_displacement_volume(true_field, 1.0, 8, n_bins=15)
+        v_bad = build_displacement_volume(bad_field, 1.0, 8, n_bins=15)
         assert fwl(sl, v_bad) < fwl(sl, v_true)
 
     def test_degenerate_slice_rejected(self):

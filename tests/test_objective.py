@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import evtraj.objective as objective
-from evtraj.assoc import DisplacementVolume, KnnConfig, build_consecutive_delta_field, build_displacement_volume
+from evtraj.assoc import DisplacementVolume, build_consecutive_delta_field, build_displacement_volume
 from evtraj.events import EventSlice
 from evtraj.objective import (
     FIXED_REFERENCES,
@@ -173,7 +173,7 @@ class TestIwe:
         rng = np.random.default_rng(10)
         sl = random_slice(rng, n=2000)
         field = TrajectoryField.zeros(32, 32, 4, Basis(BEZIER, 10))
-        vol = build_displacement_volume(field, 0.77, KnnConfig(k=8), n_bins=15)
+        vol = build_displacement_volume(field, 0.77, 8, n_bins=15)
         warped = warp_events(sl, vol)
         iwe = build_iwe(warped)
         raw = np.zeros((32, 32))
@@ -314,8 +314,7 @@ class TestContrast:
         # pixel-sharp, so the sharpening signal lives at sigma > 0
         sl, _, spec = constant_scene(width=48, height=48, n_points=80, n_events=6000, seed=3)
         field = gt_field(spec.motion, 48, 48, 4, Basis(POLYNOMIAL, 1))
-        cfg = KnnConfig(k=8)
-        vol_true = build_displacement_volume(field, 1.0, cfg, n_bins=15)
+        vol_true = build_displacement_volume(field, 1.0, 8, n_bins=15)
         g_true = contrast_g(build_iwe(warp_events(sl, vol_true), sigma=1.0))[0]
         g_zero = contrast_g(
             build_iwe(warp_events(sl, DisplacementVolume.zeros(48, 48)), sigma=1.0)
@@ -369,7 +368,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(15)
         sl = random_slice(rng)
         field = TrajectoryField.zeros(32, 32, 4, Basis(POLYNOMIAL, 1))
-        cfg = ObjectiveConfig(time_weighting=False, knn=KnnConfig(k=8))
+        cfg = ObjectiveConfig(time_weighting=False, k=8)
         out = loss_gradient(sl, field, ((0.5, 1.0),), cfg)[0]
         g0 = contrast_g(build_iwe(warp_events(sl, DisplacementVolume.zeros(32, 32))))[0]
         assert out.total == pytest.approx(1.0 / g0)
@@ -381,7 +380,7 @@ class TestTotalLoss:
         sl = random_slice(rng)
         field = TrajectoryField.zeros(32, 32, 4, Basis(BEZIER, 3))
         field.coeffs[...] = rng.normal(0, 1, field.coeffs.shape)
-        cfg = ObjectiveConfig(lam=0.0, knn=KnnConfig(k=8))
+        cfg = ObjectiveConfig(lam=0.0, k=8)
         out = loss_gradient(sl, field, ((0.25, 1.0),), cfg)[0]
         assert out.total == pytest.approx(1.0 / out.g)
 
@@ -390,7 +389,7 @@ class TestTotalLoss:
         sl = random_slice(rng)
         field = TrajectoryField.zeros(32, 32, 4, Basis(BEZIER, 3))
         field.coeffs[...] = rng.normal(0, 1, field.coeffs.shape)
-        cfg = ObjectiveConfig(knn=KnnConfig(k=8))
+        cfg = ObjectiveConfig(k=8)
         out = loss_gradient(sl, field, ((0.25, 1.0),), cfg)[0]
         lam = cfg.lam / (sl.width * sl.height)
         assert out.r > 0.0
@@ -398,7 +397,7 @@ class TestTotalLoss:
 
     def test_ground_truth_beats_zero_on_constant_flow(self):
         sl, _, spec = constant_scene(width=48, height=48, n_points=80, n_events=6000, seed=4)
-        cfg = ObjectiveConfig(sigma=1.0, knn=KnnConfig(k=8))
+        cfg = ObjectiveConfig(sigma=1.0, k=8)
         zero = TrajectoryField.zeros(48, 48, 4, Basis(POLYNOMIAL, 1))
         true = gt_field(spec.motion, 48, 48, 4, Basis(POLYNOMIAL, 1))
         for t_ref in (0.0, 0.5, 1.0):
@@ -410,7 +409,7 @@ class TestTotalLoss:
                                     t_start=0.0, t_end=1.0)
         field = TrajectoryField.zeros(8, 8, 4, Basis(POLYNOMIAL, 1))
         field.coeffs[..., 0] = 1e6
-        out = loss_gradient(sl, field, ((1.0, 1.0),), ObjectiveConfig(knn=KnnConfig(k=1)))[0]
+        out = loss_gradient(sl, field, ((1.0, 1.0),), ObjectiveConfig(k=1))[0]
         assert out.degenerate
         assert out.n_masked == 2
         assert np.isfinite(out.total)
@@ -420,7 +419,7 @@ class TestTotalLoss:
         sl = random_slice(rng)
         field = TrajectoryField.zeros(32, 32, 4, Basis(BEZIER, 5))
         field.coeffs[...] = rng.normal(0, 2, field.coeffs.shape)
-        cfg = ObjectiveConfig(knn=KnnConfig(k=8))
+        cfg = ObjectiveConfig(k=8)
         a = loss_gradient(sl, field, ((0.625, 1.0),), cfg)[0]
         b = loss_gradient(sl, field, ((0.625, 1.0),), cfg)[0]
         assert (a.g, a.r, a.total) == (b.g, b.r, b.total)
@@ -438,11 +437,11 @@ class TestFixedReferenceLoss:
         rng = np.random.default_rng(19)
         sl = random_slice(rng)
         field = TrajectoryField.zeros(32, 32, 4, Basis(POLYNOMIAL, 1))
-        cfg = ObjectiveConfig(knn=KnnConfig(k=8))
+        cfg = ObjectiveConfig(k=8)
         assert fixed_reference_f(sl, field, cfg) == 1.0
 
     def test_alignment_exceeds_one(self):
         sl, _, spec = constant_scene(width=48, height=48, n_points=80, n_events=6000, seed=5)
         field = gt_field(spec.motion, 48, 48, 4, Basis(POLYNOMIAL, 1))
-        cfg = ObjectiveConfig(sigma=1.0, knn=KnnConfig(k=8))
+        cfg = ObjectiveConfig(sigma=1.0, k=8)
         assert fixed_reference_f(sl, field, cfg) > 1.0

@@ -9,7 +9,7 @@ import pytest
 import evtraj.assoc as assoc
 import evtraj.objective as objective
 import evtraj.optimize as optimize
-from evtraj.assoc import KnnConfig, build_consecutive_delta_field, build_displacement_volume, interpolate_flow
+from evtraj.assoc import build_consecutive_delta_field, build_displacement_volume, interpolate_flow
 from evtraj.events import EventSlice
 from evtraj.metrics import epe_ae
 from evtraj.objective import (
@@ -71,7 +71,7 @@ def fd_check_coordinates(sl, field, cfg, refs, h, rng, n_coords, g0=1.0):
     _, grad = loss_gradient(sl, field, refs, cfg, g0)
     risky = [np.zeros(field.n_anchors, dtype=bool), np.zeros(field.n_anchors, dtype=bool)]
     for t, _ in refs:
-        volume = build_displacement_volume(field, t, cfg.knn, cfg.n_bins)
+        volume = build_displacement_volume(field, t, cfg.k, cfg.n_bins)
         warped = warp_events(sl, volume, time_weighting=cfg.time_weighting)
         frac = warped.positions - np.floor(warped.positions)
         near = np.minimum(frac, 1.0 - frac) < 4.0 * h  # conservative skip, per axis
@@ -114,7 +114,7 @@ class TestLossGradient:
     def test_zero_events_zero_coefficients(self):
         sl = EventSlice.from_arrays([], [], [], [], 16, 16)
         field = TrajectoryField.zeros(16, 16, 4, Basis(POLYNOMIAL, 2))
-        out, grad = loss_gradient(sl, field, one(0.5), ObjectiveConfig(knn=KnnConfig(k=4), n_bins=5))
+        out, grad = loss_gradient(sl, field, one(0.5), ObjectiveConfig(k=4, n_bins=5))
         np.testing.assert_array_equal(grad, 0.0)
         assert out.r == 0.0
 
@@ -125,7 +125,7 @@ class TestLossGradient:
     )
     def test_matches_finite_differences_bilinear(self, seed, basis, t_ref, n_coords):
         sl, field = small_instance(seed=seed, basis=basis)
-        cfg = ObjectiveConfig(knn=KnnConfig(k=8), n_bins=5, time_weighting=True)
+        cfg = ObjectiveConfig(k=8, n_bins=5, time_weighting=True)
         rng = np.random.default_rng(10)
         max_rel = fd_check_coordinates(sl, field, cfg, one(t_ref), h=1e-4, rng=rng, n_coords=n_coords)
         assert max_rel < 1e-4
@@ -137,14 +137,14 @@ class TestLossGradient:
     )
     def test_matches_finite_differences_gaussian(self, seed, t_ref, n_coords, sigma):
         sl, field = small_instance(seed=seed)
-        cfg = ObjectiveConfig(sigma=sigma, knn=KnnConfig(k=8), n_bins=5, time_weighting=True)
+        cfg = ObjectiveConfig(sigma=sigma, k=8, n_bins=5, time_weighting=True)
         rng = np.random.default_rng(11)
         max_rel = fd_check_coordinates(sl, field, cfg, one(t_ref), h=1e-4, rng=rng, n_coords=n_coords)
         assert max_rel < 1e-5
 
     def test_matches_finite_differences_bezier_basis(self):
         sl, field = small_instance(seed=3, basis=Basis(BEZIER, 4))
-        cfg = ObjectiveConfig(knn=KnnConfig(k=8), n_bins=5)
+        cfg = ObjectiveConfig(k=8, n_bins=5)
         rng = np.random.default_rng(12)
         max_rel = fd_check_coordinates(sl, field, cfg, one(0.68), h=1e-4, rng=rng, n_coords=40)
         assert max_rel < 1e-4
@@ -155,13 +155,13 @@ class TestLossGradient:
         sl, field = small_instance(seed=4)
         rng = np.random.default_rng(13)
         for lam in (0.0, 50.0):
-            cfg = ObjectiveConfig(lam=lam, knn=KnnConfig(k=8), n_bins=5)
+            cfg = ObjectiveConfig(lam=lam, k=8, n_bins=5)
             max_rel = fd_check_coordinates(sl, field, cfg, one(0.31), h=1e-4, rng=rng, n_coords=30)
             assert max_rel < 1e-4, f"lambda={lam}"
 
     def test_directional_derivative_and_sign_flip(self):
         sl, field = small_instance(seed=5)
-        cfg = ObjectiveConfig(knn=KnnConfig(k=8), n_bins=5)
+        cfg = ObjectiveConfig(k=8, n_bins=5)
         rng = np.random.default_rng(14)
         direction = rng.normal(0, 1, field.coeffs.shape)
         h = 1e-5
@@ -184,7 +184,7 @@ class TestLossGradient:
         # an even bin count keeps t_ref = 0.5 off the bin centers, whose
         # events would sit still on the breakpoint lattice
         sl, field = small_instance(seed=15)
-        refs, cfg, g0 = baseline(sl, field, ObjectiveConfig(sigma=sigma, knn=KnnConfig(k=8), n_bins=4))
+        refs, cfg, g0 = baseline(sl, field, ObjectiveConfig(sigma=sigma, k=8, n_bins=4))
         rng = np.random.default_rng(15)
         max_rel = fd_check_coordinates(sl, field, cfg, refs, h=1e-4, rng=rng, n_coords=40, g0=g0)
         assert max_rel < 1e-5
@@ -194,9 +194,9 @@ class TestLossGradient:
         # F from three separate volume builds and contrast passes, as in
         # Shiba et al.: (G(0) + 2 G(0.5) + G(1)) / (4 G_0)
         sl, field = small_instance(seed=18)
-        cfg = ObjectiveConfig(sigma=sigma, knn=KnnConfig(k=8), n_bins=5)
+        cfg = ObjectiveConfig(sigma=sigma, k=8, n_bins=5)
         g = [
-            contrast_pass(sl, build_displacement_volume(field, t, cfg.knn, cfg.n_bins), sigma, False)[0]
+            contrast_pass(sl, build_displacement_volume(field, t, cfg.k, cfg.n_bins), sigma, False)[0]
             for t in (0.0, 0.5, 1.0)
         ]
         f = (g[0] + 2.0 * g[1] + g[2]) / (4.0 * zero_warp_contrast(sl, cfg.sigma))
@@ -206,7 +206,7 @@ class TestLossGradient:
 
     def test_fixed_reference_searches_once(self, monkeypatch):
         sl, field = small_instance(seed=16)
-        cfg = ObjectiveConfig(knn=KnnConfig(k=8), n_bins=5)
+        cfg = ObjectiveConfig(k=8, n_bins=5)
         calls = []
         search = assoc.knn_per_bin
 
@@ -222,14 +222,14 @@ class TestLossGradient:
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
     def test_fixed_reference_shared_search_matches_three_builds(self, monkeypatch, sigma):
         sl, field = small_instance(seed=17)
-        cfg = ObjectiveConfig(sigma=sigma, knn=KnnConfig(k=8), n_bins=5)
+        cfg = ObjectiveConfig(sigma=sigma, k=8, n_bins=5)
         inputs = baseline(sl, field, cfg)
         shared = loss_gradient(sl, field, *inputs)
         built = []
 
         def fresh_build(field, volume, t_ref):
             built.append(t_ref)
-            return build_displacement_volume(field, t_ref, cfg.knn, cfg.n_bins)
+            return build_displacement_volume(field, t_ref, cfg.k, cfg.n_bins)
 
         monkeypatch.setattr(optimize, "regather_volume", fresh_build)
         step = loss_gradient(sl, field, *inputs)
@@ -242,8 +242,8 @@ class TestLossGradient:
     def test_value_and_gradient_paths_agree_exactly(self, seed, sigma):
         # the breakdown equals the loss composed from the terms by hand
         sl, field = small_instance(seed=seed)
-        cfg = ObjectiveConfig(sigma=sigma, knn=KnnConfig(k=8), n_bins=5, time_weighting=True)
-        volume = build_displacement_volume(field, 0.43, cfg.knn, cfg.n_bins)
+        cfg = ObjectiveConfig(sigma=sigma, k=8, n_bins=5, time_weighting=True)
+        volume = build_displacement_volume(field, 0.43, cfg.k, cfg.n_bins)
         g, _, n_masked = contrast_pass(sl, volume, sigma, True)
         r = regularizer_r(build_consecutive_delta_field(field, volume))[0]
         lam = cfg.lam / (sl.width * sl.height)
@@ -255,7 +255,7 @@ class TestLossGradient:
         # every event masked: contrast path dead, smoothness path alive
         sl, field = small_instance(seed=6)
         field.coeffs[..., 0] += 1e5
-        cfg = ObjectiveConfig(knn=KnnConfig(k=8), n_bins=5)
+        cfg = ObjectiveConfig(k=8, n_bins=5)
         out, grad = loss_gradient(sl, field, one(0.45), cfg)
         assert out.degenerate
         assert np.all(np.isfinite(grad))
@@ -264,7 +264,7 @@ class TestLossGradient:
 class TestMinimize:
     def test_zero_iterations_returns_init(self):
         sl, field = small_instance(seed=10)
-        ocfg = OptimConfig(iterations=0, objective=ObjectiveConfig(knn=KnnConfig(k=8), n_bins=5))
+        ocfg = OptimConfig(iterations=0, objective=ObjectiveConfig(k=8, n_bins=5))
         trace = minimize(sl, field, ocfg)
         assert len(trace) == 0
         np.testing.assert_array_equal(trace.field.coeffs, field.coeffs)
@@ -273,7 +273,7 @@ class TestMinimize:
         sl, field = small_instance(seed=11)
         ocfg = OptimConfig(
             iterations=8, lr=0.05, seed=3,
-            objective=ObjectiveConfig(knn=KnnConfig(k=8), n_bins=5),
+            objective=ObjectiveConfig(k=8, n_bins=5),
         )
         a = minimize(sl, field, ocfg)
         b = minimize(sl, field, ocfg)
@@ -304,7 +304,7 @@ class TestMinimize:
                     monkeypatch.setattr(module, name, on_thread(f"{fn.__module__}.{name}", fn))
         sl, field = small_instance(seed=18)
         ocfg = OptimConfig(iterations=2, fixed_reference=fixed,
-                           objective=ObjectiveConfig(knn=KnnConfig(k=8), n_bins=5))
+                           objective=ObjectiveConfig(k=8, n_bins=5))
         minimize(sl, field, ocfg)
         assert ("evtraj.assoc.knn_per_bin", True) in calls
         assert [name for name, main in calls if not main] == []
@@ -312,7 +312,7 @@ class TestMinimize:
     def test_nonfinite_aborts_with_iteration(self):
         sl, field = small_instance(seed=12)
         field.coeffs[0, 0, 0, 0] = np.nan
-        ocfg = OptimConfig(iterations=3, objective=ObjectiveConfig(knn=KnnConfig(k=8), n_bins=5))
+        ocfg = OptimConfig(iterations=3, objective=ObjectiveConfig(k=8, n_bins=5))
         with pytest.raises(DivergenceError, match="iteration 0"):
             minimize(sl, field, ocfg)
 
@@ -322,7 +322,7 @@ class TestMinimize:
         # used to go on with G = 0 and a flat loss of 1/eps
         sl, field = small_instance(seed=13)
         field.coeffs[...] = 1e6
-        ocfg = OptimConfig(iterations=3, objective=ObjectiveConfig(knn=KnnConfig(k=8), n_bins=4))
+        ocfg = OptimConfig(iterations=3, objective=ObjectiveConfig(k=8, n_bins=4))
         with pytest.raises(DivergenceError, match="off the image at iteration 0"):
             minimize(sl, field, ocfg)
         with pytest.raises(DivergenceError, match="off the image at iteration 0"):
@@ -331,7 +331,7 @@ class TestMinimize:
     def test_empty_slice_still_runs(self):
         _, field = small_instance(seed=14)
         sl = EventSlice.from_arrays([], [], [], [], 16, 16, t_start=0.0, t_end=1.0)
-        ocfg = OptimConfig(iterations=2, objective=ObjectiveConfig(knn=KnnConfig(k=8), n_bins=5))
+        ocfg = OptimConfig(iterations=2, objective=ObjectiveConfig(k=8, n_bins=5))
         assert len(minimize(sl, field, ocfg)) == 2
 
     def test_loss_decreases_on_constant_flow(self):
@@ -339,7 +339,7 @@ class TestMinimize:
         field = TrajectoryField.zeros(48, 48, 4, Basis(POLYNOMIAL, 1))
         ocfg = OptimConfig(
             iterations=120, lr=0.08, seed=0,
-            objective=ObjectiveConfig(sigma=1.0, knn=KnnConfig(k=16), n_bins=15),
+            objective=ObjectiveConfig(sigma=1.0, k=16, n_bins=15),
         )
         trace = minimize(sl, field, ocfg)
         head = np.median(trace.total[:12])
@@ -354,7 +354,7 @@ class TestMinimize:
 
     def test_trace_csv(self, tmp_path):
         sl, field = small_instance(seed=13)
-        ocfg = OptimConfig(iterations=4, objective=ObjectiveConfig(knn=KnnConfig(k=8), n_bins=5))
+        ocfg = OptimConfig(iterations=4, objective=ObjectiveConfig(k=8, n_bins=5))
         trace = minimize(sl, field, ocfg)
         path = tmp_path / "trace.csv"
         save_trace_csv(trace, path)
@@ -364,7 +364,7 @@ class TestMinimize:
 
     def test_trace_r_reads_zero_without_smoothness(self):
         sl, field = small_instance(seed=13)
-        ocfg = OptimConfig(iterations=3, objective=ObjectiveConfig(lam=0.0, knn=KnnConfig(k=8), n_bins=5))
+        ocfg = OptimConfig(iterations=3, objective=ObjectiveConfig(lam=0.0, k=8, n_bins=5))
         trace = minimize(sl, field, ocfg)
         np.testing.assert_array_equal(trace.r, 0.0)
         np.testing.assert_array_equal(trace.total, 1.0 / trace.g)
@@ -373,7 +373,7 @@ class TestMinimize:
         sl, field = small_instance(seed=15)
         ocfg = OptimConfig(
             iterations=3, fixed_reference=True,
-            objective=ObjectiveConfig(knn=KnnConfig(k=8), n_bins=5),
+            objective=ObjectiveConfig(k=8, n_bins=5),
         )
         calls = []
         contrast_zero = objective.zero_warp_contrast
@@ -395,7 +395,7 @@ class TestMinimize:
         sl, field = small_instance(seed=14)
         ocfg = OptimConfig(
             iterations=3, fixed_reference=fixed_reference,
-            objective=ObjectiveConfig(knn=KnnConfig(k=8), n_bins=5),
+            objective=ObjectiveConfig(k=8, n_bins=5),
         )
         calls = []
 
@@ -417,7 +417,7 @@ class TestMinimize:
         fields = [
             minimize(sl, field, OptimConfig(
                 iterations=3, fixed_reference=True,
-                objective=ObjectiveConfig(lam=lam, time_weighting=tw, knn=KnnConfig(k=8), n_bins=5),
+                objective=ObjectiveConfig(lam=lam, time_weighting=tw, k=8, n_bins=5),
             )).field.coeffs
             for lam, tw in ((0.0, False), (5.0, False), (0.0, True), (5.0, True))
         ]
