@@ -16,9 +16,10 @@ its transpose, so a fresh build is the search followed by
 :func:`regather_volume`, and :func:`volume_adjoint` and
 :func:`delta_field_adjoint` pull back through the same step matrices.
 
-The KNN search is exact: it returns what a scan over every anchor returns,
-byte for byte, ordered by squared Euclidean distance d2 with ties broken
-by lower anchor index, which makes the whole pipeline deterministic. It
+The KNN search is exact: it returns the indices a scan over every anchor
+returns, byte for byte, ordered by squared Euclidean distance d2 with ties
+broken by lower anchor index, which makes the whole pipeline deterministic,
+and no distance, since the certificate below reads only the k-th d2. It
 buckets the anchors on a square grid over the queries' bounding box, with
 cell side the expected k-th-neighbour radius sqrt(k A / (pi n)), and runs
 one block pass in growing rings. At reach r the queries of one cell score
@@ -30,24 +31,26 @@ an outside anchor at exactly the k-th d2 with a lower index would belong
 to the scan's answer. Every other row goes on to the next ring, at twice
 the reach. Once a block spans the grid, no anchor lies outside it, and
 its anchors, kept in index order, are every anchor in index order: that
-ring is the scan itself, so it certifies every row still open and the
-search ends, within ceil(log2(longest grid side)) + 1 passes. Every ring
-computes d2 with the scan's float64 operations and selects as the scan is
-defined: one stable sort by d2 over columns kept in anchor-index order,
-the +inf pad last, so ties go to the lower index with no repair step.
+ring is the scan itself, so it certifies every row still open, even one
+whose d2 overflows, and the search ends, within
+ceil(log2(longest grid side)) + 1 passes. Every ring computes d2 with the
+scan's float64 operations and selects as the scan is defined: one stable
+sort by d2 over columns kept in anchor-index order, the +inf pad last, so
+ties go to the lower index with no repair step.
 IEEE rounding is monotone, so the certificate's bound never exceeds the
 rounded d2 of an outside anchor, and no rounding can sneak one past it.
 The result therefore equals the scan's bit for bit. Queries stream in
 fixed-size tiles, so no distance array is larger than (tile, anchors).
 
 A build searches all of its bins in one call: :func:`knn_per_bin` takes a
-stack of anchor sets that share the queries. The searches are independent,
-so the calling thread and a pool of one thread fewer than the CPUs in the
-process's affinity mask share them, each taking the next set; a one-CPU
-host starts no thread, and small searches stay on the caller. Each search
-is the one above, unchanged, and writes only its own slice of the result,
-so the bytes equal the scan's at every core count. The pool threads run
-only private helpers, never a public function of the package.
+stack of anchor sets that share the queries, one set being a stack of one.
+The searches are independent, so the calling thread and a pool of one
+thread fewer than the CPUs in the process's affinity mask share them, each
+taking the next set; a one-CPU host starts no thread, and small searches
+stay on the caller. Each search is the one above, unchanged, and writes
+only its own slice of the result, so the bytes equal the scan's at every
+core count. The pool threads run only private helpers, never a public
+function of the package.
 """
 
 from __future__ import annotations
@@ -82,49 +85,35 @@ def KnnConfig(k: int = 32) -> int:
     return k
 
 
-def knn_per_bin(query_cells, traj_positions, k: int):
-    """Exact KNN of each query cell among trajectory positions.
+def knn_per_bin(query_cells, anchor_sets, k: int) -> np.ndarray:
+    """Exact KNN of each query cell in each of a stack of anchor sets.
 
-    ``traj_positions`` is one anchor set (n_anchors, 2), or a stack of sets
-    (B, n_anchors, 2) that share the queries. Returns (indices, distances),
-    (n_cells, k) for one set and (B, n_cells, k) for a stack: the k anchors
-    of each set with smallest Euclidean distance to each cell center, ties
-    broken by lower anchor index.
+    ``anchor_sets`` is (B, n_anchors, 2), sets that share the queries.
+    Returns the int64 indices (B, n_cells, k) of the k anchors of each set
+    nearest each cell center, nearest first, ties broken by lower anchor
+    index: the full scan's, bit for bit.
 
-    The sets of a stack are searched on the calling thread and
-    ``_WORKERS`` pool threads, one fewer than the CPUs of the process's
-    affinity mask, each taking the next set until none is left
-    (:func:`_share`). A single set, or searches of fewer than
+    Each set is one :func:`_search`, the ring search of the module
+    docstring, at most ``_KNN_TILE`` cells per distance tile. The sets are
+    shared out between the calling thread and ``_WORKERS`` pool threads
+    (:func:`_share`); a stack of one, or searches of fewer than
     ``_SHARE_MIN_CELLS`` query cells, run on the caller alone. A search
     reads only its own set and writes only its own slice of the result, so
-    the bytes do not depend on the core count or on which thread took which
-    set. Each is :func:`_search`: one block pass, described in the module
-    docstring, at reach 1, 2, 4, ... cells (:func:`_ring_pass`); each
-    answers the rows it certifies and hands the rest to the next. Once a
-    block spans the grid it holds every anchor, in index order, so that ring
-    computes exactly the full scan; it certifies every row still open, even
-    one whose d2 overflows, and ends the search, within
-    ceil(log2(longest grid side)) + 1 passes. Every ring computes the scan's
-    float64 d2 and selects with the scan's own stable sort over columns in
-    anchor-index order, and a row is certified only when no anchor outside
-    its block can reach its k-th d2, so the result is the full scan's, bit
-    for bit. A pass takes at most ``_KNN_TILE`` cells at a time, so no
-    distance array exceeds (``_KNN_TILE``, n_anchors).
+    the bytes do not depend on the core count or on which thread took
+    which set.
     """
     query = np.asarray(query_cells, dtype=np.float64)
-    pts = np.asarray(traj_positions, dtype=np.float64)
-    sets = pts if pts.ndim == 3 else pts[None]
+    sets = np.asarray(anchor_sets, dtype=np.float64)
     n_cells, n_pts = len(query), sets.shape[1]
     if not 1 <= k <= n_pts:
         raise ValueError(f"k={k} must lie in [1, {n_pts}], the anchor count")
     if not (np.all(np.isfinite(query)) and np.all(np.isfinite(sets))):
         raise ValueError("positions must be finite")
     idx = np.empty((len(sets), n_cells, k), dtype=np.int64)
-    dist = np.empty((len(sets), n_cells, k), dtype=np.float64)
     if n_cells:
         workers = _WORKERS if n_cells >= _SHARE_MIN_CELLS else 0
-        _share([functools.partial(_search, query, k, *args) for args in zip(sets, idx, dist)], workers)
-    return (idx, dist) if pts.ndim == 3 else (idx[0], dist[0])
+        _share([functools.partial(_search, query, k, *args) for args in zip(sets, idx)], workers)
+    return idx
 
 
 @functools.cache
@@ -164,14 +153,14 @@ def _share(tasks, workers: int) -> None:
         future.result()
 
 
-def _search(query, k: int, pts, idx, dist) -> None:
+def _search(query, k: int, pts, idx) -> None:
     """One exact KNN search: the rings of :func:`_ring_pass` over
-    :func:`_ring_grid`, written to ``idx`` and ``dist`` (n_cells, k). Calls
-    only private helpers, so it may run on any thread."""
+    :func:`_ring_grid`, written to ``idx`` (n_cells, k). Calls only private
+    helpers, so it may run on any thread."""
     grid, rows = _ring_grid(query, pts, k)
     reach = 1
     while len(rows):
-        rows = _ring_pass(grid, rows, reach, idx, dist)
+        rows = _ring_pass(grid, rows, reach, idx)
         reach *= 2
 
 
@@ -229,7 +218,7 @@ def _ring_grid(query, pts, k):
     return (query, k, shape, acell, qcell, qflat, beyond, before, *pad), np.argsort(qflat, kind="stable")
 
 
-def _ring_pass(grid, rows, reach: int, idx, dist):
+def _ring_pass(grid, rows, reach: int, idx):
     """Answer the KNN ``rows`` that the anchors within ``reach`` cells of
     their query's cell certify; return the other rows.
 
@@ -239,9 +228,9 @@ def _ring_pass(grid, rows, reach: int, idx, dist):
     columns with one stable sort, the scan's definition: a tie goes to the
     lower column, which is the lower anchor index. A block with fewer than
     k anchors certifies none of its rows and is not scored. A row is
-    written to ``idx`` and ``dist`` when its k-th d2 lies strictly below
-    the d2 to the block's edge, taken at the nearest anchor outside the
-    block on each side, or when the block spans the grid.
+    written to ``idx`` when its k-th d2 lies strictly below the d2 to the
+    block's edge, taken at the nearest anchor outside the block on each
+    side, or when the block spans the grid.
     """
     query, k, shape, acell, qcell, qflat, beyond, before, px, py = grid
     # the d2 term of the nearest anchor past each row's block on either
@@ -287,12 +276,10 @@ def _ring_pass(grid, rows, reach: int, idx, dist):
         # the scan's selection: columns run in anchor-index order, so the
         # stable sort breaks each tie by the lower anchor index
         order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        kd2 = np.take_along_axis(d2, order, axis=1)
+        ok = (np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0] < bound) | spans
         del d2
-        ok = (kd2[:, -1] < bound) | spans
         idx[tile_rows[ok]] = table[inv[ok, None], order[ok]]
         del table, order
-        dist[tile_rows[ok]] = np.sqrt(kd2[ok])
         rest.append(tile_rows[~ok])
     return np.concatenate(rest)
 
@@ -396,7 +383,7 @@ def build_displacement_volume(field: TrajectoryField, t_ref: float, k: int, n_bi
     searched = DisplacementVolume.zeros(field.width, field.height, field.stride, n_bins)
     rows, cols, centers = anchor_grid(field.width, field.height, field.stride)
     pos_bins = eval_trajectory_batch(field, searched.bin_centers)  # (B, N, 2)
-    knn_idx = knn_per_bin(centers, pos_bins, k)[0]
+    knn_idx = knn_per_bin(centers, pos_bins, k)
     searched = replace(searched, knn_indices=knn_idx.reshape(n_bins, rows, cols, k))
     return regather_volume(field, searched, t_ref)
 
@@ -443,5 +430,5 @@ def interpolate_flow(field: TrajectoryField, times, k: int) -> np.ndarray:
     """
     g = displacement_basis(field.basis, times)  # (T, D)
     h, w, pixels = anchor_grid(field.width, field.height, 1)
-    idx = knn_per_bin(pixels, field.anchor_positions(), k)[0]
+    idx = knn_per_bin(pixels, field.anchor_positions()[None], k)
     return _neighbor_mean(field, np.broadcast_to(idx.reshape(h, w, k), (len(g), h, w, k)), g)

@@ -2,8 +2,9 @@
 
 synth and estimate write a ``manifest.json`` of their resolved arguments
 next to their outputs, eval does with ``--out``, render never. ``evtraj
-rerun MANIFEST`` re-executes the command from that snapshot and reproduces
-the data files byte-exactly (the manifest itself records fresh timings).
+rerun MANIFEST`` checks the snapshot against the command's own options,
+re-executes the command from it and reproduces the data files
+byte-exactly (the manifest itself records fresh timings).
 Exit codes: 0 success, 2 usage/validation error, 3 numerical failure.
 """
 
@@ -128,17 +129,15 @@ def cmd_estimate(args: dict) -> int:
 
 
 def _volume_from_flow_maps(flows, times, valids, width, height):
-    """Stride-1 displacement volume toward t_ref=1 from dense flow maps.
+    """Stride-1 displacement volume toward t_ref=1 from dense flow maps in
+    time order.
 
     Piecewise-linear in time through (0, zero) and the maps, taken at bin
     centers and 1, past the first knot; invalid pixels give zero displacement.
     """
     volume = DisplacementVolume.zeros(width, height, 1, _EVAL_BINS)
-    order = np.argsort(times)
-    times = [0.0] + [times[i] for i in order]
-    stack = [np.zeros_like(flows[0])] + [
-        np.where(valids[i][..., None], flows[i], 0.0) for i in order
-    ]
+    times = [0.0, *times]
+    stack = [np.zeros_like(flows[0])] + [np.where(v[..., None], f, 0.0) for f, v in zip(flows, valids)]
 
     def interp(t):
         for a in range(len(times) - 1):
@@ -153,17 +152,21 @@ def _volume_from_flow_maps(flows, times, valids, width, height):
     return replace(volume, t_ref=1.0)
 
 
+def _maps_by_time(paths) -> list:
+    """(path, flow, t, valid) of each FLO1 map, in time order, ties in name order."""
+    return sorted(((path, *load_flow(path)) for path in sorted(paths)), key=lambda m: m[2])
+
+
 def cmd_eval(args: dict) -> int:
     t0 = time.perf_counter()
-    pred_paths = sorted(args["pred"])
-    gt_paths = sorted(args["gt"])
-    if len(pred_paths) != len(gt_paths) or not pred_paths:
-        raise ValueError(f"--pred and --gt must pair up one or more maps, got {len(pred_paths)} and {len(gt_paths)}")
+    n_pred, n_gt = len(args["pred"]), len(args["gt"])
+    if n_pred != n_gt or not n_pred:
+        raise ValueError(f"--pred and --gt must pair up one or more maps, got {n_pred} and {n_gt}")
     sl = load_events(args["events"])
     preds, gts, masks, times = [], [], [], []
-    for pp, gp in zip(pred_paths, gt_paths):
-        pf, pt, pv = load_flow(pp)
-        gf, gtt, gv = load_flow(gp)
+    # pairs in time order, so the last pair is the latest time, where the
+    # EPE, AE and %Out are taken
+    for (pp, pf, pt, pv), (gp, gf, gtt, gv) in zip(_maps_by_time(args["pred"]), _maps_by_time(args["gt"])):
         if not 0.0 <= pt <= 1.0:
             raise ValueError(f"{pp}: flow time {pt} lies outside [0, 1]")
         for path, f in ((pp, pf), (gp, gf)):
@@ -229,7 +232,42 @@ def cmd_rerun(args: dict) -> int:
     command = manifest.get("command")
     if not isinstance(command, str) or command not in _DISPATCH:
         raise ValueError(f"{path}: manifest names unknown command {command!r}")
+    _check_manifest_args(path, command, manifest["args"])
     return _DISPATCH[command](manifest["args"])
+
+
+def _check_manifest_args(path, command: str, args: dict) -> None:
+    """Refuse ``args`` unless they set each option of ``evtraj <command>``,
+    and only those, to a value the option parses back to itself from the
+    command line: a flag's bool, a list for ``nargs="+"``, None only where
+    that is an optional default."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
+    actions = {a.dest: a for a in sub._actions if a.dest != "help"}
+
+    def parses_back(action, value):
+        if value is None:
+            return action.default is None and not action.required
+        try:
+            parsed = (action.type or str)(str(value))
+        except ValueError:
+            return False
+        return parsed == value and (action.choices is None or parsed in action.choices)
+
+    for key in sorted(set(args) | set(actions)):
+        action, value = actions.get(key), args.get(key)
+        if action is None or key not in args:
+            fault = "missing" if action else f"not an option of `evtraj {command}`"
+            raise ValueError(f"{path}: manifest key {key!r} is {fault}")
+        if action.nargs == 0:
+            ok = isinstance(value, bool)
+        elif action.nargs == "+":
+            ok = isinstance(value, list) and len(value) > 0 and all(parses_back(action, v) for v in value)
+        else:
+            ok = parses_back(action, value)
+        if not ok:
+            raise ValueError(
+                f"{path}: manifest key {key!r} holds {json.dumps(value)}, not an `evtraj {command}` value"
+            )
 
 
 def build_parser() -> argparse.ArgumentParser:

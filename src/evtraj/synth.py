@@ -197,9 +197,10 @@ def generate_events(spec: SceneSpec, seed: int) -> tuple[EventSlice, GroundTruth
     if spec.coverage_radius is not None:
         covered = np.zeros(spec.height * spec.width, dtype=bool)
         if signal_pixels:
-            obs = np.unique(np.concatenate(signal_pixels, axis=0), axis=0)
-            _, dist = knn_per_bin(pixels, obs.astype(np.float64), k=1)
-            covered = dist[:, 0] <= spec.coverage_radius
+            obs = np.unique(np.concatenate(signal_pixels, axis=0), axis=0).astype(np.float64)
+            d = pixels - obs[knn_per_bin(pixels, obs[None], k=1)[0, :, 0]]
+            # the nearest distance, with the search's own float64 operations
+            covered = np.sqrt(np.square(d[:, 0]) + np.square(d[:, 1])) <= spec.coverage_radius
         valid &= covered.reshape(1, spec.height, spec.width)
     return sl, GroundTruth(times=spec.query_times.copy(), disp=disp, valid=valid)
 

@@ -24,13 +24,13 @@ def bernstein_direct(degree, j, t):
 
 
 def knn_scalar(query, points, k):
-    """O(cells * anchors) KNN scan; ties broken by lower point index.
+    """O(cells * anchors) KNN scan: the (cells, k) indices of the nearest
+    points, ties broken by lower point index.
 
     Squares are products, which IEEE arithmetic rounds correctly; ``** 2``
     calls the C library's pow, which can land one ulp off on float inputs.
     """
     idx_out = np.empty((len(query), k), dtype=np.int64)
-    dist_out = np.empty((len(query), k))
     for i, q in enumerate(query):
         d2 = []
         for j, p in enumerate(points):
@@ -38,8 +38,7 @@ def knn_scalar(query, points, k):
             d2.append((dx * dx + dy * dy, j))
         d2.sort()  # tuple sort: distance first, then index
         idx_out[i] = [j for _, j in d2[:k]]
-        dist_out[i] = [np.sqrt(d) for d, _ in d2[:k]]
-    return idx_out, dist_out
+    return idx_out
 
 
 def traj_position_scalar(field, anchor, t):
@@ -99,7 +98,7 @@ def flow_scalar(field, times, k):
     out = np.zeros((len(times), field.height, field.width, 2))
     for y in range(field.height):
         for x in range(field.width):
-            idx, _ = knn_scalar([(x, y)], anchors, k)
+            idx = knn_scalar([(x, y)], anchors, k)
             for i, t in enumerate(times):
                 acc = np.zeros(2)
                 for n in idx[0]:

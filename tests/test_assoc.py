@@ -30,53 +30,49 @@ def random_field(rng, width=32, height=32, stride=4, basis=Basis(BEZIER, 5), sca
 class TestKnn:
     def test_single_anchor(self):
         query = np.array([[0.0, 0.0], [5.0, 7.0]])
-        idx, dist = knn_per_bin(query, np.array([[1.0, 1.0]]), k=1)
-        np.testing.assert_array_equal(idx, [[0], [0]])
-        np.testing.assert_allclose(dist[:, 0], [np.sqrt(2.0), np.hypot(4, 6)])
+        idx = knn_per_bin(query, np.array([[[1.0, 1.0]]]), k=1)
+        np.testing.assert_array_equal(idx, [[[0], [0]]])
 
     def test_tie_goes_to_lower_index(self):
         # both anchors at distance exactly 2 from the query
         anchors = np.array([[2.0, 0.0], [-2.0, 0.0]])
-        idx, _ = knn_per_bin(np.array([[0.0, 0.0]]), anchors, k=1)
-        assert idx[0, 0] == 0
+        idx = knn_per_bin(np.array([[0.0, 0.0]]), anchors[None], k=1)
+        assert idx[0, 0, 0] == 0
         # swap order: still the lower index wins
-        idx, _ = knn_per_bin(np.array([[0.0, 0.0]]), anchors[::-1], k=1)
-        assert idx[0, 0] == 0
+        idx = knn_per_bin(np.array([[0.0, 0.0]]), anchors[None, ::-1], k=1)
+        assert idx[0, 0, 0] == 0
 
     def test_matches_bruteforce_scan_with_ties(self):
         rng = np.random.default_rng(21)
         # integer coordinates make squared distances exact, so ties are real
         anchors = rng.integers(0, 12, (500, 2)).astype(float)
         query = rng.integers(0, 12, (100, 2)).astype(float)
-        idx, dist = knn_per_bin(query, anchors, k=32)
-        ref_idx, ref_dist = knn_scalar(query, anchors, k=32)
-        np.testing.assert_array_equal(idx, ref_idx)
-        np.testing.assert_allclose(dist, ref_dist, atol=1e-12)
+        idx = knn_per_bin(query, anchors[None], k=32)[0]
+        np.testing.assert_array_equal(idx, knn_scalar(query, anchors, k=32))
 
     def test_tiled_equals_bruteforce_any_tile_size(self, monkeypatch):
         rng = np.random.default_rng(33)
         anchors = rng.integers(0, 40, (300, 2)).astype(float)
         query = rng.integers(0, 40, (97, 2)).astype(float)
-        ref_idx, ref_dist = knn_scalar(query, anchors, k=8)
+        ref_idx = knn_scalar(query, anchors, k=8)
         for tile in (1, 2, 3, 7, 17, 96, 97, 128):
             monkeypatch.setattr(assoc, "_KNN_TILE", tile)
-            idx, dist = knn_per_bin(query, anchors, k=8)
+            idx = knn_per_bin(query, anchors[None], k=8)[0]
             np.testing.assert_array_equal(idx, ref_idx)
-            np.testing.assert_array_equal(dist, ref_dist)
 
     def test_k_exceeding_anchor_count_rejected(self):
         # and k below 1, which numpy would report as an empty reduction or
         # a negative dimension
         for k in (4, 0, -1):
             with pytest.raises(ValueError, match=f"k={k} "):
-                knn_per_bin(np.zeros((2, 2)), np.zeros((3, 2)), k=k)
+                knn_per_bin(np.zeros((2, 2)), np.zeros((1, 3, 2)), k=k)
         field = TrajectoryField.zeros(8, 8, 4, Basis(POLYNOMIAL, 1))
         with pytest.raises(ValueError, match=r"k=0 must lie in \[1, 4\]"):
             interpolate_flow(field, [1.0], 0)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            knn_per_bin(np.array([[np.nan, 0.0]]), np.zeros((3, 2)), k=1)
+            knn_per_bin(np.array([[np.nan, 0.0]]), np.zeros((1, 3, 2)), k=1)
 
     def test_distance_tile_memory_bounded(self, monkeypatch):
         # the search holds a few (tile, anchors) arrays at once, never the
@@ -88,7 +84,7 @@ class TestKnn:
         monkeypatch.setattr(assoc, "_KNN_TILE", tile)
         tracemalloc.start()
         try:
-            knn_per_bin(query, anchors, k=5)
+            knn_per_bin(query, anchors[None], k=5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -96,17 +92,14 @@ class TestKnn:
 
 
 def assert_knn_matches_scan(query, points, k):
-    """Indices equal to the scalar scan; distances equal to it and across tilings."""
-    idx, dist = knn_per_bin(query, points, k)
-    ref_idx, ref_dist = knn_scalar(query, points, k)
-    np.testing.assert_array_equal(idx, ref_idx)
-    np.testing.assert_array_equal(dist, ref_dist)
+    """Indices equal to the scalar scan, and across tilings."""
+    idx = knn_per_bin(query, points[None], k)[0]
+    np.testing.assert_array_equal(idx, knn_scalar(query, points, k))
     for tile in (1, 7):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(assoc, "_KNN_TILE", tile)
-            tiled_idx, tiled_dist = knn_per_bin(query, points, k)
+            tiled_idx = knn_per_bin(query, points[None], k)[0]
         np.testing.assert_array_equal(tiled_idx, idx)
-        np.testing.assert_array_equal(tiled_dist, dist)
 
 
 class TestKnnLatticeTies:
@@ -121,7 +114,7 @@ class TestKnnLatticeTies:
         _, _, centers = anchor_grid(64, 48, 4)
         assert_knn_matches_scan(centers, eval_trajectory_batch(field, [0.5])[0], k)
         vol = build_displacement_volume(field, 0.5, k, n_bins=2)
-        ref_idx, _ = knn_scalar(centers, field.anchor_positions(), k)
+        ref_idx = knn_scalar(centers, field.anchor_positions(), k)
         for b in range(2):
             np.testing.assert_array_equal(vol.knn_indices[b].reshape(-1, k), ref_idx)
 
@@ -151,22 +144,20 @@ class TestKnnLatticeTies:
 def assert_blocks_match_scan(query, points, k):
     """The block search, run at every input size, equals the scalar scan
     for tiles of 1, 7 and the default number of query cells."""
-    ref_idx, ref_dist = knn_scalar(query, points, k)
+    ref_idx = knn_scalar(query, points, k)
     for tile in (1, 7, assoc._KNN_TILE):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(assoc, "_KNN_TILE", tile)
-            idx, dist = knn_per_bin(query, points, k)
+            idx = knn_per_bin(query, np.asarray(points)[None], k)[0]
         np.testing.assert_array_equal(idx, ref_idx)
-        np.testing.assert_array_equal(dist, ref_dist)
 
 
 def block_rejects(query, points, k):
     """Rows the 3x3 blocks of the first ring cannot certify, which the
     next ring answers."""
     idx = np.empty((len(query), k), dtype=np.int64)
-    dist = np.empty((len(query), k))
     grid, order = assoc._ring_grid(np.asarray(query, float), np.asarray(points, float), k)
-    return assoc._ring_pass(grid, order, 1, idx, dist)
+    return assoc._ring_pass(grid, order, 1, idx)
 
 
 def stacked_sets(n_sets=6):
@@ -204,32 +195,27 @@ class TestStackedKnn:
         # one thread, and the host's: the caller plus one per further CPU
         monkeypatch.setattr(assoc, "_WORKERS", workers)
         query, sets = stacked_sets()
-        idx, dist = knn_per_bin(query, sets, k)
-        assert idx.shape == dist.shape == (len(sets), len(query), k)
+        idx = knn_per_bin(query, sets, k)
+        assert idx.shape == (len(sets), len(query), k)
         for b, pts in enumerate(sets):
-            one_idx, one_dist = knn_per_bin(query, pts, k)
-            assert idx[b].tobytes() == one_idx.tobytes()
-            assert dist[b].tobytes() == one_dist.tobytes()
-        ref_idx, ref_dist = knn_scalar(query, sets[1], k)
-        np.testing.assert_array_equal(idx[1], ref_idx)
-        np.testing.assert_array_equal(dist[1], ref_dist)
+            assert idx[b].tobytes() == knn_per_bin(query, pts[None], k)[0].tobytes()
+        np.testing.assert_array_equal(idx[1], knn_scalar(query, sets[1], k))
 
     def test_more_threads_than_cores_lose_no_set(self, monkeypatch):
         # a set searched twice or left out would leave its slice unwritten
         # or torn; threads switch every microsecond to shuffle who takes what
         monkeypatch.setattr(assoc, "_WORKERS", 3)
         query, sets = stacked_sets(n_sets=16)
-        want = [knn_per_bin(query, pts, 5) for pts in sets]
+        want = [knn_per_bin(query, pts[None], 5)[0] for pts in sets]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             runs = [knn_per_bin(query, sets, 5) for _ in range(3)]
         finally:
             sys.setswitchinterval(interval)
-        for idx, dist in runs:
-            for b, (one_idx, one_dist) in enumerate(want):
+        for idx in runs:
+            for b, one_idx in enumerate(want):
                 assert idx[b].tobytes() == one_idx.tobytes()
-                assert dist[b].tobytes() == one_dist.tobytes()
 
     def test_share_runs_every_task_and_raises_a_failure(self):
         done = []
@@ -251,7 +237,7 @@ class TestStackedKnn:
         monkeypatch.setattr(assoc, "_WORKERS", 3)
         monkeypatch.setattr(assoc, "_SHARE_MIN_CELLS", len(query) + 1)
         monkeypatch.setattr(assoc, "_pool", None)  # calling it would raise
-        idx, _ = knn_per_bin(query, sets, 4)
+        idx = knn_per_bin(query, sets, 4)
         assert idx.shape == (len(sets), len(query), 4)
 
     def test_stack_validates_every_set(self):
@@ -305,7 +291,7 @@ class TestKnnBlocks:
         d2 = np.square(anchors[[0, 3], 0] - 60.0) + np.square(anchors[[0, 3], 1] - 45.0)
         assert d2[0] == d2[1] == 324.0
         assert_blocks_match_scan(self.QUERY, anchors, 3)
-        assert knn_per_bin(self.QUERY, anchors, 3)[0][2].tolist() == [1, 2, 0]
+        assert knn_per_bin(self.QUERY, anchors[None], 3)[0, 2].tolist() == [1, 2, 0]
         assert 2 in block_rejects(self.QUERY, anchors, 3)
         # one ulp further out, the row is certified from the block
         anchors[0, 0] = np.nextafter(78.0, np.inf)
@@ -317,13 +303,11 @@ class TestKnnBlocks:
         # 0-4) holds anchor 0, and the nearest anchor past it, (15, 100) in
         # column 0, is 45 px away on x, so the row is certified there
         grid, _ = assoc._ring_grid(self.QUERY, self.ANCHORS, 3)
-        idx, dist = np.full((3, 3), -1), np.full((3, 3), np.nan)
-        assert assoc._ring_pass(grid, np.array([2]), 1, idx, dist).tolist() == [2]
+        idx = np.full((3, 3), -1)
+        assert assoc._ring_pass(grid, np.array([2]), 1, idx).tolist() == [2]
         assert (idx[2] == -1).all()
-        assert assoc._ring_pass(grid, np.array([2]), 2, idx, dist).size == 0
-        ref_idx, ref_dist = knn_scalar(self.QUERY, self.ANCHORS, 3)
-        assert idx[2].tolist() == ref_idx[2].tolist() == [1, 2, 0]
-        np.testing.assert_array_equal(dist[2], ref_dist[2])
+        assert assoc._ring_pass(grid, np.array([2]), 2, idx).size == 0
+        assert idx[2].tolist() == knn_scalar(self.QUERY, self.ANCHORS, 3)[2].tolist() == [1, 2, 0]
         assert_blocks_match_scan(self.QUERY, self.ANCHORS, 3)
 
     @pytest.mark.parametrize("k", [1, 7, 60])
@@ -350,19 +334,17 @@ class TestKnnBlocks:
         reaches = []
         ring_pass = assoc._ring_pass
 
-        def counting_pass(grid, rows, reach, idx, dist):
+        def counting_pass(grid, rows, reach, idx):
             reaches.append(reach)
-            return ring_pass(grid, rows, reach, idx, dist)
+            return ring_pass(grid, rows, reach, idx)
 
         monkeypatch.setattr(assoc, "_ring_pass", counting_pass)
-        idx, dist = knn_per_bin(query, anchors, k)
+        idx = knn_per_bin(query, anchors[None], k)[0]
         longest = assoc._bucket_grid(query, len(anchors), k)[2].max()
         assert reaches == [2**i for i in range(len(reaches))]
         assert reaches[-2] + 1 < longest <= reaches[-1] + 1
         assert len(reaches) <= math.ceil(math.log2(longest)) + 1
-        ref_idx, ref_dist = knn_scalar(query, anchors, k)
-        np.testing.assert_array_equal(idx, ref_idx)
-        np.testing.assert_array_equal(dist, ref_dist)
+        np.testing.assert_array_equal(idx, knn_scalar(query, anchors, k))
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -25,6 +25,32 @@ query_times=0.5,1.0
 """
 
 
+def estimate_manifest(drop=(), **change):
+    """An estimate manifest of the parser's defaults, without the keys
+    ``drop`` and with ``change`` applied."""
+    args = vars(build_parser().parse_args(["estimate", "events.evt1", "--out", "est"]))
+    for key in ("command", *drop):
+        del args[key]
+    return json.dumps({"command": "estimate", "args": {**args, **change}})
+
+
+# estimate manifests, each mapped to the one key that rerun must refuse: a
+# value the estimate parser cannot give it, an unknown key or a missing one
+BAD_ESTIMATE_KEYS = {
+    estimate_manifest(iters="2"): "iters",
+    estimate_manifest(k="4"): "k",
+    estimate_manifest(lr="0.01"): "lr",
+    estimate_manifest(degree="2"): "degree",
+    estimate_manifest(stride=8.0): "stride",
+    estimate_manifest(flow_times=1.0): "flow_times",
+    estimate_manifest(basis=3): "basis",
+    estimate_manifest(fixed_ref="yes"): "fixed_ref",
+    estimate_manifest(out=None): "out",
+    estimate_manifest(tile_size=512): "tile_size",
+    estimate_manifest(drop=["seed"]): "seed",
+}
+
+
 @pytest.fixture
 def scene_file(tmp_path):
     path = tmp_path / "scene.cfg"
@@ -329,13 +355,20 @@ class TestEstimateCommand:
     @pytest.mark.parametrize(
         "text",
         ["[]", "{", '{"command": "estimate"}', '{"command": "fit", "args": {}}',
-         '{"command": ["synth"], "args": {}}', '{"command": "synth", "args": []}'],
+         '{"command": ["synth"], "args": {}}', '{"command": "synth", "args": []}', *BAD_ESTIMATE_KEYS],
+        ids=lambda text: BAD_ESTIMATE_KEYS.get(text, text),
     )
-    def test_rerun_rejects_malformed_manifest(self, tmp_path, capsys, text):
+    def test_rerun_rejects_malformed_manifest(self, tmp_path, capsys, monkeypatch, text):
+        # the estimate manifests' relative paths resolve under tmp_path
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "manifest.json"
         path.write_text(text)
         assert main(["rerun", str(path)]) == 2
-        assert str(path) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(path) in err
+        if text in BAD_ESTIMATE_KEYS:
+            assert f"manifest key {BAD_ESTIMATE_KEYS[text]!r}" in err
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_rerun_non_utf8_manifest_exits_2_naming_file_and_byte(self, tmp_path, capsys):
         path = tmp_path / "manifest.json"
@@ -375,6 +408,31 @@ class TestEvalCommand:
         vals = dict(zip(csv[0].split(","), map(float, csv[1].split(","))))
         assert vals["epe"] == pytest.approx(np.hypot(3, 2), rel=1e-6)
         assert vals["fwl"] == pytest.approx(1.0)
+
+    def test_maps_pair_and_score_by_stored_time(self, scene_file, tmp_path):
+        # maps whose name order is not their time order: eval pairs them by
+        # stored time and takes EPE at the latest, t = 1, where the zero-flow
+        # prediction of the (3,-2) field is off by |v|
+        data, est = tmp_path / "data", tmp_path / "est"
+        main(["synth", str(scene_file), "--out", str(data), "--seed", "2"])
+        main(["estimate", str(data / "events.evt1"), "--out", str(est), "--basis", "poly", "--degree", "1",
+              "--iters", "0", "--k", "8", "--flow-times", "1,0.5"])
+        renamed = {"a_t1": est / "flow_00.flo1", "b_t05": est / "flow_01.flo1",
+                   "x_t1": data / "gt_01.flo1", "y_t05": data / "gt_00.flo1"}
+        for name, src in renamed.items():
+            (tmp_path / f"{name}.flo1").write_bytes(src.read_bytes())
+        for pred, gt in [
+            ([est / "flow_00.flo1", est / "flow_01.flo1"], [data / "gt_00.flo1", data / "gt_01.flo1"]),
+            ([tmp_path / "a_t1.flo1", tmp_path / "b_t05.flo1"], [tmp_path / "x_t1.flo1", tmp_path / "y_t05.flo1"]),
+        ]:
+            rep = tmp_path / f"report_{pred[0].stem}"
+            rc = main(["eval", "--pred", *map(str, pred), "--gt", *map(str, gt),
+                       "--events", str(data / "events.evt1"), "--out", str(rep)])
+            assert rc == 0
+            csv = (rep / "report.csv").read_text().splitlines()
+            vals = dict(zip(csv[0].split(","), map(float, csv[1].split(","))))
+            assert vals["epe"] == pytest.approx(np.hypot(3, 2), rel=1e-6)
+            assert vals["tepe"] == pytest.approx(0.75 * np.hypot(3, 2), rel=1e-6)
 
     def test_map_counts_differing_exit_2(self, scene_file, tmp_path, capsys):
         data = tmp_path / "data"

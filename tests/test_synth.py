@@ -119,28 +119,32 @@ class TestGenerateEvents:
         )
         assert gt.valid.any() and not gt.valid.all()
 
-    def test_coverage_mask_equals_bruteforce_nearest_distance(self):
+    @pytest.mark.parametrize("radius", [0.0, np.sqrt(2.0), np.sqrt(5.0), 3.0], ids=["0", "sqrt2", "sqrt5", "3"])
+    def test_coverage_mask_equals_bruteforce_nearest_distance(self, radius):
         # texture on a ring, none inside it: the nearest observed pixel of a
         # centre pixel lies beyond its 3x3 block, so the first pass answers
-        # the pixels near the texture and leaves the centre to wider blocks
+        # the pixels near the texture and leaves the centre to wider blocks.
+        # Each radius is an exact distance between pixels, so pixels on the
+        # shell pin the <= of the mask
         angles = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
         points = np.stack([32 + 20 * np.cos(angles), 24 + 18 * np.sin(angles)], axis=1)
         spec = SceneSpec(
             width=64, height=48, motion=BezierMotion(((2.0, 1.0),)),
-            points=points, n_events=3000, coverage_radius=3.0,
+            points=points, n_events=3000, coverage_radius=radius,
         )
         sl, gt = generate_events(spec, seed=5)
         obs = np.unique(np.stack([sl.x, sl.y], axis=1), axis=0).astype(np.float64)
         gx, gy = np.meshgrid(np.arange(64.0), np.arange(48.0))
         pixels = np.stack([gx.ravel(), gy.ravel()], axis=1)
         d2 = np.square(pixels[:, None, 0] - obs[None, :, 0]) + np.square(pixels[:, None, 1] - obs[None, :, 1])
-        covered = (np.sqrt(d2.min(axis=1)) <= 3.0).reshape(48, 64)
-        assert covered.any() and not covered.all()
+        nearest = np.sqrt(d2.min(axis=1))
+        covered = (nearest <= radius).reshape(48, 64)
+        assert covered.any() and not covered.all() and (nearest == radius).any()
         for valid in gt.valid:
             np.testing.assert_array_equal(valid, covered)
         idx = np.empty((len(pixels), 1), dtype=np.int64)
         grid, order = assoc._ring_grid(pixels, obs, 1)
-        rest = assoc._ring_pass(grid, order, 1, idx, np.empty((len(pixels), 1)))
+        rest = assoc._ring_pass(grid, order, 1, idx)
         assert 0 < len(rest) < len(pixels)
 
     def test_determinism(self):
