@@ -5,7 +5,8 @@ The volume has shape [n_bins, H/stride, W/stride, 2]. For each temporal
 bin, trajectory positions are evaluated at the bin center and an exact
 K-nearest-neighbor search associates every cell center with the K
 trajectories passing closest to it *at that time* (the moving frame).
-The neighbor sets depend only on the field, never on t_ref.
+The neighbor sets depend only on the field, never on t_ref. Each event
+reads its entry of the table through :func:`event_displacement`.
 
 With the sets fixed, everything derived from them is one linear map of
 the coefficients alpha: the mean over a set of a_b . alpha_n, for a change
@@ -63,6 +64,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .events import EventSlice
 from .trajectory import TrajectoryField, anchor_grid, displacement_basis, eval_trajectory_batch
 
 # query cells per distance tile of the KNN search
@@ -284,6 +286,35 @@ def _ring_pass(grid, rows, reach: int, idx):
     return np.concatenate(rest)
 
 
+def bin_centers(n_bins: int) -> np.ndarray:
+    """Center times (b + 0.5) / n_bins of a table's time bins; bin b holds
+    the normalized times [b / n_bins, (b + 1) / n_bins), and the last one 1."""
+    if n_bins < 1:
+        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
+    return (np.arange(n_bins) + 0.5) / n_bins
+
+
+def event_displacement(sl: EventSlice, disp: np.ndarray, stride: int):
+    """(delta, pullback): each event's entry ``delta`` (N, 2) of a (n_bins,
+    rows, cols, 2) table whose cells tile the slice at ``stride``, and the
+    transpose of that read. Event k reads the bin floor(t_k n_bins), clipped,
+    of its normalized time, at the cell (y // stride, x // stride) holding
+    it. ``pullback(gdelta)`` sums each entry's event cotangents in event
+    order, one np.bincount per axis.
+    """
+    n_bins, rows, cols, _ = disp.shape
+    if (rows, cols) != anchor_grid(sl.width, sl.height, stride)[:2]:
+        raise ValueError(f"{rows}x{cols} cells do not tile a {sl.width}x{sl.height} slice at stride {stride}")
+    b = np.clip(np.floor(sl.normalized_times() * n_bins).astype(np.int64), 0, n_bins - 1)
+    slot = (b * rows + sl.y // stride) * cols + sl.x // stride
+
+    def pullback(gdelta):
+        gdisp = [np.bincount(slot, weights=gdelta[:, c], minlength=n_bins * rows * cols) for c in (0, 1)]
+        return np.stack(gdisp, axis=1).reshape(disp.shape)
+
+    return disp.reshape(-1, 2)[slot], pullback
+
+
 @dataclass
 class DisplacementVolume:
     """Per (bin, cell) mean displacement toward t_ref, plus the KNN indices.
@@ -296,8 +327,6 @@ class DisplacementVolume:
 
     t_ref: float
     stride: int
-    width: int
-    height: int
     disp: np.ndarray
     knn_indices: np.ndarray
 
@@ -307,26 +336,7 @@ class DisplacementVolume:
 
     @property
     def bin_centers(self) -> np.ndarray:
-        return (np.arange(self.n_bins) + 0.5) / self.n_bins
-
-    @property
-    def grid_shape(self) -> tuple[int, int]:
-        return self.disp.shape[1], self.disp.shape[2]
-
-    @classmethod
-    def zeros(cls, width: int, height: int, stride: int = 4, n_bins: int = 15):
-        """Identity-warp volume (zero displacement everywhere)."""
-        if n_bins < 1:
-            raise ValueError("n_bins must be >= 1")
-        rows, cols, _ = anchor_grid(width, height, stride)
-        return cls(
-            t_ref=0.0,
-            stride=stride,
-            width=width,
-            height=height,
-            disp=np.zeros((n_bins, rows, cols, 2)),
-            knn_indices=np.zeros((n_bins, rows, cols, 1), dtype=np.int64),
-        )
+        return bin_centers(self.n_bins)
 
 
 def _neighbor_mean(field: TrajectoryField, knn_indices: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -356,10 +366,10 @@ def _pull_to_coeffs(field, gcells, knn_indices, a) -> np.ndarray:
     return grad.reshape(field.coeffs.shape)
 
 
-def _volume_map(field, volume, t_ref):
-    """Neighbor sets and step matrix g(t_ref) - g(t_b) of the volume."""
-    g_bins = displacement_basis(field.basis, volume.bin_centers)
-    return volume.knn_indices, displacement_basis(field.basis, [t_ref]) - g_bins
+def _volume_map(field, knn_indices, t_ref):
+    """Neighbor sets and step matrix g(t_ref) - g(t_b) of a volume."""
+    g_bins = displacement_basis(field.basis, bin_centers(len(knn_indices)))
+    return knn_indices, displacement_basis(field.basis, [t_ref]) - g_bins
 
 
 def _delta_map(field, volume):
@@ -372,20 +382,19 @@ def _delta_map(field, volume):
 def build_displacement_volume(field: TrajectoryField, t_ref: float, k: int, n_bins: int) -> DisplacementVolume:
     """Build the warp lookup table for one reference time.
 
-    Bin centers sit at (b + 0.5) / n_bins. The search runs among the
-    trajectory positions at the bin centers; the means are then
-    :func:`regather_volume` at ``t_ref``, so one build per field serves
-    every reference time. Construction is pure per-voxel computation, so
-    the result is independent of evaluation order.
+    The search runs among the trajectory positions at the
+    :func:`bin_centers`; the means are then taken as in
+    :func:`regather_volume`, so one build per field serves every reference
+    time. Construction is pure per-voxel computation, so the result is
+    independent of evaluation order.
     """
     if not 0.0 <= t_ref <= 1.0:
         raise ValueError("t_ref must lie in [0, 1]")
-    searched = DisplacementVolume.zeros(field.width, field.height, field.stride, n_bins)
     rows, cols, centers = anchor_grid(field.width, field.height, field.stride)
-    pos_bins = eval_trajectory_batch(field, searched.bin_centers)  # (B, N, 2)
-    knn_idx = knn_per_bin(centers, pos_bins, k)
-    searched = replace(searched, knn_indices=knn_idx.reshape(n_bins, rows, cols, k))
-    return regather_volume(field, searched, t_ref)
+    pos_bins = eval_trajectory_batch(field, bin_centers(n_bins))  # (B, N, 2)
+    knn_idx = knn_per_bin(centers, pos_bins, k).reshape(n_bins, rows, cols, k)
+    disp = _neighbor_mean(field, *_volume_map(field, knn_idx, t_ref))
+    return DisplacementVolume(t_ref=float(t_ref), stride=field.stride, disp=disp, knn_indices=knn_idx)
 
 
 def regather_volume(field: TrajectoryField, volume: DisplacementVolume, t_ref: float) -> DisplacementVolume:
@@ -395,13 +404,13 @@ def regather_volume(field: TrajectoryField, volume: DisplacementVolume, t_ref: f
     result shares them and equals, bit for bit, a fresh build at ``t_ref``
     (outside [0, 1] the basis evaluation raises ValueError).
     """
-    disp = _neighbor_mean(field, *_volume_map(field, volume, t_ref))
+    disp = _neighbor_mean(field, *_volume_map(field, volume.knn_indices, t_ref))
     return replace(volume, t_ref=float(t_ref), disp=disp)
 
 
 def volume_adjoint(field: TrajectoryField, volume: DisplacementVolume, gdisp: np.ndarray) -> np.ndarray:
     """Coefficient cotangent of ``gdisp``, a cotangent on ``volume.disp``."""
-    return _pull_to_coeffs(field, gdisp, *_volume_map(field, volume, volume.t_ref))
+    return _pull_to_coeffs(field, gdisp, *_volume_map(field, volume.knn_indices, volume.t_ref))
 
 
 def build_consecutive_delta_field(field: TrajectoryField, volume: DisplacementVolume) -> np.ndarray:

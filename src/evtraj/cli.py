@@ -14,13 +14,12 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .assoc import DisplacementVolume, build_displacement_volume, interpolate_flow
+from .assoc import build_displacement_volume, event_displacement, interpolate_flow
 from .events import load_events, save_events
 from .flowio import load_flow, save_flow
 from .metrics import evaluate_trajectories, format_report, fwl, report_csv
@@ -28,10 +27,6 @@ from .objective import ObjectiveConfig, build_iwe, warp_events, write_iwe_pgm
 from .optimize import DivergenceError, OptimConfig, minimize, save_trace_csv
 from .synth import generate_events, load_scene_config, scene_from_config
 from .trajectory import BEZIER, POLYNOMIAL, Basis, TrajectoryField, load_field, save_field, trj1_header
-
-# time bins of eval's FWL volume, the estimator's default; fixed, so that a
-# report depends on the maps and events, not on the flags they came from
-_EVAL_BINS = 15
 
 
 def _write_manifest(out_dir: Path, command: str, args: dict, outputs: list, wall_s: float) -> None:
@@ -51,11 +46,12 @@ def cmd_synth(args: dict) -> int:
     cfg = load_scene_config(args["spec"])
     root = np.random.SeedSequence(args["seed"])
     place_seed, event_seed = root.spawn(2)
+    # generate_events refuses a scene that parses but cannot carry its events
     try:
         spec = scene_from_config(cfg, np.random.default_rng(place_seed))
+        sl, gt = generate_events(spec, event_seed)
     except ValueError as exc:
         raise ValueError(f"{args['spec']}: {exc}") from None
-    sl, gt = generate_events(spec, event_seed)
     out_dir = Path(args["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -128,30 +124,6 @@ def cmd_estimate(args: dict) -> int:
     return 0
 
 
-def _volume_from_flow_maps(flows, times, valids, width, height):
-    """Stride-1 displacement volume toward t_ref=1 from dense flow maps in
-    time order.
-
-    Piecewise-linear in time through (0, zero) and the maps, taken at bin
-    centers and 1, past the first knot; invalid pixels give zero displacement.
-    """
-    volume = DisplacementVolume.zeros(width, height, 1, _EVAL_BINS)
-    times = [0.0, *times]
-    stack = [np.zeros_like(flows[0])] + [np.where(v[..., None], f, 0.0) for f, v in zip(flows, valids)]
-
-    def interp(t):
-        for a in range(len(times) - 1):
-            if times[a] <= t <= times[a + 1]:
-                w = (t - times[a]) / (times[a + 1] - times[a])
-                return (1 - w) * stack[a] + w * stack[a + 1]
-        return stack[-1]
-
-    final = interp(1.0)
-    for b, t in enumerate(volume.bin_centers):
-        volume.disp[b] = final - interp(t)
-    return replace(volume, t_ref=1.0)
-
-
 def _maps_by_time(paths) -> list:
     """(path, flow, t, valid) of each FLO1 map, in time order, ties in name order."""
     return sorted(((path, *load_flow(path)) for path in sorted(paths)), key=lambda m: m[2])
@@ -180,12 +152,9 @@ def cmd_eval(args: dict) -> int:
         gts.append(gf)
         masks.append(pv & gv)
         times.append(pt)
-    volume = _volume_from_flow_maps(preds, times, masks, sl.width, sl.height)
-    ev = evaluate_trajectories(
-        np.stack(preds), np.stack(gts), np.stack(masks), sl=sl, volume_est=volume
-    )
+    ev = evaluate_trajectories(np.stack(preds), np.stack(gts), np.stack(masks), sl, times)
     report = format_report(ev)
-    print(report)
+    # the files first, so that a closed stdout leaves them whole
     if args.get("out"):
         out_dir = Path(args["out"])
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -193,6 +162,7 @@ def cmd_eval(args: dict) -> int:
         (out_dir / "report.csv").write_text(report_csv(ev))
         outputs = [out_dir / "report.txt", out_dir / "report.csv"]
         _write_manifest(out_dir, "eval", args, outputs, time.perf_counter() - t0)
+    print(report)
     return 0
 
 
@@ -201,14 +171,19 @@ def cmd_render(args: dict) -> int:
     t_ref = args["tref"]
     if not 0.0 <= t_ref <= 1.0:
         raise ValueError(f"t_ref must lie in [0, 1], got {t_ref}")
+    cfg = ObjectiveConfig(k=args["k"], n_bins=args["nbins"])
+    delta = 0
     if args.get("field"):
-        field = load_field(args["field"])
-        volume = build_displacement_volume(field, t_ref, args["k"], args["nbins"])
-        print(f"FWL = {fwl(sl, volume):.4f}")
-    else:
-        volume = DisplacementVolume.zeros(sl.width, sl.height, n_bins=args["nbins"])
-    warped = warp_events(sl, volume)
-    iwe = build_iwe(warped)
+        path = args["field"]
+        field = load_field(path)
+        if (field.width, field.height) != (sl.width, sl.height):
+            raise ValueError(f"{path} is {field.width}x{field.height} but the sensor is {sl.width}x{sl.height}")
+        if cfg.k > field.n_anchors:
+            raise ValueError(f"{path}: --k {cfg.k} exceeds the field's anchor count {field.n_anchors}")
+        volume = build_displacement_volume(field, t_ref, cfg.k, cfg.n_bins)
+        delta, _ = event_displacement(sl, volume.disp, volume.stride)
+        print(f"FWL = {fwl(sl, delta):.4f}")
+    iwe = build_iwe(warp_events(sl, delta))
     out = Path(args["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     write_iwe_pgm(iwe, out, bits=args["bits"], which=args["which"])

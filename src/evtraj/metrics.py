@@ -15,9 +15,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .assoc import DisplacementVolume
+from .assoc import bin_centers, event_displacement
 from .events import EventSlice
 from .objective import build_iwe, warp_events
+
+# time bins of evaluation's FWL table, the estimator's default; fixed, so
+# that a report depends on the maps and events, not on the flags they came from
+_FWL_BINS = 15
 
 
 @dataclass
@@ -77,22 +81,40 @@ def tepe_tae(pred_traj: np.ndarray, gt_traj: np.ndarray, masks: np.ndarray):
     return {"tepe": tepe, "tae": tae, "per_time": per_time}
 
 
-def fwl(sl: EventSlice, volume_est: DisplacementVolume) -> float:
-    """Variance ratio of the warped IWE to plain accumulation.
+def fwl(sl: EventSlice, delta) -> float:
+    """Variance ratio of the IWE warped by the per-event displacements
+    ``delta`` (N, 2) to plain accumulation.
 
     Both images are built through the identical path (bilinear voting,
-    no time weighting, polarities summed), so a zero-displacement
-    estimate gives exactly 1.
+    no time weighting, polarities summed), so a zero displacement gives
+    exactly 1.
     """
 
-    def variance(volume):
-        warped = warp_events(sl, volume)
-        return float(np.var(build_iwe(warped).sum(axis=0)))
+    def variance(d):
+        return float(np.var(build_iwe(warp_events(sl, d)).sum(axis=0)))
 
-    base = variance(DisplacementVolume.zeros(sl.width, sl.height))
+    base = variance(0)
     if base == 0.0:
         raise ValueError("degenerate slice: zero-warp accumulation has no variance")
-    return variance(volume_est) / base
+    return variance(delta) / base
+
+
+def _flow_map_table(flows, times, valids) -> np.ndarray:
+    """Stride-1 (_FWL_BINS, H, W, 2) displacement table toward t = 1 from
+    dense flow maps in time order: piecewise-linear in time through (0,
+    zero) and the maps, past the last one constant; invalid pixels give 0."""
+    times = [0.0, *times]
+    stack = [np.zeros_like(flows[0])] + [np.where(v[..., None], f, 0.0) for f, v in zip(flows, valids)]
+
+    def interp(t):
+        for a in range(len(times) - 1):
+            if times[a] <= t <= times[a + 1]:
+                w = (t - times[a]) / (times[a + 1] - times[a])
+                return (1 - w) * stack[a] + w * stack[a + 1]
+        return stack[-1]
+
+    final = interp(1.0)
+    return np.stack([final - interp(t) for t in bin_centers(_FWL_BINS)])
 
 
 def evaluate_trajectories(
@@ -100,18 +122,20 @@ def evaluate_trajectories(
     gt_traj: np.ndarray,
     masks: np.ndarray,
     sl: EventSlice,
-    volume_est: DisplacementVolume,
+    times,
 ) -> MotionEval:
-    """EPE, AE and %Out at the last query time, TEPE and TAE over all, FWL."""
+    """EPE, AE and %Out at the last query time, TEPE and TAE over all, and
+    FWL by the predicted maps within ``masks``, at ascending ``times``."""
     traj = tepe_tae(pred_traj, gt_traj, masks)
     epe, ae = traj["per_time"][-1]
+    delta = event_displacement(sl, _flow_map_table(pred_traj, times, masks), 1)[0]
     return MotionEval(
         epe=epe,
         ae=ae,
         pct_out=pct_out(pred_traj[-1], gt_traj[-1], masks[-1]),
         tepe=traj["tepe"],
         tae=traj["tae"],
-        fwl=fwl(sl, volume_est),
+        fwl=fwl(sl, delta),
         n_valid=int(np.asarray(masks[-1], dtype=bool).sum()),
     )
 

@@ -2,11 +2,11 @@
 contrast loss, each returned together with its derivative.
 
 One loss serves both objectives, scored over a weighted set ``refs`` of
-(t_ref, w) pairs. Per reference time: build the displacement volume,
-transport every event to that time by a table lookup, accumulate the
-warped events into the IWE, one (2, H, W) array stacked as (positive,
-negative) polarity planes, and take its contrast G(t), the L1 norm of the
-gradient magnitude of each plane (sharper image = larger G). Then
+(t_ref, w) pairs. Per reference time: move every event by its own
+displacement to that time, accumulate the warped events into the IWE, one
+(2, H, W) array stacked as (positive, negative) polarity planes, and take
+its contrast G(t), the L1 norm of the gradient magnitude of each plane
+(sharper image = larger G). Then
 
     total = 1 / max(C, eps) + (lambda / |Omega|) * R,
     C = sum_i w_i G(t_i) / (G_0 * sum_i w_i)
@@ -22,9 +22,9 @@ zero-warp contrast, lambda = 0 and no time weighting:
 C = F = (G(0) + 2 G(0.5) + G(1)) / (4 G_0).
 
 Each term owns its adjoint: :func:`contrast_g` returns G and dG/dI,
-:func:`contrast_pass` G and dG/d(volume displacement), and
+:func:`contrast_pass` G and dG/d(per-event displacement), and
 :func:`regularizer_r` R and dR/d(delta field). ``optimize.loss_gradient``
-composes them with the association adjoints of ``assoc``.
+composes them with the lookup and association adjoints of ``assoc``.
 
 Accumulation uses one separable stencil: an event deposits its weight
 through the outer product of a y and an x kernel, 2-tap linear (sigma = 0,
@@ -39,11 +39,10 @@ blocks of a fixed tap budget; each block forms its own per-axis kernels as
 (l, events) arrays, and the pullback forms them again with their slopes,
 so no array grows with the event count times l. Deposits are added with
 np.add.at in (event, y tap, x tap) order, as one np.bincount over all taps
-would add them; sums over an event's taps are explicit adds in tap order,
-and the per-event derivatives reach the voxels through one np.bincount. So
-results are bit-identical across runs, block sizes and thread settings,
-and at sigma = 0 they equal, bit for bit, the earlier unpadded stencil
-that clipped its taps into the image.
+would add them, and sums over an event's taps are explicit adds in tap
+order. So results are bit-identical across runs, block sizes and thread
+settings, and at sigma = 0 they equal, bit for bit, the earlier unpadded
+stencil that clipped its taps into the image.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assoc import DisplacementVolume
 from .events import EventSlice
 
 EPS_CONTRAST = 1e-8
@@ -95,9 +93,8 @@ class ObjectiveConfig:
 
 @dataclass
 class WarpedEvents:
-    """Warped positions plus the lookup bookkeeping needed for gradients.
+    """Warped positions and what the IWE needs of each event.
 
-    ``vox_idx`` gives each event's flat voxel index into the volume.
     ``weights`` are the per-event IWE contributions (time weighting
     already applied, mean 1 over unmasked).
     """
@@ -106,7 +103,6 @@ class WarpedEvents:
     weights: np.ndarray  # (N,)
     mask: np.ndarray  # (N,) True = kept
     polarity: np.ndarray  # (N,) +1/-1
-    vox_idx: np.ndarray  # (N,) flat indices into (n_bins * rows * cols)
     width: int
     height: int
 
@@ -115,26 +111,16 @@ class WarpedEvents:
         return int(len(self.mask) - self.mask.sum())
 
 
-def warp_events(sl: EventSlice, volume: DisplacementVolume, time_weighting: bool = False) -> WarpedEvents:
-    """Transport every event to the volume's reference time.
+def warp_events(sl: EventSlice, delta, t_ref: float | None = None) -> WarpedEvents:
+    """Move every event by its displacement ``delta``, (N, 2) in (dx, dy)
+    pixels, or 0 for no warp.
 
-    Displacement is looked up at the event's cell and nearest time bin.
-    Events landing outside [0, W-1] x [0, H-1] are masked out. With
-    ``time_weighting`` each kept event carries weight |t_ref - t_k|,
-    normalized to mean 1.
+    Events landing outside [0, W-1] x [0, H-1] are masked out. Given
+    ``t_ref``, each kept event carries weight |t_ref - t_k|, normalized to
+    mean 1; otherwise every event weighs 1.
     """
-    if volume.width != sl.width or volume.height != sl.height:
-        raise ValueError(
-            f"volume geometry {volume.width}x{volume.height} does not match "
-            f"slice {sl.width}x{sl.height}"
-        )
-    n_bins = volume.n_bins
-    rows, cols = volume.grid_shape
-    tn = sl.normalized_times()
-    b = np.clip(np.floor(tn * n_bins).astype(np.int64), 0, n_bins - 1)
-    vox_idx = (b * rows + sl.y // volume.stride) * cols + sl.x // volume.stride
-    delta = volume.disp.reshape(-1, 2)[vox_idx]
-    positions = np.stack([sl.x + delta[:, 0], sl.y + delta[:, 1]], axis=1)
+    positions = np.stack([sl.x, sl.y], axis=1, dtype=np.float64)
+    positions += delta
     mask = (
         (positions[:, 0] >= 0.0)
         & (positions[:, 0] <= sl.width - 1.0)
@@ -142,8 +128,8 @@ def warp_events(sl: EventSlice, volume: DisplacementVolume, time_weighting: bool
         & (positions[:, 1] <= sl.height - 1.0)
     )
     weights = np.ones(len(sl), dtype=np.float64)
-    if time_weighting:
-        dt = np.abs(volume.t_ref - tn)
+    if t_ref is not None:
+        dt = np.abs(t_ref - sl.normalized_times())
         mean_dt = dt[mask].mean() if mask.any() else 0.0
         weights = dt / mean_dt if mean_dt > 0.0 else weights
     return WarpedEvents(
@@ -151,7 +137,6 @@ def warp_events(sl: EventSlice, volume: DisplacementVolume, time_weighting: bool
         weights=weights,
         mask=mask,
         polarity=np.asarray(sl.p),
-        vox_idx=vox_idx,
         width=sl.width,
         height=sl.height,
     )
@@ -229,8 +214,9 @@ def voting_stencil(positions, mask, weights, width: int, height: int, sigma: flo
 def _accumulate(warped: WarpedEvents, sigma: float):
     """(iwe, pullback). ``iwe`` is (2, H, W): positive events vote into
     plane 0, negative ones into plane 1. ``pullback(dgdi)`` takes dG/dI of
-    the same shape and returns (d/dx', d/dy'), each (N,): the tap cotangent
-    contracted with (k_y (x) dk_x) and (dk_y (x) k_x), one axis at a time.
+    the same shape and returns (N, 2), each event's (d/dx', d/dy'): the tap
+    cotangent contracted with (k_y (x) dk_x) and (dk_y (x) k_x), one axis
+    at a time.
 
     The votes land on a (2, H + 2r + 1, W + 2r + 1) canvas, padded by r
     cells before and r + 1 after each axis, so no tap is clipped: event n's
@@ -269,14 +255,15 @@ def _accumulate(warped: WarpedEvents, sigma: float):
         padded = np.zeros((2, ph, pw))
         padded[interior] = dgdi
         flat = padded.ravel()
-        gx, gy = np.empty(n), np.empty(n)
+        # column-major, so that each axis is one contiguous array of weights
+        grad = np.empty((n, 2), order="F")
         for s in blocks:
             base, (kx, fx), (ky, fy), mw = stencil(s)
             cot = np.take(flat, pattern[:, None] + base).reshape(l, l, -1)  # (y tap, x tap, event)
-            gx[s] = mw * _row_sum(_row_sum((cot * _axis_slope(kx, fx, sigma)).transpose(1, 0, 2)) * ky)
+            grad[s, 0] = mw * _row_sum(_row_sum((cot * _axis_slope(kx, fx, sigma)).transpose(1, 0, 2)) * ky)
             cot *= _axis_slope(ky, fy, sigma)[:, None, :]
-            gy[s] = mw * _row_sum(_row_sum(cot) * kx)
-        return gx, gy
+            grad[s, 1] = mw * _row_sum(_row_sum(cot) * kx)
+        return grad
 
     return np.ascontiguousarray(canvas.reshape(2, ph, pw)[interior]), pullback
 
@@ -315,20 +302,18 @@ def contrast_g(iwe: np.ndarray):
     return total, dgdi
 
 
-def contrast_pass(sl: EventSlice, volume: DisplacementVolume, sigma: float, time_weighting: bool):
-    """Warp, accumulate the (2, H, W) IWE and score its contrast G.
+def contrast_pass(sl: EventSlice, delta, sigma: float, t_ref: float | None):
+    """Warp by ``delta`` as :func:`warp_events` does, accumulate the
+    (2, H, W) IWE and score its contrast G.
 
-    Returns (G, dG/d volume.disp, n_masked). The derivative treats each
-    event's voxel, the off-image mask and the time weights as constants:
-    dG/dI is pulled back through the voting stencil to each event's
-    (d/dx', d/dy') and summed onto its voxel.
+    Returns (G, dG/d delta, n_masked), the derivative (N, 2). It treats the
+    off-image mask and the time weights as constants: dG/dI is pulled back
+    through the voting stencil to each event's (d/dx', d/dy').
     """
-    warped = warp_events(sl, volume, time_weighting=time_weighting)
+    warped = warp_events(sl, delta, t_ref)
     iwe, pullback = _accumulate(warped, sigma)
     g, dgdi = contrast_g(iwe)
-    nvox = volume.disp.size // 2
-    gdisp = [np.bincount(warped.vox_idx, weights=d, minlength=nvox) for d in pullback(dgdi)]
-    return g, np.stack(gdisp, axis=1).reshape(volume.disp.shape), warped.n_masked
+    return g, pullback(dgdi), warped.n_masked
 
 
 def regularizer_r(delta_field: np.ndarray):
@@ -355,9 +340,8 @@ def regularizer_r(delta_field: np.ndarray):
 def zero_warp_contrast(sl: EventSlice, sigma: float) -> float:
     """G_0 of the fixed-reference baseline: the eps-guarded contrast of the
     unwarped events. It does not depend on the field, so one value serves a
-    whole run; a zero table warps nothing at any stride or bin count."""
-    zero_vol = DisplacementVolume.zeros(sl.width, sl.height)
-    return max(contrast_g(build_iwe(warp_events(sl, zero_vol), sigma))[0], EPS_CONTRAST)
+    whole run."""
+    return max(contrast_g(build_iwe(warp_events(sl, 0), sigma))[0], EPS_CONTRAST)
 
 
 def write_iwe_pgm(iwe: np.ndarray, path, bits: int = 8, which: str = "sum") -> None:

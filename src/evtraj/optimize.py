@@ -4,17 +4,19 @@ coefficients, with analytic gradients.
 Both objectives are the one loss of :func:`loss_gradient` over a weighted
 reference set: a reference time drawn uniformly per iteration, or the
 fixed three-reference baseline. Each term returns its own derivative
-(``objective`` for the contrast pass and R, ``assoc`` for the volume and
-the delta field), and :func:`loss_gradient` composes them in one forward
-pass. It treats the KNN neighbor sets, per-event voxel assignments, and
-the off-image mask as constants within one evaluation (they are
-recomputed every iteration). Under that piecewise-constant treatment the
-loss is differentiable away from the integer breakpoints of the voting
-kernel, and the chain rule runs
+(``objective`` for the contrast pass and R, ``assoc`` for the volume, the
+event lookup and the delta field), and :func:`loss_gradient` composes them
+in one forward pass. It treats the KNN neighbor sets, each event's (bin,
+cell) entry, and the off-image mask as constants within one evaluation
+(they are recomputed every iteration). Under that piecewise-constant
+treatment the loss is differentiable away from the integer breakpoints of
+the voting kernel, and the chain rule runs
 
-    coefficients -> per-voxel mean displacement -> event lookup
-                 -> voting stencil -> G(t) -> C    (contrast path)
+    coefficients -> per-voxel mean displacement -> per-event lookup
+                 -> warp, voting stencil -> G(t) -> C    (contrast path)
     coefficients -> consecutive-bin delta field -> R   (smoothness path)
+
+and back through ``contrast_pass``, the lookup's pullback and ``volume_adjoint``.
 
 Updates use Adam-style moment estimates directly on the coefficient
 tensor.
@@ -31,6 +33,7 @@ from .assoc import (
     build_consecutive_delta_field,
     build_displacement_volume,
     delta_field_adjoint,
+    event_displacement,
     regather_volume,
     volume_adjoint,
 )
@@ -146,9 +149,10 @@ def loss_gradient(sl: EventSlice, field: TrajectoryField, refs, cfg: ObjectiveCo
     for t_ref, w in refs:
         if t_ref != volume.t_ref:
             volume = regather_volume(field, volume, t_ref)
-        g, gdisp, masked = contrast_pass(sl, volume, cfg.sigma, cfg.time_weighting)
+        delta, pullback = event_displacement(sl, volume.disp, volume.stride)
+        g, gdelta, masked = contrast_pass(sl, delta, cfg.sigma, t_ref if cfg.time_weighting else None)
         c += w * g
-        grad_c += w * volume_adjoint(field, volume, gdisp)
+        grad_c += w * volume_adjoint(field, volume, pullback(gdelta))
         n_masked += masked
     w_sum = sum(w for _, w in refs)
     c /= w_sum * g0

@@ -60,8 +60,7 @@ def traj_position_scalar(field, anchor, t):
 
 def displacement_volume_scalar(field, volume):
     """Recompute every voxel as the mean over its stored neighbor set."""
-    n_bins = volume.n_bins
-    rows, cols = volume.grid_shape
+    n_bins, rows, cols, _ = volume.disp.shape
     out = np.zeros_like(volume.disp)
     for b in range(n_bins):
         tb = volume.bin_centers[b]
@@ -78,8 +77,7 @@ def displacement_volume_scalar(field, volume):
 
 def delta_field_scalar(field, volume):
     """Consecutive-bin displacement means using bin b's neighbor sets."""
-    n_bins = volume.n_bins
-    rows, cols = volume.grid_shape
+    n_bins, rows, cols, _ = volume.disp.shape
     out = np.zeros((n_bins - 1, rows, cols, 2))
     for b in range(n_bins - 1):
         ta, tb = volume.bin_centers[b], volume.bin_centers[b + 1]
@@ -107,16 +105,23 @@ def flow_scalar(field, times, k):
     return out
 
 
-def warp_scalar(sl, volume):
-    """Per-event displacement lookup: nearest bin in time, containing cell."""
-    n_bins = volume.n_bins
-    out = np.zeros((len(sl), 2))
+def event_voxels_scalar(sl, n_bins, stride):
+    """Each event's (bin, cell row, cell column) in a table of ``n_bins``
+    time bins over stride cells: the bin its time falls in, the last bin
+    taking t = 1, and the cell that contains it."""
     tn = sl.normalized_times()
-    for i in range(len(sl)):
-        b = min(int(np.floor(tn[i] * n_bins)), n_bins - 1)
-        cy = sl.y[i] // volume.stride
-        cx = sl.x[i] // volume.stride
-        d = volume.disp[b, cy, cx]
+    return [
+        (min(int(np.floor(tn[i] * n_bins)), n_bins - 1), int(sl.y[i]) // stride, int(sl.x[i]) // stride)
+        for i in range(len(sl))
+    ]
+
+
+def warp_scalar(sl, disp, stride):
+    """Each event moved by its voxel's entry of the table ``disp``
+    (n_bins, rows, cols, 2)."""
+    out = np.zeros((len(sl), 2))
+    for i, voxel in enumerate(event_voxels_scalar(sl, len(disp), stride)):
+        d = disp[voxel]
         out[i, 0] = sl.x[i] + d[0]
         out[i, 1] = sl.y[i] + d[1]
     return out

@@ -8,17 +8,20 @@ from hypothesis import given, settings, strategies as st
 
 import evtraj.assoc as assoc
 from evtraj.assoc import (
+    bin_centers,
     build_consecutive_delta_field,
     build_displacement_volume,
     delta_field_adjoint,
+    event_displacement,
     interpolate_flow,
     knn_per_bin,
     regather_volume,
     volume_adjoint,
 )
+from evtraj.events import EventSlice
 from evtraj.trajectory import BEZIER, POLYNOMIAL, Basis, TrajectoryField, anchor_grid, eval_trajectory_batch
 
-from oracles import delta_field_scalar, displacement_volume_scalar, flow_scalar, knn_scalar
+from oracles import delta_field_scalar, displacement_volume_scalar, flow_scalar, knn_scalar, warp_scalar
 
 
 def random_field(rng, width=32, height=32, stride=4, basis=Basis(BEZIER, 5), scale=2.0):
@@ -425,12 +428,58 @@ class TestDisplacementVolume:
         field = TrajectoryField.zeros(8, 8, 4, Basis(POLYNOMIAL, 1))
         with pytest.raises(ValueError):
             build_displacement_volume(field, 1.5, 1, n_bins=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_bins"):
             build_displacement_volume(field, 0.5, 1, n_bins=0)
         with pytest.raises(ValueError):
             build_displacement_volume(field, 0.5, 99, n_bins=3)
         with pytest.raises(ValueError, match="n_bins"):
-            assoc.DisplacementVolume.zeros(8, 8, n_bins=0)
+            bin_centers(0)
+
+
+def border_slice(rng, n=600, width=13, height=10):
+    """Events on a sensor that stride 4 does not divide, with every border
+    pixel, and times at t_start, t_end and on bin boundaries."""
+    ys, xs = np.mgrid[:height, :width]
+    edge = (xs == 0) | (ys == 0) | (xs == width - 1) | (ys == height - 1)
+    x = np.concatenate([xs[edge], rng.integers(0, width, n)])
+    y = np.concatenate([ys[edge], rng.integers(0, height, n)])
+    t = rng.uniform(0.0, 1.0, len(x))
+    t[:12] = [0.0, 1.0, 1.0, 0.2, 0.4, 0.6, 0.8, 1.0, 0.0, 0.5, 1.0, 1.0]
+    return EventSlice.from_arrays(x, y, t, rng.choice([-1, 1], len(x)), width, height, t_start=0.0, t_end=1.0)
+
+
+class TestEventDisplacement:
+    """The one read of a (bin, cell) table per event, and its pullback."""
+
+    @pytest.mark.parametrize("n_bins, stride", [(5, 4), (15, 1), (1, 3)])
+    def test_matches_scalar_oracle(self, n_bins, stride):
+        rng = np.random.default_rng(61)
+        sl = border_slice(rng)
+        rows, cols, _ = anchor_grid(sl.width, sl.height, stride)
+        table = rng.normal(0.0, 2.0, (n_bins, rows, cols, 2))
+        delta, _ = event_displacement(sl, table, stride)
+        assert delta.shape == (len(sl), 2)
+        np.testing.assert_array_equal(np.stack([sl.x, sl.y], axis=1) + delta, warp_scalar(sl, table, stride))
+
+    @pytest.mark.parametrize("n_bins, stride", [(5, 4), (15, 1)])
+    def test_pullback_is_the_transpose(self, n_bins, stride):
+        # <lookup(D), G> == <D, pullback(G)>, with events at t_end and in
+        # the border cells
+        rng = np.random.default_rng(62)
+        sl = border_slice(rng)
+        rows, cols, _ = anchor_grid(sl.width, sl.height, stride)
+        table = rng.normal(0.0, 1.0, (n_bins, rows, cols, 2))
+        delta, pullback = event_displacement(sl, table, stride)
+        cot = rng.normal(0.0, 1.0, delta.shape)
+        back = pullback(cot)
+        assert back.shape == table.shape
+        assert float((delta * cot).sum()) == pytest.approx(float((table * back).sum()), rel=1e-12)
+
+    def test_table_not_tiling_the_slice_rejected(self):
+        sl = border_slice(np.random.default_rng(63))
+        for shape, stride in (((5, 3, 4, 2), 3), ((5, 2, 4, 2), 4), ((5, 3, 3, 2), 4), ((5, 3, 4, 2), 5)):
+            with pytest.raises(ValueError, match="do not tile a 13x10 slice"):
+                event_displacement(sl, np.zeros(shape), stride)
 
 
 class TestConsecutiveDeltaField:
@@ -478,7 +527,7 @@ class TestAdjoints:
         rng = np.random.default_rng(91)
         vol = build_displacement_volume(random_field(rng, 16, 12, basis=basis), 0.35, 3, n_bins=4)
         alpha = random_field(rng, 16, 12, basis=basis)
-        u = rng.normal(0.0, 1.0, (vol.n_bins - n_pairs, *vol.grid_shape, 2))
+        u = rng.normal(0.0, 1.0, (vol.n_bins - n_pairs, *vol.disp.shape[1:3], 2))
         lhs = float((adjoint(alpha, vol, u) * alpha.coeffs).sum())
         rhs = float((u * oracle(alpha, vol)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-12)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 from pathlib import Path
@@ -6,9 +7,10 @@ import numpy as np
 import pytest
 
 from evtraj.cli import build_parser, main
-from evtraj.events import load_events
+from evtraj.events import EventSlice, load_events, save_events
 from evtraj.flowio import load_flow, save_flow
 from evtraj.optimize import OptimConfig
+from evtraj.trajectory import POLYNOMIAL, Basis, TrajectoryField, save_field
 
 
 SCENE = """\
@@ -51,6 +53,40 @@ BAD_ESTIMATE_KEYS = {
 }
 
 
+def fixed_inputs(root: Path) -> dict:
+    """Paths of a seeded 24x16 slice of 3,000 events, a degree-1 field of
+    quarter-pixel offsets on stride 4 (24 anchors), and predicted and
+    ground-truth maps of eighth-pixel values at t = 0.5 and 1."""
+    rng = np.random.default_rng(8)
+    width, height, n = 24, 16, 3000
+    paths = {"events": root / "events.evt1", "field": root / "field.trj1"}
+    save_events(EventSlice.from_arrays(rng.integers(0, width, n), rng.integers(0, height, n), rng.uniform(0, 1, n),
+                                       rng.choice([-1, 1], n), width, height, t_start=0.0, t_end=1.0),
+                paths["events"])
+    field = TrajectoryField.zeros(width, height, 4, Basis(POLYNOMIAL, 1))
+    field.coeffs[...] = rng.integers(-8, 9, field.coeffs.shape) / 4.0
+    save_field(field, paths["field"])
+    for kind in ("pred", "gt"):
+        paths[kind] = [root / f"{kind}_{i}.flo1" for i in (0, 1)]
+        for path, t in zip(paths[kind], (0.5, 1.0)):
+            save_flow(path, rng.integers(-24, 25, (height, width, 2)) / 8.0, t, valid=rng.random((height, width)) > 0.1)
+    return paths
+
+
+# the report and the SHA-256 of each PGM that eval and render write for
+# ``fixed_inputs``, recorded when the warp still read the table itself; a
+# refactor keeps these bytes, and only a change of definition may move them
+UNCHANGED_REPORT = (
+    "epe,ae,pct_out,tepe,tae,fwl,n_valid\n"
+    "3.2213718807599485,77.591698491293982,0.53094462540716614,3.2101233269792946,76.134968796260424,"
+    "2.3460498874185287,307\n"
+)
+UNCHANGED_PGM = {
+    "plain": "24150aad5b569d38fc5ad715f622fbe969d5cccc1018cd5f257711f17faf7048",
+    "field": "f6402fd5c1d2db2751eb2329fe18f6a03861f52843a30030e2f670c3a6eed49e",
+}
+
+
 @pytest.fixture
 def scene_file(tmp_path):
     path = tmp_path / "scene.cfg"
@@ -84,6 +120,14 @@ class TestSynthCommand:
         main(["synth", str(scene_file), "--out", str(out_a), "--seed", "3"])
         main(["synth", str(scene_file), "--out", str(out_b), "--seed", "3"])
         assert read_tree(out_a) == read_tree(out_b)
+
+    def test_degenerate_scene_exits_2_naming_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bare.cfg"
+        bad.write_text("width=16\nheight=16\nmotion=constant\nvx=1\nvy=0\npoints=0\nn_events=100\n")
+        rc = main(["synth", str(bad), "--out", str(tmp_path / "x"), "--seed", "0"])
+        assert rc == 2
+        assert f"{bad}: degenerate scene" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_invalid_noise_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -409,6 +453,31 @@ class TestEvalCommand:
         assert vals["epe"] == pytest.approx(np.hypot(3, 2), rel=1e-6)
         assert vals["fwl"] == pytest.approx(1.0)
 
+    def test_report_bytes_unchanged(self, tmp_path):
+        paths = fixed_inputs(tmp_path)
+        rc = main(["eval", "--pred", *map(str, paths["pred"]), "--gt", *map(str, paths["gt"]),
+                   "--events", str(paths["events"]), "--out", str(tmp_path / "rep")])
+        assert rc == 0
+        assert (tmp_path / "rep" / "report.csv").read_text() == UNCHANGED_REPORT
+
+    def test_files_written_before_the_report_is_printed(self, scene_file, tmp_path, monkeypatch):
+        # as when stdout is a pipe whose reader has gone, `evtraj eval ... | head -2`
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        data = tmp_path / "data"
+        main(["synth", str(scene_file), "--out", str(data), "--seed", "2"])
+        maps = [str(data / "gt_00.flo1"), str(data / "gt_01.flo1")]
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        rep = tmp_path / "rep"
+        main(["eval", "--pred", *maps, "--gt", *maps, "--events", str(data / "events.evt1"), "--out", str(rep)])
+        assert sorted(p.name for p in rep.iterdir()) == ["manifest.json", "report.csv", "report.txt"]
+        assert (rep / "report.txt").read_text().startswith("EPE")
+
     def test_maps_pair_and_score_by_stored_time(self, scene_file, tmp_path):
         # maps whose name order is not their time order: eval pairs them by
         # stored time and takes EPE at the latest, t = 1, where the zero-flow
@@ -548,6 +617,33 @@ class TestRenderCommand:
         )
         assert rc == 0
         assert "FWL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["plain", "field"])
+    def test_pgm_bytes_unchanged(self, tmp_path, name):
+        paths = fixed_inputs(tmp_path)
+        extra = ["--field", str(paths["field"]), "--k", "4", "--tref", "0.3"] if name == "field" else []
+        out = tmp_path / "iwe.pgm"
+        assert main(["render", str(paths["events"]), "--out", str(out), *extra]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == UNCHANGED_PGM[name]
+
+    def test_k_beyond_the_field_names_the_flag_and_file(self, tmp_path, capsys):
+        # a 32x24 field on stride 8 has 12 anchors, fewer than the default k
+        events, field = tmp_path / "events.evt1", tmp_path / "field.trj1"
+        save_events(EventSlice.from_arrays([1, 30], [2, 20], [0.0, 1.0], [1, -1], 32, 24), events)
+        save_field(TrajectoryField.zeros(32, 24, 8, Basis(POLYNOMIAL, 1)), field)
+        rc = main(["render", str(events), "--field", str(field), "--out", str(tmp_path / "x.pgm")])
+        assert rc == 2
+        assert f"{field}: --k 32 exceeds the field's anchor count 12" in capsys.readouterr().err
+        assert main(["render", str(events), "--field", str(field), "--k", "4", "--out", str(tmp_path / "x.pgm")]) == 0
+
+    def test_field_of_another_size_names_the_file(self, tmp_path, capsys):
+        # 30 pixels on stride 4 take as many cells as the sensor's 32
+        events, field = tmp_path / "events.evt1", tmp_path / "field.trj1"
+        save_events(EventSlice.from_arrays([1, 30], [2, 20], [0.0, 1.0], [1, -1], 32, 24), events)
+        save_field(TrajectoryField.zeros(30, 24, 4, Basis(POLYNOMIAL, 1)), field)
+        rc = main(["render", str(events), "--field", str(field), "--k", "4", "--out", str(tmp_path / "x.pgm")])
+        assert rc == 2
+        assert f"{field} is 30x24 but the sensor is 32x24" in capsys.readouterr().err
 
     def test_zero_bins_exits_2(self, scene_file, tmp_path, capsys):
         data = tmp_path / "data"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evtraj.assoc import DisplacementVolume, build_displacement_volume
+from evtraj.assoc import bin_centers, build_displacement_volume, event_displacement
 from evtraj.metrics import epe_ae, evaluate_trajectories, fwl, pct_out, tepe_tae
 from evtraj.trajectory import Basis, POLYNOMIAL
 
@@ -121,7 +121,7 @@ class TestTrajectoryMetrics:
         pred = gt.copy()
         pred[0] = 10.0  # every pixel an outlier at the first time only
         pred[1, :8, :, 0] = 4.0  # a quarter of them at the last
-        ev = evaluate_trajectories(pred, gt, np.ones((2, 32, 32), bool), sl, DisplacementVolume.zeros(32, 32))
+        ev = evaluate_trajectories(pred, gt, np.ones((2, 32, 32), bool), sl, [0.5, 1.0])
         assert ev.pct_out == 0.25
 
     def test_time_count_mismatch_rejected(self):
@@ -129,26 +129,40 @@ class TestTrajectoryMetrics:
             tepe_tae(np.zeros((2, 2, 2, 2)), np.zeros((3, 2, 2, 2)), np.ones((3, 2, 2), bool))
 
 
+def field_delta(sl, field):
+    """Each event's displacement to t = 1 under ``field``, as the CLI's
+    render reads it."""
+    volume = build_displacement_volume(field, 1.0, 8, n_bins=15)
+    return event_displacement(sl, volume.disp, volume.stride)[0]
+
+
 class TestFwl:
     def test_identity_volume_is_exactly_one(self):
         sl, _, _ = constant_scene(width=32, height=32, n_points=40, n_events=2000, seed=30)
-        volume = DisplacementVolume.zeros(32, 32)
-        assert fwl(sl, volume) == 1.0
+        assert fwl(sl, 0) == 1.0
+        assert fwl(sl, np.zeros((len(sl), 2))) == 1.0
 
     def test_true_warp_sharpens(self):
         sl, _, spec = constant_scene(width=48, height=48, n_points=100, n_events=8000, seed=31)
         field = gt_field(spec.motion, 48, 48, 4, Basis(POLYNOMIAL, 1))
-        volume = build_displacement_volume(field, 1.0, 8, n_bins=15)
-        assert fwl(sl, volume) > 1.0
+        assert fwl(sl, field_delta(sl, field)) > 1.0
 
     def test_misaligned_warp_below_true_warp(self):
         sl, _, spec = constant_scene(width=48, height=48, n_points=100, n_events=8000, seed=31)
         true_field = gt_field(spec.motion, 48, 48, 4, Basis(POLYNOMIAL, 1))
         bad_field = gt_field(spec.motion, 48, 48, 4, Basis(POLYNOMIAL, 1))
         bad_field.coeffs[..., 0] *= -1.0  # wrong direction in x
-        v_true = build_displacement_volume(true_field, 1.0, 8, n_bins=15)
-        v_bad = build_displacement_volume(bad_field, 1.0, 8, n_bins=15)
-        assert fwl(sl, v_bad) < fwl(sl, v_true)
+        assert fwl(sl, field_delta(sl, bad_field)) < fwl(sl, field_delta(sl, true_field))
+
+    def test_evaluation_warps_by_the_maps_toward_t1(self):
+        # the ground-truth maps of a constant flow v as the prediction: the
+        # 15-bin table moves each event by v (1 - t_b), t_b its bin's center
+        sl, gt, _ = constant_scene(width=48, height=48, n_points=100, n_events=8000, seed=31)
+        ev = evaluate_trajectories(gt.disp[1:], gt.disp[1:], gt.valid[1:], sl, list(gt.times[1:]))
+        bins = np.minimum(np.floor(sl.normalized_times() * 15), 14).astype(np.int64)
+        want = fwl(sl, np.outer(1.0 - bin_centers(15)[bins], [5.0, -3.0]))
+        assert ev.fwl > 1.0
+        assert ev.fwl == pytest.approx(want, rel=1e-9)
 
     def test_degenerate_slice_rejected(self):
         from evtraj.events import EventSlice
@@ -160,4 +174,4 @@ class TestFwl:
             xs.ravel(), ys.ravel(), np.linspace(0, 1, w * h), np.ones(w * h), w, h
         )
         with pytest.raises(ValueError, match="degenerate"):
-            fwl(sl, DisplacementVolume.zeros(w, h))
+            fwl(sl, 0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import evtraj.objective as objective
-from evtraj.assoc import DisplacementVolume, build_consecutive_delta_field, build_displacement_volume
+from evtraj.assoc import build_consecutive_delta_field, build_displacement_volume, event_displacement
 from evtraj.events import EventSlice
 from evtraj.objective import (
     FIXED_REFERENCES,
@@ -48,55 +48,55 @@ def random_slice(rng, n=1000, width=32, height=32):
     )
 
 
-def random_volume(rng, width=32, height=32, stride=4, n_bins=5, scale=1.5, t_ref=0.5):
-    vol = DisplacementVolume.zeros(width, height, stride, n_bins)
-    vol.disp[...] = rng.normal(0.0, scale, vol.disp.shape)
-    return DisplacementVolume(
-        t_ref=t_ref,
-        stride=stride,
-        width=width,
-        height=height,
-        disp=vol.disp,
-        knn_indices=vol.knn_indices,
-    )
+def random_table(rng, width=32, height=32, stride=4, n_bins=5, scale=1.5):
+    """A random (n_bins, rows, cols, 2) displacement table."""
+    return rng.normal(0.0, scale, (n_bins, -(-height // stride), -(-width // stride), 2))
+
+
+def random_delta(rng, sl, stride=4, n_bins=5, scale=1.5):
+    """Per-event displacements read from a random table, as the estimator
+    reads its volume."""
+    return event_displacement(sl, random_table(rng, sl.width, sl.height, stride, n_bins, scale), stride)[0]
 
 
 class TestWarp:
     def test_identity_with_zero_volume(self):
         rng = np.random.default_rng(0)
         sl = random_slice(rng)
-        warped = warp_events(sl, DisplacementVolume.zeros(32, 32))
+        warped = warp_events(sl, 0)
         np.testing.assert_array_equal(warped.positions[:, 0], sl.x)
         np.testing.assert_array_equal(warped.positions[:, 1], sl.y)
+        assert warped.positions.dtype == np.float64
         assert warped.n_masked == 0
         np.testing.assert_array_equal(warped.weights, 1.0)
 
     def test_constant_offscreen_volume_masks_everything(self):
         rng = np.random.default_rng(1)
         sl = random_slice(rng, n=500)
-        vol = DisplacementVolume.zeros(32, 32)
-        vol.disp[..., 0] = -1000.0
-        warped = warp_events(sl, vol)
+        warped = warp_events(sl, np.full((len(sl), 2), [-1000.0, 0.0]))
         assert warped.n_masked == len(sl)
 
     def test_matches_scalar_lookup(self):
         rng = np.random.default_rng(2)
         sl = random_slice(rng, n=1000)
-        vol = random_volume(rng)
-        warped = warp_events(sl, vol)
-        np.testing.assert_array_equal(warped.positions, warp_scalar(sl, vol))
+        table = random_table(rng)
+        delta, _ = event_displacement(sl, table, 4)
+        np.testing.assert_array_equal(warp_events(sl, delta).positions, warp_scalar(sl, table, 4))
 
     def test_geometry_mismatch_rejected(self):
+        # a table that does not tile the slice, and a displacement per event
+        # of another slice
         rng = np.random.default_rng(3)
         sl = random_slice(rng, width=32, height=32)
+        with pytest.raises(ValueError, match="do not tile a 32x32 slice"):
+            event_displacement(sl, np.zeros((15, 4, 4, 2)), 4)
         with pytest.raises(ValueError):
-            warp_events(sl, DisplacementVolume.zeros(16, 16))
+            warp_events(sl, np.zeros((len(sl) - 1, 2)))
 
     def test_time_weights_mean_one(self):
         rng = np.random.default_rng(4)
         sl = random_slice(rng)
-        vol = random_volume(rng, scale=0.5, t_ref=0.3)
-        warped = warp_events(sl, vol, time_weighting=True)
+        warped = warp_events(sl, random_delta(rng, sl, scale=0.5), t_ref=0.3)
         kept = warped.weights[warped.mask]
         assert kept.mean() == pytest.approx(1.0)
         dt = np.abs(0.3 - sl.normalized_times())
@@ -107,7 +107,7 @@ class TestWarp:
 class TestIwe:
     def test_single_event_integer_pixel(self):
         sl = EventSlice.from_arrays([3], [4], [0.5], [1], 8, 8, t_start=0, t_end=1)
-        warped = warp_events(sl, DisplacementVolume.zeros(8, 8))
+        warped = warp_events(sl, 0)
         iwe = build_iwe(warped)
         assert iwe.shape == (2, 8, 8)
         assert iwe[0, 4, 3] == 1.0
@@ -116,9 +116,7 @@ class TestIwe:
 
     def test_halfway_bilinear_split(self):
         sl = EventSlice.from_arrays([3], [4], [0.5], [1], 8, 8, t_start=0, t_end=1)
-        vol = DisplacementVolume.zeros(8, 8)
-        vol.disp[..., 0] = 0.5
-        warped = warp_events(sl, vol)
+        warped = warp_events(sl, [[0.5, 0.0]])
         iwe = build_iwe(warped)
         assert iwe[0, 4, 3] == pytest.approx(0.5)
         assert iwe[0, 4, 4] == pytest.approx(0.5)
@@ -126,8 +124,7 @@ class TestIwe:
     def test_matches_scalar_accumulation(self):
         rng = np.random.default_rng(7)
         sl = random_slice(rng, n=1000)
-        vol = random_volume(rng)
-        warped = warp_events(sl, vol, time_weighting=True)
+        warped = warp_events(sl, random_delta(rng, sl), t_ref=0.5)
         iwe = build_iwe(warped)
         for plane, events in ((0, sl.p > 0), (1, sl.p < 0)):
             ref = iwe_scalar(warped.positions, warped.weights, warped.mask & events, 32, 32)
@@ -137,8 +134,7 @@ class TestIwe:
     def test_gaussian_matches_scalar_accumulation(self, sigma):
         rng = np.random.default_rng(19)
         sl = random_slice(rng, n=600)
-        vol = random_volume(rng)
-        warped = warp_events(sl, vol, time_weighting=True)
+        warped = warp_events(sl, random_delta(rng, sl), t_ref=0.5)
         kept = warped.positions[warped.mask]
         reach = 3.0 * sigma
         # some events are masked, and kept ones sit within 3 sigma of every border
@@ -153,7 +149,7 @@ class TestIwe:
     def test_polarity_split_routes_by_sign(self):
         rng = np.random.default_rng(8)
         sl = random_slice(rng, n=400)
-        warped = warp_events(sl, DisplacementVolume.zeros(32, 32))
+        warped = warp_events(sl, 0)
         iwe = build_iwe(warped)
         assert iwe[0].sum() == pytest.approx(float((sl.p > 0).sum()))
         assert iwe[1].sum() == pytest.approx(float((sl.p < 0).sum()))
@@ -162,8 +158,7 @@ class TestIwe:
     def test_mass_conservation(self, sigma):
         rng = np.random.default_rng(9)
         sl = random_slice(rng, n=800)
-        vol = random_volume(rng, scale=3.0)
-        warped = warp_events(sl, vol, time_weighting=True)
+        warped = warp_events(sl, random_delta(rng, sl, scale=3.0), t_ref=0.5)
         iwe = build_iwe(warped, sigma=sigma)
         total_weight = warped.weights[warped.mask].sum()
         assert iwe.sum() == pytest.approx(total_weight, rel=1e-6)
@@ -174,7 +169,7 @@ class TestIwe:
         sl = random_slice(rng, n=2000)
         field = TrajectoryField.zeros(32, 32, 4, Basis(BEZIER, 10))
         vol = build_displacement_volume(field, 0.77, 8, n_bins=15)
-        warped = warp_events(sl, vol)
+        warped = warp_events(sl, event_displacement(sl, vol.disp, vol.stride)[0])
         iwe = build_iwe(warped)
         raw = np.zeros((32, 32))
         np.add.at(raw, (sl.y, sl.x), 1.0)
@@ -184,7 +179,7 @@ class TestIwe:
     def test_pgm_render(self, tmp_path):
         rng = np.random.default_rng(11)
         sl = random_slice(rng, n=300)
-        iwe = build_iwe(warp_events(sl, DisplacementVolume.zeros(32, 32)))
+        iwe = build_iwe(warp_events(sl, 0))
         path = tmp_path / "iwe.pgm"
         write_iwe_pgm(iwe, path, bits=8)
         raw = path.read_bytes()
@@ -197,7 +192,7 @@ class TestIwe:
         rng = np.random.default_rng(25)
         sl = random_slice(rng, n=2000, width=24, height=16)
         path = tmp_path / "iwe.pgm"
-        write_iwe_pgm(build_iwe(warp_events(sl, DisplacementVolume.zeros(24, 16))), path, bits=bits, which=which)
+        write_iwe_pgm(build_iwe(warp_events(sl, 0)), path, bits=bits, which=which)
         magic, comment, size, maxval, body = path.read_bytes().split(b"\n", 4)
         assert (magic, size, int(maxval)) == (b"P5", b"24 16", (1 << bits) - 1)
         peak = float(comment.rsplit(b" ", 1)[1])
@@ -211,13 +206,19 @@ class TestIwe:
         np.testing.assert_array_equal(np.round(pixels * peak / int(maxval)), hist)
 
 
+def lookup_and_contrast_pass(sl, table, stride, sigma):
+    """One reference time's contrast path, table to table cotangent."""
+    delta, pullback = event_displacement(sl, table, stride)
+    return pullback(contrast_pass(sl, delta, sigma, 0.5)[1])
+
+
 class TestVotingBlocks:
     @pytest.mark.parametrize("sigma", [0.0, 0.7, 1.0, 3.0])
     def test_block_size_does_not_change_bits(self, monkeypatch, sigma):
         rng = np.random.default_rng(23)
         sl = random_slice(rng, n=400)
-        vol = random_volume(rng)
-        warped = warp_events(sl, vol, time_weighting=True)
+        delta = random_delta(rng, sl)
+        warped = warp_events(sl, delta, t_ref=0.5)
         assert 0 < warped.n_masked
         *kernels, mw = voting_stencil(warped.positions, warped.mask, warped.weights, 32, 32, sigma)
         axes = (*[(c, k, objective._axis_slope(k, f, sigma)) for c, k, f in kernels], mw)
@@ -226,15 +227,13 @@ class TestVotingBlocks:
         # the unblocked definition: one np.bincount over every event's taps
         ref = iwe_full_stencil(axes, plane, 32, 32)
         ref_g, dgdi = contrast_g(ref)
-        nvox = vol.disp.size // 2
-        ref_grad = np.stack([np.bincount(warped.vox_idx, weights=d, minlength=nvox)
-                             for d in pullback_full_stencil(axes, plane, 32, 32, dgdi)], axis=1)
+        ref_grad = np.stack(pullback_full_stencil(axes, plane, 32, 32, dgdi), axis=1)
         for events_per_block in (1, 37, len(sl)):
             monkeypatch.setattr(objective, "_BLOCK_TAPS", events_per_block * taps)
             assert np.array_equal(build_iwe(warped, sigma=sigma), ref)
-            g, grad, n_masked = contrast_pass(sl, vol, sigma, time_weighting=True)
+            g, grad, n_masked = contrast_pass(sl, delta, sigma, 0.5)
             assert g == ref_g
-            assert np.array_equal(grad, ref_grad.reshape(vol.disp.shape))
+            assert np.array_equal(grad, ref_grad)
             assert n_masked == warped.n_masked
 
     def test_bilinear_matches_unpadded_formulation_bit_for_bit(self):
@@ -242,9 +241,8 @@ class TestVotingBlocks:
         # right and bottom edges, where the unpadded stencil clipped a tap
         rng = np.random.default_rng(26)
         sl = random_slice(rng, n=3000, width=24, height=16)
-        vol = random_volume(rng, width=24, height=16)
-        vol.disp[...] = np.round(vol.disp * 4.0) / 4.0
-        warped = warp_events(sl, vol, time_weighting=True)
+        delta = np.round(random_delta(rng, sl) * 4.0) / 4.0
+        warped = warp_events(sl, delta, t_ref=0.5)
         x, y = warped.positions[warped.mask].T
         assert np.any(x == 23.0) and np.any(y == 15.0) and 0 < warped.n_masked
         ref, ref_pullback = bilinear_pass_unpadded(
@@ -252,22 +250,19 @@ class TestVotingBlocks:
         )
         assert build_iwe(warped).tobytes() == ref.tobytes()
         ref_g, dgdi = contrast_g(ref)
-        nvox = vol.disp.size // 2
-        ref_grad = np.stack([np.bincount(warped.vox_idx, weights=d, minlength=nvox)
-                             for d in ref_pullback(dgdi)], axis=1)
-        g, grad, _ = contrast_pass(sl, vol, 0.0, time_weighting=True)
+        g, grad, _ = contrast_pass(sl, delta, 0.0, 0.5)
         assert g == ref_g
-        assert grad.tobytes() == ref_grad.reshape(vol.disp.shape).tobytes()
+        assert grad.tobytes() == np.stack(ref_pullback(dgdi), axis=1).tobytes()
 
     def test_contrast_pass_memory_is_bounded(self):
         # sigma = 3 votes over 400 taps per event: one (N, 400) float64 array
         # of 20,000 events alone would take 61 MB
         rng = np.random.default_rng(24)
         sl = random_slice(rng, n=20_000, width=128, height=96)
-        vol = random_volume(rng, width=128, height=96, stride=8)
+        table = random_table(rng, width=128, height=96, stride=8)
         tracemalloc.start()
         try:
-            contrast_pass(sl, vol, 3.0, time_weighting=True)
+            lookup_and_contrast_pass(sl, table, 8, 3.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -278,10 +273,10 @@ class TestVotingBlocks:
         # arrays or (N, 64) taps would take 13 or 102 MB apiece
         rng = np.random.default_rng(27)
         sl = random_slice(rng, n=200_000, width=128, height=96)
-        vol = random_volume(rng, width=128, height=96, stride=8)
+        table = random_table(rng, width=128, height=96, stride=8)
         tracemalloc.start()
         try:
-            contrast_pass(sl, vol, 1.0, time_weighting=True)
+            lookup_and_contrast_pass(sl, table, 8, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -315,10 +310,9 @@ class TestContrast:
         sl, _, spec = constant_scene(width=48, height=48, n_points=80, n_events=6000, seed=3)
         field = gt_field(spec.motion, 48, 48, 4, Basis(POLYNOMIAL, 1))
         vol_true = build_displacement_volume(field, 1.0, 8, n_bins=15)
-        g_true = contrast_g(build_iwe(warp_events(sl, vol_true), sigma=1.0))[0]
-        g_zero = contrast_g(
-            build_iwe(warp_events(sl, DisplacementVolume.zeros(48, 48)), sigma=1.0)
-        )[0]
+        delta, _ = event_displacement(sl, vol_true.disp, vol_true.stride)
+        g_true = contrast_g(build_iwe(warp_events(sl, delta), sigma=1.0))[0]
+        g_zero = contrast_g(build_iwe(warp_events(sl, 0), sigma=1.0))[0]
         assert g_true > g_zero
 
     def test_translation_equivariance_of_g(self):
@@ -334,16 +328,16 @@ class TestContrast:
             t_start=0.0,
             t_end=1.0,
         )
-        vol = random_volume(rng, width=24, height=24, scale=0.4)
-        warped = warp_events(sl, vol)
+        table = random_table(rng, width=24, height=24, scale=0.4)
+        warped = warp_events(sl, event_displacement(sl, table, 4)[0])
         assert warped.n_masked == 0
         g_small = contrast_g(build_iwe(warped))[0]
         shifted = EventSlice.from_arrays(
             sl.x + 8, sl.y + 4, sl.t, sl.p, 40, 36, t_start=0.0, t_end=1.0
         )
-        vol_big = DisplacementVolume.zeros(40, 36, 4, 5)
-        vol_big.disp[:, 1:7, 2:8, :] = vol.disp  # same table under the shifted cells
-        warped_big = warp_events(shifted, vol_big)
+        table_big = np.zeros((5, 9, 10, 2))
+        table_big[:, 1:7, 2:8, :] = table  # same table under the shifted cells
+        warped_big = warp_events(shifted, event_displacement(shifted, table_big, 4)[0])
         assert warped_big.n_masked == 0
         g_big = contrast_g(build_iwe(warped_big))[0]
         assert abs(g_big - g_small) < 1e-9
@@ -370,7 +364,7 @@ class TestTotalLoss:
         field = TrajectoryField.zeros(32, 32, 4, Basis(POLYNOMIAL, 1))
         cfg = ObjectiveConfig(time_weighting=False, k=8)
         out = loss_gradient(sl, field, ((0.5, 1.0),), cfg)[0]
-        g0 = contrast_g(build_iwe(warp_events(sl, DisplacementVolume.zeros(32, 32))))[0]
+        g0 = contrast_g(build_iwe(warp_events(sl, 0)))[0]
         assert out.total == pytest.approx(1.0 / g0)
         assert out.r == 0.0
         assert not out.degenerate

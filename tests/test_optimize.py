@@ -9,7 +9,12 @@ import pytest
 import evtraj.assoc as assoc
 import evtraj.objective as objective
 import evtraj.optimize as optimize
-from evtraj.assoc import build_consecutive_delta_field, build_displacement_volume, interpolate_flow
+from evtraj.assoc import (
+    build_consecutive_delta_field,
+    build_displacement_volume,
+    event_displacement,
+    interpolate_flow,
+)
 from evtraj.events import EventSlice
 from evtraj.metrics import epe_ae
 from evtraj.objective import (
@@ -29,6 +34,7 @@ from evtraj.optimize import (
 )
 from evtraj.trajectory import BEZIER, POLYNOMIAL, Basis, TrajectoryField
 
+from oracles import event_voxels_scalar
 from scenes import constant_scene
 
 EVTRAJ_MODULES = ("assoc", "binfile", "cli", "events", "flowio", "metrics", "objective", "optimize", "synth", "trajectory")
@@ -63,6 +69,11 @@ def baseline(sl, field, cfg):
     return FIXED_REFERENCES, replace(cfg, lam=0.0, time_weighting=False), g0
 
 
+def event_delta(sl, volume):
+    """Each event's displacement read from ``volume``."""
+    return event_displacement(sl, volume.disp, volume.stride)[0]
+
+
 def fd_check_coordinates(sl, field, cfg, refs, h, rng, n_coords, g0=1.0):
     """Reference check: central differences of the loss total, skipping
     coordinates that move an affected event within 4h of the breakpoint
@@ -70,14 +81,14 @@ def fd_check_coordinates(sl, field, cfg, refs, h, rng, n_coords, g0=1.0):
     checked coordinates."""
     _, grad = loss_gradient(sl, field, refs, cfg, g0)
     risky = [np.zeros(field.n_anchors, dtype=bool), np.zeros(field.n_anchors, dtype=bool)]
+    voxels = event_voxels_scalar(sl, cfg.n_bins, field.stride)
     for t, _ in refs:
         volume = build_displacement_volume(field, t, cfg.k, cfg.n_bins)
-        warped = warp_events(sl, volume, time_weighting=cfg.time_weighting)
-        frac = warped.positions - np.floor(warped.positions)
+        positions = warp_events(sl, event_delta(sl, volume)).positions
+        frac = positions - np.floor(positions)
         near = np.minimum(frac, 1.0 - frac) < 4.0 * h  # conservative skip, per axis
-        knn_flat = volume.knn_indices.reshape(-1, volume.knn_indices.shape[-1])
         for k in np.flatnonzero(near.any(axis=1)):
-            touched = np.unique(knn_flat[warped.vox_idx[k]])
+            touched = np.unique(volume.knn_indices[voxels[k]])
             for axis in (0, 1):
                 if near[k, axis]:
                     risky[axis][touched] = True
@@ -196,7 +207,7 @@ class TestLossGradient:
         sl, field = small_instance(seed=18)
         cfg = ObjectiveConfig(sigma=sigma, k=8, n_bins=5)
         g = [
-            contrast_pass(sl, build_displacement_volume(field, t, cfg.k, cfg.n_bins), sigma, False)[0]
+            contrast_pass(sl, event_delta(sl, build_displacement_volume(field, t, cfg.k, cfg.n_bins)), sigma, None)[0]
             for t in (0.0, 0.5, 1.0)
         ]
         f = (g[0] + 2.0 * g[1] + g[2]) / (4.0 * zero_warp_contrast(sl, cfg.sigma))
@@ -244,7 +255,7 @@ class TestLossGradient:
         sl, field = small_instance(seed=seed)
         cfg = ObjectiveConfig(sigma=sigma, k=8, n_bins=5, time_weighting=True)
         volume = build_displacement_volume(field, 0.43, cfg.k, cfg.n_bins)
-        g, _, n_masked = contrast_pass(sl, volume, sigma, True)
+        g, _, n_masked = contrast_pass(sl, event_delta(sl, volume), sigma, 0.43)
         r = regularizer_r(build_consecutive_delta_field(field, volume))[0]
         lam = cfg.lam / (sl.width * sl.height)
         out = loss_gradient(sl, field, one(0.43), cfg)[0]
