@@ -6,7 +6,7 @@ bin, trajectory positions are evaluated at the bin center and an exact
 K-nearest-neighbor search associates every cell center with the K
 trajectories passing closest to it *at that time* (the moving frame).
 The neighbor sets depend only on the field, never on t_ref. Each event
-reads its entry of the table through :func:`event_displacement`.
+reads its entry of the table through :func:`event_lookup`.
 
 With the sets fixed, everything derived from them is one linear map of
 the coefficients alpha: the mean over a set of a_b . alpha_n, for a change
@@ -294,25 +294,31 @@ def bin_centers(n_bins: int) -> np.ndarray:
     return (np.arange(n_bins) + 0.5) / n_bins
 
 
-def event_displacement(sl: EventSlice, disp: np.ndarray, stride: int):
-    """(delta, pullback): each event's entry ``delta`` (N, 2) of a (n_bins,
-    rows, cols, 2) table whose cells tile the slice at ``stride``, and the
-    transpose of that read. Event k reads the bin floor(t_k n_bins), clipped,
-    of its normalized time, at the cell (y // stride, x // stride) holding
-    it. ``pullback(gdelta)`` sums each entry's event cotangents in event
-    order, one np.bincount per axis.
+def event_lookup(sl: EventSlice, n_bins: int, stride: int):
+    """(read, pullback) of the events' entries of (n_bins, rows, cols, 2)
+    tables whose cells tile the slice at ``stride``. Event k reads the bin
+    floor(t_k n_bins), clipped, of its normalized time, at the cell
+    (y // stride, x // stride) holding it. The slots are found once, here:
+    ``read(disp)`` is each event's entry (N, 2) of a table ``disp``, and
+    ``pullback(gdelta)`` the transpose of that read, each entry's event
+    cotangents summed in event order, one np.bincount per axis.
     """
-    n_bins, rows, cols, _ = disp.shape
-    if (rows, cols) != anchor_grid(sl.width, sl.height, stride)[:2]:
-        raise ValueError(f"{rows}x{cols} cells do not tile a {sl.width}x{sl.height} slice at stride {stride}")
+    rows, cols, _ = anchor_grid(sl.width, sl.height, stride)
+    shape = (n_bins, rows, cols, 2)
     b = np.clip(np.floor(sl.normalized_times() * n_bins).astype(np.int64), 0, n_bins - 1)
     slot = (b * rows + sl.y // stride) * cols + sl.x // stride
 
+    def read(disp):
+        if disp.shape != shape:
+            raise ValueError(f"a {disp.shape} table is not {n_bins} bins of the {rows}x{cols} cells "
+                             f"that tile a {sl.width}x{sl.height} slice at stride {stride}")
+        return disp.reshape(-1, 2)[slot]
+
     def pullback(gdelta):
         gdisp = [np.bincount(slot, weights=gdelta[:, c], minlength=n_bins * rows * cols) for c in (0, 1)]
-        return np.stack(gdisp, axis=1).reshape(disp.shape)
+        return np.stack(gdisp, axis=1).reshape(shape)
 
-    return disp.reshape(-1, 2)[slot], pullback
+    return read, pullback
 
 
 @dataclass

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .assoc import build_displacement_volume, event_displacement, interpolate_flow
+from .assoc import build_displacement_volume, event_lookup, interpolate_flow
 from .events import load_events, save_events
 from .flowio import load_flow, save_flow
 from .metrics import evaluate_trajectories, format_report, fwl, report_csv
@@ -181,7 +181,7 @@ def cmd_render(args: dict) -> int:
         if cfg.k > field.n_anchors:
             raise ValueError(f"{path}: --k {cfg.k} exceeds the field's anchor count {field.n_anchors}")
         volume = build_displacement_volume(field, t_ref, cfg.k, cfg.n_bins)
-        delta, _ = event_displacement(sl, volume.disp, volume.stride)
+        delta = event_lookup(sl, cfg.n_bins, volume.stride)[0](volume.disp)
         print(f"FWL = {fwl(sl, delta):.4f}")
     iwe = build_iwe(warp_events(sl, delta))
     out = Path(args["out"])

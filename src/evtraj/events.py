@@ -37,6 +37,9 @@ _RECORD_DTYPE = np.dtype(
     [("t", "<f8"), ("x", "<u2"), ("y", "<u2"), ("p", "<i1"), ("pad", "<u1")]
 )
 
+# EVT1 stores coordinates as u16, so a sensor is at most this many pixels wide or high
+MAX_SIDE = 65536
+
 _SPAN_RULE = "width, height >= 1 and finite t_start <= t_end"
 
 
@@ -156,10 +159,10 @@ def load_events(path) -> EventSlice:
 
 def save_events(sl: EventSlice, path) -> None:
     """Write a slice as EVT1; it round-trips bit-exactly."""
-    if sl.width > 65536 or sl.height > 65536:
+    if sl.width > MAX_SIDE or sl.height > MAX_SIDE:
         raise ValueError(
             f"{path}: EVT1 stores coordinates as u16, so width and height must be "
-            f"<= 65536, got {sl.width}x{sl.height}"
+            f"<= {MAX_SIDE}, got {sl.width}x{sl.height}"
         )
     rec = binfile.pack(_RECORD_DTYPE, len(sl), t=sl.t, x=sl.x, y=sl.y, p=sl.p)
     head = binfile.header(path, _HEADER_DTYPE, magic=EVT1_MAGIC, width=sl.width, height=sl.height,

@@ -3,10 +3,11 @@
 Angular error follows the space-time convention: each flow vector (u, v)
 is lifted to (u, v, 1) and the angle between prediction and ground truth
 is measured in degrees. Outliers are pixels whose endpoint error exceeds
-3 px (strict). EPE, AE and %Out are taken at the last query time; TEPE and
-TAE average the per-time EPE and AE over all query times. FWL is the
-variance ratio of the warped accumulation image to the zero-warp one;
-above 1 means the warp sharpened it.
+3 px (strict). :func:`score_time` scores one query time, all three from
+one set of masked differences. EPE, AE and %Out are taken at the last
+query time; TEPE and TAE average the per-time EPE and AE over all query
+times. FWL is the variance ratio of the warped accumulation image to the
+zero-warp one; above 1 means the warp sharpened it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .assoc import bin_centers, event_displacement
+from .assoc import bin_centers, event_lookup
 from .events import EventSlice
 from .objective import build_iwe, warp_events
 
@@ -37,48 +38,19 @@ class MotionEval:
     n_valid: int
 
 
-def epe_ae(pred: np.ndarray, gt: np.ndarray, mask: np.ndarray):
-    """Mean endpoint error and mean space-time angular error (degrees)."""
-    if pred.shape != gt.shape:
-        raise ValueError("pred and gt shapes differ")
+def score_time(pred: np.ndarray, gt: np.ndarray, mask: np.ndarray):
+    """(EPE, AE, %Out) of one query time's maps (H, W, 2) within ``mask``:
+    the mean endpoint error, the mean space-time angular error (degrees)
+    and the fraction of endpoint errors strictly above 3 px."""
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise ValueError("empty evaluation mask")
-    dp = pred[mask]
-    dg = gt[mask]
-    epe = float(np.linalg.norm(dp - dg, axis=-1).mean())
+    dp, dg = pred[mask], gt[mask]
+    err = np.linalg.norm(dp - dg, axis=-1)
     num = dp[:, 0] * dg[:, 0] + dp[:, 1] * dg[:, 1] + 1.0
-    den = np.sqrt(dp[:, 0] ** 2 + dp[:, 1] ** 2 + 1.0) * np.sqrt(
-        dg[:, 0] ** 2 + dg[:, 1] ** 2 + 1.0
-    )
+    den = np.sqrt(dp[:, 0] ** 2 + dp[:, 1] ** 2 + 1.0) * np.sqrt(dg[:, 0] ** 2 + dg[:, 1] ** 2 + 1.0)
     ang = np.degrees(np.arccos(np.clip(num / den, -1.0, 1.0)))
-    return epe, float(ang.mean())
-
-
-def pct_out(pred: np.ndarray, gt: np.ndarray, mask: np.ndarray) -> float:
-    """Fraction of masked pixels with endpoint error strictly above 3 px."""
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise ValueError("empty evaluation mask")
-    err = np.linalg.norm(pred[mask] - gt[mask], axis=-1)
-    return float((err > 3.0).mean())
-
-
-def tepe_tae(pred_traj: np.ndarray, gt_traj: np.ndarray, masks: np.ndarray):
-    """Trajectory metrics over displacement maps at matched query times.
-
-    ``pred_traj``/``gt_traj`` are (T, H, W, 2); ``masks`` is (T, H, W).
-    Returns a dict with tepe, tae (means of the per-time values) and the
-    per-time (epe, ae) list.
-    """
-    if pred_traj.shape != gt_traj.shape:
-        raise ValueError("prediction and ground truth shapes differ")
-    if len(pred_traj) != len(masks):
-        raise ValueError("mask count does not match query-time count")
-    per_time = [epe_ae(pred_traj[i], gt_traj[i], masks[i]) for i in range(len(pred_traj))]
-    tepe = float(np.mean([e for e, _ in per_time]))
-    tae = float(np.mean([a for _, a in per_time]))
-    return {"tepe": tepe, "tae": tae, "per_time": per_time}
+    return float(err.mean()), float(ang.mean()), float((err > 3.0).mean())
 
 
 def fwl(sl: EventSlice, delta) -> float:
@@ -125,16 +97,20 @@ def evaluate_trajectories(
     times,
 ) -> MotionEval:
     """EPE, AE and %Out at the last query time, TEPE and TAE over all, and
-    FWL by the predicted maps within ``masks``, at ascending ``times``."""
-    traj = tepe_tae(pred_traj, gt_traj, masks)
-    epe, ae = traj["per_time"][-1]
-    delta = event_displacement(sl, _flow_map_table(pred_traj, times, masks), 1)[0]
+    FWL by the predicted maps within ``masks``, at ascending ``times``.
+    ``pred_traj`` and ``gt_traj`` are (T, H, W, 2) and ``masks`` (T, H, W)."""
+    if pred_traj.shape != gt_traj.shape:
+        raise ValueError("prediction and ground truth shapes differ")
+    if len(pred_traj) != len(masks):
+        raise ValueError("mask count does not match query-time count")
+    epes, aes, outs = zip(*(score_time(p, g, m) for p, g, m in zip(pred_traj, gt_traj, masks)))
+    delta = event_lookup(sl, _FWL_BINS, 1)[0](_flow_map_table(pred_traj, times, masks))
     return MotionEval(
-        epe=epe,
-        ae=ae,
-        pct_out=pct_out(pred_traj[-1], gt_traj[-1], masks[-1]),
-        tepe=traj["tepe"],
-        tae=traj["tae"],
+        epe=epes[-1],
+        ae=aes[-1],
+        pct_out=outs[-1],
+        tepe=float(np.mean(epes)),
+        tae=float(np.mean(aes)),
         fwl=fwl(sl, delta),
         n_valid=int(np.asarray(masks[-1], dtype=bool).sum()),
     )

@@ -311,6 +311,7 @@ def contrast_pass(sl: EventSlice, delta, sigma: float, t_ref: float | None):
     through the voting stencil to each event's (d/dx', d/dy').
     """
     warped = warp_events(sl, delta, t_ref)
+    del delta  # the IWE passes run without it when the caller keeps no reference
     iwe, pullback = _accumulate(warped, sigma)
     g, dgdi = contrast_g(iwe)
     return g, pullback(dgdi), warped.n_masked

@@ -19,7 +19,8 @@ the voting kernel, and the chain rule runs
 and back through ``contrast_pass``, the lookup's pullback and ``volume_adjoint``.
 
 Updates use Adam-style moment estimates directly on the coefficient
-tensor.
+tensor. :func:`minimize` keeps each iteration's :class:`LossBreakdown` as
+:func:`loss_gradient` returned it, and ``trace.csv`` is written from them.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .assoc import (
     build_consecutive_delta_field,
     build_displacement_volume,
     delta_field_adjoint,
-    event_displacement,
+    event_lookup,
     regather_volume,
     volume_adjoint,
 )
@@ -105,17 +106,19 @@ class LossBreakdown:
 
 @dataclass
 class OptimTrace:
-    """Per-iteration objective values plus the final field."""
+    """The :class:`LossBreakdown` of every iteration, in order, plus the
+    final field. ``total`` is their totals as an array."""
 
-    t_ref: np.ndarray
-    g: np.ndarray
-    r: np.ndarray
-    total: np.ndarray
+    steps: list[LossBreakdown]
     wall_time: float
     field: TrajectoryField
 
+    @property
+    def total(self) -> np.ndarray:
+        return np.array([b.total for b in self.steps])
+
     def __len__(self) -> int:
-        return len(self.total)
+        return len(self.steps)
 
 
 def save_trace_csv(trace: OptimTrace, path) -> None:
@@ -124,11 +127,8 @@ def save_trace_csv(trace: OptimTrace, path) -> None:
     ``R`` the smoothness term (0 when lambda = 0) and ``total`` the loss."""
     with open(path, "w") as f:
         f.write("iter,t_ref,G,R,total\n")
-        for i in range(len(trace)):
-            f.write(
-                f"{i},{trace.t_ref[i]:.17g},{trace.g[i]:.17g},"
-                f"{trace.r[i]:.17g},{trace.total[i]:.17g}\n"
-            )
+        for i, b in enumerate(trace.steps):
+            f.write(f"{i},{b.t_ref:.17g},{b.g:.17g},{b.r:.17g},{b.total:.17g}\n")
 
 
 def loss_gradient(sl: EventSlice, field: TrajectoryField, refs, cfg: ObjectiveConfig, g0: float = 1.0):
@@ -138,21 +138,24 @@ def loss_gradient(sl: EventSlice, field: TrajectoryField, refs, cfg: ObjectiveCo
 
     Returns (LossBreakdown, grad). The neighbor sets depend only on the
     field, so one volume build at ``refs[0]`` serves every reference time;
-    the others are gathered from it. R is skipped (reads 0) when
-    lambda = 0. Flags ``degenerate`` (and guards 1/C with eps) when C falls
-    under eps, as when every event is warped off-image or the IWEs are
-    flat; the contrast path then contributes zero (the gradient of the
-    guarded expression).
+    the others are gathered from it, and every volume is read through one
+    event lookup. R is skipped (reads 0) when lambda = 0. Flags
+    ``degenerate`` (and guards 1/C with eps) when C falls under eps, as
+    when every event is warped off-image or the IWEs are flat; the contrast
+    path then contributes zero (the gradient of the guarded expression).
     """
     volume = build_displacement_volume(field, refs[0][0], cfg.k, cfg.n_bins)
+    read, pullback = event_lookup(sl, cfg.n_bins, volume.stride)
     c, grad_c, n_masked = 0.0, 0.0, 0
     for t_ref, w in refs:
         if t_ref != volume.t_ref:
             volume = regather_volume(field, volume, t_ref)
-        delta, pullback = event_displacement(sl, volume.disp, volume.stride)
-        g, gdelta, masked = contrast_pass(sl, delta, cfg.sigma, t_ref if cfg.time_weighting else None)
+        # no (N, 2) array outlives its use: the displacements go to the pass
+        # unnamed, and it drops them once the events are warped
+        g, gdelta, masked = contrast_pass(sl, read(volume.disp), cfg.sigma, t_ref if cfg.time_weighting else None)
         c += w * g
         grad_c += w * volume_adjoint(field, volume, pullback(gdelta))
+        del gdelta
         n_masked += masked
     w_sum = sum(w for _, w in refs)
     c /= w_sum * g0
@@ -185,7 +188,7 @@ def minimize(sl: EventSlice, init_field: TrajectoryField, ocfg: OptimConfig) -> 
     rng = np.random.default_rng(ocfg.seed)
     m = np.zeros_like(field.coeffs)
     v = np.zeros_like(field.coeffs)
-    hist_t, hist_g, hist_r, hist_total = [], [], [], []
+    steps = []
     refs, cfg, g0 = None, ocfg.objective, 1.0
     if ocfg.fixed_reference:
         refs, g0 = FIXED_REFERENCES, zero_warp_contrast(sl, cfg.sigma)
@@ -199,21 +202,11 @@ def minimize(sl: EventSlice, init_field: TrajectoryField, ocfg: OptimConfig) -> 
             raise DivergenceError(f"non-finite loss or gradient at iteration {it}")
         if breakdown.n_masked == len(it_refs) * len(sl) > 0:
             raise DivergenceError(f"every event is warped off the image at iteration {it}")
-        hist_t.append(breakdown.t_ref)
-        hist_g.append(breakdown.g)
-        hist_r.append(breakdown.r)
-        hist_total.append(breakdown.total)
+        steps.append(breakdown)
 
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
         v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
         m_hat = m / (1.0 - ADAM_BETA1 ** (it + 1))
         v_hat = v / (1.0 - ADAM_BETA2 ** (it + 1))
         field.coeffs -= ocfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return OptimTrace(
-        t_ref=np.array(hist_t),
-        g=np.array(hist_g),
-        r=np.array(hist_r),
-        total=np.array(hist_total),
-        wall_time=time.perf_counter() - t0,
-        field=field,
-    )
+    return OptimTrace(steps, time.perf_counter() - t0, field)

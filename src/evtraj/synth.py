@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .assoc import knn_per_bin
-from .events import EventSlice
+from .events import MAX_SIDE, EventSlice
 from .trajectory import BEZIER, Basis, anchor_grid, displacement_basis
 
 _PATH_SAMPLES = 32
@@ -243,29 +243,32 @@ def _finite(key: str, text: str) -> float:
     return value
 
 
-def _count(key: str, text: str, low: int) -> int:
-    """``text``, the value of scene key ``key``, as an integer >= ``low``."""
+def _count(key: str, text: str, low: int, high: int | None = None) -> int:
+    """``text``, the value of scene key ``key``, as an integer >= ``low``
+    and, given ``high``, <= ``high``."""
     try:
         value = int(text)
     except ValueError:
         raise ValueError(f"scene key {key}={text!r} is not an integer") from None
     if value < low:
         raise ValueError(f"scene key {key}={text!r} must be >= {low}")
+    if high is not None and value > high:
+        raise ValueError(f"scene key {key}={text!r} must be <= {high}")
     return value
 
 
 def scene_from_config(cfg: dict, rng: np.random.Generator) -> SceneSpec:
     """Instantiate a SceneSpec from a parsed config, placing texture points.
 
-    Recognized keys: width, height (>= 1), n_events, points (count, >= 0),
-    noise, motion=constant|circular|bezier with their parameters (vx/vy;
-    cx/cy/angle; offsets=x:y,x:y,...), and optional coverage_radius,
-    query_times (comma list). Unknown keys are ignored. A missing key, or
+    Recognized keys: width, height (1 to ``events.MAX_SIDE``), n_events,
+    points (count, >= 0), noise, motion=constant|circular|bezier with their
+    parameters (vx/vy; cx/cy/angle; offsets=x:y,x:y,...), and optional
+    coverage_radius, query_times (comma list). Unknown keys are ignored. A missing key, or
     a value that is not a finite number or an integer in range, raises
     ValueError naming its key.
     """
-    width = _count("width", _required(cfg, "width"), 1)
-    height = _count("height", _required(cfg, "height"), 1)
+    width = _count("width", _required(cfg, "width"), 1, MAX_SIDE)
+    height = _count("height", _required(cfg, "height"), 1, MAX_SIDE)
     kind = cfg.get("motion", "constant")
     if kind == "constant":
         motion = BezierMotion(((_finite("vx", _required(cfg, "vx")), _finite("vy", _required(cfg, "vy"))),))

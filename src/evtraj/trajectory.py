@@ -16,9 +16,10 @@ Coefficients are (x, y) pixel offsets. A degree-1 polynomial is exactly
 constant optical flow: q(t) = anchor + t * v.
 
 Trajectory file format "TRJ1" (little-endian): magic b"TRJ1", basis kind
-u8 (0 polynomial, 1 bezier), degree u16, stride u16, grid rows u32, grid
-cols u32, image width u32, image height u32, then float32 coefficients in
-row-major anchor order, x then y per basis index.
+u8 (0 polynomial, 1 bezier), degree u16 (for bezier at most
+``MAX_BEZIER_DEGREE``), stride u16, grid rows u32, grid cols u32, image
+width u32, image height u32, then float32 coefficients in row-major
+anchor order, x then y per basis index.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ from evtraj import binfile
 
 POLYNOMIAL = "polynomial"
 BEZIER = "bezier"
+
+# the highest Bezier degree whose binomial coefficients are finite in float64
+MAX_BEZIER_DEGREE = 1029
+_BEZIER_LIMIT = f"exceeds {MAX_BEZIER_DEGREE}, the highest whose binomial coefficients float64 holds"
 
 TRJ1_MAGIC = b"TRJ1"
 _KIND_CODE = {POLYNOMIAL: 0, BEZIER: 1}
@@ -52,7 +57,8 @@ _TRJ1_HEADER = np.dtype(
 
 @dataclass(frozen=True)
 class Basis:
-    """Temporal basis family: ``kind`` in {polynomial, bezier}, degree >= 1."""
+    """Temporal basis family: ``kind`` in {polynomial, bezier}, degree >= 1,
+    and for bezier at most ``MAX_BEZIER_DEGREE``."""
 
     kind: str
     degree: int
@@ -62,6 +68,8 @@ class Basis:
             raise ValueError(f"unknown basis kind {self.kind!r}")
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
+        if self.kind == BEZIER and self.degree > MAX_BEZIER_DEGREE:
+            raise ValueError(f"bezier degree {self.degree} {_BEZIER_LIMIT}")
 
 
 def _bernstein_all(degree: int, t: np.ndarray) -> np.ndarray:
@@ -196,6 +204,8 @@ def load_field(path) -> TrajectoryField:
     code, degree, stride = int(f.header["kind"]), int(f.header["degree"]), int(f.header["stride"])
     f.check(code not in _CODE_KIND, "kind", f"basis code {code}", " is unknown")
     f.check(degree < 1, "degree", f"degree {degree}", " must be >= 1")
+    f.check(_CODE_KIND[code] == BEZIER and degree > MAX_BEZIER_DEGREE, "degree", f"bezier degree {degree}",
+            f" {_BEZIER_LIMIT}")
     f.check(stride < 1, "stride", f"stride {stride}", " must be >= 1")
     rows, cols = int(f.header["rows"]), int(f.header["cols"])
     width, height = int(f.header["width"]), int(f.header["height"])

@@ -12,7 +12,7 @@ from evtraj.assoc import (
     build_consecutive_delta_field,
     build_displacement_volume,
     delta_field_adjoint,
-    event_displacement,
+    event_lookup,
     interpolate_flow,
     knn_per_bin,
     regather_volume,
@@ -457,7 +457,7 @@ class TestEventDisplacement:
         sl = border_slice(rng)
         rows, cols, _ = anchor_grid(sl.width, sl.height, stride)
         table = rng.normal(0.0, 2.0, (n_bins, rows, cols, 2))
-        delta, _ = event_displacement(sl, table, stride)
+        delta = event_lookup(sl, n_bins, stride)[0](table)
         assert delta.shape == (len(sl), 2)
         np.testing.assert_array_equal(np.stack([sl.x, sl.y], axis=1) + delta, warp_scalar(sl, table, stride))
 
@@ -469,7 +469,8 @@ class TestEventDisplacement:
         sl = border_slice(rng)
         rows, cols, _ = anchor_grid(sl.width, sl.height, stride)
         table = rng.normal(0.0, 1.0, (n_bins, rows, cols, 2))
-        delta, pullback = event_displacement(sl, table, stride)
+        read, pullback = event_lookup(sl, n_bins, stride)
+        delta = read(table)
         cot = rng.normal(0.0, 1.0, delta.shape)
         back = pullback(cot)
         assert back.shape == table.shape
@@ -477,9 +478,11 @@ class TestEventDisplacement:
 
     def test_table_not_tiling_the_slice_rejected(self):
         sl = border_slice(np.random.default_rng(63))
-        for shape, stride in (((5, 3, 4, 2), 3), ((5, 2, 4, 2), 4), ((5, 3, 3, 2), 4), ((5, 3, 4, 2), 5)):
-            with pytest.raises(ValueError, match="do not tile a 13x10 slice"):
-                event_displacement(sl, np.zeros(shape), stride)
+        event_lookup(sl, 5, 4)[0](np.zeros((5, 3, 4, 2)))
+        for shape, stride in (((5, 3, 4, 2), 3), ((5, 2, 4, 2), 4), ((5, 3, 3, 2), 4), ((5, 3, 4, 2), 5),
+                              ((4, 3, 4, 2), 4)):
+            with pytest.raises(ValueError, match=f"that tile a 13x10 slice at stride {stride}"):
+                event_lookup(sl, 5, stride)[0](np.zeros(shape))
 
 
 class TestConsecutiveDeltaField:

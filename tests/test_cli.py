@@ -163,10 +163,14 @@ class TestSynthCommand:
             ("noise", ["noise=1.5"]),
             ("motion", ["motion=spiral"]),
             ("angle", ["motion=circular", "cx=10", "cy=10"]),
+            # EVT1 stores u16 coordinates: refused before any event is generated
+            ("width", ["width=70000"]),
+            ("height", ["height=65537"]),
         ],
         ids=["offsets-no-colon", "offsets-three", "width-abc", "n_events-float", "query_times-abc",
              "width-missing", "vy-missing", "width-zero", "points-negative", "vx-repeated",
-             "noise-above-one", "motion-spiral", "circular-angle-missing"],
+             "noise-above-one", "motion-spiral", "circular-angle-missing", "width-beyond-evt1",
+             "height-beyond-evt1"],
     )
     def test_malformed_scene_exits_2_naming_file_and_key(self, tmp_path, capsys, key, lines):
         bad = tmp_path / "bad.cfg"
@@ -357,7 +361,8 @@ class TestEstimateCommand:
 
     @pytest.mark.parametrize(
         "flag, value, match",
-        [("--k", "100", "exceeds the anchor count 64"), ("--k", "0", "k must be >= 1"), ("--nbins", "0", "n_bins")],
+        [("--k", "100", "exceeds the anchor count 64"), ("--k", "0", "k must be >= 1"), ("--nbins", "0", "n_bins"),
+         ("--degree", "1100", "bezier degree 1100 exceeds 1029")],
     )
     def test_bad_association_exits_2_before_writing(self, scene_file, tmp_path, capsys, flag, value, match):
         data = tmp_path / "data"
@@ -644,6 +649,17 @@ class TestRenderCommand:
         rc = main(["render", str(events), "--field", str(field), "--k", "4", "--out", str(tmp_path / "x.pgm")])
         assert rc == 2
         assert f"{field} is 30x24 but the sensor is 32x24" in capsys.readouterr().err
+
+    def test_bezier_field_whose_binomials_overflow_names_the_degree_byte(self, tmp_path, capsys):
+        events, field = tmp_path / "events.evt1", tmp_path / "field.trj1"
+        save_events(EventSlice.from_arrays([1, 30], [2, 20], [0.0, 1.0], [1, -1], 32, 24), events)
+        save_field(TrajectoryField.zeros(32, 24, 4, Basis(POLYNOMIAL, 1100)), field)
+        raw = field.read_bytes()
+        field.write_bytes(raw[:4] + b"\x01" + raw[5:])  # the same degree, as a Bezier field
+        rc = main(["render", str(events), "--field", str(field), "--k", "4", "--out", str(tmp_path / "x.pgm")])
+        assert rc == 2
+        assert f"{field}: TRJ1 bezier degree 1100 at byte 5" in capsys.readouterr().err
+        assert not (tmp_path / "x.pgm").exists()
 
     def test_zero_bins_exits_2(self, scene_file, tmp_path, capsys):
         data = tmp_path / "data"

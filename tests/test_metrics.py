@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from evtraj.assoc import bin_centers, build_displacement_volume, event_displacement
-from evtraj.metrics import epe_ae, evaluate_trajectories, fwl, pct_out, tepe_tae
+from evtraj.assoc import bin_centers, build_displacement_volume, event_lookup
+from evtraj.events import EventSlice
+from evtraj.metrics import evaluate_trajectories, fwl, score_time
 from evtraj.trajectory import Basis, POLYNOMIAL
 
 from oracles import epe_ae_scalar
@@ -17,36 +18,53 @@ def random_pair(rng, h=12, w=15):
     return pred, gt, mask
 
 
+def events_on(height, width, seed=0, n=60):
+    """Random events on a ``width`` x ``height`` sensor, for the FWL that
+    every evaluation also scores."""
+    rng = np.random.default_rng(seed)
+    return EventSlice.from_arrays(rng.integers(0, width, n), rng.integers(0, height, n), np.sort(rng.random(n)),
+                                  rng.choice([-1, 1], n), width, height, t_start=0.0, t_end=1.0)
+
+
+def evaluate(pred, gt, masks):
+    """evaluate_trajectories over evenly spaced query times and random events."""
+    sl = events_on(*pred.shape[1:3])
+    return evaluate_trajectories(pred, gt, masks, sl, list(np.linspace(0.0, 1.0, len(pred) + 1)[1:]))
+
+
 class TestEpeAe:
+    """The EPE and AE of :func:`score_time`."""
+
     def test_perfect_prediction(self):
         rng = np.random.default_rng(0)
         gt = rng.normal(0, 2, (8, 8, 2))
-        epe, ae = epe_ae(gt, gt, np.ones((8, 8), bool))
-        assert epe == 0.0
+        epe, ae, out = score_time(gt, gt, np.ones((8, 8), bool))
+        assert (epe, out) == (0.0, 0.0)
         assert ae == pytest.approx(0.0, abs=1e-6)
 
     def test_three_four_five(self):
         gt = np.zeros((4, 4, 2))
         pred = gt + np.array([3.0, 4.0])
-        epe, _ = epe_ae(pred, gt, np.ones((4, 4), bool))
+        epe, _, out = score_time(pred, gt, np.ones((4, 4), bool))
         assert epe == pytest.approx(5.0)
+        assert out == 1.0
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(1)
         pred, gt, mask = random_pair(rng)
-        epe, ae = epe_ae(pred, gt, mask)
+        epe, ae, _ = score_time(pred, gt, mask)
         ref_epe, ref_ae = epe_ae_scalar(pred, gt, mask)
         assert epe == pytest.approx(ref_epe, abs=1e-9)
         assert ae == pytest.approx(ref_ae, abs=1e-9)
 
     def test_empty_mask_rejected(self):
-        with pytest.raises(ValueError):
-            epe_ae(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2), bool))
+        with pytest.raises(ValueError, match="empty evaluation mask"):
+            score_time(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2), bool))
 
     def test_symmetry(self):
         rng = np.random.default_rng(2)
         pred, gt, mask = random_pair(rng)
-        assert epe_ae(pred, gt, mask)[0] == pytest.approx(epe_ae(gt, pred, mask)[0])
+        assert score_time(pred, gt, mask)[0] == pytest.approx(score_time(gt, pred, mask)[0])
 
     def test_triangle_inequality_on_sampled_triples(self):
         rng = np.random.default_rng(3)
@@ -55,37 +73,37 @@ class TestEpeAe:
             b = rng.normal(0, 2, (6, 6, 2))
             c = rng.normal(0, 2, (6, 6, 2))
             mask = np.ones((6, 6), bool)
-            ab = epe_ae(a, b, mask)[0]
-            bc = epe_ae(b, c, mask)[0]
-            ac = epe_ae(a, c, mask)[0]
+            ab = score_time(a, b, mask)[0]
+            bc = score_time(b, c, mask)[0]
+            ac = score_time(a, c, mask)[0]
             assert ac <= ab + bc + 1e-12
 
     def test_mask_order_invariance(self):
         rng = np.random.default_rng(4)
         pred, gt, mask = random_pair(rng)
         # identical mask content, different memory layout
-        epe1, ae1 = epe_ae(pred, gt, mask)
-        epe2, ae2 = epe_ae(pred, gt, np.asfortranarray(mask))
-        assert (epe1, ae1) == (epe2, ae2)
+        assert score_time(pred, gt, mask) == score_time(pred, gt, np.asfortranarray(mask))
 
 
 class TestPctOut:
+    """The %Out of :func:`score_time`."""
+
     def test_all_zero_errors(self):
         gt = np.zeros((4, 4, 2))
-        assert pct_out(gt, gt, np.ones((4, 4), bool)) == 0.0
+        assert score_time(gt, gt, np.ones((4, 4), bool))[2] == 0.0
 
     def test_half_outliers(self):
         gt = np.zeros((2, 4, 2))
         pred = gt.copy()
         pred[0, :, 0] = 10.0
-        assert pct_out(pred, gt, np.ones((2, 4), bool)) == 0.5
+        assert score_time(pred, gt, np.ones((2, 4), bool))[2] == 0.5
 
     def test_boundary_is_strict(self):
         gt = np.zeros((1, 2, 2))
         pred = gt.copy()
         pred[0, 0, 0] = 3.0  # exactly at the threshold: not an outlier
         pred[0, 1, 0] = 3.0 + 1e-9
-        assert pct_out(pred, gt, np.ones((1, 2), bool)) == 0.5
+        assert score_time(pred, gt, np.ones((1, 2), bool))[2] == 0.5
 
 
 class TestTrajectoryMetrics:
@@ -93,16 +111,16 @@ class TestTrajectoryMetrics:
         gt = np.zeros((3, 4, 4, 2))
         pred = gt + np.array([0.6, 0.8])  # EPE 1 at every time
         masks = np.ones((3, 4, 4), bool)
-        out = tepe_tae(pred, gt, masks)
-        assert out["tepe"] == pytest.approx(1.0)
+        assert evaluate(pred, gt, masks).tepe == pytest.approx(1.0)
 
     def test_single_time_reduces_to_epe_ae(self):
         rng = np.random.default_rng(5)
         pred, gt, mask = random_pair(rng)
-        out = tepe_tae(pred[None], gt[None], mask[None])
-        epe, ae = epe_ae(pred, gt, mask)
-        assert out["tepe"] == pytest.approx(epe)
-        assert out["tae"] == pytest.approx(ae)
+        ev = evaluate(pred[None], gt[None], mask[None])
+        epe, ae, out = score_time(pred, gt, mask)
+        assert (ev.epe, ev.ae, ev.pct_out) == (epe, ae, out)
+        assert ev.tepe == pytest.approx(epe)
+        assert ev.tae == pytest.approx(ae)
 
     def test_matches_scalar_oracle_over_times(self):
         rng = np.random.default_rng(6)
@@ -110,10 +128,12 @@ class TestTrajectoryMetrics:
         gt = rng.normal(0, 2, (6, 5, 7, 2))
         masks = rng.random((6, 5, 7)) > 0.2
         masks[:, 0, 0] = True
-        out = tepe_tae(pred, gt, masks)
+        ev = evaluate(pred, gt, masks)
         per_time = [epe_ae_scalar(pred[i], gt[i], masks[i]) for i in range(6)]
-        assert out["tepe"] == pytest.approx(np.mean([e for e, _ in per_time]), abs=1e-9)
-        assert out["tae"] == pytest.approx(np.mean([a for _, a in per_time]), abs=1e-9)
+        assert ev.tepe == pytest.approx(np.mean([e for e, _ in per_time]), abs=1e-9)
+        assert ev.tae == pytest.approx(np.mean([a for _, a in per_time]), abs=1e-9)
+        assert (ev.epe, ev.ae) == pytest.approx(per_time[-1], abs=1e-9)
+        assert ev.n_valid == masks[-1].sum()
 
     def test_outliers_taken_at_last_query_time(self):
         sl, _, _ = constant_scene(width=32, height=32, n_points=40, n_events=2000, seed=30)
@@ -125,15 +145,18 @@ class TestTrajectoryMetrics:
         assert ev.pct_out == 0.25
 
     def test_time_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            tepe_tae(np.zeros((2, 2, 2, 2)), np.zeros((3, 2, 2, 2)), np.ones((3, 2, 2), bool))
+        # zip would drop the extra time without a word
+        with pytest.raises(ValueError, match="shapes differ"):
+            evaluate(np.zeros((2, 2, 2, 2)), np.zeros((3, 2, 2, 2)), np.ones((3, 2, 2), bool))
+        with pytest.raises(ValueError, match="mask count"):
+            evaluate(np.zeros((2, 2, 2, 2)), np.zeros((2, 2, 2, 2)), np.ones((3, 2, 2), bool))
 
 
 def field_delta(sl, field):
     """Each event's displacement to t = 1 under ``field``, as the CLI's
     render reads it."""
     volume = build_displacement_volume(field, 1.0, 8, n_bins=15)
-    return event_displacement(sl, volume.disp, volume.stride)[0]
+    return event_lookup(sl, volume.n_bins, volume.stride)[0](volume.disp)
 
 
 class TestFwl:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import evtraj.objective as objective
-from evtraj.assoc import build_consecutive_delta_field, build_displacement_volume, event_displacement
+from evtraj.assoc import build_consecutive_delta_field, build_displacement_volume, event_lookup
 from evtraj.events import EventSlice
 from evtraj.objective import (
     FIXED_REFERENCES,
@@ -56,7 +56,7 @@ def random_table(rng, width=32, height=32, stride=4, n_bins=5, scale=1.5):
 def random_delta(rng, sl, stride=4, n_bins=5, scale=1.5):
     """Per-event displacements read from a random table, as the estimator
     reads its volume."""
-    return event_displacement(sl, random_table(rng, sl.width, sl.height, stride, n_bins, scale), stride)[0]
+    return event_lookup(sl, n_bins, stride)[0](random_table(rng, sl.width, sl.height, stride, n_bins, scale))
 
 
 class TestWarp:
@@ -80,7 +80,7 @@ class TestWarp:
         rng = np.random.default_rng(2)
         sl = random_slice(rng, n=1000)
         table = random_table(rng)
-        delta, _ = event_displacement(sl, table, 4)
+        delta = event_lookup(sl, len(table), 4)[0](table)
         np.testing.assert_array_equal(warp_events(sl, delta).positions, warp_scalar(sl, table, 4))
 
     def test_geometry_mismatch_rejected(self):
@@ -88,8 +88,8 @@ class TestWarp:
         # of another slice
         rng = np.random.default_rng(3)
         sl = random_slice(rng, width=32, height=32)
-        with pytest.raises(ValueError, match="do not tile a 32x32 slice"):
-            event_displacement(sl, np.zeros((15, 4, 4, 2)), 4)
+        with pytest.raises(ValueError, match="tile a 32x32 slice"):
+            event_lookup(sl, 15, 4)[0](np.zeros((15, 4, 4, 2)))
         with pytest.raises(ValueError):
             warp_events(sl, np.zeros((len(sl) - 1, 2)))
 
@@ -169,7 +169,7 @@ class TestIwe:
         sl = random_slice(rng, n=2000)
         field = TrajectoryField.zeros(32, 32, 4, Basis(BEZIER, 10))
         vol = build_displacement_volume(field, 0.77, 8, n_bins=15)
-        warped = warp_events(sl, event_displacement(sl, vol.disp, vol.stride)[0])
+        warped = warp_events(sl, event_lookup(sl, vol.n_bins, vol.stride)[0](vol.disp))
         iwe = build_iwe(warped)
         raw = np.zeros((32, 32))
         np.add.at(raw, (sl.y, sl.x), 1.0)
@@ -208,8 +208,8 @@ class TestIwe:
 
 def lookup_and_contrast_pass(sl, table, stride, sigma):
     """One reference time's contrast path, table to table cotangent."""
-    delta, pullback = event_displacement(sl, table, stride)
-    return pullback(contrast_pass(sl, delta, sigma, 0.5)[1])
+    read, pullback = event_lookup(sl, len(table), stride)
+    return pullback(contrast_pass(sl, read(table), sigma, 0.5)[1])
 
 
 class TestVotingBlocks:
@@ -310,7 +310,7 @@ class TestContrast:
         sl, _, spec = constant_scene(width=48, height=48, n_points=80, n_events=6000, seed=3)
         field = gt_field(spec.motion, 48, 48, 4, Basis(POLYNOMIAL, 1))
         vol_true = build_displacement_volume(field, 1.0, 8, n_bins=15)
-        delta, _ = event_displacement(sl, vol_true.disp, vol_true.stride)
+        delta = event_lookup(sl, vol_true.n_bins, vol_true.stride)[0](vol_true.disp)
         g_true = contrast_g(build_iwe(warp_events(sl, delta), sigma=1.0))[0]
         g_zero = contrast_g(build_iwe(warp_events(sl, 0), sigma=1.0))[0]
         assert g_true > g_zero
@@ -329,7 +329,7 @@ class TestContrast:
             t_end=1.0,
         )
         table = random_table(rng, width=24, height=24, scale=0.4)
-        warped = warp_events(sl, event_displacement(sl, table, 4)[0])
+        warped = warp_events(sl, event_lookup(sl, len(table), 4)[0](table))
         assert warped.n_masked == 0
         g_small = contrast_g(build_iwe(warped))[0]
         shifted = EventSlice.from_arrays(
@@ -337,7 +337,7 @@ class TestContrast:
         )
         table_big = np.zeros((5, 9, 10, 2))
         table_big[:, 1:7, 2:8, :] = table  # same table under the shifted cells
-        warped_big = warp_events(shifted, event_displacement(shifted, table_big, 4)[0])
+        warped_big = warp_events(shifted, event_lookup(shifted, len(table_big), 4)[0](table_big))
         assert warped_big.n_masked == 0
         g_big = contrast_g(build_iwe(warped_big))[0]
         assert abs(g_big - g_small) < 1e-9

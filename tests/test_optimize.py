@@ -12,11 +12,10 @@ import evtraj.optimize as optimize
 from evtraj.assoc import (
     build_consecutive_delta_field,
     build_displacement_volume,
-    event_displacement,
+    event_lookup,
     interpolate_flow,
 )
 from evtraj.events import EventSlice
-from evtraj.metrics import epe_ae
 from evtraj.objective import (
     FIXED_REFERENCES,
     ObjectiveConfig,
@@ -71,7 +70,7 @@ def baseline(sl, field, cfg):
 
 def event_delta(sl, volume):
     """Each event's displacement read from ``volume``."""
-    return event_displacement(sl, volume.disp, volume.stride)[0]
+    return event_lookup(sl, volume.n_bins, volume.stride)[0](volume.disp)
 
 
 def fd_check_coordinates(sl, field, cfg, refs, h, rng, n_coords, g0=1.0):
@@ -230,6 +229,21 @@ class TestLossGradient:
         # one stacked search per build, holding every bin's anchor set
         assert calls == [(cfg.n_bins, field.n_anchors, 2)]
 
+    def test_fixed_reference_finds_event_slots_once(self, monkeypatch):
+        sl, field = small_instance(seed=16)
+        cfg = ObjectiveConfig(k=8, n_bins=5)
+        calls = []
+        lookup = optimize.event_lookup
+
+        def counted(*args):
+            calls.append(args[1:])
+            return lookup(*args)
+
+        monkeypatch.setattr(optimize, "event_lookup", counted)
+        loss_gradient(sl, field, *baseline(sl, field, cfg))
+        # the three reference times read their tables through one set of slots
+        assert calls == [(cfg.n_bins, field.stride)]
+
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
     def test_fixed_reference_shared_search_matches_three_builds(self, monkeypatch, sigma):
         sl, field = small_instance(seed=17)
@@ -288,10 +302,9 @@ class TestMinimize:
         )
         a = minimize(sl, field, ocfg)
         b = minimize(sl, field, ocfg)
-        np.testing.assert_array_equal(a.total, b.total)
-        np.testing.assert_array_equal(a.t_ref, b.t_ref)
+        assert a.steps == b.steps
         np.testing.assert_array_equal(a.field.coeffs, b.field.coeffs)
-        assert np.all((0.0 <= a.t_ref) & (a.t_ref < 1.0))
+        assert all(0.0 <= s.t_ref < 1.0 for s in a.steps)
 
     @pytest.mark.parametrize("fixed", [False, True])
     def test_public_functions_run_on_the_main_thread(self, monkeypatch, fixed):
@@ -373,12 +386,34 @@ class TestMinimize:
         assert lines[0] == "iter,t_ref,G,R,total"
         assert len(lines) == 5
 
+    @pytest.mark.parametrize("fixed_reference", [False, True])
+    def test_trace_rows_are_the_breakdowns(self, tmp_path, monkeypatch, fixed_reference):
+        sl, field = small_instance(seed=13)
+        ocfg = OptimConfig(iterations=4, objective=ObjectiveConfig(k=8, n_bins=5), fixed_reference=fixed_reference)
+        seen = []
+        step = optimize.loss_gradient
+
+        def kept(*args):
+            out = step(*args)
+            seen.append(out[0])
+            return out
+
+        monkeypatch.setattr(optimize, "loss_gradient", kept)
+        trace = minimize(sl, field, ocfg)
+        assert trace.steps == seen and len(trace) == 4
+        np.testing.assert_array_equal(trace.total, [b.total for b in seen])
+        save_trace_csv(trace, tmp_path / "trace.csv")
+        rows = [[float(v) for v in line.split(",")] for line in (tmp_path / "trace.csv").read_text().splitlines()[1:]]
+        assert rows == [[i, b.t_ref, b.g, b.r, b.total] for i, b in enumerate(seen)]
+        if fixed_reference:
+            assert {(b.t_ref, b.r) for b in seen} == {(0.5, 0.0)}
+
     def test_trace_r_reads_zero_without_smoothness(self):
         sl, field = small_instance(seed=13)
         ocfg = OptimConfig(iterations=3, objective=ObjectiveConfig(lam=0.0, k=8, n_bins=5))
         trace = minimize(sl, field, ocfg)
-        np.testing.assert_array_equal(trace.r, 0.0)
-        np.testing.assert_array_equal(trace.total, 1.0 / trace.g)
+        assert [b.r for b in trace.steps] == [0.0] * 3
+        np.testing.assert_array_equal(trace.total, [1.0 / b.g for b in trace.steps])
 
     def test_fixed_reference_objective_mode(self, monkeypatch):
         sl, field = small_instance(seed=15)

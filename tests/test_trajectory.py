@@ -139,6 +139,7 @@ class TestGridAndIo:
             (lambda raw: raw + b"\x00", "ends at byte"),
             (lambda raw: raw[:4] + b"\x07" + raw[5:], "basis code 7 at byte 4"),
             (lambda raw: raw[:5] + b"\x00\x00" + raw[7:], "degree 0 at byte 5"),
+            (lambda raw: raw[:5] + (1030).to_bytes(2, "little") + raw[7:], "bezier degree 1030 at byte 5 exceeds 1029"),
             (lambda raw: raw[:7] + b"\x00\x00" + raw[9:], "stride 0 at byte 7"),
             # 1x4 anchors hold as many coefficients as the true 2x2 grid
             (lambda raw: raw[:9] + (1).to_bytes(4, "little") + (4).to_bytes(4, "little") + raw[17:],
@@ -147,7 +148,8 @@ class TestGridAndIo:
             (lambda raw: raw[:29] + bytes.fromhex("0100807f") + raw[33:],
              "TRJ1 non-finite coefficient at byte 29"),
         ],
-        ids=["truncated-body", "trailing-bytes", "unknown-basis-code", "zero-degree", "zero-stride",
+        ids=["truncated-body", "trailing-bytes", "unknown-basis-code", "zero-degree",
+             "bezier-degree-overflows-binomials", "zero-stride",
              "grid-mismatch", "nan-coefficient"],
     )
     def test_trj1_malformed_names_path_and_offset(self, tmp_path, edit, match):
@@ -167,6 +169,13 @@ class TestGridAndIo:
             save_field(field, path)
         assert str(path) in str(info.value)
         assert not path.exists()
+
+    def test_bezier_degree_whose_binomials_overflow_rejected(self):
+        # degree 1029's central binomial is finite in float64, degree 1030's is not
+        assert np.all(np.isfinite(displacement_basis(Basis(BEZIER, 1029), [0.0, 0.5, 1.0])))
+        with pytest.raises(ValueError, match="bezier degree 1030 exceeds 1029"):
+            Basis(BEZIER, 1030)
+        assert displacement_basis(Basis(POLYNOMIAL, 1100), [0.5]).shape == (1, 1100)
 
     def test_displacement_basis_shapes(self):
         assert displacement_basis(Basis(POLYNOMIAL, 3), [0.5, 1.0]).shape == (2, 3)
