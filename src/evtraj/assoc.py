@@ -23,21 +23,26 @@ broken by lower anchor index, which makes the whole pipeline deterministic,
 and no distance, since the certificate below reads only the k-th d2. It
 buckets the anchors on a square grid over the queries' bounding box, with
 cell side the expected k-th-neighbour radius sqrt(k A / (pi n)), and runs
-one block pass in growing rings. At reach r the queries of one cell score
-only the anchors within r cells of it, the 3x3 block at r = 1. A row is
-kept when a certificate proves that no anchor outside the block can enter
-it: its k-th d2 must lie strictly below the d2 to the block's nearest
-edge, taken at the nearest outside anchor on each side. Strictly, because
-an outside anchor at exactly the k-th d2 with a lower index would belong
-to the scan's answer. Every other row goes on to the next ring, at twice
-the reach. Once a block spans the grid, no anchor lies outside it, and
-its anchors, kept in index order, are every anchor in index order: that
-ring is the scan itself, so it certifies every row still open, even one
-whose d2 overflows, and the search ends, within
+one block pass in growing rings. The anchors are sorted by bucket once per
+search, so each bucket row of a block is one range of that order, and a
+block costs its own size to gather. At reach r the queries of one cell
+score only the anchors within r cells of it, the 3x3 block at r = 1. A row
+is kept when a certificate proves that no anchor outside the block can
+enter it: its k-th d2 must lie strictly below the d2 to the block's
+nearest edge, taken at the nearest outside anchor on each side. Strictly,
+because an outside anchor at exactly the k-th d2 with a lower index would
+belong to the scan's answer. Every other row goes on to the next ring, at
+twice the reach. Once a block spans the grid, no anchor lies outside it:
+that ring is the scan itself, so it certifies every row still open, even
+one whose d2 overflows to +inf, and the search ends, within
 ceil(log2(longest grid side)) + 1 passes. Every ring computes d2 with the
-scan's float64 operations and selects as the scan is defined: one stable
-sort by d2 over columns kept in anchor-index order, the +inf pad last, so
-ties go to the lower index with no repair step.
+scan's float64 operations and selects as the scan is defined, by d2 and
+then by the lower anchor index. Each row sorts one int64 key per column,
+which packs the high bits of d2, a flag set when the cut low bits were
+nonzero, and the anchor index. The keys order as (d2, index) except
+between two flagged keys of one high part; a row with such a pair among
+its first k + 1 keys takes the exact (d2, index) order instead. A row with
+no cut bits, as on a lattice, never does.
 IEEE rounding is monotone, so the certificate's bound never exceeds the
 rounded d2 of an outside anchor, and no rounding can sneak one past it.
 The result therefore equals the scan's bit for bit. Queries stream in
@@ -76,9 +81,10 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") els
 
 # query cells a search needs before its stack is shared with the threads:
 # smaller searches spend most of their time in the interpreter, so a second
-# thread mostly waits for its lock (on 2 CPUs a 5-bin build of 192 cells,
-# k = 8, took 9.7 ms shared against 7.9 ms on the caller alone)
-_SHARE_MIN_CELLS = 512
+# thread mostly waits for its lock (on 2 CPUs, 15-bin builds at k = 32
+# gained nothing at 768 or 2,700 cells and 1.2-1.5x from 3,000 to 19,200;
+# at k = 8 the pool gained nothing at any size measured)
+_SHARE_MIN_CELLS = 4096
 
 
 def KnnConfig(k: int = 32) -> int:
@@ -158,12 +164,14 @@ def _share(tasks, workers: int) -> None:
 def _search(query, k: int, pts, idx) -> None:
     """One exact KNN search: the rings of :func:`_ring_pass` over
     :func:`_ring_grid`, written to ``idx`` (n_cells, k). Calls only private
-    helpers, so it may run on any thread."""
-    grid, rows = _ring_grid(query, pts, k)
-    reach = 1
-    while len(rows):
-        rows = _ring_pass(grid, rows, reach, idx)
-        reach *= 2
+    helpers, so it may run on any thread. A grid size or d2 that overflows
+    is +inf, which the search orders as the scan does, so it does not warn."""
+    with np.errstate(over="ignore"):
+        grid, rows = _ring_grid(query, pts, k)
+        reach = 1
+        while len(rows):
+            rows = _ring_pass(grid, rows, reach, idx)
+            reach *= 2
 
 
 def _bucket_grid(query, n_pts: int, k: int):
@@ -195,11 +203,14 @@ def _ring_grid(query, pts, k):
     """Set-up that every ring of one search shares, made once per call:
     (grid, order), the queries in cell order.
 
-    ``grid`` is (query, k, shape, acell, qcell, qflat, beyond, before, px,
-    py): the (column, row) cells of anchors and queries on
-    :func:`_bucket_grid` and the queries' flat cells; per axis, the nearest
-    anchor coordinate at or past each grid line and the farthest before
-    it; the anchor coordinates, then the +inf pad anchor.
+    ``grid`` is (query, k, shape, qcell, qflat, beyond, before, px, py,
+    by_cell, first): the (column, row) cells of the queries on
+    :func:`_bucket_grid` and their flat cells; per axis, the nearest anchor
+    coordinate at or past each grid line and the farthest before it; the
+    anchor coordinates, then the +inf pad anchor; the anchors sorted by flat
+    cell, index order within a cell, and the offset of each flat cell's
+    first anchor in that order, so the cells ``f`` to ``g - 1`` hold
+    ``by_cell[first[f]:first[g]]``.
     """
     origin, side, shape = _bucket_grid(query, len(pts), k)
     acell = _cell_of(pts, origin, side, shape)
@@ -216,8 +227,12 @@ def _ring_grid(query, pts, k):
         beyond.append(np.minimum.accumulate(lo[::-1])[::-1])
         before.append(np.maximum.accumulate(hi))
     qflat = qcell[:, 1] * shape[0] + qcell[:, 0]
+    aflat = acell[:, 1] * shape[0] + acell[:, 0]
+    first = np.zeros(shape[0] * shape[1] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(aflat, minlength=shape[0] * shape[1]), out=first[1:])
     pad = [np.append(pts[:, a], np.inf) for a in (0, 1)]
-    return (query, k, shape, acell, qcell, qflat, beyond, before, *pad), np.argsort(qflat, kind="stable")
+    grid = (query, k, shape, qcell, qflat, beyond, before, *pad, np.argsort(aflat, kind="stable"), first)
+    return grid, np.argsort(qflat, kind="stable")
 
 
 def _ring_pass(grid, rows, reach: int, idx):
@@ -225,16 +240,15 @@ def _ring_pass(grid, rows, reach: int, idx):
     their query's cell certify; return the other rows.
 
     The queries of one cell score the anchors of its (2 reach + 1)^2 block
-    of cells, kept in anchor-index order and padded with the +inf anchor to
-    at least k columns, with the scan's d2, and each row selects its k
-    columns with one stable sort, the scan's definition: a tie goes to the
-    lower column, which is the lower anchor index. A block with fewer than
-    k anchors certifies none of its rows and is not scored. A row is
-    written to ``idx`` when its k-th d2 lies strictly below the d2 to the
-    block's edge, taken at the nearest anchor outside the block on each
-    side, or when the block spans the grid.
+    of cells (:func:`_block_table`), padded with the +inf anchor to at least
+    k columns, with the scan's d2, and each row takes its k columns in the
+    scan's order, by d2 and then by the lower anchor index
+    (:func:`_select`). A block with fewer than k anchors certifies none of
+    its rows and is not scored. A row is written to ``idx`` when its k-th
+    d2 lies strictly below the d2 to the block's edge, taken at the nearest
+    anchor outside the block on each side, or when the block spans the grid.
     """
-    query, k, shape, acell, qcell, qflat, beyond, before, px, py = grid
+    query, k, shape, qcell, qflat, beyond, before, px, py, by_cell, first = grid
     # the d2 term of the nearest anchor past each row's block on either
     # side; rounding is monotone, so every anchor outside the block has a
     # d2 at least one of those terms
@@ -244,29 +258,26 @@ def _ring_pass(grid, rows, reach: int, idx):
         np.minimum(edge, np.square(beyond[a][np.minimum(c + reach + 1, m)] - x), out=edge)
         np.minimum(edge, np.square(x - before[a][np.maximum(c - reach, 0)]), out=edge)
     spans = reach + 1 >= shape.max()
+    index_bits = (len(px) - 1).bit_length()
     rest = []
     for start in range(0, len(rows), _KNN_TILE):
         tile_rows = rows[start : start + _KNN_TILE]
-        cells, inv = np.unique(qflat[tile_rows], return_inverse=True)
-        # the anchors within reach of each query cell, per column and per
-        # row, in index order and padded with the +inf anchor; a row whose
-        # block holds fewer than k anchors cannot be certified
-        near = []
-        for a, c in enumerate((cells % shape[0], cells // shape[0])):
-            lines, line_of = np.unique(c, return_inverse=True)
-            near.append((np.abs(acell[:, a] - lines[:, None]) <= reach)[line_of])
-        inside = near[0] & near[1]
-        n_block = inside.sum(axis=1)
-        cell_row, anchor = np.nonzero(inside)
-        table = np.full((len(cells), max(n_block.max(), k)), len(acell))
-        table[cell_row, np.arange(len(anchor)) - np.repeat(np.cumsum(n_block) - n_block, n_block)] = anchor
-        del near, inside, cell_row, anchor
+        # one table row per run of rows in one cell; rows come in cell order,
+        # and a ring returns each cell's rows together, so a cell has one
+        # run per tile
+        flat = qflat[tile_rows]
+        run = np.empty(len(flat), dtype=bool)
+        run[0] = True
+        np.not_equal(flat[1:], flat[:-1], out=run[1:])
+        table, n_block = _block_table(flat[run], reach, shape, by_cell, first, k)
+        inv = np.cumsum(run) - 1
         scored = n_block[inv] >= k
         rest.append(tile_rows[~scored])
         tile_rows, inv, bound = tile_rows[scored], inv[scored], edge[start : start + _KNN_TILE][scored]
         # the scan's (x - px)^2 + (y - py)^2, each difference formed and
         # squared in place in its gathered coordinates: two (tile, width)
-        # float arrays, beside the per-cell table and one per-cell gather
+        # float arrays, beside the per-cell table and one per-cell gather;
+        # then each column's anchor index, for the keys
         tile = query[tile_rows]
         d2 = np.take(px[table], inv, axis=0)
         np.subtract(tile[:, 0:1], d2, out=d2)
@@ -274,16 +285,84 @@ def _ring_pass(grid, rows, reach: int, idx):
         dy = np.take(py[table], inv, axis=0)
         np.subtract(tile[:, 1:2], dy, out=dy)
         d2 += np.square(dy, out=dy)
-        del tile, dy
-        # the scan's selection: columns run in anchor-index order, so the
-        # stable sort breaks each tie by the lower anchor index
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        ok = (np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0] < bound) | spans
-        del d2
-        idx[tile_rows[ok]] = table[inv[ok, None], order[ok]]
-        del table, order
+        del dy
+        anchor = np.take(table, inv, axis=0)
+        del table
+        near = _select(d2, anchor, k, index_bits)
+        del d2, anchor
+        # the k-th d2 once more, by the same operations on the same values
+        kth = near[:, -1]
+        kth_d2 = np.square(tile[:, 0] - px[kth]) + np.square(tile[:, 1] - py[kth])
+        ok = (kth_d2 < bound) | spans
+        idx[tile_rows[ok]] = near[ok]
         rest.append(tile_rows[~ok])
     return np.concatenate(rest)
+
+
+def _block_table(cells, reach: int, shape, by_cell, first, k: int):
+    """The anchors within ``reach`` cells of each flat cell in ``cells``:
+    (table, n_block), one row per cell, padded with the +inf anchor's index
+    to at least k columns, and the count of real anchors in each row.
+
+    Each of a block's rows of bucket cells is one range of ``by_cell``, so
+    the table is gathered in O(its size), bucket row by bucket row."""
+    col, row = cells % shape[0], cells // shape[0]
+    left, right = np.maximum(col - reach, 0), np.minimum(col + reach, shape[0] - 1) + 1
+    lines = np.maximum(row - reach, 0)[:, None] + np.arange(min(2 * reach + 1, shape[1]))
+    real = lines <= np.minimum(row + reach, shape[1] - 1)[:, None]
+    lines = np.minimum(lines, shape[1] - 1) * shape[0]
+    lo = first[lines + left[:, None]]
+    n_line = np.where(real, first[lines + right[:, None]] - lo, 0)
+    n_block = n_line.sum(axis=1)
+    table = np.full((len(cells), max(n_block.max(), k)), len(by_cell))
+    # entry j of segment s (one bucket row of one block) sits at by_cell
+    # position lo[s] + j and at table column (segments before s in its
+    # block) + j
+    offset = np.cumsum(n_line, axis=1) - n_line + np.arange(len(cells))[:, None] * table.shape[1]
+    n_line = n_line.ravel()
+    seg = np.repeat(np.arange(n_line.size), n_line)
+    j = np.arange(seg.size) - (np.cumsum(n_line) - n_line)[seg]
+    table.ravel()[offset.ravel()[seg] + j] = by_cell[lo.ravel()[seg] + j]
+    return table, n_block
+
+
+def _select(d2, anchor, k: int, index_bits: int):
+    """Each row's k columns nearest first, ties to the lower anchor index,
+    as anchor indices (rows, k): the scan's order of the (d2, anchor) pairs.
+
+    ``anchor`` holds each column's index, below 2**index_bits. One int64
+    sort ranks packed keys: the bits of d2, whose pattern orders as its
+    value since d2 >= +0.0 (+inf included), with the low index_bits + 1
+    cut off; one flag set when those cut bits were nonzero; the anchor
+    index. They fit in 63 bits, the float's sign bit being 0. Keys with
+    different high parts order as their d2. Within one high part, a key
+    without the flag holds the exact d2 high part * 2**(index_bits + 1), so
+    those tie on d2 and order by index, and each lies below every flagged
+    one. Only two flagged keys of one high part can order unlike their d2.
+    A row where two of its first k + 1 keys are such a pair goes to
+    :func:`_tie_order`, and a row with no cut bits, as on a lattice of
+    quarter pixels, never does.
+    """
+    bits = d2.view(np.int64)
+    key = bits & -(1 << (index_bits + 1))
+    flagged = bits != key
+    key |= anchor
+    np.bitwise_or(key, 1 << index_bits, out=key, where=flagged)
+    key.sort(axis=1)
+    near = key[:, :k] & ((1 << index_bits) - 1)
+    # high part and flag of the first k + 1 keys; in sorted order, a key's
+    # successor with the flag set equals it only when both are flagged
+    high = key[:, : k + 1] >> index_bits
+    tied = (high[:, 1:] | 1) == high[:, :-1]
+    if tied.any():
+        tied = tied.any(axis=1)
+        near[tied] = _tie_order(d2[tied], anchor[tied], k)
+    return near
+
+
+def _tie_order(d2, anchor, k: int):
+    """Each row's k anchors in the exact (d2, anchor index) order."""
+    return np.take_along_axis(anchor, np.lexsort((anchor, d2))[:, :k], axis=1)
 
 
 def bin_centers(n_bins: int) -> np.ndarray:

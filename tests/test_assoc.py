@@ -388,6 +388,103 @@ class TestKnnBlocks:
         assert_blocks_match_scan(query, pts, k)
 
 
+def count_tie_rows(monkeypatch):
+    """A list that grows by the row count of each call to the selection's
+    exact fallback, which still runs."""
+    rows = []
+    tie_order = assoc._tie_order
+
+    def counting(d2, anchor, k):
+        rows.append(len(d2))
+        return tie_order(d2, anchor, k)
+
+    monkeypatch.setattr(assoc, "_tie_order", counting)
+    return rows
+
+
+class TestPackedSelection:
+    """The int64 keys that rank each row, and the rows they cannot rank."""
+
+    # 3 index bits, so the keys cut 4 low bits of d2: 100 has none set, and
+    # the next 15 floats above it share its high part with the flag set
+    UP1 = np.nextafter(100.0, np.inf)
+    UP2 = np.nextafter(UP1, np.inf)
+
+    @staticmethod
+    def select(d2, anchor, k):
+        return assoc._select(np.array(d2), np.array(anchor), k, 3)
+
+    @staticmethod
+    def scan_order(d2, anchor, k):
+        return [a for _, a in sorted(zip(d2, anchor))[:k]]
+
+    def test_cut_bits_that_order_unlike_the_index_fall_back(self, monkeypatch):
+        # 100 + 2 ulp at anchor 2 and 100 + 1 ulp at anchor 5 differ only in
+        # cut bits, both flagged, so their keys order by index, against d2
+        tied = count_tie_rows(monkeypatch)
+        d2 = [[200.0, self.UP2, 50.0, np.inf, self.UP1, 100.0 + 2**-20]]
+        anchor = [[7, 2, 6, 0, 5, 1]]
+        for k in (2, 3, 5, 6):
+            assert self.select(d2, anchor, k).tolist() == [self.scan_order(d2[0], anchor[0], k)]
+        assert tied == [1, 1, 1, 1]
+
+    def test_exact_d2_precedes_cut_bits_of_its_high_part(self, monkeypatch):
+        # 100 exactly at anchor 4 and 100 + 1 ulp at anchor 1 share a high
+        # part; the flag ranks the exact one first with no fallback, as it
+        # does 100 - 1 ulp, whose high part is one lower, before 100
+        tied = count_tie_rows(monkeypatch)
+        d2 = [[self.UP1, 100.0, 3.0], [100.0, np.nextafter(100.0, 0.0), 3.0]]
+        anchor = [[1, 4, 6], [0, 5, 6]]
+        assert self.select(d2, anchor, 3).tolist() == [[6, 4, 1], [6, 5, 0]]
+        assert tied == []
+
+    def test_flagged_pair_past_the_kth_key_does_not_fall_back(self, monkeypatch):
+        # only the first k + 1 keys decide the first k
+        tied = count_tie_rows(monkeypatch)
+        d2 = [[self.UP2, self.UP1, 3.0, 4.0]]
+        assert self.select(d2, [[0, 1, 2, 3]], 1).tolist() == [[2]]
+        assert self.select(d2, [[0, 1, 2, 3]], 2).tolist() == [[2, 3]]
+        assert tied == []
+        assert self.select(d2, [[0, 1, 2, 3]], 3).tolist() == [[2, 3, 1]]
+        assert tied == [1]
+
+    @pytest.mark.parametrize("k", [1, 4, 9, 32])
+    def test_lattice_rows_never_fall_back(self, monkeypatch, k):
+        # the zero field's anchors on the cell centres, and interpolate_flow's
+        # pixels against the anchors at t = 0: every d2 is a small multiple
+        # of 1/4, with no bit to cut
+        tied = count_tie_rows(monkeypatch)
+        field = TrajectoryField.zeros(64, 48, 4, Basis(BEZIER, 3))
+        _, _, centers = anchor_grid(64, 48, 4)
+        idx = knn_per_bin(centers, eval_trajectory_batch(field, bin_centers(3)), k)
+        np.testing.assert_array_equal(idx[1], knn_scalar(centers, field.anchor_positions(), k))
+        interpolate_flow(random_field(np.random.default_rng(16), width=64, height=48), [0.5], k)
+        assert tied == []
+
+    def test_duplicates_one_ulp_apart_match_the_scan(self, monkeypatch):
+        # copies of a few positions, each nudged 0-3 ulps on either axis,
+        # so that many d2 differ only in their last bits
+        tied = count_tie_rows(monkeypatch)
+        rng = np.random.default_rng(17)
+        for n, k in ((40, 5), (90, 12), (200, 32)):
+            pts = rng.uniform(0, 20, (8, 2))[rng.integers(0, 8, n)]
+            for _ in range(3):
+                pts = np.nextafter(pts, pts + rng.integers(-1, 2, pts.shape))
+            query = np.concatenate([rng.uniform(0, 20, (30, 2)), pts[:10]])
+            assert_blocks_match_scan(query, pts, k)
+        assert sum(tied) > 0
+
+    def test_overflowing_d2_ties_to_the_lower_index(self):
+        # every anchor but two lies 1e200 or more from the first query, so
+        # its d2 there is +inf; the grid's size overflows too, and none of it
+        # may warn (the suite makes a warning an error)
+        query = np.array([[0.0, 0.0], [1e200, -1e200], [3.0, 4.0]])
+        anchors = np.array([[1e200, 0.0], [5.0, 5.0], [-1e200, 0.0], [0.0, 3e200], [1.0, 1.0], [2e200, -1e200]])
+        assert knn_per_bin(query, anchors[None], 6)[0, 0].tolist() == [4, 1, 0, 2, 3, 5]
+        for k in (1, 3, 6):
+            assert_blocks_match_scan(query, anchors, k)
+
+
 class TestDisplacementVolume:
     def test_zero_coefficients_zero_volume(self):
         field = TrajectoryField.zeros(32, 32, 4, Basis(POLYNOMIAL, 2))
