@@ -50,21 +50,16 @@ fixed-size tiles, so no distance array is larger than (tile, anchors).
 
 A build searches all of its bins in one call: :func:`knn_per_bin` takes a
 stack of anchor sets that share the queries, one set being a stack of one.
-The searches are independent, so the calling thread and a pool of one
-thread fewer than the CPUs in the process's affinity mask share them, each
-taking the next set; a one-CPU host starts no thread, and small searches
-stay on the caller. Each search is the one above, unchanged, and writes
-only its own slice of the result, so the bytes equal the scan's at every
-core count. The pool threads run only private helpers, never a public
-function of the package.
+The query side of the bucket grid (its origin, cell side and shape, each
+query's cell, and the queries in cell order) depends only on the queries,
+the anchor count and k, so the stack builds it once and each set adds only
+its anchors' side. The sets are then searched one after another on the
+calling thread, each by the search above, unchanged, into its own slice
+of the result.
 """
 
 from __future__ import annotations
 
-import functools
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,17 +69,6 @@ from .trajectory import TrajectoryField, anchor_grid, displacement_basis, eval_t
 
 # query cells per distance tile of the KNN search
 _KNN_TILE = 512
-
-# threads that search next to the caller: one fewer than the CPUs this
-# process may run on, so a one-CPU host starts none
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) - 1
-
-# query cells a search needs before its stack is shared with the threads:
-# smaller searches spend most of their time in the interpreter, so a second
-# thread mostly waits for its lock (on 2 CPUs, 15-bin builds at k = 32
-# gained nothing at 768 or 2,700 cells and 1.2-1.5x from 3,000 to 19,200;
-# at k = 8 the pool gained nothing at any size measured)
-_SHARE_MIN_CELLS = 4096
 
 
 def KnnConfig(k: int = 32) -> int:
@@ -101,14 +85,11 @@ def knn_per_bin(query_cells, anchor_sets, k: int) -> np.ndarray:
     nearest each cell center, nearest first, ties broken by lower anchor
     index: the full scan's, bit for bit.
 
-    Each set is one :func:`_search`, the ring search of the module
-    docstring, at most ``_KNN_TILE`` cells per distance tile. The sets are
-    shared out between the calling thread and ``_WORKERS`` pool threads
-    (:func:`_share`); a stack of one, or searches of fewer than
-    ``_SHARE_MIN_CELLS`` query cells, run on the caller alone. A search
-    reads only its own set and writes only its own slice of the result, so
-    the bytes do not depend on the core count or on which thread took
-    which set.
+    The stack shares one query grid (:func:`_query_grid`). Each set is then
+    searched in turn on the calling thread by the ring search of the module
+    docstring, at most ``_KNN_TILE`` cells per distance tile, written to its
+    own slice of the result. A grid size or d2 that overflows is +inf,
+    which the search orders as the scan does, so it does not warn.
     """
     query = np.asarray(query_cells, dtype=np.float64)
     sets = np.asarray(anchor_sets, dtype=np.float64)
@@ -119,59 +100,14 @@ def knn_per_bin(query_cells, anchor_sets, k: int) -> np.ndarray:
         raise ValueError("positions must be finite")
     idx = np.empty((len(sets), n_cells, k), dtype=np.int64)
     if n_cells:
-        workers = _WORKERS if n_cells >= _SHARE_MIN_CELLS else 0
-        _share([functools.partial(_search, query, k, *args) for args in zip(sets, idx)], workers)
+        with np.errstate(over="ignore"):
+            qgrid, order = _query_grid(query, n_pts, k)
+            for pts, out in zip(sets, idx):
+                grid, rows, reach = _ring_grid(qgrid, pts), order, 1
+                while len(rows):
+                    rows = _ring_pass(grid, rows, reach, out)
+                    reach *= 2
     return idx
-
-
-@functools.cache
-def _pool(workers: int) -> ThreadPoolExecutor:
-    """The module's search threads; made on first use, so importing the
-    module starts none."""
-    return ThreadPoolExecutor(workers, thread_name_prefix="evtraj-knn")
-
-
-def _share(tasks, workers: int) -> None:
-    """Run ``tasks`` on the calling thread and up to ``workers`` pool
-    threads, each taking the next task until none is left. A thread whose
-    task raises takes no more; once every thread has stopped, the exception
-    is raised here."""
-    helpers = min(workers, len(tasks) - 1)
-    if helpers < 1:
-        for task in tasks:
-            task()
-        return
-    todo, lock = iter(tasks), threading.Lock()
-
-    def drain():
-        while True:
-            with lock:
-                task = next(todo, None)
-            if task is None:
-                return
-            task()
-
-    pool = _pool(workers)
-    futures = [pool.submit(drain) for _ in range(helpers)]
-    try:
-        drain()
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
-
-
-def _search(query, k: int, pts, idx) -> None:
-    """One exact KNN search: the rings of :func:`_ring_pass` over
-    :func:`_ring_grid`, written to ``idx`` (n_cells, k). Calls only private
-    helpers, so it may run on any thread. A grid size or d2 that overflows
-    is +inf, which the search orders as the scan does, so it does not warn."""
-    with np.errstate(over="ignore"):
-        grid, rows = _ring_grid(query, pts, k)
-        reach = 1
-        while len(rows):
-            rows = _ring_pass(grid, rows, reach, idx)
-            reach *= 2
 
 
 def _bucket_grid(query, n_pts: int, k: int):
@@ -199,22 +135,34 @@ def _cell_of(p, origin, side, shape):
     return cell.astype(np.int64)
 
 
-def _ring_grid(query, pts, k):
-    """Set-up that every ring of one search shares, made once per call:
-    (grid, order), the queries in cell order.
+def _query_grid(query, n_pts: int, k: int):
+    """Query side of the bucket grid, which every set of a stack shares:
+    (qgrid, order), the queries in cell order.
 
-    ``grid`` is (query, k, shape, qcell, qflat, beyond, before, px, py,
-    by_cell, first): the (column, row) cells of the queries on
-    :func:`_bucket_grid` and their flat cells; per axis, the nearest anchor
-    coordinate at or past each grid line and the farthest before it; the
-    anchor coordinates, then the +inf pad anchor; the anchors sorted by flat
-    cell, index order within a cell, and the offset of each flat cell's
-    first anchor in that order, so the cells ``f`` to ``g - 1`` hold
+    ``qgrid`` is (query, k, origin, side, shape, qcell, qflat): the
+    :func:`_bucket_grid` for ``n_pts`` anchors, and the (column, row) cells
+    of the queries on it and their flat cells.
+    """
+    origin, side, shape = _bucket_grid(query, n_pts, k)
+    qcell = _cell_of(query, origin, side, shape)
+    qflat = qcell[:, 1] * shape[0] + qcell[:, 0]
+    return (query, k, origin, side, shape, qcell, qflat), np.argsort(qflat, kind="stable")
+
+
+def _ring_grid(qgrid, pts):
+    """Set-up that every ring of one search shares, made once per set from
+    the stack's :func:`_query_grid`.
+
+    The grid is (query, k, shape, qcell, qflat, beyond, before, px, py,
+    by_cell, first): the query side of ``qgrid``; per axis, the nearest
+    anchor coordinate at or past each grid line and the farthest before it;
+    the anchor coordinates, then the +inf pad anchor; the anchors sorted by
+    flat cell, index order within a cell, and the offset of each flat
+    cell's first anchor in that order, so the cells ``f`` to ``g - 1`` hold
     ``by_cell[first[f]:first[g]]``.
     """
-    origin, side, shape = _bucket_grid(query, len(pts), k)
+    query, k, origin, side, shape, qcell, qflat = qgrid
     acell = _cell_of(pts, origin, side, shape)
-    qcell = _cell_of(query, origin, side, shape)
     # cells are non-decreasing in each coordinate, so the anchors in cells
     # >= j along axis a lie beyond every query in a cell < j, at >=
     # beyond[a][j], and those in cells < j before every query in a cell
@@ -226,13 +174,11 @@ def _ring_grid(query, pts, k):
         np.maximum.at(hi, acell[:, a] + 1, pts[:, a])
         beyond.append(np.minimum.accumulate(lo[::-1])[::-1])
         before.append(np.maximum.accumulate(hi))
-    qflat = qcell[:, 1] * shape[0] + qcell[:, 0]
     aflat = acell[:, 1] * shape[0] + acell[:, 0]
     first = np.zeros(shape[0] * shape[1] + 1, dtype=np.int64)
     np.cumsum(np.bincount(aflat, minlength=shape[0] * shape[1]), out=first[1:])
     pad = [np.append(pts[:, a], np.inf) for a in (0, 1)]
-    grid = (query, k, shape, qcell, qflat, beyond, before, *pad, np.argsort(aflat, kind="stable"), first)
-    return grid, np.argsort(qflat, kind="stable")
+    return (query, k, shape, qcell, qflat, beyond, before, *pad, np.argsort(aflat, kind="stable"), first)
 
 
 def _ring_pass(grid, rows, reach: int, idx):

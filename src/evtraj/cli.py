@@ -80,8 +80,8 @@ def _flow_times(text: str) -> list:
 def cmd_estimate(args: dict) -> int:
     t0 = time.perf_counter()
     # the flow times and configs are checked before the events are read,
-    # k and the field's TRJ1 header once they are, and all before the fit
-    # runs; nothing is written until the fit has run, so a diverged fit
+    # k, sigma and the field's TRJ1 header once they are, and all before the
+    # fit runs; nothing is written until the fit has run, so a diverged fit
     # leaves no output directory
     times = _flow_times(args["flow_times"])
     basis = Basis(POLYNOMIAL if args["basis"] == "poly" else BEZIER, args["degree"])
@@ -102,6 +102,8 @@ def cmd_estimate(args: dict) -> int:
     field0 = TrajectoryField.zeros(sl.width, sl.height, args["stride"], basis)
     if args["k"] > field0.n_anchors:
         raise ValueError(f"--k {args['k']} exceeds the anchor count {field0.n_anchors}")
+    if 3.0 * args["sigma"] > max(sl.width, sl.height):
+        raise ValueError(f"--sigma {args['sigma']}: 3 sigma exceeds the {sl.width}x{sl.height} sensor's larger side")
     out_dir = Path(args["out"])
     field_path = out_dir / "field.trj1"
     trj1_header(field0, field_path)

@@ -1,5 +1,4 @@
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -159,8 +158,9 @@ def block_rejects(query, points, k):
     """Rows the 3x3 blocks of the first ring cannot certify, which the
     next ring answers."""
     idx = np.empty((len(query), k), dtype=np.int64)
-    grid, order = assoc._ring_grid(np.asarray(query, float), np.asarray(points, float), k)
-    return assoc._ring_pass(grid, order, 1, idx)
+    points = np.asarray(points, float)
+    qgrid, order = assoc._query_grid(np.asarray(query, float), len(points), k)
+    return assoc._ring_pass(assoc._ring_grid(qgrid, points), order, 1, idx)
 
 
 def stacked_sets(n_sets=6):
@@ -186,17 +186,10 @@ def stacked_sets(n_sets=6):
 
 
 class TestStackedKnn:
-    """Stacks of anchor sets searched on the caller and the pool threads."""
+    """Stacks of anchor sets that share one query grid, searched set by set."""
 
-    @pytest.fixture(autouse=True)
-    def share_small_searches(self, monkeypatch):
-        monkeypatch.setattr(assoc, "_SHARE_MIN_CELLS", 1)
-
-    @pytest.mark.parametrize("workers", sorted({0, assoc._WORKERS}))
     @pytest.mark.parametrize("k", [1, 7, 32])
-    def test_stack_equals_per_set_searches(self, monkeypatch, workers, k):
-        # one thread, and the host's: the caller plus one per further CPU
-        monkeypatch.setattr(assoc, "_WORKERS", workers)
+    def test_stack_equals_per_set_searches(self, k):
         query, sets = stacked_sets()
         idx = knn_per_bin(query, sets, k)
         assert idx.shape == (len(sets), len(query), k)
@@ -204,44 +197,18 @@ class TestStackedKnn:
             assert idx[b].tobytes() == knn_per_bin(query, pts[None], k)[0].tobytes()
         np.testing.assert_array_equal(idx[1], knn_scalar(query, sets[1], k))
 
-    def test_more_threads_than_cores_lose_no_set(self, monkeypatch):
-        # a set searched twice or left out would leave its slice unwritten
-        # or torn; threads switch every microsecond to shuffle who takes what
-        monkeypatch.setattr(assoc, "_WORKERS", 3)
-        query, sets = stacked_sets(n_sets=16)
-        want = [knn_per_bin(query, pts[None], 5)[0] for pts in sets]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            runs = [knn_per_bin(query, sets, 5) for _ in range(3)]
-        finally:
-            sys.setswitchinterval(interval)
-        for idx in runs:
-            for b, one_idx in enumerate(want):
-                assert idx[b].tobytes() == one_idx.tobytes()
+    def test_stack_builds_one_query_grid(self, monkeypatch):
+        calls = []
+        bucket_grid = assoc._bucket_grid
 
-    def test_share_runs_every_task_and_raises_a_failure(self):
-        done = []
+        def counting(query, n_pts, k):
+            calls.append(len(query))
+            return bucket_grid(query, n_pts, k)
 
-        def task(i):
-            def run():
-                if i == 5:
-                    raise RuntimeError("set 5")
-                done.append(i)
-
-            return run
-
-        with pytest.raises(RuntimeError, match="set 5"):
-            assoc._share([task(i) for i in range(12)], 3)
-        assert sorted(done) == [i for i in range(12) if i != 5]
-
-    def test_small_searches_stay_on_the_caller(self, monkeypatch):
-        query, sets = stacked_sets()
-        monkeypatch.setattr(assoc, "_WORKERS", 3)
-        monkeypatch.setattr(assoc, "_SHARE_MIN_CELLS", len(query) + 1)
-        monkeypatch.setattr(assoc, "_pool", None)  # calling it would raise
-        idx = knn_per_bin(query, sets, 4)
-        assert idx.shape == (len(sets), len(query), 4)
+        monkeypatch.setattr(assoc, "_bucket_grid", counting)
+        query, sets = stacked_sets(n_sets=15)
+        knn_per_bin(query, sets, 5)
+        assert calls == [len(query)]
 
     def test_stack_validates_every_set(self):
         query, sets = stacked_sets(n_sets=5)
@@ -250,15 +217,6 @@ class TestStackedKnn:
             knn_per_bin(query, sets, 4)
         with pytest.raises(ValueError, match="anchor count"):
             knn_per_bin(query, sets[:, :3], 4)
-
-    def test_volume_bytes_do_not_depend_on_pool_size(self, monkeypatch):
-        field = random_field(np.random.default_rng(61), width=48, height=40)
-        built = []
-        for workers in sorted({0, 1, assoc._WORKERS, 3}):
-            monkeypatch.setattr(assoc, "_WORKERS", workers)
-            vol = build_displacement_volume(field, 0.35, 9, n_bins=7)
-            built.append((vol.knn_indices.tobytes(), vol.disp.tobytes()))
-        assert len(set(built)) == 1
 
 
 class TestKnnBlocks:
@@ -305,7 +263,7 @@ class TestKnnBlocks:
         # the exact tie above: the 5x5 block at reach 2 (columns 1-5, rows
         # 0-4) holds anchor 0, and the nearest anchor past it, (15, 100) in
         # column 0, is 45 px away on x, so the row is certified there
-        grid, _ = assoc._ring_grid(self.QUERY, self.ANCHORS, 3)
+        grid = assoc._ring_grid(assoc._query_grid(self.QUERY, len(self.ANCHORS), 3)[0], self.ANCHORS)
         idx = np.full((3, 3), -1)
         assert assoc._ring_pass(grid, np.array([2]), 1, idx).tolist() == [2]
         assert (idx[2] == -1).all()

@@ -320,7 +320,7 @@ class TestEstimateCommand:
             ("--stride", "0", "stride"), ("--sigma", "-1", "sigma"), ("--iters", "-1", "iterations"),
             ("--lambda", "-1", "lambda"), ("--lambda", "nan", "lambda"), ("--lr", "nan", "step size"),
             ("--seed", "-1", "seed"), ("--sigma", "inf", "sigma"), ("--lambda", "inf", "lambda"),
-            ("--lr", "inf", "step size"),
+            ("--lr", "inf", "step size"), ("--sigma", "1e308", "sigma"),
         ],
     )
     def test_bad_setting_exits_2(self, scene_file, tmp_path, capsys, flag, value, match):

@@ -1,6 +1,3 @@
-import importlib
-import inspect
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -35,9 +32,6 @@ from evtraj.trajectory import BEZIER, POLYNOMIAL, Basis, TrajectoryField
 
 from oracles import event_voxels_scalar
 from scenes import constant_scene
-
-EVTRAJ_MODULES = ("assoc", "binfile", "cli", "events", "flowio", "metrics", "objective", "optimize", "synth", "trajectory")
-
 
 def small_instance(seed=0, n_events=200, width=16, height=16, basis=Basis(POLYNOMIAL, 2),
                    coeff_scale=1.0):
@@ -305,33 +299,6 @@ class TestMinimize:
         assert a.steps == b.steps
         np.testing.assert_array_equal(a.field.coeffs, b.field.coeffs)
         assert all(0.0 <= s.t_ref < 1.0 for s in a.steps)
-
-    @pytest.mark.parametrize("fixed", [False, True])
-    def test_public_functions_run_on_the_main_thread(self, monkeypatch, fixed):
-        # a tracer that wraps the public functions keeps one span stack, so
-        # the search threads may call private helpers only; two threads
-        # search next to the caller even on a one-CPU host
-        monkeypatch.setattr(assoc, "_WORKERS", 2)
-        monkeypatch.setattr(assoc, "_SHARE_MIN_CELLS", 1)
-        calls = []
-
-        def on_thread(name, fn):
-            def wrapper(*args, **kwargs):
-                calls.append((name, threading.current_thread() is threading.main_thread()))
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for module in [importlib.import_module(f"evtraj.{m}") for m in EVTRAJ_MODULES]:
-            for name, fn in list(vars(module).items()):
-                if inspect.isfunction(fn) and fn.__module__.startswith("evtraj.") and not name.startswith("_"):
-                    monkeypatch.setattr(module, name, on_thread(f"{fn.__module__}.{name}", fn))
-        sl, field = small_instance(seed=18)
-        ocfg = OptimConfig(iterations=2, fixed_reference=fixed,
-                           objective=ObjectiveConfig(k=8, n_bins=5))
-        minimize(sl, field, ocfg)
-        assert ("evtraj.assoc.knn_per_bin", True) in calls
-        assert [name for name, main in calls if not main] == []
 
     def test_nonfinite_aborts_with_iteration(self):
         sl, field = small_instance(seed=12)

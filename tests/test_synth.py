@@ -143,8 +143,8 @@ class TestGenerateEvents:
         for valid in gt.valid:
             np.testing.assert_array_equal(valid, covered)
         idx = np.empty((len(pixels), 1), dtype=np.int64)
-        grid, order = assoc._ring_grid(pixels, obs, 1)
-        rest = assoc._ring_pass(grid, order, 1, idx)
+        qgrid, order = assoc._query_grid(pixels, len(obs), 1)
+        rest = assoc._ring_pass(assoc._ring_grid(qgrid, obs), order, 1, idx)
         assert 0 < len(rest) < len(pixels)
 
     def test_determinism(self):
