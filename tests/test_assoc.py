@@ -188,9 +188,13 @@ def stacked_sets(n_sets=6):
 class TestStackedKnn:
     """Stacks of anchor sets that share one query grid, searched set by set."""
 
+    @pytest.mark.parametrize("roll", [0, 1])
     @pytest.mark.parametrize("k", [1, 7, 32])
-    def test_stack_equals_per_set_searches(self, k):
+    def test_stack_equals_per_set_searches(self, k, roll):
+        # rolled by one, every set sits in another slot after another set:
+        # nothing one search leaves in the shared query grid may reach the next
         query, sets = stacked_sets()
+        sets = np.roll(sets, roll, axis=0)
         idx = knn_per_bin(query, sets, k)
         assert idx.shape == (len(sets), len(query), k)
         for b, pts in enumerate(sets):
