@@ -8,14 +8,14 @@ trajectories passing closest to it *at that time* (the moving frame).
 The neighbor sets depend only on the field, never on t_ref. Each event
 reads its entry of the table through :func:`event_lookup`.
 
-With the sets fixed, everything derived from them is one linear map of
-the coefficients alpha: the mean over a set of a_b . alpha_n, for a change
-of basis a_b. The volume uses a_b = g(t_ref) - g(t_b), the consecutive
-delta field g(t_{b+1}) - g(t_b), and the dense flow g(t) over the t=0
-pixel sets. :func:`_neighbor_mean` is that map and :func:`_pull_to_coeffs`
-its transpose, so a fresh build is the search followed by
-:func:`regather_volume`, and :func:`volume_adjoint` and
-:func:`delta_field_adjoint` pull back through the same step matrices.
+With the sets fixed, each table is one linear map of the coefficients
+alpha: the mean over a set of a_b . alpha_n, for a change of basis a_b,
+a_b = g(t_ref) - g(t_b) for the volume and g(t_{b+1}) - g(t_b) for the
+consecutive delta field. :func:`_neighbor_mean` is that map, and returns
+each table with its pullback, the map's transpose. A fresh build is the
+search followed by the read at t_ref that :func:`regather_volume` repeats
+on the same sets. The dense flow g(t) over the t=0 pixel sets is never
+pulled back, so :func:`interpolate_flow` sums its one pixel set itself.
 
 The KNN search is exact: it returns the indices a scan over every anchor
 returns, byte for byte, ordered by squared Euclidean distance d2 with ties
@@ -60,7 +60,8 @@ of the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -352,13 +353,13 @@ class DisplacementVolume:
 
     ``disp`` is (n_bins, rows, cols, 2) in (dx, dy) pixels, the neighbor
     mean of q_n(t_ref) - q_n(t_b); ``knn_indices`` is (n_bins, rows, cols, k)
-    of flat anchor indices, the sets that mean runs over. Immutable once
-    built.
+    of flat anchor indices, the sets that mean runs over; ``pullback`` maps
+    a cotangent on ``disp`` to the coefficients. Immutable once built.
     """
 
     t_ref: float
-    stride: int
     disp: np.ndarray
+    pullback: Callable[[np.ndarray], np.ndarray]
     knn_indices: np.ndarray
 
     @property
@@ -370,44 +371,37 @@ class DisplacementVolume:
         return bin_centers(self.n_bins)
 
 
-def _neighbor_mean(field: TrajectoryField, knn_indices: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Means over the sets ``knn_indices`` (B, ..., k) of a_b . alpha_n, for
-    a change of basis ``a`` (B, D); shape (B, ..., 2). The only forward read
-    of a neighbor set."""
+def _neighbor_mean(field: TrajectoryField, knn_indices: np.ndarray, a: np.ndarray):
+    """(means, pullback) over the sets ``knn_indices`` (B, rows, cols, k) of
+    a_b . alpha_n, for a change of basis ``a`` (B, D): the means (B, rows,
+    cols, 2), and the coefficient cotangent of a cotangent on them. The only
+    read of a volume's neighbor sets. The pullback holds no coefficients, so
+    in-place updates of the field do not reach it; its one bincount per axis
+    over the flat (bin, anchor) slot keeps each slot's summation order
+    (cells, then K)."""
+    n_bins, rows, cols, k = knn_indices.shape
     disp = np.einsum("bd,ndc->bnc", a, field.flat_coeffs())  # (B, N, 2)
-    out = np.empty((*knn_indices.shape[:-1], 2))
-    k = knn_indices.shape[-1]
+    out = np.empty((n_bins, rows, cols, 2))
     for b, idx in enumerate(knn_indices):
         # neighbor axis first: the sum over k runs as the mean's did, row by row
         out[b] = np.take(disp[b], np.moveaxis(idx, -1, 0), axis=0).sum(axis=0) / k
-    return out
+    n_anchors, shape = field.n_anchors, field.coeffs.shape
+
+    def pullback(gcells):
+        slot = (np.arange(n_bins)[:, None] * n_anchors + knn_indices.reshape(n_bins, rows * cols * k)).ravel()
+        w = np.repeat(np.moveaxis(gcells.reshape(n_bins, rows * cols, 2), 2, 0) / k, k, axis=2)
+        ganchor = [np.bincount(slot, weights=w[c].ravel(), minlength=n_bins * n_anchors) for c in (0, 1)]
+        return np.einsum("bnc,bd->ndc", np.stack(ganchor, axis=1).reshape(n_bins, n_anchors, 2), a).reshape(shape)
+
+    return out, pullback
 
 
-def _pull_to_coeffs(field, gcells, knn_indices, a) -> np.ndarray:
-    """Transpose of :func:`_neighbor_mean`: the coefficient cotangent of a
-    cotangent ``gcells`` (B, rows, cols, 2). One bincount per axis over the
-    flat (bin, anchor) slot keeps each slot's summation order (cells, then K)."""
-    n_bins, rows, cols, k = knn_indices.shape
-    n_anchors = field.n_anchors
-    slot = (np.arange(n_bins)[:, None] * n_anchors + knn_indices.reshape(n_bins, rows * cols * k)).ravel()
-    w = np.repeat(np.moveaxis(gcells.reshape(n_bins, rows * cols, 2), 2, 0) / k, k, axis=2)
-    size = n_bins * n_anchors
-    ganchor = np.stack([np.bincount(slot, weights=w[c].ravel(), minlength=size) for c in (0, 1)], axis=1)
-    grad = np.einsum("bnc,bd->ndc", ganchor.reshape(n_bins, n_anchors, 2), a)
-    return grad.reshape(field.coeffs.shape)
-
-
-def _volume_map(field, knn_indices, t_ref):
-    """Neighbor sets and step matrix g(t_ref) - g(t_b) of a volume."""
+def _volume_at(field: TrajectoryField, knn_indices: np.ndarray, t_ref: float) -> DisplacementVolume:
+    """The volume of the sets ``knn_indices`` at ``t_ref``, read with the
+    step matrix g(t_ref) - g(t_b)."""
     g_bins = displacement_basis(field.basis, bin_centers(len(knn_indices)))
-    return knn_indices, displacement_basis(field.basis, [t_ref]) - g_bins
-
-
-def _delta_map(field, volume):
-    """Neighbor sets (bin b's for the pair b -> b+1) and step matrix
-    g(t_{b+1}) - g(t_b) of the consecutive delta field."""
-    g_bins = displacement_basis(field.basis, volume.bin_centers)
-    return volume.knn_indices[:-1], g_bins[1:] - g_bins[:-1]
+    disp, pullback = _neighbor_mean(field, knn_indices, displacement_basis(field.basis, [t_ref]) - g_bins)
+    return DisplacementVolume(t_ref=float(t_ref), disp=disp, pullback=pullback, knn_indices=knn_indices)
 
 
 def build_displacement_volume(field: TrajectoryField, t_ref: float, k: int, n_bins: int) -> DisplacementVolume:
@@ -423,9 +417,7 @@ def build_displacement_volume(field: TrajectoryField, t_ref: float, k: int, n_bi
         raise ValueError("t_ref must lie in [0, 1]")
     rows, cols, centers = anchor_grid(field.width, field.height, field.stride)
     pos_bins = eval_trajectory_batch(field, bin_centers(n_bins))  # (B, N, 2)
-    knn_idx = knn_per_bin(centers, pos_bins, k).reshape(n_bins, rows, cols, k)
-    disp = _neighbor_mean(field, *_volume_map(field, knn_idx, t_ref))
-    return DisplacementVolume(t_ref=float(t_ref), stride=field.stride, disp=disp, knn_indices=knn_idx)
+    return _volume_at(field, knn_per_bin(centers, pos_bins, k).reshape(n_bins, rows, cols, k), t_ref)
 
 
 def regather_volume(field: TrajectoryField, volume: DisplacementVolume, t_ref: float) -> DisplacementVolume:
@@ -435,29 +427,19 @@ def regather_volume(field: TrajectoryField, volume: DisplacementVolume, t_ref: f
     result shares them and equals, bit for bit, a fresh build at ``t_ref``
     (outside [0, 1] the basis evaluation raises ValueError).
     """
-    disp = _neighbor_mean(field, *_volume_map(field, volume.knn_indices, t_ref))
-    return replace(volume, t_ref=float(t_ref), disp=disp)
+    return _volume_at(field, volume.knn_indices, t_ref)
 
 
-def volume_adjoint(field: TrajectoryField, volume: DisplacementVolume, gdisp: np.ndarray) -> np.ndarray:
-    """Coefficient cotangent of ``gdisp``, a cotangent on ``volume.disp``."""
-    return _pull_to_coeffs(field, gdisp, *_volume_map(field, volume.knn_indices, volume.t_ref))
+def build_consecutive_delta_field(field: TrajectoryField, volume: DisplacementVolume):
+    """(delta, pullback): the mean trajectory displacement between
+    consecutive bin centers, (n_bins-1, rows, cols, 2) and empty for a
+    single bin, and its coefficient pullback (:func:`_neighbor_mean`).
 
-
-def build_consecutive_delta_field(field: TrajectoryField, volume: DisplacementVolume) -> np.ndarray:
-    """Mean trajectory displacement between consecutive bin centers.
-
-    Uses the volume's neighbor sets (bin b's for the pair b -> b+1). Shape
-    (n_bins-1, rows, cols, 2); empty when the volume has a single bin.
-    Feeds the spatial-smoothness regularizer.
+    Uses the volume's neighbor sets (bin b's for the pair b -> b+1). Feeds
+    the spatial-smoothness regularizer.
     """
-    return _neighbor_mean(field, *_delta_map(field, volume))
-
-
-def delta_field_adjoint(field: TrajectoryField, volume: DisplacementVolume, gdelta: np.ndarray) -> np.ndarray:
-    """Coefficient cotangent of ``gdelta``, a cotangent on
-    :func:`build_consecutive_delta_field` of ``volume``."""
-    return _pull_to_coeffs(field, gdelta, *_delta_map(field, volume))
+    g_bins = displacement_basis(field.basis, volume.bin_centers)
+    return _neighbor_mean(field, volume.knn_indices[:-1], g_bins[1:] - g_bins[:-1])
 
 
 def interpolate_flow(field: TrajectoryField, times, k: int) -> np.ndarray:
@@ -466,9 +448,15 @@ def interpolate_flow(field: TrajectoryField, times, k: int) -> np.ndarray:
     Pixels are associated with the K anchors nearest in the t=0 frame
     (where every trajectory sits at its anchor), and each pixel's motion
     is the mean of its neighbors' displacements g(t) . alpha_n; one pixel
-    set serves every time. Shape (T, H, W, 2).
+    set serves every time, its columns summed in order. Shape (T, H, W, 2).
     """
     g = displacement_basis(field.basis, times)  # (T, D)
     h, w, pixels = anchor_grid(field.width, field.height, 1)
-    idx = knn_per_bin(pixels, field.anchor_positions()[None], k)
-    return _neighbor_mean(field, np.broadcast_to(idx.reshape(h, w, k), (len(g), h, w, k)), g)
+    idx = knn_per_bin(pixels, field.anchor_positions()[None], k)[0]  # (H*W, k)
+    disp = np.einsum("bd,ndc->bnc", g, field.flat_coeffs())  # (T, N, 2)
+    flow, column = np.zeros((len(g), h * w, 2)), np.empty((h * w, 2))
+    for d, acc in zip(disp, flow):
+        for j in range(k):
+            acc += np.take(d, idx[:, j], axis=0, out=column)
+        acc /= k
+    return flow.reshape(len(g), h, w, 2)

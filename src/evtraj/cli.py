@@ -80,9 +80,9 @@ def _flow_times(text: str) -> list:
 def cmd_estimate(args: dict) -> int:
     t0 = time.perf_counter()
     # the flow times and configs are checked before the events are read,
-    # k, sigma and the field's TRJ1 header once they are, and all before the
-    # fit runs; nothing is written until the fit has run, so a diverged fit
-    # leaves no output directory
+    # k and the field's TRJ1 header once they are, sigma against the sensor
+    # by minimize before its first pass; nothing is written until the fit
+    # has run, so a refused or diverged fit leaves no output directory
     times = _flow_times(args["flow_times"])
     basis = Basis(POLYNOMIAL if args["basis"] == "poly" else BEZIER, args["degree"])
     ocfg = OptimConfig(
@@ -102,8 +102,6 @@ def cmd_estimate(args: dict) -> int:
     field0 = TrajectoryField.zeros(sl.width, sl.height, args["stride"], basis)
     if args["k"] > field0.n_anchors:
         raise ValueError(f"--k {args['k']} exceeds the anchor count {field0.n_anchors}")
-    if 3.0 * args["sigma"] > max(sl.width, sl.height):
-        raise ValueError(f"--sigma {args['sigma']}: 3 sigma exceeds the {sl.width}x{sl.height} sensor's larger side")
     out_dir = Path(args["out"])
     field_path = out_dir / "field.trj1"
     trj1_header(field0, field_path)
@@ -183,7 +181,7 @@ def cmd_render(args: dict) -> int:
         if cfg.k > field.n_anchors:
             raise ValueError(f"{path}: --k {cfg.k} exceeds the field's anchor count {field.n_anchors}")
         volume = build_displacement_volume(field, t_ref, cfg.k, cfg.n_bins)
-        delta = event_lookup(sl, cfg.n_bins, volume.stride)[0](volume.disp)
+        delta = event_lookup(sl, cfg.n_bins, field.stride)[0](volume.disp)
         print(f"FWL = {fwl(sl, delta):.4f}")
     iwe = build_iwe(warp_events(sl, delta))
     out = Path(args["out"])

@@ -16,7 +16,7 @@ the voting kernel, and the chain rule runs
                  -> warp, voting stencil -> G(t) -> C    (contrast path)
     coefficients -> consecutive-bin delta field -> R   (smoothness path)
 
-and back through ``contrast_pass``, the lookup's pullback and ``volume_adjoint``.
+and back through ``contrast_pass``, the lookup's pullback and ``volume.pullback``.
 
 Updates use Adam-style moment estimates directly on the coefficient
 tensor. :func:`minimize` keeps each iteration's :class:`LossBreakdown` as
@@ -30,14 +30,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .assoc import (
-    build_consecutive_delta_field,
-    build_displacement_volume,
-    delta_field_adjoint,
-    event_lookup,
-    regather_volume,
-    volume_adjoint,
-)
+from .assoc import build_consecutive_delta_field, build_displacement_volume, event_lookup, regather_volume
 from .events import EventSlice
 from .objective import (
     EPS_CONTRAST,
@@ -145,7 +138,7 @@ def loss_gradient(sl: EventSlice, field: TrajectoryField, refs, cfg: ObjectiveCo
     path then contributes zero (the gradient of the guarded expression).
     """
     volume = build_displacement_volume(field, refs[0][0], cfg.k, cfg.n_bins)
-    read, pullback = event_lookup(sl, cfg.n_bins, volume.stride)
+    read, pullback = event_lookup(sl, cfg.n_bins, field.stride)
     c, grad_c, n_masked = 0.0, 0.0, 0
     for t_ref, w in refs:
         if t_ref != volume.t_ref:
@@ -154,7 +147,7 @@ def loss_gradient(sl: EventSlice, field: TrajectoryField, refs, cfg: ObjectiveCo
         # unnamed, and it drops them once the events are warped
         g, gdelta, masked = contrast_pass(sl, read(volume.disp), cfg.sigma, t_ref if cfg.time_weighting else None)
         c += w * g
-        grad_c += w * volume_adjoint(field, volume, pullback(gdelta))
+        grad_c += w * volume.pullback(pullback(gdelta))
         del gdelta
         n_masked += masked
     w_sum = sum(w for _, w in refs)
@@ -165,8 +158,9 @@ def loss_gradient(sl: EventSlice, field: TrajectoryField, refs, cfg: ObjectiveCo
     r = 0.0
     if lam > 0.0:
         # every regathered volume shares the first build's neighbor sets
-        r, gdelta = regularizer_r(build_consecutive_delta_field(field, volume))
-        grad += lam * delta_field_adjoint(field, volume, gdelta)
+        delta, pull_delta = build_consecutive_delta_field(field, volume)
+        r, gdelta = regularizer_r(delta)
+        grad += lam * pull_delta(gdelta)
     breakdown = LossBreakdown(
         g=c, r=r, total=1.0 / max(c, EPS_CONTRAST) + lam * r, n_masked=n_masked,
         degenerate=c < EPS_CONTRAST, t_ref=sum(w * t for t, w in refs) / w_sum,
@@ -181,7 +175,8 @@ def minimize(sl: EventSlice, init_field: TrajectoryField, ocfg: OptimConfig) -> 
     evaluate the loss gradient there, update the moments and coefficients.
     The run is deterministic given the seed. Raises :class:`DivergenceError`
     naming the iteration if the loss or gradient turns non-finite, or if
-    every event of a nonempty slice is warped off the image in every pass.
+    every event of a nonempty slice is warped off the image in every pass;
+    ValueError, before any pass, if 3 sigma exceeds the sensor's larger side.
     """
     t0 = time.perf_counter()
     field = init_field.copy()
@@ -190,6 +185,8 @@ def minimize(sl: EventSlice, init_field: TrajectoryField, ocfg: OptimConfig) -> 
     v = np.zeros_like(field.coeffs)
     steps = []
     refs, cfg, g0 = None, ocfg.objective, 1.0
+    if 3.0 * cfg.sigma > max(sl.width, sl.height):
+        raise ValueError(f"sigma {cfg.sigma}: 3 sigma exceeds the {sl.width}x{sl.height} sensor's larger side")
     if ocfg.fixed_reference:
         refs, g0 = FIXED_REFERENCES, zero_warp_contrast(sl, cfg.sigma)
         cfg = replace(cfg, lam=0.0, time_weighting=False)

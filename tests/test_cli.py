@@ -85,6 +85,30 @@ UNCHANGED_PGM = {
     "plain": "24150aad5b569d38fc5ad715f622fbe969d5cccc1018cd5f257711f17faf7048",
     "field": "f6402fd5c1d2db2751eb2329fe18f6a03861f52843a30030e2f670c3a6eed49e",
 }
+# the SHA-256 of each file that estimate writes for ``fixed_inputs``' events
+# at ESTIMATE_ARGV and each setting's flags, recorded while the volume and
+# the delta field still had separate adjoint functions
+ESTIMATE_ARGV = ["--stride", "4", "--k", "8", "--iters", "5", "--flow-times", "0.5,1"]
+UNCHANGED_ESTIMATE = {
+    "defaults": ([], {
+        "field.trj1": "b36101cda39b0bde9bdefc4141c207a45c9c1aa3381f3086fc758f1ff3cde3a0",
+        "trace.csv": "4f23d483c9d216f40a1b6fe82ba71e01b7eba6d6d9f8ce4be92977dfa6f0975f",
+        "flow_00.flo1": "59ad4231aa95cd2f18155c68ddd9e814bed1808dd47b1efea84d9731b3e07143",
+        "flow_01.flo1": "40ec5bf7fd4f858f2b163707caa45b5df07448bcc183064f404d60c6746b6fc4",
+    }),
+    "sigma-degree": (["--sigma", "1", "--degree", "3"], {
+        "field.trj1": "a65c35e244ff839f6259085699a5f780467ef388225cd8481ea3d57a50547150",
+        "trace.csv": "2e1a5f5ba90e54c0660f61a36560671c2412254452c9ccd52649e3192f942557",
+        "flow_00.flo1": "1256c41e9575157983f80689ac20a44361cbb57fab0c908dcd50f793f8f20bd9",
+        "flow_01.flo1": "d8250e60c4b2985547d33fb5dc369545f9e2611d3007d07be7cfcbfd8a4b3691",
+    }),
+    "fixed-ref": (["--fixed-ref"], {
+        "field.trj1": "1c3858c42c38f191183afabdddf52fa3c01f28360be66f08aae06174e64a7abc",
+        "trace.csv": "ab516db5b5ae367b1d1d00438711e64eb085258110f2e63a330e755be9581d11",
+        "flow_00.flo1": "7cb52ab15c7b6092afea78922fae9c534615efbc24ac137375c6bff487595d99",
+        "flow_01.flo1": "afcf8ecc9dc5d1fcbe163acd715ce03892b84d4408ccaf3b2351929884f1bc9d",
+    }),
+}
 
 
 @pytest.fixture
@@ -298,6 +322,20 @@ class TestEstimateCommand:
         assert (est["iters"], est["lr"], est["seed"]) == (ocfg.iterations, ocfg.lr, ocfg.seed)
         render = vars(parser.parse_args(["render", "ev.evt1", "--out", "x.pgm"]))
         assert (render["k"], render["nbins"]) == (obj.k, obj.n_bins)
+
+    @pytest.mark.parametrize("name", list(UNCHANGED_ESTIMATE))
+    def test_estimate_bytes_unchanged(self, tmp_path, name):
+        extra, digests = UNCHANGED_ESTIMATE[name]
+        paths = fixed_inputs(tmp_path)
+        out = tmp_path / "est"
+        assert main(["estimate", str(paths["events"]), "--out", str(out), *ESTIMATE_ARGV, *extra]) == 0
+        assert {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in digests} == digests
+        # R moves off 0 once the field does, so the fit ran through the
+        # delta field's pullback as well as the volume's; the baseline has
+        # lambda = 0
+        r = [float(row.split(",")[3]) for row in (out / "trace.csv").read_text().splitlines()[1:]]
+        assert len(r) == 5 and r[0] == 0.0
+        assert all(v == 0.0 for v in r) if name == "fixed-ref" else all(v > 0.0 for v in r[1:])
 
     def test_fixed_ref_flag_routes(self, scene_file, tmp_path):
         data = tmp_path / "data"

@@ -62,9 +62,9 @@ def baseline(sl, field, cfg):
     return FIXED_REFERENCES, replace(cfg, lam=0.0, time_weighting=False), g0
 
 
-def event_delta(sl, volume):
+def event_delta(sl, field, volume):
     """Each event's displacement read from ``volume``."""
-    return event_lookup(sl, volume.n_bins, volume.stride)[0](volume.disp)
+    return event_lookup(sl, volume.n_bins, field.stride)[0](volume.disp)
 
 
 def fd_check_coordinates(sl, field, cfg, refs, h, rng, n_coords, g0=1.0):
@@ -77,7 +77,7 @@ def fd_check_coordinates(sl, field, cfg, refs, h, rng, n_coords, g0=1.0):
     voxels = event_voxels_scalar(sl, cfg.n_bins, field.stride)
     for t, _ in refs:
         volume = build_displacement_volume(field, t, cfg.k, cfg.n_bins)
-        positions = warp_events(sl, event_delta(sl, volume)).positions
+        positions = warp_events(sl, event_delta(sl, field, volume)).positions
         frac = positions - np.floor(positions)
         near = np.minimum(frac, 1.0 - frac) < 4.0 * h  # conservative skip, per axis
         for k in np.flatnonzero(near.any(axis=1)):
@@ -199,10 +199,8 @@ class TestLossGradient:
         # Shiba et al.: (G(0) + 2 G(0.5) + G(1)) / (4 G_0)
         sl, field = small_instance(seed=18)
         cfg = ObjectiveConfig(sigma=sigma, k=8, n_bins=5)
-        g = [
-            contrast_pass(sl, event_delta(sl, build_displacement_volume(field, t, cfg.k, cfg.n_bins)), sigma, None)[0]
-            for t in (0.0, 0.5, 1.0)
-        ]
+        volumes = [build_displacement_volume(field, t, cfg.k, cfg.n_bins) for t in (0.0, 0.5, 1.0)]
+        g = [contrast_pass(sl, event_delta(sl, field, v), sigma, None)[0] for v in volumes]
         f = (g[0] + 2.0 * g[1] + g[2]) / (4.0 * zero_warp_contrast(sl, cfg.sigma))
         out, _ = loss_gradient(sl, field, *baseline(sl, field, cfg))
         assert out.total == 1.0 / f
@@ -263,8 +261,8 @@ class TestLossGradient:
         sl, field = small_instance(seed=seed)
         cfg = ObjectiveConfig(sigma=sigma, k=8, n_bins=5, time_weighting=True)
         volume = build_displacement_volume(field, 0.43, cfg.k, cfg.n_bins)
-        g, _, n_masked = contrast_pass(sl, event_delta(sl, volume), sigma, 0.43)
-        r = regularizer_r(build_consecutive_delta_field(field, volume))[0]
+        g, _, n_masked = contrast_pass(sl, event_delta(sl, field, volume), sigma, 0.43)
+        r = regularizer_r(build_consecutive_delta_field(field, volume)[0])[0]
         lam = cfg.lam / (sl.width * sl.height)
         out = loss_gradient(sl, field, one(0.43), cfg)[0]
         assert (out.g, out.r, out.n_masked) == (g, r, n_masked)
@@ -318,6 +316,27 @@ class TestMinimize:
             minimize(sl, field, ocfg)
         with pytest.raises(DivergenceError, match="off the image at iteration 0"):
             minimize(sl, field, replace(ocfg, fixed_reference=True))
+
+    @pytest.mark.parametrize("fixed_reference", [False, True])
+    @pytest.mark.parametrize("sigma", [5.5, 1e308])
+    def test_sigma_beyond_the_sensor_is_refused_before_any_pass(self, monkeypatch, sigma, fixed_reference):
+        # 3 sigma exceeds the 16x16 sensor's larger side; at 1e308 the voting
+        # kernel's ceil(3 sigma) used to overflow
+        sl, field = small_instance(seed=15)
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a pass ran")
+
+        monkeypatch.setattr(optimize, "zero_warp_contrast", no_pass)
+        monkeypatch.setattr(optimize, "loss_gradient", no_pass)
+        cfg = ObjectiveConfig(sigma=sigma, k=8, n_bins=5)
+        with pytest.raises(ValueError, match="3 sigma exceeds the 16x16 sensor"):
+            minimize(sl, field, OptimConfig(iterations=1, objective=cfg, fixed_reference=fixed_reference))
+
+    def test_sigma_at_the_bound_runs(self):
+        sl, field = small_instance(seed=15)
+        cfg = ObjectiveConfig(sigma=16.0 / 3.0, k=8, n_bins=5)
+        assert len(minimize(sl, field, OptimConfig(iterations=1, objective=cfg))) == 1
 
     def test_empty_slice_still_runs(self):
         _, field = small_instance(seed=14)
