@@ -8,14 +8,13 @@ trajectories passing closest to it *at that time* (the moving frame).
 The neighbor sets depend only on the field, never on t_ref. Each event
 reads its entry of the table through :func:`event_lookup`.
 
-With the sets fixed, each table is one linear map of the coefficients
-alpha: the mean over a set of a_b . alpha_n, for a change of basis a_b,
-a_b = g(t_ref) - g(t_b) for the volume and g(t_{b+1}) - g(t_b) for the
-consecutive delta field. :func:`_neighbor_mean` is that map, and returns
-each table with its pullback, the map's transpose. A fresh build is the
-search followed by the read at t_ref that :func:`regather_volume` repeats
-on the same sets. The dense flow g(t) over the t=0 pixel sets is never
-pulled back, so :func:`interpolate_flow` sums its one pixel set itself.
+With the sets fixed, every read of them is one linear map of the
+coefficients alpha, :func:`_neighbor_mean`: the mean over a set of
+(g(t_to) - g(t_from)) . alpha_n, from the time t_from it was searched at
+to t_to, returned with its pullback, the map's transpose. A volume, fresh
+or from :func:`regather_volume`, reads bin b's sets from t_b to t_ref; the
+consecutive delta field reads them from t_b to t_{b+1}, and the dense flow
+its one t=0 pixel set from 0 to each query time.
 
 The KNN search is exact: it returns the indices a scan over every anchor
 returns, byte for byte, ordered by squared Euclidean distance d2 with ties
@@ -68,7 +67,8 @@ import numpy as np
 from .events import EventSlice
 from .trajectory import TrajectoryField, anchor_grid, displacement_basis, eval_trajectory_batch
 
-# query cells per distance tile of the KNN search
+# query cells per distance tile of the KNN search, and cells per tile of a
+# neighbor mean's gather
 _KNN_TILE = 512
 
 
@@ -371,92 +371,74 @@ class DisplacementVolume:
         return bin_centers(self.n_bins)
 
 
-def _neighbor_mean(field: TrajectoryField, knn_indices: np.ndarray, a: np.ndarray):
+def _neighbor_mean(field: TrajectoryField, knn_indices: np.ndarray, t_from, t_to):
     """(means, pullback) over the sets ``knn_indices`` (B, rows, cols, k) of
-    a_b . alpha_n, for a change of basis ``a`` (B, D): the means (B, rows,
-    cols, 2), and the coefficient cotangent of a cotangent on them. The only
-    read of a volume's neighbor sets. The pullback holds no coefficients, so
-    in-place updates of the field do not reach it; its one bincount per axis
-    over the flat (bin, anchor) slot keeps each slot's summation order
-    (cells, then K)."""
-    n_bins, rows, cols, k = knn_indices.shape
-    disp = np.einsum("bd,ndc->bnc", a, field.flat_coeffs())  # (B, N, 2)
-    out = np.empty((n_bins, rows, cols, 2))
-    for b, idx in enumerate(knn_indices):
-        # neighbor axis first: the sum over k runs as the mean's did, row by row
-        out[b] = np.take(disp[b], np.moveaxis(idx, -1, 0), axis=0).sum(axis=0) / k
+    (g(t_to) - g(t_from)) . alpha_n, from ``t_from`` (one time per set) to
+    ``t_to`` (one time, or one per set; one set serves every time): the
+    means (S, rows, cols, 2), one per step, each summed over k first to last
+    in tiles of ``_KNN_TILE`` cells, and the coefficient cotangent of a
+    cotangent on them. The pullback holds no coefficients, so in-place
+    updates of the field do not reach it; its one bincount per axis over
+    the flat (step, anchor) slot keeps each slot's summation order."""
+    a = displacement_basis(field.basis, t_to) - displacement_basis(field.basis, t_from)  # (S, D)
+    n_steps, (_, rows, cols, k) = len(a), knn_indices.shape
+    sets = np.broadcast_to(knn_indices.reshape(-1, rows * cols, k), (n_steps, rows * cols, k))
+    disp = np.einsum("bd,ndc->bnc", a, field.flat_coeffs())  # (S, N, 2)
+    out = np.empty((n_steps, rows * cols, 2))
+    for d, idx, acc in zip(disp, sets, out):
+        for start in range(0, rows * cols, _KNN_TILE):
+            # neighbor axis first: (k, tile, 2), summed over k in order
+            acc[start : start + _KNN_TILE] = np.take(d, idx[start : start + _KNN_TILE].T, axis=0).sum(axis=0)
+    out /= k
     n_anchors, shape = field.n_anchors, field.coeffs.shape
 
     def pullback(gcells):
-        slot = (np.arange(n_bins)[:, None] * n_anchors + knn_indices.reshape(n_bins, rows * cols * k)).ravel()
-        w = np.repeat(np.moveaxis(gcells.reshape(n_bins, rows * cols, 2), 2, 0) / k, k, axis=2)
-        ganchor = [np.bincount(slot, weights=w[c].ravel(), minlength=n_bins * n_anchors) for c in (0, 1)]
-        return np.einsum("bnc,bd->ndc", np.stack(ganchor, axis=1).reshape(n_bins, n_anchors, 2), a).reshape(shape)
+        slot = (np.arange(n_steps)[:, None] * n_anchors + sets.reshape(n_steps, rows * cols * k)).ravel()
+        w = np.repeat(np.moveaxis(gcells.reshape(n_steps, rows * cols, 2), 2, 0) / k, k, axis=2)
+        ganchor = [np.bincount(slot, weights=w[c].ravel(), minlength=n_steps * n_anchors) for c in (0, 1)]
+        return np.einsum("bnc,bd->ndc", np.stack(ganchor, axis=1).reshape(n_steps, n_anchors, 2), a).reshape(shape)
 
-    return out, pullback
-
-
-def _volume_at(field: TrajectoryField, knn_indices: np.ndarray, t_ref: float) -> DisplacementVolume:
-    """The volume of the sets ``knn_indices`` at ``t_ref``, read with the
-    step matrix g(t_ref) - g(t_b)."""
-    g_bins = displacement_basis(field.basis, bin_centers(len(knn_indices)))
-    disp, pullback = _neighbor_mean(field, knn_indices, displacement_basis(field.basis, [t_ref]) - g_bins)
-    return DisplacementVolume(t_ref=float(t_ref), disp=disp, pullback=pullback, knn_indices=knn_indices)
+    return out.reshape(n_steps, rows, cols, 2), pullback
 
 
 def build_displacement_volume(field: TrajectoryField, t_ref: float, k: int, n_bins: int) -> DisplacementVolume:
     """Build the warp lookup table for one reference time.
 
     The search runs among the trajectory positions at the
-    :func:`bin_centers`; the means are then taken as in
-    :func:`regather_volume`, so one build per field serves every reference
-    time. Construction is pure per-voxel computation, so the result is
-    independent of evaluation order.
+    :func:`bin_centers`, and each bin's sets are read from its center to
+    ``t_ref``; :func:`regather_volume` repeats that read at another
+    reference time, so one search per field serves every reference time.
+    The result is independent of evaluation order.
     """
     if not 0.0 <= t_ref <= 1.0:
         raise ValueError("t_ref must lie in [0, 1]")
     rows, cols, centers = anchor_grid(field.width, field.height, field.stride)
-    pos_bins = eval_trajectory_batch(field, bin_centers(n_bins))  # (B, N, 2)
-    return _volume_at(field, knn_per_bin(centers, pos_bins, k).reshape(n_bins, rows, cols, k), t_ref)
+    t_bins = bin_centers(n_bins)
+    sets = knn_per_bin(centers, eval_trajectory_batch(field, t_bins), k).reshape(n_bins, rows, cols, k)
+    return DisplacementVolume(float(t_ref), *_neighbor_mean(field, sets, t_bins, t_ref), sets)
 
 
 def regather_volume(field: TrajectoryField, volume: DisplacementVolume, t_ref: float) -> DisplacementVolume:
-    """``volume`` re-targeted to another reference time, with no search.
-
-    ``volume`` must hold neighbor sets searched on this ``field``; the
-    result shares them and equals, bit for bit, a fresh build at ``t_ref``
-    (outside [0, 1] the basis evaluation raises ValueError).
-    """
-    return _volume_at(field, volume.knn_indices, t_ref)
+    """``volume`` re-targeted to another reference time with no search:
+    its sets, searched on this ``field``, read from their bin centers to
+    ``t_ref``. Equals a fresh build at ``t_ref`` bit for bit (outside
+    [0, 1] the basis evaluation raises ValueError)."""
+    sets = volume.knn_indices
+    return DisplacementVolume(float(t_ref), *_neighbor_mean(field, sets, volume.bin_centers, t_ref), sets)
 
 
 def build_consecutive_delta_field(field: TrajectoryField, volume: DisplacementVolume):
-    """(delta, pullback): the mean trajectory displacement between
-    consecutive bin centers, (n_bins-1, rows, cols, 2) and empty for a
-    single bin, and its coefficient pullback (:func:`_neighbor_mean`).
-
-    Uses the volume's neighbor sets (bin b's for the pair b -> b+1). Feeds
-    the spatial-smoothness regularizer.
-    """
-    g_bins = displacement_basis(field.basis, volume.bin_centers)
-    return _neighbor_mean(field, volume.knn_indices[:-1], g_bins[1:] - g_bins[:-1])
+    """(delta, pullback) of the spatial-smoothness regularizer: bin b's sets
+    read from its center to bin b+1's, (n_bins-1, rows, cols, 2) and empty
+    for a single bin, and the coefficient pullback."""
+    t = volume.bin_centers
+    return _neighbor_mean(field, volume.knn_indices[:-1], t[:-1], t[1:])
 
 
 def interpolate_flow(field: TrajectoryField, times, k: int) -> np.ndarray:
-    """Dense per-pixel displacement maps from t=0 to each query time.
-
-    Pixels are associated with the K anchors nearest in the t=0 frame
-    (where every trajectory sits at its anchor), and each pixel's motion
-    is the mean of its neighbors' displacements g(t) . alpha_n; one pixel
-    set serves every time, its columns summed in order. Shape (T, H, W, 2).
-    """
-    g = displacement_basis(field.basis, times)  # (T, D)
+    """Dense per-pixel displacement maps from t=0 to each query time,
+    (T, H, W, 2): each pixel's K anchors nearest in the t=0 frame, where
+    every trajectory sits at its anchor, read from 0 to every time."""
     h, w, pixels = anchor_grid(field.width, field.height, 1)
-    idx = knn_per_bin(pixels, field.anchor_positions()[None], k)[0]  # (H*W, k)
-    disp = np.einsum("bd,ndc->bnc", g, field.flat_coeffs())  # (T, N, 2)
-    flow, column = np.zeros((len(g), h * w, 2)), np.empty((h * w, 2))
-    for d, acc in zip(disp, flow):
-        for j in range(k):
-            acc += np.take(d, idx[:, j], axis=0, out=column)
-        acc /= k
-    return flow.reshape(len(g), h, w, 2)
+    sets = knn_per_bin(pixels, field.anchor_positions()[None], k).reshape(1, h, w, k)
+    return _neighbor_mean(field, sets, 0.0, times)[0]

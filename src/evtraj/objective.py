@@ -211,6 +211,13 @@ def voting_stencil(positions, mask, weights, width: int, height: int, sigma: flo
     )
 
 
+def check_sigma(sigma: float, width: int, height: int) -> None:
+    """ValueError when 3 sigma, the voting kernel's reach, exceeds the
+    larger side of a ``width`` x ``height`` sensor."""
+    if 3.0 * sigma > max(width, height):
+        raise ValueError(f"sigma {sigma}: 3 sigma exceeds the {width}x{height} sensor's larger side")
+
+
 def _accumulate(warped: WarpedEvents, sigma: float):
     """(iwe, pullback). ``iwe`` is (2, H, W): positive events vote into
     plane 0, negative ones into plane 1. ``pullback(dgdi)`` takes dG/dI of
@@ -226,6 +233,7 @@ def _accumulate(warped: WarpedEvents, sigma: float):
     (N, L). Deposits go through np.add.at in (event, y tap, x tap) order.
     """
     width, height = warped.width, warped.height
+    check_sigma(sigma, width, height)
     r = math.ceil(3.0 * sigma)
     l = 2 * r + 2
     pw, ph = width + 2 * r + 1, height + 2 * r + 1

@@ -36,6 +36,7 @@ from .objective import (
     EPS_CONTRAST,
     FIXED_REFERENCES,
     ObjectiveConfig,
+    check_sigma,
     contrast_pass,
     regularizer_r,
     zero_warp_contrast,
@@ -185,8 +186,7 @@ def minimize(sl: EventSlice, init_field: TrajectoryField, ocfg: OptimConfig) -> 
     v = np.zeros_like(field.coeffs)
     steps = []
     refs, cfg, g0 = None, ocfg.objective, 1.0
-    if 3.0 * cfg.sigma > max(sl.width, sl.height):
-        raise ValueError(f"sigma {cfg.sigma}: 3 sigma exceeds the {sl.width}x{sl.height} sensor's larger side")
+    check_sigma(cfg.sigma, sl.width, sl.height)
     if ocfg.fixed_reference:
         refs, g0 = FIXED_REFERENCES, zero_warp_contrast(sl, cfg.sigma)
         cfg = replace(cfg, lam=0.0, time_weighting=False)

@@ -445,6 +445,15 @@ class TestPackedSelection:
             assert_blocks_match_scan(query, anchors, k)
 
 
+def assert_same_at_each_tile(expected, build):
+    """``build()`` returns ``expected`` bit for bit when the neighbour means
+    sum over tiles of 1, 7 and the default number of cells."""
+    for tile in (1, 7, assoc._KNN_TILE):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(assoc, "_KNN_TILE", tile)
+            np.testing.assert_array_equal(build(), expected)
+
+
 class TestDisplacementVolume:
     def test_zero_coefficients_zero_volume(self):
         field = TrajectoryField.zeros(32, 32, 4, Basis(POLYNOMIAL, 2))
@@ -468,8 +477,9 @@ class TestDisplacementVolume:
         rng = np.random.default_rng(77)
         field = random_field(rng, width=16, height=16, stride=4, basis=Basis(BEZIER, 4))
         vol = build_displacement_volume(field, 0.3, 3, n_bins=4)
+        assert_same_at_each_tile(vol.disp, lambda: build_displacement_volume(field, 0.3, 3, n_bins=4).disp)
         ref = displacement_volume_scalar(field, vol)
-        assert np.abs(vol.disp - ref).max() < 1e-6
+        assert np.abs(vol.disp - ref).max() < 1e-12
 
     def test_regather_equals_fresh_build(self):
         rng = np.random.default_rng(78)
@@ -568,6 +578,7 @@ class TestConsecutiveDeltaField:
         field = random_field(rng, width=16, height=16, basis=Basis(POLYNOMIAL, 3))
         vol = build_displacement_volume(field, 0.6, 5, n_bins=4)
         delta = build_consecutive_delta_field(field, vol)[0]
+        assert_same_at_each_tile(delta, lambda: build_consecutive_delta_field(field, vol)[0])
         ref = delta_field_scalar(field, vol)
         np.testing.assert_allclose(delta, ref, atol=1e-10)
 
@@ -625,7 +636,16 @@ class TestInterpolateFlow:
         field = random_field(np.random.default_rng(14), width=13, height=10, basis=basis)
         times = [0.0, 0.3, 1.0]
         flow = interpolate_flow(field, times, k=3)
+        assert_same_at_each_tile(flow, lambda: interpolate_flow(field, times, k=3))
         np.testing.assert_allclose(flow, flow_scalar(field, times, k=3), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("basis", [Basis(BEZIER, 4), Basis(POLYNOMIAL, 1)])
+    def test_negative_zero_field_writes_no_negative_zero(self, basis):
+        field = TrajectoryField.zeros(13, 10, 4, basis)
+        field.coeffs[...] = -0.0
+        flow = interpolate_flow(field, [0.0, 0.3, 1.0], k=3)
+        np.testing.assert_array_equal(flow, 0.0)
+        assert not np.signbit(flow).any()
 
     def test_memory_is_bounded(self):
         # one pixel set serves every time: no (T, H*W, K, 2) gather (44 MB here)

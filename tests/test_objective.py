@@ -418,6 +418,25 @@ class TestTotalLoss:
         b = loss_gradient(sl, field, ((0.625, 1.0),), cfg)[0]
         assert (a.g, a.r, a.total) == (b.g, b.r, b.total)
 
+    @pytest.mark.parametrize("sigma", [5.5, 1e308])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda sl, field, sigma: loss_gradient(sl, field, ((0.5, 1.0),), ObjectiveConfig(sigma=sigma, k=8)),
+            lambda sl, field, sigma: contrast_pass(sl, 0, sigma, 0.5),
+            lambda sl, field, sigma: zero_warp_contrast(sl, sigma),
+            lambda sl, field, sigma: build_iwe(warp_events(sl, 0), sigma),
+        ],
+        ids=["loss_gradient", "contrast_pass", "zero_warp_contrast", "build_iwe"],
+    )
+    def test_sigma_beyond_the_sensor_is_refused_by_every_pass(self, run, sigma):
+        # 3 sigma exceeds the 16x16 sensor's larger side; at 1e308 the voting
+        # kernel's ceil(3 sigma) overflows
+        sl = random_slice(np.random.default_rng(19), n=200, width=16, height=16)
+        field = TrajectoryField.zeros(16, 16, 4, Basis(POLYNOMIAL, 1))
+        with pytest.raises(ValueError, match="3 sigma exceeds the 16x16 sensor"):
+            run(sl, field, sigma)
+
 
 def fixed_reference_f(sl, field, cfg):
     """F of the baseline: the loss over FIXED_REFERENCES with G_0, lambda = 0
