@@ -6,6 +6,12 @@ curve with alternating polarity. This skips photometric simulation
 entirely (contrast objectives care about event geometry, not intensity)
 and yields exact dense ground-truth displacement maps from the motion
 model, which makes verification assertions sharp.
+
+A motion's ``displacement(points, times)`` broadcasts points (..., 2)
+against times (...), so one call moves every pixel at every query time,
+every placement candidate along its path, or every event. One draw of all
+points' event times, or of a round of candidates, gives the same doubles
+in the same order as one draw per point or per candidate.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 
 from .assoc import knn_per_bin
 from .events import MAX_SIDE, EventSlice
-from .trajectory import BEZIER, Basis, anchor_grid, displacement_basis
+from .trajectory import BEZIER, MAX_BEZIER_DEGREE, Basis, anchor_grid, displacement_basis
 
 _PATH_SAMPLES = 32
 _MAX_TRIES = 10000
@@ -31,13 +37,13 @@ class CircularMotion:
     angle: float
 
     def displacement(self, points: np.ndarray, times: np.ndarray) -> np.ndarray:
-        times = np.atleast_1d(np.asarray(times, dtype=np.float64))
+        """Displacement of ``points`` (..., 2) at ``times`` (...), broadcast together."""
         rel = np.asarray(points, dtype=np.float64) - np.asarray(self.center)
-        th = self.angle * times
+        th = self.angle * np.asarray(times, dtype=np.float64)
         cos, sin = np.cos(th), np.sin(th)
-        rx = cos[:, None] * rel[None, :, 0] - sin[:, None] * rel[None, :, 1]
-        ry = sin[:, None] * rel[None, :, 0] + cos[:, None] * rel[None, :, 1]
-        return np.stack([rx - rel[None, :, 0], ry - rel[None, :, 1]], axis=2)
+        rx = cos * rel[..., 0] - sin * rel[..., 1]
+        ry = sin * rel[..., 0] + cos * rel[..., 1]
+        return np.stack([rx - rel[..., 0], ry - rel[..., 1]], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -52,15 +58,15 @@ class BezierMotion:
     offsets: tuple
 
     def displacement(self, points: np.ndarray, times: np.ndarray) -> np.ndarray:
-        times = np.atleast_1d(np.asarray(times, dtype=np.float64))
+        """Displacement of ``points`` (..., 2) at ``times`` (...), broadcast together."""
+        times = np.asarray(times, dtype=np.float64)
         offs = np.asarray(self.offsets, dtype=np.float64)
         if len(offs) == 1:
-            # t * v directly: the point samplers call this once per point, and
-            # a matmul would turn t = 0's -0.0 into +0.0
-            out = times[:, None] * offs[0]
+            # t * v directly: a matmul would turn t = 0's -0.0 into +0.0
+            out = times[..., None] * offs[0]
         else:
-            out = displacement_basis(Basis(BEZIER, len(offs)), times) @ offs  # (T, 2)
-        return np.broadcast_to(out[:, None, :], (len(times), len(points), 2)).copy()
+            out = (displacement_basis(Basis(BEZIER, len(offs)), times.ravel()) @ offs).reshape(times.shape + (2,))
+        return np.broadcast_to(out, np.broadcast_shapes(np.shape(points)[:-1], times.shape) + (2,)).copy()
 
 
 @dataclass
@@ -117,29 +123,27 @@ class GroundTruth:
 
 
 def scatter_points(width: int, height: int, n: int, rng: np.random.Generator, motion) -> np.ndarray:
-    """Sample texture points whose full motion path stays inside the image.
+    """Sample (n, 2) texture points whose full motion path stays inside the image.
 
     Rejection sampling against the path sampled at ``_PATH_SAMPLES``
-    times, giving up after ``_MAX_TRIES`` rejected draws.
+    times, giving up after ``_MAX_TRIES`` rejected draws. Each round draws
+    the n - accepted candidates still needed in one call, the same doubles
+    in the same order as one draw per candidate, and checks their paths in
+    one motion call: ``_PATH_SAMPLES`` x 2 doubles per candidate, 205 KB
+    at 400 points.
     """
     ts = np.linspace(0.0, 1.0, _PATH_SAMPLES)
-    out = []
+    out = np.empty((0, 2))
     rejected = 0
     while len(out) < n:
-        p = rng.uniform([0.0, 0.0], [width - 1.0, height - 1.0])
-        path = p[None, :] + motion.displacement(p[None, :], ts)[:, 0, :]
-        if (
-            path[:, 0].min() < 0.0
-            or path[:, 0].max() > width - 1.0
-            or path[:, 1].min() < 0.0
-            or path[:, 1].max() > height - 1.0
-        ):
-            rejected += 1
-            if rejected > _MAX_TRIES:
-                raise ValueError("could not place texture points inside the image")
-            continue
-        out.append(p)
-    return np.array(out)
+        cand = rng.uniform([0.0, 0.0], [width - 1.0, height - 1.0], size=(n - len(out), 2))
+        path = cand + motion.displacement(cand, ts[:, None])  # (_PATH_SAMPLES, m, 2)
+        outside = np.any((path < 0.0) | (path > [width - 1.0, height - 1.0]), axis=(0, 2))
+        rejected += np.count_nonzero(outside)
+        if rejected > _MAX_TRIES:
+            raise ValueError("could not place texture points inside the image")
+        out = np.concatenate([out, cand[~outside]])
+    return out
 
 
 def generate_events(spec: SceneSpec, seed: int) -> tuple[EventSlice, GroundTruth]:
@@ -148,7 +152,10 @@ def generate_events(spec: SceneSpec, seed: int) -> tuple[EventSlice, GroundTruth
     Signal events: the budget is split over the texture points by one
     equal-probability multinomial draw; each point's events take uniform
     i.i.d. times on [0, 1] (Poisson arrivals conditioned on the count)
-    and polarity alternating along the point's own timeline.
+    and polarity alternating along the point's own timeline. One draw of
+    every point's times gives the same doubles as one draw per point;
+    each point's slice is sorted in place, and one motion call moves every
+    signal event, each a (point, time) pair.
     Events whose rounded position leaves the sensor are dropped. Noise
     events are uniform in space, time, and polarity.
     """
@@ -159,45 +166,29 @@ def generate_events(spec: SceneSpec, seed: int) -> tuple[EventSlice, GroundTruth
     if n_signal > 0 and n_points == 0:
         raise ValueError("degenerate scene: no texture points to carry signal events")
 
-    xs, ys, ts, ps = [], [], [], []
-    signal_pixels = []
-    if n_signal > 0:
-        counts = rng.multinomial(n_signal, np.ones(n_points) / n_points)
-        for point, count in zip(spec.points, counts):
-            t = np.sort(rng.random(count))
-            pos = point[None, :] + spec.motion.displacement(point[None, :], t)[:, 0, :]
-            px = np.round(pos[:, 0]).astype(np.int64)
-            py = np.round(pos[:, 1]).astype(np.int64)
-            keep = (px >= 0) & (px < spec.width) & (py >= 0) & (py < spec.height)
-            pol = np.where(np.arange(count) % 2 == 0, 1, -1)
-            xs.append(px[keep])
-            ys.append(py[keep])
-            ts.append(t[keep])
-            ps.append(pol[keep])
-            signal_pixels.append(np.stack([px[keep], py[keep]], axis=1))
-    if n_noise > 0:
-        xs.append(rng.integers(0, spec.width, n_noise))
-        ys.append(rng.integers(0, spec.height, n_noise))
-        ts.append(rng.random(n_noise))
-        ps.append(rng.choice([-1, 1], n_noise))
-
-    if xs:
-        x = np.concatenate(xs)
-        y = np.concatenate(ys)
-        t = np.concatenate(ts)
-        p = np.concatenate(ps)
-    else:
-        x = y = t = p = np.array([], dtype=np.int64)
+    counts = rng.multinomial(n_signal, np.ones(n_points) / n_points) if n_points else np.zeros(0, dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    times = rng.random(n_signal)
+    for start, count in zip(starts, counts):
+        times[start : start + count].sort()
+    owner = np.repeat(spec.points, counts, axis=0)
+    pix = np.round(owner + spec.motion.displacement(owner, times)).astype(np.int64)
+    keep = np.all((pix >= 0) & (pix < [spec.width, spec.height]), axis=1)
+    rank = np.arange(n_signal) - np.repeat(starts, counts)
+    x = np.concatenate([pix[keep, 0], rng.integers(0, spec.width, n_noise)])
+    y = np.concatenate([pix[keep, 1], rng.integers(0, spec.height, n_noise)])
+    t = np.concatenate([times[keep], rng.random(n_noise)])
+    p = np.concatenate([np.where(rank[keep] % 2 == 0, 1, -1), rng.choice([-1, 1], n_noise)])
     sl = EventSlice.from_arrays(x, y, t, p, spec.width, spec.height, t_start=0.0, t_end=1.0)
 
     _, _, pixels = anchor_grid(spec.width, spec.height, 1)
-    disp = spec.motion.displacement(pixels, spec.query_times)
+    disp = spec.motion.displacement(pixels, spec.query_times[:, None])
     disp = disp.reshape(len(spec.query_times), spec.height, spec.width, 2)
     valid = np.ones((len(spec.query_times), spec.height, spec.width), dtype=bool)
     if spec.coverage_radius is not None:
         covered = np.zeros(spec.height * spec.width, dtype=bool)
-        if signal_pixels:
-            obs = np.unique(np.concatenate(signal_pixels, axis=0), axis=0).astype(np.float64)
+        obs = np.unique(pix[keep], axis=0).astype(np.float64)
+        if len(obs):
             d = pixels - obs[knn_per_bin(pixels, obs[None], k=1)[0, :, 0]]
             # the nearest distance, with the search's own float64 operations
             covered = np.sqrt(np.square(d[:, 0]) + np.square(d[:, 1])) <= spec.coverage_radius
@@ -280,6 +271,8 @@ def scene_from_config(cfg: dict, rng: np.random.Generator) -> SceneSpec:
         pairs = [pair.split(":") for pair in text.split(",")]
         if any(len(pair) != 2 for pair in pairs):
             raise ValueError(f"scene key offsets={text!r} must list x:y pairs")
+        if len(pairs) > MAX_BEZIER_DEGREE:
+            raise ValueError(f"scene key offsets lists {len(pairs)} x:y pairs, more than {MAX_BEZIER_DEGREE}")
         motion = BezierMotion(tuple(tuple(_finite("offsets", v) for v in pair) for pair in pairs))
     else:
         raise ValueError(f"scene key motion={kind!r} must be constant, circular or bezier")

@@ -54,7 +54,7 @@ def arc_scene(
         r = rng.uniform(0.6 * radius, 1.4 * radius)
         th = rng.uniform(0.0, 2 * np.pi)
         p = np.array([center[0] + r * np.cos(th), center[1] + r * np.sin(th)])
-        path = p[None, :] + motion.displacement(p[None, :], np.linspace(0, 1, 32))[:, 0, :]
+        path = p + motion.displacement(p, np.linspace(0, 1, 32))
         if (
             path[:, 0].min() >= 0
             and path[:, 0].max() <= width - 1
@@ -83,7 +83,7 @@ def gt_field(motion, width, height, stride, basis: Basis) -> TrajectoryField:
     ts = np.linspace(0.0, 1.0, 4 * basis.degree + 8)
     g = displacement_basis(basis, ts)  # (T, D)
     anchors = field.anchor_positions()
-    target = motion.displacement(anchors, ts)  # (T, N, 2)
+    target = motion.displacement(anchors, ts[:, None])  # (T, N, 2)
     sol, *_ = np.linalg.lstsq(g, target.reshape(len(ts), -1), rcond=None)
     field.coeffs[...] = sol.reshape(basis.degree, field.grid_shape[0], field.grid_shape[1], 2).transpose(
         1, 2, 0, 3

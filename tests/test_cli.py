@@ -190,11 +190,13 @@ class TestSynthCommand:
             # EVT1 stores u16 coordinates: refused before any event is generated
             ("width", ["width=70000"]),
             ("height", ["height=65537"]),
+            # one pair per Bezier degree: refused before any point is placed
+            ("offsets", ["motion=bezier", "offsets=" + ",".join(["1:0"] * 1030)]),
         ],
         ids=["offsets-no-colon", "offsets-three", "width-abc", "n_events-float", "query_times-abc",
              "width-missing", "vy-missing", "width-zero", "points-negative", "vx-repeated",
              "noise-above-one", "motion-spiral", "circular-angle-missing", "width-beyond-evt1",
-             "height-beyond-evt1"],
+             "height-beyond-evt1", "offsets-beyond-bezier-degree"],
     )
     def test_malformed_scene_exits_2_naming_file_and_key(self, tmp_path, capsys, key, lines):
         bad = tmp_path / "bad.cfg"

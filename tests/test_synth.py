@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from evtraj import assoc, synth
+from evtraj.cli import main
 from evtraj.synth import (
     BezierMotion,
     CircularMotion,
@@ -13,6 +16,31 @@ from evtraj.synth import (
 )
 
 from scenes import arc_scene, constant_scene
+
+# the SHA-256 of events.evt1 and then gt_*.flo1 in name order, as written by
+# `evtraj synth --seed s`, recorded while synth placed and moved its texture
+# one point at a time. The scenes reject 5, 11, 10 and 12 placement draws;
+# bezier takes the matmul path and the coverage search, and sparse has
+# points that draw no event
+UNCHANGED_SCENE = {
+    "constant": (
+        "width=48 height=32 motion=constant vx=3 vy=-2 points=30 n_events=3000 noise=0.1", 1,
+        "73e68a6b5996b9dfb751f22980fcb1d9cb97672e5aee49371549b17fca02336d",
+    ),
+    "circular": (
+        "width=48 height=40 motion=circular cx=23.5 cy=19.5 angle=0.8 points=40 n_events=4000 noise=0.05", 2,
+        "9ee1311c1fbb0e66196e6f139f168e1932002a06e7fc7e17e8d47097dfb3654a",
+    ),
+    "bezier": (
+        "width=40 height=30 motion=bezier offsets=4:-2,9:1,6:3 points=25 n_events=2500 coverage_radius=2.5 "
+        "query_times=0,0.25,1", 3,
+        "227ba6711ae0a9723245144646ce0f15a1ffb196614ef5661813562c2fadf259",
+    ),
+    "sparse": (
+        "width=16 height=12 motion=constant vx=1 vy=1 points=50 n_events=30 noise=0.2", 4,
+        "86fa36270734fb9b6bfd1936dc5dc0f8b9ed539e5beaeece4f9ad51a184943f3",
+    ),
+}
 
 
 class TestGenerateEvents:
@@ -62,7 +90,7 @@ class TestGenerateEvents:
             assert len(sl) == 4000  # in-bounds paths: nothing dropped
             # brute-force: every event within 0.5 px of SOME point's curve
             t = sl.normalized_times()
-            curves = points[None, :, :] + motion.displacement(points, t)  # (N, P, 2)
+            curves = points[None, :, :] + motion.displacement(points, t[:, None])  # (N, P, 2)
             d = np.linalg.norm(
                 curves - np.stack([sl.x, sl.y], 1)[:, None, :], axis=2
             ).min(axis=1)
@@ -75,7 +103,7 @@ class TestGenerateEvents:
         points = np.zeros((3, 2))
         for v in ((5.0, -3.0), (0.1, 1e-7), (-17.25, 0.0), (1.0 / 3.0, 2.0 / 7.0)):
             expect = np.broadcast_to(t[:, None, None] * np.array(v), (len(t), 3, 2))
-            assert BezierMotion((v,)).displacement(points, t).tobytes() == expect.tobytes()
+            assert BezierMotion((v,)).displacement(points, t[:, None]).tobytes() == expect.tobytes()
 
     def test_ground_truth_zero_at_t0(self):
         _, gt, _ = constant_scene(width=32, height=32, n_points=30, n_events=500, seed=7)
@@ -118,6 +146,15 @@ class TestGenerateEvents:
             width=32, height=32, n_points=5, n_events=400, seed=9, coverage_radius=4.0
         )
         assert gt.valid.any() and not gt.valid.all()
+
+    def test_coverage_mask_empty_when_every_signal_event_leaves(self):
+        # no texture event observed: no pixel is covered, and no search runs
+        spec = SceneSpec(
+            width=16, height=16, motion=BezierMotion(((1e6, 0.0),)),
+            points=[[15.0, 1.0]], n_events=10, coverage_radius=1.0,
+        )
+        sl, gt = generate_events(spec, seed=0)
+        assert len(sl) == 0 and not gt.valid.any()
 
     @pytest.mark.parametrize("radius", [0.0, np.sqrt(2.0), np.sqrt(5.0), 3.0], ids=["0", "sqrt2", "sqrt5", "3"])
     def test_coverage_mask_equals_bruteforce_nearest_distance(self, radius):
@@ -165,8 +202,40 @@ class TestScatterPoints:
         with pytest.raises(ValueError, match="could not place"):
             scatter_points(16, 16, 1, np.random.default_rng(0), BezierMotion(((20.0, 0.0),)))
 
+    def test_rejection_cap_at_its_boundary(self, monkeypatch):
+        # this rotation rejects 6 draws before its 12th acceptance; the points
+        # were recorded while each candidate was drawn and checked on its own
+        def place():
+            return scatter_points(32, 32, 12, np.random.default_rng(0), CircularMotion((15.5, 15.5), 1.0))
+
+        monkeypatch.setattr(synth, "_MAX_TRIES", 6)
+        points = place()
+        assert points.shape == (12, 2)
+        assert hashlib.sha256(points.tobytes()).hexdigest() == (
+            "80e2f50bbb863798aed7469182d2b7163f7887c55ef9c1449715b97af4f4abd0"
+        )
+        monkeypatch.setattr(synth, "_MAX_TRIES", 5)
+        with pytest.raises(ValueError, match="could not place"):
+            place()
+
+    def test_no_points(self):
+        points = scatter_points(16, 16, 0, np.random.default_rng(0), BezierMotion(((1.0, 0.0),)))
+        assert points.shape == (0, 2)
+
 
 class TestSceneConfig:
+    @pytest.mark.parametrize("name", list(UNCHANGED_SCENE))
+    def test_synth_bytes_unchanged(self, tmp_path, name):
+        text, seed, digest = UNCHANGED_SCENE[name]
+        path = tmp_path / "scene.cfg"
+        path.write_text("\n".join(text.split()) + "\n")
+        out = tmp_path / "scene"
+        assert main(["synth", str(path), "--out", str(out), "--seed", str(seed)]) == 0
+        h = hashlib.sha256()
+        for written in [out / "events.evt1", *sorted(out.glob("gt_*.flo1"))]:
+            h.update(written.read_bytes())
+        assert h.hexdigest() == digest
+
     def test_parse_and_build(self, tmp_path):
         path = tmp_path / "scene.cfg"
         path.write_text(
