@@ -44,17 +44,24 @@ its first k + 1 keys takes the exact (d2, index) order instead. A row with
 no cut bits, as on a lattice, never does.
 IEEE rounding is monotone, so the certificate's bound never exceeds the
 rounded d2 of an outside anchor, and no rounding can sneak one past it.
-The result therefore equals the scan's bit for bit. Queries stream in
+The result therefore equals the scan's bit for bit. Rows stream in
 fixed-size tiles, so no distance array is larger than (tile, anchors).
 
 A build searches all of its bins in one call: :func:`knn_per_bin` takes a
-stack of anchor sets that share the queries, one set being a stack of one.
-The query side of the bucket grid (its origin, cell side and shape, each
-query's cell, and the queries in cell order) depends only on the queries,
-the anchor count and k, so the stack builds it once and each set adds only
-its anchors' side. The sets are then searched one after another on the
-calling thread, each by the search above, unchanged, into its own slice
-of the result.
+stack of B anchor sets that share the queries, and every caller, the
+dense flow and synth's coverage mask included, passes a stack, one set
+being a stack of one. The query side of the bucket grid (its origin, cell
+side and shape, each query's cell, and the queries in cell order) depends
+only on the queries, the anchor count and k, so the stack builds it once.
+The whole stack is then one search on the calling thread: its rows are
+(set, cell) pairs, set b's anchors fill the buckets b G to b G + G - 1 of
+one bucket order (G cells per grid), each set keeps its own edge bounds,
+and each ring is one pass over every open row of every set, so a call
+makes the passes of one search whatever B is. Before a pass is cut into
+tiles, its rows are ordered by their block's anchor count, so a tile's
+table is about as wide as its rows' own blocks rather than its widest. A
+row's keys carry each anchor's index within its own set, so the
+selection, and the bytes, are those of a search of that set alone.
 """
 
 from __future__ import annotations
@@ -65,10 +72,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import EventSlice
-from .trajectory import TrajectoryField, anchor_grid, displacement_basis, eval_trajectory_batch
+from .trajectory import TrajectoryField, anchor_grid, contract_basis, displacement_basis, eval_trajectory_batch
 
-# query cells per distance tile of the KNN search, and cells per tile of a
-# neighbor mean's gather
+# (set, cell) rows per distance tile of the KNN search, and cells per tile
+# of a neighbor mean's gather
 _KNN_TILE = 512
 
 
@@ -86,11 +93,12 @@ def knn_per_bin(query_cells, anchor_sets, k: int) -> np.ndarray:
     nearest each cell center, nearest first, ties broken by lower anchor
     index: the full scan's, bit for bit.
 
-    The stack shares one query grid (:func:`_query_grid`). Each set is then
-    searched in turn on the calling thread by the ring search of the module
-    docstring, at most ``_KNN_TILE`` cells per distance tile, written to its
-    own slice of the result. A grid size or d2 that overflows is +inf,
-    which the search orders as the scan does, so it does not warn.
+    The stack is one search of (set, cell) rows, row b n_cells + i being
+    cell i of set b: each ring is one :func:`_ring_pass` over the open
+    rows of every set, ordered by block size and cut into tiles of
+    ``_KNN_TILE`` rows, so a call makes at most ceil(log2(longest grid
+    side)) + 1 passes whatever B is. A grid size or d2 that overflows is
+    +inf, which the search orders as the scan does, so it does not warn.
     """
     query = np.asarray(query_cells, dtype=np.float64)
     sets = np.asarray(anchor_sets, dtype=np.float64)
@@ -100,14 +108,15 @@ def knn_per_bin(query_cells, anchor_sets, k: int) -> np.ndarray:
     if not (np.all(np.isfinite(query)) and np.all(np.isfinite(sets))):
         raise ValueError("positions must be finite")
     idx = np.empty((len(sets), n_cells, k), dtype=np.int64)
-    if n_cells:
+    if idx.size:
         with np.errstate(over="ignore"):
             qgrid, order = _query_grid(query, n_pts, k)
-            for pts, out in zip(sets, idx):
-                grid, rows, reach = _ring_grid(qgrid, pts), order, 1
-                while len(rows):
-                    rows = _ring_pass(grid, rows, reach, out)
-                    reach *= 2
+            grid, reach = _ring_grid(qgrid, sets), 1
+            # every set's rows in cell order, so each bucket's rows are adjacent
+            rows = (np.arange(len(sets))[:, None] * n_cells + order).ravel()
+            while len(rows):
+                rows = _ring_pass(grid, rows, reach, idx.reshape(-1, k))
+                reach *= 2
     return idx
 
 
@@ -150,127 +159,162 @@ def _query_grid(query, n_pts: int, k: int):
     return (query, k, origin, side, shape, qcell, qflat), np.argsort(qflat, kind="stable")
 
 
-def _ring_grid(qgrid, pts):
-    """Set-up that every ring of one search shares, made once per set from
-    the stack's :func:`_query_grid`.
+def _ring_grid(qgrid, sets):
+    """Set-up that every ring of a stack's search shares, made once per
+    call from the stack's :func:`_query_grid` and its (B, N, 2) ``sets``.
 
     The grid is (query, k, shape, qcell, qflat, beyond, before, px, py,
-    by_cell, first): the query side of ``qgrid``; per axis, the nearest
-    anchor coordinate at or past each grid line and the farthest before it;
-    the anchor coordinates, then the +inf pad anchor; the anchors sorted by
-    flat cell, index order within a cell, and the offset of each flat
-    cell's first anchor in that order, so the cells ``f`` to ``g - 1`` hold
-    ``by_cell[first[f]:first[g]]``.
+    by_cell, first, count): the query side of ``qgrid``; per axis, one row
+    per set of its nearest anchor coordinate at or past each grid line and
+    its farthest before it; the coordinates of anchor i of set b at b (N +
+    1) + i, then the set's +inf pad anchor, index N within the set; the
+    anchors sorted by bucket, bucket b G + f being flat cell f of set b on
+    a grid of G cells, index order within a bucket, as indices within
+    their set, and the offset of each bucket's first anchor in that order,
+    so the buckets ``f`` to ``g - 1`` hold ``by_cell[first[f]:first[g]]``;
+    and each set's running anchor counts over grid rows and columns, (B,
+    rows + 1, columns + 1).
     """
     query, k, origin, side, shape, qcell, qflat = qgrid
-    acell = _cell_of(pts, origin, side, shape)
-    # cells are non-decreasing in each coordinate, so the anchors in cells
-    # >= j along axis a lie beyond every query in a cell < j, at >=
-    # beyond[a][j], and those in cells < j before every query in a cell
-    # >= j, at <= before[a][j]; index m holds +inf and index 0 -inf
+    n_sets, n_pts = sets.shape[:2]
+    acell = _cell_of(sets, origin, side, shape)
+    in_set = np.arange(n_sets)[:, None]
+    # cells are non-decreasing in each coordinate, so the anchors of a set
+    # in cells >= j along axis a lie beyond every query in a cell < j, at
+    # >= beyond[a][set, j], and those in cells < j before every query in a
+    # cell >= j, at <= before[a][set, j]; column m holds +inf and column 0
+    # -inf
     beyond, before = [], []
     for a, m in enumerate(shape):
-        lo, hi = np.full(m + 1, np.inf), np.full(m + 1, -np.inf)
-        np.minimum.at(lo, acell[:, a], pts[:, a])
-        np.maximum.at(hi, acell[:, a] + 1, pts[:, a])
-        beyond.append(np.minimum.accumulate(lo[::-1])[::-1])
-        before.append(np.maximum.accumulate(hi))
-    aflat = acell[:, 1] * shape[0] + acell[:, 0]
-    first = np.zeros(shape[0] * shape[1] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(aflat, minlength=shape[0] * shape[1]), out=first[1:])
-    pad = [np.append(pts[:, a], np.inf) for a in (0, 1)]
-    return (query, k, shape, qcell, qflat, beyond, before, *pad, np.argsort(aflat, kind="stable"), first)
+        lo, hi = np.full((n_sets, m + 1), np.inf), np.full((n_sets, m + 1), -np.inf)
+        line, x = (in_set * (m + 1) + acell[..., a]).ravel(), sets[..., a].ravel()
+        np.minimum.at(lo.ravel(), line, x)
+        np.maximum.at(hi.ravel(), line + 1, x)
+        beyond.append(np.minimum.accumulate(lo[:, ::-1], axis=1)[:, ::-1])
+        before.append(np.maximum.accumulate(hi, axis=1))
+    n_buckets = n_sets * shape[0] * shape[1]
+    bucket = (in_set * (shape[0] * shape[1]) + acell[..., 1] * shape[0] + acell[..., 0]).ravel()
+    per_bucket = np.bincount(bucket, minlength=n_buckets)
+    first = np.zeros(n_buckets + 1, dtype=np.int64)
+    np.cumsum(per_bucket, out=first[1:])
+    count = np.zeros((n_sets, shape[1] + 1, shape[0] + 1), dtype=np.int64)
+    count[:, 1:, 1:] = per_bucket.reshape(n_sets, shape[1], shape[0]).cumsum(axis=1).cumsum(axis=2)
+    pad = [np.pad(sets[..., a], ((0, 0), (0, 1)), constant_values=np.inf).ravel() for a in (0, 1)]
+    by_cell = np.argsort(bucket, kind="stable") % n_pts
+    return (query, k, shape, qcell, qflat, beyond, before, *pad, by_cell, first, count)
 
 
 def _ring_pass(grid, rows, reach: int, idx):
-    """Answer the KNN ``rows`` that the anchors within ``reach`` cells of
-    their query's cell certify; return the other rows.
+    """Answer the KNN ``rows``, (set, cell) rows of ``idx``, that the
+    anchors of their set within ``reach`` cells of their query's cell
+    certify; return the other rows.
 
-    The queries of one cell score the anchors of its (2 reach + 1)^2 block
-    of cells (:func:`_block_table`), padded with the +inf anchor to at least
-    k columns, with the scan's d2, and each row takes its k columns in the
+    The rows are first ordered stably by their block's anchor count, so a
+    tile's table is about as wide as its rows' own blocks; the rows of a
+    bucket, adjacent in ``rows`` as :func:`knn_per_bin` passes them, stay
+    adjacent, here and in the rows returned. Each run of rows of one
+    bucket scores the anchors of its (2 reach + 1)^2 block of cells
+    (:func:`_block_table`), padded with the +inf anchor to at least k
+    columns, with the scan's d2, and each row takes its k columns in the
     scan's order, by d2 and then by the lower anchor index
     (:func:`_select`). A block with fewer than k anchors certifies none of
     its rows and is not scored. A row is written to ``idx`` when its k-th
-    d2 lies strictly below the d2 to the block's edge, taken at the nearest
-    anchor outside the block on each side, or when the block spans the grid.
+    d2 lies strictly below the d2 to the block's edge, taken at the
+    nearest anchor of its set outside the block on each side, or when the
+    block spans the grid.
     """
-    query, k, shape, qcell, qflat, beyond, before, px, py, by_cell, first = grid
+    query, k, shape, qcell, qflat, beyond, before, px, py, by_cell, first, count = grid
+    n_pts, n_cells, n_grid = len(px) // len(count) - 1, len(query), shape[0] * shape[1]
+    n_block = _block_sizes(reach, shape, count)[rows // n_cells * n_grid + qflat[rows % n_cells]]
+    order = np.argsort(n_block, kind="stable")
+    # rows whose block holds fewer than k anchors come first
+    scored = np.searchsorted(n_block[order], k)
+    del n_block
+    rest = [rows[order[:scored]]]
+    rows = rows[order[scored:]]
+    del order
+    in_set, cell = np.divmod(rows, n_cells)
+    bucket = in_set * n_grid + qflat[cell]
     # the d2 term of the nearest anchor past each row's block on either
     # side; rounding is monotone, so every anchor outside the block has a
     # d2 at least one of those terms
     edge = np.full(len(rows), np.inf)
     for a, m in enumerate(shape):
-        c, x = qcell[rows, a], query[rows, a]
-        np.minimum(edge, np.square(beyond[a][np.minimum(c + reach + 1, m)] - x), out=edge)
-        np.minimum(edge, np.square(x - before[a][np.maximum(c - reach, 0)]), out=edge)
+        c, x = qcell[cell, a], query[cell, a]
+        np.minimum(edge, np.square(beyond[a][in_set, np.minimum(c + reach + 1, m)] - x), out=edge)
+        np.minimum(edge, np.square(x - before[a][in_set, np.maximum(c - reach, 0)]), out=edge)
     spans = reach + 1 >= shape.max()
-    index_bits = (len(px) - 1).bit_length()
-    rest = []
+    index_bits = n_pts.bit_length()
     for start in range(0, len(rows), _KNN_TILE):
-        tile_rows = rows[start : start + _KNN_TILE]
-        # one table row per run of rows in one cell; rows come in cell order,
-        # and a ring returns each cell's rows together, so a cell has one
-        # run per tile
-        flat = qflat[tile_rows]
-        run = np.empty(len(flat), dtype=bool)
+        tile = slice(start, start + _KNN_TILE)
+        tile_rows, tile_base, tile_cell = rows[tile], in_set[tile] * (n_pts + 1), cell[tile]
+        # one table row per run of rows in one bucket
+        run = np.empty(len(tile_rows), dtype=bool)
         run[0] = True
-        np.not_equal(flat[1:], flat[:-1], out=run[1:])
-        table, n_block = _block_table(flat[run], reach, shape, by_cell, first, k)
+        np.not_equal(bucket[tile][1:], bucket[tile][:-1], out=run[1:])
+        table = _block_table(bucket[tile][run], reach, shape, by_cell, first, n_pts, k)
         inv = np.cumsum(run) - 1
-        scored = n_block[inv] >= k
-        rest.append(tile_rows[~scored])
-        tile_rows, inv, bound = tile_rows[scored], inv[scored], edge[start : start + _KNN_TILE][scored]
         # the scan's (x - px)^2 + (y - py)^2, each difference formed and
         # squared in place in its gathered coordinates: two (tile, width)
-        # float arrays, beside the per-cell table and one per-cell gather;
-        # then each column's anchor index, for the keys
-        tile = query[tile_rows]
-        d2 = np.take(px[table], inv, axis=0)
-        np.subtract(tile[:, 0:1], d2, out=d2)
+        # float arrays, beside the per-bucket table and one per-bucket
+        # gather; then each column's anchor index, for the keys
+        at = table + tile_base[run][:, None]
+        x, y = query[tile_cell, 0:1], query[tile_cell, 1:2]
+        d2 = np.take(px[at], inv, axis=0)
+        np.subtract(x, d2, out=d2)
         np.square(d2, out=d2)
-        dy = np.take(py[table], inv, axis=0)
-        np.subtract(tile[:, 1:2], dy, out=dy)
+        dy = np.take(py[at], inv, axis=0)
+        np.subtract(y, dy, out=dy)
         d2 += np.square(dy, out=dy)
-        del dy
+        del dy, at
         anchor = np.take(table, inv, axis=0)
         del table
         near = _select(d2, anchor, k, index_bits)
         del d2, anchor
         # the k-th d2 once more, by the same operations on the same values
-        kth = near[:, -1]
-        kth_d2 = np.square(tile[:, 0] - px[kth]) + np.square(tile[:, 1] - py[kth])
-        ok = (kth_d2 < bound) | spans
+        kth = near[:, -1] + tile_base
+        kth_d2 = np.square(x[:, 0] - px[kth]) + np.square(y[:, 0] - py[kth])
+        ok = (kth_d2 < edge[tile]) | spans
         idx[tile_rows[ok]] = near[ok]
         rest.append(tile_rows[~ok])
     return np.concatenate(rest)
 
 
-def _block_table(cells, reach: int, shape, by_cell, first, k: int):
-    """The anchors within ``reach`` cells of each flat cell in ``cells``:
-    (table, n_block), one row per cell, padded with the +inf anchor's index
-    to at least k columns, and the count of real anchors in each row.
+def _block_sizes(reach: int, shape, count):
+    """The anchor count of the block within ``reach`` cells of every
+    bucket, (B G,), each from four of the set's running ``count``s."""
+    col, row = np.arange(shape[0]), np.arange(shape[1])[:, None]
+    c0, c1 = np.maximum(col - reach, 0), np.minimum(col + reach + 1, shape[0])
+    r0, r1 = np.maximum(row - reach, 0), np.minimum(row + reach + 1, shape[1])
+    return (count[:, r1, c1] - count[:, r0, c1] - count[:, r1, c0] + count[:, r0, c0]).ravel()
+
+
+def _block_table(buckets, reach: int, shape, by_cell, first, pad: int, k: int):
+    """The anchors within ``reach`` cells of each bucket in ``buckets``, one
+    row per bucket, as indices within its set, padded with the +inf
+    anchor's index ``pad`` to at least k columns.
 
     Each of a block's rows of bucket cells is one range of ``by_cell``, so
     the table is gathered in O(its size), bucket row by bucket row."""
-    col, row = cells % shape[0], cells // shape[0]
+    n_grid = shape[0] * shape[1]
+    in_set, flat = np.divmod(buckets, n_grid)
+    col, row = flat % shape[0], flat // shape[0]
     left, right = np.maximum(col - reach, 0), np.minimum(col + reach, shape[0] - 1) + 1
     lines = np.maximum(row - reach, 0)[:, None] + np.arange(min(2 * reach + 1, shape[1]))
     real = lines <= np.minimum(row + reach, shape[1] - 1)[:, None]
-    lines = np.minimum(lines, shape[1] - 1) * shape[0]
+    lines = (in_set * n_grid)[:, None] + np.minimum(lines, shape[1] - 1) * shape[0]
     lo = first[lines + left[:, None]]
     n_line = np.where(real, first[lines + right[:, None]] - lo, 0)
-    n_block = n_line.sum(axis=1)
-    table = np.full((len(cells), max(n_block.max(), k)), len(by_cell))
+    table = np.full((len(buckets), max(n_line.sum(axis=1).max(), k)), pad)
     # entry j of segment s (one bucket row of one block) sits at by_cell
     # position lo[s] + j and at table column (segments before s in its
     # block) + j
-    offset = np.cumsum(n_line, axis=1) - n_line + np.arange(len(cells))[:, None] * table.shape[1]
+    offset = np.cumsum(n_line, axis=1) - n_line + np.arange(len(buckets))[:, None] * table.shape[1]
     n_line = n_line.ravel()
     seg = np.repeat(np.arange(n_line.size), n_line)
     j = np.arange(seg.size) - (np.cumsum(n_line) - n_line)[seg]
     table.ravel()[offset.ravel()[seg] + j] = by_cell[lo.ravel()[seg] + j]
-    return table, n_block
+    return table
 
 
 def _select(d2, anchor, k: int, index_bits: int):
@@ -375,28 +419,34 @@ def _neighbor_mean(field: TrajectoryField, knn_indices: np.ndarray, t_from, t_to
     """(means, pullback) over the sets ``knn_indices`` (B, rows, cols, k) of
     (g(t_to) - g(t_from)) . alpha_n, from ``t_from`` (one time per set) to
     ``t_to`` (one time, or one per set; one set serves every time): the
-    means (S, rows, cols, 2), one per step, each summed over k first to last
-    in tiles of ``_KNN_TILE`` cells, and the coefficient cotangent of a
-    cotangent on them. The pullback holds no coefficients, so in-place
-    updates of the field do not reach it; its one bincount per axis over
-    the flat (step, anchor) slot keeps each slot's summation order."""
+    means (S, rows, cols, 2), one per step, and the coefficient cotangent
+    of a cotangent on them.
+
+    Summation order: each anchor's step displacement sums its basis terms
+    from +0.0 in basis order (:func:`contract_basis`); each mean sums its k
+    displacements first to last in tiles of ``_KNN_TILE`` cells, then
+    divides by k. The pullback holds no coefficients, so in-place updates
+    of the field do not reach it; its one bincount per axis over the flat
+    (step, anchor) slot keeps each slot's summation order, and each
+    coefficient then sums its steps' terms from +0.0 in step order."""
     a = displacement_basis(field.basis, t_to) - displacement_basis(field.basis, t_from)  # (S, D)
     n_steps, (_, rows, cols, k) = len(a), knn_indices.shape
     sets = np.broadcast_to(knn_indices.reshape(-1, rows * cols, k), (n_steps, rows * cols, k))
-    disp = np.einsum("bd,ndc->bnc", a, field.flat_coeffs())  # (S, N, 2)
+    disp = contract_basis(a, field.basis_rows()).reshape(n_steps, field.n_anchors, 2)
     out = np.empty((n_steps, rows * cols, 2))
     for d, idx, acc in zip(disp, sets, out):
         for start in range(0, rows * cols, _KNN_TILE):
             # neighbor axis first: (k, tile, 2), summed over k in order
             acc[start : start + _KNN_TILE] = np.take(d, idx[start : start + _KNN_TILE].T, axis=0).sum(axis=0)
     out /= k
-    n_anchors, shape = field.n_anchors, field.coeffs.shape
+    n_anchors, degree, shape = field.n_anchors, field.basis.degree, field.coeffs.shape
 
     def pullback(gcells):
         slot = (np.arange(n_steps)[:, None] * n_anchors + sets.reshape(n_steps, rows * cols * k)).ravel()
         w = np.repeat(np.moveaxis(gcells.reshape(n_steps, rows * cols, 2), 2, 0) / k, k, axis=2)
         ganchor = [np.bincount(slot, weights=w[c].ravel(), minlength=n_steps * n_anchors) for c in (0, 1)]
-        return np.einsum("bnc,bd->ndc", np.stack(ganchor, axis=1).reshape(n_steps, n_anchors, 2), a).reshape(shape)
+        gcoeffs = contract_basis(a.T, np.stack(ganchor, axis=1).reshape(n_steps, 2 * n_anchors))
+        return gcoeffs.reshape(degree, n_anchors, 2).transpose(1, 0, 2).reshape(shape)
 
     return out.reshape(n_steps, rows, cols, 2), pullback
 

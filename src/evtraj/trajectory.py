@@ -160,10 +160,33 @@ class TrajectoryField:
         """View of coeffs as (n_anchors, degree, 2)."""
         return self.coeffs.reshape(self.n_anchors, self.basis.degree, 2)
 
+    def basis_rows(self) -> np.ndarray:
+        """Copy of coeffs as (degree, 2 n_anchors): one contiguous row per
+        basis index, (x, y) per anchor in row-major order, as
+        :func:`contract_basis` reads them."""
+        return self.flat_coeffs().transpose(1, 0, 2).reshape(self.basis.degree, 2 * self.n_anchors)
+
     def copy(self) -> "TrajectoryField":
         return TrajectoryField(
             self.basis, self.stride, self.width, self.height, self.coeffs.copy()
         )
+
+
+def contract_basis(w, rows) -> np.ndarray:
+    """(I, M) sums out[i] = +0.0 + w[i, 0] rows[0] + w[i, 1] rows[1] + ...
+    of a (I, J) weight matrix and J rows of length M.
+
+    Each term is added in order of j, over whole contiguous rows, starting
+    at +0.0, so a sum of -0.0 terms is +0.0 and J = 0 gives zeros. These
+    are the sums np.einsum forms for a basis contraction such as
+    "td,ndc->tnc" or "bnc,bd->ndc", bit for bit, without its inner loops
+    over the length-2 (x, y) axis.
+    """
+    out = np.zeros((len(w), rows.shape[1]))
+    term = np.empty_like(out)
+    for wj, row in zip(w.T, rows):
+        out += np.multiply(wj[:, None], row, out=term)
+    return out
 
 
 def eval_trajectory_batch(field: TrajectoryField, times) -> np.ndarray:
@@ -172,7 +195,7 @@ def eval_trajectory_batch(field: TrajectoryField, times) -> np.ndarray:
     This layout feeds the displacement-volume builder directly.
     """
     g = displacement_basis(field.basis, times)  # (T, D)
-    disp = np.einsum("td,ndc->tnc", g, field.flat_coeffs())
+    disp = contract_basis(g, field.basis_rows()).reshape(len(g), field.n_anchors, 2)
     return field.anchor_positions()[None, :, :] + disp
 
 

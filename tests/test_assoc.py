@@ -152,13 +152,17 @@ def assert_blocks_match_scan(query, points, k):
         np.testing.assert_array_equal(idx, ref_idx)
 
 
+def ring_grid(query, sets, k):
+    """The search set-up of a stack of anchor sets sharing ``query``."""
+    sets = np.asarray(sets, float)
+    return assoc._ring_grid(assoc._query_grid(np.asarray(query, float), sets.shape[1], k)[0], sets)
+
+
 def block_rejects(query, points, k):
     """Rows the 3x3 blocks of the first ring cannot certify, which the
     next ring answers."""
     idx = np.empty((len(query), k), dtype=np.int64)
-    points = np.asarray(points, float)
-    qgrid, order = assoc._query_grid(np.asarray(query, float), len(points), k)
-    return assoc._ring_pass(assoc._ring_grid(qgrid, points), order, 1, idx)
+    return assoc._ring_pass(ring_grid(query, np.asarray(points)[None], k), np.arange(len(query)), 1, idx)
 
 
 def stacked_sets(n_sets=6):
@@ -184,20 +188,26 @@ def stacked_sets(n_sets=6):
 
 
 class TestStackedKnn:
-    """Stacks of anchor sets that share one query grid, searched set by set."""
+    """Stacks of anchor sets that share one query grid, searched in one pass
+    per ring."""
 
     @pytest.mark.parametrize("roll", [0, 1])
     @pytest.mark.parametrize("k", [1, 7, 32])
     def test_stack_equals_per_set_searches(self, k, roll):
-        # rolled by one, every set sits in another slot after another set:
-        # nothing one search leaves in the shared query grid may reach the next
+        # rolled by one, every set sits in another slot beside other sets:
+        # nothing of one set's rows, bounds or buckets may reach another's.
+        # Tiles of 1, 7 and the default number of rows mix sets, and cells
+        # of different block sizes
         query, sets = stacked_sets()
         sets = np.roll(sets, roll, axis=0)
-        idx = knn_per_bin(query, sets, k)
-        assert idx.shape == (len(sets), len(query), k)
-        for b, pts in enumerate(sets):
-            assert idx[b].tobytes() == knn_per_bin(query, pts[None], k)[0].tobytes()
-        np.testing.assert_array_equal(idx[1], knn_scalar(query, sets[1], k))
+        for tile in (1, 7, assoc._KNN_TILE):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(assoc, "_KNN_TILE", tile)
+                idx = knn_per_bin(query, sets, k)
+                assert idx.shape == (len(sets), len(query), k)
+                for b, pts in enumerate(sets):
+                    assert idx[b].tobytes() == knn_per_bin(query, pts[None], k)[0].tobytes()
+            np.testing.assert_array_equal(idx[1], knn_scalar(query, sets[1], k))
 
     def test_stack_builds_one_query_grid(self, monkeypatch):
         calls = []
@@ -262,15 +272,20 @@ class TestKnnBlocks:
         assert_blocks_match_scan(self.QUERY, anchors, 3)
 
     def test_rejected_at_reach_1_certified_at_reach_2(self):
-        # the exact tie above: the 5x5 block at reach 2 (columns 1-5, rows
-        # 0-4) holds anchor 0, and the nearest anchor past it, (15, 100) in
-        # column 0, is 45 px away on x, so the row is certified there
-        grid = assoc._ring_grid(assoc._query_grid(self.QUERY, len(self.ANCHORS), 3)[0], self.ANCHORS)
-        idx = np.full((3, 3), -1)
-        assert assoc._ring_pass(grid, np.array([2]), 1, idx).tolist() == [2]
-        assert (idx[2] == -1).all()
-        assert assoc._ring_pass(grid, np.array([2]), 2, idx).size == 0
-        assert idx[2].tolist() == knn_scalar(self.QUERY, self.ANCHORS, 3)[2].tolist() == [1, 2, 0]
+        # the exact tie above, as set 1 of a stack (row 3 + 2): the 5x5
+        # block at reach 2 (columns 1-5, rows 0-4) holds anchor 0, and the
+        # nearest anchor past it, (15, 100) in column 0, is 45 px away on x,
+        # so the row is certified there. Set 0 moves anchor 0 one ulp
+        # further out, so its row 2 is certified at reach 1 by its own bounds
+        near = self.ANCHORS.copy()
+        near[0, 0] = np.nextafter(78.0, np.inf)
+        grid = ring_grid(self.QUERY, [near, self.ANCHORS], 3)
+        idx = np.full((6, 3), -1)
+        assert assoc._ring_pass(grid, np.array([2, 5]), 1, idx).tolist() == [5]
+        assert idx[2].tolist() == knn_scalar(self.QUERY, near, 3)[2].tolist() == [1, 2, 3]
+        assert (idx[5] == -1).all()
+        assert assoc._ring_pass(grid, np.array([5]), 2, idx).size == 0
+        assert idx[5].tolist() == knn_scalar(self.QUERY, self.ANCHORS, 3)[2].tolist() == [1, 2, 0]
         assert_blocks_match_scan(self.QUERY, self.ANCHORS, 3)
 
     @pytest.mark.parametrize("k", [1, 7, 60])
@@ -290,24 +305,28 @@ class TestKnnBlocks:
         # anchors beyond one corner of a 40 x 40 lattice of queries sit in
         # the corner cell, so a row is certified only once its block holds
         # that cell, and the rows farthest from it wait for the ring that
-        # spans the grid
+        # spans the grid. In a stack of 15 sets, beyond the four corners in
+        # turn, the whole stack takes one sequence of rings
         g = np.arange(40.0)
         query = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
-        anchors = np.random.default_rng(9).uniform(0, 5, (30, 2)) + 1e3
-        reaches = []
+        corners = np.array([[1e3, 1e3], [-1e3, 1e3], [1e3, -1e3], [-1e3, -1e3]])
         ring_pass = assoc._ring_pass
+        for n_sets in (1, 15):
+            anchors = np.random.default_rng(9).uniform(0, 5, (n_sets, 30, 2)) + corners[np.arange(n_sets) % 4, None]
+            reaches = []
 
-        def counting_pass(grid, rows, reach, idx):
-            reaches.append(reach)
-            return ring_pass(grid, rows, reach, idx)
+            def counting_pass(grid, rows, reach, idx):
+                reaches.append(reach)
+                return ring_pass(grid, rows, reach, idx)
 
-        monkeypatch.setattr(assoc, "_ring_pass", counting_pass)
-        idx = knn_per_bin(query, anchors[None], k)[0]
-        longest = assoc._bucket_grid(query, len(anchors), k)[2].max()
-        assert reaches == [2**i for i in range(len(reaches))]
-        assert reaches[-2] + 1 < longest <= reaches[-1] + 1
-        assert len(reaches) <= math.ceil(math.log2(longest)) + 1
-        np.testing.assert_array_equal(idx, knn_scalar(query, anchors, k))
+            monkeypatch.setattr(assoc, "_ring_pass", counting_pass)
+            idx = knn_per_bin(query, anchors, k)
+            longest = assoc._bucket_grid(query, anchors.shape[1], k)[2].max()
+            assert reaches == [2**i for i in range(len(reaches))]
+            assert reaches[-2] + 1 < longest <= reaches[-1] + 1
+            assert len(reaches) <= math.ceil(math.log2(longest)) + 1
+            for b, pts in enumerate(anchors):
+                np.testing.assert_array_equal(idx[b], knn_scalar(query, pts, k))
 
     @settings(max_examples=200, deadline=None)
     @given(

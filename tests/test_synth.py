@@ -180,8 +180,8 @@ class TestGenerateEvents:
         for valid in gt.valid:
             np.testing.assert_array_equal(valid, covered)
         idx = np.empty((len(pixels), 1), dtype=np.int64)
-        qgrid, order = assoc._query_grid(pixels, len(obs), 1)
-        rest = assoc._ring_pass(assoc._ring_grid(qgrid, obs), order, 1, idx)
+        grid = assoc._ring_grid(assoc._query_grid(pixels, len(obs), 1)[0], obs[None])
+        rest = assoc._ring_pass(grid, np.arange(len(pixels)), 1, idx)
         assert 0 < len(rest) < len(pixels)
 
     def test_determinism(self):

@@ -7,6 +7,7 @@ from evtraj.trajectory import (
     Basis,
     TrajectoryField,
     anchor_grid,
+    contract_basis,
     displacement_basis,
     eval_trajectory_batch,
     load_field,
@@ -107,6 +108,55 @@ class TestBatchEvaluation:
         assert np.all(np.isfinite(pos))
         bound = np.abs(field.coeffs).sum(axis=(2,)).max()
         assert np.abs(pos - field.anchor_positions()[None]).max() <= bound
+
+
+class TestContractBasis:
+    """``contract_basis`` forms the sums of the two np.einsum contractions
+    it stands for, bit for bit: basis values against coefficients, as in
+    ``eval_trajectory_batch`` and a neighbour mean, and step cotangents back
+    to coefficients, as in a neighbour mean's pullback."""
+
+    @pytest.mark.parametrize("fill", ["random", "negative_zero"])
+    @pytest.mark.parametrize("n_bins", [1, 2, 15])
+    @pytest.mark.parametrize(
+        "basis", [Basis(POLYNOMIAL, 1), Basis(BEZIER, 1), Basis(POLYNOMIAL, 4), Basis(BEZIER, 10)],
+        ids=["poly1", "bezier1", "poly4", "bezier10"],
+    )
+    def test_equals_einsum(self, basis, n_bins, fill):
+        # a bin's positions at its centre, and the steps between consecutive
+        # centres, none for one bin, as the delta field forms them. The -0.0
+        # field and cotangents give -0.0 terms only: einsum's sums start at
+        # +0.0, so none may come out -0.0
+        rng = np.random.default_rng(n_bins)
+        field = TrajectoryField.zeros(20, 12, 4, basis)
+        n, d = field.n_anchors, basis.degree
+        t = (np.arange(n_bins) + 0.5) / n_bins
+        g = displacement_basis(basis, t)
+        steps = displacement_basis(basis, t[1:]) - displacement_basis(basis, t[:-1])
+        assert steps.shape == (n_bins - 1, d)
+        for w in (g, steps):
+            if fill == "random":
+                field.coeffs[...] = rng.normal(0.0, 3.0, field.coeffs.shape)
+                cot = rng.normal(0.0, 1.0, (len(w), n, 2))
+            else:
+                field.coeffs[...] = -0.0
+                cot = np.full((len(w), n, 2), -0.0)
+            forward = contract_basis(w, field.basis_rows()).reshape(len(w), n, 2)
+            assert forward.tobytes() == np.einsum("td,ndc->tnc", w, field.flat_coeffs()).tobytes()
+            back = contract_basis(w.T, cot.reshape(len(w), 2 * n)).reshape(d, n, 2).transpose(1, 0, 2)
+            assert back.tobytes() == np.einsum("bnc,bd->ndc", cot, w).tobytes()
+            if fill == "negative_zero":
+                assert not np.signbit(forward).any() and not np.signbit(back).any()
+                assert (forward == 0.0).all() and (back == 0.0).all()
+
+    def test_eval_trajectory_batch_equals_einsum(self):
+        rng = np.random.default_rng(4)
+        field = random_field(rng, basis=Basis(POLYNOMIAL, 3))
+        times = np.linspace(0.0, 1.0, 7)
+        want = field.anchor_positions()[None] + np.einsum(
+            "td,ndc->tnc", displacement_basis(field.basis, times), field.flat_coeffs()
+        )
+        assert eval_trajectory_batch(field, times).tobytes() == want.tobytes()
 
 
 class TestGridAndIo:
