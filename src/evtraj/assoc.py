@@ -364,31 +364,67 @@ def bin_centers(n_bins: int) -> np.ndarray:
     return (np.arange(n_bins) + 0.5) / n_bins
 
 
-def event_lookup(sl: EventSlice, n_bins: int, stride: int):
-    """(read, pullback) of the events' entries of (n_bins, rows, cols, 2)
-    tables whose cells tile the slice at ``stride``. Event k reads the bin
-    floor(t_k n_bins), clipped, of its normalized time, at the cell
-    (y // stride, x // stride) holding it. The slots are found once, here:
-    ``read(disp)`` is each event's entry (N, 2) of a table ``disp``, and
-    ``pullback(gdelta)`` the transpose of that read, each entry's event
-    cotangents summed in event order, one np.bincount per axis.
+@dataclass(frozen=True)
+class EventLookup:
+    """Each event's entry of (n_bins, rows, cols, 2) tables, grouped by
+    site. A site is a (time bin, pixel, polarity): its events read one
+    entry and share one warped position and one voting kernel. ``site`` is
+    each event's site (N,) and ``first`` each site's first event (S,), the
+    sites in (bin, pixel, polarity) order. ``read(disp)`` is each site's
+    entry (S, 2) of a table ``disp``, so ``read(disp)[site]`` is each
+    event's; ``pullback(gdelta)`` takes a cotangent (N, 2) per event and is
+    the transpose of that per-event read, each entry's event cotangents
+    summed in event order, one np.bincount per axis.
+    """
+
+    read: Callable[[np.ndarray], np.ndarray]
+    pullback: Callable[[np.ndarray], np.ndarray]
+    site: np.ndarray
+    first: np.ndarray
+
+
+def event_lookup(sl: EventSlice, n_bins: int, stride: int) -> EventLookup:
+    """The :class:`EventLookup` of tables whose cells tile the slice at
+    ``stride``. Event k reads the bin floor(t_k n_bins), clipped, of its
+    normalized time, at the cell (y // stride, x // stride) holding it.
+
+    The sites are found here, a time bin at a time, with one table of each
+    (pixel, polarity)'s first event in the bin: no sort, and nothing the
+    size of the whole (bin, pixel, polarity) grid. A caller that reads many
+    tables of one geometry, as ``optimize.minimize`` does every iteration,
+    builds the lookup once.
     """
     rows, cols, _ = anchor_grid(sl.width, sl.height, stride)
     shape = (n_bins, rows, cols, 2)
     b = np.clip(np.floor(sl.normalized_times() * n_bins).astype(np.int64), 0, n_bins - 1)
     slot = (b * rows + sl.y // stride) * cols + sl.x // stride
+    # the events are time-sorted, so each bin is one run of them; a table
+    # of each (pixel, polarity)'s first event in the run numbers its sites
+    pixel_pol = (sl.y * sl.width + sl.x) * 2 + (sl.p < 0)
+    first_of = np.empty(2 * sl.width * sl.height, dtype=np.intp)
+    site = np.empty(len(sl), dtype=np.intp)
+    firsts, n_sites, lo = [], 0, 0
+    for hi in np.searchsorted(b, np.arange(1, n_bins + 1)):
+        first_of.fill(hi)
+        np.minimum.at(first_of, pixel_pol[lo:hi], np.arange(lo, hi))
+        seen = first_of < hi
+        site[lo:hi] = (np.cumsum(seen) + (n_sites - 1))[pixel_pol[lo:hi]]
+        firsts.append(first_of[seen])
+        n_sites, lo = n_sites + len(firsts[-1]), hi
+    first = np.concatenate(firsts)
+    site_slot = slot[first]
 
     def read(disp):
         if disp.shape != shape:
             raise ValueError(f"a {disp.shape} table is not {n_bins} bins of the {rows}x{cols} cells "
                              f"that tile a {sl.width}x{sl.height} slice at stride {stride}")
-        return disp.reshape(-1, 2)[slot]
+        return disp.reshape(-1, 2)[site_slot]
 
     def pullback(gdelta):
         gdisp = [np.bincount(slot, weights=gdelta[:, c], minlength=n_bins * rows * cols) for c in (0, 1)]
         return np.stack(gdisp, axis=1).reshape(shape)
 
-    return read, pullback
+    return EventLookup(read, pullback, site, first)
 
 
 @dataclass

@@ -172,7 +172,7 @@ def cmd_render(args: dict) -> int:
     if not 0.0 <= t_ref <= 1.0:
         raise ValueError(f"t_ref must lie in [0, 1], got {t_ref}")
     cfg = ObjectiveConfig(k=args["k"], n_bins=args["nbins"])
-    delta = 0
+    delta, lookup = 0, None
     if args.get("field"):
         path = args["field"]
         field = load_field(path)
@@ -181,9 +181,10 @@ def cmd_render(args: dict) -> int:
         if cfg.k > field.n_anchors:
             raise ValueError(f"{path}: --k {cfg.k} exceeds the field's anchor count {field.n_anchors}")
         volume = build_displacement_volume(field, t_ref, cfg.k, cfg.n_bins)
-        delta = event_lookup(sl, cfg.n_bins, field.stride)[0](volume.disp)
-        print(f"FWL = {fwl(sl, delta):.4f}")
-    iwe = build_iwe(warp_events(sl, delta))
+        lookup = event_lookup(sl, cfg.n_bins, field.stride)
+        delta = lookup.read(volume.disp)
+        print(f"FWL = {fwl(sl, delta, lookup):.4f}")
+    iwe = build_iwe(warp_events(sl, delta, sites=lookup))
     out = Path(args["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     write_iwe_pgm(iwe, out, bits=args["bits"], which=args["which"])

@@ -53,9 +53,10 @@ def score_time(pred: np.ndarray, gt: np.ndarray, mask: np.ndarray):
     return float(err.mean()), float(ang.mean()), float((err > 3.0).mean())
 
 
-def fwl(sl: EventSlice, delta) -> float:
-    """Variance ratio of the IWE warped by the per-event displacements
-    ``delta`` (N, 2) to plain accumulation.
+def fwl(sl: EventSlice, delta, sites=None) -> float:
+    """Variance ratio of the IWE warped by the displacements ``delta`` to
+    plain accumulation: (N, 2) per event, or (S, 2) per site of ``sites``,
+    an ``assoc.EventLookup``.
 
     Both images are built through the identical path (bilinear voting,
     no time weighting, polarities summed), so a zero displacement gives
@@ -63,7 +64,7 @@ def fwl(sl: EventSlice, delta) -> float:
     """
 
     def variance(d):
-        return float(np.var(build_iwe(warp_events(sl, d)).sum(axis=0)))
+        return float(np.var(build_iwe(warp_events(sl, d, sites=sites)).sum(axis=0)))
 
     base = variance(0)
     if base == 0.0:
@@ -104,14 +105,14 @@ def evaluate_trajectories(
     if len(pred_traj) != len(masks):
         raise ValueError("mask count does not match query-time count")
     epes, aes, outs = zip(*(score_time(p, g, m) for p, g, m in zip(pred_traj, gt_traj, masks)))
-    delta = event_lookup(sl, _FWL_BINS, 1)[0](_flow_map_table(pred_traj, times, masks))
+    lookup = event_lookup(sl, _FWL_BINS, 1)
     return MotionEval(
         epe=epes[-1],
         ae=aes[-1],
         pct_out=outs[-1],
         tepe=float(np.mean(epes)),
         tae=float(np.mean(aes)),
-        fwl=fwl(sl, delta),
+        fwl=fwl(sl, lookup.read(_flow_map_table(pred_traj, times, masks)), lookup),
         n_valid=int(np.asarray(masks[-1], dtype=bool).sum()),
     )
 

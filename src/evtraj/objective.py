@@ -34,15 +34,25 @@ off-image contribute nothing. The votes land on a canvas padded by r cells
 before and r + 1 after each axis (r = 0 at sigma = 0), so no tap is ever
 clipped: every event's taps are its base cell plus one fixed pattern of
 l * l offsets (l = 2r + 2), off-image taps carry weight 0 into the margin,
-and the IWE is the canvas interior. The events pass through the stencil in
-blocks of a fixed tap budget; each block forms its own per-axis kernels as
-(l, events) arrays, and the pullback forms them again with their slopes,
-so no array grows with the event count times l. Deposits are added with
-np.add.at in (event, y tap, x tap) order, as one np.bincount over all taps
-would add them, and sums over an event's taps are explicit adds in tap
-order. So results are bit-identical across runs, block sizes and thread
-settings, and at sigma = 0 they equal, bit for bit, the earlier unpadded
-stencil that clipped its taps into the image.
+and the IWE is the canvas interior.
+
+Events that share a site, a (time bin, pixel, polarity), read one entry of
+a displacement table, so they land on one warped position with one kernel
+(``assoc.EventLookup`` finds the sites once per run; a per-event
+displacement makes every event its own site). The kernels are formed per
+site, in blocks of a fixed tap budget, as (l, sites) arrays per axis, and
+the pullback forms them again with their slopes and contracts the tap
+cotangents once per site; event n's derivative is its mask * weight times
+its site's contraction, the product the per-event pass formed. No array is
+(sites, l * l). Deposits stay per event: each event's mask * weight scales
+its site's kernel, and np.add.at adds the deposits in (event, y tap, x tap)
+order, as one np.bincount over all taps would add them. Summing a site's
+weights first would deposit once per site, but it would round every canvas
+cell that several events reach differently. Sums over a site's taps are
+explicit adds in tap order. So results are bit-identical across runs,
+block sizes, site groupings and thread settings, and at sigma = 0 they
+equal, bit for bit, the earlier unpadded stencil that clipped its taps into
+the image.
 """
 
 from __future__ import annotations
@@ -93,33 +103,41 @@ class ObjectiveConfig:
 
 @dataclass
 class WarpedEvents:
-    """Warped positions and what the IWE needs of each event.
+    """Warped sites and what the IWE needs of each event.
 
+    A row of ``positions`` and ``polarity`` is a site, the events that
+    share a (time bin, pixel, polarity) and so one displacement; ``site``
+    is each event's row, or None when every event is its own row.
     ``weights`` are the per-event IWE contributions (time weighting
-    already applied, mean 1 over unmasked).
+    already applied, mean 1 over unmasked) and ``mask`` keeps an event
+    when its site lands on the image.
     """
 
-    positions: np.ndarray  # (N, 2) warped (x, y)
+    positions: np.ndarray  # (S, 2) warped (x, y)
     weights: np.ndarray  # (N,)
     mask: np.ndarray  # (N,) True = kept
-    polarity: np.ndarray  # (N,) +1/-1
+    polarity: np.ndarray  # (S,) +1/-1
     width: int
     height: int
+    site: np.ndarray | None = None  # (N,) row of each event
 
     @property
     def n_masked(self) -> int:
         return int(len(self.mask) - self.mask.sum())
 
 
-def warp_events(sl: EventSlice, delta, t_ref: float | None = None) -> WarpedEvents:
+def warp_events(sl: EventSlice, delta, t_ref: float | None = None, sites=None) -> WarpedEvents:
     """Move every event by its displacement ``delta``, (N, 2) in (dx, dy)
-    pixels, or 0 for no warp.
+    pixels, or 0 for no warp. Given ``sites``, an ``assoc.EventLookup``,
+    ``delta`` is one displacement per site (S, 2) and each site is warped
+    once; without, every event is its own site.
 
     Events landing outside [0, W-1] x [0, H-1] are masked out. Given
     ``t_ref``, each kept event carries weight |t_ref - t_k|, normalized to
     mean 1; otherwise every event weighs 1.
     """
-    positions = np.stack([sl.x, sl.y], axis=1, dtype=np.float64)
+    first = slice(None) if sites is None else sites.first
+    positions = np.stack([sl.x[first], sl.y[first]], axis=1, dtype=np.float64)
     positions += delta
     mask = (
         (positions[:, 0] >= 0.0)
@@ -127,6 +145,8 @@ def warp_events(sl: EventSlice, delta, t_ref: float | None = None) -> WarpedEven
         & (positions[:, 1] >= 0.0)
         & (positions[:, 1] <= sl.height - 1.0)
     )
+    if sites is not None:
+        mask = mask[sites.site]
     weights = np.ones(len(sl), dtype=np.float64)
     if t_ref is not None:
         dt = np.abs(t_ref - sl.normalized_times())
@@ -136,9 +156,10 @@ def warp_events(sl: EventSlice, delta, t_ref: float | None = None) -> WarpedEven
         positions=positions,
         weights=weights,
         mask=mask,
-        polarity=np.asarray(sl.p),
+        polarity=np.asarray(sl.p)[first],
         width=sl.width,
         height=sl.height,
+        site=None if sites is None else sites.site,
     )
 
 
@@ -201,8 +222,9 @@ def voting_stencil(positions, mask, weights, width: int, height: int, sigma: flo
     and mw = mask * weight. An event deposits mw * (k_y (x) k_x) over
     L = l * l taps, y outer and x inner, onto the cells (cy - r + i,
     cx - r + j), so an unmasked event's deposits sum to its weight.
-    :func:`_accumulate` calls it once per block and pass; its pullback forms
-    the slopes with :func:`_axis_slope`.
+    :func:`_accumulate` calls it once per block of sites and pass, with
+    unit mask and weight (they enter per event); its pullback forms the
+    slopes with :func:`_axis_slope`.
     """
     return (
         _axis_kernel(positions[:, 0], width, sigma),
@@ -223,14 +245,16 @@ def _accumulate(warped: WarpedEvents, sigma: float):
     plane 0, negative ones into plane 1. ``pullback(dgdi)`` takes dG/dI of
     the same shape and returns (N, 2), each event's (d/dx', d/dy'): the tap
     cotangent contracted with (k_y (x) dk_x) and (dk_y (x) k_x), one axis
-    at a time.
+    at a time, once per site and times each event's mask * weight.
 
     The votes land on a (2, H + 2r + 1, W + 2r + 1) canvas, padded by r
-    cells before and r + 1 after each axis, so no tap is clipped: event n's
-    taps are base[n] + pattern, one fixed (l * l) pattern, and the IWE is
-    the canvas interior. Both passes run over blocks of ``_BLOCK_TAPS // L``
-    events and form each block's kernels afresh, so nothing is (N, l) or
-    (N, L). Deposits go through np.add.at in (event, y tap, x tap) order.
+    cells before and r + 1 after each axis, so no tap is clipped: site s's
+    taps are base[s] + pattern, one fixed (l * l) pattern, and the IWE is
+    the canvas interior. The kernels are formed per site, in blocks of
+    ``_BLOCK_TAPS // L`` sites, and kept as one (l, S) array per axis for
+    the deposits, which run over blocks of as many events and go through
+    np.add.at in (event, y tap, x tap) order; the pullback forms them
+    again a block of sites at a time. Nothing is (S, L) or (N, L).
     """
     width, height = warped.width, warped.height
     check_sigma(sigma, width, height)
@@ -240,23 +264,33 @@ def _accumulate(warped: WarpedEvents, sigma: float):
     pattern = (np.arange(l)[:, None] * pw + np.arange(l)).ravel()
     # negative-polarity votes land in the second plane
     plane = (warped.polarity < 0).astype(np.int64) * (ph * pw)
-    n = len(warped.weights)
+    site = warped.site
+    n_sites = len(warped.positions)
     step = max(1, _BLOCK_TAPS // (l * l))
-    blocks = [slice(a, a + step) for a in range(0, n, step)]
+
+    def blocks(n):
+        return [slice(a, a + step) for a in range(0, n, step)]
+
+    def mw(s):
+        return warped.mask[s] * warped.weights[s]
 
     def stencil(s):
-        (cx, kx, fx), (cy, ky, fy), mw = voting_stencil(
-            warped.positions[s], warped.mask[s], warped.weights[s], width, height, sigma
-        )
-        return plane[s] + cy * pw + cx, (kx, fx), (ky, fy), mw
+        (cx, kx, fx), (cy, ky, fy), _ = voting_stencil(warped.positions[s], 1.0, 1.0, width, height, sigma)
+        return plane[s] + cy * pw + cx, (kx, fx), (ky, fy)
 
+    # every site's kernels, a block of sites at a time, for its events to read
+    base = np.empty(n_sites, dtype=np.int64)
+    kx_sites, ky_sites = np.empty((l, n_sites)), np.empty((l, n_sites))
+    for s in blocks(n_sites):
+        base[s], (kx_sites[:, s], _), (ky_sites[:, s], _) = stencil(s)
     canvas = np.zeros(2 * ph * pw)
-    for s in blocks:
-        base, (kx, _), (ky, _), mw = stencil(s)
-        # (event, y tap, x tap) and contiguous, so that ravel() is a view
-        deposits = np.multiply(ky.T[:, :, None], kx.T[:, None, :], order="C")
-        deposits *= mw[:, None, None]
-        np.add.at(canvas, (base[:, None] + pattern).ravel(), deposits.ravel())
+    for s in blocks(len(warped.weights)):
+        at = s if site is None else site[s]
+        # (event, y tap, x tap) rows, contiguous so that ravel() is a view;
+        # einsum sums nothing here, so each entry is the one rounded product
+        deposits = np.einsum("in,jn->nij", ky_sites[:, at], kx_sites[:, at], order="C").reshape(-1, l * l)
+        deposits *= mw(s)[:, None]
+        np.add.at(canvas, (base[at, None] + pattern).ravel(), deposits.ravel())
     interior = (slice(None), slice(r, r + height), slice(r, r + width))
 
     def pullback(dgdi):
@@ -264,13 +298,17 @@ def _accumulate(warped: WarpedEvents, sigma: float):
         padded[interior] = dgdi
         flat = padded.ravel()
         # column-major, so that each axis is one contiguous array of weights
-        grad = np.empty((n, 2), order="F")
-        for s in blocks:
-            base, (kx, fx), (ky, fy), mw = stencil(s)
-            cot = np.take(flat, pattern[:, None] + base).reshape(l, l, -1)  # (y tap, x tap, event)
-            grad[s, 0] = mw * _row_sum(_row_sum((cot * _axis_slope(kx, fx, sigma)).transpose(1, 0, 2)) * ky)
+        grad = np.empty((n_sites, 2), order="F")
+        for s in blocks(n_sites):
+            base, (kx, fx), (ky, fy) = stencil(s)
+            cot = np.take(flat, pattern[:, None] + base).reshape(l, l, -1)  # (y tap, x tap, site)
+            grad[s, 0] = _row_sum(_row_sum((cot * _axis_slope(kx, fx, sigma)).transpose(1, 0, 2)) * ky)
             cot *= _axis_slope(ky, fy, sigma)[:, None, :]
-            grad[s, 1] = mw * _row_sum(_row_sum(cot) * kx)
+            grad[s, 1] = _row_sum(_row_sum(cot) * kx)
+        # each event takes its site's contraction times its own mask * weight
+        if site is not None:
+            grad = grad[site]
+        grad *= mw(slice(None))[:, None]
         return grad
 
     return np.ascontiguousarray(canvas.reshape(2, ph, pw)[interior]), pullback
@@ -310,15 +348,17 @@ def contrast_g(iwe: np.ndarray):
     return total, dgdi
 
 
-def contrast_pass(sl: EventSlice, delta, sigma: float, t_ref: float | None):
-    """Warp by ``delta`` as :func:`warp_events` does, accumulate the
-    (2, H, W) IWE and score its contrast G.
+def contrast_pass(sl: EventSlice, delta, sigma: float, t_ref: float | None, sites=None):
+    """Warp by ``delta``, per site given ``sites``, as :func:`warp_events`
+    does, accumulate the (2, H, W) IWE and score its contrast G.
 
-    Returns (G, dG/d delta, n_masked), the derivative (N, 2). It treats the
-    off-image mask and the time weights as constants: dG/dI is pulled back
-    through the voting stencil to each event's (d/dx', d/dy').
+    Returns (G, dG/d delta, n_masked), the derivative (N, 2) per event even
+    given sites, so that ``EventLookup.pullback`` sums it into the table in
+    event order. It treats the off-image mask and the time weights as
+    constants: dG/dI is pulled back through the voting stencil to each
+    event's (d/dx', d/dy').
     """
-    warped = warp_events(sl, delta, t_ref)
+    warped = warp_events(sl, delta, t_ref, sites)
     del delta  # the IWE passes run without it when the caller keeps no reference
     iwe, pullback = _accumulate(warped, sigma)
     g, dgdi = contrast_g(iwe)
@@ -346,11 +386,11 @@ def regularizer_r(delta_field: np.ndarray):
     return float((np.abs(dx).sum() + np.abs(dy).sum()) / n_cells), grad
 
 
-def zero_warp_contrast(sl: EventSlice, sigma: float) -> float:
+def zero_warp_contrast(sl: EventSlice, sigma: float, sites=None) -> float:
     """G_0 of the fixed-reference baseline: the eps-guarded contrast of the
-    unwarped events. It does not depend on the field, so one value serves a
-    whole run."""
-    return max(contrast_g(build_iwe(warp_events(sl, 0), sigma))[0], EPS_CONTRAST)
+    unwarped events, voted once per site given ``sites`` (the same bits).
+    It does not depend on the field, so one value serves a whole run."""
+    return max(contrast_g(build_iwe(warp_events(sl, 0, sites=sites), sigma))[0], EPS_CONTRAST)
 
 
 def write_iwe_pgm(iwe: np.ndarray, path, bits: int = 8, which: str = "sum") -> None:

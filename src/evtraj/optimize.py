@@ -8,11 +8,12 @@ fixed three-reference baseline. Each term returns its own derivative
 event lookup and the delta field), and :func:`loss_gradient` composes them
 in one forward pass. It treats the KNN neighbor sets, each event's (bin,
 cell) entry, and the off-image mask as constants within one evaluation
-(they are recomputed every iteration). Under that piecewise-constant
-treatment the loss is differentiable away from the integer breakpoints of
-the voting kernel, and the chain rule runs
+(the sets and the mask are recomputed every iteration, the entries once
+per run). Under that piecewise-constant treatment the loss is
+differentiable away from the integer breakpoints of the voting kernel,
+and the chain rule runs
 
-    coefficients -> per-voxel mean displacement -> per-event lookup
+    coefficients -> per-voxel mean displacement -> per-site lookup
                  -> warp, voting stencil -> G(t) -> C    (contrast path)
     coefficients -> consecutive-bin delta field -> R   (smoothness path)
 
@@ -30,7 +31,13 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .assoc import build_consecutive_delta_field, build_displacement_volume, event_lookup, regather_volume
+from .assoc import (
+    EventLookup,
+    build_consecutive_delta_field,
+    build_displacement_volume,
+    event_lookup,
+    regather_volume,
+)
 from .events import EventSlice
 from .objective import (
     EPS_CONTRAST,
@@ -125,7 +132,8 @@ def save_trace_csv(trace: OptimTrace, path) -> None:
             f.write(f"{i},{b.t_ref:.17g},{b.g:.17g},{b.r:.17g},{b.total:.17g}\n")
 
 
-def loss_gradient(sl: EventSlice, field: TrajectoryField, refs, cfg: ObjectiveConfig, g0: float = 1.0):
+def loss_gradient(sl: EventSlice, field: TrajectoryField, refs, cfg: ObjectiveConfig, g0: float = 1.0,
+                  lookup: EventLookup | None = None):
     """Evaluate 1/C + (lambda/|Omega|)*R over the (t_ref, weight) pairs
     ``refs``, C = sum w G(t) / (g0 * sum w), and its analytic gradient
     w.r.t. every coefficient (shaped like ``field.coeffs``).
@@ -133,23 +141,33 @@ def loss_gradient(sl: EventSlice, field: TrajectoryField, refs, cfg: ObjectiveCo
     Returns (LossBreakdown, grad). The neighbor sets depend only on the
     field, so one volume build at ``refs[0]`` serves every reference time;
     the others are gathered from it, and every volume is read through one
-    event lookup. R is skipped (reads 0) when lambda = 0. Flags
+    ``lookup``, the slice's ``event_lookup`` at ``cfg.n_bins`` and the
+    field's stride, built here when not given (:func:`minimize` builds it
+    once per run). Each pass reads one displacement per site, a (time bin,
+    pixel, polarity), and forms each site's kernels and pullback
+    contraction once; every event still deposits its own weight and gets
+    its own derivative, so sums and their rounding are per event as
+    before. R is skipped (reads 0) when lambda = 0. Flags
     ``degenerate`` (and guards 1/C with eps) when C falls under eps, as
     when every event is warped off-image or the IWEs are flat; the contrast
     path then contributes zero (the gradient of the guarded expression).
     """
     volume = build_displacement_volume(field, refs[0][0], cfg.k, cfg.n_bins)
-    read, pullback = event_lookup(sl, cfg.n_bins, field.stride)
+    if lookup is None:
+        lookup = event_lookup(sl, cfg.n_bins, field.stride)
     c, grad_c, n_masked = 0.0, 0.0, 0
     for t_ref, w in refs:
         if t_ref != volume.t_ref:
             volume = regather_volume(field, volume, t_ref)
-        # no (N, 2) array outlives its use: the displacements go to the pass
-        # unnamed, and it drops them once the events are warped
-        g, gdelta, masked = contrast_pass(sl, read(volume.disp), cfg.sigma, t_ref if cfg.time_weighting else None)
+        # no (S, 2) array outlives its use: the displacements go to the pass
+        # unnamed, and it drops them once the sites are warped
+        g, gdelta, masked = contrast_pass(
+            sl, lookup.read(volume.disp), cfg.sigma, t_ref if cfg.time_weighting else None, lookup
+        )
+        gdisp = lookup.pullback(gdelta)
+        del gdelta  # (N, 2), freed before the volume pullback runs
         c += w * g
-        grad_c += w * volume.pullback(pullback(gdelta))
-        del gdelta
+        grad_c += w * volume.pullback(gdisp)
         n_masked += masked
     w_sum = sum(w for _, w in refs)
     c /= w_sum * g0
@@ -187,14 +205,15 @@ def minimize(sl: EventSlice, init_field: TrajectoryField, ocfg: OptimConfig) -> 
     steps = []
     refs, cfg, g0 = None, ocfg.objective, 1.0
     check_sigma(cfg.sigma, sl.width, sl.height)
+    lookup = event_lookup(sl, cfg.n_bins, field.stride)
     if ocfg.fixed_reference:
-        refs, g0 = FIXED_REFERENCES, zero_warp_contrast(sl, cfg.sigma)
+        refs, g0 = FIXED_REFERENCES, zero_warp_contrast(sl, cfg.sigma, lookup)
         cfg = replace(cfg, lam=0.0, time_weighting=False)
     for it in range(ocfg.iterations):
         if not np.all(np.isfinite(field.coeffs)):
             raise DivergenceError(f"non-finite coefficients at iteration {it}")
         it_refs = refs or ((float(rng.random()), 1.0),)
-        breakdown, grad = loss_gradient(sl, field, it_refs, cfg, g0)
+        breakdown, grad = loss_gradient(sl, field, it_refs, cfg, g0, lookup)
         if not (np.isfinite(breakdown.total) and np.all(np.isfinite(grad))):
             raise DivergenceError(f"non-finite loss or gradient at iteration {it}")
         if breakdown.n_masked == len(it_refs) * len(sl) > 0:

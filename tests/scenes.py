@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from evtraj.events import EventSlice
 from evtraj.synth import BezierMotion, CircularMotion, SceneSpec, generate_events, scatter_points
 from evtraj.trajectory import Basis, TrajectoryField, displacement_basis
 
@@ -74,6 +75,18 @@ def arc_scene(
     )
     sl, gt = generate_events(spec, seed + 1)
     return sl, gt, spec
+
+
+def shared_site_slice(rng, n_sites=150, width=32, height=32, n_bins=5, repeats=(2, 12)):
+    """Events that share their site, a (time bin of ``n_bins`` over [0, 1],
+    pixel, polarity): ``n_sites`` distinct sites, each repeated between
+    ``repeats`` times inclusive, at distinct timestamps inside its bin."""
+    keys = rng.choice(n_bins * height * width * 2, n_sites, replace=False)
+    counts = rng.integers(repeats[0], repeats[1] + 1, n_sites)
+    b, y, x, negative = np.unravel_index(np.repeat(keys, counts), (n_bins, height, width, 2))
+    t = (b + rng.uniform(0.02, 0.98, len(b))) / n_bins
+    assert len(np.unique(t)) == len(t)
+    return EventSlice.from_arrays(x, y, t, 1 - 2 * negative, width, height, t_start=0.0, t_end=1.0)
 
 
 def gt_field(motion, width, height, stride, basis: Basis) -> TrajectoryField:

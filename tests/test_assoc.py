@@ -543,7 +543,8 @@ class TestEventDisplacement:
         sl = border_slice(rng)
         rows, cols, _ = anchor_grid(sl.width, sl.height, stride)
         table = rng.normal(0.0, 2.0, (n_bins, rows, cols, 2))
-        delta = event_lookup(sl, n_bins, stride)[0](table)
+        lookup = event_lookup(sl, n_bins, stride)
+        delta = lookup.read(table)[lookup.site]
         assert delta.shape == (len(sl), 2)
         np.testing.assert_array_equal(np.stack([sl.x, sl.y], axis=1) + delta, warp_scalar(sl, table, stride))
 
@@ -555,20 +556,20 @@ class TestEventDisplacement:
         sl = border_slice(rng)
         rows, cols, _ = anchor_grid(sl.width, sl.height, stride)
         table = rng.normal(0.0, 1.0, (n_bins, rows, cols, 2))
-        read, pullback = event_lookup(sl, n_bins, stride)
-        delta = read(table)
+        lookup = event_lookup(sl, n_bins, stride)
+        delta = lookup.read(table)[lookup.site]
         cot = rng.normal(0.0, 1.0, delta.shape)
-        back = pullback(cot)
+        back = lookup.pullback(cot)
         assert back.shape == table.shape
         assert float((delta * cot).sum()) == pytest.approx(float((table * back).sum()), rel=1e-12)
 
     def test_table_not_tiling_the_slice_rejected(self):
         sl = border_slice(np.random.default_rng(63))
-        event_lookup(sl, 5, 4)[0](np.zeros((5, 3, 4, 2)))
+        event_lookup(sl, 5, 4).read(np.zeros((5, 3, 4, 2)))
         for shape, stride in (((5, 3, 4, 2), 3), ((5, 2, 4, 2), 4), ((5, 3, 3, 2), 4), ((5, 3, 4, 2), 5),
                               ((4, 3, 4, 2), 4)):
             with pytest.raises(ValueError, match=f"that tile a 13x10 slice at stride {stride}"):
-                event_lookup(sl, 5, stride)[0](np.zeros(shape))
+                event_lookup(sl, 5, stride).read(np.zeros(shape))
 
 
 class TestConsecutiveDeltaField:

@@ -156,7 +156,8 @@ def field_delta(sl, field):
     """Each event's displacement to t = 1 under ``field``, as the CLI's
     render reads it."""
     volume = build_displacement_volume(field, 1.0, 8, n_bins=15)
-    return event_lookup(sl, volume.n_bins, field.stride)[0](volume.disp)
+    lookup = event_lookup(sl, volume.n_bins, field.stride)
+    return lookup.read(volume.disp)[lookup.site]
 
 
 class TestFwl:

@@ -32,7 +32,7 @@ from oracles import (
     regularizer_scalar,
     warp_scalar,
 )
-from scenes import constant_scene, gt_field
+from scenes import constant_scene, gt_field, shared_site_slice
 
 
 def random_slice(rng, n=1000, width=32, height=32):
@@ -53,10 +53,16 @@ def random_table(rng, width=32, height=32, stride=4, n_bins=5, scale=1.5):
     return rng.normal(0.0, scale, (n_bins, -(-height // stride), -(-width // stride), 2))
 
 
+def per_event(sl, table, stride=4):
+    """Each event's entry of ``table``: its site's, read once per site."""
+    lookup = event_lookup(sl, len(table), stride)
+    return lookup.read(table)[lookup.site]
+
+
 def random_delta(rng, sl, stride=4, n_bins=5, scale=1.5):
     """Per-event displacements read from a random table, as the estimator
     reads its volume."""
-    return event_lookup(sl, n_bins, stride)[0](random_table(rng, sl.width, sl.height, stride, n_bins, scale))
+    return per_event(sl, random_table(rng, sl.width, sl.height, stride, n_bins, scale), stride)
 
 
 class TestWarp:
@@ -80,7 +86,7 @@ class TestWarp:
         rng = np.random.default_rng(2)
         sl = random_slice(rng, n=1000)
         table = random_table(rng)
-        delta = event_lookup(sl, len(table), 4)[0](table)
+        delta = per_event(sl, table)
         np.testing.assert_array_equal(warp_events(sl, delta).positions, warp_scalar(sl, table, 4))
 
     def test_geometry_mismatch_rejected(self):
@@ -89,7 +95,7 @@ class TestWarp:
         rng = np.random.default_rng(3)
         sl = random_slice(rng, width=32, height=32)
         with pytest.raises(ValueError, match="tile a 32x32 slice"):
-            event_lookup(sl, 15, 4)[0](np.zeros((15, 4, 4, 2)))
+            event_lookup(sl, 15, 4).read(np.zeros((15, 4, 4, 2)))
         with pytest.raises(ValueError):
             warp_events(sl, np.zeros((len(sl) - 1, 2)))
 
@@ -169,7 +175,7 @@ class TestIwe:
         sl = random_slice(rng, n=2000)
         field = TrajectoryField.zeros(32, 32, 4, Basis(BEZIER, 10))
         vol = build_displacement_volume(field, 0.77, 8, n_bins=15)
-        warped = warp_events(sl, event_lookup(sl, vol.n_bins, field.stride)[0](vol.disp))
+        warped = warp_events(sl, per_event(sl, vol.disp, field.stride))
         iwe = build_iwe(warped)
         raw = np.zeros((32, 32))
         np.add.at(raw, (sl.y, sl.x), 1.0)
@@ -208,8 +214,8 @@ class TestIwe:
 
 def lookup_and_contrast_pass(sl, table, stride, sigma):
     """One reference time's contrast path, table to table cotangent."""
-    read, pullback = event_lookup(sl, len(table), stride)
-    return pullback(contrast_pass(sl, read(table), sigma, 0.5)[1])
+    lookup = event_lookup(sl, len(table), stride)
+    return lookup.pullback(contrast_pass(sl, lookup.read(table), sigma, 0.5, lookup)[1])
 
 
 class TestVotingBlocks:
@@ -283,6 +289,72 @@ class TestVotingBlocks:
         assert peak < 40 * 2**20
 
 
+class TestSharedSites:
+    """Events that share a (time bin, pixel, polarity) share one kernel and
+    one pullback contraction, and keep every bit of the per-event pass."""
+
+    def test_sites_group_the_events_that_share_an_entry(self):
+        rng = np.random.default_rng(28)
+        sl = shared_site_slice(rng)
+        lookup = event_lookup(sl, 5, 4)
+        assert len(lookup.first) == 150
+        np.testing.assert_array_equal(lookup.site[lookup.first], np.arange(150))
+        # a site's events match its first in bin, pixel and polarity
+        for a in (np.minimum(np.floor(sl.t * 5), 4), sl.x, sl.y, sl.p):
+            np.testing.assert_array_equal(a, a[lookup.first][lookup.site])
+        table = random_table(rng)
+        warped = warp_events(sl, lookup.read(table), t_ref=0.5, sites=lookup)
+        per_event = warp_events(sl, lookup.read(table)[lookup.site], t_ref=0.5)
+        # what warp_events returns still counts events, one mask entry each
+        assert len(warped.mask) == len(sl)
+        assert 0 < warped.n_masked == per_event.n_masked
+        np.testing.assert_array_equal(warped.positions[lookup.site], per_event.positions)
+        np.testing.assert_array_equal(warped.weights, per_event.weights)
+        for sigma in (0.0, 1.0):
+            assert zero_warp_contrast(sl, sigma, lookup) == zero_warp_contrast(sl, sigma)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.7, 1.0, 3.0])
+    def test_shared_sites_match_the_per_event_stencil_bit_for_bit(self, monkeypatch, sigma):
+        rng = np.random.default_rng(29)
+        sl = shared_site_slice(rng)
+        table = random_table(rng)
+        lookup = event_lookup(sl, len(table), 4)
+        per_event = warp_events(sl, lookup.read(table)[lookup.site], t_ref=0.5)
+        # whole sites are masked: some warped off-image, others kept
+        masked = np.unique(lookup.site[~per_event.mask])
+        assert 0 < len(masked) < len(lookup.first)
+        assert np.bincount(lookup.site)[masked].min() >= 2
+        *kernels, mw = voting_stencil(per_event.positions, per_event.mask, per_event.weights, 32, 32, sigma)
+        axes = (*[(c, k, objective._axis_slope(k, f, sigma)) for c, k, f in kernels], mw)
+        taps = axes[0][1].shape[0] ** 2
+        plane = (sl.p < 0).astype(np.int64)
+        ref = iwe_full_stencil(axes, plane, 32, 32)
+        ref_g, dgdi = contrast_g(ref)
+        ref_grad = np.stack(pullback_full_stencil(axes, plane, 32, 32, dgdi), axis=1)
+        warped = warp_events(sl, lookup.read(table), t_ref=0.5, sites=lookup)
+        for events_per_block in (1, 37, len(sl)):
+            monkeypatch.setattr(objective, "_BLOCK_TAPS", events_per_block * taps)
+            assert build_iwe(warped, sigma=sigma).tobytes() == ref.tobytes()
+            g, grad, n_masked = contrast_pass(sl, lookup.read(table), sigma, 0.5, lookup)
+            assert g == ref_g
+            assert grad.tobytes() == ref_grad.tobytes()
+            assert n_masked == per_event.n_masked
+
+    def test_sigma1_pass_memory_with_shared_sites_at_benchmark_size(self):
+        # about 195,000 events over 23,000 sites, 8.5 per site, as
+        # splat-dense-128 holds 200,000 over 22,704
+        rng = np.random.default_rng(30)
+        sl = shared_site_slice(rng, n_sites=23_000, width=128, height=96, repeats=(2, 15))
+        table = random_table(rng, width=128, height=96, stride=8)
+        tracemalloc.start()
+        try:
+            lookup_and_contrast_pass(sl, table, 8, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
+
 class TestContrast:
     def test_zero_image(self):
         assert contrast_g(np.zeros((2, 8, 8)))[0] == 0.0
@@ -310,7 +382,7 @@ class TestContrast:
         sl, _, spec = constant_scene(width=48, height=48, n_points=80, n_events=6000, seed=3)
         field = gt_field(spec.motion, 48, 48, 4, Basis(POLYNOMIAL, 1))
         vol_true = build_displacement_volume(field, 1.0, 8, n_bins=15)
-        delta = event_lookup(sl, vol_true.n_bins, field.stride)[0](vol_true.disp)
+        delta = per_event(sl, vol_true.disp, field.stride)
         g_true = contrast_g(build_iwe(warp_events(sl, delta), sigma=1.0))[0]
         g_zero = contrast_g(build_iwe(warp_events(sl, 0), sigma=1.0))[0]
         assert g_true > g_zero
@@ -329,7 +401,7 @@ class TestContrast:
             t_end=1.0,
         )
         table = random_table(rng, width=24, height=24, scale=0.4)
-        warped = warp_events(sl, event_lookup(sl, len(table), 4)[0](table))
+        warped = warp_events(sl, per_event(sl, table))
         assert warped.n_masked == 0
         g_small = contrast_g(build_iwe(warped))[0]
         shifted = EventSlice.from_arrays(
@@ -337,7 +409,7 @@ class TestContrast:
         )
         table_big = np.zeros((5, 9, 10, 2))
         table_big[:, 1:7, 2:8, :] = table  # same table under the shifted cells
-        warped_big = warp_events(shifted, event_lookup(shifted, len(table_big), 4)[0](table_big))
+        warped_big = warp_events(shifted, per_event(shifted, table_big))
         assert warped_big.n_masked == 0
         g_big = contrast_g(build_iwe(warped_big))[0]
         assert abs(g_big - g_small) < 1e-9

@@ -31,7 +31,7 @@ from evtraj.optimize import (
 from evtraj.trajectory import BEZIER, POLYNOMIAL, Basis, TrajectoryField
 
 from oracles import event_voxels_scalar
-from scenes import constant_scene
+from scenes import constant_scene, shared_site_slice
 
 def small_instance(seed=0, n_events=200, width=16, height=16, basis=Basis(POLYNOMIAL, 2),
                    coeff_scale=1.0):
@@ -64,7 +64,21 @@ def baseline(sl, field, cfg):
 
 def event_delta(sl, field, volume):
     """Each event's displacement read from ``volume``."""
-    return event_lookup(sl, volume.n_bins, field.stride)[0](volume.disp)
+    lookup = event_lookup(sl, volume.n_bins, field.stride)
+    return lookup.read(volume.disp)[lookup.site]
+
+
+def count_lookups(monkeypatch):
+    """The (n_bins, stride) of every event_lookup that optimize makes."""
+    calls = []
+    lookup = optimize.event_lookup
+
+    def counted(*args):
+        calls.append(args[1:])
+        return lookup(*args)
+
+    monkeypatch.setattr(optimize, "event_lookup", counted)
+    return calls
 
 
 def fd_check_coordinates(sl, field, cfg, refs, h, rng, n_coords, g0=1.0):
@@ -223,18 +237,33 @@ class TestLossGradient:
 
     def test_fixed_reference_finds_event_slots_once(self, monkeypatch):
         sl, field = small_instance(seed=16)
-        cfg = ObjectiveConfig(k=8, n_bins=5)
-        calls = []
-        lookup = optimize.event_lookup
+        calls = count_lookups(monkeypatch)
+        ocfg = OptimConfig(iterations=3, objective=ObjectiveConfig(k=8, n_bins=5), fixed_reference=True)
+        minimize(sl, field, ocfg)
+        # every pass of every iteration reads its tables through one lookup
+        assert calls == [(5, field.stride)]
 
-        def counted(*args):
-            calls.append(args[1:])
-            return lookup(*args)
+    def test_drawn_reference_finds_event_slots_once(self, monkeypatch):
+        sl, field = small_instance(seed=16)
+        calls = count_lookups(monkeypatch)
+        minimize(sl, field, OptimConfig(iterations=3, objective=ObjectiveConfig(k=8, n_bins=5)))
+        assert calls == [(5, field.stride)]
 
-        monkeypatch.setattr(optimize, "event_lookup", counted)
-        loss_gradient(sl, field, *baseline(sl, field, cfg))
-        # the three reference times read their tables through one set of slots
-        assert calls == [(cfg.n_bins, field.stride)]
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    @pytest.mark.parametrize("fixed", [False, True], ids=["drawn", "fixed"])
+    def test_shared_sites_match_finite_differences(self, sigma, fixed):
+        # each (bin, pixel, polarity) holds 2-12 events: the pullback
+        # contracts once per site and must reach every one of them
+        rng = np.random.default_rng(31)
+        sl = shared_site_slice(rng, n_sites=40, width=16, height=16, n_bins=4)
+        field = TrajectoryField.zeros(16, 16, 4, Basis(POLYNOMIAL, 2))
+        field.coeffs[...] = rng.normal(0.0, 1.0, field.coeffs.shape)
+        cfg = ObjectiveConfig(sigma=sigma, k=8, n_bins=4)
+        refs, g0 = one(0.43), 1.0
+        if fixed:
+            refs, cfg, g0 = baseline(sl, field, cfg)
+        max_rel = fd_check_coordinates(sl, field, cfg, refs, h=1e-4, rng=rng, n_coords=40, g0=g0)
+        assert max_rel < (1e-4 if sigma == 0.0 and not fixed else 1e-5)
 
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
     def test_fixed_reference_shared_search_matches_three_builds(self, monkeypatch, sigma):
