@@ -6,7 +6,7 @@ The package is organized around the estimation pipeline:
 ``events``     event containers, EVT1 I/O
 ``trajectory`` polynomial/Bezier trajectory bases on an anchor grid
 ``assoc``      per-bin KNN association, the displacement volume, each event's entry of it, and their pullbacks
-``objective``  per-event warping, the (2, H, W) polarity-stacked IWE, and the loss terms with their derivatives (contrast G, regularizer R)
+``objective``  per-site event warping, the (2, H, W) polarity-stacked IWE, and the loss terms with their derivatives (contrast G, regularizer R)
 ``optimize``   the loss and its gradient composed from those terms, Adam descent
 ``synth``      synthetic scenes with exact ground truth
 ``metrics``    EPE / AE / %Out / TEPE / TAE, and FWL with its flow-map table

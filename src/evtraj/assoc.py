@@ -372,9 +372,9 @@ class EventLookup:
     each event's site (N,) and ``first`` each site's first event (S,), the
     sites in (bin, pixel, polarity) order. ``read(disp)`` is each site's
     entry (S, 2) of a table ``disp``, so ``read(disp)[site]`` is each
-    event's; ``pullback(gdelta)`` takes a cotangent (N, 2) per event and is
-    the transpose of that per-event read, each entry's event cotangents
-    summed in event order, one np.bincount per axis.
+    event's; ``pullback(gdelta)`` takes a cotangent (S, 2) per site and is
+    the transpose of ``read``, each entry's site cotangents summed in site
+    order, one np.bincount per axis.
     """
 
     read: Callable[[np.ndarray], np.ndarray]
@@ -397,7 +397,6 @@ def event_lookup(sl: EventSlice, n_bins: int, stride: int) -> EventLookup:
     rows, cols, _ = anchor_grid(sl.width, sl.height, stride)
     shape = (n_bins, rows, cols, 2)
     b = np.clip(np.floor(sl.normalized_times() * n_bins).astype(np.int64), 0, n_bins - 1)
-    slot = (b * rows + sl.y // stride) * cols + sl.x // stride
     # the events are time-sorted, so each bin is one run of them; a table
     # of each (pixel, polarity)'s first event in the run numbers its sites
     pixel_pol = (sl.y * sl.width + sl.x) * 2 + (sl.p < 0)
@@ -412,7 +411,7 @@ def event_lookup(sl: EventSlice, n_bins: int, stride: int) -> EventLookup:
         firsts.append(first_of[seen])
         n_sites, lo = n_sites + len(firsts[-1]), hi
     first = np.concatenate(firsts)
-    site_slot = slot[first]
+    site_slot = (b[first] * rows + sl.y[first] // stride) * cols + sl.x[first] // stride
 
     def read(disp):
         if disp.shape != shape:
@@ -421,7 +420,7 @@ def event_lookup(sl: EventSlice, n_bins: int, stride: int) -> EventLookup:
         return disp.reshape(-1, 2)[site_slot]
 
     def pullback(gdelta):
-        gdisp = [np.bincount(slot, weights=gdelta[:, c], minlength=n_bins * rows * cols) for c in (0, 1)]
+        gdisp = [np.bincount(site_slot, weights=gdelta[:, c], minlength=n_bins * rows * cols) for c in (0, 1)]
         return np.stack(gdisp, axis=1).reshape(shape)
 
     return EventLookup(read, pullback, site, first)

@@ -22,7 +22,7 @@ zero-warp contrast, lambda = 0 and no time weighting:
 C = F = (G(0) + 2 G(0.5) + G(1)) / (4 G_0).
 
 Each term owns its adjoint: :func:`contrast_g` returns G and dG/dI,
-:func:`contrast_pass` G and dG/d(per-event displacement), and
+:func:`contrast_pass` G and dG/d(per-site displacement), and
 :func:`regularizer_r` R and dR/d(delta field). ``optimize.loss_gradient``
 composes them with the lookup and association adjoints of ``assoc``.
 
@@ -32,27 +32,27 @@ bilinear voting) or a Gaussian over floor(x') - r ... floor(x') + r + 1,
 r = ceil(3 sigma), normalized over its in-image taps. Events warped
 off-image contribute nothing. The votes land on a canvas padded by r cells
 before and r + 1 after each axis (r = 0 at sigma = 0), so no tap is ever
-clipped: every event's taps are its base cell plus one fixed pattern of
+clipped: every site's taps are its base cell plus one fixed pattern of
 l * l offsets (l = 2r + 2), off-image taps carry weight 0 into the margin,
 and the IWE is the canvas interior.
 
 Events that share a site, a (time bin, pixel, polarity), read one entry of
 a displacement table, so they land on one warped position with one kernel
 (``assoc.EventLookup`` finds the sites once per run; a per-event
-displacement makes every event its own site). The kernels are formed per
-site, in blocks of a fixed tap budget, as (l, sites) arrays per axis, and
-the pullback forms them again with their slopes and contracts the tap
-cotangents once per site; event n's derivative is its mask * weight times
-its site's contraction, the product the per-event pass formed. No array is
-(sites, l * l). Deposits stay per event: each event's mask * weight scales
-its site's kernel, and np.add.at adds the deposits in (event, y tap, x tap)
-order, as one np.bincount over all taps would add them. Summing a site's
-weights first would deposit once per site, but it would round every canvas
-cell that several events reach differently. Sums over a site's taps are
-explicit adds in tap order. So results are bit-identical across runs,
-block sizes, site groupings and thread settings, and at sigma = 0 they
-equal, bit for bit, the earlier unpadded stencil that clipped its taps into
-the image.
+displacement makes every event its own site). The IWE is the sum over
+events of weight * kernel, so a site votes once with its events' summed
+weight: the weights are summed in event order, then the kernels are formed
+per site, in blocks of a fixed tap budget, as (l, sites) arrays per axis,
+and np.add.at adds the deposits in (site, y tap, x tap) order, as one
+np.bincount over all taps would add them. The pullback forms the kernels'
+slopes, contracts the tap cotangents once per site and scales them by the
+site's weight; it returns one derivative per site, and
+``assoc.EventLookup.pullback`` sums those into the table. No array is
+(sites, l * l), and nothing after the warp is per event but the weights.
+Sums over a site's taps are explicit adds in tap order. So results are
+bit-identical across runs, block sizes and thread settings, and with every
+event its own site at sigma = 0 they equal, bit for bit, the earlier
+unpadded stencil that clipped its taps into the image.
 """
 
 from __future__ import annotations
@@ -216,21 +216,16 @@ def _axis_slope(k, f, sigma: float):
     return dk
 
 
-def voting_stencil(positions, mask, weights, width: int, height: int, sigma: float):
-    """Factors of the separable kernel for one block of events: ((cx, kx,
-    fx), (cy, ky, fy), mw), the per-axis (c0, k, f) of :func:`_axis_kernel`
-    and mw = mask * weight. An event deposits mw * (k_y (x) k_x) over
-    L = l * l taps, y outer and x inner, onto the cells (cy - r + i,
-    cx - r + j), so an unmasked event's deposits sum to its weight.
-    :func:`_accumulate` calls it once per block of sites and pass, with
-    unit mask and weight (they enter per event); its pullback forms the
-    slopes with :func:`_axis_slope`.
+def voting_stencil(positions, width: int, height: int, sigma: float):
+    """Factors of the separable kernel for one block of sites: ((cx, kx,
+    fx), (cy, ky, fy)), the per-axis (c0, k, f) of :func:`_axis_kernel`. A
+    site of weight W deposits W * (k_y (x) k_x) over L = l * l taps, y outer
+    and x inner, onto the cells (cy - r + i, cx - r + j), so an unmasked
+    site's deposits sum to its weight. :func:`_accumulate` calls it once per
+    block of sites and pass; its pullback forms the slopes with
+    :func:`_axis_slope`.
     """
-    return (
-        _axis_kernel(positions[:, 0], width, sigma),
-        _axis_kernel(positions[:, 1], height, sigma),
-        mask * weights,
-    )
+    return _axis_kernel(positions[:, 0], width, sigma), _axis_kernel(positions[:, 1], height, sigma)
 
 
 def check_sigma(sigma: float, width: int, height: int) -> None:
@@ -241,20 +236,22 @@ def check_sigma(sigma: float, width: int, height: int) -> None:
 
 
 def _accumulate(warped: WarpedEvents, sigma: float):
-    """(iwe, pullback). ``iwe`` is (2, H, W): positive events vote into
+    """(iwe, pullback). ``iwe`` is (2, H, W): positive sites vote into
     plane 0, negative ones into plane 1. ``pullback(dgdi)`` takes dG/dI of
-    the same shape and returns (N, 2), each event's (d/dx', d/dy'): the tap
+    the same shape and returns (S, 2), each site's (d/dx', d/dy'): the tap
     cotangent contracted with (k_y (x) dk_x) and (dk_y (x) k_x), one axis
-    at a time, once per site and times each event's mask * weight.
+    at a time, times the site's weight.
 
-    The votes land on a (2, H + 2r + 1, W + 2r + 1) canvas, padded by r
-    cells before and r + 1 after each axis, so no tap is clipped: site s's
-    taps are base[s] + pattern, one fixed (l * l) pattern, and the IWE is
-    the canvas interior. The kernels are formed per site, in blocks of
-    ``_BLOCK_TAPS // L`` sites, and kept as one (l, S) array per axis for
-    the deposits, which run over blocks of as many events and go through
-    np.add.at in (event, y tap, x tap) order; the pullback forms them
-    again a block of sites at a time. Nothing is (S, L) or (N, L).
+    A site's weight W_s is the sum of its events' mask * weight, added in
+    event order by one np.bincount (each event's own mask * weight when
+    every event is its own site). The votes land on a (2, H + 2r + 1,
+    W + 2r + 1) canvas, padded by r cells before and r + 1 after each axis,
+    so no tap is clipped: site s's taps are base[s] + pattern, one fixed
+    (l * l) pattern, and the IWE is the canvas interior. The kernels are
+    formed a block of ``_BLOCK_TAPS // L`` sites at a time and kept, (l, S)
+    per axis, for the pullback, which forms their slopes; each site
+    deposits once, through np.add.at in (site, y tap, x tap) order. Nothing
+    is (S, L) or (N, L).
     """
     width, height = warped.width, warped.height
     check_sigma(sigma, width, height)
@@ -264,33 +261,23 @@ def _accumulate(warped: WarpedEvents, sigma: float):
     pattern = (np.arange(l)[:, None] * pw + np.arange(l)).ravel()
     # negative-polarity votes land in the second plane
     plane = (warped.polarity < 0).astype(np.int64) * (ph * pw)
-    site = warped.site
     n_sites = len(warped.positions)
+    weight = warped.mask * warped.weights
+    if warped.site is not None:
+        weight = np.bincount(warped.site, weights=weight, minlength=n_sites)
     step = max(1, _BLOCK_TAPS // (l * l))
-
-    def blocks(n):
-        return [slice(a, a + step) for a in range(0, n, step)]
-
-    def mw(s):
-        return warped.mask[s] * warped.weights[s]
-
-    def stencil(s):
-        (cx, kx, fx), (cy, ky, fy), _ = voting_stencil(warped.positions[s], 1.0, 1.0, width, height, sigma)
-        return plane[s] + cy * pw + cx, (kx, fx), (ky, fy)
-
-    # every site's kernels, a block of sites at a time, for its events to read
-    base = np.empty(n_sites, dtype=np.int64)
-    kx_sites, ky_sites = np.empty((l, n_sites)), np.empty((l, n_sites))
-    for s in blocks(n_sites):
-        base[s], (kx_sites[:, s], _), (ky_sites[:, s], _) = stencil(s)
+    # each block's sites, base cells and (k, f) per axis, kept for the pullback
+    stencils = []
     canvas = np.zeros(2 * ph * pw)
-    for s in blocks(len(warped.weights)):
-        at = s if site is None else site[s]
-        # (event, y tap, x tap) rows, contiguous so that ravel() is a view;
-        # einsum sums nothing here, so each entry is the one rounded product
-        deposits = np.einsum("in,jn->nij", ky_sites[:, at], kx_sites[:, at], order="C").reshape(-1, l * l)
-        deposits *= mw(s)[:, None]
-        np.add.at(canvas, (base[at, None] + pattern).ravel(), deposits.ravel())
+    for a in range(0, n_sites, step):
+        s = slice(a, a + step)
+        (cx, kx, fx), (cy, ky, fy) = voting_stencil(warped.positions[s], width, height, sigma)
+        base = plane[s] + cy * pw + cx
+        stencils.append((s, base, kx, fx, ky, fy))
+        # (site, y tap, x tap) rows, contiguous so that ravel() is a view;
+        # einsum sums nothing here, so each entry is (k_y * k_x) * W rounded
+        deposits = np.einsum("in,jn,n->nij", ky, kx, weight[s], order="C")
+        np.add.at(canvas, (base[:, None] + pattern).ravel(), deposits.ravel())
     interior = (slice(None), slice(r, r + height), slice(r, r + width))
 
     def pullback(dgdi):
@@ -299,16 +286,12 @@ def _accumulate(warped: WarpedEvents, sigma: float):
         flat = padded.ravel()
         # column-major, so that each axis is one contiguous array of weights
         grad = np.empty((n_sites, 2), order="F")
-        for s in blocks(n_sites):
-            base, (kx, fx), (ky, fy) = stencil(s)
+        for s, base, kx, fx, ky, fy in stencils:
             cot = np.take(flat, pattern[:, None] + base).reshape(l, l, -1)  # (y tap, x tap, site)
             grad[s, 0] = _row_sum(_row_sum((cot * _axis_slope(kx, fx, sigma)).transpose(1, 0, 2)) * ky)
             cot *= _axis_slope(ky, fy, sigma)[:, None, :]
             grad[s, 1] = _row_sum(_row_sum(cot) * kx)
-        # each event takes its site's contraction times its own mask * weight
-        if site is not None:
-            grad = grad[site]
-        grad *= mw(slice(None))[:, None]
+        grad *= weight[:, None]
         return grad
 
     return np.ascontiguousarray(canvas.reshape(2, ph, pw)[interior]), pullback
@@ -318,7 +301,8 @@ def build_iwe(warped: WarpedEvents, sigma: float = 0.0) -> np.ndarray:
     """Accumulate warped events into the (2, H, W) IWE, stacked as
     (positive, negative) polarity planes.
 
-    Each unmasked event deposits its weight through the voting stencil.
+    Each site deposits its unmasked events' summed weight through the
+    voting stencil.
     """
     return _accumulate(warped, sigma)[0]
 
@@ -352,11 +336,11 @@ def contrast_pass(sl: EventSlice, delta, sigma: float, t_ref: float | None, site
     """Warp by ``delta``, per site given ``sites``, as :func:`warp_events`
     does, accumulate the (2, H, W) IWE and score its contrast G.
 
-    Returns (G, dG/d delta, n_masked), the derivative (N, 2) per event even
-    given sites, so that ``EventLookup.pullback`` sums it into the table in
-    event order. It treats the off-image mask and the time weights as
-    constants: dG/dI is pulled back through the voting stencil to each
-    event's (d/dx', d/dy').
+    Returns (G, dG/d delta, n_masked), the derivative shaped like
+    ``delta``: (S, 2) per site given sites, for ``EventLookup.pullback`` to
+    sum into the table, else (N, 2) per event. It treats the off-image mask
+    and the time weights as constants: dG/dI is pulled back through the
+    voting stencil to each site's (d/dx', d/dy'), times its summed weight.
     """
     warped = warp_events(sl, delta, t_ref, sites)
     del delta  # the IWE passes run without it when the caller keeps no reference
@@ -388,8 +372,8 @@ def regularizer_r(delta_field: np.ndarray):
 
 def zero_warp_contrast(sl: EventSlice, sigma: float, sites=None) -> float:
     """G_0 of the fixed-reference baseline: the eps-guarded contrast of the
-    unwarped events, voted once per site given ``sites`` (the same bits).
-    It does not depend on the field, so one value serves a whole run."""
+    unwarped events, voted once per site given ``sites``. It does not
+    depend on the field, so one value serves a whole run."""
     return max(contrast_g(build_iwe(warp_events(sl, 0, sites=sites), sigma))[0], EPS_CONTRAST)
 
 

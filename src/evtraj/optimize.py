@@ -144,10 +144,9 @@ def loss_gradient(sl: EventSlice, field: TrajectoryField, refs, cfg: ObjectiveCo
     ``lookup``, the slice's ``event_lookup`` at ``cfg.n_bins`` and the
     field's stride, built here when not given (:func:`minimize` builds it
     once per run). Each pass reads one displacement per site, a (time bin,
-    pixel, polarity), and forms each site's kernels and pullback
-    contraction once; every event still deposits its own weight and gets
-    its own derivative, so sums and their rounding are per event as
-    before. R is skipped (reads 0) when lambda = 0. Flags
+    pixel, polarity), votes it once with its events' summed weight and
+    returns one derivative per site, which the lookup's pullback sums into
+    the table. R is skipped (reads 0) when lambda = 0. Flags
     ``degenerate`` (and guards 1/C with eps) when C falls under eps, as
     when every event is warped off-image or the IWEs are flat; the contrast
     path then contributes zero (the gradient of the guarded expression).
@@ -165,7 +164,7 @@ def loss_gradient(sl: EventSlice, field: TrajectoryField, refs, cfg: ObjectiveCo
             sl, lookup.read(volume.disp), cfg.sigma, t_ref if cfg.time_weighting else None, lookup
         )
         gdisp = lookup.pullback(gdelta)
-        del gdelta  # (N, 2), freed before the volume pullback runs
+        del gdelta  # (S, 2), freed before the volume pullback runs
         c += w * g
         grad_c += w * volume.pullback(gdisp)
         n_masked += masked

@@ -550,14 +550,15 @@ class TestEventDisplacement:
 
     @pytest.mark.parametrize("n_bins, stride", [(5, 4), (15, 1)])
     def test_pullback_is_the_transpose(self, n_bins, stride):
-        # <lookup(D), G> == <D, pullback(G)>, with events at t_end and in
-        # the border cells
+        # <read(D), G> == <D, pullback(G)> for per-site cotangents G, with
+        # events at t_end and in the border cells
         rng = np.random.default_rng(62)
         sl = border_slice(rng)
         rows, cols, _ = anchor_grid(sl.width, sl.height, stride)
         table = rng.normal(0.0, 1.0, (n_bins, rows, cols, 2))
         lookup = event_lookup(sl, n_bins, stride)
-        delta = lookup.read(table)[lookup.site]
+        delta = lookup.read(table)
+        assert delta.shape == (len(lookup.first), 2)
         cot = rng.normal(0.0, 1.0, delta.shape)
         back = lookup.pullback(cot)
         assert back.shape == table.shape

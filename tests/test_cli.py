@@ -76,10 +76,11 @@ def fixed_inputs(root: Path) -> dict:
 # the report and the SHA-256 of each PGM that eval and render write for
 # ``fixed_inputs``, recorded when the warp still read the table itself; a
 # refactor keeps these bytes, and only a change of definition may move them
+# (fwl's last digits moved once each site voted once at its summed weight)
 UNCHANGED_REPORT = (
     "epe,ae,pct_out,tepe,tae,fwl,n_valid\n"
     "3.2213718807599485,77.591698491293982,0.53094462540716614,3.2101233269792946,76.134968796260424,"
-    "2.3460498874185287,307\n"
+    "2.3460498874185283,307\n"
 )
 UNCHANGED_PGM = {
     "plain": "24150aad5b569d38fc5ad715f622fbe969d5cccc1018cd5f257711f17faf7048",
@@ -87,24 +88,25 @@ UNCHANGED_PGM = {
 }
 # the SHA-256 of each file that estimate writes for ``fixed_inputs``' events
 # at ESTIMATE_ARGV and each setting's flags, recorded while the volume and
-# the delta field still had separate adjoint functions
+# the delta field still had separate adjoint functions; the trace.csv
+# digests were recorded again once each site voted once at its summed weight
 ESTIMATE_ARGV = ["--stride", "4", "--k", "8", "--iters", "5", "--flow-times", "0.5,1"]
 UNCHANGED_ESTIMATE = {
     "defaults": ([], {
         "field.trj1": "b36101cda39b0bde9bdefc4141c207a45c9c1aa3381f3086fc758f1ff3cde3a0",
-        "trace.csv": "4f23d483c9d216f40a1b6fe82ba71e01b7eba6d6d9f8ce4be92977dfa6f0975f",
+        "trace.csv": "47daa9290cfcd319b9ae78b7620311cd7aeaa98c62cf16811bdcb20226129147",
         "flow_00.flo1": "59ad4231aa95cd2f18155c68ddd9e814bed1808dd47b1efea84d9731b3e07143",
         "flow_01.flo1": "40ec5bf7fd4f858f2b163707caa45b5df07448bcc183064f404d60c6746b6fc4",
     }),
     "sigma-degree": (["--sigma", "1", "--degree", "3"], {
         "field.trj1": "a65c35e244ff839f6259085699a5f780467ef388225cd8481ea3d57a50547150",
-        "trace.csv": "2e1a5f5ba90e54c0660f61a36560671c2412254452c9ccd52649e3192f942557",
+        "trace.csv": "ae469235fd32e3dd867de7c5620a196ca9e3610e82abd2944d5466acf8457438",
         "flow_00.flo1": "1256c41e9575157983f80689ac20a44361cbb57fab0c908dcd50f793f8f20bd9",
         "flow_01.flo1": "d8250e60c4b2985547d33fb5dc369545f9e2611d3007d07be7cfcbfd8a4b3691",
     }),
     "fixed-ref": (["--fixed-ref"], {
         "field.trj1": "1c3858c42c38f191183afabdddf52fa3c01f28360be66f08aae06174e64a7abc",
-        "trace.csv": "ab516db5b5ae367b1d1d00438711e64eb085258110f2e63a330e755be9581d11",
+        "trace.csv": "7bf3da616039e51754e65e19548ea7ff03608a94fb772e2ad931e91dc59cb241",
         "flow_00.flo1": "7cb52ab15c7b6092afea78922fae9c534615efbc24ac137375c6bff487595d99",
         "flow_01.flo1": "afcf8ecc9dc5d1fcbe163acd715ce03892b84d4408ccaf3b2351929884f1bc9d",
     }),

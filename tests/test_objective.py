@@ -226,8 +226,8 @@ class TestVotingBlocks:
         delta = random_delta(rng, sl)
         warped = warp_events(sl, delta, t_ref=0.5)
         assert 0 < warped.n_masked
-        *kernels, mw = voting_stencil(warped.positions, warped.mask, warped.weights, 32, 32, sigma)
-        axes = (*[(c, k, objective._axis_slope(k, f, sigma)) for c, k, f in kernels], mw)
+        kernels = voting_stencil(warped.positions, 32, 32, sigma)
+        axes = (*[(c, k, objective._axis_slope(k, f, sigma)) for c, k, f in kernels], warped.mask * warped.weights)
         taps = axes[0][1].shape[0] ** 2
         plane = (sl.p < 0).astype(np.int64)
         # the unblocked definition: one np.bincount over every event's taps
@@ -290,8 +290,8 @@ class TestVotingBlocks:
 
 
 class TestSharedSites:
-    """Events that share a (time bin, pixel, polarity) share one kernel and
-    one pullback contraction, and keep every bit of the per-event pass."""
+    """Events that share a (time bin, pixel, polarity) vote once, as one
+    site at their summed weight, and get one pullback contraction."""
 
     def test_sites_group_the_events_that_share_an_entry(self):
         rng = np.random.default_rng(28)
@@ -314,7 +314,7 @@ class TestSharedSites:
             assert zero_warp_contrast(sl, sigma, lookup) == zero_warp_contrast(sl, sigma)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.7, 1.0, 3.0])
-    def test_shared_sites_match_the_per_event_stencil_bit_for_bit(self, monkeypatch, sigma):
+    def test_shared_sites_match_the_collapsed_site_stencil_bit_for_bit(self, monkeypatch, sigma):
         rng = np.random.default_rng(29)
         sl = shared_site_slice(rng)
         table = random_table(rng)
@@ -324,16 +324,32 @@ class TestSharedSites:
         masked = np.unique(lookup.site[~per_event.mask])
         assert 0 < len(masked) < len(lookup.first)
         assert np.bincount(lookup.site)[masked].min() >= 2
-        *kernels, mw = voting_stencil(per_event.positions, per_event.mask, per_event.weights, 32, 32, sigma)
-        axes = (*[(c, k, objective._axis_slope(k, f, sigma)) for c, k, f in kernels], mw)
-        taps = axes[0][1].shape[0] ** 2
-        plane = (sl.p < 0).astype(np.int64)
+        warped = warp_events(sl, lookup.read(table), t_ref=0.5, sites=lookup)
+        event_weight = per_event.mask * per_event.weights
+
+        def stencil_axes(positions, weight):
+            kernels = voting_stencil(positions, 32, 32, sigma)
+            return (*[(c, k, objective._axis_slope(k, f, sigma)) for c, k, f in kernels], weight)
+
+        # the collapsed stencil: one row per site at its events' weights,
+        # summed in event order
+        axes = stencil_axes(warped.positions, np.bincount(lookup.site, weights=event_weight))
+        plane = (warped.polarity < 0).astype(np.int64)
         ref = iwe_full_stencil(axes, plane, 32, 32)
         ref_g, dgdi = contrast_g(ref)
         ref_grad = np.stack(pullback_full_stencil(axes, plane, 32, 32, dgdi), axis=1)
-        warped = warp_events(sl, lookup.read(table), t_ref=0.5, sites=lookup)
-        for events_per_block in (1, 37, len(sl)):
-            monkeypatch.setattr(objective, "_BLOCK_TAPS", events_per_block * taps)
+        # every event voting on its own gives the same sums to the last digits
+        event_axes = stencil_axes(per_event.positions, event_weight)
+        event_plane = (sl.p < 0).astype(np.int64)
+        event_iwe = iwe_full_stencil(event_axes, event_plane, 32, 32)
+        np.testing.assert_allclose(event_iwe, ref, rtol=1e-12)
+        assert contrast_g(event_iwe)[0] == pytest.approx(ref_g, rel=1e-12)
+        event_grad = pullback_full_stencil(event_axes, event_plane, 32, 32, dgdi)
+        summed = np.stack([np.bincount(lookup.site, weights=g) for g in event_grad], axis=1)
+        np.testing.assert_allclose(summed, ref_grad, rtol=1e-12)
+        taps = axes[0][1].shape[0] ** 2
+        for sites_per_block in (1, 37, len(lookup.first)):
+            monkeypatch.setattr(objective, "_BLOCK_TAPS", sites_per_block * taps)
             assert build_iwe(warped, sigma=sigma).tobytes() == ref.tobytes()
             g, grad, n_masked = contrast_pass(sl, lookup.read(table), sigma, 0.5, lookup)
             assert g == ref_g

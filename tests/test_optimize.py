@@ -290,7 +290,8 @@ class TestLossGradient:
         sl, field = small_instance(seed=seed)
         cfg = ObjectiveConfig(sigma=sigma, k=8, n_bins=5, time_weighting=True)
         volume = build_displacement_volume(field, 0.43, cfg.k, cfg.n_bins)
-        g, _, n_masked = contrast_pass(sl, event_delta(sl, field, volume), sigma, 0.43)
+        lookup = event_lookup(sl, cfg.n_bins, field.stride)
+        g, _, n_masked = contrast_pass(sl, lookup.read(volume.disp), sigma, 0.43, lookup)
         r = regularizer_r(build_consecutive_delta_field(field, volume)[0])[0]
         lam = cfg.lam / (sl.width * sl.height)
         out = loss_gradient(sl, field, one(0.43), cfg)[0]
