@@ -289,6 +289,13 @@ class TestVotingBlocks:
         assert peak < 40 * 2**20
 
 
+def stencil_axes(positions, weight, sigma):
+    """The oracles' ((cx, kx, dkx), (cy, ky, dky), weight) for rows at
+    ``positions`` of the given weights."""
+    kernels = voting_stencil(positions, 32, 32, sigma)
+    return (*[(c, k, objective._axis_slope(k, f, sigma)) for c, k, f in kernels], weight)
+
+
 class TestSharedSites:
     """Events that share a (time bin, pixel, polarity) vote once, as one
     site at their summed weight, and get one pullback contraction."""
@@ -313,33 +320,36 @@ class TestSharedSites:
         for sigma in (0.0, 1.0):
             assert zero_warp_contrast(sl, sigma, lookup) == zero_warp_contrast(sl, sigma)
 
-    @pytest.mark.parametrize("sigma", [0.0, 0.7, 1.0, 3.0])
-    def test_shared_sites_match_the_collapsed_site_stencil_bit_for_bit(self, monkeypatch, sigma):
+    @staticmethod
+    def stencils(sigma):
+        """The shared-site slice warped per event and per site, each
+        event's mask * weight, and the collapsed-site stencil: one row per
+        site at its events' weights, summed in event order, with its IWE,
+        contrast and per-site gradient."""
         rng = np.random.default_rng(29)
         sl = shared_site_slice(rng)
         table = random_table(rng)
         lookup = event_lookup(sl, len(table), 4)
         per_event = warp_events(sl, lookup.read(table)[lookup.site], t_ref=0.5)
-        # whole sites are masked: some warped off-image, others kept
-        masked = np.unique(lookup.site[~per_event.mask])
-        assert 0 < len(masked) < len(lookup.first)
-        assert np.bincount(lookup.site)[masked].min() >= 2
         warped = warp_events(sl, lookup.read(table), t_ref=0.5, sites=lookup)
         event_weight = per_event.mask * per_event.weights
-
-        def stencil_axes(positions, weight):
-            kernels = voting_stencil(positions, 32, 32, sigma)
-            return (*[(c, k, objective._axis_slope(k, f, sigma)) for c, k, f in kernels], weight)
-
-        # the collapsed stencil: one row per site at its events' weights,
-        # summed in event order
-        axes = stencil_axes(warped.positions, np.bincount(lookup.site, weights=event_weight))
+        axes = stencil_axes(warped.positions, np.bincount(lookup.site, weights=event_weight), sigma)
         plane = (warped.polarity < 0).astype(np.int64)
         ref = iwe_full_stencil(axes, plane, 32, 32)
         ref_g, dgdi = contrast_g(ref)
         ref_grad = np.stack(pullback_full_stencil(axes, plane, 32, 32, dgdi), axis=1)
+        return sl, table, lookup, per_event, warped, event_weight, axes, (ref, ref_g, dgdi, ref_grad)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.7, 1.0, 3.0])
+    def test_shared_sites_match_the_per_event_stencil_bit_for_bit(self, sigma):
+        sl, _, lookup, per_event, _, event_weight, axes, (ref, ref_g, dgdi, ref_grad) = self.stencils(sigma)
+        event_axes = stencil_axes(per_event.positions, event_weight, sigma)
+        # every event's stencil row, kernel and slope, is its site's bit for bit
+        for (ce, ke, dke), (cs, ks, dks) in zip(event_axes[:2], axes[:2]):
+            np.testing.assert_array_equal(ce, cs[lookup.site])
+            assert ke.tobytes() == np.ascontiguousarray(ks[:, lookup.site]).tobytes()
+            assert np.ascontiguousarray(dke).tobytes() == np.ascontiguousarray(dks[:, lookup.site]).tobytes()
         # every event voting on its own gives the same sums to the last digits
-        event_axes = stencil_axes(per_event.positions, event_weight)
         event_plane = (sl.p < 0).astype(np.int64)
         event_iwe = iwe_full_stencil(event_axes, event_plane, 32, 32)
         np.testing.assert_allclose(event_iwe, ref, rtol=1e-12)
@@ -347,6 +357,14 @@ class TestSharedSites:
         event_grad = pullback_full_stencil(event_axes, event_plane, 32, 32, dgdi)
         summed = np.stack([np.bincount(lookup.site, weights=g) for g in event_grad], axis=1)
         np.testing.assert_allclose(summed, ref_grad, rtol=1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.7, 1.0, 3.0])
+    def test_shared_sites_match_the_collapsed_site_stencil_bit_for_bit(self, monkeypatch, sigma):
+        sl, table, lookup, per_event, warped, _, axes, (ref, ref_g, _, ref_grad) = self.stencils(sigma)
+        # whole sites are masked: some warped off-image, others kept
+        masked = np.unique(lookup.site[~per_event.mask])
+        assert 0 < len(masked) < len(lookup.first)
+        assert np.bincount(lookup.site)[masked].min() >= 2
         taps = axes[0][1].shape[0] ** 2
         for sites_per_block in (1, 37, len(lookup.first)):
             monkeypatch.setattr(objective, "_BLOCK_TAPS", sites_per_block * taps)
