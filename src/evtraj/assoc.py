@@ -110,8 +110,7 @@ def knn_per_bin(query_cells, anchor_sets, k: int) -> np.ndarray:
     idx = np.empty((len(sets), n_cells, k), dtype=np.int64)
     if idx.size:
         with np.errstate(over="ignore"):
-            qgrid, order = _query_grid(query, n_pts, k)
-            grid, reach = _ring_grid(qgrid, sets), 1
+            (grid, order), reach = _ring_grid(query, sets, k), 1
             # every set's rows in cell order, so each bucket's rows are adjacent
             rows = (np.arange(len(sets))[:, None] * n_cells + order).ravel()
             while len(rows):
@@ -145,29 +144,18 @@ def _cell_of(p, origin, side, shape):
     return cell.astype(np.int64)
 
 
-def _query_grid(query, n_pts: int, k: int):
-    """Query side of the bucket grid, which every set of a stack shares:
-    (qgrid, order), the queries in cell order.
-
-    ``qgrid`` is (query, k, origin, side, shape, qcell, qflat): the
-    :func:`_bucket_grid` for ``n_pts`` anchors, and the (column, row) cells
-    of the queries on it and their flat cells.
-    """
-    origin, side, shape = _bucket_grid(query, n_pts, k)
-    qcell = _cell_of(query, origin, side, shape)
-    qflat = qcell[:, 1] * shape[0] + qcell[:, 0]
-    return (query, k, origin, side, shape, qcell, qflat), np.argsort(qflat, kind="stable")
-
-
-def _ring_grid(qgrid, sets):
+def _ring_grid(query, sets, k: int):
     """Set-up that every ring of a stack's search shares, made once per
-    call from the stack's :func:`_query_grid` and its (B, N, 2) ``sets``.
+    call from its queries and (B, N, 2) ``sets``: (grid, order), the
+    queries in cell order.
 
     The grid is (query, k, shape, qcell, qflat, beyond, before, px, py,
-    by_cell, first, count): the query side of ``qgrid``; per axis, one row
-    per set of its nearest anchor coordinate at or past each grid line and
-    its farthest before it; the coordinates of anchor i of set b at b (N +
-    1) + i, then the set's +inf pad anchor, index N within the set; the
+    by_cell, first, count): the :func:`_bucket_grid` shape for N anchors,
+    which every set of the stack shares, and the (column, row) cells of
+    the queries on it and their flat cells; per axis, one row per set of
+    its nearest anchor coordinate at or past each grid line and its
+    farthest before it; the coordinates of anchor i of set b at b (N + 1)
+    + i, then the set's +inf pad anchor, index N within the set; the
     anchors sorted by bucket, bucket b G + f being flat cell f of set b on
     a grid of G cells, index order within a bucket, as indices within
     their set, and the offset of each bucket's first anchor in that order,
@@ -175,8 +163,10 @@ def _ring_grid(qgrid, sets):
     and each set's running anchor counts over grid rows and columns, (B,
     rows + 1, columns + 1).
     """
-    query, k, origin, side, shape, qcell, qflat = qgrid
     n_sets, n_pts = sets.shape[:2]
+    origin, side, shape = _bucket_grid(query, n_pts, k)
+    qcell = _cell_of(query, origin, side, shape)
+    qflat = qcell[:, 1] * shape[0] + qcell[:, 0]
     acell = _cell_of(sets, origin, side, shape)
     in_set = np.arange(n_sets)[:, None]
     # cells are non-decreasing in each coordinate, so the anchors of a set
@@ -201,7 +191,8 @@ def _ring_grid(qgrid, sets):
     count[:, 1:, 1:] = per_bucket.reshape(n_sets, shape[1], shape[0]).cumsum(axis=1).cumsum(axis=2)
     pad = [np.pad(sets[..., a], ((0, 0), (0, 1)), constant_values=np.inf).ravel() for a in (0, 1)]
     by_cell = np.argsort(bucket, kind="stable") % n_pts
-    return (query, k, shape, qcell, qflat, beyond, before, *pad, by_cell, first, count)
+    grid = (query, k, shape, qcell, qflat, beyond, before, *pad, by_cell, first, count)
+    return grid, np.argsort(qflat, kind="stable")
 
 
 def _ring_pass(grid, rows, reach: int, idx):

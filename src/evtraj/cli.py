@@ -172,7 +172,6 @@ def cmd_render(args: dict) -> int:
     if not 0.0 <= t_ref <= 1.0:
         raise ValueError(f"t_ref must lie in [0, 1], got {t_ref}")
     cfg = ObjectiveConfig(k=args["k"], n_bins=args["nbins"])
-    delta, lookup = 0, None
     if args.get("field"):
         path = args["field"]
         field = load_field(path)
@@ -184,7 +183,9 @@ def cmd_render(args: dict) -> int:
         lookup = event_lookup(sl, cfg.n_bins, field.stride)
         delta = lookup.read(volume.disp)
         print(f"FWL = {fwl(sl, delta, lookup):.4f}")
-    iwe = build_iwe(warp_events(sl, delta, sites=lookup))
+    else:
+        delta, lookup = 0, event_lookup(sl, cfg.n_bins, 1)
+    iwe = build_iwe(warp_events(sl, delta, lookup))
     out = Path(args["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     write_iwe_pgm(iwe, out, bits=args["bits"], which=args["which"])

@@ -53,10 +53,10 @@ def score_time(pred: np.ndarray, gt: np.ndarray, mask: np.ndarray):
     return float(err.mean()), float(ang.mean()), float((err > 3.0).mean())
 
 
-def fwl(sl: EventSlice, delta, sites=None) -> float:
-    """Variance ratio of the IWE warped by the displacements ``delta`` to
-    plain accumulation: (N, 2) per event, or (S, 2) per site of ``sites``,
-    an ``assoc.EventLookup``.
+def fwl(sl: EventSlice, delta, sites) -> float:
+    """Variance ratio of the IWE warped by the displacements ``delta``,
+    (S, 2) per site of ``sites``, an ``assoc.EventLookup``, to plain
+    accumulation.
 
     Both images are built through the identical path (bilinear voting,
     no time weighting, polarities summed), so a zero displacement gives
@@ -64,7 +64,7 @@ def fwl(sl: EventSlice, delta, sites=None) -> float:
     """
 
     def variance(d):
-        return float(np.var(build_iwe(warp_events(sl, d, sites=sites)).sum(axis=0)))
+        return float(np.var(build_iwe(warp_events(sl, d, sites)).sum(axis=0)))
 
     base = variance(0)
     if base == 0.0:

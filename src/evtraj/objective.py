@@ -38,21 +38,22 @@ and the IWE is the canvas interior.
 
 Events that share a site, a (time bin, pixel, polarity), read one entry of
 a displacement table, so they land on one warped position with one kernel
-(``assoc.EventLookup`` finds the sites once per run; a per-event
-displacement makes every event its own site). The IWE is the sum over
-events of weight * kernel, so a site votes once with its events' summed
-weight: the weights are summed in event order, then the kernels are formed
-per site, in blocks of a fixed tap budget, as (l, sites) arrays per axis,
-and np.add.at adds the deposits in (site, y tap, x tap) order, as one
+(``assoc.EventLookup`` finds the sites once per run, and every warp, IWE
+and loss pass takes one). The IWE is the sum over events of weight *
+kernel, so a site votes once with its events' summed weight: the weights
+are summed in event order, then the kernels are formed per site, in
+blocks of a fixed tap budget, as (l, sites) arrays per axis, and
+np.add.at adds the deposits in (site, y tap, x tap) order, as one
 np.bincount over all taps would add them. The pullback forms the kernels'
 slopes, contracts the tap cotangents once per site and scales them by the
 site's weight; it returns one derivative per site, and
 ``assoc.EventLookup.pullback`` sums those into the table. No array is
 (sites, l * l), and nothing after the warp is per event but the weights.
 Sums over a site's taps are explicit adds in tap order. So results are
-bit-identical across runs, block sizes and thread settings, and with every
-event its own site at sigma = 0 they equal, bit for bit, the earlier
-unpadded stencil that clipped its taps into the image.
+bit-identical across runs, block sizes and thread settings, and with a
+lookup that makes every event its own site (site = first = arange(N)) at
+sigma = 0 they equal, bit for bit, the earlier unpadded stencil that
+clipped its taps into the image.
 """
 
 from __future__ import annotations
@@ -107,10 +108,10 @@ class WarpedEvents:
 
     A row of ``positions`` and ``polarity`` is a site, the events that
     share a (time bin, pixel, polarity) and so one displacement; ``site``
-    is each event's row, or None when every event is its own row.
-    ``weights`` are the per-event IWE contributions (time weighting
-    already applied, mean 1 over unmasked) and ``mask`` keeps an event
-    when its site lands on the image.
+    is each event's row. ``weights`` are the per-event IWE contributions
+    (time weighting already applied, mean 1 over unmasked) and ``mask``
+    keeps an event when its site lands on the image; both stay per event,
+    so ``n_masked`` counts events.
     """
 
     positions: np.ndarray  # (S, 2) warped (x, y)
@@ -119,34 +120,30 @@ class WarpedEvents:
     polarity: np.ndarray  # (S,) +1/-1
     width: int
     height: int
-    site: np.ndarray | None = None  # (N,) row of each event
+    site: np.ndarray  # (N,) row of each event
 
     @property
     def n_masked(self) -> int:
         return int(len(self.mask) - self.mask.sum())
 
 
-def warp_events(sl: EventSlice, delta, t_ref: float | None = None, sites=None) -> WarpedEvents:
-    """Move every event by its displacement ``delta``, (N, 2) in (dx, dy)
-    pixels, or 0 for no warp. Given ``sites``, an ``assoc.EventLookup``,
-    ``delta`` is one displacement per site (S, 2) and each site is warped
-    once; without, every event is its own site.
+def warp_events(sl: EventSlice, delta, sites, t_ref: float | None = None) -> WarpedEvents:
+    """Move every site of ``sites``, an ``assoc.EventLookup``, by its
+    displacement ``delta``, (S, 2) in (dx, dy) pixels, or 0 for no warp:
+    each site is warped once, from its first event's pixel.
 
     Events landing outside [0, W-1] x [0, H-1] are masked out. Given
     ``t_ref``, each kept event carries weight |t_ref - t_k|, normalized to
     mean 1; otherwise every event weighs 1.
     """
-    first = slice(None) if sites is None else sites.first
-    positions = np.stack([sl.x[first], sl.y[first]], axis=1, dtype=np.float64)
+    positions = np.stack([sl.x[sites.first], sl.y[sites.first]], axis=1, dtype=np.float64)
     positions += delta
     mask = (
         (positions[:, 0] >= 0.0)
         & (positions[:, 0] <= sl.width - 1.0)
         & (positions[:, 1] >= 0.0)
         & (positions[:, 1] <= sl.height - 1.0)
-    )
-    if sites is not None:
-        mask = mask[sites.site]
+    )[sites.site]
     weights = np.ones(len(sl), dtype=np.float64)
     if t_ref is not None:
         dt = np.abs(t_ref - sl.normalized_times())
@@ -156,10 +153,10 @@ def warp_events(sl: EventSlice, delta, t_ref: float | None = None, sites=None) -
         positions=positions,
         weights=weights,
         mask=mask,
-        polarity=np.asarray(sl.p)[first],
+        polarity=np.asarray(sl.p)[sites.first],
         width=sl.width,
         height=sl.height,
-        site=None if sites is None else sites.site,
+        site=sites.site,
     )
 
 
@@ -243,8 +240,7 @@ def _accumulate(warped: WarpedEvents, sigma: float):
     at a time, times the site's weight.
 
     A site's weight W_s is the sum of its events' mask * weight, added in
-    event order by one np.bincount (each event's own mask * weight when
-    every event is its own site). The votes land on a (2, H + 2r + 1,
+    event order by one np.bincount. The votes land on a (2, H + 2r + 1,
     W + 2r + 1) canvas, padded by r cells before and r + 1 after each axis,
     so no tap is clipped: site s's taps are base[s] + pattern, one fixed
     (l * l) pattern, and the IWE is the canvas interior. The kernels are
@@ -262,9 +258,7 @@ def _accumulate(warped: WarpedEvents, sigma: float):
     # negative-polarity votes land in the second plane
     plane = (warped.polarity < 0).astype(np.int64) * (ph * pw)
     n_sites = len(warped.positions)
-    weight = warped.mask * warped.weights
-    if warped.site is not None:
-        weight = np.bincount(warped.site, weights=weight, minlength=n_sites)
+    weight = np.bincount(warped.site, weights=warped.mask * warped.weights, minlength=n_sites)
     step = max(1, _BLOCK_TAPS // (l * l))
     # each block's sites, base cells and (k, f) per axis, kept for the pullback
     stencils = []
@@ -332,17 +326,17 @@ def contrast_g(iwe: np.ndarray):
     return total, dgdi
 
 
-def contrast_pass(sl: EventSlice, delta, sigma: float, t_ref: float | None, sites=None):
-    """Warp by ``delta``, per site given ``sites``, as :func:`warp_events`
+def contrast_pass(sl: EventSlice, delta, sigma: float, t_ref: float | None, sites):
+    """Warp the sites of ``sites`` by ``delta`` as :func:`warp_events`
     does, accumulate the (2, H, W) IWE and score its contrast G.
 
-    Returns (G, dG/d delta, n_masked), the derivative shaped like
-    ``delta``: (S, 2) per site given sites, for ``EventLookup.pullback`` to
-    sum into the table, else (N, 2) per event. It treats the off-image mask
-    and the time weights as constants: dG/dI is pulled back through the
-    voting stencil to each site's (d/dx', d/dy'), times its summed weight.
+    Returns (G, dG/d delta, n_masked), the derivative (S, 2) per site, for
+    ``EventLookup.pullback`` to sum into the table. It treats the off-image
+    mask and the time weights as constants: dG/dI is pulled back through
+    the voting stencil to each site's (d/dx', d/dy'), times its summed
+    weight.
     """
-    warped = warp_events(sl, delta, t_ref, sites)
+    warped = warp_events(sl, delta, sites, t_ref)
     del delta  # the IWE passes run without it when the caller keeps no reference
     iwe, pullback = _accumulate(warped, sigma)
     g, dgdi = contrast_g(iwe)
@@ -370,11 +364,11 @@ def regularizer_r(delta_field: np.ndarray):
     return float((np.abs(dx).sum() + np.abs(dy).sum()) / n_cells), grad
 
 
-def zero_warp_contrast(sl: EventSlice, sigma: float, sites=None) -> float:
+def zero_warp_contrast(sl: EventSlice, sigma: float, sites) -> float:
     """G_0 of the fixed-reference baseline: the eps-guarded contrast of the
-    unwarped events, voted once per site given ``sites``. It does not
-    depend on the field, so one value serves a whole run."""
-    return max(contrast_g(build_iwe(warp_events(sl, 0, sites=sites), sigma))[0], EPS_CONTRAST)
+    unwarped events, voted once per site of ``sites``. It does not depend
+    on the field, so one value serves a whole run."""
+    return max(contrast_g(build_iwe(warp_events(sl, 0, sites), sigma))[0], EPS_CONTRAST)
 
 
 def write_iwe_pgm(iwe: np.ndarray, path, bits: int = 8, which: str = "sum") -> None:

@@ -132,8 +132,8 @@ def save_trace_csv(trace: OptimTrace, path) -> None:
             f.write(f"{i},{b.t_ref:.17g},{b.g:.17g},{b.r:.17g},{b.total:.17g}\n")
 
 
-def loss_gradient(sl: EventSlice, field: TrajectoryField, refs, cfg: ObjectiveConfig, g0: float = 1.0,
-                  lookup: EventLookup | None = None):
+def loss_gradient(sl: EventSlice, field: TrajectoryField, refs, cfg: ObjectiveConfig, lookup: EventLookup,
+                  g0: float = 1.0):
     """Evaluate 1/C + (lambda/|Omega|)*R over the (t_ref, weight) pairs
     ``refs``, C = sum w G(t) / (g0 * sum w), and its analytic gradient
     w.r.t. every coefficient (shaped like ``field.coeffs``).
@@ -142,18 +142,15 @@ def loss_gradient(sl: EventSlice, field: TrajectoryField, refs, cfg: ObjectiveCo
     field, so one volume build at ``refs[0]`` serves every reference time;
     the others are gathered from it, and every volume is read through one
     ``lookup``, the slice's ``event_lookup`` at ``cfg.n_bins`` and the
-    field's stride, built here when not given (:func:`minimize` builds it
-    once per run). Each pass reads one displacement per site, a (time bin,
-    pixel, polarity), votes it once with its events' summed weight and
-    returns one derivative per site, which the lookup's pullback sums into
-    the table. R is skipped (reads 0) when lambda = 0. Flags
+    field's stride, which :func:`minimize` builds once per run. Each pass
+    reads one displacement per site, a (time bin, pixel, polarity), votes
+    it once with its events' summed weight and returns one derivative per
+    site, which the lookup's pullback sums into the table. R is skipped (reads 0) when lambda = 0. Flags
     ``degenerate`` (and guards 1/C with eps) when C falls under eps, as
     when every event is warped off-image or the IWEs are flat; the contrast
     path then contributes zero (the gradient of the guarded expression).
     """
     volume = build_displacement_volume(field, refs[0][0], cfg.k, cfg.n_bins)
-    if lookup is None:
-        lookup = event_lookup(sl, cfg.n_bins, field.stride)
     c, grad_c, n_masked = 0.0, 0.0, 0
     for t_ref, w in refs:
         if t_ref != volume.t_ref:
@@ -212,7 +209,7 @@ def minimize(sl: EventSlice, init_field: TrajectoryField, ocfg: OptimConfig) -> 
         if not np.all(np.isfinite(field.coeffs)):
             raise DivergenceError(f"non-finite coefficients at iteration {it}")
         it_refs = refs or ((float(rng.random()), 1.0),)
-        breakdown, grad = loss_gradient(sl, field, it_refs, cfg, g0, lookup)
+        breakdown, grad = loss_gradient(sl, field, it_refs, cfg, lookup, g0)
         if not (np.isfinite(breakdown.total) and np.all(np.isfinite(grad))):
             raise DivergenceError(f"non-finite loss or gradient at iteration {it}")
         if breakdown.n_masked == len(it_refs) * len(sl) > 0:

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from evtraj.assoc import EventLookup, event_lookup
 from evtraj.events import EventSlice
 from evtraj.synth import BezierMotion, CircularMotion, SceneSpec, generate_events, scatter_points
 from evtraj.trajectory import Basis, TrajectoryField, displacement_basis
@@ -87,6 +88,22 @@ def shared_site_slice(rng, n_sites=150, width=32, height=32, n_bins=5, repeats=(
     t = (b + rng.uniform(0.02, 0.98, len(b))) / n_bins
     assert len(np.unique(t)) == len(t)
     return EventSlice.from_arrays(x, y, t, 1 - 2 * negative, width, height, t_start=0.0, t_end=1.0)
+
+
+def own_sites(sl) -> EventLookup:
+    """A lookup in which every event is its own site, site = first =
+    arange(N), for checks whose oracle works per event. It warps and votes
+    per event, bit for bit as one event at a time would; it reads no
+    table, so it has no ``read`` or ``pullback``."""
+    each = np.arange(len(sl))
+    return EventLookup(read=None, pullback=None, site=each, first=each)
+
+
+def event_entries(sl, table, stride):
+    """Each event's entry of the (n_bins, rows, cols, 2) ``table`` of
+    ``stride`` cells: its site's, read once per site."""
+    lookup = event_lookup(sl, len(table), stride)
+    return lookup.read(table)[lookup.site]
 
 
 def gt_field(motion, width, height, stride, basis: Basis) -> TrajectoryField:

@@ -154,8 +154,7 @@ def assert_blocks_match_scan(query, points, k):
 
 def ring_grid(query, sets, k):
     """The search set-up of a stack of anchor sets sharing ``query``."""
-    sets = np.asarray(sets, float)
-    return assoc._ring_grid(assoc._query_grid(np.asarray(query, float), sets.shape[1], k)[0], sets)
+    return assoc._ring_grid(np.asarray(query, float), np.asarray(sets, float), k)[0]
 
 
 def block_rejects(query, points, k):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from evtraj.assoc import bin_centers, build_displacement_volume, event_lookup
+from evtraj.assoc import bin_centers, build_displacement_volume
 from evtraj.events import EventSlice
 from evtraj.metrics import evaluate_trajectories, fwl, score_time
 from evtraj.trajectory import Basis, POLYNOMIAL
 
 from oracles import epe_ae_scalar
-from scenes import constant_scene, gt_field
+from scenes import constant_scene, event_entries, gt_field, own_sites
 
 
 def random_pair(rng, h=12, w=15):
@@ -152,31 +152,30 @@ class TestTrajectoryMetrics:
             evaluate(np.zeros((2, 2, 2, 2)), np.zeros((2, 2, 2, 2)), np.ones((3, 2, 2), bool))
 
 
-def field_delta(sl, field):
-    """Each event's displacement to t = 1 under ``field``, as the CLI's
-    render reads it."""
+def field_fwl(sl, field):
+    """FWL of every event warped on its own by its entry of ``field``'s
+    volume toward t = 1, the table the CLI's render reads."""
     volume = build_displacement_volume(field, 1.0, 8, n_bins=15)
-    lookup = event_lookup(sl, volume.n_bins, field.stride)
-    return lookup.read(volume.disp)[lookup.site]
+    return fwl(sl, event_entries(sl, volume.disp, field.stride), own_sites(sl))
 
 
 class TestFwl:
     def test_identity_volume_is_exactly_one(self):
         sl, _, _ = constant_scene(width=32, height=32, n_points=40, n_events=2000, seed=30)
-        assert fwl(sl, 0) == 1.0
-        assert fwl(sl, np.zeros((len(sl), 2))) == 1.0
+        assert fwl(sl, 0, own_sites(sl)) == 1.0
+        assert fwl(sl, np.zeros((len(sl), 2)), own_sites(sl)) == 1.0
 
     def test_true_warp_sharpens(self):
         sl, _, spec = constant_scene(width=48, height=48, n_points=100, n_events=8000, seed=31)
         field = gt_field(spec.motion, 48, 48, 4, Basis(POLYNOMIAL, 1))
-        assert fwl(sl, field_delta(sl, field)) > 1.0
+        assert field_fwl(sl, field) > 1.0
 
     def test_misaligned_warp_below_true_warp(self):
         sl, _, spec = constant_scene(width=48, height=48, n_points=100, n_events=8000, seed=31)
         true_field = gt_field(spec.motion, 48, 48, 4, Basis(POLYNOMIAL, 1))
         bad_field = gt_field(spec.motion, 48, 48, 4, Basis(POLYNOMIAL, 1))
         bad_field.coeffs[..., 0] *= -1.0  # wrong direction in x
-        assert fwl(sl, field_delta(sl, bad_field)) < fwl(sl, field_delta(sl, true_field))
+        assert field_fwl(sl, bad_field) < field_fwl(sl, true_field)
 
     def test_evaluation_warps_by_the_maps_toward_t1(self):
         # the ground-truth maps of a constant flow v as the prediction: the
@@ -184,7 +183,7 @@ class TestFwl:
         sl, gt, _ = constant_scene(width=48, height=48, n_points=100, n_events=8000, seed=31)
         ev = evaluate_trajectories(gt.disp[1:], gt.disp[1:], gt.valid[1:], sl, list(gt.times[1:]))
         bins = np.minimum(np.floor(sl.normalized_times() * 15), 14).astype(np.int64)
-        want = fwl(sl, np.outer(1.0 - bin_centers(15)[bins], [5.0, -3.0]))
+        want = fwl(sl, np.outer(1.0 - bin_centers(15)[bins], [5.0, -3.0]), own_sites(sl))
         assert ev.fwl > 1.0
         assert ev.fwl == pytest.approx(want, rel=1e-9)
 
@@ -198,4 +197,4 @@ class TestFwl:
             xs.ravel(), ys.ravel(), np.linspace(0, 1, w * h), np.ones(w * h), w, h
         )
         with pytest.raises(ValueError, match="degenerate"):
-            fwl(sl, 0)
+            fwl(sl, 0, own_sites(sl))

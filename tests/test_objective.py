@@ -32,7 +32,7 @@ from oracles import (
     regularizer_scalar,
     warp_scalar,
 )
-from scenes import constant_scene, gt_field, shared_site_slice
+from scenes import constant_scene, event_entries, gt_field, own_sites, shared_site_slice
 
 
 def random_slice(rng, n=1000, width=32, height=32):
@@ -53,23 +53,17 @@ def random_table(rng, width=32, height=32, stride=4, n_bins=5, scale=1.5):
     return rng.normal(0.0, scale, (n_bins, -(-height // stride), -(-width // stride), 2))
 
 
-def per_event(sl, table, stride=4):
-    """Each event's entry of ``table``: its site's, read once per site."""
-    lookup = event_lookup(sl, len(table), stride)
-    return lookup.read(table)[lookup.site]
-
-
 def random_delta(rng, sl, stride=4, n_bins=5, scale=1.5):
     """Per-event displacements read from a random table, as the estimator
     reads its volume."""
-    return per_event(sl, random_table(rng, sl.width, sl.height, stride, n_bins, scale), stride)
+    return event_entries(sl, random_table(rng, sl.width, sl.height, stride, n_bins, scale), stride)
 
 
 class TestWarp:
     def test_identity_with_zero_volume(self):
         rng = np.random.default_rng(0)
         sl = random_slice(rng)
-        warped = warp_events(sl, 0)
+        warped = warp_events(sl, 0, own_sites(sl))
         np.testing.assert_array_equal(warped.positions[:, 0], sl.x)
         np.testing.assert_array_equal(warped.positions[:, 1], sl.y)
         assert warped.positions.dtype == np.float64
@@ -79,15 +73,15 @@ class TestWarp:
     def test_constant_offscreen_volume_masks_everything(self):
         rng = np.random.default_rng(1)
         sl = random_slice(rng, n=500)
-        warped = warp_events(sl, np.full((len(sl), 2), [-1000.0, 0.0]))
+        warped = warp_events(sl, np.full((len(sl), 2), [-1000.0, 0.0]), own_sites(sl))
         assert warped.n_masked == len(sl)
 
     def test_matches_scalar_lookup(self):
         rng = np.random.default_rng(2)
         sl = random_slice(rng, n=1000)
         table = random_table(rng)
-        delta = per_event(sl, table)
-        np.testing.assert_array_equal(warp_events(sl, delta).positions, warp_scalar(sl, table, 4))
+        delta = event_entries(sl, table, 4)
+        np.testing.assert_array_equal(warp_events(sl, delta, own_sites(sl)).positions, warp_scalar(sl, table, 4))
 
     def test_geometry_mismatch_rejected(self):
         # a table that does not tile the slice, and a displacement per event
@@ -97,12 +91,12 @@ class TestWarp:
         with pytest.raises(ValueError, match="tile a 32x32 slice"):
             event_lookup(sl, 15, 4).read(np.zeros((15, 4, 4, 2)))
         with pytest.raises(ValueError):
-            warp_events(sl, np.zeros((len(sl) - 1, 2)))
+            warp_events(sl, np.zeros((len(sl) - 1, 2)), own_sites(sl))
 
     def test_time_weights_mean_one(self):
         rng = np.random.default_rng(4)
         sl = random_slice(rng)
-        warped = warp_events(sl, random_delta(rng, sl, scale=0.5), t_ref=0.3)
+        warped = warp_events(sl, random_delta(rng, sl, scale=0.5), own_sites(sl), t_ref=0.3)
         kept = warped.weights[warped.mask]
         assert kept.mean() == pytest.approx(1.0)
         dt = np.abs(0.3 - sl.normalized_times())
@@ -113,7 +107,7 @@ class TestWarp:
 class TestIwe:
     def test_single_event_integer_pixel(self):
         sl = EventSlice.from_arrays([3], [4], [0.5], [1], 8, 8, t_start=0, t_end=1)
-        warped = warp_events(sl, 0)
+        warped = warp_events(sl, 0, own_sites(sl))
         iwe = build_iwe(warped)
         assert iwe.shape == (2, 8, 8)
         assert iwe[0, 4, 3] == 1.0
@@ -122,7 +116,7 @@ class TestIwe:
 
     def test_halfway_bilinear_split(self):
         sl = EventSlice.from_arrays([3], [4], [0.5], [1], 8, 8, t_start=0, t_end=1)
-        warped = warp_events(sl, [[0.5, 0.0]])
+        warped = warp_events(sl, [[0.5, 0.0]], own_sites(sl))
         iwe = build_iwe(warped)
         assert iwe[0, 4, 3] == pytest.approx(0.5)
         assert iwe[0, 4, 4] == pytest.approx(0.5)
@@ -130,7 +124,7 @@ class TestIwe:
     def test_matches_scalar_accumulation(self):
         rng = np.random.default_rng(7)
         sl = random_slice(rng, n=1000)
-        warped = warp_events(sl, random_delta(rng, sl), t_ref=0.5)
+        warped = warp_events(sl, random_delta(rng, sl), own_sites(sl), t_ref=0.5)
         iwe = build_iwe(warped)
         for plane, events in ((0, sl.p > 0), (1, sl.p < 0)):
             ref = iwe_scalar(warped.positions, warped.weights, warped.mask & events, 32, 32)
@@ -140,7 +134,7 @@ class TestIwe:
     def test_gaussian_matches_scalar_accumulation(self, sigma):
         rng = np.random.default_rng(19)
         sl = random_slice(rng, n=600)
-        warped = warp_events(sl, random_delta(rng, sl), t_ref=0.5)
+        warped = warp_events(sl, random_delta(rng, sl), own_sites(sl), t_ref=0.5)
         kept = warped.positions[warped.mask]
         reach = 3.0 * sigma
         # some events are masked, and kept ones sit within 3 sigma of every border
@@ -155,7 +149,7 @@ class TestIwe:
     def test_polarity_split_routes_by_sign(self):
         rng = np.random.default_rng(8)
         sl = random_slice(rng, n=400)
-        warped = warp_events(sl, 0)
+        warped = warp_events(sl, 0, own_sites(sl))
         iwe = build_iwe(warped)
         assert iwe[0].sum() == pytest.approx(float((sl.p > 0).sum()))
         assert iwe[1].sum() == pytest.approx(float((sl.p < 0).sum()))
@@ -164,7 +158,7 @@ class TestIwe:
     def test_mass_conservation(self, sigma):
         rng = np.random.default_rng(9)
         sl = random_slice(rng, n=800)
-        warped = warp_events(sl, random_delta(rng, sl, scale=3.0), t_ref=0.5)
+        warped = warp_events(sl, random_delta(rng, sl, scale=3.0), own_sites(sl), t_ref=0.5)
         iwe = build_iwe(warped, sigma=sigma)
         total_weight = warped.weights[warped.mask].sum()
         assert iwe.sum() == pytest.approx(total_weight, rel=1e-6)
@@ -175,7 +169,7 @@ class TestIwe:
         sl = random_slice(rng, n=2000)
         field = TrajectoryField.zeros(32, 32, 4, Basis(BEZIER, 10))
         vol = build_displacement_volume(field, 0.77, 8, n_bins=15)
-        warped = warp_events(sl, per_event(sl, vol.disp, field.stride))
+        warped = warp_events(sl, event_entries(sl, vol.disp, field.stride), own_sites(sl))
         iwe = build_iwe(warped)
         raw = np.zeros((32, 32))
         np.add.at(raw, (sl.y, sl.x), 1.0)
@@ -185,7 +179,7 @@ class TestIwe:
     def test_pgm_render(self, tmp_path):
         rng = np.random.default_rng(11)
         sl = random_slice(rng, n=300)
-        iwe = build_iwe(warp_events(sl, 0))
+        iwe = build_iwe(warp_events(sl, 0, own_sites(sl)))
         path = tmp_path / "iwe.pgm"
         write_iwe_pgm(iwe, path, bits=8)
         raw = path.read_bytes()
@@ -197,19 +191,24 @@ class TestIwe:
     def test_pgm_dequantises_to_polarity_histograms(self, tmp_path, bits, which):
         rng = np.random.default_rng(25)
         sl = random_slice(rng, n=2000, width=24, height=16)
-        path = tmp_path / "iwe.pgm"
-        write_iwe_pgm(build_iwe(warp_events(sl, 0)), path, bits=bits, which=which)
-        magic, comment, size, maxval, body = path.read_bytes().split(b"\n", 4)
-        assert (magic, size, int(maxval)) == (b"P5", b"24 16", (1 << bits) - 1)
-        peak = float(comment.rsplit(b" ", 1)[1])
-        pixels = np.frombuffer(body, dtype=">u2" if bits == 16 else "u1").reshape(16, 24)
         events = {"sum": sl.p != 0, "pos": sl.p > 0, "neg": sl.p < 0}[which]
         hist = np.zeros((16, 24))
         np.add.at(hist, (sl.y[events], sl.x[events]), 1.0)
-        assert peak == hist.max()
-        assert pixels.max() == (1 << bits) - 1
-        # a quantization step of peak / maxval < 1 recovers the integer counts
-        np.testing.assert_array_equal(np.round(pixels * peak / int(maxval)), hist)
+        # every event its own site, and the stride-1 lookups that render
+        # builds, whose sites at 1 and 15 bins hold several events each
+        lookups = [own_sites(sl), event_lookup(sl, 1, 1), event_lookup(sl, 15, 1)]
+        assert all(len(lookup.first) < len(sl) for lookup in lookups[1:])
+        for lookup in lookups:
+            path = tmp_path / "iwe.pgm"
+            write_iwe_pgm(build_iwe(warp_events(sl, 0, lookup)), path, bits=bits, which=which)
+            magic, comment, size, maxval, body = path.read_bytes().split(b"\n", 4)
+            assert (magic, size, int(maxval)) == (b"P5", b"24 16", (1 << bits) - 1)
+            peak = float(comment.rsplit(b" ", 1)[1])
+            pixels = np.frombuffer(body, dtype=">u2" if bits == 16 else "u1").reshape(16, 24)
+            assert peak == hist.max()
+            assert pixels.max() == (1 << bits) - 1
+            # a quantization step of peak / maxval < 1 recovers the integer counts
+            np.testing.assert_array_equal(np.round(pixels * peak / int(maxval)), hist)
 
 
 def lookup_and_contrast_pass(sl, table, stride, sigma):
@@ -224,7 +223,7 @@ class TestVotingBlocks:
         rng = np.random.default_rng(23)
         sl = random_slice(rng, n=400)
         delta = random_delta(rng, sl)
-        warped = warp_events(sl, delta, t_ref=0.5)
+        warped = warp_events(sl, delta, own_sites(sl), t_ref=0.5)
         assert 0 < warped.n_masked
         kernels = voting_stencil(warped.positions, 32, 32, sigma)
         axes = (*[(c, k, objective._axis_slope(k, f, sigma)) for c, k, f in kernels], warped.mask * warped.weights)
@@ -237,7 +236,7 @@ class TestVotingBlocks:
         for events_per_block in (1, 37, len(sl)):
             monkeypatch.setattr(objective, "_BLOCK_TAPS", events_per_block * taps)
             assert np.array_equal(build_iwe(warped, sigma=sigma), ref)
-            g, grad, n_masked = contrast_pass(sl, delta, sigma, 0.5)
+            g, grad, n_masked = contrast_pass(sl, delta, sigma, 0.5, own_sites(sl))
             assert g == ref_g
             assert np.array_equal(grad, ref_grad)
             assert n_masked == warped.n_masked
@@ -248,7 +247,7 @@ class TestVotingBlocks:
         rng = np.random.default_rng(26)
         sl = random_slice(rng, n=3000, width=24, height=16)
         delta = np.round(random_delta(rng, sl) * 4.0) / 4.0
-        warped = warp_events(sl, delta, t_ref=0.5)
+        warped = warp_events(sl, delta, own_sites(sl), t_ref=0.5)
         x, y = warped.positions[warped.mask].T
         assert np.any(x == 23.0) and np.any(y == 15.0) and 0 < warped.n_masked
         ref, ref_pullback = bilinear_pass_unpadded(
@@ -256,7 +255,7 @@ class TestVotingBlocks:
         )
         assert build_iwe(warped).tobytes() == ref.tobytes()
         ref_g, dgdi = contrast_g(ref)
-        g, grad, _ = contrast_pass(sl, delta, 0.0, 0.5)
+        g, grad, _ = contrast_pass(sl, delta, 0.0, 0.5, own_sites(sl))
         assert g == ref_g
         assert grad.tobytes() == np.stack(ref_pullback(dgdi), axis=1).tobytes()
 
@@ -310,15 +309,15 @@ class TestSharedSites:
         for a in (np.minimum(np.floor(sl.t * 5), 4), sl.x, sl.y, sl.p):
             np.testing.assert_array_equal(a, a[lookup.first][lookup.site])
         table = random_table(rng)
-        warped = warp_events(sl, lookup.read(table), t_ref=0.5, sites=lookup)
-        per_event = warp_events(sl, lookup.read(table)[lookup.site], t_ref=0.5)
+        warped = warp_events(sl, lookup.read(table), lookup, t_ref=0.5)
+        per_event = warp_events(sl, lookup.read(table)[lookup.site], own_sites(sl), t_ref=0.5)
         # what warp_events returns still counts events, one mask entry each
         assert len(warped.mask) == len(sl)
         assert 0 < warped.n_masked == per_event.n_masked
         np.testing.assert_array_equal(warped.positions[lookup.site], per_event.positions)
         np.testing.assert_array_equal(warped.weights, per_event.weights)
         for sigma in (0.0, 1.0):
-            assert zero_warp_contrast(sl, sigma, lookup) == zero_warp_contrast(sl, sigma)
+            assert zero_warp_contrast(sl, sigma, lookup) == zero_warp_contrast(sl, sigma, own_sites(sl))
 
     @staticmethod
     def stencils(sigma):
@@ -330,8 +329,8 @@ class TestSharedSites:
         sl = shared_site_slice(rng)
         table = random_table(rng)
         lookup = event_lookup(sl, len(table), 4)
-        per_event = warp_events(sl, lookup.read(table)[lookup.site], t_ref=0.5)
-        warped = warp_events(sl, lookup.read(table), t_ref=0.5, sites=lookup)
+        per_event = warp_events(sl, lookup.read(table)[lookup.site], own_sites(sl), t_ref=0.5)
+        warped = warp_events(sl, lookup.read(table), lookup, t_ref=0.5)
         event_weight = per_event.mask * per_event.weights
         axes = stencil_axes(warped.positions, np.bincount(lookup.site, weights=event_weight), sigma)
         plane = (warped.polarity < 0).astype(np.int64)
@@ -416,9 +415,9 @@ class TestContrast:
         sl, _, spec = constant_scene(width=48, height=48, n_points=80, n_events=6000, seed=3)
         field = gt_field(spec.motion, 48, 48, 4, Basis(POLYNOMIAL, 1))
         vol_true = build_displacement_volume(field, 1.0, 8, n_bins=15)
-        delta = per_event(sl, vol_true.disp, field.stride)
-        g_true = contrast_g(build_iwe(warp_events(sl, delta), sigma=1.0))[0]
-        g_zero = contrast_g(build_iwe(warp_events(sl, 0), sigma=1.0))[0]
+        delta = event_entries(sl, vol_true.disp, field.stride)
+        g_true = contrast_g(build_iwe(warp_events(sl, delta, own_sites(sl)), sigma=1.0))[0]
+        g_zero = contrast_g(build_iwe(warp_events(sl, 0, own_sites(sl)), sigma=1.0))[0]
         assert g_true > g_zero
 
     def test_translation_equivariance_of_g(self):
@@ -435,7 +434,7 @@ class TestContrast:
             t_end=1.0,
         )
         table = random_table(rng, width=24, height=24, scale=0.4)
-        warped = warp_events(sl, per_event(sl, table))
+        warped = warp_events(sl, event_entries(sl, table, 4), own_sites(sl))
         assert warped.n_masked == 0
         g_small = contrast_g(build_iwe(warped))[0]
         shifted = EventSlice.from_arrays(
@@ -443,7 +442,7 @@ class TestContrast:
         )
         table_big = np.zeros((5, 9, 10, 2))
         table_big[:, 1:7, 2:8, :] = table  # same table under the shifted cells
-        warped_big = warp_events(shifted, per_event(shifted, table_big))
+        warped_big = warp_events(shifted, event_entries(shifted, table_big, 4), own_sites(shifted))
         assert warped_big.n_masked == 0
         g_big = contrast_g(build_iwe(warped_big))[0]
         assert abs(g_big - g_small) < 1e-9
@@ -469,8 +468,8 @@ class TestTotalLoss:
         sl = random_slice(rng)
         field = TrajectoryField.zeros(32, 32, 4, Basis(POLYNOMIAL, 1))
         cfg = ObjectiveConfig(time_weighting=False, k=8)
-        out = loss_gradient(sl, field, ((0.5, 1.0),), cfg)[0]
-        g0 = contrast_g(build_iwe(warp_events(sl, 0)))[0]
+        out = loss_gradient(sl, field, ((0.5, 1.0),), cfg, event_lookup(sl, cfg.n_bins, field.stride))[0]
+        g0 = contrast_g(build_iwe(warp_events(sl, 0, own_sites(sl))))[0]
         assert out.total == pytest.approx(1.0 / g0)
         assert out.r == 0.0
         assert not out.degenerate
@@ -481,7 +480,7 @@ class TestTotalLoss:
         field = TrajectoryField.zeros(32, 32, 4, Basis(BEZIER, 3))
         field.coeffs[...] = rng.normal(0, 1, field.coeffs.shape)
         cfg = ObjectiveConfig(lam=0.0, k=8)
-        out = loss_gradient(sl, field, ((0.25, 1.0),), cfg)[0]
+        out = loss_gradient(sl, field, ((0.25, 1.0),), cfg, event_lookup(sl, cfg.n_bins, field.stride))[0]
         assert out.total == pytest.approx(1.0 / out.g)
 
     def test_breakdown_recomposes(self):
@@ -490,7 +489,7 @@ class TestTotalLoss:
         field = TrajectoryField.zeros(32, 32, 4, Basis(BEZIER, 3))
         field.coeffs[...] = rng.normal(0, 1, field.coeffs.shape)
         cfg = ObjectiveConfig(k=8)
-        out = loss_gradient(sl, field, ((0.25, 1.0),), cfg)[0]
+        out = loss_gradient(sl, field, ((0.25, 1.0),), cfg, event_lookup(sl, cfg.n_bins, field.stride))[0]
         lam = cfg.lam / (sl.width * sl.height)
         assert out.r > 0.0
         assert out.total == pytest.approx(1.0 / max(out.g, 1e-8) + lam * out.r, abs=1e-12)
@@ -500,16 +499,18 @@ class TestTotalLoss:
         cfg = ObjectiveConfig(sigma=1.0, k=8)
         zero = TrajectoryField.zeros(48, 48, 4, Basis(POLYNOMIAL, 1))
         true = gt_field(spec.motion, 48, 48, 4, Basis(POLYNOMIAL, 1))
+        lookup = event_lookup(sl, cfg.n_bins, zero.stride)
         for t_ref in (0.0, 0.5, 1.0):
-            true_loss = loss_gradient(sl, true, ((t_ref, 1.0),), cfg)[0]
-            assert true_loss.total < loss_gradient(sl, zero, ((t_ref, 1.0),), cfg)[0].total
+            true_loss = loss_gradient(sl, true, ((t_ref, 1.0),), cfg, lookup)[0]
+            assert true_loss.total < loss_gradient(sl, zero, ((t_ref, 1.0),), cfg, lookup)[0].total
 
     def test_degenerate_flag_when_all_masked(self):
         sl = EventSlice.from_arrays([1, 2], [1, 2], [0.1, 0.9], [1, -1], 8, 8,
                                     t_start=0.0, t_end=1.0)
         field = TrajectoryField.zeros(8, 8, 4, Basis(POLYNOMIAL, 1))
         field.coeffs[..., 0] = 1e6
-        out = loss_gradient(sl, field, ((1.0, 1.0),), ObjectiveConfig(k=1))[0]
+        cfg = ObjectiveConfig(k=1)
+        out = loss_gradient(sl, field, ((1.0, 1.0),), cfg, event_lookup(sl, cfg.n_bins, field.stride))[0]
         assert out.degenerate
         assert out.n_masked == 2
         assert np.isfinite(out.total)
@@ -520,18 +521,21 @@ class TestTotalLoss:
         field = TrajectoryField.zeros(32, 32, 4, Basis(BEZIER, 5))
         field.coeffs[...] = rng.normal(0, 2, field.coeffs.shape)
         cfg = ObjectiveConfig(k=8)
-        a = loss_gradient(sl, field, ((0.625, 1.0),), cfg)[0]
-        b = loss_gradient(sl, field, ((0.625, 1.0),), cfg)[0]
+        lookup = event_lookup(sl, cfg.n_bins, field.stride)
+        a = loss_gradient(sl, field, ((0.625, 1.0),), cfg, lookup)[0]
+        b = loss_gradient(sl, field, ((0.625, 1.0),), cfg, lookup)[0]
         assert (a.g, a.r, a.total) == (b.g, b.r, b.total)
 
     @pytest.mark.parametrize("sigma", [5.5, 1e308])
     @pytest.mark.parametrize(
         "run",
         [
-            lambda sl, field, sigma: loss_gradient(sl, field, ((0.5, 1.0),), ObjectiveConfig(sigma=sigma, k=8)),
-            lambda sl, field, sigma: contrast_pass(sl, 0, sigma, 0.5),
-            lambda sl, field, sigma: zero_warp_contrast(sl, sigma),
-            lambda sl, field, sigma: build_iwe(warp_events(sl, 0), sigma),
+            lambda sl, field, sigma: loss_gradient(
+                sl, field, ((0.5, 1.0),), ObjectiveConfig(sigma=sigma, k=8), event_lookup(sl, 15, field.stride)
+            ),
+            lambda sl, field, sigma: contrast_pass(sl, 0, sigma, 0.5, own_sites(sl)),
+            lambda sl, field, sigma: zero_warp_contrast(sl, sigma, own_sites(sl)),
+            lambda sl, field, sigma: build_iwe(warp_events(sl, 0, own_sites(sl)), sigma),
         ],
         ids=["loss_gradient", "contrast_pass", "zero_warp_contrast", "build_iwe"],
     )
@@ -546,9 +550,10 @@ class TestTotalLoss:
 
 def fixed_reference_f(sl, field, cfg):
     """F of the baseline: the loss over FIXED_REFERENCES with G_0, lambda = 0
-    and no time weighting."""
+    and no time weighting, every pass through the one lookup minimize builds."""
     base = replace(cfg, lam=0.0, time_weighting=False)
-    return loss_gradient(sl, field, FIXED_REFERENCES, base, zero_warp_contrast(sl, cfg.sigma))[0].g
+    lookup = event_lookup(sl, cfg.n_bins, field.stride)
+    return loss_gradient(sl, field, FIXED_REFERENCES, base, lookup, zero_warp_contrast(sl, cfg.sigma, lookup))[0].g
 
 
 class TestFixedReferenceLoss:

@@ -31,7 +31,7 @@ from evtraj.optimize import (
 from evtraj.trajectory import BEZIER, POLYNOMIAL, Basis, TrajectoryField
 
 from oracles import event_voxels_scalar
-from scenes import constant_scene, shared_site_slice
+from scenes import constant_scene, event_entries, own_sites, shared_site_slice
 
 def small_instance(seed=0, n_events=200, width=16, height=16, basis=Basis(POLYNOMIAL, 2),
                    coeff_scale=1.0):
@@ -57,15 +57,11 @@ def one(t_ref):
 
 
 def baseline(sl, field, cfg):
-    """(refs, cfg, g0) of the fixed-reference baseline, as minimize sets them."""
-    g0 = zero_warp_contrast(sl, cfg.sigma)
-    return FIXED_REFERENCES, replace(cfg, lam=0.0, time_weighting=False), g0
-
-
-def event_delta(sl, field, volume):
-    """Each event's displacement read from ``volume``."""
-    lookup = event_lookup(sl, volume.n_bins, field.stride)
-    return lookup.read(volume.disp)[lookup.site]
+    """(refs, cfg, lookup, g0) of the fixed-reference baseline, as minimize
+    sets them."""
+    lookup = event_lookup(sl, cfg.n_bins, field.stride)
+    g0 = zero_warp_contrast(sl, cfg.sigma, lookup)
+    return FIXED_REFERENCES, replace(cfg, lam=0.0, time_weighting=False), lookup, g0
 
 
 def count_lookups(monkeypatch):
@@ -86,12 +82,13 @@ def fd_check_coordinates(sl, field, cfg, refs, h, rng, n_coords, g0=1.0):
     coordinates that move an affected event within 4h of the breakpoint
     lattice at any reference time. Returns max relative error over the
     checked coordinates."""
-    _, grad = loss_gradient(sl, field, refs, cfg, g0)
+    lookup = event_lookup(sl, cfg.n_bins, field.stride)
+    _, grad = loss_gradient(sl, field, refs, cfg, lookup, g0)
     risky = [np.zeros(field.n_anchors, dtype=bool), np.zeros(field.n_anchors, dtype=bool)]
     voxels = event_voxels_scalar(sl, cfg.n_bins, field.stride)
     for t, _ in refs:
         volume = build_displacement_volume(field, t, cfg.k, cfg.n_bins)
-        positions = warp_events(sl, event_delta(sl, field, volume)).positions
+        positions = warp_events(sl, event_entries(sl, volume.disp, field.stride), own_sites(sl)).positions
         frac = positions - np.floor(positions)
         near = np.minimum(frac, 1.0 - frac) < 4.0 * h  # conservative skip, per axis
         for k in np.flatnonzero(near.any(axis=1)):
@@ -103,7 +100,7 @@ def fd_check_coordinates(sl, field, cfg, refs, h, rng, n_coords, g0=1.0):
     def loss_of(coeffs):
         f = field.copy()
         f.coeffs = coeffs
-        return loss_gradient(sl, f, refs, cfg, g0)[0].total
+        return loss_gradient(sl, f, refs, cfg, lookup, g0)[0].total
 
     shape = field.coeffs.shape
     cols = shape[1]
@@ -132,7 +129,8 @@ class TestLossGradient:
     def test_zero_events_zero_coefficients(self):
         sl = EventSlice.from_arrays([], [], [], [], 16, 16)
         field = TrajectoryField.zeros(16, 16, 4, Basis(POLYNOMIAL, 2))
-        out, grad = loss_gradient(sl, field, one(0.5), ObjectiveConfig(k=4, n_bins=5))
+        cfg = ObjectiveConfig(k=4, n_bins=5)
+        out, grad = loss_gradient(sl, field, one(0.5), cfg, event_lookup(sl, cfg.n_bins, field.stride))
         np.testing.assert_array_equal(grad, 0.0)
         assert out.r == 0.0
 
@@ -182,17 +180,18 @@ class TestLossGradient:
         cfg = ObjectiveConfig(k=8, n_bins=5)
         rng = np.random.default_rng(14)
         direction = rng.normal(0, 1, field.coeffs.shape)
+        lookup = event_lookup(sl, cfg.n_bins, field.stride)
         h = 1e-5
         for flip in (1.0, -1.0):
             base = field.copy()
             base.coeffs = flip * field.coeffs
-            _, grad = loss_gradient(sl, base, one(0.55), cfg)
+            _, grad = loss_gradient(sl, base, one(0.55), cfg, lookup)
             plus, minus = base.copy(), base.copy()
             plus.coeffs = base.coeffs + h * direction
             minus.coeffs = base.coeffs - h * direction
             fd = (
-                loss_gradient(sl, plus, one(0.55), cfg)[0].total
-                - loss_gradient(sl, minus, one(0.55), cfg)[0].total
+                loss_gradient(sl, plus, one(0.55), cfg, lookup)[0].total
+                - loss_gradient(sl, minus, one(0.55), cfg, lookup)[0].total
             ) / (2 * h)
             analytic = float((grad * direction).sum())
             assert abs(analytic - fd) / max(abs(analytic), abs(fd)) < 1e-4
@@ -202,7 +201,7 @@ class TestLossGradient:
         # an even bin count keeps t_ref = 0.5 off the bin centers, whose
         # events would sit still on the breakpoint lattice
         sl, field = small_instance(seed=15)
-        refs, cfg, g0 = baseline(sl, field, ObjectiveConfig(sigma=sigma, k=8, n_bins=4))
+        refs, cfg, _, g0 = baseline(sl, field, ObjectiveConfig(sigma=sigma, k=8, n_bins=4))
         rng = np.random.default_rng(15)
         max_rel = fd_check_coordinates(sl, field, cfg, refs, h=1e-4, rng=rng, n_coords=40, g0=g0)
         assert max_rel < 1e-5
@@ -214,9 +213,11 @@ class TestLossGradient:
         sl, field = small_instance(seed=18)
         cfg = ObjectiveConfig(sigma=sigma, k=8, n_bins=5)
         volumes = [build_displacement_volume(field, t, cfg.k, cfg.n_bins) for t in (0.0, 0.5, 1.0)]
-        g = [contrast_pass(sl, event_delta(sl, field, v), sigma, None)[0] for v in volumes]
-        f = (g[0] + 2.0 * g[1] + g[2]) / (4.0 * zero_warp_contrast(sl, cfg.sigma))
-        out, _ = loss_gradient(sl, field, *baseline(sl, field, cfg))
+        deltas = [event_entries(sl, v.disp, field.stride) for v in volumes]
+        g = [contrast_pass(sl, delta, sigma, None, own_sites(sl))[0] for delta in deltas]
+        refs, base, lookup, g0 = baseline(sl, field, cfg)
+        f = (g[0] + 2.0 * g[1] + g[2]) / (4.0 * g0)
+        out, _ = loss_gradient(sl, field, refs, base, lookup, g0)
         assert out.total == 1.0 / f
         assert (out.g, out.r, out.t_ref) == (f, 0.0, 0.5)
 
@@ -261,7 +262,7 @@ class TestLossGradient:
         cfg = ObjectiveConfig(sigma=sigma, k=8, n_bins=4)
         refs, g0 = one(0.43), 1.0
         if fixed:
-            refs, cfg, g0 = baseline(sl, field, cfg)
+            refs, cfg, _, g0 = baseline(sl, field, cfg)
         max_rel = fd_check_coordinates(sl, field, cfg, refs, h=1e-4, rng=rng, n_coords=40, g0=g0)
         assert max_rel < (1e-4 if sigma == 0.0 and not fixed else 1e-5)
 
@@ -294,7 +295,7 @@ class TestLossGradient:
         g, _, n_masked = contrast_pass(sl, lookup.read(volume.disp), sigma, 0.43, lookup)
         r = regularizer_r(build_consecutive_delta_field(field, volume)[0])[0]
         lam = cfg.lam / (sl.width * sl.height)
-        out = loss_gradient(sl, field, one(0.43), cfg)[0]
+        out = loss_gradient(sl, field, one(0.43), cfg, lookup)[0]
         assert (out.g, out.r, out.n_masked) == (g, r, n_masked)
         assert out.total == 1.0 / g + lam * r
 
@@ -303,7 +304,7 @@ class TestLossGradient:
         sl, field = small_instance(seed=6)
         field.coeffs[..., 0] += 1e5
         cfg = ObjectiveConfig(k=8, n_bins=5)
-        out, grad = loss_gradient(sl, field, one(0.45), cfg)
+        out, grad = loss_gradient(sl, field, one(0.45), cfg, event_lookup(sl, cfg.n_bins, field.stride))
         assert out.degenerate
         assert np.all(np.isfinite(grad))
 

@@ -180,7 +180,7 @@ class TestGenerateEvents:
         for valid in gt.valid:
             np.testing.assert_array_equal(valid, covered)
         idx = np.empty((len(pixels), 1), dtype=np.int64)
-        grid = assoc._ring_grid(assoc._query_grid(pixels, len(obs), 1)[0], obs[None])
+        grid, _ = assoc._ring_grid(pixels, obs[None], 1)
         rest = assoc._ring_pass(grid, np.arange(len(pixels)), 1, idx)
         assert 0 < len(rest) < len(pixels)
 
