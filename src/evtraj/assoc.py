@@ -424,7 +424,8 @@ class DisplacementVolume:
     ``disp`` is (n_bins, rows, cols, 2) in (dx, dy) pixels, the neighbor
     mean of q_n(t_ref) - q_n(t_b); ``knn_indices`` is (n_bins, rows, cols, k)
     of flat anchor indices, the sets that mean runs over; ``pullback`` maps
-    a cotangent on ``disp`` to the coefficients. Immutable once built.
+    a cotangent on ``disp`` to the coefficients. No code mutates it after
+    the build.
     """
 
     t_ref: float

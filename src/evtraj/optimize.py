@@ -145,10 +145,11 @@ def loss_gradient(sl: EventSlice, field: TrajectoryField, refs, cfg: ObjectiveCo
     field's stride, which :func:`minimize` builds once per run. Each pass
     reads one displacement per site, a (time bin, pixel, polarity), votes
     it once with its events' summed weight and returns one derivative per
-    site, which the lookup's pullback sums into the table. R is skipped (reads 0) when lambda = 0. Flags
-    ``degenerate`` (and guards 1/C with eps) when C falls under eps, as
-    when every event is warped off-image or the IWEs are flat; the contrast
-    path then contributes zero (the gradient of the guarded expression).
+    site, which the lookup's pullback sums into the table. R is skipped
+    (reads 0) when lambda = 0. Flags ``degenerate`` (and guards 1/C with
+    eps) when C falls under eps, as when every event is warped off-image or
+    the IWEs are flat; the contrast path then contributes zero (the
+    gradient of the guarded expression).
     """
     volume = build_displacement_volume(field, refs[0][0], cfg.k, cfg.n_bins)
     c, grad_c, n_masked = 0.0, 0.0, 0

@@ -274,19 +274,6 @@ def regularizer_scalar(delta_field):
     return total / (rows * cols)
 
 
-def fd_gradient(fun, coeffs, coords, h):
-    """Central finite differences of a scalar function at given coordinates."""
-    out = {}
-    for coord in coords:
-        pert = coeffs.copy()
-        pert[coord] = coeffs[coord] + h
-        fp = fun(pert)
-        pert[coord] = coeffs[coord] - h
-        fm = fun(pert)
-        out[coord] = (fp - fm) / (2.0 * h)
-    return out
-
-
 def epe_ae_scalar(pred, gt, mask):
     """Per-pixel double loop for endpoint and space-time angular error."""
     errs, angs = [], []

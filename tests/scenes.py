@@ -1,11 +1,15 @@
-"""Shared synthetic scenes and ground-truth trajectory fields for tests."""
+"""Shared test fixtures: synthetic scenes, random slices and fields,
+ground-truth trajectory fields and the fixed-reference baseline's inputs."""
+
+from dataclasses import replace
 
 import numpy as np
 
 from evtraj.assoc import EventLookup, event_lookup
 from evtraj.events import EventSlice
+from evtraj.objective import FIXED_REFERENCES, zero_warp_contrast
 from evtraj.synth import BezierMotion, CircularMotion, SceneSpec, generate_events, scatter_points
-from evtraj.trajectory import Basis, TrajectoryField, displacement_basis
+from evtraj.trajectory import BEZIER, Basis, TrajectoryField, displacement_basis
 
 
 def constant_scene(
@@ -76,6 +80,38 @@ def arc_scene(
     )
     sl, gt = generate_events(spec, seed + 1)
     return sl, gt, spec
+
+
+def random_slice(rng, n=1000, width=32, height=32, duration=1.0):
+    """``n`` events at uniform pixels, times in [0, ``duration``] and
+    polarities, drawn in that order."""
+    return EventSlice.from_arrays(
+        rng.integers(0, width, n),
+        rng.integers(0, height, n),
+        rng.uniform(0.0, duration, n),
+        rng.choice([-1, 1], n),
+        width,
+        height,
+        t_start=0.0,
+        t_end=duration,
+    )
+
+
+def random_field(rng, width=32, height=32, stride=4, basis=Basis(BEZIER, 5), scale=2.0):
+    """A field whose coefficients are drawn from N(0, ``scale``^2)."""
+    field = TrajectoryField.zeros(width, height, stride, basis)
+    field.coeffs[...] = rng.normal(0.0, scale, field.coeffs.shape)
+    return field
+
+
+def fixed_reference(sl, field, cfg):
+    """(refs, cfg, lookup, g0) of the fixed-reference baseline, as minimize
+    sets them: FIXED_REFERENCES, lambda = 0 and no time weighting, one
+    lookup at ``cfg.n_bins`` and the field's stride, and G_0 the zero-warp
+    contrast voted through it."""
+    lookup = event_lookup(sl, cfg.n_bins, field.stride)
+    g0 = zero_warp_contrast(sl, cfg.sigma, lookup)
+    return FIXED_REFERENCES, replace(cfg, lam=0.0, time_weighting=False), lookup, g0
 
 
 def shared_site_slice(rng, n_sites=150, width=32, height=32, n_bins=5, repeats=(2, 12)):

@@ -19,12 +19,7 @@ from evtraj.events import EventSlice
 from evtraj.trajectory import BEZIER, POLYNOMIAL, Basis, TrajectoryField, anchor_grid, eval_trajectory_batch
 
 from oracles import delta_field_scalar, displacement_volume_scalar, flow_scalar, knn_scalar, warp_scalar
-
-
-def random_field(rng, width=32, height=32, stride=4, basis=Basis(BEZIER, 5), scale=2.0):
-    field = TrajectoryField.zeros(width, height, stride, basis)
-    field.coeffs[...] = rng.normal(0.0, scale, field.coeffs.shape)
-    return field
+from scenes import random_field
 
 
 class TestKnn:
@@ -92,14 +87,14 @@ class TestKnn:
 
 
 def assert_knn_matches_scan(query, points, k):
-    """Indices equal to the scalar scan, and across tilings."""
-    idx = knn_per_bin(query, points[None], k)[0]
-    np.testing.assert_array_equal(idx, knn_scalar(query, points, k))
-    for tile in (1, 7):
+    """The search equals the scalar scan for tiles of 1, 7 and the default
+    number of query cells."""
+    ref_idx = knn_scalar(query, points, k)
+    for tile in (1, 7, assoc._KNN_TILE):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(assoc, "_KNN_TILE", tile)
-            tiled_idx = knn_per_bin(query, points[None], k)[0]
-        np.testing.assert_array_equal(tiled_idx, idx)
+            idx = knn_per_bin(query, np.asarray(points)[None], k)[0]
+        np.testing.assert_array_equal(idx, ref_idx)
 
 
 class TestKnnLatticeTies:
@@ -139,17 +134,6 @@ class TestKnnLatticeTies:
     def test_small_integer_point_sets(self, points, queries, data):
         k = data.draw(st.integers(1, len(points)), label="k")
         assert_knn_matches_scan(np.array(queries, dtype=float), np.array(points, dtype=float), k)
-
-
-def assert_blocks_match_scan(query, points, k):
-    """The block search, run at every input size, equals the scalar scan
-    for tiles of 1, 7 and the default number of query cells."""
-    ref_idx = knn_scalar(query, points, k)
-    for tile in (1, 7, assoc._KNN_TILE):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(assoc, "_KNN_TILE", tile)
-            idx = knn_per_bin(query, np.asarray(points)[None], k)[0]
-        np.testing.assert_array_equal(idx, ref_idx)
 
 
 def ring_grid(query, sets, k):
@@ -262,13 +246,13 @@ class TestKnnBlocks:
         anchors[0, 1] += dy
         d2 = np.square(anchors[[0, 3], 0] - 60.0) + np.square(anchors[[0, 3], 1] - 45.0)
         assert d2[0] == d2[1] == 324.0
-        assert_blocks_match_scan(self.QUERY, anchors, 3)
+        assert_knn_matches_scan(self.QUERY, anchors, 3)
         assert knn_per_bin(self.QUERY, anchors[None], 3)[0, 2].tolist() == [1, 2, 0]
         assert 2 in block_rejects(self.QUERY, anchors, 3)
         # one ulp further out, the row is certified from the block
         anchors[0, 0] = np.nextafter(78.0, np.inf)
         assert 2 not in block_rejects(self.QUERY, anchors, 3)
-        assert_blocks_match_scan(self.QUERY, anchors, 3)
+        assert_knn_matches_scan(self.QUERY, anchors, 3)
 
     def test_rejected_at_reach_1_certified_at_reach_2(self):
         # the exact tie above, as set 1 of a stack (row 3 + 2): the 5x5
@@ -285,7 +269,7 @@ class TestKnnBlocks:
         assert (idx[5] == -1).all()
         assert assoc._ring_pass(grid, np.array([5]), 2, idx).size == 0
         assert idx[5].tolist() == knn_scalar(self.QUERY, self.ANCHORS, 3)[2].tolist() == [1, 2, 0]
-        assert_blocks_match_scan(self.QUERY, self.ANCHORS, 3)
+        assert_knn_matches_scan(self.QUERY, self.ANCHORS, 3)
 
     @pytest.mark.parametrize("k", [1, 7, 60])
     @pytest.mark.parametrize("layout", ["one_point", "small"])
@@ -297,7 +281,7 @@ class TestKnnBlocks:
         query = np.full((25, 2), 13.25) if layout == "one_point" else rng.uniform(0, 40, (50, 2))
         if layout == "one_point":
             assert assoc._bucket_grid(query, len(anchors), k)[2].tolist() == [1, 1]
-        assert_blocks_match_scan(query, anchors, k)
+        assert_knn_matches_scan(query, anchors, k)
 
     @pytest.mark.parametrize("k", [1, 5])
     def test_pass_count_bound(self, monkeypatch, k):
@@ -363,7 +347,7 @@ class TestKnnBlocks:
             pts = unit * [6, 5] + [20, 20]
         else:
             pts = unit * [64, 48]
-        assert_blocks_match_scan(query, pts, k)
+        assert_knn_matches_scan(query, pts, k)
 
 
 def count_tie_rows(monkeypatch):
@@ -449,7 +433,7 @@ class TestPackedSelection:
             for _ in range(3):
                 pts = np.nextafter(pts, pts + rng.integers(-1, 2, pts.shape))
             query = np.concatenate([rng.uniform(0, 20, (30, 2)), pts[:10]])
-            assert_blocks_match_scan(query, pts, k)
+            assert_knn_matches_scan(query, pts, k)
         assert sum(tied) > 0
 
     def test_overflowing_d2_ties_to_the_lower_index(self):
@@ -460,7 +444,7 @@ class TestPackedSelection:
         anchors = np.array([[1e200, 0.0], [5.0, 5.0], [-1e200, 0.0], [0.0, 3e200], [1.0, 1.0], [2e200, -1e200]])
         assert knn_per_bin(query, anchors[None], 6)[0, 0].tolist() == [4, 1, 0, 2, 3, 5]
         for k in (1, 3, 6):
-            assert_blocks_match_scan(query, anchors, k)
+            assert_knn_matches_scan(query, anchors, k)
 
 
 def assert_same_at_each_tile(expected, build):

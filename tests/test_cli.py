@@ -12,6 +12,8 @@ from evtraj.flowio import load_flow, save_flow
 from evtraj.optimize import OptimConfig
 from evtraj.trajectory import POLYNOMIAL, Basis, TrajectoryField, save_field
 
+from scenes import random_slice
+
 
 SCENE = """\
 # small constant-flow test scene
@@ -60,9 +62,7 @@ def fixed_inputs(root: Path) -> dict:
     rng = np.random.default_rng(8)
     width, height, n = 24, 16, 3000
     paths = {"events": root / "events.evt1", "field": root / "field.trj1"}
-    save_events(EventSlice.from_arrays(rng.integers(0, width, n), rng.integers(0, height, n), rng.uniform(0, 1, n),
-                                       rng.choice([-1, 1], n), width, height, t_start=0.0, t_end=1.0),
-                paths["events"])
+    save_events(random_slice(rng, n, width, height), paths["events"])
     field = TrajectoryField.zeros(width, height, 4, Basis(POLYNOMIAL, 1))
     field.coeffs[...] = rng.integers(-8, 9, field.coeffs.shape) / 4.0
     save_field(field, paths["field"])

@@ -3,18 +3,7 @@ import pytest
 
 from evtraj.events import EventSlice, load_events, save_events
 
-
-def random_slice(rng, n=1000, width=64, height=48):
-    return EventSlice.from_arrays(
-        rng.integers(0, width, n),
-        rng.integers(0, height, n),
-        rng.uniform(0.0, 2.0, n),
-        rng.choice([-1, 1], n),
-        width,
-        height,
-        t_start=0.0,
-        t_end=2.0,
-    )
+from scenes import random_slice
 
 
 class TestEventSlice:
@@ -65,7 +54,7 @@ class TestBinaryFormat:
 
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(7)
-        sl = random_slice(rng, n=10000)
+        sl = random_slice(rng, n=10000, width=64, height=48, duration=2.0)
         path = tmp_path / "a.evt1"
         save_events(sl, path)
         back = load_events(path)
@@ -84,7 +73,7 @@ class TestBinaryFormat:
 
     def test_truncated_body(self, tmp_path):
         rng = np.random.default_rng(0)
-        sl = random_slice(rng, n=10)
+        sl = random_slice(rng, n=10, width=64, height=48, duration=2.0)
         path = tmp_path / "trunc.evt1"
         save_events(sl, path)
         path.write_bytes(path.read_bytes()[:-7])
@@ -93,7 +82,7 @@ class TestBinaryFormat:
 
     def test_trailing_bytes_name_path_and_offset(self, tmp_path):
         rng = np.random.default_rng(0)
-        sl = random_slice(rng, n=10)
+        sl = random_slice(rng, n=10, width=64, height=48, duration=2.0)
         path = tmp_path / "trailing.evt1"
         save_events(sl, path)
         path.write_bytes(path.read_bytes() + b"junk")
@@ -134,7 +123,7 @@ class TestBinaryFormat:
 
     def test_out_of_bounds_coordinate_names_offset(self, tmp_path):
         rng = np.random.default_rng(1)
-        sl = random_slice(rng, n=3, width=64, height=64)
+        sl = random_slice(rng, n=3, width=64, height=64, duration=2.0)
         path = tmp_path / "oob.evt1"
         save_events(sl, path)
         raw = bytearray(path.read_bytes())

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ import evtraj.objective as objective
 from evtraj.assoc import build_consecutive_delta_field, build_displacement_volume, event_lookup
 from evtraj.events import EventSlice
 from evtraj.objective import (
-    FIXED_REFERENCES,
     ObjectiveConfig,
     build_iwe,
     contrast_g,
@@ -32,20 +30,16 @@ from oracles import (
     regularizer_scalar,
     warp_scalar,
 )
-from scenes import constant_scene, event_entries, gt_field, own_sites, shared_site_slice
-
-
-def random_slice(rng, n=1000, width=32, height=32):
-    return EventSlice.from_arrays(
-        rng.integers(0, width, n),
-        rng.integers(0, height, n),
-        rng.uniform(0.0, 1.0, n),
-        rng.choice([-1, 1], n),
-        width,
-        height,
-        t_start=0.0,
-        t_end=1.0,
-    )
+from scenes import (
+    constant_scene,
+    event_entries,
+    fixed_reference,
+    gt_field,
+    own_sites,
+    random_field,
+    random_slice,
+    shared_site_slice,
+)
 
 
 def random_table(rng, width=32, height=32, stride=4, n_bins=5, scale=1.5):
@@ -477,8 +471,7 @@ class TestTotalLoss:
     def test_lambda_zero_total_is_pure_contrast(self):
         rng = np.random.default_rng(16)
         sl = random_slice(rng)
-        field = TrajectoryField.zeros(32, 32, 4, Basis(BEZIER, 3))
-        field.coeffs[...] = rng.normal(0, 1, field.coeffs.shape)
+        field = random_field(rng, basis=Basis(BEZIER, 3), scale=1.0)
         cfg = ObjectiveConfig(lam=0.0, k=8)
         out = loss_gradient(sl, field, ((0.25, 1.0),), cfg, event_lookup(sl, cfg.n_bins, field.stride))[0]
         assert out.total == pytest.approx(1.0 / out.g)
@@ -486,8 +479,7 @@ class TestTotalLoss:
     def test_breakdown_recomposes(self):
         rng = np.random.default_rng(17)
         sl = random_slice(rng)
-        field = TrajectoryField.zeros(32, 32, 4, Basis(BEZIER, 3))
-        field.coeffs[...] = rng.normal(0, 1, field.coeffs.shape)
+        field = random_field(rng, basis=Basis(BEZIER, 3), scale=1.0)
         cfg = ObjectiveConfig(k=8)
         out = loss_gradient(sl, field, ((0.25, 1.0),), cfg, event_lookup(sl, cfg.n_bins, field.stride))[0]
         lam = cfg.lam / (sl.width * sl.height)
@@ -518,8 +510,7 @@ class TestTotalLoss:
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(18)
         sl = random_slice(rng)
-        field = TrajectoryField.zeros(32, 32, 4, Basis(BEZIER, 5))
-        field.coeffs[...] = rng.normal(0, 2, field.coeffs.shape)
+        field = random_field(rng)
         cfg = ObjectiveConfig(k=8)
         lookup = event_lookup(sl, cfg.n_bins, field.stride)
         a = loss_gradient(sl, field, ((0.625, 1.0),), cfg, lookup)[0]
@@ -548,24 +539,16 @@ class TestTotalLoss:
             run(sl, field, sigma)
 
 
-def fixed_reference_f(sl, field, cfg):
-    """F of the baseline: the loss over FIXED_REFERENCES with G_0, lambda = 0
-    and no time weighting, every pass through the one lookup minimize builds."""
-    base = replace(cfg, lam=0.0, time_weighting=False)
-    lookup = event_lookup(sl, cfg.n_bins, field.stride)
-    return loss_gradient(sl, field, FIXED_REFERENCES, base, lookup, zero_warp_contrast(sl, cfg.sigma, lookup))[0].g
-
-
 class TestFixedReferenceLoss:
     def test_zero_coefficients_normalization_identity(self):
         rng = np.random.default_rng(19)
         sl = random_slice(rng)
         field = TrajectoryField.zeros(32, 32, 4, Basis(POLYNOMIAL, 1))
         cfg = ObjectiveConfig(k=8)
-        assert fixed_reference_f(sl, field, cfg) == 1.0
+        assert loss_gradient(sl, field, *fixed_reference(sl, field, cfg))[0].g == 1.0
 
     def test_alignment_exceeds_one(self):
         sl, _, spec = constant_scene(width=48, height=48, n_points=80, n_events=6000, seed=5)
         field = gt_field(spec.motion, 48, 48, 4, Basis(POLYNOMIAL, 1))
         cfg = ObjectiveConfig(sigma=1.0, k=8)
-        assert fixed_reference_f(sl, field, cfg) > 1.0
+        assert loss_gradient(sl, field, *fixed_reference(sl, field, cfg))[0].g > 1.0

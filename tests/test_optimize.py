@@ -13,13 +13,12 @@ from evtraj.assoc import (
     interpolate_flow,
 )
 from evtraj.events import EventSlice
+from evtraj.metrics import score_time
 from evtraj.objective import (
-    FIXED_REFERENCES,
     ObjectiveConfig,
     contrast_pass,
     regularizer_r,
     warp_events,
-    zero_warp_contrast,
 )
 from evtraj.optimize import (
     DivergenceError,
@@ -31,37 +30,28 @@ from evtraj.optimize import (
 from evtraj.trajectory import BEZIER, POLYNOMIAL, Basis, TrajectoryField
 
 from oracles import event_voxels_scalar
-from scenes import constant_scene, event_entries, own_sites, shared_site_slice
+from scenes import (
+    arc_scene,
+    constant_scene,
+    event_entries,
+    fixed_reference,
+    own_sites,
+    random_field,
+    random_slice,
+    shared_site_slice,
+)
+
 
 def small_instance(seed=0, n_events=200, width=16, height=16, basis=Basis(POLYNOMIAL, 2),
                    coeff_scale=1.0):
     rng = np.random.default_rng(seed)
-    sl = EventSlice.from_arrays(
-        rng.integers(0, width, n_events),
-        rng.integers(0, height, n_events),
-        rng.uniform(0.0, 1.0, n_events),
-        rng.choice([-1, 1], n_events),
-        width,
-        height,
-        t_start=0.0,
-        t_end=1.0,
-    )
-    field = TrajectoryField.zeros(width, height, 4, basis)
-    field.coeffs[...] = rng.normal(0.0, coeff_scale, field.coeffs.shape)
-    return sl, field
+    sl = random_slice(rng, n_events, width, height)
+    return sl, random_field(rng, width, height, 4, basis, coeff_scale)
 
 
 def one(t_ref):
     """The reference set of a single drawn reference time."""
     return ((t_ref, 1.0),)
-
-
-def baseline(sl, field, cfg):
-    """(refs, cfg, lookup, g0) of the fixed-reference baseline, as minimize
-    sets them."""
-    lookup = event_lookup(sl, cfg.n_bins, field.stride)
-    g0 = zero_warp_contrast(sl, cfg.sigma, lookup)
-    return FIXED_REFERENCES, replace(cfg, lam=0.0, time_weighting=False), lookup, g0
 
 
 def count_lookups(monkeypatch):
@@ -201,7 +191,7 @@ class TestLossGradient:
         # an even bin count keeps t_ref = 0.5 off the bin centers, whose
         # events would sit still on the breakpoint lattice
         sl, field = small_instance(seed=15)
-        refs, cfg, _, g0 = baseline(sl, field, ObjectiveConfig(sigma=sigma, k=8, n_bins=4))
+        refs, cfg, _, g0 = fixed_reference(sl, field, ObjectiveConfig(sigma=sigma, k=8, n_bins=4))
         rng = np.random.default_rng(15)
         max_rel = fd_check_coordinates(sl, field, cfg, refs, h=1e-4, rng=rng, n_coords=40, g0=g0)
         assert max_rel < 1e-5
@@ -215,7 +205,7 @@ class TestLossGradient:
         volumes = [build_displacement_volume(field, t, cfg.k, cfg.n_bins) for t in (0.0, 0.5, 1.0)]
         deltas = [event_entries(sl, v.disp, field.stride) for v in volumes]
         g = [contrast_pass(sl, delta, sigma, None, own_sites(sl))[0] for delta in deltas]
-        refs, base, lookup, g0 = baseline(sl, field, cfg)
+        refs, base, lookup, g0 = fixed_reference(sl, field, cfg)
         f = (g[0] + 2.0 * g[1] + g[2]) / (4.0 * g0)
         out, _ = loss_gradient(sl, field, refs, base, lookup, g0)
         assert out.total == 1.0 / f
@@ -232,7 +222,7 @@ class TestLossGradient:
             return search(query, positions, k)
 
         monkeypatch.setattr(assoc, "knn_per_bin", counted)
-        loss_gradient(sl, field, *baseline(sl, field, cfg))
+        loss_gradient(sl, field, *fixed_reference(sl, field, cfg))
         # one stacked search per build, holding every bin's anchor set
         assert calls == [(cfg.n_bins, field.n_anchors, 2)]
 
@@ -257,12 +247,11 @@ class TestLossGradient:
         # contracts once per site and must reach every one of them
         rng = np.random.default_rng(31)
         sl = shared_site_slice(rng, n_sites=40, width=16, height=16, n_bins=4)
-        field = TrajectoryField.zeros(16, 16, 4, Basis(POLYNOMIAL, 2))
-        field.coeffs[...] = rng.normal(0.0, 1.0, field.coeffs.shape)
+        field = random_field(rng, 16, 16, basis=Basis(POLYNOMIAL, 2), scale=1.0)
         cfg = ObjectiveConfig(sigma=sigma, k=8, n_bins=4)
         refs, g0 = one(0.43), 1.0
         if fixed:
-            refs, cfg, _, g0 = baseline(sl, field, cfg)
+            refs, cfg, _, g0 = fixed_reference(sl, field, cfg)
         max_rel = fd_check_coordinates(sl, field, cfg, refs, h=1e-4, rng=rng, n_coords=40, g0=g0)
         assert max_rel < (1e-4 if sigma == 0.0 and not fixed else 1e-5)
 
@@ -270,7 +259,7 @@ class TestLossGradient:
     def test_fixed_reference_shared_search_matches_three_builds(self, monkeypatch, sigma):
         sl, field = small_instance(seed=17)
         cfg = ObjectiveConfig(sigma=sigma, k=8, n_bins=5)
-        inputs = baseline(sl, field, cfg)
+        inputs = fixed_reference(sl, field, cfg)
         shared = loss_gradient(sl, field, *inputs)
         built = []
 
@@ -392,6 +381,20 @@ class TestMinimize:
         v = np.array(spec.motion.offsets[0])
         mean_err = np.linalg.norm(flow - v, axis=-1).mean()
         assert mean_err < 1.0
+
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    def test_recovers_an_arc_with_a_cubic_field(self, noise):
+        # a twelfth of a turn fitted from the zero field, which reads 8.5 px
+        # at t = 1 and 4.3 px over the seven query times; this fit reads
+        # about 4.2 and 2.0-2.2 px. A zeroed contrast gradient stays at
+        # 8.5 px at t = 1, and a sign-flipped one ends at 13.9-15.3 px
+        sl, gt, _ = arc_scene(angle=np.pi / 6, n_events=8000, noise=noise, coverage_radius=2, seed=0)
+        field = TrajectoryField.zeros(64, 64, 8, Basis(BEZIER, 3))
+        ocfg = OptimConfig(iterations=60, lr=0.5, seed=0, objective=ObjectiveConfig(sigma=1.0, k=8))
+        flow = interpolate_flow(minimize(sl, field, ocfg).field, gt.times, 8)
+        epe = [score_time(f, d, v)[0] for f, d, v in zip(flow, gt.disp, gt.valid)]
+        assert epe[-1] < 5.0
+        assert np.mean(epe) < 2.6
 
     def test_trace_csv(self, tmp_path):
         sl, field = small_instance(seed=13)

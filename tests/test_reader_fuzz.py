@@ -6,24 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evtraj.events import EventSlice, load_events, save_events
+from evtraj.events import load_events, save_events
 from evtraj.flowio import load_flow, save_flow
-from evtraj.trajectory import BEZIER, Basis, TrajectoryField, load_field, save_field
+from evtraj.trajectory import BEZIER, Basis, load_field, save_field
+
+from scenes import random_field, random_slice
 
 
 def write_evt1(path):
-    rng = np.random.default_rng(0)
-    sl = EventSlice.from_arrays(
-        rng.integers(0, 8, 6), rng.integers(0, 6, 6), rng.uniform(0.0, 1.0, 6), rng.choice([-1, 1], 6),
-        8, 6, t_start=0.0, t_end=1.0,
-    )
-    save_events(sl, path)
+    save_events(random_slice(np.random.default_rng(0), 6, 8, 6), path)
 
 
 def write_trj1(path):
-    field = TrajectoryField.zeros(8, 6, 4, Basis(BEZIER, 2))
-    field.coeffs[...] = np.random.default_rng(1).normal(0.0, 2.0, field.coeffs.shape)
-    save_field(field, path)
+    save_field(random_field(np.random.default_rng(1), 8, 6, basis=Basis(BEZIER, 2)), path)
 
 
 def write_flo1(path):

@@ -15,12 +15,7 @@ from evtraj.trajectory import (
 )
 
 from oracles import bernstein_direct, de_casteljau, traj_position_scalar
-
-
-def random_field(rng, width=32, height=32, stride=4, basis=Basis(BEZIER, 10), scale=3.0):
-    field = TrajectoryField.zeros(width, height, stride, basis)
-    field.coeffs[...] = rng.normal(0.0, scale, field.coeffs.shape)
-    return field
+from scenes import random_field
 
 
 class TestEvalTrajectory:
@@ -39,13 +34,13 @@ class TestEvalTrajectory:
     def test_displacement_zero_at_t0(self):
         rng = np.random.default_rng(4)
         for basis in (Basis(POLYNOMIAL, 4), Basis(BEZIER, 10)):
-            field = random_field(rng, basis=basis)
+            field = random_field(rng, basis=basis, scale=3.0)
             pos0 = eval_trajectory_batch(field, [0.0])[0]
             np.testing.assert_array_equal(pos0, field.anchor_positions())
 
     def test_bezier_matches_de_casteljau_on_pinned_polygon(self):
         rng = np.random.default_rng(9)
-        field = random_field(rng, basis=Basis(BEZIER, 10))
+        field = random_field(rng, basis=Basis(BEZIER, 10), scale=3.0)
         anchor = 7
         base = field.anchor_positions()[anchor]
         # pinned control polygon: anchor itself, then anchor + offsets
@@ -57,8 +52,8 @@ class TestEvalTrajectory:
     def test_linearity_in_coefficients(self):
         rng = np.random.default_rng(12)
         basis = Basis(BEZIER, 6)
-        fa = random_field(rng, basis=basis)
-        fb = random_field(rng, basis=basis)
+        fa = random_field(rng, basis=basis, scale=3.0)
+        fb = random_field(rng, basis=basis, scale=3.0)
         a, b = 0.7, -1.3
         mix = fa.copy()
         mix.coeffs = a * fa.coeffs + b * fb.coeffs
@@ -84,14 +79,14 @@ class TestEvalTrajectory:
 class TestBatchEvaluation:
     def test_t0_is_anchor_grid(self):
         rng = np.random.default_rng(1)
-        field = random_field(rng)
+        field = random_field(rng, basis=Basis(BEZIER, 10), scale=3.0)
         np.testing.assert_array_equal(
             eval_trajectory_batch(field, [0.0])[0], field.anchor_positions()
         )
 
     def test_matches_scalar_calls(self):
         rng = np.random.default_rng(3)
-        field = random_field(rng, width=8, height=8, stride=4, basis=Basis(POLYNOMIAL, 3))
+        field = random_field(rng, width=8, height=8, stride=4, basis=Basis(POLYNOMIAL, 3), scale=3.0)
         times = [0.1, 0.5, 0.9]
         batch = eval_trajectory_batch(field, times)
         for ti, t in enumerate(times):
@@ -151,7 +146,7 @@ class TestContractBasis:
 
     def test_eval_trajectory_batch_equals_einsum(self):
         rng = np.random.default_rng(4)
-        field = random_field(rng, basis=Basis(POLYNOMIAL, 3))
+        field = random_field(rng, basis=Basis(POLYNOMIAL, 3), scale=3.0)
         times = np.linspace(0.0, 1.0, 7)
         want = field.anchor_positions()[None] + np.einsum(
             "td,ndc->tnc", displacement_basis(field.basis, times), field.flat_coeffs()
@@ -172,7 +167,7 @@ class TestGridAndIo:
 
     def test_trj1_roundtrip(self, tmp_path):
         rng = np.random.default_rng(5)
-        field = random_field(rng, basis=Basis(BEZIER, 4))
+        field = random_field(rng, basis=Basis(BEZIER, 4), scale=3.0)
         field.coeffs[...] = field.coeffs.astype(np.float32)  # exact under f32 storage
         path = tmp_path / "f.trj1"
         save_field(field, path)
